@@ -107,7 +107,7 @@ main(int argc, char **argv)
         // releases its slots after the bench has already collected.
         cfg.longLivedThink = ticksFromSeconds(30.0);
         cfg.listenBacklog = 1024;
-        cfg.synBacklog = 4096;
+        cfg.machine.kernel.synBacklog = 4096;
         args.apply(cfg);
         cfg.machine.traceEnabled = false;   // not even with --notrace off
 

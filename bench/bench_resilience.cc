@@ -140,8 +140,10 @@ main(int argc, char **argv)
             bool ok = parseFaultPlan(sc.plan, cfg.faults, perr);
             fsim_assert(ok && "scenario plans are hand-written");
             cfg.clientTimeout = ticksFromSeconds(0.08);
-            cfg.synCookies = sc.synCookies;
-            cfg.synBacklog = sc.synBacklog;
+            if (sc.synCookies)
+                cfg.machine.kernel.synCookies = true;
+            if (sc.synBacklog > 0)
+                cfg.machine.kernel.synBacklog = sc.synBacklog;
             // Reap embryonic TCBs 30ms after the flood plants them so
             // the SYN queue drains shortly after the attack stops and
             // the recovery windows measure the normal (non-cookie)

@@ -330,7 +330,7 @@ main(int argc, char **argv)
         cfg.longLivedRequests = 2;
         cfg.longLivedThink = ticksFromSeconds(30.0);
         cfg.listenBacklog = 1024;
-        cfg.synBacklog = 4096;
+        cfg.machine.kernel.synBacklog = 4096;
         cfg.warmupSec = 0.0;
         cfg.measureSec = 0.0;
         args.apply(cfg);

@@ -58,8 +58,10 @@ Scenario::toConfig() const
     cfg.listenBacklog = listenBacklog;
     cfg.acceptMutex = acceptMutex;
     cfg.checkLevel = CheckLevel::kPeriodic;
-    cfg.synCookies = synCookies;
-    cfg.synBacklog = synBacklog;
+    if (synCookies)
+        cfg.machine.kernel.synCookies = true;
+    if (synBacklog > 0)
+        cfg.machine.kernel.synBacklog = synBacklog;
     cfg.clientRtoBase = ticksFromUsec(
         static_cast<std::uint64_t>(clientRtoMsec * 1000.0));
     if (!faultPlan.empty()) {

@@ -10,46 +10,12 @@
 namespace fsim
 {
 
-namespace
-{
-
-std::map<std::string, LockClassStats>
-lockDeltaSat(const std::map<std::string, LockClassStats> &before,
-             const std::map<std::string, LockClassStats> &after)
-{
-    // Saturating per-class delta (a restarted machine's counters reset,
-    // so the plain subtraction Testbed uses could wrap here).
-    auto sat = [](std::uint64_t a, std::uint64_t b) {
-        return a > b ? a - b : 0;
-    };
-    std::map<std::string, LockClassStats> out;
-    for (const auto &kv : after) {
-        LockClassStats d = kv.second;
-        auto it = before.find(kv.first);
-        if (it != before.end()) {
-            d.acquisitions = sat(d.acquisitions, it->second.acquisitions);
-            d.contentions = sat(d.contentions, it->second.contentions);
-            d.waitTicks = sat(d.waitTicks, it->second.waitTicks);
-            d.holdTicks = sat(d.holdTicks, it->second.holdTicks);
-        }
-        out[kv.first] = d;
-    }
-    return out;
-}
-
-} // anonymous namespace
-
 FleetTestbed::FleetTestbed(const FleetConfig &cfg)
     : cfg_(cfg)
 {
     fsim_assert(cfg_.serverMachines >= 1 && cfg_.serverMachines <= 64);
     fsim_assert(cfg_.balancers >= 1 && cfg_.balancers <= 8);
 
-    // Hardening shorthands fold exactly like Testbed's.
-    if (cfg_.base.synCookies)
-        cfg_.base.machine.kernel.synCookies = true;
-    if (cfg_.base.synBacklog > 0)
-        cfg_.base.machine.kernel.synBacklog = cfg_.base.synBacklog;
     // Balancer probes abandon their handshakes silently (a probe
     // RST-ACK would *establish* the embryonic socket), so fleet server
     // kernels always run the SYN_RCVD reaper.
@@ -89,17 +55,7 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
         }
     }
 
-    if (cfg_.base.app == AppKind::kHaproxy) {
-        const IpAddr bfirst = 0x0a010001;   // 10.1.0.1 (shared tier)
-        const IpAddr blast =
-            bfirst + static_cast<IpAddr>(cfg_.base.backendCount - 1);
-        backends_ = std::make_unique<BackendPool>(
-            *eq_, *fabric_, bfirst, blast, cfg_.base.responseBytes,
-            ticksFromUsec(100));
-        backends_->setKeepAlive(cfg_.base.backendKeepAlive);
-        for (IpAddr a = bfirst; a <= blast; ++a)
-            backendAddrs_.push_back(a);
-    }
+    backends_ = buildBackends(*eq_, *fabric_, cfg_.base, backendAddrs_);
 
     slots_.resize(cfg_.serverMachines);
     for (int s = 0; s < cfg_.serverMachines; ++s)
@@ -149,29 +105,13 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
     }
     lbUp_.assign(cfg_.balancers, true);
 
-    HttpLoad::Config lc;
+    std::vector<IpAddr> vips;
     for (int k = 0; k < cfg_.balancers; ++k)
-        lc.serverAddrs.push_back(vipAddr(k));
-    lc.serverPort = 80;
-    lc.concurrency = cfg_.base.concurrencyPerCore *
-                     cfg_.base.machine.cores * cfg_.serverMachines;
-    lc.requestBytes = cfg_.base.requestBytes;
-    lc.requestsPerConn = cfg_.base.requestsPerConn;
-    lc.timeout = cfg_.base.clientTimeout;
-    lc.seed = cfg_.base.machine.seed ^ 0xabcdef;
-    lc.maxConns = cfg_.base.maxConns;
-    lc.rtoBase = cfg_.base.clientRtoBase;
-    lc.rtoMax = cfg_.base.clientRtoMax;
-    lc.maxRetx = cfg_.base.clientMaxRetx;
-    lc.healthEvery = cfg_.base.clientHealthEvery;
-    if (cfg_.base.machine.overload.healthRequestBytes > 0)
-        lc.healthRequestBytes =
-            cfg_.base.machine.overload.healthRequestBytes;
-    lc.longLivedPermille = cfg_.base.longLivedPermille;
-    lc.longLivedRequests = cfg_.base.longLivedRequests;
-    lc.longLivedThink = cfg_.base.longLivedThink;
-    lc.clientPortSpan = cfg_.base.clientPortSpan;
-    lc.clientIps = clientIps;
+        vips.push_back(vipAddr(k));
+    HttpLoad::Config lc = clientConfig(
+        cfg_.base, vips, 80,
+        cfg_.base.concurrencyPerCore * cfg_.base.machine.cores *
+            cfg_.serverMachines);
     load_ = std::make_unique<HttpLoad>(*eq_, *fabric_, lc);
     load_->setTraceLog(&traceLog_);
     setupObservability();
@@ -183,21 +123,13 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
         faults_ = std::make_unique<FaultInjector>(
             *eq_, *fabric_, slots_[0].gen.machine->nic(),
             backends_.get(), cfg_.base.faults);
-        std::vector<IpAddr> vips;
-        for (int k = 0; k < cfg_.balancers; ++k)
-            vips.push_back(vipAddr(k));
         faults_->arm(vips, 80);
         armFleetFaults();
     }
 
     if (cfg_.base.checkLevel != CheckLevel::kOff) {
-        for (ServerSlot &sl : slots_) {
-            registerStandardInvariants(checks_, *sl.gen.machine, *load_,
-                                       *fabric_);
-            if (sl.gen.admission)
-                registerOverloadInvariants(checks_, *sl.gen.admission,
-                                           *sl.gen.machine, *sl.gen.app);
-        }
+        for (ServerSlot &sl : slots_)
+            registerServerInvariants(checks_, sl.gen, *load_, *fabric_);
         for (std::size_t k = 0; k < balancers_.size(); ++k) {
             L4Balancer *b = balancers_[k].get();
             checks_.add("fleet-flow-conservation",
@@ -250,57 +182,16 @@ FleetTestbed::buildGeneration(int s)
               (0x5107ULL + static_cast<std::uint64_t>(s) * 0x9e3779b9ULL) ^
               (static_cast<std::uint64_t>(sl.generation) * 0x85ebca6bULL);
 
-    Generation g;
-    g.port = std::make_unique<NetPort>(*fabric_);
-    g.machine = std::make_unique<Machine>(*eq_, *g.port, mc);
-
-    if (cfg_.base.app == AppKind::kHaproxy) {
-        auto proxy = std::make_unique<Proxy>(*g.machine, backendAddrs_,
-                                             cfg_.base.backendPort,
-                                             cfg_.base.responseBytes);
-        if (cfg_.base.backendTimeout > 0) {
-            Proxy::Tuning pt;
-            pt.backendTimeout = cfg_.base.backendTimeout;
-            proxy->setTuning(pt);
-        }
-        g.app = std::move(proxy);
-    } else {
-        g.app = std::make_unique<WebServer>(
-            *g.machine, cfg_.base.responseBytes,
-            cfg_.base.requestsPerConn > 1 ||
-                cfg_.base.longLivedPermille > 0);
-    }
-    g.app->setAcceptMutex(cfg_.base.acceptMutex);
-    g.app->start();
-
-    if (cfg_.base.machine.overload.enabled) {
-        g.admission = std::make_unique<AdmissionController>(
-            g.machine->config().overload, &g.machine->pressure(),
-            g.machine->numCores());
-        g.app->setAdmission(g.admission.get(),
-                            &g.machine->config().overload);
-    }
-
-    if (cfg_.base.listenBacklog > 0) {
-        for (const Socket *sock : g.machine->kernel().allSockets())
-            if (sock->kind == SockKind::kListen)
-                const_cast<Socket *>(sock)->backlog =
-                    cfg_.base.listenBacklog;
-    }
-
-    sl.gen = std::move(g);
+    auto port = std::make_unique<NetPort>(*fabric_);
+    Server srv = buildServer(*eq_, *port, cfg_.base, mc, backendAddrs_);
+    sl.gen = Generation{{std::move(port)}, std::move(srv)};
     // A gray fault is the slot's environment, not one generation's
     // state: a restart mid-degrade comes back just as sick.
     if (sl.degraded)
         applyDegrade(s);
-    // Fresh generation, fresh window marks (all its counters are 0).
+    // A fresh generation's window counts from its boot.
     sl.gen.machine->markWindow();
-    sl.phaseMark = PhaseSnapshot{};
-    sl.lockMark.clear();
-    sl.ksMark = KernelStats{};
-    sl.servedMark = 0;
-    sl.accessesMark = 0;
-    sl.missesMark = 0;
+    sl.mark = ServerWindow{};
 }
 
 std::vector<std::pair<IpAddr, IpAddr>>
@@ -557,19 +448,13 @@ FleetTestbed::restartMachine(int s)
     if (sl.up)
         return;
 
-    // Bank the dying generation's window contribution, then retire it
-    // as a zombie (run-total counters must stay reachable).
-    const KernelStats &ks = sl.gen.machine->kernel().stats();
-    carry_.served += sl.gen.app->served() - sl.servedMark;
-    carry_.slowPath += ks.slowPathAccepts - sl.ksMark.slowPathAccepts;
-    carry_.steered += ks.steeredPackets - sl.ksMark.steeredPackets;
-    carry_.rx += ks.rxPackets - sl.ksMark.rxPackets;
-    carry_.activeLocal += ks.activePktLocal - sl.ksMark.activePktLocal;
-    carry_.activeTotal += ks.activePktTotal - sl.ksMark.activePktTotal;
-    carry_.accesses +=
-        sl.gen.machine->cache().totalAccesses() - sl.accessesMark;
-    carry_.misses +=
-        sl.gen.machine->cache().totalMisses() - sl.missesMark;
+    // Bank the dying generation's window counters (its phases and
+    // locks leave the window with it), then retire it as a zombie
+    // (run-total counters must stay reachable).
+    ServerWindow banked = ServerWindow::read(sl.gen).since(sl.mark);
+    banked.phases = PhaseSnapshot{};
+    banked.locks.clear();
+    retiredWindow_ += banked;
     retired_.push_back(std::move(sl.gen));
 
     ++sl.generation;
@@ -579,13 +464,8 @@ FleetTestbed::restartMachine(int s)
     for (auto &b : balancers_)
         b->noteRestarted(s);
 
-    if (cfg_.base.checkLevel != CheckLevel::kOff) {
-        registerStandardInvariants(checks_, *sl.gen.machine, *load_,
-                                   *fabric_);
-        if (sl.gen.admission)
-            registerOverloadInvariants(checks_, *sl.gen.admission,
-                                       *sl.gen.machine, *sl.gen.app);
-    }
+    if (cfg_.base.checkLevel != CheckLevel::kOff)
+        registerServerInvariants(checks_, sl.gen, *load_, *fabric_);
 }
 
 std::uint64_t
@@ -727,39 +607,16 @@ FleetTestbed::startLoad()
 void
 FleetTestbed::runUntilChecked(Tick limit)
 {
-    if (cfg_.base.checkLevel != CheckLevel::kPeriodic) {
-        eq_->runUntil(limit);
-        return;
-    }
-    Tick step = ticksFromSeconds(cfg_.base.checkIntervalSec);
-    if (step == 0)
-        step = 1;
-    while (eq_->now() < limit) {
-        eq_->runUntil(std::min(limit, eq_->now() + step));
-        checks_.runAll(eq_->now());
-    }
+    runChecked(*eq_, checks_, cfg_.base, limit);
 }
 
 void
 FleetTestbed::markWindows()
 {
-    for (ServerSlot &sl : slots_) {
-        Machine &m = *sl.gen.machine;
-        m.markWindow();
-        sl.phaseMark = m.tracer().phaseSnapshot();
-        sl.lockMark = m.locks().snapshot();
-        sl.ksMark = m.kernel().stats();
-        sl.servedMark = sl.gen.app->served();
-        sl.accessesMark = m.cache().totalAccesses();
-        sl.missesMark = m.cache().totalMisses();
-    }
-    load_->markWindow();
-    completedMark_ = load_->completed();
-    failedMark_ = load_->failed();
-    eventsRunMark_ = eq_->executed();
-    eventsScheduledMark_ = eq_->scheduled();
-    markTick_ = eq_->now();
-    carry_ = WindowCarry{};
+    for (ServerSlot &sl : slots_)
+        sl.mark = ServerWindow::start(sl.gen);
+    runMark_ = RunMark::take(*eq_, *load_);
+    retiredWindow_ = ServerWindow{};
 
     // Re-seed the observability cursors so warmup traffic never leaks
     // into the first sampled window or the SLO burn state.
@@ -994,185 +851,27 @@ FleetTestbed::currentFingerprint() const
 ExperimentResult
 FleetTestbed::collect()
 {
-    if (cfg_.base.checkLevel != CheckLevel::kOff)
-        checks_.runAll(eq_->now());
-
     ExperimentResult r;
-    r.cps = load_->throughputSinceMark();
-    r.rps = load_->requestThroughputSinceMark();
+    collectRun(r, runMark_, *eq_, *load_, cfg_.base, checks_);
 
-    const Tick span = eq_->now() - markTick_;
-    r.windowSpan = span;
-    r.simEventsRun = eq_->executed() - eventsRunMark_;
-    r.simEventsScheduled = eq_->scheduled() - eventsScheduledMark_;
-    r.simTicks = span;
-
-    // Per-machine window deltas (live generations; generations lost
-    // mid-window banked their deltas into carry_ at restart). Phases,
-    // locks and utilization cover live generations only.
-    std::uint64_t acc = carry_.accesses, mis = carry_.misses;
-    std::uint64_t at = carry_.activeTotal, al = carry_.activeLocal;
-    r.served = carry_.served;
-    r.slowPathAccepts = carry_.slowPath;
-    r.steeredPackets = carry_.steered;
-    r.rxPackets = carry_.rx;
-    PhaseSnapshot combined;
-    std::map<std::string, LockClassStats> lockSum;
+    // Window deltas of the live generations plus the counters banked by
+    // generations lost mid-window. Phases, locks and utilization cover
+    // live generations only.
+    ServerWindow window = retiredWindow_;
     int liveCores = 0;
     for (ServerSlot &sl : slots_) {
-        Machine &m = *sl.gen.machine;
-        const KernelStats &ks = m.kernel().stats();
-        r.served += sl.gen.app->served() - sl.servedMark;
-        r.slowPathAccepts += ks.slowPathAccepts -
-                             sl.ksMark.slowPathAccepts;
-        r.steeredPackets += ks.steeredPackets -
-                            sl.ksMark.steeredPackets;
-        r.rxPackets += ks.rxPackets - sl.ksMark.rxPackets;
-        at += ks.activePktTotal - sl.ksMark.activePktTotal;
-        al += ks.activePktLocal - sl.ksMark.activePktLocal;
-        acc += m.cache().totalAccesses() - sl.accessesMark;
-        mis += m.cache().totalMisses() - sl.missesMark;
-
-        for (double u : m.utilizationSinceMark())
-            r.coreUtil.push_back(u);
-        liveCores += m.numCores();
-
-        std::map<std::string, LockClassStats> ld =
-            lockDeltaSat(sl.lockMark, m.locks().snapshot());
-        for (const auto &kv : ld) {
-            LockClassStats &dst = lockSum[kv.first];
-            dst.acquisitions += kv.second.acquisitions;
-            dst.contentions += kv.second.contentions;
-            dst.waitTicks += kv.second.waitTicks;
-            dst.holdTicks += kv.second.holdTicks;
-        }
-
-        PhaseSnapshot d = phaseDelta(sl.phaseMark,
-                                     m.tracer().phaseSnapshot());
-        for (const auto &row : d.perCore)
-            combined.perCore.push_back(row);
-        for (const auto &kv : d.folded)
-            combined.folded[kv.first] += kv.second;
-        combined.untracked += d.untracked;
-
-        r.traceEventsRecorded += m.tracer().eventsRecorded();
-        r.traceEventsOverwritten += m.tracer().eventsOverwritten();
-        for (int c = 0; c < m.numCores(); ++c)
-            r.traceOverwrittenPerCore.push_back(
-                m.tracer().eventsOverwritten(c));
-        if (!cfg_.base.machine.traceEnabled) {
-            fsim_assert(m.tracer().connSpans().allocations() == 0 &&
-                        "span tracing allocated with tracing disabled");
-        }
+        window += ServerWindow::read(sl.gen).since(sl.mark);
+        addLiveServer(r, sl.gen);
+        liveCores += sl.gen.machine->numCores();
     }
-    r.locks = lockSum;
-    r.l3MissRate = acc ? static_cast<double>(mis) /
-                         static_cast<double>(acc)
-                       : 0.0;
-    r.localPktProportion = at ? static_cast<double>(al) /
-                                static_cast<double>(at)
-                              : 0.0;
-    r.clientFailures = load_->failed() - failedMark_;
-
-    const double totalCycles = static_cast<double>(span) * liveCores;
-    if (totalCycles > 0) {
-        for (const auto &kv : r.locks)
-            r.lockCycleShare[kv.first] =
-                static_cast<double>(kv.second.waitTicks) / totalCycles;
-    }
-    r.phaseCycles = combined;
-    r.phases = phaseBreakdown(combined, span);
-    r.foldedStacks = foldedStacks(combined);
-
+    fillWindow(r, std::move(window), liveCores);
     r.fingerprint = currentFingerprint();
-    r.invariants = checks_.report();
 
-    // Overload block: run totals summed over every machine generation
-    // (each controller's arithmetic identities survive summation).
-    OverloadResult &ov = r.overload;
-    ov.enabled = cfg_.base.machine.overload.enabled;
-    ov.spec = serializeOverloadSpec(cfg_.base.machine.overload);
-    forEachGeneration([&ov](const Generation &g) {
-        if (g.admission) {
-            ov.offered += g.admission->offered();
-            ov.admitted += g.admission->admitted();
-            ov.degraded += g.admission->degraded();
-            ov.shed += g.admission->shed();
-            ov.shedDeadline += g.admission->shedDeadline();
-            ov.shedWorkerCap += g.admission->shedWorkerCap();
-            ov.shedPressure += g.admission->shedPressure();
-            ov.released += g.admission->released();
-            ov.inflight += g.admission->inflightTotal();
-            ov.healthOffered += g.admission->healthOffered();
-            ov.healthAdmitted += g.admission->healthAdmitted();
-        }
-        ov.servedDegraded += g.app->servedDegraded();
-        const KernelStats &ks = g.machine->kernel().stats();
-        ov.backlogDropped += ks.backlogDropped;
-        ov.synGateDropped += ks.synGateDropped;
-        const PressureState &pr = g.machine->pressure();
-        ov.pressureTransitions += pr.transitions();
-        ov.pressurePeak = std::max(ov.pressurePeak,
-                                   static_cast<int>(pr.peakLevel()));
-        ov.softirqDepthPeak = std::max<std::uint64_t>(
-            ov.softirqDepthPeak, pr.softirqDepthPeak());
-        ov.acceptDepthPeak = std::max<std::uint64_t>(
-            ov.acceptDepthPeak, pr.acceptDepthPeak());
-        for (int p = 0; p < g.machine->numCores(); ++p) {
-            std::size_t rp =
-                g.machine->kernel().process(p).epoll->readyPeak();
-            ov.epollReadyPeak = std::max<std::uint64_t>(
-                ov.epollReadyPeak, rp);
-        }
-    });
-    for (const ServerSlot &sl : slots_) {
-        if (sl.up)
-            ov.pressureLevel = std::max(
-                ov.pressureLevel,
-                static_cast<int>(sl.gen.machine->pressure().level()));
-    }
-    ov.latencyP50 = load_->latencyPercentileSinceMark(0.50);
-    ov.latencyP99 = load_->latencyPercentileSinceMark(0.99);
-    ov.latencySamples = load_->latencySamplesSinceMark();
-    ov.healthProbesStarted = load_->healthStarted();
-    ov.healthProbesCompleted = load_->healthCompleted();
-    ov.healthProbesFailed = load_->healthFailed();
-
-    // Connection census: run totals over every generation.
-    ConnResult &cn = r.conn;
-    forEachGeneration([&cn](const Generation &g) {
-        const KernelStack &k = g.machine->kernel();
-        const KernelStats &ks = k.stats();
-        const TcbArena &arena = k.tcbArena();
-        cn.tcbLive += arena.live();
-        cn.tcbLivePeak += arena.peakLive();
-        cn.tcbCreated += arena.totalCreated();
-        cn.slabBytes += arena.slabBytes();
-        if (cn.bytesPerConn == 0)
-            cn.bytesPerConn = arena.bytesPerConn();
-        cn.establishedCurr += ks.establishedCurr;
-        cn.establishedPeak += ks.establishedPeak;
-        cn.timeWaitCurr += k.timeWaitTable().size();
-        cn.timeWaitPeak += k.timeWaitTable().peakSize();
-        cn.timeWaitEntered += ks.timeWaitEntered;
-        cn.timeWaitReaped += ks.timeWaitReaped;
-        cn.timeWaitRecycled += ks.timeWaitRecycled;
-        cn.timeWaitReused += ks.timeWaitReused;
-        cn.timeWaitSynDropped += ks.timeWaitSynDropped;
-        cn.timeWaitAcks += ks.timeWaitAcks;
-        cn.portAllocFailures += ks.portAllocFailures;
-        cn.ehashLookups += k.ehashLookups();
-        cn.ehashProbesWalked += k.ehashProbesWalked();
-        cn.ehashLookupCycles += k.ehashLookupCycles();
-        cn.ehashResizes += k.ehashResizes();
-    });
-    if (cn.ehashLookups > 0) {
-        cn.avgProbeLen = static_cast<double>(cn.ehashProbesWalked) /
-                         static_cast<double>(cn.ehashLookups);
-        cn.cyclesPerLookup =
-            static_cast<double>(cn.ehashLookupCycles) /
-            static_cast<double>(cn.ehashLookups);
-    }
+    // Run totals sum over every machine generation.
+    for (const ServerSlot &sl : slots_)
+        addRunTotals(r, sl.gen, sl.up);
+    for (const Generation &g : retired_)
+        addRunTotals(r, g, /*up=*/false);
 
     // Fleet block.
     FleetResult &fl = r.fleet;
@@ -1246,7 +945,7 @@ FleetTestbed::collect()
                                         fl.incidentsRecovered)
                         : 0.0;
     const std::uint64_t winCompleted = load_->completed() -
-                                       completedMark_;
+                                       runMark_.completed;
     const std::uint64_t winFailed = r.clientFailures;
     fl.requestSuccessRatio =
         winCompleted + winFailed > 0
@@ -1313,27 +1012,12 @@ FleetTestbed::run()
     runUntilChecked(eq_->now() + ticksFromSeconds(cfg_.base.warmupSec));
     markWindows();
 
-    const int wins = std::max(1, cfg_.base.statWindows);
-    const Tick begin = eq_->now();
-    const Tick measure = ticksFromSeconds(cfg_.base.measureSec);
-    std::vector<LockWindow> windows;
-    std::uint64_t completedPrev = load_->completed();
-    for (int w = 0; w < wins; ++w) {
-        LockWindow lw;
-        lw.start = eq_->now();
-        runUntilChecked(begin + measure * (w + 1) / wins);
-        lw.end = eq_->now();
-        lw.completed = load_->completed() - completedPrev;
-        const double wsec = secondsFromTicks(lw.end - lw.start);
-        lw.goodput = wsec > 0.0
-                         ? static_cast<double>(lw.completed) / wsec
-                         : 0.0;
-        // Lock/SYN sub-window deltas stay empty at fleet scope (a
-        // restart resets one machine's share mid-window).
-        sampleObservability(lw.start, lw.end);
-        windows.push_back(std::move(lw));
-        completedPrev = load_->completed();
-    }
+    // Lock/SYN sub-window deltas stay empty at fleet scope (a restart
+    // resets one machine's share mid-window).
+    std::vector<LockWindow> windows = measureWindows(
+        *this, cfg_.base.statWindows,
+        ticksFromSeconds(cfg_.base.measureSec),
+        [this](LockWindow &lw) { sampleObservability(lw.start, lw.end); });
 
     ExperimentResult r = collect();
     r.lockWindows = std::move(windows);

@@ -177,8 +177,7 @@ BenchJsonReport::str() const
         w.key("faults").beginObject();
         w.key("plan").value(serializeFaultPlan(cfg.faults));
         w.key("armed").value(!cfg.faults.empty());
-        w.key("syn_cookies").value(cfg.synCookies ||
-                                   cfg.machine.kernel.synCookies);
+        w.key("syn_cookies").value(cfg.machine.kernel.synCookies);
         w.endObject();
 
         const OverloadResult &ov = r.overload;

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "check/fingerprint.hh"
-#include "sim/logging.hh"
 
 namespace fsim
 {
@@ -40,121 +39,31 @@ ExperimentResult::avgUtil() const
     return s / static_cast<double>(coreUtil.size());
 }
 
-std::map<std::string, LockClassStats>
-lockDelta(const std::map<std::string, LockClassStats> &before,
-          const std::map<std::string, LockClassStats> &after)
-{
-    std::map<std::string, LockClassStats> out;
-    for (const auto &kv : after) {
-        LockClassStats d = kv.second;
-        auto it = before.find(kv.first);
-        if (it != before.end()) {
-            d.acquisitions -= it->second.acquisitions;
-            d.contentions -= it->second.contentions;
-            d.waitTicks -= it->second.waitTicks;
-            d.holdTicks -= it->second.holdTicks;
-        }
-        out[kv.first] = d;
-    }
-    return out;
-}
-
 Testbed::Testbed(const ExperimentConfig &cfg)
     : cfg_(cfg)
 {
-    // Hardening shorthands fold into the kernel config before the
-    // machine exists; defaults leave it untouched.
-    if (cfg_.synCookies)
-        cfg_.machine.kernel.synCookies = true;
-    if (cfg_.synBacklog > 0)
-        cfg_.machine.kernel.synBacklog = cfg_.synBacklog;
-
     eq_ = std::make_unique<EventQueue>();
     wire_ = std::make_unique<Wire>(*eq_, cfg_.wireDelay);
     if (cfg_.lossRate > 0.0)
         wire_->setLossRate(cfg_.lossRate, cfg_.machine.seed ^ 0x10ad);
-    machine_ = std::make_unique<Machine>(*eq_, *wire_, cfg_.machine);
-
-    if (cfg_.app == AppKind::kHaproxy) {
-        IpAddr bfirst = 0x0a010001;   // 10.1.0.1
-        IpAddr blast = bfirst + static_cast<IpAddr>(cfg_.backendCount - 1);
-        backends_ = std::make_unique<BackendPool>(
-            *eq_, *wire_, bfirst, blast, cfg_.responseBytes,
-            ticksFromUsec(100));
-        backends_->setKeepAlive(cfg_.backendKeepAlive);
-        std::vector<IpAddr> baddrs;
-        for (IpAddr a = bfirst; a <= blast; ++a)
-            baddrs.push_back(a);
-        auto proxy = std::make_unique<Proxy>(*machine_, baddrs,
-                                             cfg_.backendPort,
-                                             cfg_.responseBytes);
-        if (cfg_.backendTimeout > 0) {
-            Proxy::Tuning pt;
-            pt.backendTimeout = cfg_.backendTimeout;
-            proxy->setTuning(pt);
-        }
-        app_ = std::move(proxy);
-    } else {
-        app_ = std::make_unique<WebServer>(*machine_, cfg_.responseBytes,
-                                           cfg_.requestsPerConn > 1 ||
-                                               cfg_.longLivedPermille > 0);
-    }
-    app_->setAcceptMutex(cfg_.acceptMutex);
-    app_->start();
-
-    if (cfg_.machine.overload.enabled) {
-        // The controller reads the machine-owned PressureState; the app
-        // consults it once per accepted connection.
-        admission_ = std::make_unique<AdmissionController>(
-            machine_->config().overload, &machine_->pressure(),
-            machine_->numCores());
-        app_->setAdmission(admission_.get(),
-                           &machine_->config().overload);
-    }
-
-    HttpLoad::Config lc;
-    lc.serverAddrs = machine_->addrs();
-    lc.serverPort = machine_->servicePort();
-    lc.concurrency = cfg_.concurrencyPerCore * machine_->numCores();
-    lc.requestBytes = cfg_.requestBytes;
-    lc.requestsPerConn = cfg_.requestsPerConn;
-    lc.timeout = cfg_.clientTimeout;
-    lc.seed = cfg_.machine.seed ^ 0xabcdef;
-    lc.maxConns = cfg_.maxConns;
-    lc.rtoBase = cfg_.clientRtoBase;
-    lc.rtoMax = cfg_.clientRtoMax;
-    lc.maxRetx = cfg_.clientMaxRetx;
-    lc.healthEvery = cfg_.clientHealthEvery;
-    if (cfg_.machine.overload.healthRequestBytes > 0)
-        lc.healthRequestBytes = cfg_.machine.overload.healthRequestBytes;
-    lc.longLivedPermille = cfg_.longLivedPermille;
-    lc.longLivedRequests = cfg_.longLivedRequests;
-    lc.longLivedThink = cfg_.longLivedThink;
-    lc.clientPortSpan = cfg_.clientPortSpan;
-    if (cfg_.clientIps > 0)
-        lc.clientIps = cfg_.clientIps;
-    load_ = std::make_unique<HttpLoad>(*eq_, *wire_, lc);
+    std::vector<IpAddr> backendAddrs;
+    backends_ = buildBackends(*eq_, *wire_, cfg_, backendAddrs);
+    server_ = buildServer(*eq_, *wire_, cfg_, cfg_.machine, backendAddrs);
+    Machine &m = machine();
+    load_ = std::make_unique<HttpLoad>(
+        *eq_, *wire_,
+        clientConfig(cfg_, m.addrs(), m.servicePort(),
+                     cfg_.concurrencyPerCore * m.numCores()));
 
     if (!cfg_.faults.empty()) {
-        faults_ = std::make_unique<FaultInjector>(*eq_, *wire_,
-                                                  machine_->nic(),
+        faults_ = std::make_unique<FaultInjector>(*eq_, *wire_, m.nic(),
                                                   backends_.get(),
                                                   cfg_.faults);
-        faults_->arm(machine_->addrs(), machine_->servicePort());
+        faults_->arm(m.addrs(), m.servicePort());
     }
 
-    if (cfg_.listenBacklog > 0) {
-        for (const Socket *s : machine_->kernel().allSockets())
-            if (s->kind == SockKind::kListen)
-                const_cast<Socket *>(s)->backlog = cfg_.listenBacklog;
-    }
-
-    if (cfg_.checkLevel != CheckLevel::kOff) {
-        registerStandardInvariants(checks_, *machine_, *load_, *wire_);
-        if (admission_)
-            registerOverloadInvariants(checks_, *admission_, *machine_,
-                                       *app_);
-    }
+    if (cfg_.checkLevel != CheckLevel::kOff)
+        registerServerInvariants(checks_, server_, *load_, *wire_);
 }
 
 Testbed::~Testbed() = default;
@@ -162,17 +71,7 @@ Testbed::~Testbed() = default;
 void
 Testbed::runUntilChecked(Tick limit)
 {
-    if (cfg_.checkLevel != CheckLevel::kPeriodic) {
-        eq_->runUntil(limit);
-        return;
-    }
-    Tick step = ticksFromSeconds(cfg_.checkIntervalSec);
-    if (step == 0)
-        step = 1;
-    while (eq_->now() < limit) {
-        eq_->runUntil(std::min(limit, eq_->now() + step));
-        checks_.runAll(eq_->now());
-    }
+    runChecked(*eq_, checks_, cfg_, limit);
 }
 
 std::uint64_t
@@ -184,6 +83,9 @@ Testbed::currentFingerprint() const
     // the fingerprint even if it never reached the wire. Everything
     // folded here is simulated state — trace configuration must not
     // move any of it.
+    Machine &m = *server_.machine;
+    const AppBase &app = *server_.app;
+    const AdmissionController *adm = server_.admission.get();
     Fingerprint fp;
     fp.mix(wire_->seqHash());
     fp.mix(eq_->now());
@@ -193,8 +95,8 @@ Testbed::currentFingerprint() const
     fp.mix(load_->responses());
     fp.mix(load_->timeouts());
     fp.mix(load_->bytesReceived());
-    fp.mix(app_->served());
-    const KernelStats &ks = machine_->kernel().stats();
+    fp.mix(app.served());
+    const KernelStats &ks = m.kernel().stats();
     fp.mix(ks.rxPackets);
     fp.mix(ks.txPackets);
     fp.mix(ks.steeredPackets);
@@ -222,43 +124,43 @@ Testbed::currentFingerprint() const
     fp.mix(ks.timeWaitSynDropped);
     fp.mix(ks.timeWaitAcks);
     fp.mix(ks.portAllocFailures);
-    fp.mix(machine_->kernel().tcbArena().totalCreated());
-    fp.mix(machine_->kernel().tcbArena().peakLive());
-    fp.mix(machine_->kernel().timeWaitTable().peakSize());
-    fp.mix(machine_->kernel().ehashLookups());
-    fp.mix(machine_->kernel().ehashProbesWalked());
-    fp.mix(machine_->kernel().ehashLookupCycles());
-    fp.mix(machine_->kernel().ehashResizes());
+    fp.mix(m.kernel().tcbArena().totalCreated());
+    fp.mix(m.kernel().tcbArena().peakLive());
+    fp.mix(m.kernel().timeWaitTable().peakSize());
+    fp.mix(m.kernel().ehashLookups());
+    fp.mix(m.kernel().ehashProbesWalked());
+    fp.mix(m.kernel().ehashLookupCycles());
+    fp.mix(m.kernel().ehashResizes());
     fp.mix(wire_->duplicated());
     fp.mix(load_->synRetransmits());
     fp.mix(load_->requestRetransmits());
     fp.mix(load_->retxGiveups());
-    fp.mix(machine_->cpu().totalBusyTicks());
-    fp.mix(machine_->cache().totalAccesses());
-    fp.mix(machine_->cache().totalMisses());
+    fp.mix(m.cpu().totalBusyTicks());
+    fp.mix(m.cache().totalAccesses());
+    fp.mix(m.cache().totalMisses());
     // Overload-control state is simulated behavior too: a divergence in
     // pressure transitions or admission decisions must flip the
     // fingerprint even when the goodput happens to match.
     fp.mix(ks.backlogDropped);
     fp.mix(ks.synGateDropped);
-    fp.mix(machine_->pressure().transitions());
-    fp.mix(static_cast<std::uint64_t>(machine_->pressure().level()));
-    fp.mix(app_->servedDegraded());
-    fp.mix(app_->shedConns());
+    fp.mix(m.pressure().transitions());
+    fp.mix(static_cast<std::uint64_t>(m.pressure().level()));
+    fp.mix(app.servedDegraded());
+    fp.mix(app.shedConns());
     fp.mix(load_->healthStarted());
     fp.mix(load_->healthCompleted());
     fp.mix(load_->healthFailed());
-    if (admission_) {
-        fp.mix(admission_->offered());
-        fp.mix(admission_->admitted());
-        fp.mix(admission_->degraded());
-        fp.mix(admission_->shedDeadline());
-        fp.mix(admission_->shedWorkerCap());
-        fp.mix(admission_->shedPressure());
-        fp.mix(admission_->released());
-        fp.mix(admission_->healthOffered());
-        fp.mix(admission_->healthAdmitted());
-        fp.mix(admission_->releaseUnderflows());
+    if (adm) {
+        fp.mix(adm->offered());
+        fp.mix(adm->admitted());
+        fp.mix(adm->degraded());
+        fp.mix(adm->shedDeadline());
+        fp.mix(adm->shedWorkerCap());
+        fp.mix(adm->shedPressure());
+        fp.mix(adm->released());
+        fp.mix(adm->healthOffered());
+        fp.mix(adm->healthAdmitted());
+        fp.mix(adm->releaseUnderflows());
     }
     return fp.value();
 }
@@ -275,82 +177,20 @@ Testbed::startLoad()
 void
 Testbed::markWindows()
 {
-    machine_->markWindow();
-    load_->markWindow();
-    lockMark_ = machine_->locks().snapshot();
-    phaseMark_ = machine_->tracer().phaseSnapshot();
-    accessesMark_ = machine_->cache().totalAccesses();
-    missesMark_ = machine_->cache().totalMisses();
-    servedMark_ = app_->served();
-    const KernelStats &ks = machine_->kernel().stats();
-    slowMark_ = ks.slowPathAccepts;
-    steerMark_ = ks.steeredPackets;
-    rxMark_ = ks.rxPackets;
-    activeLocalMark_ = ks.activePktLocal;
-    activeTotalMark_ = ks.activePktTotal;
-    failedMark_ = load_->failed();
-    spanCompletedMark_ = machine_->tracer().connSpans().completedCount();
-    eventsRunMark_ = eq_->executed();
-    eventsScheduledMark_ = eq_->scheduled();
-    markTick_ = eq_->now();
+    mark_ = ServerWindow::start(server_);
+    runMark_ = RunMark::take(*eq_, *load_);
 }
 
 ExperimentResult
 Testbed::collect()
 {
-    // Every collection point doubles as an invariant pass (the kFinal
-    // default): manual drivers get checked exactly where they measure.
-    if (cfg_.checkLevel != CheckLevel::kOff)
-        checks_.runAll(eq_->now());
-
     ExperimentResult r;
-    r.cps = load_->throughputSinceMark();
-    r.rps = load_->requestThroughputSinceMark();
-    r.coreUtil = machine_->utilizationSinceMark();
-    r.locks = lockDelta(lockMark_, machine_->locks().snapshot());
+    collectRun(r, runMark_, *eq_, *load_, cfg_, checks_);
+    addLiveServer(r, server_);
+    fillWindow(r, ServerWindow::read(server_).since(mark_),
+               machine().numCores());
 
-    std::uint64_t acc = machine_->cache().totalAccesses() - accessesMark_;
-    std::uint64_t mis = machine_->cache().totalMisses() - missesMark_;
-    r.l3MissRate = acc ? static_cast<double>(mis) /
-                         static_cast<double>(acc)
-                       : 0.0;
-
-    const KernelStats &ks = machine_->kernel().stats();
-    std::uint64_t at = ks.activePktTotal - activeTotalMark_;
-    std::uint64_t al = ks.activePktLocal - activeLocalMark_;
-    r.localPktProportion = at ? static_cast<double>(al) /
-                                static_cast<double>(at)
-                              : 0.0;
-
-    r.simEventsRun = eq_->executed() - eventsRunMark_;
-    r.simEventsScheduled = eq_->scheduled() - eventsScheduledMark_;
-    r.simTicks = eq_->now() - markTick_;
-
-    r.served = app_->served() - servedMark_;
-    r.clientFailures = load_->failed() - failedMark_;
-    r.slowPathAccepts = ks.slowPathAccepts - slowMark_;
-    r.steeredPackets = ks.steeredPackets - steerMark_;
-    r.rxPackets = ks.rxPackets - rxMark_;
-
-    // Lock cycle shares: spin-wait cycles per class over the window's
-    // total core-cycles (the "spin lock consumes 9%/11% of CPU cycles"
-    // framing of section 1).
-    Tick span = eq_->now() - markTick_;
-    double total_cycles = static_cast<double>(span) *
-                          machine_->numCores();
-    if (total_cycles > 0) {
-        for (const auto &kv : r.locks) {
-            r.lockCycleShare[kv.first] =
-                static_cast<double>(kv.second.waitTicks) / total_cycles;
-        }
-    }
-
-    // Trace-derived breakdowns: where did every window cycle go?
-    const Tracer &tr = machine_->tracer();
-    r.windowSpan = span;
-    r.phaseCycles = phaseDelta(phaseMark_, tr.phaseSnapshot());
-    r.phases = phaseBreakdown(r.phaseCycles, span);
-    r.foldedStacks = foldedStacks(r.phaseCycles);
+    const Tracer &tr = machine().tracer();
     for (int q = 0; q <= static_cast<int>(TraceQueueId::kProcessBacklog);
          ++q) {
         auto qid = static_cast<TraceQueueId>(q);
@@ -359,10 +199,6 @@ Testbed::collect()
         if (!tl.empty())
             r.queueTimelines[traceQueueName(qid)] = std::move(tl);
     }
-    r.traceEventsRecorded = tr.eventsRecorded();
-    r.traceEventsOverwritten = tr.eventsOverwritten();
-    for (int c = 0; c < machine_->numCores(); ++c)
-        r.traceOverwrittenPerCore.push_back(tr.eventsOverwritten(c));
     if (r.traceEventsOverwritten > 0) {
         std::fprintf(stderr,
                      "warning: trace ring overflow: %llu events "
@@ -375,94 +211,18 @@ Testbed::collect()
     // Per-connection span forensics over the window, plus the raw
     // traces when the caller wants to export them (Perfetto).
     const ConnSpanLog &sl = tr.connSpans();
-    r.spanForensics = buildSpanForensics(sl, spanCompletedMark_);
+    r.spanForensics = buildSpanForensics(sl, mark_.spansCompleted);
     if (cfg_.keepSpanTraces && sl.enabled()) {
         const auto &all = sl.completed();
-        std::size_t from = std::min(spanCompletedMark_, all.size());
+        std::size_t from = std::min(mark_.spansCompleted, all.size());
         r.spanTraces =
             std::make_shared<const std::vector<ConnSpanTrace>>(
                 all.begin() + static_cast<std::ptrdiff_t>(from),
                 all.end());
     }
-    if (!cfg_.machine.traceEnabled) {
-        // --notrace contract: a disabled span log must never have
-        // touched the allocator (the hooks are all gated on enabled()).
-        fsim_assert(sl.allocations() == 0 &&
-                    "span tracing allocated with tracing disabled");
-    }
 
     r.fingerprint = currentFingerprint();
-    r.invariants = checks_.report();
-
-    // Overload-control block: admission run totals, pressure peaks, and
-    // the window's client-observed latency tail.
-    OverloadResult &ov = r.overload;
-    ov.enabled = cfg_.machine.overload.enabled;
-    ov.spec = serializeOverloadSpec(cfg_.machine.overload);
-    if (admission_) {
-        ov.offered = admission_->offered();
-        ov.admitted = admission_->admitted();
-        ov.degraded = admission_->degraded();
-        ov.shed = admission_->shed();
-        ov.shedDeadline = admission_->shedDeadline();
-        ov.shedWorkerCap = admission_->shedWorkerCap();
-        ov.shedPressure = admission_->shedPressure();
-        ov.released = admission_->released();
-        ov.inflight = admission_->inflightTotal();
-        ov.healthOffered = admission_->healthOffered();
-        ov.healthAdmitted = admission_->healthAdmitted();
-    }
-    ov.servedDegraded = app_->servedDegraded();
-    const PressureState &pr = machine_->pressure();
-    ov.backlogDropped = ks.backlogDropped;
-    ov.synGateDropped = ks.synGateDropped;
-    ov.pressureTransitions = pr.transitions();
-    ov.pressureLevel = static_cast<int>(pr.level());
-    ov.pressurePeak = static_cast<int>(pr.peakLevel());
-    ov.softirqDepthPeak = pr.softirqDepthPeak();
-    ov.acceptDepthPeak = pr.acceptDepthPeak();
-    for (int p = 0; p < machine_->numCores(); ++p) {
-        std::size_t rp = machine_->kernel().process(p).epoll->readyPeak();
-        ov.epollReadyPeak = std::max<std::uint64_t>(ov.epollReadyPeak, rp);
-    }
-    ov.latencyP50 = load_->latencyPercentileSinceMark(0.50);
-    ov.latencyP99 = load_->latencyPercentileSinceMark(0.99);
-    ov.latencySamples = load_->latencySamplesSinceMark();
-    ov.healthProbesStarted = load_->healthStarted();
-    ov.healthProbesCompleted = load_->healthCompleted();
-    ov.healthProbesFailed = load_->healthFailed();
-
-    // Connection-lifetime census: arena footprint, TIME_WAIT lifecycle,
-    // port pressure, and established-hash lookup cost (run totals).
-    ConnResult &cn = r.conn;
-    const KernelStack &k = machine_->kernel();
-    const TcbArena &arena = k.tcbArena();
-    cn.tcbLive = arena.live();
-    cn.tcbLivePeak = arena.peakLive();
-    cn.tcbCreated = arena.totalCreated();
-    cn.slabBytes = arena.slabBytes();
-    cn.bytesPerConn = arena.bytesPerConn();
-    cn.establishedCurr = ks.establishedCurr;
-    cn.establishedPeak = ks.establishedPeak;
-    cn.timeWaitCurr = k.timeWaitTable().size();
-    cn.timeWaitPeak = k.timeWaitTable().peakSize();
-    cn.timeWaitEntered = ks.timeWaitEntered;
-    cn.timeWaitReaped = ks.timeWaitReaped;
-    cn.timeWaitRecycled = ks.timeWaitRecycled;
-    cn.timeWaitReused = ks.timeWaitReused;
-    cn.timeWaitSynDropped = ks.timeWaitSynDropped;
-    cn.timeWaitAcks = ks.timeWaitAcks;
-    cn.portAllocFailures = ks.portAllocFailures;
-    cn.ehashLookups = k.ehashLookups();
-    cn.ehashProbesWalked = k.ehashProbesWalked();
-    cn.ehashLookupCycles = k.ehashLookupCycles();
-    cn.ehashResizes = k.ehashResizes();
-    if (cn.ehashLookups > 0) {
-        cn.avgProbeLen = static_cast<double>(cn.ehashProbesWalked) /
-                         static_cast<double>(cn.ehashLookups);
-        cn.cyclesPerLookup = static_cast<double>(cn.ehashLookupCycles) /
-                             static_cast<double>(cn.ehashLookups);
-    }
+    addRunTotals(r, server_, /*up=*/true);
     return r;
 }
 
@@ -473,43 +233,24 @@ Testbed::run()
     runUntilChecked(eq_->now() + ticksFromSeconds(cfg_.warmupSec));
     markWindows();
 
-    // Split the measurement into statWindows sub-windows, snapshotting
-    // lockstat at each boundary so contention evolution is visible.
-    int wins = std::max(1, cfg_.statWindows);
-    Tick begin = eq_->now();
-    Tick measure = ticksFromSeconds(cfg_.measureSec);
-    std::vector<LockWindow> lock_windows;
-    std::map<std::string, LockClassStats> prev =
-        machine_->locks().snapshot();
-    std::uint64_t completed_prev = load_->completed();
-    KernelStats ks_prev = machine_->kernel().stats();
-    for (int w = 0; w < wins; ++w) {
-        Tick wstart = eq_->now();
-        runUntilChecked(begin + measure * (w + 1) / wins);
-        std::map<std::string, LockClassStats> cur =
-            machine_->locks().snapshot();
-        LockWindow lw;
-        lw.start = wstart;
-        lw.end = eq_->now();
-        lw.locks = lockDelta(prev, cur);
-        lw.completed = load_->completed() - completed_prev;
-        double wsec = secondsFromTicks(lw.end - lw.start);
-        lw.goodput = wsec > 0.0 ? static_cast<double>(lw.completed) / wsec
-                                : 0.0;
-        const KernelStats &ksc = machine_->kernel().stats();
-        lw.synRetransmits = ksc.synRetransmits - ks_prev.synRetransmits;
-        lw.synCookiesSent = ksc.synCookiesSent - ks_prev.synCookiesSent;
-        lw.synCookiesValidated =
-            ksc.synCookiesValidated - ks_prev.synCookiesValidated;
-        lw.acceptQueueRsts = ksc.acceptQueueRsts - ks_prev.acceptQueueRsts;
-        lock_windows.push_back(std::move(lw));
-        prev = std::move(cur);
-        completed_prev = load_->completed();
-        ks_prev = ksc;
-    }
+    // Per-sub-window lockstat and SYN-path deltas make contention
+    // evolution and fault windows visible.
+    ServerWindow prev = mark_;
+    std::vector<LockWindow> windows = measureWindows(
+        *this, cfg_.statWindows, ticksFromSeconds(cfg_.measureSec),
+        [&](LockWindow &lw) {
+            ServerWindow cur = ServerWindow::read(server_);
+            ServerWindow d = cur.since(prev);
+            lw.locks = std::move(d.locks);
+            lw.synRetransmits = d.kernel.synRetransmits;
+            lw.synCookiesSent = d.kernel.synCookiesSent;
+            lw.synCookiesValidated = d.kernel.synCookiesValidated;
+            lw.acceptQueueRsts = d.kernel.acceptQueueRsts;
+            prev = std::move(cur);
+        });
 
     ExperimentResult r = collect();
-    r.lockWindows = std::move(lock_windows);
+    r.lockWindows = std::move(windows);
     return r;
 }
 

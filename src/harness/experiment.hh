@@ -22,6 +22,7 @@
 #include "check/invariants.hh"
 #include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
+#include "harness/server.hh"
 #include "kernel/kernel_config.hh"
 #include "overload/admission.hh"
 #include "stats/metrics.hh"
@@ -107,11 +108,6 @@ struct ExperimentConfig
     /** @{ */
     /** Scheduled fault plan; empty = no injection. */
     FaultPlan faults;
-    /** Enable SYN cookies on the server kernel (shorthand for
-     *  machine.kernel.synCookies). */
-    bool synCookies = false;
-    /** Override the kernel's SYN-queue capacity (0 = kernel default). */
-    std::size_t synBacklog = 0;
     /** Client SYN/request retransmission base RTO (0 = off). */
     Tick clientRtoBase = 0;
     /** Backoff cap (0 = 8 x clientRtoBase). */
@@ -137,26 +133,6 @@ struct ExperimentConfig
      *  result (needed by the Perfetto exporter; forensics alone do
      *  not). Meaningless when machine.traceEnabled is off. */
     bool keepSpanTraces = false;
-    /** @} */
-};
-
-/** Lock-stat deltas of one measurement sub-window. */
-struct LockWindow
-{
-    Tick start = 0;
-    Tick end = 0;
-    std::map<std::string, LockClassStats> locks;
-    /** Client connections completed in this sub-window. */
-    std::uint64_t completed = 0;
-    /** completed / sub-window seconds: the goodput-over-time curve the
-     *  resilience benchmark plots. */
-    double goodput = 0.0;
-    /** @name Kernel counter deltas (fault visibility) */
-    /** @{ */
-    std::uint64_t synRetransmits = 0;
-    std::uint64_t synCookiesSent = 0;
-    std::uint64_t synCookiesValidated = 0;
-    std::uint64_t acceptQueueRsts = 0;
     /** @} */
 };
 
@@ -467,14 +443,14 @@ class Testbed
 
     EventQueue &eventQueue() { return *eq_; }
     Wire &wire() { return *wire_; }
-    Machine &machine() { return *machine_; }
-    AppBase &app() { return *app_; }
+    Machine &machine() { return *server_.machine; }
+    AppBase &app() { return *server_.app; }
     HttpLoad &load() { return *load_; }
     BackendPool *backends() { return backends_.get(); }
     FaultInjector *faults() { return faults_.get(); }
     InvariantRegistry &checks() { return checks_; }
     /** Null unless cfg.machine.overload.enabled. */
-    AdmissionController *admission() { return admission_.get(); }
+    AdmissionController *admission() { return server_.admission.get(); }
 
     /** Run warmup + measurement, return the measured window. */
     ExperimentResult run();
@@ -500,39 +476,19 @@ class Testbed
     ExperimentConfig cfg_;
     std::unique_ptr<EventQueue> eq_;
     std::unique_ptr<Wire> wire_;
-    std::unique_ptr<Machine> machine_;
     std::unique_ptr<BackendPool> backends_;
-    std::unique_ptr<AppBase> app_;
+    Server server_;
     std::unique_ptr<HttpLoad> load_;
     std::unique_ptr<FaultInjector> faults_;
-    std::unique_ptr<AdmissionController> admission_;
     InvariantRegistry checks_;
 
     bool loadStarted_ = false;
-    std::map<std::string, LockClassStats> lockMark_;
-    PhaseSnapshot phaseMark_;
-    std::uint64_t accessesMark_ = 0;
-    std::uint64_t missesMark_ = 0;
-    std::uint64_t servedMark_ = 0;
-    std::uint64_t failedMark_ = 0;
-    std::uint64_t slowMark_ = 0;
-    std::uint64_t steerMark_ = 0;
-    std::uint64_t rxMark_ = 0;
-    std::uint64_t activeLocalMark_ = 0;
-    std::uint64_t activeTotalMark_ = 0;
-    std::size_t spanCompletedMark_ = 0;
-    std::uint64_t eventsRunMark_ = 0;
-    std::uint64_t eventsScheduledMark_ = 0;
-    Tick markTick_ = 0;
+    ServerWindow mark_;
+    RunMark runMark_;
 };
 
 /** Convenience: build a testbed, run it, return the result. */
 ExperimentResult runExperiment(const ExperimentConfig &cfg);
-
-/** Subtract two lock-stat snapshots (per class). */
-std::map<std::string, LockClassStats> lockDelta(
-    const std::map<std::string, LockClassStats> &before,
-    const std::map<std::string, LockClassStats> &after);
 
 } // namespace fsim
 

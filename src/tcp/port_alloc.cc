@@ -16,7 +16,7 @@ PortAllocator::setFor(std::uint64_t key)
 {
     PortSet &set = used_[key];
     if (set.bits.empty())
-        set.bits.resize((static_cast<std::size_t>(hi_) >> 6) + 1, 0);
+        set.bits.resize(PortSet::kWords, 0);
     return set;
 }
 

@@ -70,9 +70,12 @@ class PortAllocator
 
     /** Per-destination in-use bitmap. A hash set would allocate a node
      *  per claimed port — once per connection, the exact churn the
-     *  allocation audit forbids. 8 KB per destination, sized lazily. */
+     *  allocation audit forbids. 8 KB per destination, sized lazily to
+     *  the whole 16-bit port space: RFD's candidates (claim/inUse) are
+     *  not confined to [lo, hi]. */
     struct PortSet
     {
+        static constexpr std::size_t kWords = 65536 / 64;
         std::vector<std::uint64_t> bits;
 
         bool
@@ -86,7 +89,7 @@ class PortAllocator
         void clear(Port p) { bits[p >> 6] &= ~(1ull << (p & 63)); }
     };
 
-    /** Bitmap for @p key, sized to cover the ephemeral range. */
+    /** Bitmap for @p key, sized to cover every port. */
     PortSet &setFor(std::uint64_t key);
 
     Port lo_;

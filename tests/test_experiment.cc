@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for the experiment harness itself: window accounting, lock
- * deltas, metric plumbing.
+ * deltas, metric plumbing, and the collect() contract both testbeds
+ * share.
  */
 
 #include <gtest/gtest.h>
 
+#include "fault/fault_plan.hh"
+#include "fleet/fleet.hh"
 #include "harness/experiment.hh"
 
 namespace fsim
@@ -23,12 +26,19 @@ TEST(LockDelta, SubtractsPerClass)
     after["slock"].contentions = 7;
     after["slock"].waitTicks = 400;
     after["new.lock"].acquisitions = 3;
+    // A restarted machine's counters start over below the mark.
+    before["reset"].acquisitions = 40;
+    before["reset"].waitTicks = 900;
+    after["reset"].acquisitions = 6;
+    after["reset"].waitTicks = 1000;
 
     auto d = lockDelta(before, after);
     EXPECT_EQ(d["slock"].acquisitions, 15u);
     EXPECT_EQ(d["slock"].contentions, 5u);
     EXPECT_EQ(d["slock"].waitTicks, 300u);
     EXPECT_EQ(d["new.lock"].acquisitions, 3u);
+    EXPECT_EQ(d["reset"].acquisitions, 0u) << "must saturate, not wrap";
+    EXPECT_EQ(d["reset"].waitTicks, 100u);
 }
 
 TEST(ExperimentResult, UtilHelpers)
@@ -140,6 +150,83 @@ TEST(Harness, RxPacketsTracked)
     ExperimentResult r = runExperiment(cfg);
     // Each served connection involves several RX packets.
     EXPECT_GT(r.rxPackets, r.served * 3);
+}
+
+/** Collecting reads the finished window: a second call on the same
+ *  window must report the same figures (bench drivers time repeated
+ *  collect() calls). */
+void
+expectSameCollect(const ExperimentResult &a, const ExperimentResult &b)
+{
+    EXPECT_EQ(a.fingerprint, b.fingerprint);
+    EXPECT_DOUBLE_EQ(a.cps, b.cps);
+    EXPECT_EQ(a.served, b.served);
+    EXPECT_EQ(a.locks.size(), b.locks.size());
+    EXPECT_EQ(a.conn.tcbLive, b.conn.tcbLive);
+    EXPECT_EQ(a.conn.tcbLivePeak, b.conn.tcbLivePeak);
+    EXPECT_EQ(a.conn.tcbCreated, b.conn.tcbCreated);
+    EXPECT_EQ(a.conn.slabBytes, b.conn.slabBytes);
+    EXPECT_EQ(a.conn.establishedCurr, b.conn.establishedCurr);
+    EXPECT_EQ(a.conn.timeWaitCurr, b.conn.timeWaitCurr);
+    EXPECT_EQ(a.conn.timeWaitEntered, b.conn.timeWaitEntered);
+    EXPECT_EQ(a.conn.ehashLookups, b.conn.ehashLookups);
+    EXPECT_DOUBLE_EQ(a.conn.avgProbeLen, b.conn.avgProbeLen);
+    EXPECT_EQ(a.fleet.tracesStarted, b.fleet.tracesStarted);
+    EXPECT_EQ(a.fleet.tracesCompleted, b.fleet.tracesCompleted);
+    EXPECT_EQ(a.fleet.tracesStitched, b.fleet.tracesStitched);
+    EXPECT_EQ(a.fleet.traceOrphans, b.fleet.traceOrphans);
+    EXPECT_EQ(a.fleet.traceDuplicates, b.fleet.traceDuplicates);
+    EXPECT_EQ(a.fleet.spanReconcileViolations,
+              b.fleet.spanReconcileViolations);
+}
+
+TEST(Collect, RepeatedCollectIsStableOnTestbed)
+{
+    ExperimentConfig cfg;
+    cfg.app = AppKind::kHaproxy;
+    cfg.machine.cores = 2;
+    cfg.concurrencyPerCore = 20;
+    cfg.backendCount = 3;
+    cfg.warmupSec = 0.005;
+    cfg.measureSec = 0.02;
+    Testbed bed(cfg);
+    ExperimentResult r = bed.run();
+    ExperimentResult a = bed.collect();
+    ExperimentResult b = bed.collect();
+    EXPECT_GT(a.served, 0u);
+    expectSameCollect(r, a);
+    expectSameCollect(a, b);
+}
+
+TEST(Collect, RepeatedCollectIsStableOnFleet)
+{
+    // Traced, with a rolling restart inside the window: retired
+    // generations, banked window counters and span stitching are all
+    // live when collect() runs.
+    FleetConfig fc;
+    fc.serverMachines = 3;
+    fc.balancers = 2;
+    fc.base.machine.cores = 2;
+    fc.base.machine.traceEnabled = true;
+    fc.base.concurrencyPerCore = 20;
+    fc.base.warmupSec = 0.005;
+    fc.base.measureSec = 0.04;
+    fc.base.statWindows = 2;
+    fc.base.clientTimeout = ticksFromMsec(30);
+    fc.base.clientRtoBase = ticksFromUsec(8000);
+    std::string err;
+    ASSERT_TRUE(parseFaultPlan(
+        "rolling_restart@0.01-0.02:drain_ms=4,down_ms=2", fc.base.faults,
+        err))
+        << err;
+    FleetTestbed bed(fc);
+    ExperimentResult r = bed.run();
+    ExperimentResult a = bed.collect();
+    ExperimentResult b = bed.collect();
+    EXPECT_GT(a.fleet.restarts, 0u);
+    EXPECT_GT(a.fleet.tracesStitched, 0u);
+    expectSameCollect(r, a);
+    expectSameCollect(a, b);
 }
 
 } // anonymous namespace

@@ -326,8 +326,8 @@ TEST(FaultEndToEnd, SynFloodWithCookiesKeepsServing)
 {
     ExperimentConfig cfg = smallConfig(AppKind::kNginx);
     setPlan(cfg, "syn_flood@0.01-0.02:rate=100000");
-    cfg.synCookies = true;
-    cfg.synBacklog = 64;
+    cfg.machine.kernel.synCookies = true;
+    cfg.machine.kernel.synBacklog = 64;
     cfg.machine.kernel.synRcvdJiffies = 300;
 
     Testbed bed(cfg);
@@ -348,7 +348,7 @@ TEST(FaultEndToEnd, SynFloodWithoutCookiesStarvesAcceptance)
 {
     ExperimentConfig cfg = smallConfig(AppKind::kNginx);
     setPlan(cfg, "syn_flood@0.01-0.02:rate=100000");
-    cfg.synBacklog = 64;   // cookies off: queue fills, SYNs drop
+    cfg.machine.kernel.synBacklog = 64;   // cookies off: queue fills
     cfg.machine.kernel.synRcvdJiffies = 300;
 
     Testbed bed(cfg);

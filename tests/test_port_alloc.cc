@@ -64,6 +64,21 @@ TEST(PortAlloc, ClaimSpecificPort)
     EXPECT_FALSE(pa.inUse(1, 80, 40000));
 }
 
+TEST(PortAlloc, ClaimAboveEphemeralRange)
+{
+    // RFD spreads candidates over all 16 bits, so claim/inUse/release
+    // must hold for ports past hi() (default 61000) up to 65535.
+    PortAllocator pa;
+    EXPECT_FALSE(pa.inUse(1, 80, 65535));
+    EXPECT_TRUE(pa.claim(1, 80, 65535));
+    EXPECT_TRUE(pa.inUse(1, 80, 65535));
+    EXPECT_FALSE(pa.claim(1, 80, 65535));
+    EXPECT_EQ(pa.inUseCount(), 1u);
+    EXPECT_TRUE(pa.release(1, 80, 65535));
+    EXPECT_FALSE(pa.inUse(1, 80, 65535));
+    EXPECT_EQ(pa.inUseCount(), 0u);
+}
+
 TEST(PortAlloc, InUseReflectsState)
 {
     PortAllocator pa;
