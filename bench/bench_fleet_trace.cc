@@ -65,17 +65,17 @@ std::uint64_t
 unstitchedOk(const FleetTraceLog &log)
 {
     std::uint64_t n = 0;
-    for (const auto &kv : log.records())
-        if (kv.second.clientDone && kv.second.ok && !kv.second.stitched) {
+    for (const FleetTrace &tr : log.records())
+        if (tr.clientDone && tr.ok && !tr.stitched) {
             ++n;
 #ifdef FSIM_TRACE_DEBUG
             std::printf("  [unstitched] trace=%llx start=%llu end=%llu "
                         "lbFlows=%llu lbForwards=%llu\n",
-                        (unsigned long long)kv.second.traceId,
-                        (unsigned long long)kv.second.clientStart,
-                        (unsigned long long)kv.second.clientEnd,
-                        (unsigned long long)kv.second.lbFlows,
-                        (unsigned long long)kv.second.lbForwards);
+                        (unsigned long long)tr.traceId,
+                        (unsigned long long)tr.clientStart,
+                        (unsigned long long)tr.clientEnd,
+                        (unsigned long long)tr.lbFlows,
+                        (unsigned long long)tr.lbForwards);
 #endif
         }
     return n;

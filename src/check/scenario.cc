@@ -674,9 +674,8 @@ runOnce(const Scenario &s)
             stitch.add("trace-stitch-lossless",
                        [&](Tick, std::string &why) {
                            std::uint64_t unstitched = 0;
-                           for (const auto &kv : log.records())
-                               if (kv.second.clientDone && kv.second.ok &&
-                                   !kv.second.stitched)
+                           for (const FleetTrace &tr : log.records())
+                               if (tr.clientDone && tr.ok && !tr.stitched)
                                    ++unstitched;
                            if (fr.fleet.traceOrphans == 0 &&
                                fr.fleet.traceDuplicates == 0 &&

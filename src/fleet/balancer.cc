@@ -352,14 +352,13 @@ L4Balancer::sendRstToClient(const Packet &cause)
 void
 L4Balancer::retire(std::uint64_t key)
 {
-    auto it = flows_.find(key);
-    fsim_assert(it != flows_.end());
-    Flow &f = it->second;
-    fsim_assert(natOwner_[f.natPort] == key);
-    natOwner_[f.natPort] = 0;
-    fsim_assert(targets_[f.machine].active > 0);
-    --targets_[f.machine].active;
-    flows_.erase(it);
+    const Flow *f = flows_.find(key);
+    fsim_assert(f);
+    fsim_assert(natOwner_[f->natPort] == key);
+    natOwner_[f->natPort] = 0;
+    fsim_assert(targets_[f->machine].active > 0);
+    --targets_[f->machine].active;
+    flows_.erase(key);
     ++flowsRetired_;
 }
 
@@ -409,17 +408,14 @@ L4Balancer::onVip(const Packet &pkt)
         return;
     }
     const std::uint64_t key = flowKey(pkt.tuple.saddr, pkt.tuple.sport);
-    auto it = flows_.find(key);
-
-    if (it != flows_.end()) {
-        Flow &f = it->second;
+    if (Flow *fp = flows_.find(key)) {
+        Flow &f = *fp;
         const bool freshSyn = pkt.has(kSyn) && !pkt.has(kAck);
         if (freshSyn && (f.finC2s || f.finS2c)) {
             // The old flow finished (or half-finished) and the client
             // recycled the tuple: retire and fall through to create.
             ++tupleReuse_;
             retire(key);
-            it = flows_.end();
         } else {
             if (freshSyn && pkt.traceId != 0 &&
                 pkt.traceId != f.traceId) {
@@ -491,10 +487,10 @@ L4Balancer::onVip(const Packet &pkt)
     ++flowsCreated_;
     if (traceLog_)
         traceLog_->lbIngress(f.traceId, eq_.now(), lbId_, m);
-    auto ins = flows_.emplace(key, f);
+    Flow &stored = *flows_.insert(key, f).first;
     if (flows_.size() > flowsActivePeak_)
         flowsActivePeak_ = flows_.size();
-    forwardC2s(ins.first->second, pkt);
+    forwardC2s(stored, pkt);
 }
 
 void
@@ -508,12 +504,12 @@ L4Balancer::onNat(const Packet &pkt)
 
     // Probe replies come back on the dedicated low-port slice.
     if (dport >= kProbeBase && dport < kProbeBase + kProbeSpan) {
-        auto it = probes_.find(dport);
-        if (it == probes_.end())
+        const Probe *p = probes_.find(dport);
+        if (!p)
             return;     // late reply; the deadline already decided
-        const int m = it->second.machine;
-        const Tick rtt = eq_.now() - it->second.sent;
-        probes_.erase(it);
+        const int m = p->machine;
+        const Tick rtt = eq_.now() - p->sent;
+        probes_.erase(dport);
         if (pkt.has(kSyn) && pkt.has(kAck))
             probeOk(m, rtt);
         else
@@ -524,9 +520,9 @@ L4Balancer::onNat(const Packet &pkt)
     const std::uint64_t key = natOwner_[dport];
     if (key == 0)
         return;     // stale reply to a retired flow; drop silently
-    auto it = flows_.find(key);
-    fsim_assert(it != flows_.end());
-    Flow &f = it->second;
+    Flow *fp = flows_.find(key);
+    fsim_assert(fp);
+    Flow &f = *fp;
     f.lastActivity = eq_.now();
     if (pkt.has(kFin))
         f.finS2c = true;
@@ -616,9 +612,8 @@ L4Balancer::sendProbe(int m)
     const Port pp = static_cast<Port>(
         kProbeBase + (probeSeq_ % kProbeSpan));
     ++probeSeq_;
-    if (probes_.count(pp))
+    if (!probes_.insert(pp, Probe{m, eq_.now()}).second)
         return;     // slice wrapped onto an unanswered probe; skip
-    probes_[pp] = Probe{m, eq_.now()};
     ++probesSent_;
 
     const Target &t = targets_[m];
@@ -632,11 +627,11 @@ L4Balancer::sendProbe(int m)
     fabric_.transmit(syn, eq_.now());
 
     eq_.scheduleIn(cfg_.probeTimeout, [this, pp] {
-        auto it = probes_.find(pp);
-        if (it == probes_.end())
+        const Probe *p = probes_.find(pp);
+        if (!p)
             return;     // answered in time
-        const int m = it->second.machine;
-        probes_.erase(it);
+        const int m = p->machine;
+        probes_.erase(pp);
         if (!down_)
             probeFail(m);
     });
@@ -693,13 +688,14 @@ L4Balancer::probeFail(int m)
 void
 L4Balancer::gcSweep()
 {
-    // Collect-then-sort keeps retirement order independent of hash-map
-    // iteration order (a libstdc++ upgrade must not move fingerprints).
-    std::vector<std::uint64_t> stale;
-    for (const auto &kv : flows_) {
-        if (kv.second.lastActivity + cfg_.flowIdleTimeout <= eq_.now())
-            stale.push_back(kv.first);
-    }
+    // Collect-then-sort keeps retirement order independent of the flow
+    // table's slot order.
+    std::vector<std::uint64_t> &stale = gcStale_;
+    stale.clear();
+    flows_.forEach([&](std::uint64_t key, const Flow &f) {
+        if (f.lastActivity + cfg_.flowIdleTimeout <= eq_.now())
+            stale.push_back(key);
+    });
     std::sort(stale.begin(), stale.end());
     for (std::uint64_t key : stale) {
         retire(key);

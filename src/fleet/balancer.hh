@@ -33,13 +33,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "fleet/health.hh"
 #include "net/packet.hh"
 #include "net/wire.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace fsim
@@ -272,6 +272,13 @@ class L4Balancer
     }
     static std::uint64_t mix64(std::uint64_t x);
 
+    /** Flow keys pack (ip, port) into the low 48 bits; mix them so the
+     *  probe table's low index bits see the client address too. */
+    struct FlowKeyHash
+    {
+        std::size_t operator()(std::uint64_t k) const { return mix64(k); }
+    };
+
     void onVip(const Packet &pkt);
     void onNat(const Packet &pkt);
     void forwardC2s(Flow &f, const Packet &pkt);
@@ -304,10 +311,11 @@ class L4Balancer
     std::vector<IpAddr> vips_;      //!< own VIP first, then adopted
     std::vector<Target> targets_;
     std::vector<RingEntry> ring_;
-    std::unordered_map<std::uint64_t, Flow> flows_;
+    FlatMap<std::uint64_t, Flow, FlowKeyHash> flows_;
     /** NAT port -> owning flow key (0 = free). */
     std::vector<std::uint64_t> natOwner_;
-    std::unordered_map<Port, Probe> probes_;
+    FlatMap<Port, Probe> probes_;
+    std::vector<std::uint64_t> gcStale_;    //!< gcSweep scratch
     std::function<int(int)> pressureFn_;
     bool down_ = false;
     bool started_ = false;

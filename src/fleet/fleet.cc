@@ -185,6 +185,9 @@ FleetTestbed::buildGeneration(int s)
     auto port = std::make_unique<NetPort>(*fabric_);
     Server srv = buildServer(*eq_, *port, cfg_.base, mc, backendAddrs_);
     sl.gen = Generation{{std::move(port)}, std::move(srv)};
+    // Every span joins its end-to-end trace as its connection closes;
+    // fleet machines retain none.
+    sl.gen.machine->tracer().connSpans().stitchInto(&traceLog_);
     // A gray fault is the slot's environment, not one generation's
     // state: a restart mid-degrade comes back just as sick.
     if (sl.degraded)
@@ -408,7 +411,7 @@ FleetTestbed::crashMachine(int s, FaultEvent::CrashMode mode, bool admin)
     sl.gen.port->setTxOpen(false);
     // The dying kernel's TCBs will never destruct, so their span
     // traces would stay live forever; finalize them abnormally now so
-    // end-to-end trace stitching still sees the work they performed.
+    // they are stitched with the work they performed.
     sl.gen.machine->tracer().connSpans().closeAllLive(eq_->now());
     // RX side: the corpse either answers RSTs (power on, kernel gone)
     // or eats packets (cable pulled). Wire re-resolves handlers at
@@ -953,21 +956,15 @@ FleetTestbed::collect()
                   static_cast<double>(winCompleted + winFailed)
             : 0.0;
 
-    // Distributed-trace stitching: join every machine-side connection
-    // span that carries a trace context onto its client/LB record.
-    // Zombie generations contribute too — a span served by a machine
-    // that later crashed still belongs to its end-to-end trace.
-    // In-flight spans join too: a server stuck in FIN retransmission
-    // after its NAT flow died (balancer failover mid-teardown) still
-    // served its request; orderly-closed spans outrank these.
+    // Distributed-trace stitching: closed spans (crash corpses
+    // included) joined their client/LB records as they closed. In-flight
+    // spans join here: a server stuck in FIN retransmission after its
+    // NAT flow died (balancer failover mid-teardown) still served its
+    // request; orderly-closed spans outrank these.
     forEachGeneration([this](const Generation &g) {
-        const ConnSpanLog &sl = g.machine->tracer().connSpans();
-        for (const ConnSpanTrace &tr : sl.completed())
-            if (tr.traceId != 0)
-                traceLog_.stitchMachineSpan(tr);
-        for (const ConnSpanTrace *tr : sl.liveSnapshot())
-            if (tr->traceId != 0)
-                traceLog_.stitchMachineSpan(*tr);
+        for (const ConnSpanTrace &tr :
+             g.machine->tracer().connSpans().liveSnapshot())
+            traceLog_.stitchMachineSpan(tr);
     });
     fl.tracesStarted = traceLog_.clientStarts();
     fl.tracesCompleted = traceLog_.clientCompleted();

@@ -162,7 +162,8 @@ class FleetTestbed
     const IncidentLog &incidents() const { return incidents_; }
 
     /** End-to-end trace collector (client + balancer hops stream in
-     *  live; machine spans are stitched at collect()). */
+     *  live; machine spans are stitched as their connections close,
+     *  in-flight ones at collect()). */
     const FleetTraceLog &traceLog() const { return traceLog_; }
 
     /** Fleet metrics registry (sampled once per stat sub-window). */
@@ -256,6 +257,9 @@ class FleetTestbed
     template <typename Fn> void forEachGeneration(Fn fn) const;
 
     FleetConfig cfg_;
+    /** Declared before the machines: their span logs stitch into it
+     *  until they are destroyed. */
+    FleetTraceLog traceLog_;
     std::unique_ptr<EventQueue> eq_;
     std::unique_ptr<Wire> fabric_;
     std::vector<ServerSlot> slots_;
@@ -285,7 +289,6 @@ class FleetTestbed
     std::uint64_t flapTransitions_ = 0;
     std::uint64_t partitionsArmed_ = 0;
     IncidentLog incidents_;
-    FleetTraceLog traceLog_;
     MetricsRegistry metrics_;
     std::unique_ptr<SloTracker> slo_;
 

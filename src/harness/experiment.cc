@@ -212,14 +212,8 @@ Testbed::collect()
     // traces when the caller wants to export them (Perfetto).
     const ConnSpanLog &sl = tr.connSpans();
     r.spanForensics = buildSpanForensics(sl, mark_.spansCompleted);
-    if (cfg_.keepSpanTraces && sl.enabled()) {
-        const auto &all = sl.completed();
-        std::size_t from = std::min(mark_.spansCompleted, all.size());
-        r.spanTraces =
-            std::make_shared<const std::vector<ConnSpanTrace>>(
-                all.begin() + static_cast<std::ptrdiff_t>(from),
-                all.end());
-    }
+    if (cfg_.keepSpanTraces && sl.enabled())
+        r.spanTraces = sl.copyCompleted(mark_.spansCompleted);
 
     r.fingerprint = currentFingerprint();
     addRunTotals(r, server_, /*up=*/true);

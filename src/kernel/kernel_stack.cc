@@ -349,6 +349,7 @@ KernelStack::destroySocket(CoreId core, Tick t, Socket *sock,
                        sock->rxTuple.dport);
     }
     d_.cache->freeObject(sock->cacheObj);
+    sock->slock.releaseLine();
     ++stats_.socketsDestroyed;
     if (d_.tracer && sock->kind == SockKind::kConnection) {
         d_.tracer->emit(core, TraceEventType::kConnClosed, t,

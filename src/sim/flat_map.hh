@@ -12,9 +12,10 @@
  * insert/find/erase churn never touches the allocator. The
  * allocation-audit test enforces this end to end.
  *
- * Deliberately minimal: no iteration (nothing on the hot path iterates,
- * and iteration order would be a determinism hazard), keys and values
- * must be default-constructible and copyable.
+ * Deliberately minimal: keys and values must be default-constructible
+ * and copyable, and the only iteration is forEach, whose slot order
+ * depends on insertion history — a determinism hazard, so callers sort
+ * whatever they collect from it.
  */
 
 #ifndef FSIM_SIM_FLAT_MAP_HH
@@ -90,6 +91,17 @@ class FlatMap
         vals_[idx] = std::move(value);
         ++size_;
         return {&vals_[idx], true};
+    }
+
+    /** Call @p fn(key, value) for every entry, in slot order. The map
+     *  must not be modified during the walk. */
+    template <typename Fn>
+    void
+    forEach(Fn fn) const
+    {
+        for (std::size_t i = 0; i < st_.size(); ++i)
+            if (st_[i] == kFull)
+                fn(keys_[i], vals_[i]);
     }
 
     /** @return true if the key existed and was removed. */

@@ -22,6 +22,14 @@ SimSpinLock::init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
     }
 }
 
+void
+SimSpinLock::releaseLine()
+{
+    if (hasLine_)
+        cache_->freeObject(lineId_);
+    hasLine_ = false;
+}
+
 Tick
 SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
 {

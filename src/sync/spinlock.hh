@@ -55,6 +55,10 @@ class SimSpinLock
      */
     Tick runLocked(CoreId c, Tick t, Tick hold);
 
+    /** Give the lock's cache line back to the model: the structure that
+     *  embeds the lock is being destroyed and must not leak its id. */
+    void releaseLine();
+
     /** Tick until which the lock is committed (tests/diagnostics). */
     Tick busyUntil() const { return freeAt_; }
     CoreId lastHolder() const { return lastHolder_; }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "trace/fleet_trace.hh"
+
 namespace fsim
 {
 
@@ -68,17 +70,45 @@ ConnSpanTrace::serviceLatency() const
     return done > openTick ? done - openTick : 0;
 }
 
+ConnSpanTrace
+ConnSpanLog::LiveTrace::view() const
+{
+    ConnSpanTrace tr = head;
+    tr.spans = spans;
+    return tr;
+}
+
+ConnSpanLog::LiveTrace *
+ConnSpanLog::findLive(std::uint64_t conn_id)
+{
+    const std::uint32_t *slot = live_.find(conn_id);
+    return slot ? &slots_[*slot] : nullptr;
+}
+
 void
 ConnSpanLog::open(std::uint64_t conn_id, Tick t, bool passive)
 {
     if (!enabled_)
         return;
-    ConnSpanTrace &tr = live_[conn_id];
-    tr.connId = conn_id;
-    tr.openTick = t;
-    tr.passive = passive;
+    LiveTrace *lt = findLive(conn_id);
+    if (!lt) {
+        std::uint32_t slot;
+        if (freeSlots_.empty()) {
+            slot = static_cast<std::uint32_t>(slots_.size());
+            slots_.emplace_back();
+            ++allocations_;
+        } else {
+            slot = freeSlots_.back();
+            freeSlots_.pop_back();
+        }
+        live_.insert(conn_id, slot);
+        lt = &slots_[slot];
+        lt->head = ConnSpanTrace{};
+    }
+    lt->head.connId = conn_id;
+    lt->head.openTick = t;
+    lt->head.passive = passive;
     ++opened_;
-    ++allocations_;
 }
 
 void
@@ -87,10 +117,9 @@ ConnSpanLog::add(std::uint64_t conn_id, ConnStage stage, CoreId core,
 {
     if (!enabled_)
         return;
-    auto it = live_.find(conn_id);
-    if (it == live_.end())
+    LiveTrace *lt = findLive(conn_id);
+    if (!lt)
         return; // stray work after teardown (e.g. duplicate packets)
-    ConnSpanTrace &tr = it->second;
     if (end < begin)
         end = begin;
     if (connStageKind(stage) == ConnStageKind::kExec) {
@@ -98,7 +127,7 @@ ConnSpanLog::add(std::uint64_t conn_id, ConnStage stage, CoreId core,
             execTicksPerCore_.resize(core + 1, 0);
         execTicksPerCore_[core] += end - begin;
     }
-    if (tr.spans.size() >= kMaxSpansPerConn) {
+    if (lt->spans.size() >= kMaxSpansPerConn) {
         ++spansDropped_;
         return;
     }
@@ -108,9 +137,10 @@ ConnSpanLog::add(std::uint64_t conn_id, ConnStage stage, CoreId core,
     sp.aux = aux;
     sp.core = static_cast<std::int16_t>(core);
     sp.stage = stage;
-    tr.spans.push_back(sp);
+    if (lt->spans.size() == lt->spans.capacity())
+        ++allocations_;
+    lt->spans.push_back(sp);
     ++spansRecorded_;
-    ++allocations_;
 }
 
 void
@@ -118,9 +148,8 @@ ConnSpanLog::setTraceId(std::uint64_t conn_id, std::uint64_t trace_id)
 {
     if (!enabled_)
         return;
-    auto it = live_.find(conn_id);
-    if (it != live_.end())
-        it->second.traceId = trace_id;
+    if (LiveTrace *lt = findLive(conn_id))
+        lt->head.traceId = trace_id;
 }
 
 void
@@ -128,9 +157,8 @@ ConnSpanLog::noteShed(std::uint64_t conn_id, std::uint8_t reason)
 {
     if (!enabled_)
         return;
-    auto it = live_.find(conn_id);
-    if (it != live_.end())
-        it->second.shedReason = reason;
+    if (LiveTrace *lt = findLive(conn_id))
+        lt->head.shedReason = reason;
 }
 
 void
@@ -138,19 +166,8 @@ ConnSpanLog::close(std::uint64_t conn_id, Tick t)
 {
     if (!enabled_)
         return;
-    auto it = live_.find(conn_id);
-    if (it == live_.end())
-        return;
-    it->second.closeTick = t;
-    it->second.closed = true;
-    ++closedTotal_;
-    if (completed_.size() < kMaxRetainedTraces) {
-        completed_.push_back(std::move(it->second));
-        ++allocations_;
-    } else {
-        ++tracesDropped_;
-    }
-    live_.erase(it);
+    if (const std::uint32_t *slot = live_.find(conn_id))
+        finalize(*slot, t, /*orderly=*/true);
 }
 
 void
@@ -158,40 +175,98 @@ ConnSpanLog::closeAllLive(Tick t)
 {
     if (!enabled_ || live_.empty())
         return;
-    // live_ is a hash map; sort the keys so crash finalization is
-    // deterministic regardless of insertion history.
-    std::vector<std::uint64_t> ids;
+    // Index order is insertion history; sort by conn id so crash
+    // finalization is deterministic.
+    std::vector<std::pair<std::uint64_t, std::uint32_t>> ids;
     ids.reserve(live_.size());
-    for (const auto &kv : live_)
-        ids.push_back(kv.first);
+    live_.forEach([&](std::uint64_t id, std::uint32_t slot) {
+        ids.emplace_back(id, slot);
+    });
     std::sort(ids.begin(), ids.end());
-    for (std::uint64_t id : ids) {
-        auto it = live_.find(id);
-        it->second.closeTick = t;
-        // closed stays false: no orderly teardown was observed.
-        ++closedTotal_;
-        if (completed_.size() < kMaxRetainedTraces) {
-            completed_.push_back(std::move(it->second));
-            ++allocations_;
-        } else {
-            ++tracesDropped_;
-        }
-        live_.erase(it);
-    }
+    // closed stays false: no orderly teardown was observed.
+    for (const auto &id : ids)
+        finalize(id.second, t, /*orderly=*/false);
 }
 
-std::vector<const ConnSpanTrace *>
+void
+ConnSpanLog::finalize(std::uint32_t slot, Tick t, bool orderly)
+{
+    LiveTrace &lt = slots_[slot];
+    lt.head.closeTick = t;
+    lt.head.closed = orderly;
+    ++closedTotal_;
+    if (fleet_) {
+        fleet_->stitchMachineSpan(lt.view());
+        ++tracesHandedOff_;
+    } else if (completed_.size() < kMaxRetainedTraces) {
+        if (completed_.size() % decltype(completed_)::kChunk == 0)
+            ++allocations_;
+        ConnSpanTrace &kept = completed_.push_back(lt.head);
+        kept.spans = retainSpans(lt.spans);
+    } else {
+        ++tracesDropped_;
+    }
+    live_.erase(lt.head.connId);
+    lt.spans.clear();
+    freeSlots_.push_back(slot);
+}
+
+std::span<const ConnSpan>
+ConnSpanLog::retainSpans(std::span<const ConnSpan> src)
+{
+    if (src.empty())
+        return {};
+    if (arenaUsed_ + src.size() > kArenaChunk) {
+        arena_.push_back(std::make_unique<ConnSpan[]>(kArenaChunk));
+        arenaUsed_ = 0;
+        ++allocations_;
+    }
+    ConnSpan *dst = arena_.back().get() + arenaUsed_;
+    std::copy(src.begin(), src.end(), dst);
+    arenaUsed_ += src.size();
+    return {dst, src.size()};
+}
+
+std::vector<ConnSpanTrace>
 ConnSpanLog::liveSnapshot() const
 {
-    std::vector<const ConnSpanTrace *> out;
+    std::vector<ConnSpanTrace> out;
     out.reserve(live_.size());
-    for (const auto &kv : live_)
-        out.push_back(&kv.second);
+    live_.forEach([&](std::uint64_t, std::uint32_t slot) {
+        out.push_back(slots_[slot].view());
+    });
     std::sort(out.begin(), out.end(),
-              [](const ConnSpanTrace *a, const ConnSpanTrace *b) {
-                  return a->connId < b->connId;
+              [](const ConnSpanTrace &a, const ConnSpanTrace &b) {
+                  return a.connId < b.connId;
               });
     return out;
+}
+
+std::shared_ptr<const std::vector<ConnSpanTrace>>
+ConnSpanLog::copyCompleted(std::size_t from) const
+{
+    struct Owned
+    {
+        std::vector<ConnSpan> spans;
+        std::vector<ConnSpanTrace> traces;
+    };
+    auto own = std::make_shared<Owned>();
+    std::size_t nspans = 0;
+    for (std::size_t i = from; i < completed_.size(); ++i)
+        nspans += completed_[i].spans.size();
+    // Reserved up front: the copied views must not move.
+    own->spans.reserve(nspans);
+    own->traces.reserve(completed_.size() > from ? completed_.size() - from
+                                                 : 0);
+    for (std::size_t i = from; i < completed_.size(); ++i) {
+        ConnSpanTrace tr = completed_[i];
+        const std::size_t at = own->spans.size();
+        own->spans.insert(own->spans.end(), tr.spans.begin(),
+                          tr.spans.end());
+        tr.spans = {own->spans.data() + at, tr.spans.size()};
+        own->traces.push_back(tr);
+    }
+    return {own, &own->traces};
 }
 
 std::uint64_t

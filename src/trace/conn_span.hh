@@ -24,6 +24,14 @@
  *    allocation) broken out for attribution. Also excluded from the
  *    reconciliation sum, since the parent already covers the cycles.
  *
+ * Storage: live traces sit in recycled slots indexed by a FlatMap, and
+ * each slot's span buffer keeps its capacity, so connection churn stops
+ * touching the allocator once the live population has peaked. A closing
+ * trace either goes straight to an attached FleetTraceLog (fleet
+ * machines: stitched at close, nothing retained) or, with none attached
+ * (single-machine testbeds), is retained: its header in chunked storage,
+ * its spans copied into a chunked arena that ConnSpanTrace::spans views.
+ *
  * Determinism: completed traces are kept in completion order (a pure
  * function of simulated events), never in pointer or hash order, so any
  * report derived from the log is bit-stable for a given seed + config.
@@ -35,13 +43,18 @@
 #define FSIM_TRACE_CONN_SPAN_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "sim/chunked_vector.hh"
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace fsim
 {
+
+class FleetTraceLog;
 
 /** Connection lifecycle stage a span is attributed to. */
 enum class ConnStage : std::uint8_t
@@ -110,7 +123,9 @@ struct ConnSpanTrace
     bool closed = false;
     /** ShedReason value when admission control shed this connection. */
     std::uint8_t shedReason = kNotShed;
-    std::vector<ConnSpan> spans;
+    /** Recorded spans in order: a read-only view of storage owned by the
+     *  ConnSpanLog (or by whoever built the trace), never by the trace. */
+    std::span<const ConnSpan> spans;
 
     /** Sum of span durations recorded for @p s. */
     Tick stageTicks(ConnStage s) const;
@@ -137,11 +152,16 @@ class ConnSpanLog
   public:
     /** Spans retained per connection before dropping (and counting). */
     static constexpr std::size_t kMaxSpansPerConn = 96;
-    /** Completed traces retained before dropping whole traces. */
+    /** Completed traces retained before dropping whole traces (only
+     *  when no fleet log is attached; stitching is never capped). */
     static constexpr std::size_t kMaxRetainedTraces = 1u << 18;
 
     void setEnabled(bool on) { enabled_ = on; }
     bool enabled() const { return enabled_; }
+
+    /** Hand every finalized trace to @p fleet's stitcher at close
+     *  instead of retaining it; nullptr (the default) retains. */
+    void stitchInto(FleetTraceLog *fleet) { fleet_ = fleet; }
 
     /** Begin a trace for @p conn_id (kernel TCB creation). */
     void open(std::uint64_t conn_id, Tick t, bool passive);
@@ -167,30 +187,40 @@ class ConnSpanLog
     void closeAllLive(Tick t);
 
     /** Deterministic snapshot of still-open traces (connections in
-     *  flight at collection time), ascending conn-id order. A span
-     *  does not need an orderly close to join an end-to-end trace —
-     *  e.g. a server stuck retransmitting its FIN through a NAT flow
-     *  that died in a balancer failover still served the request. */
-    std::vector<const ConnSpanTrace *> liveSnapshot() const;
+     *  flight at collection time), ascending conn-id order; the span
+     *  views stay valid until the next mutation. A span does not need
+     *  an orderly close to join an end-to-end trace — e.g. a server
+     *  stuck retransmitting its FIN through a NAT flow that died in a
+     *  balancer failover still served the request. */
+    std::vector<ConnSpanTrace> liveSnapshot() const;
 
-    /** Completed traces, oldest first (completion order). */
-    const std::vector<ConnSpanTrace> &completed() const
+    /** Retained completed traces, oldest first (completion order). */
+    const ChunkedVector<ConnSpanTrace> &completed() const
     {
         return completed_;
     }
 
+    /** Retained traces from index @p from on, in storage the returned
+     *  pointer owns (outlives this log; for result export). */
+    std::shared_ptr<const std::vector<ConnSpanTrace>>
+    copyCompleted(std::size_t from) const;
+
     std::size_t completedCount() const { return completed_.size(); }
     std::size_t liveCount() const { return live_.size(); }
 
-    /** @name Accounting */
+    /** @name Accounting
+     *  opened == live + retained + dropped + handed off. */
     /** @{ */
     std::uint64_t opened() const { return opened_; }
     std::uint64_t closedTotal() const { return closedTotal_; }
     std::uint64_t spansRecorded() const { return spansRecorded_; }
     std::uint64_t spansDropped() const { return spansDropped_; }
     std::uint64_t tracesDropped() const { return tracesDropped_; }
-    /** Heap activity caused by the log (trace + span insertions);
-     *  must be exactly zero when the log is disabled. */
+    /** Finalized traces handed to the attached fleet log. */
+    std::uint64_t tracesHandedOff() const { return tracesHandedOff_; }
+    /** Heap growth of the log's own buffers (trace slots, span-buffer
+     *  growth, retention chunks); must be exactly zero when the log is
+     *  disabled. */
     std::uint64_t allocations() const { return allocations_; }
     /** @} */
 
@@ -203,9 +233,42 @@ class ConnSpanLog
     std::uint64_t execSelfTicks(CoreId core) const;
 
   private:
+    /** A live trace: header plus an owned span buffer whose capacity
+     *  survives slot reuse. */
+    struct LiveTrace
+    {
+        ConnSpanTrace head;
+        std::vector<ConnSpan> spans;
+
+        ConnSpanTrace view() const;
+    };
+
+    /** Socket ids are sequential; scatter them over the probe table. */
+    struct ConnIdHash
+    {
+        std::size_t
+        operator()(std::uint64_t id) const
+        {
+            const std::uint64_t h = id * 0x9e3779b97f4a7c15ULL;
+            return static_cast<std::size_t>(h ^ (h >> 29));
+        }
+    };
+
+    /** Spans per retention-arena chunk (a trace never straddles two). */
+    static constexpr std::size_t kArenaChunk = 1u << 14;
+
+    LiveTrace *findLive(std::uint64_t conn_id);
+    void finalize(std::uint32_t slot, Tick t, bool orderly);
+    std::span<const ConnSpan> retainSpans(std::span<const ConnSpan> src);
+
     bool enabled_ = true;
-    std::unordered_map<std::uint64_t, ConnSpanTrace> live_;
-    std::vector<ConnSpanTrace> completed_;
+    FleetTraceLog *fleet_ = nullptr;
+    FlatMap<std::uint64_t, std::uint32_t, ConnIdHash> live_;
+    std::vector<LiveTrace> slots_;
+    std::vector<std::uint32_t> freeSlots_;
+    ChunkedVector<ConnSpanTrace> completed_;
+    std::vector<std::unique_ptr<ConnSpan[]>> arena_;
+    std::size_t arenaUsed_ = kArenaChunk;   //!< in arena_.back()
     std::vector<std::uint64_t> execTicksPerCore_;
 
     std::uint64_t opened_ = 0;
@@ -213,6 +276,7 @@ class ConnSpanLog
     std::uint64_t spansRecorded_ = 0;
     std::uint64_t spansDropped_ = 0;
     std::uint64_t tracesDropped_ = 0;
+    std::uint64_t tracesHandedOff_ = 0;
     std::uint64_t allocations_ = 0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <sstream>
+#include <tuple>
 
 namespace fsim
 {
@@ -10,8 +11,22 @@ namespace fsim
 FleetTrace *
 FleetTraceLog::find(std::uint64_t trace_id)
 {
-    auto it = records_.find(trace_id);
-    return it == records_.end() ? nullptr : &it->second;
+    const std::uint32_t *idx = index_.find(trace_id);
+    return idx ? &records_[*idx] : nullptr;
+}
+
+FleetTrace &
+FleetTraceLog::findOrAdd(std::uint64_t trace_id, bool &created)
+{
+    const auto ins = index_.insert(
+        trace_id, static_cast<std::uint32_t>(records_.size()));
+    created = ins.second;
+    if (!created)
+        return records_[*ins.first];
+    ++allocations_;
+    FleetTrace &tr = records_.push_back(FleetTrace{});
+    tr.traceId = trace_id;
+    return tr;
 }
 
 void
@@ -19,16 +34,14 @@ FleetTraceLog::clientStart(std::uint64_t trace_id, Tick t)
 {
     if (!enabled_ || trace_id == 0)
         return;
-    auto ins = records_.try_emplace(trace_id);
-    FleetTrace &tr = ins.first->second;
-    if (!ins.second && tr.clientStart != 0) {
+    bool created;
+    FleetTrace &tr = findOrAdd(trace_id, created);
+    if (!created && tr.clientStart != 0) {
         ++duplicates_;
         return;
     }
-    tr.traceId = trace_id;
     tr.clientStart = t;
     ++clientStarts_;
-    ++allocations_;
 }
 
 void
@@ -50,14 +63,11 @@ FleetTraceLog::lbIngress(std::uint64_t trace_id, Tick t, int lb, int slot)
 {
     if (!enabled_ || trace_id == 0)
         return;
-    auto ins = records_.try_emplace(trace_id);
-    FleetTrace &tr = ins.first->second;
-    if (ins.second) {
-        // LB saw the SYN before the client record landed (cannot happen
-        // with in-order recording, but keep the record coherent).
-        tr.traceId = trace_id;
-        ++allocations_;
-    }
+    // A new record here means the LB saw the SYN before the client
+    // record landed (cannot happen with in-order recording, but keep
+    // the record coherent).
+    bool created;
+    FleetTrace &tr = findOrAdd(trace_id, created);
     if (tr.lbFlows == 0) {
         tr.lbId = lb;
         tr.lbIngress = t;
@@ -85,17 +95,22 @@ FleetTraceLog::stitchMachineSpan(const ConnSpanTrace &span)
     if (!tr)
         return;
     const Tick service = span.serviceLatency();
+    Tick exec = 0;
+    for (const ConnSpan &sp : span.spans)
+        if (connStageKind(sp.stage) == ConnStageKind::kExec)
+            exec += sp.end - sp.begin;
+    // Failover can leave a reaped half-open TCB on the old machine plus
+    // the span that actually served: rank candidates by the total order
+    // stitchMachineSpan documents (~open: the earlier open ranks higher).
+    const auto rank = [](bool orderly, Tick svc, Tick open, Tick close,
+                         Tick ex) {
+        return std::make_tuple(orderly, svc, ~open, close, ex);
+    };
     if (tr->stitched) {
-        // Failover can leave a reaped half-open TCB on the old machine
-        // plus the span that actually served; prefer an orderly close
-        // over a crash-finalized span, then the larger service latency
-        // — deterministically the serving one.
-        if (tr->serverOrderly && !span.closed)
-            return;
-        if (tr->serverOrderly == span.closed &&
-            (service < tr->serverService ||
-             (service == tr->serverService &&
-              span.openTick >= tr->serverOpen)))
+        if (rank(span.closed, service, span.openTick, span.closeTick,
+                 exec) <= rank(tr->serverOrderly, tr->serverService,
+                               tr->serverOpen, tr->serverClose,
+                               tr->serverExec))
             return;
     } else {
         ++stitched_;
@@ -105,10 +120,6 @@ FleetTraceLog::stitchMachineSpan(const ConnSpanTrace &span)
     tr->serverOpen = span.openTick;
     tr->serverClose = span.closeTick;
     tr->serverService = service;
-    Tick exec = 0;
-    for (const ConnSpan &sp : span.spans)
-        if (connStageKind(sp.stage) == ConnStageKind::kExec)
-            exec += sp.end - sp.begin;
     tr->serverExec = exec;
 }
 
@@ -116,11 +127,9 @@ std::uint64_t
 FleetTraceLog::orphans() const
 {
     std::uint64_t n = 0;
-    for (const auto &kv : records_) {
-        const FleetTrace &tr = kv.second;
+    for (const FleetTrace &tr : records_)
         if (tr.clientDone && tr.ok && tr.lbFlows == 0)
             ++n;
-    }
     return n;
 }
 
@@ -129,9 +138,9 @@ FleetTraceLog::sortedCompleted() const
 {
     std::vector<const FleetTrace *> out;
     out.reserve(records_.size());
-    for (const auto &kv : records_)
-        if (kv.second.clientDone)
-            out.push_back(&kv.second);
+    for (const FleetTrace &tr : records_)
+        if (tr.clientDone)
+            out.push_back(&tr);
     std::sort(out.begin(), out.end(),
               [](const FleetTrace *a, const FleetTrace *b) {
                   if (a->clientStart != b->clientStart)

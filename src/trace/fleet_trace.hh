@@ -22,9 +22,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "sim/chunked_vector.hh"
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 #include "trace/conn_span.hh"
 
@@ -71,9 +72,12 @@ struct FleetTrace
 
 /**
  * Fleet-scope trace collector, owned by FleetTestbed. The client and
- * the balancers push hop records as they happen; the testbed stitches
- * machine-side spans in at collect time (matching on
- * ConnSpanTrace::traceId).
+ * the balancers push hop records as they happen; each machine's
+ * ConnSpanLog stitches its spans in as connections close, and collect
+ * adds the spans still in flight (matching on ConnSpanTrace::traceId).
+ *
+ * Records live in chunked storage in first-seen order, indexed by trace
+ * id through a FlatMap: appends never move or copy earlier records.
  */
 class FleetTraceLog
 {
@@ -100,8 +104,12 @@ class FleetTraceLog
     /**
      * Join a machine-side span trace. When two machine spans claim the
      * same trace id (a reaped half-open TCB on the pre-failover
-     * machine plus the one that actually served), the span with the
-     * larger service latency wins — deterministically the serving one.
+     * machine plus the one that actually served), an orderly close
+     * beats a crash-finalized or live span, then the larger service
+     * latency wins — deterministically the serving one. Remaining ties
+     * go to the earlier open, the later close, then the larger exec
+     * time: a total order, so the winner does not depend on the order
+     * spans arrive in.
      */
     void stitchMachineSpan(const ConnSpanTrace &tr);
 
@@ -114,7 +122,8 @@ class FleetTraceLog
     std::uint64_t duplicates() const { return duplicates_; }
     /** Machine spans joined to a record. */
     std::uint64_t machineSpansStitched() const { return stitched_; }
-    /** Heap activity caused by the log; exactly zero when disabled. */
+    /** Records appended (each may grow the chunked storage or the
+     *  index); exactly zero when disabled. */
     std::uint64_t allocations() const { return allocations_; }
     /** @} */
 
@@ -122,20 +131,22 @@ class FleetTraceLog
      *  was lost in flight. Must stay zero. */
     std::uint64_t orphans() const;
 
-    const std::unordered_map<std::uint64_t, FleetTrace> &records() const
-    {
-        return records_;
-    }
+    /** Every record, in first-seen order. */
+    const ChunkedVector<FleetTrace> &records() const { return records_; }
 
     /** Deterministic view: completed traces sorted by (clientStart,
-     *  traceId). Reports and exports iterate this, never the map. */
+     *  traceId). Reports and exports iterate this. */
     std::vector<const FleetTrace *> sortedCompleted() const;
 
   private:
     FleetTrace *find(std::uint64_t trace_id);
+    /** The record for @p trace_id, appended if new (@p created says). */
+    FleetTrace &findOrAdd(std::uint64_t trace_id, bool &created);
 
     bool enabled_ = true;
-    std::unordered_map<std::uint64_t, FleetTrace> records_;
+    ChunkedVector<FleetTrace> records_;
+    /** Trace id -> index into records_ (ids are already hashed). */
+    FlatMap<std::uint64_t, std::uint32_t> index_;
     std::uint64_t clientStarts_ = 0;
     std::uint64_t clientCompleted_ = 0;
     std::uint64_t duplicates_ = 0;

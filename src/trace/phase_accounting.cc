@@ -104,7 +104,7 @@ decodeFoldedKey(std::uint64_t key)
 }
 
 PhaseAccounting::PhaseAccounting(int n_cores)
-    : stacks_(n_cores), counts_(n_cores)
+    : stacks_(n_cores), counts_(n_cores), folded_(1)
 {
     fsim_assert(n_cores > 0);
     for (auto &c : counts_)
@@ -121,8 +121,23 @@ PhaseAccounting::push(CoreId c, Phase p, Tick t)
     Frame f;
     f.phase = p;
     f.begin = t;
-    f.key = foldedKey(st.empty() ? 0 : st.back().key, p);
+    f.node = childNode(st.empty() ? 0 : st.back().node, p);
     st.push_back(f);
+}
+
+std::uint32_t
+PhaseAccounting::childNode(std::uint32_t parent, Phase p)
+{
+    const int idx = static_cast<int>(p);
+    std::uint32_t n = folded_[parent].child[idx];
+    if (n == FoldedNode::kNone) {
+        n = static_cast<std::uint32_t>(folded_.size());
+        FoldedNode node;
+        node.key = foldedKey(folded_[parent].key, p);
+        folded_.push_back(node);
+        folded_[parent].child[idx] = n;
+    }
+    return n;
 }
 
 void
@@ -143,7 +158,7 @@ PhaseAccounting::pop(CoreId c, Tick t)
     Tick self = elapsed - f.child;
     if (self > 0) {
         counts_[c][static_cast<int>(f.phase)] += self;
-        folded_[f.key] += self;
+        folded_[f.node].cycles += self;
     }
     if (!st.empty())
         st.back().child += elapsed;
@@ -162,7 +177,7 @@ PhaseAccounting::charge(CoreId c, Phase p, Tick cycles)
         return;
     }
     counts_[c][static_cast<int>(p)] += cycles;
-    folded_[foldedKey(st.back().key, p)] += cycles;
+    folded_[childNode(st.back().node, p)].cycles += cycles;
     st.back().child += cycles;
 }
 
@@ -171,7 +186,11 @@ PhaseAccounting::snapshot() const
 {
     PhaseSnapshot s;
     s.perCore = counts_;
-    s.folded = folded_;
+    // Only charged stacks appear; paths deeper than the key's 16 levels
+    // share a key and sum.
+    for (const FoldedNode &n : folded_)
+        if (n.cycles > 0)
+            s.folded[n.key] += n.cycles;
     s.untracked = untracked_;
     return s;
 }

@@ -92,7 +92,20 @@ class PhaseAccounting
         Phase phase;
         Tick begin;
         Tick child = 0;          //!< cycles attributed within this frame
-        std::uint64_t key = 0;   //!< folded key including this phase
+        std::uint32_t node = 0;  //!< folded-stack node of this frame
+    };
+
+    /** One folded stack seen so far: a node of the trie of open-frame
+     *  phase paths, so a charge indexes its counter without a lookup. */
+    struct FoldedNode
+    {
+        static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+        std::uint64_t key = 0;   //!< folded key of the path
+        std::uint64_t cycles = 0;
+        std::array<std::uint32_t, kNumChargedPhases> child;
+
+        FoldedNode() { child.fill(kNone); }
     };
 
     /** Folded key of @p p nested under @p parent (4 bits per level). */
@@ -103,9 +116,13 @@ class PhaseAccounting
                (static_cast<std::uint64_t>(p) + 1);
     }
 
+    /** Node of @p p nested under node @p parent, created on first use. */
+    std::uint32_t childNode(std::uint32_t parent, Phase p);
+
     std::vector<std::vector<Frame>> stacks_;
     std::vector<std::array<std::uint64_t, kNumChargedPhases>> counts_;
-    std::map<std::uint64_t, std::uint64_t> folded_;
+    /** Node 0 is the empty stack (key 0). */
+    std::vector<FoldedNode> folded_;
     std::uint64_t untracked_ = 0;
 };
 

@@ -64,7 +64,7 @@ buildSpanForensics(const ConnSpanLog &log, std::size_t from_idx)
     if (!f.enabled)
         return f;
 
-    const std::vector<ConnSpanTrace> &all = log.completed();
+    const auto &all = log.completed();
     if (from_idx > all.size())
         from_idx = all.size();
     const std::size_t n = all.size() - from_idx;

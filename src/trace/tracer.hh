@@ -2,10 +2,15 @@
  * @file
  * The per-machine tracer: the simulator's perf + ftrace + /proc/lockstat.
  *
- * Owns one TraceRing per core and the PhaseAccounting layer. Emission is
- * branch-cheap and allocation-free, so instrumentation stays enabled in
- * every run; components reached through long init chains (locks, epoll,
- * VFS) find the tracer through the LockRegistry instead of growing their
+ * Owns one TraceRing per core, the PhaseAccounting layer and the
+ * ConnSpanLog. Ring emission is branch-cheap and never allocates. Phase
+ * accounting allocates only the first time a folded stack shape is
+ * seen, and the span log only while its live population reaches a new
+ * peak — plus, on a single-machine testbed with no fleet log attached,
+ * the chunks that retain completed traces. So the steady state of a
+ * traced fleet is close to allocation-free, not exactly so.
+ * Components reached through long init chains (locks, epoll, VFS) find
+ * the tracer through the LockRegistry instead of growing their
  * constructor signatures.
  */
 

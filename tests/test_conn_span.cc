@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the per-connection span log: lifecycle conservation,
- * accept-queue sojourn placement, exec-time reconciliation against CPU
- * busy cycles, --notrace zero-cost, forensics determinism, and the
- * Perfetto exporter's flow/slice accounting.
+ * retention versus stitch-at-close, accept-queue sojourn placement,
+ * exec-time reconciliation against CPU busy cycles, --notrace zero-cost,
+ * forensics determinism, and the Perfetto exporter's flow/slice
+ * accounting.
  */
 
 #include <cstdio>
@@ -11,6 +12,7 @@
 
 #include "harness/experiment.hh"
 #include "trace/conn_span.hh"
+#include "trace/fleet_trace.hh"
 #include "trace/perfetto_export.hh"
 #include "trace/span_forensics.hh"
 
@@ -89,6 +91,70 @@ TEST(ConnSpanLog, PerConnSpanCapCountsDrops)
     // whether or not the per-connection vector kept them.
     EXPECT_EQ(log.execSelfTicks(0),
               4u * (ConnSpanLog::kMaxSpansPerConn + extra));
+}
+
+/** Open, span and close @p n traced connections (conn id = trace id,
+ *  1..n) on @p log, each with a client record in @p fleet. */
+void
+churn(ConnSpanLog &log, FleetTraceLog &fleet, std::uint64_t n)
+{
+    for (std::uint64_t id = 1; id <= n; ++id) {
+        const Tick t = id * 10;
+        fleet.clientStart(id, t);
+        log.open(id, t, /*passive=*/true);
+        log.setTraceId(id, id);
+        log.add(id, ConnStage::kAppWrite, 0, t + 1, t + 6);
+        log.close(id, t + 8);
+    }
+}
+
+TEST(ConnSpanLog, FleetWiredLogStitchesPastRetention)
+{
+    const std::uint64_t n = ConnSpanLog::kMaxRetainedTraces + 1;
+    FleetTraceLog fleet;
+    ConnSpanLog log;
+    log.stitchInto(&fleet);
+    churn(log, fleet, n);
+
+    // Every trace joined its record at close, none was retained, and
+    // none fell to the retention cap.
+    EXPECT_EQ(fleet.machineSpansStitched(), n);
+    EXPECT_EQ(log.tracesHandedOff(), n);
+    EXPECT_EQ(log.completedCount(), 0u);
+    EXPECT_EQ(log.tracesDropped(), 0u);
+    EXPECT_EQ(log.liveCount(), 0u);
+    EXPECT_EQ(log.opened(), log.completedCount() + log.tracesDropped() +
+                                log.tracesHandedOff());
+    std::uint64_t stitched = 0;
+    for (const FleetTrace &tr : fleet.records()) {
+        stitched += tr.stitched;
+        EXPECT_EQ(tr.serverService, 6u);
+        EXPECT_EQ(tr.serverExec, 5u);
+    }
+    EXPECT_EQ(stitched, n);
+    // One recycled slot and span buffer served every connection.
+    EXPECT_EQ(log.allocations(), 2u);
+}
+
+TEST(ConnSpanLog, UnwiredLogRetainsUpToCapThenDrops)
+{
+    const std::uint64_t n = ConnSpanLog::kMaxRetainedTraces + 1;
+    FleetTraceLog fleet;
+    ConnSpanLog log;
+    churn(log, fleet, n);
+
+    EXPECT_EQ(fleet.machineSpansStitched(), 0u);
+    EXPECT_EQ(log.tracesHandedOff(), 0u);
+    EXPECT_EQ(log.completedCount(), ConnSpanLog::kMaxRetainedTraces);
+    EXPECT_EQ(log.tracesDropped(), 1u);
+    EXPECT_EQ(log.opened(), log.completedCount() + log.tracesDropped() +
+                                log.tracesHandedOff());
+    // Retained spans are copies: intact after their slot was reused.
+    const ConnSpanTrace &last = log.completed().back();
+    EXPECT_EQ(last.connId, ConnSpanLog::kMaxRetainedTraces);
+    ASSERT_EQ(last.spans.size(), 1u);
+    EXPECT_EQ(last.spans.front().begin, last.openTick + 1);
+    EXPECT_EQ(log.completed().front().spans.front().end, 16u);
 }
 
 TEST(ConnSpanTest, LifecycleConservation)
@@ -239,22 +305,24 @@ TEST(ConnSpanTest, ForensicsSingleConnPicksItEverywhere)
 
 TEST(PerfettoExport, EmitsFlowsOnlyAcrossCores)
 {
+    const ConnSpan crossSpans[] = {{0, 20, 0, 0, ConnStage::kSynRx},
+                                   {30, 50, 0, 1, ConnStage::kAppRead}};
+    const ConnSpan localSpans[] = {{0, 20, 0, 0, ConnStage::kSynRx},
+                                   {30, 50, 0, 0, ConnStage::kAppRead}};
     std::vector<ConnSpanTrace> traces;
     ConnSpanTrace cross;
     cross.connId = 1;
     cross.openTick = 0;
     cross.closeTick = 100;
     cross.closed = true;
-    cross.spans.push_back({0, 20, 0, 0, ConnStage::kSynRx});
-    cross.spans.push_back({30, 50, 0, 1, ConnStage::kAppRead});
+    cross.spans = crossSpans;
     traces.push_back(cross);
     ConnSpanTrace local;
     local.connId = 2;
     local.openTick = 0;
     local.closeTick = 100;
     local.closed = true;
-    local.spans.push_back({0, 20, 0, 0, ConnStage::kSynRx});
-    local.spans.push_back({30, 50, 0, 0, ConnStage::kAppRead});
+    local.spans = localSpans;
     traces.push_back(local);
 
     PerfettoMeta meta;

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "fault/fault_injector.hh"
 #include "fleet/fleet.hh"
 
@@ -59,14 +62,84 @@ std::uint64_t
 unstitchedOk(const FleetTraceLog &log)
 {
     std::uint64_t n = 0;
-    for (const auto &kv : log.records())
-        if (kv.second.clientDone && kv.second.ok && !kv.second.stitched)
+    for (const FleetTrace &tr : log.records())
+        if (tr.clientDone && tr.ok && !tr.stitched)
             ++n;
     return n;
 }
 
 const KernelConfig kBothKernels[2] = {KernelConfig::base2632(),
                                       KernelConfig::fastsocket()};
+
+/** One machine-side candidate span for trace 42. */
+struct Candidate
+{
+    bool orderly;
+    Tick open;
+    Tick close;       //!< 0: still live at collect
+    Tick writeEnd;    //!< end of its one app-write span
+    bool softirq;     //!< adds 20 ticks of softirq exec before the write
+    std::vector<ConnSpan> spans;
+
+    ConnSpanTrace
+    trace()
+    {
+        spans.clear();
+        if (softirq)
+            spans.push_back({open + 10, open + 30, 0, 0,
+                             ConnStage::kSoftirqRx});
+        spans.push_back({writeEnd - 40, writeEnd, 0, 1,
+                         ConnStage::kAppWrite});
+        ConnSpanTrace tr;
+        tr.traceId = 42;
+        tr.openTick = open;
+        tr.closeTick = close;
+        tr.closed = orderly;
+        tr.spans = spans;
+        return tr;
+    }
+};
+
+TEST(FleetTrace, StitchWinnerIndependentOfArrivalOrder)
+{
+    // Online stitching feeds spans in close order, collect() adds live
+    // ones last; the stored winner must not depend on either.
+    std::vector<Candidate> cands = {
+        {true, 100, 900, 300, false, {}},     // orderly, service 200
+        {true, 100, 950, 300, true, {}},      // ties it; later close wins
+        {true, 100, 800, 200, false, {}},     // orderly, shorter service
+        {false, 90, 1000, 800, false, {}},    // crash corpse, long service
+        {false, 95, 0, 400, true, {}},        // live at collect
+        {true, 120, 990, 320, false, {}},     // same service, later open
+    };
+    std::vector<int> order(cands.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<int>(i);
+    using Stored = std::tuple<bool, bool, Tick, Tick, Tick, Tick,
+                              std::uint64_t>;
+    bool first = true;
+    Stored want;
+    int perms = 0;
+    do {
+        FleetTraceLog log;
+        log.clientStart(42, 1);
+        for (int i : order)
+            log.stitchMachineSpan(cands[i].trace());
+        const FleetTrace &tr = log.records().front();
+        const Stored got{tr.stitched, tr.serverOrderly, tr.serverOpen,
+                         tr.serverClose, tr.serverService, tr.serverExec,
+                         log.machineSpansStitched()};
+        if (first)
+            want = got;
+        first = false;
+        ASSERT_EQ(got, want) << "permutation " << perms;
+        ++perms;
+    } while (std::next_permutation(order.begin(), order.end()));
+    EXPECT_EQ(perms, 720);
+    // The orderly span with the longest service, earliest open and
+    // latest close: the second candidate.
+    EXPECT_EQ(want, Stored(true, true, 100, 950, 200, 60, 1));
+}
 
 TEST(FleetTrace, ClientTraceIdSurvivesNatRewriteBothKernels)
 {
@@ -99,6 +172,15 @@ TEST(FleetTrace, ClientTraceIdSurvivesNatRewriteBothKernels)
         EXPECT_EQ(r.fleet.spanReconcileViolations, 0u);
         EXPECT_EQ(r.invariants.violationCount, 0u)
             << r.invariants.summary();
+        // Machines stitch each span as its connection closes and
+        // retain none; only in-flight spans are left for collect.
+        for (int s = 0; s < bed.machineCount(); ++s) {
+            const ConnSpanLog &sl = bed.machine(s).tracer().connSpans();
+            EXPECT_EQ(sl.completedCount(), 0u);
+            EXPECT_EQ(sl.tracesDropped(), 0u);
+            EXPECT_GT(sl.tracesHandedOff(), 0u);
+            EXPECT_EQ(sl.opened(), sl.liveCount() + sl.tracesHandedOff());
+        }
     }
 }
 
