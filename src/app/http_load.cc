@@ -33,10 +33,6 @@ HttpLoad::HttpLoad(EventQueue &eq, Wire &wire, const Config &cfg)
     fsim_assert(!cfg_.serverAddrs.empty());
     fsim_assert(cfg_.clientIps > 0);
     nextPort_.assign(cfg_.clientIps, 1024);
-    // Latency samples accumulate for the whole run; reserving up front
-    // keeps the per-completion append out of the steady-state
-    // allocation profile (the vector doubles only past ~32k samples).
-    latencySamples_.reserve(1 << 15);
     wire_.attachRange(cfg_.clientBase,
                       cfg_.clientBase +
                           static_cast<IpAddr>(cfg_.clientIps - 1),
@@ -250,8 +246,7 @@ HttpLoad::finish(std::uint64_t k, bool ok)
                 ++healthFailed_;
         }
         if (ok)
-            latencySamples_.emplace_back(eq_.now(),
-                                         eq_.now() - c.startTick);
+            latencySamples_.push_back({eq_.now(), eq_.now() - c.startTick});
         if (traceLog_)
             traceLog_->clientEnd(c.traceId, eq_.now(), ok);
         conns_.erase(k);
@@ -405,13 +400,29 @@ HttpLoad::requestThroughputSinceMark() const
     return static_cast<double>(responses_ - responsesAtMark_) / span;
 }
 
+std::size_t
+HttpLoad::windowBegin() const
+{
+    // Completion ticks never decrease, so the window is a suffix.
+    std::size_t lo = 0;
+    std::size_t hi = latencySamples_.size();
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (latencySamples_[mid].first < windowStart_)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 Tick
 HttpLoad::latencyPercentileSinceMark(double p) const
 {
-    std::vector<Tick> lat;
-    for (const auto &s : latencySamples_)
-        if (s.first >= windowStart_)
-            lat.push_back(s.second);
+    const std::size_t begin = windowBegin();
+    std::vector<Tick> lat(latencySamples_.size() - begin);
+    for (std::size_t i = 0; i < lat.size(); ++i)
+        lat[i] = latencySamples_[begin + i].second;
     if (lat.empty())
         return 0;
     if (p < 0.0)
@@ -429,11 +440,7 @@ HttpLoad::latencyPercentileSinceMark(double p) const
 std::uint64_t
 HttpLoad::latencySamplesSinceMark() const
 {
-    std::uint64_t n = 0;
-    for (const auto &s : latencySamples_)
-        if (s.first >= windowStart_)
-            ++n;
-    return n;
+    return latencySamples_.size() - windowBegin();
 }
 
 } // namespace fsim

@@ -23,6 +23,7 @@
 
 #include "net/packet.hh"
 #include "net/wire.hh"
+#include "sim/chunked_vector.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
 #include "sim/rng.hh"
@@ -152,12 +153,16 @@ class HttpLoad
     /** Completed connections with a latency sample since markWindow(). */
     std::uint64_t latencySamplesSinceMark() const;
 
-    /** All (completion tick, latency) samples, completion order — the
-     *  metrics layer and the SLO tracker window over these. */
-    const std::vector<std::pair<Tick, Tick>> &latencySamples() const
-    {
-        return latencySamples_;
-    }
+    /**
+     * Every (completion tick, connect-to-last-byte latency) sample of the
+     * run, in completion order, so completion ticks never decrease. The
+     * log is append-only and chunked: it grows without copying, and an
+     * index into it stays valid for the life of the generator, which is
+     * how the fleet's metrics layer and SLO tracker consume new samples
+     * through a cursor. allocations() counts its heap blocks.
+     */
+    using LatencyLog = ChunkedVector<std::pair<Tick, Tick>>;
+    const LatencyLog &latencySamples() const { return latencySamples_; }
 
     /**
      * Attach the fleet trace collector. Every launched connection mints
@@ -262,8 +267,11 @@ class HttpLoad
         return c.health ? cfg_.healthRequestBytes : cfg_.requestBytes;
     }
 
+    /** Index of the first sample completed at or after windowStart_. */
+    std::size_t windowBegin() const;
+
     /** (completion tick, connect-to-last-byte latency) per success. */
-    std::vector<std::pair<Tick, Tick>> latencySamples_;
+    LatencyLog latencySamples_;
 
     Tick windowStart_ = 0;
     std::uint64_t completedAtMark_ = 0;

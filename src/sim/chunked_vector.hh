@@ -15,6 +15,7 @@
 #define FSIM_SIM_CHUNKED_VECTOR_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <memory>
 #include <utility>
@@ -42,6 +43,10 @@ class ChunkedVector
         return chunks_[i >> ChunkLog2][i & (kChunk - 1)];
     }
 
+    /** Heap blocks allocated so far: every chunk plus every regrowth
+     *  of the chunk index. */
+    std::uint64_t allocations() const { return allocations_; }
+
     const T &front() const { return (*this)[0]; }
     const T &back() const { return (*this)[size_ - 1]; }
 
@@ -50,8 +55,12 @@ class ChunkedVector
     T &
     push_back(T v)
     {
-        if (size_ == chunks_.size() * kChunk)
+        if (size_ == chunks_.size() * kChunk) {
+            if (chunks_.size() == chunks_.capacity())
+                ++allocations_;     // the chunk index regrows
             chunks_.push_back(std::make_unique<T[]>(kChunk));
+            ++allocations_;
+        }
         T &slot = (*this)[size_++];
         slot = std::move(v);
         return slot;
@@ -92,6 +101,7 @@ class ChunkedVector
   private:
     std::vector<std::unique_ptr<T[]>> chunks_;
     std::size_t size_ = 0;
+    std::uint64_t allocations_ = 0;
 };
 
 } // namespace fsim

@@ -3,17 +3,19 @@
  * Open-addressing hash map with sticky storage for simulator hot paths.
  *
  * std::unordered_map allocates one node per element, which turns every
- * per-connection insert (established hash, TIME_WAIT index, load
- * generator state) into steady-state heap traffic. FlatMap stores keys
- * and values in flat arrays with linear probing and tombstone deletion,
- * and — critically — recycles its backing arrays: rebuilds that purge
- * tombstones reuse a shadow set of arrays that is kept around between
- * rebuilds, so once the table has reached its high-water capacity,
- * insert/find/erase churn never touches the allocator. The
- * allocation-audit test enforces this end to end.
+ * per-connection insert (TIME_WAIT index, load generator state, span
+ * log) into steady-state heap traffic. FlatMap keeps keys and values in
+ * flat arrays with linear probing and backward-shift deletion: erase
+ * pulls each later entry of the probe run back into the hole unless
+ * that would move it before its home slot, so runs stay contiguous and
+ * no tombstones are left. Occupancy is the live size, nothing needs
+ * purging, and the arrays are reallocated only when the live size
+ * reaches a new high-water capacity; churn below it never touches the
+ * allocator (the allocation-audit test enforces this end to end).
  *
- * Deliberately minimal: keys and values must be default-constructible
- * and copyable, and the only iteration is forEach, whose slot order
+ * Keys and values must be default-constructible and copyable. erase may
+ * move other entries, so a pointer from find or insert is valid only
+ * until the next insert or erase. forEach walks slot order, which
  * depends on insertion history — a determinism hazard, so callers sort
  * whatever they collect from it.
  */
@@ -32,8 +34,21 @@
 namespace fsim
 {
 
+/** Default hash for integer keys. A key's home slot is the hash's low
+ *  bits, which std::hash leaves equal to the key's own (sequential ids
+ *  and ports, packed tuples) and so packs into long probe runs; a
+ *  golden-ratio multiply with the high half folded down spreads them. */
+struct MixHash
+{
+    std::size_t operator()(std::uint64_t k) const
+    {
+        const std::uint64_t h = k * 0x9e3779b97f4a7c15ULL;
+        return static_cast<std::size_t>(h ^ (h >> 29));
+    }
+};
+
 /** Linear-probing hash map; capacity is sticky, always a power of 2. */
-template <typename K, typename V, typename Hash = std::hash<K>,
+template <typename K, typename V, typename Hash = MixHash,
           typename Eq = std::equal_to<K>>
 class FlatMap
 {
@@ -64,29 +79,14 @@ class FlatMap
     std::pair<V *, bool>
     insert(const K &key, V value)
     {
-        // Keep occupancy (live + tombstones) under 3/4 so probes stay
-        // short. Grow only when live entries justify it; otherwise
-        // rebuild at the same capacity to purge tombstones.
-        if (st_.empty() || (size_ + tombs_ + 1) * 4 >= st_.size() * 3)
-            rehash(!st_.empty() && size_ * 2 < st_.size()
-                       ? st_.size()
-                       : (st_.empty() ? kMinCapacity : st_.size() * 2));
+        // Keep occupancy under 3/4 so probe runs stay short.
+        if ((size_ + 1) * 4 >= full_.size() * 3)
+            grow(full_.empty() ? kMinCapacity : full_.size() * 2);
 
-        const std::size_t mask = st_.size() - 1;
-        std::size_t idx = Hash{}(key) & mask;
-        std::size_t grave = kNpos;
-        while (st_[idx] != kEmpty) {
-            if (st_[idx] == kFull && Eq{}(keys_[idx], key))
-                return {&vals_[idx], false};
-            if (st_[idx] == kTomb && grave == kNpos)
-                grave = idx;
-            idx = (idx + 1) & mask;
-        }
-        if (grave != kNpos) {
-            idx = grave;
-            --tombs_;
-        }
-        st_[idx] = kFull;
+        const std::size_t idx = slotFor(key);
+        if (full_[idx])
+            return {&vals_[idx], false};
+        full_[idx] = 1;
         keys_[idx] = key;
         vals_[idx] = std::move(value);
         ++size_;
@@ -99,8 +99,8 @@ class FlatMap
     void
     forEach(Fn fn) const
     {
-        for (std::size_t i = 0; i < st_.size(); ++i)
-            if (st_[i] == kFull)
+        for (std::size_t i = 0; i < full_.size(); ++i)
+            if (full_[i])
                 fn(keys_[i], vals_[i]);
     }
 
@@ -108,83 +108,78 @@ class FlatMap
     bool
     erase(const K &key)
     {
-        const std::size_t idx = locate(key);
-        if (idx == kNpos)
+        std::size_t hole = locate(key);
+        if (hole == kNpos)
             return false;
-        st_[idx] = kTomb;
-        keys_[idx] = K{};
-        vals_[idx] = V{};
+        // Backward shift: walk the rest of the run and move back every
+        // entry whose home slot does not lie cyclically in (hole, j].
+        const std::size_t mask = full_.size() - 1;
+        for (std::size_t j = (hole + 1) & mask; full_[j];
+             j = (j + 1) & mask) {
+            if (((j - home(keys_[j])) & mask) < ((j - hole) & mask))
+                continue;
+            keys_[hole] = std::move(keys_[j]);
+            vals_[hole] = std::move(vals_[j]);
+            hole = j;
+        }
+        full_[hole] = 0;
+        keys_[hole] = K{};
+        vals_[hole] = V{};
         --size_;
-        ++tombs_;
         return true;
     }
 
   private:
-    enum : std::uint8_t { kEmpty = 0, kFull = 1, kTomb = 2 };
-
     static constexpr std::size_t kNpos = ~std::size_t{0};
     static constexpr std::size_t kMinCapacity = 16;
 
     std::size_t
+    home(const K &key) const
+    {
+        return Hash{}(key) & (full_.size() - 1);
+    }
+
+    /** The slot holding @p key, else the empty slot ending its run. */
+    std::size_t
+    slotFor(const K &key) const
+    {
+        const std::size_t mask = full_.size() - 1;
+        std::size_t idx = home(key);
+        while (full_[idx] && !Eq{}(keys_[idx], key))
+            idx = (idx + 1) & mask;
+        return idx;
+    }
+
+    std::size_t
     locate(const K &key) const
     {
-        if (st_.empty())
+        if (full_.empty())
             return kNpos;
-        const std::size_t mask = st_.size() - 1;
-        std::size_t idx = Hash{}(key) & mask;
-        while (st_[idx] != kEmpty) {
-            if (st_[idx] == kFull && Eq{}(keys_[idx], key))
-                return idx;
-            idx = (idx + 1) & mask;
-        }
-        return kNpos;
+        const std::size_t idx = slotFor(key);
+        return full_[idx] ? idx : kNpos;
     }
 
     void
-    rehash(std::size_t cap)
+    grow(std::size_t cap)
     {
         fsim_assert((cap & (cap - 1)) == 0 && cap > size_);
-        // The shadow arrays only ever grow (allocation happens at a new
-        // high-water capacity); same-capacity tombstone purges reuse
-        // them allocation-free.
-        shadowSt_.assign(cap, kEmpty);
-        if (shadowKeys_.size() != cap) {
-            shadowKeys_.resize(cap);
-            shadowVals_.resize(cap);
-        }
-        const std::size_t mask = cap - 1;
-        for (std::size_t i = 0; i < st_.size(); ++i) {
-            if (st_[i] != kFull)
-                continue;
-            std::size_t idx = Hash{}(keys_[i]) & mask;
-            while (shadowSt_[idx] != kEmpty)
-                idx = (idx + 1) & mask;
-            shadowSt_[idx] = kFull;
-            shadowKeys_[idx] = std::move(keys_[i]);
-            shadowVals_[idx] = std::move(vals_[i]);
-            keys_[i] = K{};
-            vals_[i] = V{};
-        }
-        st_.swap(shadowSt_);
-        keys_.swap(shadowKeys_);
-        vals_.swap(shadowVals_);
-        tombs_ = 0;
-        // Retired arrays become next rebuild's shadow; bring them to the
-        // new capacity now so the *next* same-size purge is clean too.
-        if (shadowKeys_.size() != cap) {
-            shadowKeys_.resize(cap);
-            shadowVals_.resize(cap);
-        }
+        std::vector<std::uint8_t> full(cap, 0);
+        std::vector<K> keys(cap);
+        std::vector<V> vals(cap);
+        full.swap(full_);
+        keys.swap(keys_);
+        vals.swap(vals_);
+        // Re-insert everything: at most 3/8 full, insert cannot recurse.
+        size_ = 0;
+        for (std::size_t i = 0; i < full.size(); ++i)
+            if (full[i])
+                insert(keys[i], std::move(vals[i]));
     }
 
-    std::vector<std::uint8_t> st_;
+    std::vector<std::uint8_t> full_;
     std::vector<K> keys_;
     std::vector<V> vals_;
-    std::vector<std::uint8_t> shadowSt_;
-    std::vector<K> shadowKeys_;
-    std::vector<V> shadowVals_;
     std::size_t size_ = 0;
-    std::size_t tombs_ = 0;
 };
 
 } // namespace fsim

@@ -243,17 +243,6 @@ class ConnSpanLog
         ConnSpanTrace view() const;
     };
 
-    /** Socket ids are sequential; scatter them over the probe table. */
-    struct ConnIdHash
-    {
-        std::size_t
-        operator()(std::uint64_t id) const
-        {
-            const std::uint64_t h = id * 0x9e3779b97f4a7c15ULL;
-            return static_cast<std::size_t>(h ^ (h >> 29));
-        }
-    };
-
     /** Spans per retention-arena chunk (a trace never straddles two). */
     static constexpr std::size_t kArenaChunk = 1u << 14;
 
@@ -263,7 +252,7 @@ class ConnSpanLog
 
     bool enabled_ = true;
     FleetTraceLog *fleet_ = nullptr;
-    FlatMap<std::uint64_t, std::uint32_t, ConnIdHash> live_;
+    FlatMap<std::uint64_t, std::uint32_t> live_;
     std::vector<LiveTrace> slots_;
     std::vector<std::uint32_t> freeSlots_;
     ChunkedVector<ConnSpanTrace> completed_;

@@ -2,11 +2,13 @@
  * @file
  * Fixed-capacity per-core trace event ring.
  *
- * The ring is preallocated at construction and never allocates on the
- * hot path; when full it overwrites the oldest event (ftrace's default
- * overwrite mode), so the ring always holds the most recent window of
- * activity. Total pushes are counted, so the number of overwritten
- * events is always recoverable.
+ * The ring allocates its whole buffer on the first push and never
+ * again, so a core that records nothing (every core of an untraced
+ * machine) holds no ring storage; capacity() still reports the
+ * configured size. When full the ring overwrites the oldest event
+ * (ftrace's default overwrite mode), so it always holds the most recent
+ * window of activity. Total pushes are counted, so the number of
+ * overwritten events is always recoverable.
  */
 
 #ifndef FSIM_TRACE_TRACE_RING_HH
@@ -25,27 +27,33 @@ namespace fsim
 class TraceRing
 {
   public:
-    explicit TraceRing(std::size_t capacity)
-        : buf_(capacity)
-    {
-    }
+    explicit TraceRing(std::size_t capacity) : capacity_(capacity) {}
 
     /** Record @p ev, overwriting the oldest event when full. */
     void
     push(const TraceEvent &ev)
     {
-        buf_[pushed_ % buf_.size()] = ev;
+        if (buf_.empty())
+            buf_.resize(capacity_);
+        buf_[pushed_ % capacity_] = ev;
         ++pushed_;
     }
 
-    std::size_t capacity() const { return buf_.size(); }
+    std::size_t capacity() const { return capacity_; }
+
+    /** Heap bytes held: zero until the first push, then the full ring. */
+    std::size_t
+    storageBytes() const
+    {
+        return buf_.capacity() * sizeof(TraceEvent);
+    }
 
     /** Events currently held (≤ capacity). */
     std::size_t
     size() const
     {
-        return pushed_ < buf_.size() ? static_cast<std::size_t>(pushed_)
-                                     : buf_.size();
+        return pushed_ < capacity_ ? static_cast<std::size_t>(pushed_)
+                                   : capacity_;
     }
 
     /** Total events ever pushed. */
@@ -59,7 +67,7 @@ class TraceRing
     at(std::size_t i) const
     {
         std::uint64_t oldest = pushed_ - size();
-        return buf_[(oldest + i) % buf_.size()];
+        return buf_[(oldest + i) % capacity_];
     }
 
     void
@@ -69,6 +77,7 @@ class TraceRing
     }
 
   private:
+    std::size_t capacity_;
     std::vector<TraceEvent> buf_;
     std::uint64_t pushed_ = 0;
 };

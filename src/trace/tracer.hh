@@ -3,7 +3,8 @@
  * The per-machine tracer: the simulator's perf + ftrace + /proc/lockstat.
  *
  * Owns one TraceRing per core, the PhaseAccounting layer and the
- * ConnSpanLog. Ring emission is branch-cheap and never allocates. Phase
+ * ConnSpanLog. Ring emission is branch-cheap; each ring allocates once,
+ * at its first event, so an untraced machine holds no ring storage. Phase
  * accounting allocates only the first time a folded stack shape is
  * seen, and the span log only while its live population reaches a new
  * peak — plus, on a single-machine testbed with no fleet log attached,

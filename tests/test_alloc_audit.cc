@@ -3,9 +3,9 @@
  * Allocation audit: the event/packet/timer hot path must not touch the
  * heap in steady state.
  *
- * This binary overrides global operator new/delete to count every
- * allocation while an AllocAuditScope is armed (the counters live in
- * sim/alloc_audit). Two layers of contract:
+ * This binary includes the counting allocator hook (alloc_hook.hh), so
+ * every allocation made while an AllocAuditScope is armed is counted
+ * (the counters live in sim/alloc_audit). Three layers of contract:
  *
  *  1. The raw simulator substrate — EventQueue scheduling/dispatch,
  *     TimerWheel arm/mod/cancel/fire, CpuModel task posting — must make
@@ -16,7 +16,10 @@
  *  2. A steady-state --notrace nginx experiment (full kernel + app +
  *     load) must likewise run allocation-free between checkpoints once
  *     warmed up: connection churn recycles TCB slabs, timer nodes,
- *     event nodes and ring capacity instead of allocating.
+ *     event nodes and ring capacity instead of allocating. The one
+ *     growth allowed is the client's latency log, which keeps every
+ *     sample of the run in 64 KiB chunks; it counts its own heap
+ *     blocks and the audit must equal that count exactly.
  *
  *  3. A fleet (balancers + machines) obeys the same contract untraced.
  *     Traced, span recording recycles its live slots and stitches at
@@ -26,10 +29,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <new>
-
+#include "app/http_load.hh"
 #include "fleet/fleet.hh"
 #include "harness/experiment.hh"
 #include "sim/alloc_audit.hh"
@@ -37,98 +37,7 @@
 #include "sim/rng.hh"
 #include "timerwheel/timer_wheel.hh"
 
-// ---------------------------------------------------------------------
-// Global counting allocator hook. Forwarding to malloc keeps ASan's
-// interception intact (it wraps malloc), so the audit composes with the
-// sanitizer jobs.
-// ---------------------------------------------------------------------
-
-namespace
-{
-
-// Failure diagnostic: histogram of audited allocation sizes, dumped
-// only when a test is about to fail. Sizes identify structures (8 B =
-// a pointer vector's first growth, 2^n = vector doubling, etc.).
-constexpr std::size_t kHistCap = 512;
-std::size_t g_histSize[kHistCap];
-std::uint64_t g_histCount[kHistCap];
-std::size_t g_histUsed = 0;
-
-void
-recordSize(std::size_t n)
-{
-    for (std::size_t i = 0; i < g_histUsed; ++i)
-        if (g_histSize[i] == n) { ++g_histCount[i]; return; }
-    if (g_histUsed < kHistCap) {
-        g_histSize[g_histUsed] = n;
-        g_histCount[g_histUsed] = 1;
-        ++g_histUsed;
-    }
-}
-
-void
-dumpHist(const char *tag)
-{
-    fprintf(stderr, "=== alloc histogram (%s) ===\n", tag);
-    for (std::size_t i = 0; i < g_histUsed; ++i)
-        fprintf(stderr, "  size %zu x %llu\n", g_histSize[i],
-                (unsigned long long)g_histCount[i]);
-    g_histUsed = 0;
-}
-
-void *
-auditedAlloc(std::size_t n)
-{
-    fsim::AllocAudit::noteHooked();
-    if (fsim::AllocAudit::armed())
-        recordSize(n);
-    fsim::AllocAudit::noteAlloc(n);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    return auditedAlloc(n);
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return auditedAlloc(n);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    fsim::AllocAudit::noteFree();
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    fsim::AllocAudit::noteFree();
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    fsim::AllocAudit::noteFree();
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    fsim::AllocAudit::noteFree();
-    std::free(p);
-}
+#include "alloc_hook.hh"
 
 namespace fsim
 {
@@ -184,7 +93,7 @@ TEST(AllocAudit, EventQueueSteadyStateIsAllocationFree)
         }
         audited = AllocAudit::disarm();
     }
-    if (audited) dumpHist("event queue");
+    if (audited) dumpAllocHistogram("event queue");
     EXPECT_EQ(audited, 0u)
         << "event schedule/dispatch hit the allocator in steady state";
     eq.runAll();
@@ -230,9 +139,38 @@ TEST(AllocAudit, TimerWheelSteadyStateIsAllocationFree)
         }
         audited = AllocAudit::disarm();
     }
-    if (audited) dumpHist("timer wheel");
+    if (audited) dumpAllocHistogram("timer wheel");
     EXPECT_EQ(audited, 0u)
         << "timer arm/mod/fire hit the allocator in steady state";
+}
+
+/** What an audited steady-state window cost: heap blocks allocated, how
+ *  many of them the client's latency log made, and connections
+ *  completed meanwhile. */
+struct AuditWindow
+{
+    std::uint64_t blocks = 0;
+    std::uint64_t latencyLogBlocks = 0;
+    std::uint64_t conns = 0;
+};
+
+/** Run @p bed on to @p until with the audit armed. */
+template <typename Bed>
+AuditWindow
+auditWindow(Bed &bed, Tick until)
+{
+    const HttpLoad &load = bed.load();
+    const std::uint64_t conns = load.completed();
+    const std::uint64_t logBlocks = load.latencySamples().allocations();
+    AuditWindow w;
+    {
+        AllocAuditScope scope;
+        bed.runUntilChecked(until);
+        w.blocks = AllocAudit::disarm();
+    }
+    w.latencyLogBlocks = load.latencySamples().allocations() - logBlocks;
+    w.conns = load.completed() - conns;
+    return w;
 }
 
 TEST(AllocAudit, NotraceNginxSteadyStateIsAllocationFree)
@@ -256,19 +194,14 @@ TEST(AllocAudit, NotraceNginxSteadyStateIsAllocationFree)
     // the steady state can touch has been discovered.
     bed.runUntilChecked(ticksFromSeconds(0.3));
 
-    const std::uint64_t servedBefore = bed.load().completed();
-    std::uint64_t audited;
-    {
-        AllocAuditScope scope;
-        bed.runUntilChecked(ticksFromSeconds(0.5));
-        audited = AllocAudit::disarm();
-    }
+    const AuditWindow w = auditWindow(bed, ticksFromSeconds(0.5));
     // The window must have done real work (thousands of connections)...
-    EXPECT_GT(bed.load().completed(), servedBefore + 500u);
-    // ...without a single heap allocation: every per-connection object
-    // on the packet/timer/event path is recycled.
-    if (audited) dumpHist("nginx");
-    EXPECT_EQ(audited, 0u)
+    EXPECT_GT(w.conns, 500u);
+    // ...without a heap allocation beyond the latency log's chunks:
+    // every per-connection object on the packet/timer/event path is
+    // recycled.
+    if (w.blocks != w.latencyLogBlocks) dumpAllocHistogram("nginx");
+    EXPECT_EQ(w.blocks, w.latencyLogBlocks)
         << "steady-state nginx allocated on the hot path; see "
            "sim/event_fn.hh capture budgets and the slab free lists";
 }
@@ -288,45 +221,35 @@ auditFleet(bool traced)
     return fc;
 }
 
-/** Heap blocks a warmed-up fleet allocates over a 0.5 s window, and the
- *  connections it completed meanwhile. */
-std::pair<std::uint64_t, std::uint64_t>
+/** A warmed-up fleet's audited 0.5 s window. */
+AuditWindow
 auditFleetWindow(bool traced)
 {
     FleetTestbed bed(auditFleet(traced));
     bed.startLoad();
     // Warm-up covers several timer-wheel revolutions: the SYN_RCVD
     // reaper the fleet always arms puts every SYN on the wheel, so tv1
-    // slots need a few passes to reach their high-water capacity. The
-    // client's latency log grows by doubling; this window lies between
-    // its 64 Ki and 128 Ki sample steps.
+    // slots need a few passes to reach their high-water capacity.
     bed.runUntilChecked(ticksFromSeconds(1.5));
-    const std::uint64_t before = bed.load().completed();
-    std::uint64_t audited;
-    {
-        AllocAuditScope scope;
-        bed.runUntilChecked(ticksFromSeconds(2.0));
-        audited = AllocAudit::disarm();
-    }
-    return {audited, bed.load().completed() - before};
+    return auditWindow(bed, ticksFromSeconds(2.0));
 }
 
 TEST(AllocAudit, NotraceFleetSteadyStateIsAllocationFree)
 {
-    const auto [audited, conns] = auditFleetWindow(/*traced=*/false);
-    EXPECT_GT(conns, 5000u);
-    if (audited) dumpHist("fleet notrace");
-    EXPECT_EQ(audited, 0u)
+    const AuditWindow w = auditFleetWindow(/*traced=*/false);
+    EXPECT_GT(w.conns, 5000u);
+    if (w.blocks != w.latencyLogBlocks) dumpAllocHistogram("fleet notrace");
+    EXPECT_EQ(w.blocks, w.latencyLogBlocks)
         << "steady-state untraced fleet allocated on the hot path";
 }
 
 TEST(AllocAudit, TracedFleetAllocatesUnderOneBlockPer1000Conns)
 {
-    const auto [audited, conns] = auditFleetWindow(/*traced=*/true);
-    EXPECT_GT(conns, 5000u);
-    if (audited * 1000 >= conns) dumpHist("fleet traced");
-    EXPECT_LT(audited * 1000, conns)
-        << audited << " heap blocks for " << conns
+    const AuditWindow w = auditFleetWindow(/*traced=*/true);
+    EXPECT_GT(w.conns, 5000u);
+    if (w.blocks * 1000 >= w.conns) dumpAllocHistogram("fleet traced");
+    EXPECT_LT(w.blocks * 1000, w.conns)
+        << w.blocks << " heap blocks for " << w.conns
         << " connections: span recording or stitching is allocating "
            "per connection";
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the trace subsystem: ring overflow semantics, phase
+ * Tests for the trace subsystem: ring overflow semantics and lazy ring
+ * storage (this binary includes the counting allocator hook), phase
  * attribution arithmetic, the cycle-conservation invariant against the
  * CPU model, and the versioned bench JSON schema.
  */
@@ -13,11 +14,14 @@
 
 #include "harness/bench_json.hh"
 #include "harness/experiment.hh"
+#include "sim/alloc_audit.hh"
 #include "trace/phase_accounting.hh"
 #include "trace/trace_report.hh"
 #include "trace/trace_ring.hh"
 #include "trace/trace_scope.hh"
 #include "trace/tracer.hh"
+
+#include "alloc_hook.hh"
 
 namespace fsim
 {
@@ -61,6 +65,82 @@ TEST(TraceRing, OverwritesOldestWhenFull)
     ring.clear();
     EXPECT_EQ(ring.size(), 0u);
     EXPECT_EQ(ring.overwritten(), 0u);
+}
+
+TEST(TraceRing, AllocatesStorageOnFirstPushOnly)
+{
+    TraceRing ring(64);
+    EXPECT_EQ(ring.capacity(), 64u);
+    EXPECT_EQ(ring.size(), 0u);
+    EXPECT_EQ(ring.pushed(), 0u);
+    EXPECT_EQ(ring.overwritten(), 0u);
+    EXPECT_EQ(ring.storageBytes(), 0u);
+
+    std::uint64_t first;
+    {
+        AllocAuditScope scope;
+        ring.push(ev(0));
+        first = AllocAudit::disarm();
+    }
+    ASSERT_TRUE(AllocAudit::hooked());
+    EXPECT_EQ(first, 1u);
+    EXPECT_EQ(ring.storageBytes(), 64 * sizeof(TraceEvent));
+
+    std::uint64_t rest;
+    {
+        AllocAuditScope scope;
+        for (Tick t = 1; t < 200; ++t)
+            ring.push(ev(t));
+        ring.clear();
+        ring.push(ev(7));
+        rest = AllocAudit::disarm();
+    }
+    EXPECT_EQ(rest, 0u);
+    EXPECT_EQ(ring.size(), 1u);
+    EXPECT_EQ(ring.at(0).tick, 7u);
+}
+
+/** Run a small nginx testbed briefly and check every core's ring: full
+ *  storage when traced, none (with the counters at zero) when not. */
+void
+expectRingStorage(bool traced)
+{
+    ExperimentConfig cfg;
+    cfg.app = AppKind::kNginx;
+    cfg.machine.cores = 2;
+    cfg.machine.traceEnabled = traced;
+    cfg.concurrencyPerCore = 20;
+    Testbed bed(cfg);
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromSeconds(0.02));
+    ASSERT_GT(bed.load().completed(), 0u);
+
+    const Tracer &tr = bed.machine().tracer();
+    ASSERT_EQ(tr.numCores(), 2);
+    for (int c = 0; c < tr.numCores(); ++c) {
+        const TraceRing &r = tr.ring(c);
+        EXPECT_EQ(r.capacity(), Tracer::kDefaultRingCapacity);
+        if (traced) {
+            EXPECT_GT(r.pushed(), 0u);
+            EXPECT_EQ(r.storageBytes(),
+                      Tracer::kDefaultRingCapacity * sizeof(TraceEvent));
+        } else {
+            EXPECT_EQ(r.size(), 0u);
+            EXPECT_EQ(r.pushed(), 0u);
+            EXPECT_EQ(r.overwritten(), 0u);
+            EXPECT_EQ(r.storageBytes(), 0u);
+        }
+    }
+}
+
+TEST(TraceRing, UntracedTestbedHoldsNoRingStorage)
+{
+    expectRingStorage(/*traced=*/false);
+}
+
+TEST(TraceRing, TracedTestbedAllocatesEveryBusyRing)
+{
+    expectRingStorage(/*traced=*/true);
 }
 
 /** Folded map keyed by decoded stack string, for readable asserts. */
