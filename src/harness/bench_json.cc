@@ -24,6 +24,177 @@ writeLockClass(JsonWriter &w, const LockClassStats &s)
     w.endObject();
 }
 
+void
+writeFleet(JsonWriter &w, const FleetResult &fl)
+{
+    w.key("fleet").beginObject();
+    w.key("server_machines").value(
+        static_cast<std::uint64_t>(fl.serverMachines));
+    w.key("balancers").value(static_cast<std::uint64_t>(fl.balancers));
+    w.key("policy").value(fl.policy);
+    w.key("flows_created").value(fl.flowsCreated);
+    w.key("flows_retired").value(fl.flowsRetired);
+    w.key("flows_active").value(fl.flowsActive);
+    w.key("flows_active_peak").value(fl.flowsActivePeak);
+    w.key("tuple_reuse").value(fl.tupleReuse);
+    w.key("idle_retired").value(fl.idleRetired);
+    w.key("forwarded_c2s").value(fl.forwardedC2s);
+    w.key("forwarded_s2c").value(fl.forwardedS2c);
+    w.key("shed_no_backend").value(fl.shedNoBackend);
+    w.key("shed_capacity").value(fl.shedCapacity);
+    w.key("nat_rsts").value(fl.natRsts);
+    w.key("bounded_load_fallbacks").value(fl.boundedLoadFallbacks);
+    w.key("pressure_avoids").value(fl.pressureAvoids);
+    w.key("probes_sent").value(fl.probesSent);
+    w.key("probe_failures").value(fl.probeFailures);
+    w.key("ejections").value(fl.ejections);
+    w.key("readmissions").value(fl.readmissions);
+    w.key("drains_started").value(fl.drainsStarted);
+    w.key("drains_completed").value(fl.drainsCompleted);
+    w.key("undrained_flows").value(fl.undrainedFlows);
+    w.key("restarts").value(fl.restarts);
+    w.key("crashes").value(fl.crashes);
+    w.key("lb_crashes").value(fl.lbCrashes);
+    w.key("vip_takeovers").value(fl.vipTakeovers);
+    w.key("tx_suppressed").value(fl.txSuppressed);
+    w.key("corpse_rsts").value(fl.corpseRsts);
+    w.key("blackholed").value(fl.blackholed);
+    w.key("link_packets").value(fl.linkPackets);
+    w.key("link_queued_ticks").value(fl.linkQueuedTicks);
+    w.key("request_success_ratio").value(fl.requestSuccessRatio);
+    w.key("health_mode").value(fl.healthMode);
+    w.key("score_ejections").value(fl.scoreEjections);
+    w.key("ramp_skips").value(fl.rampSkips);
+    w.key("ejections_capped").value(fl.ejectionsCapped);
+    w.key("degrades_applied").value(fl.degradesApplied);
+    w.key("flap_transitions").value(fl.flapTransitions);
+    w.key("partitions_armed").value(fl.partitionsArmed);
+    w.key("degrade_dropped").value(fl.degradeDropped);
+    w.key("degrade_delayed").value(fl.degradeDelayed);
+    w.key("partition_dropped").value(fl.partitionDropped);
+    w.key("incidents_total").value(fl.incidentsTotal);
+    w.key("incidents_detected").value(fl.incidentsDetected);
+    w.key("incidents_recovered").value(fl.incidentsRecovered);
+    w.key("mttd_ms_mean").value(fl.mttdMsMean);
+    w.key("mttr_ms_mean").value(fl.mttrMsMean);
+    w.key("traces_started").value(fl.tracesStarted);
+    w.key("traces_completed").value(fl.tracesCompleted);
+    w.key("traces_stitched").value(fl.tracesStitched);
+    w.key("trace_orphans").value(fl.traceOrphans);
+    w.key("trace_duplicates").value(fl.traceDuplicates);
+    w.key("span_reconcile_violations").value(fl.spanReconcileViolations);
+    w.key("slo_fast_alerts").value(fl.sloFastAlerts);
+    w.key("slo_slow_alerts").value(fl.sloSlowAlerts);
+    w.key("slo_first_fast_alert_ms").value(fl.sloFirstFastAlertMs);
+    w.endObject();
+}
+
+void
+writeTimeseries(JsonWriter &w, const MetricsSnapshot &ts)
+{
+    w.key("timeseries").beginObject();
+    w.key("sample_period").value(static_cast<std::uint64_t>(ts.samplePeriod));
+    w.key("series").beginArray();
+    for (const MetricSeries &s : ts.series) {
+        w.beginObject();
+        w.key("name").value(s.name);
+        w.key("kind").value(metricKindName(s.kind));
+        w.key("points").beginArray();
+        for (const auto &pt : s.points) {
+            w.beginArray();
+            w.value(static_cast<std::uint64_t>(pt.first));
+            w.value(pt.second);
+            w.endArray();
+        }
+        w.endArray();
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
+void
+writeFleetTrace(JsonWriter &w, const FleetTraceForensics &ft)
+{
+    w.key("fleet_trace").beginObject();
+    w.key("traces_completed").value(ft.tracesCompleted);
+    w.key("orphans").value(ft.orphans);
+    w.key("duplicates").value(ft.duplicates);
+    w.key("stitched").value(ft.stitched);
+    w.key("e2e_p50").value(static_cast<std::uint64_t>(ft.e2eP50));
+    w.key("e2e_p99").value(static_cast<std::uint64_t>(ft.e2eP99));
+    w.key("e2e_p999").value(static_cast<std::uint64_t>(ft.e2eP999));
+    w.key("dominant_p50").value(ft.dominantP50);
+    w.key("dominant_p99").value(ft.dominantP99);
+    w.key("dominant_p999").value(ft.dominantP999);
+    w.key("hops").beginArray();
+    for (const FleetHopStat &h : ft.hops) {
+        w.beginObject();
+        w.key("hop").value(h.hop);
+        w.key("p50").value(static_cast<std::uint64_t>(h.p50));
+        w.key("p99").value(static_cast<std::uint64_t>(h.p99));
+        w.key("p999").value(static_cast<std::uint64_t>(h.p999));
+        w.key("max").value(static_cast<std::uint64_t>(h.max));
+        w.key("share").value(h.share);
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
+void
+writeLatencyStages(JsonWriter &w, const SpanForensics &sf)
+{
+    w.key("latency_stages").beginObject();
+    w.key("completed").value(sf.completed);
+    w.key("live").value(sf.live);
+    w.key("shed").value(sf.shed);
+    w.key("spans_recorded").value(sf.spansRecorded);
+    w.key("spans_dropped").value(sf.spansDropped);
+    w.key("traces_dropped").value(sf.tracesDropped);
+    w.key("dominant_tail_stage").value(sf.dominantTailStage);
+    w.key("stages").beginArray();
+    for (const StagePercentiles &sp : sf.stages) {
+        w.beginObject();
+        w.key("stage").value(connStageName(sp.stage));
+        w.key("count").value(sp.count);
+        w.key("p50").value(static_cast<std::uint64_t>(sp.p50));
+        w.key("p90").value(static_cast<std::uint64_t>(sp.p90));
+        w.key("p99").value(static_cast<std::uint64_t>(sp.p99));
+        w.key("p999").value(static_cast<std::uint64_t>(sp.p999));
+        w.key("max").value(static_cast<std::uint64_t>(sp.max));
+        w.key("total_ticks").value(sp.totalTicks);
+        w.endObject();
+    }
+    w.endArray();
+    w.key("exemplars").beginArray();
+    for (const ExemplarBreakdown &ex : sf.exemplars) {
+        w.beginObject();
+        w.key("percentile").value(ex.percentile);
+        w.key("conn_id").value(ex.connId);
+        w.key("latency").value(static_cast<std::uint64_t>(ex.latency));
+        w.key("unattributed").value(static_cast<std::uint64_t>(
+            ex.unattributed));
+        w.key("stages").beginObject();
+        for (int s = 0; s < kNumConnStages; ++s) {
+            if (ex.stageTicks[static_cast<std::size_t>(s)] == 0 &&
+                ex.stageCounts[static_cast<std::size_t>(s)] == 0)
+                continue;
+            w.key(connStageName(static_cast<ConnStage>(s)))
+                .value(static_cast<std::uint64_t>(
+                    ex.stageTicks[static_cast<std::size_t>(s)]));
+        }
+        w.endObject();
+        w.key("cores").beginArray();
+        for (int c : ex.cores)
+            w.value(c);
+        w.endArray();
+        w.endObject();
+    }
+    w.endArray();
+    w.endObject();
+}
+
 } // namespace
 
 const char *
@@ -109,6 +280,7 @@ BenchJsonReport::str() const
         w.key("rfd").value(cfg.machine.kernel.rfd);
         w.key("local_established")
             .value(cfg.machine.kernel.localEstablished);
+        w.key("syn_cookies").value(cfg.machine.kernel.synCookies);
         w.key("concurrency_per_core").value(cfg.concurrencyPerCore);
         w.key("measure_sec").value(cfg.measureSec);
         w.key("trace_enabled").value(cfg.machine.traceEnabled);
@@ -174,11 +346,12 @@ BenchJsonReport::str() const
             w.key(kv.first).value(kv.second);
         w.endObject();
 
-        w.key("faults").beginObject();
-        w.key("plan").value(serializeFaultPlan(cfg.faults));
-        w.key("armed").value(!cfg.faults.empty());
-        w.key("syn_cookies").value(cfg.machine.kernel.synCookies);
-        w.endObject();
+        // Optional: present only when a fault plan was armed.
+        if (!cfg.faults.empty()) {
+            w.key("faults").beginObject();
+            w.key("plan").value(serializeFaultPlan(cfg.faults));
+            w.endObject();
+        }
 
         const OverloadResult &ov = r.overload;
         w.key("overload").beginObject();
@@ -250,7 +423,7 @@ BenchJsonReport::str() const
         w.endArray();
         w.endObject();
 
-        // v7: DES-core throughput. The deterministic fields are always
+        // DES-core throughput. The deterministic fields are always
         // present; wall-clock numbers only when a wall-aware bench
         // stamped them (same-seed exports must stay byte-identical).
         w.key("sim_core").beginObject();
@@ -258,8 +431,7 @@ BenchJsonReport::str() const
         w.key("events_scheduled").value(r.simEventsScheduled);
         w.key("sim_ticks").value(static_cast<std::uint64_t>(r.simTicks));
         if (r.simWallSeconds > 0.0) {
-            const double sim_sec =
-                secondsFromTicks(r.simTicks);
+            const double sim_sec = secondsFromTicks(r.simTicks);
             w.key("wall_seconds").value(r.simWallSeconds);
             w.key("events_per_sec")
                 .value(static_cast<double>(r.simEventsRun) /
@@ -270,129 +442,14 @@ BenchJsonReport::str() const
         }
         w.endObject();
 
-        // v8: fleet tier. Always present; enabled=false (all counters
-        // zero) on single-machine rows so diff tooling sees the block
-        // vanish/appear explicitly rather than silently.
-        const FleetResult &fl = r.fleet;
-        w.key("fleet").beginObject();
-        w.key("enabled").value(fl.enabled);
-        w.key("server_machines").value(
-            static_cast<std::uint64_t>(fl.serverMachines));
-        w.key("balancers").value(
-            static_cast<std::uint64_t>(fl.balancers));
-        w.key("policy").value(fl.policy);
-        w.key("flows_created").value(fl.flowsCreated);
-        w.key("flows_retired").value(fl.flowsRetired);
-        w.key("flows_active").value(fl.flowsActive);
-        w.key("flows_active_peak").value(fl.flowsActivePeak);
-        w.key("tuple_reuse").value(fl.tupleReuse);
-        w.key("idle_retired").value(fl.idleRetired);
-        w.key("forwarded_c2s").value(fl.forwardedC2s);
-        w.key("forwarded_s2c").value(fl.forwardedS2c);
-        w.key("shed_no_backend").value(fl.shedNoBackend);
-        w.key("shed_capacity").value(fl.shedCapacity);
-        w.key("nat_rsts").value(fl.natRsts);
-        w.key("bounded_load_fallbacks").value(fl.boundedLoadFallbacks);
-        w.key("pressure_avoids").value(fl.pressureAvoids);
-        w.key("probes_sent").value(fl.probesSent);
-        w.key("probe_failures").value(fl.probeFailures);
-        w.key("ejections").value(fl.ejections);
-        w.key("readmissions").value(fl.readmissions);
-        w.key("drains_started").value(fl.drainsStarted);
-        w.key("drains_completed").value(fl.drainsCompleted);
-        w.key("undrained_flows").value(fl.undrainedFlows);
-        w.key("restarts").value(fl.restarts);
-        w.key("crashes").value(fl.crashes);
-        w.key("lb_crashes").value(fl.lbCrashes);
-        w.key("vip_takeovers").value(fl.vipTakeovers);
-        w.key("tx_suppressed").value(fl.txSuppressed);
-        w.key("corpse_rsts").value(fl.corpseRsts);
-        w.key("blackholed").value(fl.blackholed);
-        w.key("link_packets").value(fl.linkPackets);
-        w.key("link_queued_ticks").value(fl.linkQueuedTicks);
-        w.key("request_success_ratio").value(fl.requestSuccessRatio);
-        // v9: gray-failure detection and incident MTTR summary.
-        w.key("health_mode").value(fl.healthMode);
-        w.key("score_ejections").value(fl.scoreEjections);
-        w.key("ramp_skips").value(fl.rampSkips);
-        w.key("ejections_capped").value(fl.ejectionsCapped);
-        w.key("degrades_applied").value(fl.degradesApplied);
-        w.key("flap_transitions").value(fl.flapTransitions);
-        w.key("partitions_armed").value(fl.partitionsArmed);
-        w.key("degrade_dropped").value(fl.degradeDropped);
-        w.key("degrade_delayed").value(fl.degradeDelayed);
-        w.key("partition_dropped").value(fl.partitionDropped);
-        w.key("incidents_total").value(fl.incidentsTotal);
-        w.key("incidents_detected").value(fl.incidentsDetected);
-        w.key("incidents_recovered").value(fl.incidentsRecovered);
-        w.key("mttd_ms_mean").value(fl.mttdMsMean);
-        w.key("mttr_ms_mean").value(fl.mttrMsMean);
-        // v10: distributed-trace stitching gates + SLO burn alerts.
-        w.key("traces_started").value(fl.tracesStarted);
-        w.key("traces_completed").value(fl.tracesCompleted);
-        w.key("traces_stitched").value(fl.tracesStitched);
-        w.key("trace_orphans").value(fl.traceOrphans);
-        w.key("trace_duplicates").value(fl.traceDuplicates);
-        w.key("span_reconcile_violations").value(
-            fl.spanReconcileViolations);
-        w.key("slo_fast_alerts").value(fl.sloFastAlerts);
-        w.key("slo_slow_alerts").value(fl.sloSlowAlerts);
-        w.key("slo_first_fast_alert_ms").value(fl.sloFirstFastAlertMs);
-        w.endObject();
-
-        // v10: sampled metrics time series (one point per stat
-        // sub-window; empty series list when sampling never ran).
-        const MetricsSnapshot &ts = r.timeseries;
-        w.key("timeseries").beginObject();
-        w.key("enabled").value(ts.enabled);
-        w.key("sample_period").value(
-            static_cast<std::uint64_t>(ts.samplePeriod));
-        w.key("series").beginArray();
-        for (const MetricSeries &s : ts.series) {
-            w.beginObject();
-            w.key("name").value(s.name);
-            w.key("kind").value(metricKindName(s.kind));
-            w.key("points").beginArray();
-            for (const auto &pt : s.points) {
-                w.beginArray();
-                w.value(static_cast<std::uint64_t>(pt.first));
-                w.value(pt.second);
-                w.endArray();
-            }
-            w.endArray();
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
-
-        // v10: end-to-end critical-path forensics over stitched fleet
-        // traces.
-        const FleetTraceForensics &ft = r.fleetTrace;
-        w.key("fleet_trace").beginObject();
-        w.key("enabled").value(ft.enabled);
-        w.key("traces_completed").value(ft.tracesCompleted);
-        w.key("orphans").value(ft.orphans);
-        w.key("duplicates").value(ft.duplicates);
-        w.key("stitched").value(ft.stitched);
-        w.key("e2e_p50").value(static_cast<std::uint64_t>(ft.e2eP50));
-        w.key("e2e_p99").value(static_cast<std::uint64_t>(ft.e2eP99));
-        w.key("e2e_p999").value(static_cast<std::uint64_t>(ft.e2eP999));
-        w.key("dominant_p50").value(ft.dominantP50);
-        w.key("dominant_p99").value(ft.dominantP99);
-        w.key("dominant_p999").value(ft.dominantP999);
-        w.key("hops").beginArray();
-        for (const FleetHopStat &h : ft.hops) {
-            w.beginObject();
-            w.key("hop").value(h.hop);
-            w.key("p50").value(static_cast<std::uint64_t>(h.p50));
-            w.key("p99").value(static_cast<std::uint64_t>(h.p99));
-            w.key("p999").value(static_cast<std::uint64_t>(h.p999));
-            w.key("max").value(static_cast<std::uint64_t>(h.max));
-            w.key("share").value(h.share);
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
+        // The remaining optional blocks: present only when the run
+        // populated them, so presence itself is the enabled flag.
+        if (r.fleet.enabled)
+            writeFleet(w, r.fleet);
+        if (r.timeseries.enabled)
+            writeTimeseries(w, r.timeseries);
+        if (r.fleetTrace.enabled)
+            writeFleetTrace(w, r.fleetTrace);
 
         w.key("lock_windows").beginArray();
         for (const LockWindow &lw : r.lockWindows) {
@@ -428,57 +485,8 @@ BenchJsonReport::str() const
         }
         w.endObject();
 
-        const SpanForensics &sf = r.spanForensics;
-        w.key("latency_stages").beginObject();
-        w.key("enabled").value(sf.enabled);
-        w.key("completed").value(sf.completed);
-        w.key("live").value(sf.live);
-        w.key("shed").value(sf.shed);
-        w.key("spans_recorded").value(sf.spansRecorded);
-        w.key("spans_dropped").value(sf.spansDropped);
-        w.key("traces_dropped").value(sf.tracesDropped);
-        w.key("dominant_tail_stage").value(sf.dominantTailStage);
-        w.key("stages").beginArray();
-        for (const StagePercentiles &sp : sf.stages) {
-            w.beginObject();
-            w.key("stage").value(connStageName(sp.stage));
-            w.key("count").value(sp.count);
-            w.key("p50").value(static_cast<std::uint64_t>(sp.p50));
-            w.key("p90").value(static_cast<std::uint64_t>(sp.p90));
-            w.key("p99").value(static_cast<std::uint64_t>(sp.p99));
-            w.key("p999").value(static_cast<std::uint64_t>(sp.p999));
-            w.key("max").value(static_cast<std::uint64_t>(sp.max));
-            w.key("total_ticks").value(sp.totalTicks);
-            w.endObject();
-        }
-        w.endArray();
-        w.key("exemplars").beginArray();
-        for (const ExemplarBreakdown &ex : sf.exemplars) {
-            w.beginObject();
-            w.key("percentile").value(ex.percentile);
-            w.key("conn_id").value(ex.connId);
-            w.key("latency").value(static_cast<std::uint64_t>(
-                ex.latency));
-            w.key("unattributed").value(static_cast<std::uint64_t>(
-                ex.unattributed));
-            w.key("stages").beginObject();
-            for (int s = 0; s < kNumConnStages; ++s) {
-                if (ex.stageTicks[static_cast<std::size_t>(s)] == 0 &&
-                    ex.stageCounts[static_cast<std::size_t>(s)] == 0)
-                    continue;
-                w.key(connStageName(static_cast<ConnStage>(s)))
-                    .value(static_cast<std::uint64_t>(
-                        ex.stageTicks[static_cast<std::size_t>(s)]));
-            }
-            w.endObject();
-            w.key("cores").beginArray();
-            for (int c : ex.cores)
-                w.value(c);
-            w.endArray();
-            w.endObject();
-        }
-        w.endArray();
-        w.endObject();
+        if (r.spanForensics.enabled)
+            writeLatencyStages(w, r.spanForensics);
 
         w.key("trace").beginObject();
         w.key("window_span").value(static_cast<std::uint64_t>(

@@ -23,36 +23,8 @@ namespace fsim
 class BenchJsonReport
 {
   public:
-    /** Bump when the document layout changes incompatibly.
-     *  v2: per-row "fingerprint" (hex string) and "invariants" object.
-     *  v3: per-row "faults" block (armed fault plan) and per-window
-     *  "completed"/"goodput" + SYN-counter deltas in "lock_windows".
-     *  v4: per-row "overload" block (admission counters, pressure
-     *  signals, latency percentiles).
-     *  v5: per-row "latency_stages" block (span-forensics stage
-     *  percentiles + tail exemplars) and "overwritten_per_core" in the
-     *  "trace" block.
-     *  v6: per-row "conn" block (TCB arena bytes-per-connection,
-     *  TIME_WAIT lifecycle counters, port-allocation failures, ehash
-     *  lookup cost, optional connection-ramp checkpoints).
-     *  v7: per-row "sim_core" block (DES-core throughput: events run /
-     *  scheduled and window ticks always; wall_seconds, events_per_sec
-     *  and wall_per_sim_sec only on rows stamped by a wall-clock-aware
-     *  bench, so same-seed exports stay byte-identical elsewhere).
-     *  v8: per-row "fleet" block (N-machine topology: balancer flow
-     *  table, steering/shed counters, health probing, drain/restart
-     *  orchestration, fabric-edge accounting, request success ratio;
-     *  enabled=false with zero counters on single-machine rows).
-     *  v9: gray-failure fields in "fleet" (health_mode, score-based
-     *  ejection/ramp counters, degrade/flap/partition accounting, and
-     *  the incident ledger summary: counts + mean time-to-detect and
-     *  time-to-recover in milliseconds).
-     *  v10: distributed-tracing gates in "fleet" (traces_* stitching
-     *  counters, span_reconcile_violations, slo_* burn-alert fields),
-     *  per-row "timeseries" block (sampled metric series: name, kind,
-     *  [tick, value] points) and "fleet_trace" block (end-to-end hop
-     *  decomposition percentiles + dominant critical-path hops). */
-    static constexpr int kSchemaVersion = 10;
+    /** Document layout version: see SCHEMA in validate_bench_json.py. */
+    static constexpr int kSchemaVersion = 11;
 
     explicit BenchJsonReport(std::string bench_name);
 

@@ -241,8 +241,8 @@ struct ConnResult
     std::vector<ConnRampPoint> ramp;
 };
 
-/** Fleet-tier outcome (schema v8 "fleet" block; enabled=false and all
- *  zero for single-machine runs). Counters are sums over every balancer
+/** Fleet-tier outcome (the JSON "fleet" block, written only when
+ *  enabled; single-machine runs leave it default-constructed). Counters are sums over every balancer
  *  and, where machine-scoped, over every server machine generation. */
 struct FleetResult
 {
@@ -299,7 +299,7 @@ struct FleetResult
     /** completed / (completed + failed) over the measurement window. */
     double requestSuccessRatio = 0.0;
 
-    /** @name Gray-failure detection (schema v9) */
+    /** @name Gray-failure detection */
     /** @{ */
     std::string healthMode;             //!< "binary" | "score"
     std::uint64_t scoreEjections = 0;   //!< outlier-score ejections
@@ -320,7 +320,7 @@ struct FleetResult
     double mttrMsMean = 0.0;
     /** @} */
 
-    /** @name End-to-end tracing + SLO (schema v10) */
+    /** @name End-to-end tracing + SLO */
     /** @{ */
     std::uint64_t tracesStarted = 0;    //!< client hops recorded
     std::uint64_t tracesCompleted = 0;  //!< client finishes (ok + fail)
@@ -337,6 +337,8 @@ struct FleetResult
     /** Earliest fast-burn alert, ms from run start (0 = never). */
     double sloFirstFastAlertMs = 0.0;
     /** @} */
+
+    bool operator==(const FleetResult &) const = default;
 };
 
 /** Measured outcome of one experiment. */
@@ -377,7 +379,8 @@ struct ExperimentResult
     std::vector<std::uint64_t> traceOverwrittenPerCore;
     /** Per-connection span forensics over the measurement window
      *  (stage latency percentiles + tail exemplars; enabled=false when
-     *  tracing is off). */
+     *  tracing is off, and then the JSON "latency_stages" block is
+     *  omitted). */
     SpanForensics spanForensics;
     /** The window's completed span traces, kept only when
      *  cfg.keepSpanTraces (shared: results are copied by value). */
@@ -403,15 +406,15 @@ struct ExperimentResult
     /** Fleet tier (enabled=false for single-machine runs). */
     FleetResult fleet;
 
-    /** Sampled metrics time series (schema v10 "timeseries" block;
-     *  enabled=false and empty when the run had no registry). */
+    /** Sampled metrics time series (the JSON "timeseries" block,
+     *  omitted when the run had no registry). */
     MetricsSnapshot timeseries;
 
-    /** Fleet-wide end-to-end critical-path forensics (enabled=false
-     *  outside traced fleet runs). */
+    /** Fleet-wide end-to-end critical-path forensics (the JSON
+     *  "fleet_trace" block, omitted outside traced fleet runs). */
     FleetTraceForensics fleetTrace;
 
-    /** @name DES-core throughput (schema v7 "sim_core" block) */
+    /** @name DES-core throughput (the JSON "sim_core" block) */
     /** @{ */
     /** Events executed / scheduled over the window (deterministic:
      *  part of the same-seed contract like every counter above). */

@@ -50,6 +50,8 @@ struct MetricSeries
      *  histogram the value is the p99 upper-bucket bound over the
      *  cumulative distribution at sample time. */
     std::vector<std::pair<Tick, double>> points;
+
+    bool operator==(const MetricSeries &) const = default;
 };
 
 /** Frozen copy of every series (attached to ExperimentResult). */
@@ -61,6 +63,7 @@ struct MetricsSnapshot
     std::vector<MetricSeries> series;
 
     const MetricSeries *find(const std::string &name) const;
+    bool operator==(const MetricsSnapshot &) const = default;
 };
 
 /** Fixed-slot metrics registry (one per fleet/testbed). */

@@ -164,6 +164,8 @@ struct FleetHopStat
     Tick max = 0;
     /** Share of summed end-to-end latency attributed to this hop. */
     double share = 0.0;
+
+    bool operator==(const FleetHopStat &) const = default;
 };
 
 /** End-to-end critical-path summary (the fleet --forensics block). */
@@ -185,6 +187,8 @@ struct FleetTraceForensics
     std::string dominantP50;
     std::string dominantP99;
     std::string dominantP999;
+
+    bool operator==(const FleetTraceForensics &) const = default;
 };
 
 /**

@@ -31,6 +31,8 @@ struct StagePercentiles
     Tick max = 0;
     /** Sum over all connections, for share-of-latency math. */
     std::uint64_t totalTicks = 0;
+
+    bool operator==(const StagePercentiles &) const = default;
 };
 
 /** One exemplar connection picked at a latency percentile rank. */
@@ -47,6 +49,8 @@ struct ExemplarBreakdown
     std::vector<int> cores;
     /** Latency not covered by any exec/wait span (queue gaps, wire). */
     Tick unattributed = 0;
+
+    bool operator==(const ExemplarBreakdown &) const = default;
 };
 
 /** Forensics summary over the measured window's completed connections. */
@@ -66,6 +70,8 @@ struct SpanForensics
     /** Stage with the largest share of the p99 exemplar's latency
      *  (exec or wait stages only); empty when no exemplars. */
     std::string dominantTailStage;
+
+    bool operator==(const SpanForensics &) const = default;
 };
 
 /**

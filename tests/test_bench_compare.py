@@ -8,7 +8,9 @@ NaN (or +/-inf) sailed through the regression gate as a silent pass.
 These tests pin the fixed behavior: a non-finite candidate value
 inside a present block is an explicit MISSING regression (exit 1),
 and a non-finite *baseline* value downgrades to a note, exactly like
-an absent metric.
+an absent metric. Also pinned: only schema v11 is accepted (exit 2
+otherwise), and an optional block that vanishes from the candidate
+turns its metrics into MISSING regressions.
 
 Usage: test_bench_compare.py <path-to-bench_compare.py>
 """
@@ -28,7 +30,7 @@ FAILURES = []
 
 def base_doc():
     return {
-        "schema_version": 9,
+        "schema_version": 11,
         "bench": "unit",
         "rows": [{
             "label": "row/a",
@@ -37,7 +39,6 @@ def base_doc():
             "conn": {"tcb_live_peak": 0},
             "sim_core": {},
             "fleet": {
-                "enabled": True,
                 "request_success_ratio": 0.99,
                 "flows_active_peak": 50,
                 "incidents_detected": 3,
@@ -128,12 +129,12 @@ def main():
     check("cps regression names its gate direction",
           "higher is better" in out, out)
 
-    # v10 time series: the final sampled value compares by name, with
+    # Time series: the final sampled value compares by name, with
     # the direction chosen by the ts:/ts-: prefix, and a series the
     # candidate stopped sampling is an explicit MISSING regression.
     ts_base = copy.deepcopy(base)
     ts_base["rows"][0]["timeseries"] = {
-        "enabled": True, "sample_period": 1000,
+        "sample_period": 1000,
         "series": [{"name": "m0.time_wait", "kind": "gauge",
                     "points": [[1000, 50], [2000, 60]]}]}
     ts_cand = copy.deepcopy(ts_base)
@@ -150,6 +151,26 @@ def main():
     rc, out = run_compare(ts_base, ts_cand, "--metrics=ts-:m0.time_wait")
     check("missing time-series metric is an explicit regression",
           rc == 1 and "MISSING" in out, out)
+
+    # Schema v11 only: any other version is a usage error, not a pass.
+    for version in (10, 12, None):
+        old = copy.deepcopy(base)
+        old["schema_version"] = version
+        rc, out = run_compare(old, copy.deepcopy(base))
+        check(f"schema_version {version!r} baseline exits 2", rc == 2, out)
+        rc, out = run_compare(copy.deepcopy(base), old)
+        check(f"schema_version {version!r} candidate exits 2", rc == 2, out)
+
+    # Block presence is the enabled flag: a fleet block that vanishes
+    # from the candidate takes its metrics with it, which is a loss.
+    cand = copy.deepcopy(base)
+    del cand["rows"][0]["fleet"]
+    rc, out = run_compare(base, cand)
+    check("vanished fleet block is a regression", rc == 1, out)
+    check("vanished fleet block reports request_success_ratio MISSING",
+          "request_success_ratio" in out and "MISSING" in out, out)
+    rc, out = run_compare(cand, copy.deepcopy(cand))
+    check("fleet metrics absent on both sides are skipped", rc == 0, out)
 
     # Gating: mean over zero incidents is not a datum on either side.
     both = copy.deepcopy(base)

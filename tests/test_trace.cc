@@ -3,7 +3,7 @@
  * Tests for the trace subsystem: ring overflow semantics and lazy ring
  * storage (this binary includes the counting allocator hook), phase
  * attribution arithmetic, the cycle-conservation invariant against the
- * CPU model, and the versioned bench JSON schema.
+ * CPU model, and the bench JSON block-presence rules.
  */
 
 #include <gtest/gtest.h>
@@ -343,77 +343,45 @@ TEST(BenchJson, DocumentCarriesSchemaVersionAndRequiredKeys)
 {
     ExperimentConfig cfg = smallConfig();
     cfg.statWindows = 2;
+    cfg.machine.traceEnabled = false;
     Testbed bed(cfg);
     ExperimentResult r = bed.run();
 
-    BenchJsonReport report("unit_test");
-    report.addRow("row-0", cfg, r);
-    EXPECT_EQ(report.rowCount(), 1u);
+    ExperimentConfig armed = cfg;
+    std::string err;
+    ASSERT_TRUE(parseFaultPlan("loss_burst@0.001-0.002:rate=0.1",
+                               armed.faults, err)) << err;
 
+    BenchJsonReport report("unit_test");
+    report.addRow("plain", cfg, r);
+    report.addRow("armed", armed, r);
+    EXPECT_EQ(report.rowCount(), 2u);
     std::string doc = report.str();
-    // Golden schema: version stamp plus every top-level and per-row key
-    // the downstream validator requires.
-    EXPECT_NE(doc.find("\"schema_version\":10"), std::string::npos);
-    EXPECT_NE(doc.find("\"bench\":\"unit_test\""), std::string::npos);
-    for (const char *key :
-         {"\"rows\"", "\"label\"", "\"config\"", "\"metrics\"",
-          "\"cps\"", "\"phases\"", "\"per_core\"", "\"folded_stacks\"",
-          "\"locks\"", "\"lock_windows\"", "\"queue_timelines\"",
-          "\"trace\"", "\"events_recorded\"", "\"window_span\"",
-          "\"fingerprint\"", "\"invariants\"", "\"checks_run\"",
-          "\"violations\"", "\"failed\""})
-        EXPECT_NE(doc.find(key), std::string::npos) << key;
-    // v2: fingerprints render as fixed-width hex strings.
-    EXPECT_NE(doc.find("\"fingerprint\":\"0x"), std::string::npos);
-    // v3: per-row faults block (disarmed here) and per-window goodput
-    // plus SYN-counter deltas.
-    for (const char *key :
-         {"\"faults\"", "\"plan\":\"\"", "\"armed\":false",
-          "\"syn_cookies\":false", "\"completed\"", "\"goodput\"",
-          "\"syn_retransmits\"", "\"syn_cookies_sent\"",
-          "\"syn_cookies_validated\"", "\"accept_queue_rsts\""})
-        EXPECT_NE(doc.find(key), std::string::npos) << key;
-    // v4: per-row overload block (disarmed here, so counters are zero
-    // but every key must still be present for the validator).
-    for (const char *key :
-         {"\"overload\"", "\"enabled\":false", "\"spec\":\"\"",
-          "\"offered\"", "\"admitted\"", "\"degraded\"", "\"shed\"",
-          "\"shed_deadline\"", "\"shed_worker_cap\"",
-          "\"shed_pressure\"", "\"released\"", "\"inflight\"",
-          "\"served_degraded\"", "\"backlog_dropped\"",
-          "\"syn_gate_dropped\"", "\"pressure_transitions\"",
-          "\"pressure_level\"", "\"pressure_peak\"",
-          "\"softirq_depth_peak\"", "\"accept_depth_peak\"",
-          "\"health_probes_started\"", "\"health_probes_completed\"",
-          "\"health_probes_failed\"", "\"latency_p99_ticks\""})
-        EXPECT_NE(doc.find(key), std::string::npos) << key;
-    // v6: per-row conn block (arena footprint, TIME_WAIT lifecycle,
-    // port pressure, ehash lookup cost, ramp checkpoints).
-    for (const char *key :
-         {"\"conn\"", "\"tcb_live\"", "\"tcb_live_peak\"",
-          "\"tcb_created\"", "\"slab_bytes\"", "\"bytes_per_conn\"",
-          "\"established_curr\"", "\"established_peak\"",
-          "\"time_wait_curr\"", "\"time_wait_peak\"",
-          "\"time_wait_entered\"", "\"time_wait_reaped\"",
-          "\"time_wait_recycled\"", "\"time_wait_syn_dropped\"",
-          "\"time_wait_acks\"", "\"port_alloc_failures\"",
-          "\"ehash_lookups\"", "\"ehash_probes_walked\"",
-          "\"ehash_lookup_cycles\"", "\"ehash_resizes\"",
-          "\"avg_probe_len\"", "\"cycles_per_lookup\"", "\"ramp\""})
-        EXPECT_NE(doc.find(key), std::string::npos) << key;
-    // v7: per-row sim_core block (DES-core throughput counters; the
-    // wall-clock trio only appears on wall-stamped rows, not here).
-    for (const char *key :
-         {"\"sim_core\"", "\"events_run\"", "\"events_scheduled\"",
-          "\"sim_ticks\""})
-        EXPECT_NE(doc.find(key), std::string::npos) << key;
-    EXPECT_EQ(doc.find("\"wall_seconds\""), std::string::npos);
-    // v10: timeseries + fleet_trace blocks are present on every row
-    // (disabled and empty on single-machine rows like this one).
-    for (const char *key :
-         {"\"timeseries\"", "\"sample_period\"", "\"series\"",
-          "\"fleet_trace\"", "\"hops\""})
-        EXPECT_NE(doc.find(key), std::string::npos) << key;
+    EXPECT_NE(doc.find("\"schema_version\":11"), std::string::npos);
+
+    const std::size_t armed_at = doc.find("\"label\":\"armed\"");
+    ASSERT_NE(armed_at, std::string::npos);
+    const std::string plain = doc.substr(0, armed_at);
+    const std::string armed_row = doc.substr(armed_at);
+    // An untraced single-machine row omits every optional block, and
+    // an armed plan adds exactly the faults block.
+    EXPECT_EQ(plain.find("\"faults\":"), std::string::npos);
+    for (const char *key : {"\"fleet\":", "\"timeseries\":",
+                            "\"fleet_trace\":", "\"latency_stages\":"}) {
+        EXPECT_EQ(plain.find(key), std::string::npos) << key;
+        EXPECT_EQ(armed_row.find(key), std::string::npos) << key;
+    }
+    EXPECT_NE(armed_row.find("\"faults\":{\"plan\":\"loss_burst@"),
+              std::string::npos);
+    EXPECT_NE(plain.find("\"syn_cookies\":false"), std::string::npos);
+
+    // Omission loses no data: each omitted block's source is still at
+    // its default-constructed value.
+    EXPECT_EQ(r.fleet, FleetResult{});
+    EXPECT_EQ(r.fleetTrace, FleetTraceForensics{});
+    EXPECT_EQ(r.timeseries, MetricsSnapshot{});
+    EXPECT_EQ(r.spanForensics, SpanForensics{});
+
     // Window deltas: events scheduled during warmup may run inside the
     // window, so run and scheduled need not be ordered — both just have
     // to show the window did real work.

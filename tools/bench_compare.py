@@ -5,34 +5,18 @@ Usage: bench_compare.py <baseline.json> <candidate.json>
            [--threshold=0.05] [--metrics=cps,rps]
 
 Rows are matched by label (rows present in only one document are
-reported but are not regressions). For each matched row the selected
-metrics are compared against the baseline:
+reported but are not regressions). For each matched row the metrics in
+the METRICS table are compared against the baseline: throughput
+(cps, rps, served, events_per_sec, request_success_ratio) is higher is
+better; latency, memory and reaction-time metrics are lower is better.
+A metric is comparable only when its block is on the row -- fleet
+metrics on fleet rows, wall-clock metrics on wall-stamped sim_core
+blocks -- and its gate key is non-zero (latency samples, live TCBs,
+detected/recovered incidents, fired fast alerts).
 
-  - throughput metrics (cps, rps, served): higher is better; a drop of
-    more than the noise threshold is a regression
-  - overload latency percentiles (latency_p50_ticks, latency_p99_ticks,
-    compared only when both rows have latency samples): lower is
-    better; a rise of more than the threshold is a regression
-  - memory cost per connection (bytes_per_conn from the v6 conn block,
-    compared only when both rows held TCBs): lower is better; per-TCB
-    bloat gates exactly like a latency regression
-  - DES-core throughput (events_per_sec, wall_per_sim_sec from the v7
-    sim_core block, compared only when both rows are wall-stamped):
-    events_per_sec higher is better, wall_per_sim_sec lower is better
-  - fleet health (request_success_ratio higher is better,
-    flows_active_peak lower is better, from the v8 fleet block;
-    compared only on rows where the fleet tier is enabled)
-  - incident response (mttd_ms_mean / mttr_ms_mean from the v9 fleet
-    block, compared only when both rows detected / recovered at least
-    one incident): lower is better
-  - burn-alert reaction time (slo_first_fast_alert_ms from the v10
-    fleet block, compared only when both rows fired at least one fast
-    alert): lower is better
-  - sampled time series (v10 "timeseries" block) by name: pass
-    --metrics=ts:<series> (higher is better) or ts-:<series> (lower is
-    better) to compare the final sampled value of that series, e.g.
-    --metrics=ts-:m0.time_wait. A series the baseline sampled but the
-    candidate does not is an explicit MISSING regression.
+Sampled time series compare by name: --metrics=ts:<series> (higher is
+better) or ts-:<series> (lower is better) reads the final sampled value
+of that series, e.g. --metrics=ts-:m0.time_wait.
 
 Sign convention: the percentage in every REGRESSION / IMPROVED line is
 the magnitude of the move measured against the metric's gate, and the
@@ -51,9 +35,9 @@ reverse direction (new in candidate) is reported as a note. Metrics
 absent from both sides are skipped.
 
 Improvements beyond the threshold are reported as such, never fatal.
-Accepts any schema version from v2 on (the compared keys exist in all
-of them). Exit status: 0 = no regressions, 1 = at least one regression,
-2 = usage/IO error.
+Both documents must be schema v11. Exit status: 0 = no regressions,
+1 = at least one regression, 2 = usage/IO error or another schema
+version.
 """
 
 import json
@@ -61,17 +45,34 @@ import math
 import sys
 
 DEFAULT_THRESHOLD = 0.05
-HIGHER_BETTER = ("cps", "rps", "served", "events_per_sec",
-                 "request_success_ratio")
-LOWER_BETTER = ("latency_p50_ticks", "latency_p99_ticks",
-                "bytes_per_conn", "wall_per_sim_sec",
-                "flows_active_peak", "mttd_ms_mean", "mttr_ms_mean",
-                "slo_first_fast_alert_ms")
-MIN_SCHEMA = 2
+SCHEMA_VERSION = 11
+
+# metric -> (block, gate key, lower is better). The value is
+# row[block][metric]; it is comparable only when the block is present
+# and, if a gate key is named, row[block][gate] is non-zero (a latency
+# percentile over zero samples or a mean over zero incidents is not a
+# datum). Order is the default --metrics order.
+METRICS = {
+    "cps": ("metrics", None, False),
+    "rps": ("metrics", None, False),
+    "served": ("metrics", None, False),
+    "events_per_sec": ("sim_core", None, False),
+    "request_success_ratio": ("fleet", None, False),
+    "latency_p50_ticks": ("overload", "latency_samples", True),
+    "latency_p99_ticks": ("overload", "latency_samples", True),
+    "bytes_per_conn": ("conn", "tcb_live_peak", True),
+    "wall_per_sim_sec": ("sim_core", None, True),
+    "flows_active_peak": ("fleet", None, True),
+    "mttd_ms_mean": ("fleet", "incidents_detected", True),
+    "mttr_ms_mean": ("fleet", "incidents_recovered", True),
+    "slo_first_fast_alert_ms": ("fleet", "slo_fast_alerts", True),
+}
 
 
 def is_lower_better(name):
-    return name in LOWER_BETTER or name.startswith("ts-:")
+    if name.startswith("ts-:"):
+        return True
+    return name in METRICS and METRICS[name][2]
 
 
 def as_float(v):
@@ -92,9 +93,9 @@ def load(path):
         print(f"error: {path}: {e}", file=sys.stderr)
         return None
     version = doc.get("schema_version")
-    if not isinstance(version, int) or version < MIN_SCHEMA:
-        print(f"error: {path}: unsupported schema_version {version!r}",
-              file=sys.stderr)
+    if version != SCHEMA_VERSION:
+        print(f"error: {path}: unsupported schema_version {version!r} "
+              f"(expected {SCHEMA_VERSION})", file=sys.stderr)
         return None
     if not isinstance(doc.get("rows"), list):
         print(f"error: {path}: missing rows", file=sys.stderr)
@@ -105,54 +106,19 @@ def load(path):
 def metric_value(row, name):
     """Fetch a metric by name; None when absent or not comparable."""
     if name.startswith("ts:") or name.startswith("ts-:"):
-        # v10 timeseries: final sampled value of the named series.
-        ts = row.get("timeseries", {})
-        if not ts.get("enabled"):
-            return None
+        # Final sampled value of the named time series.
         want = name.split(":", 1)[1]
-        for se in ts.get("series", []):
+        for se in row.get("timeseries", {}).get("series", []):
             if se.get("name") == want and se.get("points"):
                 return as_float(se["points"][-1][1])
         return None
-    if name == "slo_first_fast_alert_ms":
-        # v10 SLO: reaction time exists only once a fast alert fired.
-        fl = row.get("fleet", {})
-        if not fl.get("enabled") or not fl.get("slo_fast_alerts"):
-            return None
-        return as_float(fl.get(name))
-    if name in ("events_per_sec", "wall_per_sim_sec"):
-        # v7 sim_core: only wall-stamped rows carry these, so unstamped
-        # baselines/candidates simply skip the comparison.
-        return as_float(row.get("sim_core", {}).get(name))
-    if name in ("request_success_ratio", "flows_active_peak"):
-        # v8 fleet: meaningful only on rows with the fleet tier up.
-        fl = row.get("fleet", {})
-        if not fl.get("enabled"):
-            return None
-        return as_float(fl.get(name))
-    if name in ("mttd_ms_mean", "mttr_ms_mean"):
-        # v9 incidents: a mean over zero incidents is not a datum.
-        fl = row.get("fleet", {})
-        if not fl.get("enabled"):
-            return None
-        gate = ("incidents_detected" if name == "mttd_ms_mean"
-                else "incidents_recovered")
-        if not fl.get(gate):
-            return None
-        return as_float(fl.get(name))
-    if name in HIGHER_BETTER:
-        return as_float(row.get("metrics", {}).get(name))
-    if name == "bytes_per_conn":
-        cn = row.get("conn", {})
-        if not cn.get("tcb_live_peak"):
-            return None     # no TCBs ever -> per-conn cost undefined
-        return as_float(cn.get(name))
-    if name in LOWER_BETTER:
-        ov = row.get("overload", {})
-        if not ov.get("latency_samples"):
-            return None     # no samples -> percentile is meaningless
-        return as_float(ov.get(name))
-    return None
+    if name not in METRICS:
+        return None
+    block, gate, _ = METRICS[name]
+    blk = row.get(block)
+    if blk is None or (gate and not blk.get(gate)):
+        return None
+    return as_float(blk.get(name))
 
 
 def compare_rows(label, base, cand, metrics, threshold):
@@ -199,7 +165,7 @@ def compare_rows(label, base, cand, metrics, threshold):
 def main(argv):
     paths = []
     threshold = DEFAULT_THRESHOLD
-    metrics = list(HIGHER_BETTER) + list(LOWER_BETTER)
+    metrics = list(METRICS)
     for a in argv[1:]:
         if a.startswith("--threshold="):
             try:

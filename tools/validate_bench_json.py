@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate a bench --json export against the versioned schema.
+"""Validate a bench --json export against the schema (v11 only).
 
 Usage: validate_bench_json.py [--quiet] <file.json> [<file.json> ...]
 
@@ -8,152 +8,34 @@ exit status is decided -- a document with three problems prints three
 lines, not just the first. With --quiet, per-file OK lines are
 suppressed and only violations print.
 
-Checks (stdlib only, used by CI and by hand after editing the exporter):
-  - schema_version is the known version
-  - required top-level / per-row keys are present with sane types
-  - per-core phase fractions each sum to 1.0 +/- 1e-6
-  - folded stacks and lock windows are structurally well-formed
-  - (v2) fingerprint is a 16-hex-digit string and the invariants
-    object is consistent (violations == 0 <=> failed list empty)
-  - (v3) per-row faults block is present and consistent (armed <=>
-    non-empty plan) and lock windows carry completed/goodput plus the
-    SYN-counter deltas
-  - (v4) per-row overload block is present and internally consistent:
-    enabled <=> non-empty spec, offered == admitted + degraded + shed,
-    the shed reasons decompose the total, admitted connections are all
-    released or in flight, and a disabled row sheds/drops nothing
-  - (v5) per-row latency_stages block (span forensics): stage rows
-    carry monotone p50 <= p90 <= p99 <= p999 <= max percentiles,
-    exemplars are structurally sound, and trace.overwritten_per_core
-    sums to trace.events_overwritten
-  - (v6) per-row conn block (connection-lifetime census): TCB arena
-    gauges vs peaks, bytes_per_conn > 0 whenever TCBs existed,
-    TIME_WAIT arithmetic (entered == reaped + recycled + reused +
-    still-lingering), ehash probe averages consistent with their
-    numerators, and structurally sound ramp checkpoints
-  - (v7) per-row sim_core block (DES-core throughput): events_run /
-    events_scheduled / sim_ticks always present and non-negative; the
-    wall-clock trio (wall_seconds, events_per_sec, wall_per_sim_sec)
-    appears all-or-none and, when present, is positive and consistent
-    (events_per_sec == events_run / wall_seconds)
-  - (v8) per-row fleet block (N-machine topology + L4 balancer tier):
-    always present; enabled=false rows carry all-zero counters; flow
-    conservation (created == retired + active), active <= active_peak,
-    drains started >= completed, probe failures <= probes sent, and
-    request_success_ratio in [0, 1]
-  - (v9) gray-failure fields inside the fleet block: health_mode is
-    "binary"/"score" on enabled rows, score_ejections <= ejections,
-    incident funnel is monotone (recovered <= detected <= total), and
-    MTTD/MTTR means are non-negative and zero when nothing was
-    detected/recovered
-  - (v10) distributed-tracing fields inside the fleet block (trace
-    accounting is monotone: stitched/orphans/duplicates <= completed
-    <= started, burn-alert timestamp present iff an alert fired),
-    per-row timeseries block (known metric kinds, strictly monotone
-    sample ticks, positive sample period when enabled), and per-row
-    fleet_trace block (hop decomposition: monotone p50 <= p99 <= p999
-    <= max per hop, shares in [0, 1], dominant hops named by a hop row)
-Exit status 0 iff every document passes.
+The SCHEMA table below is the whole contract: for each per-row block it
+names the JSON type, the required keys, whether the block is on every
+row, and the consistency check run on it. Optional blocks (faults,
+fleet, timeseries, fleet_trace, latency_stages) appear only on rows
+that populated them, so a block's presence is its enabled flag and an
+absent block is never an error. Stdlib only; used by CI and by hand
+after editing the exporter. Exit status 0 iff every document passes.
 """
 
 import json
 import re
 import sys
+from collections import namedtuple
 
-KNOWN_SCHEMA_VERSIONS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
+SCHEMA_VERSION = 11
 
-V3_WINDOW_KEYS = ("completed", "goodput", "syn_retransmits",
-                  "syn_cookies_sent", "syn_cookies_validated",
-                  "accept_queue_rsts")
-FAULTS_KEYS = ("plan", "armed", "syn_cookies")
-OVERLOAD_KEYS = ("enabled", "spec", "offered", "admitted", "degraded",
-                 "shed", "shed_deadline", "shed_worker_cap",
-                 "shed_pressure", "released", "inflight",
-                 "health_offered", "health_admitted", "served_degraded",
-                 "backlog_dropped", "syn_gate_dropped",
-                 "pressure_transitions", "pressure_level",
-                 "pressure_peak", "softirq_depth_peak",
-                 "accept_depth_peak", "epoll_ready_peak",
-                 "latency_p50_ticks", "latency_p99_ticks",
-                 "latency_samples", "health_probes_started",
-                 "health_probes_completed", "health_probes_failed")
-# Zero on a disabled row: no admission verdicts, no kernel gate drops.
-OVERLOAD_DISABLED_ZERO_KEYS = ("offered", "admitted", "degraded", "shed",
-                               "released", "inflight", "served_degraded",
-                               "backlog_dropped", "syn_gate_dropped")
-
-ROW_KEYS = ("label", "config", "metrics", "phases", "folded_stacks",
-            "locks", "lock_windows", "queue_timelines", "trace",
-            "fingerprint", "invariants")
-CONFIG_KEYS = ("app", "cores", "flavor")
-METRIC_KEYS = ("cps", "rps", "served", "core_util")
-PHASE_KEYS = ("names", "per_core", "machine")
-TRACE_KEYS = ("window_span", "events_recorded", "events_overwritten")
-INVARIANT_KEYS = ("checks_run", "violations", "failed")
-LATENCY_STAGES_KEYS = ("enabled", "completed", "live", "shed",
-                       "spans_recorded", "spans_dropped",
-                       "traces_dropped", "dominant_tail_stage",
-                       "stages", "exemplars")
 STAGE_ROW_KEYS = ("stage", "count", "p50", "p90", "p99", "p999", "max",
                   "total_ticks")
 EXEMPLAR_KEYS = ("percentile", "conn_id", "latency", "unattributed",
                  "stages", "cores")
-
-SIM_CORE_KEYS = ("events_run", "events_scheduled", "sim_ticks")
-
-FLEET_KEYS = ("enabled", "server_machines", "balancers", "policy",
-              "flows_created", "flows_retired", "flows_active",
-              "flows_active_peak", "tuple_reuse", "idle_retired",
-              "forwarded_c2s", "forwarded_s2c", "shed_no_backend",
-              "shed_capacity", "nat_rsts", "bounded_load_fallbacks",
-              "pressure_avoids", "probes_sent", "probe_failures",
-              "ejections", "readmissions", "drains_started",
-              "drains_completed", "undrained_flows", "restarts",
-              "crashes", "lb_crashes", "vip_takeovers", "tx_suppressed",
-              "corpse_rsts", "blackholed", "link_packets",
-              "link_queued_ticks", "request_success_ratio")
-# v9 additions (required only when schema_version >= 9).
-FLEET_V9_KEYS = ("health_mode", "score_ejections", "ramp_skips",
-                 "ejections_capped", "degrades_applied",
-                 "flap_transitions", "partitions_armed",
-                 "degrade_dropped", "degrade_delayed",
-                 "partition_dropped", "incidents_total",
-                 "incidents_detected", "incidents_recovered",
-                 "mttd_ms_mean", "mttr_ms_mean")
-# v10 additions: distributed-trace stitching + SLO burn alerts.
-FLEET_V10_KEYS = ("traces_started", "traces_completed",
-                  "traces_stitched", "trace_orphans",
-                  "trace_duplicates", "span_reconcile_violations",
-                  "slo_fast_alerts", "slo_slow_alerts",
-                  "slo_first_fast_alert_ms")
-# Zero on a single-machine (fleet-disabled) row: no balancer tier ran.
-FLEET_DISABLED_ZERO_KEYS = tuple(
-    k for k in FLEET_KEYS if k not in ("enabled", "policy"))
-FLEET_V9_DISABLED_ZERO_KEYS = tuple(
-    k for k in FLEET_V9_KEYS if k != "health_mode")
-FLEET_V10_DISABLED_ZERO_KEYS = FLEET_V10_KEYS
-
-TIMESERIES_KEYS = ("enabled", "sample_period", "series")
-SERIES_KEYS = ("name", "kind", "points")
-METRIC_KINDS = ("counter", "gauge", "histogram")
-FLEET_TRACE_KEYS = ("enabled", "traces_completed", "orphans",
-                    "duplicates", "stitched", "e2e_p50", "e2e_p99",
-                    "e2e_p999", "dominant_p50", "dominant_p99",
-                    "dominant_p999", "hops")
-HOP_ROW_KEYS = ("hop", "p50", "p99", "p999", "max", "share")
-
-CONN_KEYS = ("tcb_live", "tcb_live_peak", "tcb_created", "slab_bytes",
-             "bytes_per_conn", "established_curr", "established_peak",
-             "time_wait_curr", "time_wait_peak", "time_wait_entered",
-             "time_wait_reaped", "time_wait_recycled", "time_wait_reused",
-             "time_wait_syn_dropped", "time_wait_acks",
-             "port_alloc_failures", "ehash_lookups",
-             "ehash_probes_walked", "ehash_lookup_cycles",
-             "ehash_resizes", "avg_probe_len", "cycles_per_lookup",
-             "ramp")
 RAMP_KEYS = ("live", "bytes_per_conn", "cycles_per_lookup",
              "avg_probe_len")
-
+WINDOW_KEYS = ("start", "end", "locks", "completed", "goodput",
+               "syn_retransmits", "syn_cookies_sent",
+               "syn_cookies_validated", "accept_queue_rsts")
+SERIES_KEYS = ("name", "kind", "points")
+METRIC_KINDS = ("counter", "gauge", "histogram")
+HOP_ROW_KEYS = ("hop", "p50", "p99", "p999", "max", "share")
 FINGERPRINT_RE = re.compile(r"^0x[0-9a-f]{16}$")
 
 
@@ -162,8 +44,7 @@ class Checker:
     first problem, so a broken exporter shows its full damage in one
     validator run."""
 
-    def __init__(self, path):
-        self.path = path
+    def __init__(self):
         self.errors = []
 
     def fail(self, msg):
@@ -177,13 +58,13 @@ class Checker:
                 ok = self.fail(f"{where} missing key '{k}'")
         return ok
 
-    def ok(self):
-        return not self.errors
 
+# Each check takes (checker, block value, where) and reports through
+# the checker; SCHEMA has already verified the block's type and keys.
 
-def check_phases(c, row, where):
-    names = row["phases"].get("names", [])
-    for cr, fracs in enumerate(row["phases"].get("per_core", [])):
+def check_phases(c, ph, where):
+    names = ph["names"]
+    for cr, fracs in enumerate(ph["per_core"]):
         if len(fracs) != len(names):
             c.fail(f"{where} core {cr}: {len(fracs)} fractions vs "
                    f"{len(names)} names")
@@ -194,301 +75,196 @@ def check_phases(c, row, where):
                    f"{total!r}, not 1.0")
 
 
-def check_lock_windows(c, row, where, version):
-    for w, win in enumerate(row["lock_windows"]):
-        if not all(k in win for k in ("start", "end", "locks")):
-            c.fail(f"{where}.lock_windows[{w}] malformed")
+def check_folded_stacks(c, stacks, where):
+    for fs in stacks:
+        if not isinstance(fs, dict) or "stack" not in fs or \
+                "cycles" not in fs:
+            c.fail(f"{where}: malformed folded stack {fs!r}")
+
+
+def check_lock_windows(c, windows, where):
+    for w, win in enumerate(windows):
+        ww = f"{where}[{w}]"
+        if not c.require(win, WINDOW_KEYS, ww):
             continue
         if win["end"] < win["start"]:
-            c.fail(f"{where}.lock_windows[{w}] end < start")
-        if version >= 3:
-            missing = [k for k in V3_WINDOW_KEYS if k not in win]
-            if missing:
-                c.fail(f"{where}.lock_windows[{w}] missing v3 keys "
-                       f"{missing}")
-                continue
-            if win["goodput"] < 0 or win["completed"] < 0:
-                c.fail(f"{where}.lock_windows[{w}] negative "
-                       f"completed/goodput")
+            c.fail(f"{ww} end < start")
+        if win["goodput"] < 0 or win["completed"] < 0:
+            c.fail(f"{ww} negative completed/goodput")
 
 
-def check_faults(c, row, where):
-    faults = row.get("faults")
-    if not isinstance(faults, dict):
-        c.fail(f"{where}.faults missing or malformed")
-        return
-    if not c.require(faults, FAULTS_KEYS, f"{where}.faults"):
-        return
-    if not isinstance(faults["plan"], str):
-        c.fail(f"{where}.faults.plan is not a string")
-        return
-    if bool(faults["armed"]) != bool(faults["plan"]):
-        c.fail(f"{where}.faults: armed={faults['armed']!r} inconsistent "
-               f"with plan {faults['plan']!r}")
+def check_queue_timelines(c, timelines, where):
+    for qname, samples in timelines.items():
+        ticks = [s[0] for s in samples]
+        if ticks != sorted(ticks):
+            c.fail(f"{where}[{qname}] ticks not monotonic")
 
 
-def check_overload(c, row, where):
-    ov = row.get("overload")
-    if not isinstance(ov, dict):
-        c.fail(f"{where}.overload missing or malformed")
-        return
-    if not c.require(ov, OVERLOAD_KEYS, f"{where}.overload"):
-        return
+def check_faults(c, faults, where):
+    if not isinstance(faults["plan"], str) or not faults["plan"]:
+        c.fail(f"{where}.plan must be a non-empty string (the block is "
+               f"present only when a plan is armed)")
+
+
+def check_overload(c, ov, where):
     if not isinstance(ov["spec"], str):
-        c.fail(f"{where}.overload.spec is not a string")
+        c.fail(f"{where}.spec is not a string")
         return
     if bool(ov["enabled"]) != bool(ov["spec"]):
-        c.fail(f"{where}.overload: enabled={ov['enabled']!r} "
-               f"inconsistent with spec {ov['spec']!r}")
+        c.fail(f"{where}: enabled={ov['enabled']!r} inconsistent with "
+               f"spec {ov['spec']!r}")
     if ov["offered"] != ov["admitted"] + ov["degraded"] + ov["shed"]:
-        c.fail(f"{where}.overload: offered {ov['offered']} != admitted "
-               f"+ degraded + shed")
+        c.fail(f"{where}: offered {ov['offered']} != admitted + "
+               f"degraded + shed")
     if ov["shed"] != (ov["shed_deadline"] + ov["shed_worker_cap"] +
                       ov["shed_pressure"]):
-        c.fail(f"{where}.overload: shed reasons do not decompose "
+        c.fail(f"{where}: shed reasons do not decompose "
                f"shed={ov['shed']}")
     if ov["admitted"] + ov["degraded"] != ov["released"] + ov["inflight"]:
-        c.fail(f"{where}.overload: admitted + degraded != released + "
-               f"inflight")
+        c.fail(f"{where}: admitted + degraded != released + inflight")
     if ov["health_admitted"] > ov["health_offered"]:
-        c.fail(f"{where}.overload: health_admitted > health_offered")
+        c.fail(f"{where}: health_admitted > health_offered")
+    # A disabled gate admits, sheds and drops nothing; with conservation
+    # above, offered == 0 zeroes every admission verdict.
     if not ov["enabled"]:
-        dirty = [k for k in OVERLOAD_DISABLED_ZERO_KEYS if ov[k]]
+        dirty = [k for k in ("offered", "served_degraded",
+                             "backlog_dropped", "syn_gate_dropped") if ov[k]]
         if dirty:
-            c.fail(f"{where}.overload: disabled but non-zero {dirty}")
+            c.fail(f"{where}: disabled but non-zero {dirty}")
 
 
-def check_latency_stages(c, row, where):
-    ls = row.get("latency_stages")
-    if not isinstance(ls, dict):
-        c.fail(f"{where}.latency_stages missing or malformed")
-        return
-    if not c.require(ls, LATENCY_STAGES_KEYS, f"{where}.latency_stages"):
-        return
-    for s, st in enumerate(ls["stages"]):
-        sw = f"{where}.latency_stages.stages[{s}]"
-        if not c.require(st, STAGE_ROW_KEYS, sw):
-            continue
-        if not (st["p50"] <= st["p90"] <= st["p99"] <=
-                st["p999"] <= st["max"]):
-            c.fail(f"{sw} ({st['stage']}): percentiles not monotone")
-        if st["count"] <= 0:
-            c.fail(f"{sw} ({st['stage']}): count must be positive")
-    for e, ex in enumerate(ls["exemplars"]):
-        ew = f"{where}.latency_stages.exemplars[{e}]"
-        if not c.require(ex, EXEMPLAR_KEYS, ew):
-            continue
-        if ex["percentile"] not in ("p50", "p99", "p999"):
-            c.fail(f"{ew}: bad percentile {ex['percentile']!r}")
-        if ex["unattributed"] > ex["latency"]:
-            c.fail(f"{ew}: unattributed > latency")
-        if not isinstance(ex["cores"], list):
-            c.fail(f"{ew}: cores is not a list")
-    if ls["enabled"] and ls["completed"] > 0 and not ls["stages"]:
-        c.fail(f"{where}.latency_stages: completed connections but no "
-               f"stage rows")
-    opc = row["trace"].get("overwritten_per_core")
-    if not isinstance(opc, list):
-        c.fail(f"{where}.trace.overwritten_per_core missing (v5)")
-    elif sum(opc) != row["trace"]["events_overwritten"]:
-        c.fail(f"{where}.trace: overwritten_per_core sums to "
-               f"{sum(opc)}, expected "
-               f"{row['trace']['events_overwritten']}")
-
-
-def check_conn(c, row, where):
-    cn = row.get("conn")
-    if not isinstance(cn, dict):
-        c.fail(f"{where}.conn missing or malformed")
-        return
-    if not c.require(cn, CONN_KEYS, f"{where}.conn"):
-        return
+def check_conn(c, cn, where):
     if cn["tcb_live"] > cn["tcb_live_peak"]:
-        c.fail(f"{where}.conn: tcb_live > peak")
+        c.fail(f"{where}: tcb_live > peak")
     if cn["established_curr"] > cn["established_peak"]:
-        c.fail(f"{where}.conn: established_curr > peak")
+        c.fail(f"{where}: established_curr > peak")
     if cn["time_wait_curr"] > cn["time_wait_peak"]:
-        c.fail(f"{where}.conn: time_wait_curr > peak")
+        c.fail(f"{where}: time_wait_curr > peak")
     if cn["tcb_live_peak"] > cn["tcb_created"]:
-        c.fail(f"{where}.conn: tcb_live_peak > tcb_created")
+        c.fail(f"{where}: tcb_live_peak > tcb_created")
     if cn["tcb_live_peak"] > 0 and cn["bytes_per_conn"] <= 0:
-        c.fail(f"{where}.conn: TCBs existed but bytes_per_conn is "
+        c.fail(f"{where}: TCBs existed but bytes_per_conn is "
                f"{cn['bytes_per_conn']!r}")
     # Every lingering entry left the table exactly one way (or is
     # still in it at collection time).
     accounted = (cn["time_wait_reaped"] + cn["time_wait_recycled"] +
                  cn["time_wait_reused"] + cn["time_wait_curr"])
     if cn["time_wait_entered"] < accounted:
-        c.fail(f"{where}.conn: TIME_WAIT exits ({accounted}) exceed "
-               f"entries ({cn['time_wait_entered']})")
+        c.fail(f"{where}: TIME_WAIT exits ({accounted}) exceed entries "
+               f"({cn['time_wait_entered']})")
     if cn["ehash_lookups"] == 0 and (cn["avg_probe_len"] != 0 or
                                      cn["cycles_per_lookup"] != 0):
-        c.fail(f"{where}.conn: probe averages with zero lookups")
+        c.fail(f"{where}: probe averages with zero lookups")
     if cn["ehash_lookups"] > 0:
         avg = cn["ehash_probes_walked"] / cn["ehash_lookups"]
         if abs(avg - cn["avg_probe_len"]) > 1e-6 * max(1.0, avg):
-            c.fail(f"{where}.conn: avg_probe_len "
-                   f"{cn['avg_probe_len']!r} != probes/lookups {avg!r}")
-    ramp = cn["ramp"]
-    if not isinstance(ramp, list):
-        c.fail(f"{where}.conn.ramp is not a list")
+            c.fail(f"{where}: avg_probe_len {cn['avg_probe_len']!r} != "
+                   f"probes/lookups {avg!r}")
+    if not isinstance(cn["ramp"], list):
+        c.fail(f"{where}.ramp is not a list")
         return
-    for p, pt in enumerate(ramp):
-        pw = f"{where}.conn.ramp[{p}]"
+    for p, pt in enumerate(cn["ramp"]):
+        pw = f"{where}.ramp[{p}]"
         if not c.require(pt, RAMP_KEYS, pw):
             continue
         if pt["live"] < 0 or pt["bytes_per_conn"] < 0:
             c.fail(f"{pw}: negative gauge")
 
 
-def check_sim_core(c, row, where):
-    sc = row.get("sim_core")
-    if not isinstance(sc, dict):
-        c.fail(f"{where}.sim_core missing or malformed")
-        return
-    if not c.require(sc, SIM_CORE_KEYS, f"{where}.sim_core"):
-        return
-    for k in SIM_CORE_KEYS:
+def check_sim_core(c, sc, where):
+    for k in ("events_run", "events_scheduled", "sim_ticks"):
         if not isinstance(sc[k], int) or sc[k] < 0:
-            c.fail(f"{where}.sim_core.{k} malformed")
+            c.fail(f"{where}.{k} malformed")
             return
     # Wall-clock trio: wall_seconds and events_per_sec appear together
     # (wall-stamped rows only); wall_per_sim_sec rides along whenever
     # simulated time actually advanced.
     has_wall = "wall_seconds" in sc
     if has_wall != ("events_per_sec" in sc):
-        c.fail(f"{where}.sim_core: wall_seconds and events_per_sec "
-               f"must appear together")
+        c.fail(f"{where}: wall_seconds and events_per_sec must appear "
+               f"together")
         return
     if "wall_per_sim_sec" in sc and not has_wall:
-        c.fail(f"{where}.sim_core: wall_per_sim_sec without "
-               f"wall_seconds")
-    if has_wall:
-        if sc["wall_seconds"] <= 0:
-            c.fail(f"{where}.sim_core: wall_seconds not positive")
+        c.fail(f"{where}: wall_per_sim_sec without wall_seconds")
+    if not has_wall:
+        return
+    if sc["wall_seconds"] <= 0:
+        c.fail(f"{where}: wall_seconds not positive")
+        return
+    want = sc["events_run"] / sc["wall_seconds"]
+    if abs(want - sc["events_per_sec"]) > 1e-6 * max(1.0, want):
+        c.fail(f"{where}: events_per_sec {sc['events_per_sec']!r} != "
+               f"events_run/wall_seconds {want!r}")
+    if sc["sim_ticks"] > 0 and "wall_per_sim_sec" not in sc:
+        c.fail(f"{where}: sim time advanced but wall_per_sim_sec "
+               f"missing")
+    if sc.get("wall_per_sim_sec", 1) <= 0:
+        c.fail(f"{where}: wall_per_sim_sec not positive")
+
+
+def check_fleet(c, fl, where):
+    for k in ("policy", "health_mode"):
+        if not isinstance(fl[k], str):
+            c.fail(f"{where}.{k} is not a string")
             return
-        want = sc["events_run"] / sc["wall_seconds"]
-        if abs(want - sc["events_per_sec"]) > 1e-6 * max(1.0, want):
-            c.fail(f"{where}.sim_core: events_per_sec "
-                   f"{sc['events_per_sec']!r} != events_run/"
-                   f"wall_seconds {want!r}")
-        if sc["sim_ticks"] > 0 and "wall_per_sim_sec" not in sc:
-            c.fail(f"{where}.sim_core: sim time advanced but "
-                   f"wall_per_sim_sec missing")
-        if sc.get("wall_per_sim_sec", 1) <= 0:
-            c.fail(f"{where}.sim_core: wall_per_sim_sec not positive")
-
-
-def check_fleet(c, row, where, version):
-    fl = row.get("fleet")
-    if not isinstance(fl, dict):
-        c.fail(f"{where}.fleet missing or malformed")
-        return
-    if not c.require(fl, FLEET_KEYS, f"{where}.fleet"):
-        return
-    if not isinstance(fl["policy"], str):
-        c.fail(f"{where}.fleet.policy is not a string")
-        return
-    if not fl["enabled"]:
-        dirty = [k for k in FLEET_DISABLED_ZERO_KEYS if fl[k]]
-        if dirty:
-            c.fail(f"{where}.fleet: disabled but non-zero {dirty}")
-    else:
-        if fl["server_machines"] < 1 or fl["balancers"] < 1:
-            c.fail(f"{where}.fleet: enabled with empty topology")
-        # Every flow the balancer tier ever created either retired or
-        # is still in a flow table at collection.
-        if fl["flows_created"] != fl["flows_retired"] + fl["flows_active"]:
-            c.fail(f"{where}.fleet: flows_created "
-                   f"{fl['flows_created']} != retired + active")
-        if fl["flows_active"] > fl["flows_active_peak"]:
-            c.fail(f"{where}.fleet: flows_active > flows_active_peak")
-        if fl["drains_completed"] > fl["drains_started"]:
-            c.fail(f"{where}.fleet: drains_completed > drains_started")
-        if fl["probe_failures"] > fl["probes_sent"]:
-            c.fail(f"{where}.fleet: probe_failures > probes_sent")
-        if not 0.0 <= fl["request_success_ratio"] <= 1.0:
-            c.fail(f"{where}.fleet: request_success_ratio outside "
-                   f"[0, 1]")
-
-    if version >= 9:
-        check_fleet_v9(c, fl, where)
-    if version >= 10:
-        check_fleet_v10(c, fl, where)
-
-
-def check_fleet_v9(c, fl, where):
-    if not c.require(fl, FLEET_V9_KEYS, f"{where}.fleet"):
-        return
-    if not isinstance(fl["health_mode"], str):
-        c.fail(f"{where}.fleet.health_mode is not a string")
-        return
-    if not fl["enabled"]:
-        dirty = [k for k in FLEET_V9_DISABLED_ZERO_KEYS if fl[k]]
-        if dirty:
-            c.fail(f"{where}.fleet: disabled but non-zero {dirty}")
-        return
+    if fl["server_machines"] < 1 or fl["balancers"] < 1:
+        c.fail(f"{where}: empty topology")
+    # Every flow the balancer tier ever created either retired or is
+    # still in a flow table at collection.
+    if fl["flows_created"] != fl["flows_retired"] + fl["flows_active"]:
+        c.fail(f"{where}: flows_created {fl['flows_created']} != "
+               f"retired + active")
+    if fl["flows_active"] > fl["flows_active_peak"]:
+        c.fail(f"{where}: flows_active > flows_active_peak")
+    if fl["drains_completed"] > fl["drains_started"]:
+        c.fail(f"{where}: drains_completed > drains_started")
+    if fl["probe_failures"] > fl["probes_sent"]:
+        c.fail(f"{where}: probe_failures > probes_sent")
+    if not 0.0 <= fl["request_success_ratio"] <= 1.0:
+        c.fail(f"{where}: request_success_ratio outside [0, 1]")
+    # Gray-failure detection and the incident ledger.
     if fl["health_mode"] not in ("binary", "score"):
-        c.fail(f"{where}.fleet.health_mode {fl['health_mode']!r} not "
+        c.fail(f"{where}.health_mode {fl['health_mode']!r} not "
                f"binary/score")
     if fl["score_ejections"] > fl["ejections"]:
-        c.fail(f"{where}.fleet: score_ejections > ejections")
+        c.fail(f"{where}: score_ejections > ejections")
     if not (fl["incidents_recovered"] <= fl["incidents_detected"] <=
             fl["incidents_total"]):
-        c.fail(f"{where}.fleet: incident funnel not monotone "
-               f"(recovered <= detected <= total)")
+        c.fail(f"{where}: incident funnel not monotone (recovered <= "
+               f"detected <= total)")
     for mk, ck in (("mttd_ms_mean", "incidents_detected"),
                    ("mttr_ms_mean", "incidents_recovered")):
         if fl[mk] < 0:
-            c.fail(f"{where}.fleet.{mk} negative")
+            c.fail(f"{where}.{mk} negative")
         if fl[ck] == 0 and fl[mk] != 0:
-            c.fail(f"{where}.fleet.{mk} non-zero with {ck} == 0")
-
-
-def check_fleet_v10(c, fl, where):
-    if not c.require(fl, FLEET_V10_KEYS, f"{where}.fleet"):
-        return
-    if not fl["enabled"]:
-        dirty = [k for k in FLEET_V10_DISABLED_ZERO_KEYS if fl[k]]
-        if dirty:
-            c.fail(f"{where}.fleet: disabled but non-zero {dirty}")
-        return
+            c.fail(f"{where}.{mk} non-zero with {ck} == 0")
     # Trace accounting is a funnel: a trace completes at most once and
-    # stitches/orphans/duplicates never outnumber what was seen.
+    # stitches/orphans never outnumber what was seen.
     if fl["traces_completed"] > fl["traces_started"]:
-        c.fail(f"{where}.fleet: traces_completed > traces_started")
+        c.fail(f"{where}: traces_completed > traces_started")
     if fl["traces_stitched"] > fl["traces_started"]:
-        c.fail(f"{where}.fleet: traces_stitched > traces_started")
+        c.fail(f"{where}: traces_stitched > traces_started")
     if fl["trace_orphans"] > fl["traces_completed"]:
-        c.fail(f"{where}.fleet: trace_orphans > traces_completed")
+        c.fail(f"{where}: trace_orphans > traces_completed")
     if fl["slo_first_fast_alert_ms"] < 0:
-        c.fail(f"{where}.fleet.slo_first_fast_alert_ms negative")
+        c.fail(f"{where}.slo_first_fast_alert_ms negative")
     if fl["slo_fast_alerts"] == 0 and fl["slo_first_fast_alert_ms"] != 0:
-        c.fail(f"{where}.fleet: slo_first_fast_alert_ms non-zero with "
+        c.fail(f"{where}: slo_first_fast_alert_ms non-zero with "
                f"slo_fast_alerts == 0")
     if fl["slo_fast_alerts"] > 0 and fl["slo_first_fast_alert_ms"] <= 0:
-        c.fail(f"{where}.fleet: slo_fast_alerts fired but "
+        c.fail(f"{where}: slo_fast_alerts fired but "
                f"slo_first_fast_alert_ms is not positive")
 
 
-def check_timeseries(c, row, where):
-    ts = row.get("timeseries")
-    if not isinstance(ts, dict):
-        c.fail(f"{where}.timeseries missing or malformed")
-        return
-    if not c.require(ts, TIMESERIES_KEYS, f"{where}.timeseries"):
-        return
+def check_timeseries(c, ts, where):
     if not isinstance(ts["series"], list):
-        c.fail(f"{where}.timeseries.series is not a list")
+        c.fail(f"{where}.series is not a list")
         return
-    if not ts["enabled"] and ts["series"]:
-        c.fail(f"{where}.timeseries: disabled but carries "
-               f"{len(ts['series'])} series")
-    if ts["enabled"] and ts["series"] and ts["sample_period"] <= 0:
-        c.fail(f"{where}.timeseries: sampled series with non-positive "
+    if ts["series"] and ts["sample_period"] <= 0:
+        c.fail(f"{where}: sampled series with non-positive "
                f"sample_period")
     for s, se in enumerate(ts["series"]):
-        sw = f"{where}.timeseries.series[{s}]"
+        sw = f"{where}.series[{s}]"
         if not c.require(se, SERIES_KEYS, sw):
             continue
         if not isinstance(se["name"], str) or not se["name"]:
@@ -497,10 +273,8 @@ def check_timeseries(c, row, where):
         if se["kind"] not in METRIC_KINDS:
             c.fail(f"{sw} ({se['name']}): unknown kind {se['kind']!r}")
         pts = se["points"]
-        if not isinstance(pts, list):
-            c.fail(f"{sw} ({se['name']}): points is not a list")
-            continue
-        if any(not isinstance(p, list) or len(p) != 2 for p in pts):
+        if not isinstance(pts, list) or any(
+                not isinstance(p, list) or len(p) != 2 for p in pts):
             c.fail(f"{sw} ({se['name']}): points are not [tick, value] "
                    f"pairs")
             continue
@@ -510,25 +284,15 @@ def check_timeseries(c, row, where):
                    f"monotone")
 
 
-def check_fleet_trace(c, row, where):
-    ft = row.get("fleet_trace")
-    if not isinstance(ft, dict):
-        c.fail(f"{where}.fleet_trace missing or malformed")
-        return
-    if not c.require(ft, FLEET_TRACE_KEYS, f"{where}.fleet_trace"):
-        return
+def check_fleet_trace(c, ft, where):
     if not isinstance(ft["hops"], list):
-        c.fail(f"{where}.fleet_trace.hops is not a list")
-        return
-    if not ft["enabled"]:
-        if ft["traces_completed"] or ft["stitched"] or ft["hops"]:
-            c.fail(f"{where}.fleet_trace: disabled but carries data")
+        c.fail(f"{where}.hops is not a list")
         return
     if not (ft["e2e_p50"] <= ft["e2e_p99"] <= ft["e2e_p999"]):
-        c.fail(f"{where}.fleet_trace: e2e percentiles not monotone")
+        c.fail(f"{where}: e2e percentiles not monotone")
     hop_names = set()
     for h, hop in enumerate(ft["hops"]):
-        hw = f"{where}.fleet_trace.hops[{h}]"
+        hw = f"{where}.hops[{h}]"
         if not c.require(hop, HOP_ROW_KEYS, hw):
             continue
         hop_names.add(hop["hop"])
@@ -539,40 +303,161 @@ def check_fleet_trace(c, row, where):
     for q in ("dominant_p50", "dominant_p99", "dominant_p999"):
         name = ft[q]
         if not isinstance(name, str):
-            c.fail(f"{where}.fleet_trace.{q} is not a string")
+            c.fail(f"{where}.{q} is not a string")
         elif ft["hops"] and name not in hop_names and name != "-":
-            c.fail(f"{where}.fleet_trace.{q} {name!r} names no hop row")
+            c.fail(f"{where}.{q} {name!r} names no hop row")
 
 
-def check_row_tail(c, row, where):
-    for qname, samples in row["queue_timelines"].items():
-        ticks = [s[0] for s in samples]
-        if ticks != sorted(ticks):
-            c.fail(f"{where}.queue_timelines[{qname}] ticks not "
-                   f"monotonic")
+def check_latency_stages(c, ls, where):
+    for s, st in enumerate(ls["stages"]):
+        sw = f"{where}.stages[{s}]"
+        if not c.require(st, STAGE_ROW_KEYS, sw):
+            continue
+        if not (st["p50"] <= st["p90"] <= st["p99"] <= st["p999"] <=
+                st["max"]):
+            c.fail(f"{sw} ({st['stage']}): percentiles not monotone")
+        if st["count"] <= 0:
+            c.fail(f"{sw} ({st['stage']}): count must be positive")
+    for e, ex in enumerate(ls["exemplars"]):
+        ew = f"{where}.exemplars[{e}]"
+        if not c.require(ex, EXEMPLAR_KEYS, ew):
+            continue
+        if ex["percentile"] not in ("p50", "p99", "p999"):
+            c.fail(f"{ew}: bad percentile {ex['percentile']!r}")
+        if ex["unattributed"] > ex["latency"]:
+            c.fail(f"{ew}: unattributed > latency")
+        if not isinstance(ex["cores"], list):
+            c.fail(f"{ew}: cores is not a list")
+    if ls["completed"] > 0 and not ls["stages"]:
+        c.fail(f"{where}: completed connections but no stage rows")
 
-    fp = row["fingerprint"]
-    if not isinstance(fp, str) or not FINGERPRINT_RE.match(fp):
-        c.fail(f"{where}.fingerprint {fp!r} is not a 0x + 16-hex-digit "
-               f"string")
-    inv = row["invariants"]
-    if not c.require(inv, INVARIANT_KEYS, f"{where}.invariants"):
-        return
-    if not isinstance(inv["checks_run"], int) or inv["checks_run"] < 0:
-        c.fail(f"{where}.invariants.checks_run malformed")
-    if not isinstance(inv["violations"], int) or inv["violations"] < 0:
-        c.fail(f"{where}.invariants.violations malformed")
+
+def check_trace(c, tr, where):
+    opc = tr["overwritten_per_core"]
+    if not isinstance(opc, list):
+        c.fail(f"{where}.overwritten_per_core is not a list")
+    elif sum(opc) != tr["events_overwritten"]:
+        c.fail(f"{where}: overwritten_per_core sums to {sum(opc)}, "
+               f"expected {tr['events_overwritten']}")
+
+
+def check_fingerprint(c, fp, where):
+    if not FINGERPRINT_RE.match(fp):
+        c.fail(f"{where} {fp!r} is not a 0x + 16-hex-digit string")
+
+
+def check_invariants(c, inv, where):
+    for k in ("checks_run", "violations"):
+        if not isinstance(inv[k], int) or inv[k] < 0:
+            c.fail(f"{where}.{k} malformed")
     if not isinstance(inv["failed"], list) or any(
             not isinstance(n, str) for n in inv["failed"]):
-        c.fail(f"{where}.invariants.failed malformed")
+        c.fail(f"{where}.failed malformed")
         return
     if (inv["violations"] == 0) != (len(inv["failed"]) == 0):
-        c.fail(f"{where}.invariants: violations={inv['violations']} "
-               f"but failed list has {len(inv['failed'])} entries")
+        c.fail(f"{where}: violations={inv['violations']} but failed "
+               f"list has {len(inv['failed'])} entries")
+
+
+Block = namedtuple("Block", "type keys always check")
+
+# Per-row blocks of schema v11, in emitter order. `always` blocks are on
+# every row; the others are written only when the run populated them.
+SCHEMA = {
+    "label": Block(str, (), True, None),
+    "config": Block(dict, ("app", "cores", "flavor", "syn_cookies"), True,
+                    None),
+    "metrics": Block(dict, ("cps", "rps", "served", "core_util"), True,
+                     None),
+    "phases": Block(dict, ("names", "per_core", "machine"), True,
+                    check_phases),
+    "folded_stacks": Block(list, (), True, check_folded_stacks),
+    "locks": Block(dict, (), True, None),
+    "lock_cycle_share": Block(dict, (), True, None),
+    "faults": Block(dict, ("plan",), False, check_faults),
+    "overload": Block(dict, (
+        "enabled", "spec", "offered", "admitted", "degraded", "shed",
+        "shed_deadline", "shed_worker_cap", "shed_pressure", "released",
+        "inflight", "health_offered", "health_admitted",
+        "served_degraded", "backlog_dropped", "syn_gate_dropped",
+        "pressure_transitions", "pressure_level", "pressure_peak",
+        "softirq_depth_peak", "accept_depth_peak", "epoll_ready_peak",
+        "latency_p50_ticks", "latency_p99_ticks", "latency_samples",
+        "health_probes_started", "health_probes_completed",
+        "health_probes_failed"), True, check_overload),
+    "conn": Block(dict, (
+        "tcb_live", "tcb_live_peak", "tcb_created", "slab_bytes",
+        "bytes_per_conn", "established_curr", "established_peak",
+        "time_wait_curr", "time_wait_peak", "time_wait_entered",
+        "time_wait_reaped", "time_wait_recycled", "time_wait_reused",
+        "time_wait_syn_dropped", "time_wait_acks", "port_alloc_failures",
+        "ehash_lookups", "ehash_probes_walked", "ehash_lookup_cycles",
+        "ehash_resizes", "avg_probe_len", "cycles_per_lookup", "ramp"),
+        True, check_conn),
+    "sim_core": Block(dict, ("events_run", "events_scheduled",
+                             "sim_ticks"), True, check_sim_core),
+    "fleet": Block(dict, (
+        "server_machines", "balancers", "policy", "flows_created",
+        "flows_retired", "flows_active", "flows_active_peak",
+        "tuple_reuse", "idle_retired", "forwarded_c2s", "forwarded_s2c",
+        "shed_no_backend", "shed_capacity", "nat_rsts",
+        "bounded_load_fallbacks", "pressure_avoids", "probes_sent",
+        "probe_failures", "ejections", "readmissions", "drains_started",
+        "drains_completed", "undrained_flows", "restarts", "crashes",
+        "lb_crashes", "vip_takeovers", "tx_suppressed", "corpse_rsts",
+        "blackholed", "link_packets", "link_queued_ticks",
+        "request_success_ratio", "health_mode", "score_ejections",
+        "ramp_skips", "ejections_capped", "degrades_applied",
+        "flap_transitions", "partitions_armed", "degrade_dropped",
+        "degrade_delayed", "partition_dropped", "incidents_total",
+        "incidents_detected", "incidents_recovered", "mttd_ms_mean",
+        "mttr_ms_mean", "traces_started", "traces_completed",
+        "traces_stitched", "trace_orphans", "trace_duplicates",
+        "span_reconcile_violations", "slo_fast_alerts",
+        "slo_slow_alerts", "slo_first_fast_alert_ms"),
+        False, check_fleet),
+    "timeseries": Block(dict, ("sample_period", "series"), False,
+                        check_timeseries),
+    "fleet_trace": Block(dict, (
+        "traces_completed", "orphans", "duplicates", "stitched",
+        "e2e_p50", "e2e_p99", "e2e_p999", "dominant_p50", "dominant_p99",
+        "dominant_p999", "hops"), False, check_fleet_trace),
+    "lock_windows": Block(list, (), True, check_lock_windows),
+    "queue_timelines": Block(dict, (), True, check_queue_timelines),
+    "latency_stages": Block(dict, (
+        "completed", "live", "shed", "spans_recorded", "spans_dropped",
+        "traces_dropped", "dominant_tail_stage", "stages", "exemplars"),
+        False, check_latency_stages),
+    "trace": Block(dict, ("window_span", "events_recorded",
+                          "events_overwritten", "overwritten_per_core"),
+                   True, check_trace),
+    "fingerprint": Block(str, (), True, check_fingerprint),
+    "invariants": Block(dict, ("checks_run", "violations", "failed"),
+                        True, check_invariants),
+}
+
+
+def check_row(c, row, where):
+    if not isinstance(row, dict):
+        c.fail(f"{where} is not an object")
+        return
+    for name, b in SCHEMA.items():
+        bw = f"{where}.{name}"
+        if name not in row:
+            if b.always:
+                c.fail(f"{where} missing key '{name}'")
+            continue
+        if not isinstance(row[name], b.type):
+            c.fail(f"{bw} is not a {b.type.__name__}")
+        elif c.require(row[name], b.keys, bw) and b.check:
+            b.check(c, row[name], bw)
+    for name in row:
+        if name not in SCHEMA:
+            c.fail(f"{where} has unknown block '{name}'")
 
 
 def validate(path, quiet=False):
-    c = Checker(path)
+    c = Checker()
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -582,9 +467,9 @@ def validate(path, quiet=False):
 
     if doc is not None:
         version = doc.get("schema_version")
-        if version not in KNOWN_SCHEMA_VERSIONS:
-            c.fail(f"schema_version {version!r}, expected one of "
-                   f"{KNOWN_SCHEMA_VERSIONS}")
+        if version != SCHEMA_VERSION:
+            c.fail(f"schema_version {version!r}, expected "
+                   f"{SCHEMA_VERSION}")
         else:
             if not isinstance(doc.get("bench"), str) or not doc["bench"]:
                 c.fail("missing/empty 'bench' name")
@@ -593,48 +478,14 @@ def validate(path, quiet=False):
                 c.fail("'rows' missing or empty")
                 rows = []
             for i, row in enumerate(rows):
-                where = f"rows[{i}]"
-                if not c.require(row, ROW_KEYS, where):
-                    continue
-                structural = (
-                    c.require(row["config"], CONFIG_KEYS,
-                              f"{where}.config") &
-                    c.require(row["metrics"], METRIC_KEYS,
-                              f"{where}.metrics") &
-                    c.require(row["phases"], PHASE_KEYS,
-                              f"{where}.phases") &
-                    c.require(row["trace"], TRACE_KEYS,
-                              f"{where}.trace"))
-                if not structural:
-                    continue
-                check_phases(c, row, where)
-                for fs in row["folded_stacks"]:
-                    if "stack" not in fs or "cycles" not in fs:
-                        c.fail(f"{where}: malformed folded stack {fs!r}")
-                check_lock_windows(c, row, where, version)
-                if version >= 3:
-                    check_faults(c, row, where)
-                if version >= 4:
-                    check_overload(c, row, where)
-                if version >= 5:
-                    check_latency_stages(c, row, where)
-                if version >= 6:
-                    check_conn(c, row, where)
-                if version >= 7:
-                    check_sim_core(c, row, where)
-                if version >= 8:
-                    check_fleet(c, row, where, version)
-                if version >= 10:
-                    check_timeseries(c, row, where)
-                    check_fleet_trace(c, row, where)
-                check_row_tail(c, row, where)
+                check_row(c, row, f"rows[{i}]")
 
     for msg in c.errors:
         print(f"{path}: FAIL: {msg}")
-    if c.ok() and not quiet:
+    if not c.errors and not quiet:
         print(f"{path}: OK ({doc['bench']}, {len(doc['rows'])} rows, "
               f"schema v{doc['schema_version']})")
-    return c.ok()
+    return not c.errors
 
 
 def main(argv):
