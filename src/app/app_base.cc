@@ -82,7 +82,7 @@ AppBase::start()
     for (ProcState &ps : procs_) {
         for (IpAddr addr : m_.addrs()) {
             int fd = k.listen(ps.proc, addr, m_.servicePort());
-            ps.listenFds.insert(fd);
+            sortedInsert(ps.listenFds, fd);
             if (kc.localListen)
                 k.localListen(ps.proc, addr, m_.servicePort());
         }
@@ -152,7 +152,8 @@ AppBase::runLoop(std::size_t idx, Tick start)
     }
 
     for (int fd : fds) {
-        if (ps.listenFds.count(fd)) {
+        if (std::binary_search(ps.listenFds.begin(), ps.listenFds.end(),
+                               fd)) {
             Socket *lsock = k.sockFromFd(ps.proc, fd);
             bool shared = lsock && !lsock->isLocalListen &&
                           lsock->reuseportOwner < 0;

@@ -9,7 +9,6 @@
 #define FSIM_APP_APP_BASE_HH
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "app/machine.hh"
@@ -66,7 +65,8 @@ class AppBase
     {
         int proc = -1;
         CoreId core = kInvalidCore;
-        std::unordered_set<int> listenFds;
+        /** Sorted-unique; one or two fds, probed once per ready fd. */
+        std::vector<int> listenFds;
         /** Listen fds deferred to the next round (accept batch limit).
          *  Sorted-unique sticky vector, not a hash set: inserts happen
          *  on the accept hot path and must not allocate once warm. */

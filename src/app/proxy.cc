@@ -1,6 +1,6 @@
 #include "app/proxy.hh"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "sim/logging.hh"
 
@@ -20,9 +20,12 @@ Proxy::~Proxy()
 {
     // Sessions still in flight when the run ends are owned here; each
     // may be keyed under both its client and backend fd, so dedupe.
-    std::unordered_set<Session *> live;
-    for (const auto &kv : sessions_)
-        live.insert(kv.second);
+    std::vector<Session *> live;
+    sessions_.forEach([&live](std::uint64_t, Session *s) {
+        live.push_back(s);
+    });
+    std::sort(live.begin(), live.end());
+    live.erase(std::unique(live.begin(), live.end()), live.end());
     for (Session *s : live)
         delete s;
 }
@@ -109,7 +112,7 @@ Proxy::connectBackend(ProcState &ps, Session *s, Tick t)
     }
     s->backendFd = cr.fd;
     s->phase = Phase::kBackendConnect;
-    sessions_[skey(ps.proc, cr.fd)] = s;
+    *sessions_.insert(skey(ps.proc, cr.fd), s).first = s;
     t = k.epollAdd(ps.proc, t, cr.fd);
     if (tuning_.backendTimeout > 0)
         armBackendTimeout(s->id, s->attempts);
@@ -121,10 +124,10 @@ Proxy::armBackendTimeout(std::uint64_t sid, int attempt)
 {
     m_.eventQueue().scheduleIn(tuning_.backendTimeout,
                                [this, sid, attempt] {
-        auto it = byId_.find(sid);
-        if (it == byId_.end())
+        Session *const *found = byId_.find(sid);
+        if (!found)
             return;   // session finished in time
-        Session *s = it->second;
+        Session *s = *found;
         if (s->attempts != attempt)
             return;   // a newer attempt owns the timeout now
         if (s->phase != Phase::kBackendConnect &&
@@ -145,10 +148,10 @@ Proxy::armBackendTimeout(std::uint64_t sid, int attempt)
 Tick
 Proxy::onBackendTimeout(std::uint64_t sid, Tick t)
 {
-    auto it = byId_.find(sid);
-    if (it == byId_.end())
+    Session *const *found = byId_.find(sid);
+    if (!found)
         return t;   // raced with completion
-    Session *s = it->second;
+    Session *s = *found;
     if (s->phase != Phase::kBackendConnect &&
         s->phase != Phase::kBackendWait)
         return t;
@@ -186,18 +189,18 @@ Proxy::onConnReadable(ProcState &ps, int fd, Tick t)
     if (!sock)
         return t;
 
-    auto it = sessions_.find(skey(ps.proc, fd));
+    Session *const *found = sessions_.find(skey(ps.proc, fd));
     Session *s = nullptr;
-    if (it == sessions_.end()) {
+    if (!found) {
         // First event on a freshly accepted client connection.
         s = new Session();
         s->id = nextSessionId_++;
         s->procIdx = static_cast<std::size_t>(&ps - procs_.data());
         s->clientFd = fd;
-        sessions_[skey(ps.proc, fd)] = s;
-        byId_[s->id] = s;
+        sessions_.insert(skey(ps.proc, fd), s);
+        byId_.insert(s->id, s);
     } else {
-        s = it->second;
+        s = *found;
     }
 
     if (fd == s->clientFd) {

@@ -12,10 +12,10 @@
 #ifndef FSIM_APP_PROXY_HH
 #define FSIM_APP_PROXY_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "app/app_base.hh"
+#include "sim/flat_map.hh"
 
 namespace fsim
 {
@@ -128,8 +128,8 @@ class Proxy : public AppBase
     std::uint64_t backendReadmissions_ = 0;
     std::uint64_t sessionFailures_ = 0;
     std::uint64_t nextSessionId_ = 1;
-    std::unordered_map<std::uint64_t, Session *> sessions_;
-    std::unordered_map<std::uint64_t, Session *> byId_;
+    FlatMap<std::uint64_t, Session *> sessions_;
+    FlatMap<std::uint64_t, Session *> byId_;
 };
 
 } // namespace fsim

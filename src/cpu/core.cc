@@ -1,6 +1,6 @@
 #include "cpu/core.hh"
 
-#include <utility>
+#include <algorithm>
 
 #include "sim/logging.hh"
 #include "trace/tracer.hh"
@@ -18,17 +18,23 @@ CpuModel::CpuModel(EventQueue &eq, CacheModel &cache,
 }
 
 void
-CpuModel::post(CoreId c, TaskPrio prio, Task task)
+CpuModel::enqueue(CoreId c, TaskPrio prio, TaskNode *n)
 {
     Core &core = cores_.at(c);
-    core.queues_[static_cast<int>(prio)].push_back(std::move(task));
+    Core::Fifo &q = core.queues_[static_cast<int>(prio)];
+    n->next = nullptr;
+    if (q.tail)
+        q.tail->next = n;
+    else
+        q.head = n;
+    q.tail = n;
+    ++q.size;
     if (tracer_) {
         auto qid = prio == TaskPrio::kSoftIrq
                        ? TraceQueueId::kSoftirqBacklog
                        : TraceQueueId::kProcessBacklog;
         tracer_->emit(c, TraceEventType::kQueueEnqueue, eq_.now(),
-                      static_cast<std::uint32_t>(
-                          core.queues_[static_cast<int>(prio)].size()),
+                      static_cast<std::uint32_t>(q.size),
                       static_cast<std::uint16_t>(qid));
     }
     if (!core.running_) {
@@ -42,20 +48,20 @@ void
 CpuModel::runNext(CoreId c)
 {
     Core &core = cores_.at(c);
-    RingQueue<Task> *q = nullptr;
-    if (!core.queues_[0].empty())
-        q = &core.queues_[0];
-    else if (!core.queues_[1].empty())
-        q = &core.queues_[1];
-
-    if (!q) {
+    const bool softirq = core.queues_[0].head != nullptr;
+    Core::Fifo &q = core.queues_[softirq ? 0 : 1];
+    TaskNode *n = q.head;
+    if (!n) {
         core.running_ = false;
         return;
     }
-
-    bool softirq = q == &core.queues_[0];
-    Task task = std::move(q->front());
-    q->pop_front();
+    // Unlink before running: the task may post to this very queue.
+    q.head = n->next;
+    if (!q.head)
+        q.tail = nullptr;
+    else
+        __builtin_prefetch(q.head);
+    --q.size;
 
     Tick start = eq_.now();
     if (start < core.busyUntil_)
@@ -64,7 +70,7 @@ CpuModel::runNext(CoreId c)
                    (unsigned long long)core.busyUntil_);
     if (tracer_) {
         tracer_->emit(c, TraceEventType::kQueueDequeue, start,
-                      static_cast<std::uint32_t>(q->size()),
+                      static_cast<std::uint32_t>(q.size),
                       static_cast<std::uint16_t>(
                           softirq ? TraceQueueId::kSoftirqBacklog
                                   : TraceQueueId::kProcessBacklog));
@@ -75,7 +81,11 @@ CpuModel::runNext(CoreId c)
         tracer_->pushPhase(c, softirq ? Phase::kSoftirq : Phase::kApp,
                            start);
     }
-    Tick end = task(start);
+    // Run in place; the node goes back to the slab (most recently
+    // freed, so next to be reused) only after the closure returns.
+    Tick end = n->fn(start);
+    n->fn.reset();
+    slab_.release(n);
     if (end < start)
         fsim_panic("task finished before it started");
     // Gray-machine degrade: stretch the task's busy window. Integer
@@ -98,7 +108,7 @@ CpuModel::runNext(CoreId c)
     // Implicit always-local accesses for miss-rate realism.
     cache_.noteLocalAccesses(c, work / costs_.cyclesPerLocalAccess);
 
-    if (core.queues_[0].empty() && core.queues_[1].empty()) {
+    if (!core.queues_[0].head && !core.queues_[1].head) {
         core.running_ = false;
     } else {
         eq_.schedule(end, [this, c] { runNext(c); });

@@ -8,19 +8,25 @@
  * and performs cache-model accesses. Two priority levels model the kernel's
  * execution contexts: SoftIRQ work always preempts (runs before) queued
  * process-context work, like NET_RX SoftIRQ does in Linux.
+ *
+ * Queued tasks live in nodes of one machine-wide slab (sim/node_slab.hh)
+ * linked into two intrusive FIFOs per core. post() builds the closure
+ * directly in a recycled node and the scheduler runs it in place, so a
+ * shallow steady backlog keeps reusing the same few warm nodes.
  */
 
 #ifndef FSIM_CPU_CORE_HH
 #define FSIM_CPU_CORE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cpu/cache_model.hh"
 #include "cpu/cycle_costs.hh"
 #include "sim/event_fn.hh"
 #include "sim/event_queue.hh"
-#include "sim/ring_queue.hh"
+#include "sim/node_slab.hh"
 #include "sim/types.hh"
 
 namespace fsim
@@ -47,6 +53,13 @@ enum class TaskPrio
 constexpr std::size_t kTaskCaptureMax = 96;
 using Task = InlineFn<Tick(Tick), kTaskCaptureMax>;
 
+/** A queued task: slab-allocated, linked into its core's FIFO. */
+struct TaskNode
+{
+    TaskNode *next = nullptr;
+    Task fn;
+};
+
 class CpuModel;
 
 /** One simulated CPU core. */
@@ -67,21 +80,29 @@ class Core
     /** Queued but not yet started tasks. */
     std::size_t backlog() const
     {
-        return queues_[0].size() + queues_[1].size();
+        return queues_[0].size + queues_[1].size;
     }
 
     /** Queued SoftIRQ tasks only (the netdev_max_backlog analogue the
      *  overload subsystem budgets against). */
     std::size_t softirqBacklog() const
     {
-        return queues_[static_cast<int>(TaskPrio::kSoftIrq)].size();
+        return queues_[static_cast<int>(TaskPrio::kSoftIrq)].size;
     }
 
   private:
     friend class CpuModel;
 
+    /** Intrusive FIFO: push at tail, pop at head. */
+    struct Fifo
+    {
+        TaskNode *head = nullptr;
+        TaskNode *tail = nullptr;
+        std::size_t size = 0;
+    };
+
     CoreId id_ = kInvalidCore;
-    RingQueue<Task> queues_[2];
+    Fifo queues_[2];   //!< indexed by TaskPrio
     bool running_ = false;
     Tick busyUntil_ = 0;
     std::uint64_t busyTicks_ = 0;
@@ -100,12 +121,20 @@ class CpuModel
     const Core &core(CoreId c) const { return cores_.at(c); }
 
     /**
-     * Enqueue @p task on core @p c.
+     * Enqueue task @p fn (a Tick(Tick) callable) on core @p c.
      *
      * The task starts as soon as the core is free and no higher-priority
-     * work is pending.
+     * work is pending. The closure is constructed once, in place inside
+     * a recycled slab node, and runs there.
      */
-    void post(CoreId c, TaskPrio prio, Task task);
+    template <typename F>
+    void
+    post(CoreId c, TaskPrio prio, F &&fn)
+    {
+        TaskNode *n = slab_.alloc();
+        n->fn.emplace(std::forward<F>(fn));
+        enqueue(c, prio, n);
+    }
 
     /** Sum of busyTicks over all cores. */
     std::uint64_t totalBusyTicks() const;
@@ -140,6 +169,10 @@ class CpuModel
     std::uint32_t slowdownPermille() const { return slowdownPermille_; }
 
   private:
+    /** Task nodes per slab chunk (16 KiB of 128-byte nodes). */
+    static constexpr std::size_t kChunkNodes = 128;
+
+    void enqueue(CoreId c, TaskPrio prio, TaskNode *n);
     void runNext(CoreId c);
 
     EventQueue &eq_;
@@ -148,6 +181,7 @@ class CpuModel
     Tracer *tracer_ = nullptr;
     std::uint32_t slowdownPermille_ = 1000;
     std::vector<Core> cores_;
+    NodeSlab<TaskNode, kChunkNodes> slab_;
 };
 
 } // namespace fsim

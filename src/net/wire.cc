@@ -16,7 +16,7 @@ Wire::Wire(EventQueue &eq, Tick one_way_delay)
 void
 Wire::attach(IpAddr addr, Endpoint handler)
 {
-    endpoints_[addr] = std::move(handler);
+    *endpoints_.insert(addr, Endpoint{}).first = std::move(handler);
 }
 
 void
@@ -29,9 +29,8 @@ Wire::attachRange(IpAddr first, IpAddr last, Endpoint handler)
 const Wire::Endpoint *
 Wire::lookup(IpAddr addr) const
 {
-    auto it = endpoints_.find(addr);
-    if (it != endpoints_.end())
-        return &it->second;
+    if (const Endpoint *ep = endpoints_.find(addr))
+        return ep;
     for (const Range &r : ranges_) {
         if (addr >= r.first && addr <= r.last)
             return &r.handler;

@@ -23,11 +23,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
 #include "check/fingerprint.hh"
 #include "net/packet.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -49,7 +49,8 @@ class Wire
 
     /** Attach the receive handler for a destination IP. Re-attaching an
      *  address overwrites the previous handler (machine restart relies
-     *  on this). */
+     *  on this). Handlers are stored flat, so a new address must not be
+     *  attached from inside a handler: growing the table moves them. */
     virtual void attach(IpAddr addr, Endpoint handler);
 
     /** Attach one handler for a contiguous range [first, last]. */
@@ -199,7 +200,7 @@ class Wire
     std::vector<PartitionSpec> partitions_;
     std::uint64_t partitionDropped_ = 0;
     std::uint64_t faultSeed_ = 0;
-    std::unordered_map<IpAddr, Endpoint> endpoints_;
+    FlatMap<IpAddr, Endpoint> endpoints_;
     std::vector<Range> ranges_;
     std::vector<Link> links_;
     std::uint64_t linkPackets_ = 0;

@@ -4,8 +4,8 @@
  *
  * The simulator's performance story depends on the event/packet/timer
  * path staying off the allocator in steady state: EventFn capture is
- * inline (event_fn.hh), event nodes and timer-wheel nodes are
- * slab-recycled, and the per-core task queues are sticky ring buffers.
+ * inline (event_fn.hh), and event, CPU-task and timer-wheel nodes are
+ * slab-recycled.
  * This header is how tests *prove* that: a binary that wants auditing
  * defines global operator new/delete overrides that forward every
  * allocation to noteAlloc()/noteFree() (see tests/test_alloc_audit.cc),

@@ -16,7 +16,7 @@
  * and documented where they bind:
  *   - EventFn (event queue): 56 bytes — sized by the wire's delivery
  *     closure [this, Packet] = 8 + 48.
- *   - Task (per-core CPU queues): 88 bytes — sized by the RFD steering
+ *   - Task (per-core CPU queues): 96 bytes — sized by the RFD steering
  *     closure [this, target, Packet, steer_t, steer_from].
  *   - Timer callbacks: see timer_wheel.hh / timer_base.hh.
  */

@@ -50,26 +50,6 @@ EventQueue::EventQueue() = default;
 EventQueue::~EventQueue() = default;
 
 EventQueue::Node *
-EventQueue::allocRaw()
-{
-    Node *n = freeList_;
-    if (n) {
-        freeList_ = n->next;
-    } else {
-        // One chunk serves kChunkNodes events; in steady state the free
-        // list recycles and this path never runs.
-        chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
-        Node *chunk = chunks_.back().get();
-        for (std::size_t i = 1; i + 1 < kChunkNodes; ++i)
-            chunk[i].next = &chunk[i + 1];
-        chunk[kChunkNodes - 1].next = nullptr;
-        freeList_ = &chunk[1];
-        n = &chunk[0];
-    }
-    return n;
-}
-
-EventQueue::Node *
 EventQueue::beginSchedule(Tick *when)
 {
     if (*when < now_) {
@@ -90,7 +70,7 @@ EventQueue::beginSchedule(Tick *when)
         opTrace_->push_back(SchedOp{*when - now_, traceRuns_});
         traceRuns_ = 0;
     }
-    Node *n = allocRaw();
+    Node *n = slab_.alloc();
     n->when = *when;
     n->seq = nextSeq_++;
     n->next = nullptr;
@@ -146,27 +126,14 @@ EventQueue::insertNode(Node *n)
             static_cast<std::size_t>((when - rung.start) >> rung.shift);
         if (idx < rung.cur)
             continue;   // bucket already drained; belongs further in
-        Bucket &b = rung.buckets[idx];
-        if (b.tail)
-            b.tail->next = n;
-        else
-            b.head = n;
-        b.tail = n;
-        ++b.count;
+        rung.buckets[idx].push(n);
         return;
     }
 
     // 4. Fallback: earlier than all remaining rung content (e.g. an
     //    event scheduled at now() while the bottom is empty), or the
-    //    pure-bottom regime before any epoch opened.
+    //    pure-bottom regime (no rung active).
     insertBottom(n);
-
-    // Bulk pre-loading (many schedules before the first dispatch)
-    // would otherwise keep paying O(n) sorted inserts; once the bottom
-    // balloons with no ladder behind it, hand everything to the top
-    // and let the next dispatch spill it into rungs.
-    if (activeRungs_ == 0 && bottom_.size() >= kBottomMigrate)
-        migrateBottomToTop();
 }
 
 void
@@ -179,26 +146,43 @@ EventQueue::insertBottom(Node *n)
         earlier(n->when, n->seq, bottom_.back()->when,
                 bottom_.back()->seq)) {
         bottom_.push_back(n);
-        return;
+    } else {
+        auto it = std::upper_bound(
+            bottom_.begin(), bottom_.end(), n,
+            [](const Node *a, const Node *b) {
+                return earlier(b->when, b->seq, a->when, a->seq);
+            });
+        bottom_.insert(it, n);
     }
-    auto it = std::upper_bound(
-        bottom_.begin(), bottom_.end(), n,
-        [](const Node *a, const Node *b) {
-            return earlier(b->when, b->seq, a->when, a->seq);
-        });
-    bottom_.insert(it, n);
+
+    // With no rung behind it, the bottom takes every schedule up to
+    // its latest event: a few far-future events staged there turn each
+    // near-future schedule into a sorted insert into an ever longer
+    // array. Past kBottomMax, ladder it.
+    if (activeRungs_ == 0 && bottom_.size() > kBottomMax)
+        ladderBottom();
+    else if (bottom_.size() > peakBottom_)
+        peakBottom_ = bottom_.size();
 }
 
 void
-EventQueue::migrateBottomToTop()
+EventQueue::ladderBottom()
 {
+    // Only the bottom's own nodes move: O(bottom) per trigger however
+    // many events are parked in the top. The bottom is sorted
+    // descending, so its span is [back, front].
+    const Tick min = bottom_.back()->when;
+    const Tick max = bottom_.front()->when;
+    Rung &r = openRung(min, max - min, bottom_.size());
     for (Node *n : bottom_)
-        pushTop(n);
+        r.push(n);
     bottom_.clear();
-    // Everything pending now lives in the top; open the epoch at 0 so
-    // every future schedule lands there too until the next dispatch
-    // spills it into rungs.
-    topStart_ = 0;
+    // Everything staged was at or before topStart_, so the top still
+    // dispatches after the rung. A later schedule at or past the rung's
+    // end must too: it is not covered by any bucket and would otherwise
+    // fall back into the (now earlier-than-the-rung) bottom.
+    if (r.end < topStart_)
+        topStart_ = r.end;
 }
 
 void
@@ -251,36 +235,33 @@ EventQueue::spillTop()
     // is of the form (when - start) >> shift with when <= max, so
     // nothing here can overflow even with ticks near kTickMax.
     fsim_assert(activeRungs_ == 0);
-    if (rungs_.empty())
+    Rung &r = openRung(min, max - min, count);
+    for (Node *n = head; n;) {
+        Node *next = n->next;
+        r.push(n);
+        n = next;
+    }
+}
+
+EventQueue::Rung &
+EventQueue::openRung(Tick start, Tick span, std::size_t count)
+{
+    if (rungs_.size() < activeRungs_ + 1)
         rungs_.emplace_back();
-    Rung &r = rungs_[0];
-    activeRungs_ = 1;
-    const Tick span = max - min;
+    Rung &r = rungs_[activeRungs_];
+    ++activeRungs_;
     // Aim for about kSortThreshold/2 events per bucket, not one: a
     // drained bucket then yields a full dispatch batch instead of a
     // dribble, so the refill path runs once per ~32 events rather
     // than once or twice per event.
     const std::size_t target =
         std::min(count / (kSortThreshold / 2) + 1, kMaxBucketsPerRung);
-    r.start = min;
-    setRungGeometry(min, span, target, &r.end, &r.shift, &r.nbuckets);
+    r.start = start;
+    setRungGeometry(start, span, target, &r.end, &r.shift, &r.nbuckets);
     r.cur = 0;
     if (r.buckets.size() < r.nbuckets)
         r.buckets.resize(r.nbuckets);
-    for (Node *n = head; n;) {
-        Node *next = n->next;
-        n->next = nullptr;
-        const std::size_t idx =
-            static_cast<std::size_t>((n->when - r.start) >> r.shift);
-        Bucket &b = r.buckets[idx];
-        if (b.tail)
-            b.tail->next = n;
-        else
-            b.head = n;
-        b.tail = n;
-        ++b.count;
-        n = next;
-    }
+    return r;
 }
 
 void
@@ -299,38 +280,14 @@ EventQueue::drainBucket(Rung &r, std::size_t idx)
     if (r.shift > 0 && count > kSortThreshold &&
         activeRungs_ < kMaxRungs) {
         ++rungsSpawned_;
-        // Copy the parent's geometry first: growing rungs_ below may
-        // reallocate and dangle the caller's reference.
-        const Tick parentStart = r.start;
-        const std::uint32_t parentShift = r.shift;
-        if (rungs_.size() < activeRungs_ + 1)
-            rungs_.emplace_back();
-        Rung &sub = rungs_[activeRungs_];
-        ++activeRungs_;
-        // Parent bucket covers 2^parentShift ticks. Same per-bucket
-        // occupancy target as spillTop: batch-sized buckets.
-        const Tick span = (Tick{1} << parentShift) - 1;
-        const std::size_t target = std::min(
-            count / (kSortThreshold / 2) + 1, kMaxBucketsPerRung);
-        sub.start =
-            parentStart + (static_cast<Tick>(idx) << parentShift);
-        setRungGeometry(sub.start, span, target, &sub.end, &sub.shift,
-                        &sub.nbuckets);
-        sub.cur = 0;
-        if (sub.buckets.size() < sub.nbuckets)
-            sub.buckets.resize(sub.nbuckets);
+        // The parent bucket covers 2^shift ticks. openRung may grow
+        // rungs_ and dangle @p r, so read its geometry first.
+        const Tick start = r.start + (static_cast<Tick>(idx) << r.shift);
+        const Tick span = (Tick{1} << r.shift) - 1;
+        Rung &sub = openRung(start, span, count);
         for (Node *n = head; n;) {
             Node *next = n->next;
-            n->next = nullptr;
-            const std::size_t i = static_cast<std::size_t>(
-                (n->when - sub.start) >> sub.shift);
-            Bucket &sb = sub.buckets[i];
-            if (sb.tail)
-                sb.tail->next = n;
-            else
-                sb.head = n;
-            sb.tail = n;
-            ++sb.count;
+            sub.push(n);
             n = next;
         }
         return;
@@ -399,6 +356,8 @@ EventQueue::prepareBottom()
         return false;
     }
     sortBottomSuffix(0);
+    if (bottom_.size() > peakBottom_)
+        peakBottom_ = bottom_.size();
     return true;
 }
 

@@ -23,10 +23,10 @@
 #define FSIM_SIM_EVENT_QUEUE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/event_fn.hh"
+#include "sim/node_slab.hh"
 #include "sim/types.hh"
 
 namespace fsim
@@ -176,11 +176,11 @@ class EventQueue
     std::uint64_t rungsSpawned() const { return rungsSpawned_; }
     /** Buckets sorted into the dispatch bottom so far. */
     std::uint64_t bucketSorts() const { return bucketSorts_; }
+    /** High-water mark of the sorted dispatch bottom, taken between
+     *  operations. With no rung active it stays at most kBottomMax. */
+    std::size_t peakBottom() const { return peakBottom_; }
     /** Node-slab capacity in events (memory visibility). */
-    std::size_t slabCapacity() const
-    {
-        return chunks_.size() * kChunkNodes;
-    }
+    std::size_t slabCapacity() const { return slab_.capacity(); }
     /** @} */
 
   private:
@@ -199,6 +199,18 @@ class EventQueue
         Node *head = nullptr;
         Node *tail = nullptr;
         std::uint32_t count = 0;
+
+        void
+        push(Node *n)
+        {
+            n->next = nullptr;
+            if (tail)
+                tail->next = n;
+            else
+                head = n;
+            tail = n;
+            ++count;
+        }
     };
 
     /** One ladder rung: a span of time cut into equal-width buckets.
@@ -212,6 +224,14 @@ class EventQueue
         std::size_t cur = 0;  //!< next bucket to drain
         std::size_t nbuckets = 0;
         std::vector<Bucket> buckets;   //!< capacity reused across epochs
+
+        /** Append @p n to its bucket; n->when must lie in [start, end). */
+        void
+        push(Node *n)
+        {
+            buckets[static_cast<std::size_t>((n->when - start) >> shift)]
+                .push(n);
+        }
     };
 
     /** Bucket batch above which a (width > 1) bucket is subdivided
@@ -223,9 +243,6 @@ class EventQueue
     static constexpr std::size_t kMaxBucketsPerRung = 32768;
     /** Rung recursion cap (defense in depth; depth ~3 in practice). */
     static constexpr std::size_t kMaxRungs = 24;
-    /** Bottom size that triggers migration to the ladder when no rung
-     *  is active (bulk pre-loading pattern). */
-    static constexpr std::size_t kBottomMigrate = 8192;
     /** Refill keeps draining buckets until the bottom stages at least
      *  this many events (or the ladder runs dry): one sort per batch
      *  instead of per bucket, and a wider staged window so more
@@ -234,21 +251,27 @@ class EventQueue
     /** Nodes per slab chunk. */
     static constexpr std::size_t kChunkNodes = 4096;
 
-    Node *allocRaw();
+  public:
+    /** Largest sorted bottom the pure-bottom regime (no rung active)
+     *  keeps: one more event and the bottom's own nodes move into a
+     *  fresh rung, so a sorted insert never shifts more than this. */
+    static constexpr std::size_t kBottomMax = 2 * kSortThreshold;
+
+  private:
     Node *beginSchedule(Tick *when);
     void finishSchedule(Node *n);
     void
     freeNode(Node *n)
     {
         n->fn.reset();
-        n->next = freeList_;
-        freeList_ = n;
+        slab_.release(n);
     }
 
     void insertNode(Node *n);
     void insertBottom(Node *n);
-    void migrateBottomToTop();
+    void ladderBottom();
     void pushTop(Node *n);
+    Rung &openRung(Tick start, Tick span, std::size_t count);
     bool prepareBottom();
     void spillTop();
     void drainBucket(Rung &r, std::size_t idx);
@@ -275,9 +298,7 @@ class EventQueue
      *  is active (empty queue / pure-bottom regime). */
     Tick topStart_ = kTickMax;
 
-    // Node slab: chunked storage with an intrusive free list.
-    std::vector<std::unique_ptr<Node[]>> chunks_;
-    Node *freeList_ = nullptr;
+    NodeSlab<Node, kChunkNodes> slab_;
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -290,6 +311,7 @@ class EventQueue
     std::uint64_t topSpills_ = 0;
     std::uint64_t rungsSpawned_ = 0;
     std::uint64_t bucketSorts_ = 0;
+    std::size_t peakBottom_ = 0;
 
     // Op-trace recording (bench_sim_core workload capture).
     std::vector<SchedOp> *opTrace_ = nullptr;

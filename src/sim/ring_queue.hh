@@ -3,11 +3,18 @@
  * Fixed-overhead FIFO ring buffer for simulator hot paths.
  *
  * std::deque allocates and frees its block map as elements flow through,
- * which shows up as steady-state heap traffic in the per-core task
- * queues. RingQueue keeps one contiguous power-of-two buffer that only
- * ever grows (capacity is retained across drain/fill cycles), so pushes
- * and pops in steady state touch no allocator at all — a requirement
- * enforced end-to-end by the allocation-audit test.
+ * which shows up as steady-state heap traffic in a FIFO of small values:
+ * a listen socket's accept queue, the TIME_WAIT expiry FIFOs, the epoll
+ * ready list. RingQueue keeps one contiguous power-of-two buffer that
+ * only ever grows (capacity is retained across drain/fill cycles), so
+ * pushes and pops in steady state touch no allocator at all — a
+ * requirement enforced end-to-end by the allocation-audit test.
+ *
+ * The buffer keeps its high-water capacity, and a push and pop advance
+ * around all of it, so a shallow steady queue in a once-deep ring still
+ * sweeps cold lines. That suits small elements; a queue of large,
+ * shallow-in-steady-state elements wants recycled nodes instead (the
+ * CPU task queues use sim/node_slab.hh).
  */
 
 #ifndef FSIM_SIM_RING_QUEUE_HH

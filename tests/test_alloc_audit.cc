@@ -10,7 +10,7 @@
  *  1. The raw simulator substrate — EventQueue scheduling/dispatch,
  *     TimerWheel arm/mod/cancel/fire, CpuModel task posting — must make
  *     ZERO allocations once its slabs and rings are warm. This is the
- *     inline-capture budget (EventFn 56 B, Task 88 B, timer callbacks
+ *     inline-capture budget (EventFn 56 B, Task 96 B, timer callbacks
  *     32/64 B) plus slab recycling doing their job.
  *
  *  2. A steady-state --notrace nginx experiment (full kernel + app +
@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include "app/http_load.hh"
+#include "cpu/core.hh"
 #include "fleet/fleet.hh"
 #include "harness/experiment.hh"
 #include "sim/alloc_audit.hh"
@@ -98,6 +99,63 @@ TEST(AllocAudit, EventQueueSteadyStateIsAllocationFree)
         << "event schedule/dispatch hit the allocator in steady state";
     eq.runAll();
     EXPECT_EQ(live, 0);
+}
+
+TEST(AllocAudit, CpuModelSteadyStateIsAllocationFree)
+{
+    EventQueue eq;
+    CacheModel cache(4, 400);
+    CycleCosts costs;
+    CpuModel cpu(eq, cache, costs, 4);
+    Rng rng(11);
+    std::uint64_t ran = 0;
+    // Bursts of posts across cores and both priorities; a quarter of
+    // the tasks post a child to their own core while they run, so nodes
+    // are allocated mid-task as well as from outside. Each task carries
+    // a packet-sized capture, like the kernel's steering closures.
+    struct Payload
+    {
+        std::uint64_t words[8] = {};
+    };
+    auto burst = [&] {
+        const int n = 1 + static_cast<int>(rng.range(64));
+        for (int i = 0; i < n; ++i) {
+            const CoreId c = static_cast<CoreId>(rng.range(4));
+            const TaskPrio prio = rng.range(2) ? TaskPrio::kSoftIrq
+                                               : TaskPrio::kProcess;
+            Payload p;
+            p.words[0] = rng.next();
+            cpu.post(c, prio, [&cpu, &ran, c, p](Tick t) {
+                ++ran;
+                if (p.words[0] % 4 == 0)
+                    cpu.post(c, TaskPrio::kProcess, [&ran](Tick t2) {
+                        ++ran;
+                        return t2 + 50;
+                    });
+                return t + 100 + p.words[0] % 1000;
+            });
+        }
+        eq.runAll();
+    };
+    // Unaudited warm phase with the same op mix: the slab reaches the
+    // deepest backlog the bursts can build.
+    for (int i = 0; i < 20'000; ++i)
+        burst();
+    const std::uint64_t warm = ran;
+    std::uint64_t audited;
+    {
+        AllocAuditScope scope;
+        for (int i = 0; i < 5'000; ++i)
+            burst();
+        audited = AllocAudit::disarm();
+    }
+    if (audited) dumpAllocHistogram("cpu model");
+    EXPECT_GT(ran - warm, 100'000u);
+    EXPECT_EQ(audited, 0u)
+        << "task post/run hit the allocator in steady state";
+    EXPECT_EQ(cpu.core(0).backlog() + cpu.core(1).backlog() +
+                  cpu.core(2).backlog() + cpu.core(3).backlog(),
+              0u);
 }
 
 TEST(AllocAudit, TimerWheelSteadyStateIsAllocationFree)

@@ -207,5 +207,78 @@ TEST(EventQueueDiff, RunUntilOnLadderBoundaries)
     EXPECT_EQ(ladder.log, heap.log);
 }
 
+/**
+ * The pure-bottom regime in haproxy's shape: a few far-future events
+ * (timers) staged in the dispatch bottom with no rung active, then a
+ * long stream of near-future schedules interleaved with dispatches.
+ * Every near-future event sorts before the far ones, so unbounded the
+ * bottom would take each of them as a sorted insert into an ever
+ * longer array; bounded, it hands its own nodes to a rung instead.
+ * Checked op for op against the heap oracle.
+ */
+TEST(EventQueueDiff, PureBottomRegimeStaysBoundedAndOrdered)
+{
+    Rng rng(0x4a9e0b);
+    Driver<EventQueue> ladder;
+    Driver<ReferenceEventQueue> heap;
+    auto scheduleBoth = [&](Tick when) {
+        const std::uint64_t id = ladder.nextId++;
+        heap.nextId++;
+        ladder.scheduleEvent(when, id);
+        heap.scheduleEvent(when, id);
+    };
+
+    for (int i = 0; i < 4; ++i)
+        scheduleBoth(50'000'000'000ULL + rng.next() % 1'000'000);
+
+    // ~1000 live near-future events: far more than the bound.
+    constexpr std::size_t kLive = 1000;
+    constexpr std::uint64_t kOps = 300'000;
+    for (std::uint64_t op = 0; op < kOps; ++op) {
+        scheduleBoth(ladder.q.now() + 1 + rng.next() % 20'000);
+        while (ladder.q.pending() > kLive)
+            ASSERT_EQ(ladder.q.runOne(), heap.q.runOne()) << "op " << op;
+        ASSERT_EQ(ladder.q.now(), heap.q.now()) << "op " << op;
+        ASSERT_EQ(ladder.q.pending(), heap.q.pending()) << "op " << op;
+        ASSERT_EQ(ladder.q.executed(), heap.q.executed()) << "op " << op;
+        ASSERT_EQ(ladder.log, heap.log) << "op " << op;
+        if (ladder.log.size() > 1024) {
+            ladder.log.clear();
+            heap.log.clear();
+        }
+    }
+    EXPECT_GE(ladder.q.executed(), kOps / 2);
+    EXPECT_LE(ladder.q.peakBottom(), EventQueue::kBottomMax);
+
+    ASSERT_EQ(ladder.q.runAll(), heap.q.runAll());
+    EXPECT_EQ(ladder.q.now(), heap.q.now());
+    EXPECT_EQ(ladder.log, heap.log);
+}
+
+/** Laddering the bottom of a fresh queue (no epoch open yet) must send
+ *  later schedules past the new rung behind it, not back into the
+ *  emptied bottom ahead of it. */
+TEST(EventQueueDiff, LadderedBottomKeepsLaterSchedulesBehindIt)
+{
+    Rng rng(0x1adde7);
+    Driver<EventQueue> ladder;
+    Driver<ReferenceEventQueue> heap;
+    auto scheduleBoth = [&](Tick when) {
+        const std::uint64_t id = ladder.nextId++;
+        heap.nextId++;
+        ladder.scheduleEvent(when, id);
+        heap.scheduleEvent(when, id);
+    };
+    for (std::size_t i = 0; i <= EventQueue::kBottomMax; ++i)
+        scheduleBoth(rng.next() % 10'000);
+    // Past the rung, then inside it, then before it.
+    scheduleBoth(1'000'000);
+    scheduleBoth(5'000);
+    scheduleBoth(0);
+    ASSERT_EQ(ladder.q.runAll(), heap.q.runAll());
+    EXPECT_EQ(ladder.log, heap.log);
+    EXPECT_LE(ladder.q.peakBottom(), EventQueue::kBottomMax);
+}
+
 } // namespace
 } // namespace fsim
