@@ -122,10 +122,6 @@ AppBase::runLoop(std::size_t idx, Tick start)
     ps.wakePending = false;
     KernelStack &k = m_.kernel();
 
-    m_.tracer().emit(ps.core, TraceEventType::kAppWake, start,
-                     ps.remoteWake ? 1u : 0u,
-                     static_cast<std::uint16_t>(ps.proc));
-
     // Scheduler wakeup cost; a cross-core wake pays the IPI + resched.
     Tick t = start + (ps.remoteWake ? m_.costs().schedWakeRemote
                                     : m_.costs().schedWakeLocal);
@@ -190,10 +186,6 @@ AppBase::runLoop(std::size_t idx, Tick start)
                                                      r.sojourn);
                     if (dec == AdmitDecision::kShed) {
                         ++shedConns_;
-                        m_.tracer().emit(
-                            ps.core, TraceEventType::kAdmissionShed, t,
-                            static_cast<std::uint32_t>(ps.proc),
-                            static_cast<std::uint16_t>(cls));
                         if (m_.tracer().enabled())
                             m_.tracer().connSpans().noteShed(
                                 r.sock->id,
@@ -208,10 +200,6 @@ AppBase::runLoop(std::size_t idx, Tick start)
                     }
                     admState_[admKey(ps.proc, r.fd)] =
                         (dec == AdmitDecision::kDegrade);
-                    if (dec == AdmitDecision::kDegrade)
-                        m_.tracer().emit(
-                            ps.core, TraceEventType::kAdmissionDegrade, t,
-                            static_cast<std::uint32_t>(ps.proc));
                 }
                 t = onAccepted(ps, r.fd, t);
                 // The request may have raced ahead of accept(); serve

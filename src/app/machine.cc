@@ -12,8 +12,7 @@ Machine::Machine(EventQueue &eq, Wire &wire, const MachineConfig &cfg)
     if (cfg_.listenIps <= 0)
         cfg_.listenIps = cfg_.cores;
 
-    tracer_ = std::make_unique<Tracer>(cfg_.cores,
-                                       cfg_.traceRingCapacity);
+    tracer_ = std::make_unique<Tracer>(cfg_.cores);
     tracer_->setEnabled(cfg_.traceEnabled);
 
     cache_ = std::make_unique<CacheModel>(cfg_.cores,

@@ -42,8 +42,6 @@ struct MachineConfig
     std::uint64_t seed = 1;
     /** Leave the trace subsystem on (cheap; overhead bench gates it). */
     bool traceEnabled = true;
-    /** Per-core trace ring capacity in events. */
-    std::size_t traceRingCapacity = Tracer::kDefaultRingCapacity;
     /** Overload-control knobs (src/overload); disabled by default. */
     OverloadConfig overload;
 };

@@ -29,14 +29,12 @@ CpuModel::enqueue(CoreId c, TaskPrio prio, TaskNode *n)
         q.head = n;
     q.tail = n;
     ++q.size;
-    if (tracer_) {
-        auto qid = prio == TaskPrio::kSoftIrq
-                       ? TraceQueueId::kSoftirqBacklog
-                       : TraceQueueId::kProcessBacklog;
-        tracer_->emit(c, TraceEventType::kQueueEnqueue, eq_.now(),
-                      static_cast<std::uint32_t>(q.size),
-                      static_cast<std::uint16_t>(qid));
-    }
+    if (tracer_)
+        tracer_->noteQueueDepth(prio == TaskPrio::kSoftIrq
+                                    ? TraceQueueId::kSoftirqBacklog
+                                    : TraceQueueId::kProcessBacklog,
+                                eq_.now(),
+                                static_cast<std::uint32_t>(q.size));
     if (!core.running_) {
         core.running_ = true;
         Tick start = std::max(eq_.now(), core.busyUntil_);
@@ -69,13 +67,9 @@ CpuModel::runNext(CoreId c)
                    c, (unsigned long long)start,
                    (unsigned long long)core.busyUntil_);
     if (tracer_) {
-        tracer_->emit(c, TraceEventType::kQueueDequeue, start,
-                      static_cast<std::uint32_t>(q.size),
-                      static_cast<std::uint16_t>(
-                          softirq ? TraceQueueId::kSoftirqBacklog
-                                  : TraceQueueId::kProcessBacklog));
-        if (softirq)
-            tracer_->emit(c, TraceEventType::kSoftirqEnter, start);
+        tracer_->noteQueueDepth(softirq ? TraceQueueId::kSoftirqBacklog
+                                        : TraceQueueId::kProcessBacklog,
+                                start, static_cast<std::uint32_t>(q.size));
         // The root frame: everything the task does nests under it, so
         // attributed cycles partition the core's busy time exactly.
         tracer_->pushPhase(c, softirq ? Phase::kSoftirq : Phase::kApp,
@@ -95,11 +89,8 @@ CpuModel::runNext(CoreId c)
         Tick work = end - start;
         end += work * (slowdownPermille_ - 1000) / 1000;
     }
-    if (tracer_) {
+    if (tracer_)
         tracer_->popPhase(c, end);
-        if (softirq)
-            tracer_->emit(c, TraceEventType::kSoftirqExit, end);
-    }
 
     Tick work = end - start;
     core.busyTicks_ += work;

@@ -72,12 +72,8 @@ EventPoll::wake(CoreId c, Tick t, int fd)
         ready_.push_back(fd);
         if (ready_.size() > readyPeak_)
             readyPeak_ = ready_.size();
-        if (tracer_ && tracer_->enabled()) {
-            tracer_->emit(c, TraceEventType::kEpollWake, end,
-                          static_cast<std::uint32_t>(fd));
-            if (wakeTicks_[fd] == 0)    // keep the earliest wakeup
-                wakeTicks_[fd] = end;
-        }
+        if (tracer_ && tracer_->enabled() && wakeTicks_[fd] == 0)
+            wakeTicks_[fd] = end;   // keep the earliest wakeup
     }
     return end;
 }

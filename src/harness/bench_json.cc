@@ -491,12 +491,6 @@ BenchJsonReport::str() const
         w.key("trace").beginObject();
         w.key("window_span").value(static_cast<std::uint64_t>(
             r.windowSpan));
-        w.key("events_recorded").value(r.traceEventsRecorded);
-        w.key("events_overwritten").value(r.traceEventsOverwritten);
-        w.key("overwritten_per_core").beginArray();
-        for (std::uint64_t n : r.traceOverwrittenPerCore)
-            w.value(n);
-        w.endArray();
         w.key("untracked_cycles").value(r.phaseCycles.untracked);
         w.endObject();
 

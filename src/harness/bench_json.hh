@@ -24,7 +24,7 @@ class BenchJsonReport
 {
   public:
     /** Document layout version: see SCHEMA in validate_bench_json.py. */
-    static constexpr int kSchemaVersion = 11;
+    static constexpr int kSchemaVersion = 12;
 
     explicit BenchJsonReport(std::string bench_name);
 

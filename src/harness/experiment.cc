@@ -1,7 +1,6 @@
 #include "harness/experiment.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "check/fingerprint.hh"
 
@@ -179,6 +178,7 @@ Testbed::markWindows()
 {
     mark_ = ServerWindow::start(server_);
     runMark_ = RunMark::take(*eq_, *load_);
+    machine().tracer().resetQueueDepths(eq_->now());
 }
 
 ExperimentResult
@@ -191,21 +191,11 @@ Testbed::collect()
                machine().numCores());
 
     const Tracer &tr = machine().tracer();
-    for (int q = 0; q <= static_cast<int>(TraceQueueId::kProcessBacklog);
-         ++q) {
+    for (int q = 0; q < kNumTraceQueues; ++q) {
         auto qid = static_cast<TraceQueueId>(q);
-        std::vector<QueueSample> tl = queueTimeline(tr, qid,
-                                                    /*max_samples=*/512);
+        std::vector<QueueSample> tl = queueTimeline(tr, qid);
         if (!tl.empty())
             r.queueTimelines[traceQueueName(qid)] = std::move(tl);
-    }
-    if (r.traceEventsOverwritten > 0) {
-        std::fprintf(stderr,
-                     "warning: trace ring overflow: %llu events "
-                     "overwritten (oldest window events lost; raise "
-                     "machine.traceRingCapacity)\n",
-                     static_cast<unsigned long long>(
-                         r.traceEventsOverwritten));
     }
 
     // Per-connection span forensics over the window, plus the raw

@@ -373,10 +373,6 @@ struct ExperimentResult
     std::vector<LockWindow> lockWindows;
     /** Accept/backlog queue-depth timelines, keyed by queue name. */
     std::map<std::string, std::vector<QueueSample>> queueTimelines;
-    std::uint64_t traceEventsRecorded = 0;
-    std::uint64_t traceEventsOverwritten = 0;
-    /** Ring-overflow attribution: events overwritten, per core. */
-    std::vector<std::uint64_t> traceOverwrittenPerCore;
     /** Per-connection span forensics over the measurement window
      *  (stage latency percentiles + tail exemplars; enabled=false when
      *  tracing is off, and then the JSON "latency_stages" block is

@@ -298,15 +298,10 @@ addLiveServer(ExperimentResult &r, const Server &s)
     Machine &m = *s.machine;
     for (double u : m.utilizationSinceMark())
         r.coreUtil.push_back(u);
-    const Tracer &tr = m.tracer();
-    r.traceEventsRecorded += tr.eventsRecorded();
-    r.traceEventsOverwritten += tr.eventsOverwritten();
-    for (int c = 0; c < m.numCores(); ++c)
-        r.traceOverwrittenPerCore.push_back(tr.eventsOverwritten(c));
     if (!m.config().traceEnabled) {
         // --notrace contract: a disabled span log must never have
         // touched the allocator (the hooks are all gated on enabled()).
-        fsim_assert(tr.connSpans().allocations() == 0 &&
+        fsim_assert(m.tracer().connSpans().allocations() == 0 &&
                     "span tracing allocated with tracing disabled");
     }
 }

@@ -4,61 +4,13 @@
 #include <cstdio>
 
 #include "sim/logging.hh"
-#include "trace/tracer.hh"
+#include "trace/trace_scope.hh"
 
 namespace fsim
 {
 
 namespace
 {
-
-/**
- * Brackets one syscall: enter/exit trace events plus a kSyscall phase
- * frame so the syscall's cycles (minus nested lock-spin/cache-stall
- * charges) show up as "sys" in the phase breakdown. done() must be
- * called with the syscall's completion tick; if a path forgets, the
- * destructor closes the frame with zero self time rather than
- * corrupting the phase stack.
- */
-struct SyscallScope
-{
-    SyscallScope(Tracer *tr, CoreId core, SyscallId id, Tick begin)
-        : tr_(tr), core_(core), id_(id), begin_(begin)
-    {
-        if (tr_) {
-            tr_->emit(core_, TraceEventType::kSyscallEnter, begin_, 0,
-                      static_cast<std::uint16_t>(id_));
-            tr_->pushPhase(core_, Phase::kSyscall, begin_);
-        }
-    }
-
-    Tick
-    done(Tick end)
-    {
-        if (tr_) {
-            tr_->popPhase(core_, end);
-            tr_->emit(core_, TraceEventType::kSyscallExit, end, 0,
-                      static_cast<std::uint16_t>(id_));
-            tr_ = nullptr;
-        }
-        return end;
-    }
-
-    ~SyscallScope()
-    {
-        if (tr_)
-            done(begin_);
-    }
-
-    SyscallScope(const SyscallScope &) = delete;
-    SyscallScope &operator=(const SyscallScope &) = delete;
-
-  private:
-    Tracer *tr_;
-    CoreId core_;
-    SyscallId id_;
-    Tick begin_;
-};
 
 /** Which accept queue a listener represents, for queue-depth traces. */
 TraceQueueId
@@ -352,8 +304,6 @@ KernelStack::destroySocket(CoreId core, Tick t, Socket *sock,
     sock->slock.releaseLine();
     ++stats_.socketsDestroyed;
     if (d_.tracer && sock->kind == SockKind::kConnection) {
-        d_.tracer->emit(core, TraceEventType::kConnClosed, t,
-                        static_cast<std::uint32_t>(sock->id));
         if (ConnSpanLog *sl = spans())
             sl->close(sock->id, t);
     }
@@ -617,15 +567,11 @@ KernelStack::softirqBudgetDrop(CoreId core)
     ++stats_.backlogDropped;
     if (d_.pressure)
         d_.pressure->noteBacklogDrop();
-    if (d_.tracer)
-        d_.tracer->emit(core, TraceEventType::kBacklogDrop,
-                        d_.eq->now(),
-                        static_cast<std::uint32_t>(depth));
     return true;
 }
 
 bool
-KernelStack::synGateDrop(CoreId core, const Socket *listener)
+KernelStack::synGateDrop(const Socket *listener)
 {
     if (!d_.overload || !d_.overload->enabled ||
         d_.overload->synGate == 0)
@@ -641,10 +587,6 @@ KernelStack::synGateDrop(CoreId core, const Socket *listener)
     // spent. The client sees silence, exactly like a listen-overflow
     // drop.
     ++stats_.synGateDropped;
-    if (d_.tracer)
-        d_.tracer->emit(core, TraceEventType::kSynGateDrop, d_.eq->now(),
-                        static_cast<std::uint32_t>(
-                            listener->acceptQueue.size()));
     return true;
 }
 
@@ -654,6 +596,10 @@ KernelStack::noteAcceptOccupancy(const Socket *listener)
     if (d_.pressure)
         d_.pressure->noteAcceptQueue(listener->acceptQueue.size(),
                                      listener->backlog);
+    if (d_.tracer)
+        d_.tracer->noteQueueDepth(
+            acceptQueueIdOf(listener), d_.eq->now(),
+            static_cast<std::uint32_t>(listener->acceptQueue.size()));
 }
 
 KernelStack::ListenLookup
@@ -734,9 +680,6 @@ KernelStack::netRx(CoreId core, const Packet &pkt, Tick t, bool steered)
             // Hand the packet to the right core's SoftIRQ backlog.
             t += d_.costs->steerCost;
             ++stats_.steeredPackets;
-            if (d_.tracer)
-                d_.tracer->emit(core, TraceEventType::kPacketSteered, t,
-                                static_cast<std::uint32_t>(target));
             if (pkt.has(kSyn) && !pkt.has(kAck) && !pkt.prio &&
                 softirqBudgetDrop(target))
                 return t;
@@ -878,7 +821,7 @@ KernelStack::handleSyn(CoreId core, const Packet &pkt, Tick t)
     Socket *listener = l.sock;
     listener->touch(core);
 
-    if (!pkt.prio && synGateDrop(core, listener))
+    if (!pkt.prio && synGateDrop(listener))
         return t;
 
     if (listener->synQueueLen >= cfg_.synBacklog) {
@@ -989,10 +932,6 @@ KernelStack::establishFromCookie(CoreId core, Socket *listener,
     t = ehashFor(core).insert(core, t, conn);
     conn->ehashHome = &ehashFor(core);
 
-    if (d_.tracer)
-        d_.tracer->emit(core, TraceEventType::kConnEstablished, t,
-                        static_cast<std::uint32_t>(conn->id));
-
     const Tick lk_begin = t;
     t = listener->slock.runLocked(core, t, d_.costs->acceptQueuePushHold);
     const Tick lk_wait = listener->slock.lastWait();
@@ -1028,11 +967,6 @@ KernelStack::establishFromCookie(CoreId core, Socket *listener,
     conn->acceptEnqueueCore = core;
     listener->acceptQueue.push_back(conn);
     noteAcceptOccupancy(listener);
-    if (d_.tracer)
-        d_.tracer->emit(
-            core, TraceEventType::kQueueEnqueue, t,
-            static_cast<std::uint32_t>(listener->acceptQueue.size()),
-            static_cast<std::uint16_t>(acceptQueueIdOf(listener)));
     t = wakeListen(core, t, listener);
     record_handshake(t);
     return t;
@@ -1133,11 +1067,6 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
                              prev_state != TcpState::kTimeWait;
     bool send_ack = pkt.has(kFin) && !destroy;
 
-    if (d_.tracer && sock->state == TcpState::kEstablished &&
-        prev_state != TcpState::kEstablished)
-        d_.tracer->emit(core, TraceEventType::kConnEstablished, t,
-                        static_cast<std::uint32_t>(sock->id));
-
     const Tick lk_begin = t;
     t = sock->slock.runLocked(core, t, hold);
     const Tick lk_wait = sock->slock.lastWait();
@@ -1200,11 +1129,6 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
         sock->acceptEnqueueCore = core;
         listener->acceptQueue.push_back(sock);
         noteAcceptOccupancy(listener);
-        if (d_.tracer)
-            d_.tracer->emit(
-                core, TraceEventType::kQueueEnqueue, t,
-                static_cast<std::uint32_t>(listener->acceptQueue.size()),
-                static_cast<std::uint16_t>(acceptQueueIdOf(listener)));
         t = wakeListen(core, t, listener);
     }
 
@@ -1253,7 +1177,7 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
     Socket *lsock = sockFromFd(proc, listen_fd);
     fsim_assert(lsock && lsock->kind == SockKind::kListen);
 
-    SyscallScope sc(d_.tracer, core, SyscallId::kAccept, t);
+    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
     const Tick sys_begin = t;
     Tick lk_begin = 0;
     Tick lk_wait = 0;
@@ -1280,11 +1204,6 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
             global->acceptQueue.pop_front();
             noteAcceptOccupancy(global);
             ++stats_.slowPathAccepts;
-            if (d_.tracer)
-                d_.tracer->emit(
-                    core, TraceEventType::kQueueDequeue, t,
-                    static_cast<std::uint32_t>(global->acceptQueue.size()),
-                    static_cast<std::uint16_t>(acceptQueueIdOf(global)));
         }
     }
 
@@ -1298,16 +1217,11 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
             conn = lsock->acceptQueue.front();
             lsock->acceptQueue.pop_front();
             noteAcceptOccupancy(lsock);
-            if (d_.tracer)
-                d_.tracer->emit(
-                    core, TraceEventType::kQueueDequeue, t,
-                    static_cast<std::uint32_t>(lsock->acceptQueue.size()),
-                    static_cast<std::uint16_t>(acceptQueueIdOf(lsock)));
         }
     }
 
     if (!conn) {
-        out.t = sc.done(t);
+        out.t = sc.close(t);
         return out;   // EAGAIN
     }
 
@@ -1332,7 +1246,7 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
 
     out.sock = conn;
     out.fd = fd;
-    out.t = sc.done(t);
+    out.t = sc.close(t);
     if (ConnSpanLog *sl = spans()) {
         const CoreId qcore = conn->acceptEnqueueCore != kInvalidCore
                                  ? conn->acceptEnqueueCore
@@ -1359,7 +1273,7 @@ KernelStack::connect(int proc, Tick t, IpAddr dst, Port dport)
         fsim_fatal("connect() with no local address configured");
     IpAddr src = localAddrs_.front();
 
-    SyscallScope sc(d_.tracer, core, SyscallId::kConnect, t);
+    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
     const Tick sys_begin = t;
     Tick pb_begin = 0;
     Tick pb_wait = 0;
@@ -1403,7 +1317,7 @@ KernelStack::connect(int proc, Tick t, IpAddr dst, Port dport)
     }
     if (psrc == 0) {
         ++stats_.portAllocFailures;
-        out.t = sc.done(t);
+        out.t = sc.close(t);
         return out;   // EADDRNOTAVAIL
     }
 
@@ -1452,7 +1366,7 @@ KernelStack::connect(int proc, Tick t, IpAddr dst, Port dport)
 
     out.sock = sock;
     out.fd = fd;
-    out.t = sc.done(t);
+    out.t = sc.close(t);
     if (ConnSpanLog *sl = spans()) {
         sl->add(sock->id, ConnStage::kConnect, core, sys_begin, out.t);
         if (pb_wait)
@@ -1466,16 +1380,16 @@ Tick
 KernelStack::epollWait(int proc, Tick t, std::vector<int> &fds)
 {
     KProcess &p = *procs_.at(proc);
-    SyscallScope sc(d_.tracer, p.core, SyscallId::kEpollWait, t);
-    return sc.done(p.epoll->wait(p.core, t, fds));
+    TraceScope sc(d_.tracer, p.core, Phase::kSyscall, t);
+    return sc.close(p.epoll->wait(p.core, t, fds));
 }
 
 Tick
 KernelStack::epollAdd(int proc, Tick t, int fd)
 {
     KProcess &p = *procs_.at(proc);
-    SyscallScope sc(d_.tracer, p.core, SyscallId::kEpollCtl, t);
-    return sc.done(p.epoll->ctlAdd(p.core, t, fd));
+    TraceScope sc(d_.tracer, p.core, Phase::kSyscall, t);
+    return sc.close(p.epoll->ctlAdd(p.core, t, fd));
 }
 
 KernelStack::ReadResult
@@ -1487,7 +1401,7 @@ KernelStack::read(int proc, Tick t, int fd)
     Socket *sock = sockFromFd(proc, fd);
     fsim_assert(sock != nullptr);
 
-    SyscallScope sc(d_.tracer, core, SyscallId::kRead, t);
+    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
     const Tick sys_begin = t;
     t += d_.costs->syscallOverhead + d_.costs->readCost;
     t += d_.cache->access(core, sock->cacheObj, /*write=*/true,
@@ -1500,7 +1414,7 @@ KernelStack::read(int proc, Tick t, int fd)
     sock->rxPending = 0;
     out.finSeen = sock->peerFin;
     out.connClose = sock->peerConnClose;
-    out.t = sc.done(t);
+    out.t = sc.close(t);
     if (ConnSpanLog *sl = spans()) {
         const Tick wake_at = p.epoll->consumeWakeTick(fd);
         if (wake_at > 0 && wake_at < sys_begin)
@@ -1523,7 +1437,7 @@ KernelStack::write(int proc, Tick t, int fd, std::uint32_t bytes)
     Socket *sock = sockFromFd(proc, fd);
     fsim_assert(sock != nullptr);
 
-    SyscallScope sc(d_.tracer, core, SyscallId::kWrite, t);
+    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
     const Tick sys_begin = t;
     t += d_.costs->syscallOverhead + d_.costs->writeCost;
     t += d_.cache->access(core, sock->cacheObj, /*write=*/true,
@@ -1537,7 +1451,7 @@ KernelStack::write(int proc, Tick t, int fd, std::uint32_t bytes)
     // locality this crosses cores into the SoftIRQ core's base.
     t = armConnTimer(core, t, sock, cfg_.keepaliveJiffies);
 
-    const Tick end = sc.done(sendPacket(core, t, sock, kAck | kPsh,
+    const Tick end = sc.close(sendPacket(core, t, sock, kAck | kPsh,
                                         bytes));
     if (ConnSpanLog *sl = spans()) {
         sl->add(sock->id, ConnStage::kAppWrite, core, sys_begin, end);
@@ -1558,7 +1472,7 @@ KernelStack::close(int proc, Tick t, int fd)
     fsim_assert(file != nullptr);
     Socket *sock = static_cast<Socket *>(file->priv);
 
-    SyscallScope sc(d_.tracer, core, SyscallId::kClose, t);
+    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
     const Tick sys_begin = t;
     t += d_.costs->syscallOverhead + d_.costs->closeCost;
     sock->touch(core);
@@ -1581,7 +1495,7 @@ KernelStack::close(int proc, Tick t, int fd)
                                    return e.first == proc;
                                }),
                 w.end());
-        return sc.done(t);
+        return sc.close(t);
     }
 
     const Tick lk_begin = t;
@@ -1617,11 +1531,11 @@ KernelStack::close(int proc, Tick t, int fd)
       case TcpState::kSynRcvd:
         record_teardown(t);
         t = destroySocket(core, t, sock);
-        return sc.done(t);
+        return sc.close(t);
       default:
         break;
     }
-    const Tick end = sc.done(t);
+    const Tick end = sc.close(t);
     record_teardown(end);
     return end;
 }

@@ -310,9 +310,10 @@ class KernelStack
     /** True if the SoftIRQ backlog budget says to drop a packet bound
      *  for @p core (accounts the drop and feeds the pressure state). */
     bool softirqBudgetDrop(CoreId core);
-    bool synGateDrop(CoreId core, const Socket *listener);
+    bool synGateDrop(const Socket *listener);
 
-    /** Feed @p listener's accept-queue occupancy to the pressure sink. */
+    /** Feed @p listener's accept-queue occupancy to the pressure sink
+     *  and the tracer's depth series. */
     void noteAcceptOccupancy(const Socket *listener);
 
     Tick handleSyn(CoreId core, const Packet &pkt, Tick t);

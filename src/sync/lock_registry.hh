@@ -32,7 +32,7 @@ struct LockClassStats
     std::uint64_t waitTicks = 0;     //!< total cycles spent spinning
     std::uint64_t holdTicks = 0;     //!< total cycles held
     Tick maxWaitTicks = 0;
-    /** Small stable id carried by kLockSpinBegin/End trace events. */
+    /** Small stable id naming the class in lock-wait span stages. */
     std::uint16_t traceId = 0;
     /** Machine tracer (set via LockRegistry::setTracer; may be null).
      *  Locks reach the tracer through their class row so that the many

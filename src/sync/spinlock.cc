@@ -96,7 +96,7 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
             cls_->waitTicks += wait;
             cls_->maxWaitTicks = std::max(cls_->maxWaitTicks, wait);
             if (cls_->tracer)
-                cls_->tracer->noteLockSpin(c, t, wait, cls_->traceId);
+                cls_->tracer->noteLockSpin(c, wait);
             // Contention counting: demand-driven spins count at rate rho
             // (PASTA); true instantaneous races count fully; skew echoes
             // barely count.
@@ -156,7 +156,7 @@ SimRwLock::contendedGrant(CoreId c, Tick t, Tick busy_until, Tick hold)
     cls_->waitTicks += wait;
     cls_->maxWaitTicks = std::max(cls_->maxWaitTicks, wait);
     if (cls_->tracer)
-        cls_->tracer->noteLockSpin(c, t, wait + storm, cls_->traceId);
+        cls_->tracer->noteLockSpin(c, wait + storm);
     return t + wait + storm;
 }
 

@@ -22,32 +22,6 @@ phaseName(Phase p)
 }
 
 const char *
-traceEventName(TraceEventType t)
-{
-    switch (t) {
-      case TraceEventType::kSyscallEnter:    return "syscall_enter";
-      case TraceEventType::kSyscallExit:     return "syscall_exit";
-      case TraceEventType::kSoftirqEnter:    return "softirq_enter";
-      case TraceEventType::kSoftirqExit:     return "softirq_exit";
-      case TraceEventType::kLockSpinBegin:   return "lock_spin_begin";
-      case TraceEventType::kLockSpinEnd:     return "lock_spin_end";
-      case TraceEventType::kQueueEnqueue:    return "queue_enqueue";
-      case TraceEventType::kQueueDequeue:    return "queue_dequeue";
-      case TraceEventType::kConnEstablished: return "conn_established";
-      case TraceEventType::kConnClosed:      return "conn_closed";
-      case TraceEventType::kPacketSteered:   return "packet_steered";
-      case TraceEventType::kEpollWake:       return "epoll_wake";
-      case TraceEventType::kAppWake:         return "app_wake";
-      case TraceEventType::kBacklogDrop:     return "backlog_drop";
-      case TraceEventType::kSynGateDrop:     return "syn_gate_drop";
-      case TraceEventType::kAdmissionShed:   return "admission_shed";
-      case TraceEventType::kAdmissionDegrade:
-                                             return "admission_degrade";
-    }
-    return "?";
-}
-
-const char *
 traceQueueName(TraceQueueId q)
 {
     switch (q) {

@@ -1,12 +1,11 @@
 /**
  * @file
- * Trace event and phase vocabulary of the simulated perf/ftrace layer.
+ * Phase and queue vocabulary of the simulated perf/ftrace layer.
  *
- * Events are typed records emitted at named kernel hook points (syscall
- * entry/exit, SoftIRQ entry/exit, lock spins, queue operations,
- * connection lifecycle) into per-core rings; phases are the buckets the
- * PhaseAccounting layer attributes every simulated cycle to, reproducing
- * the paper's Figure 5-style CPU breakdowns for any workload.
+ * Phases are the buckets the PhaseAccounting layer attributes every
+ * simulated cycle to, reproducing the paper's Figure 5-style CPU
+ * breakdowns for any workload; queue ids name the depth series the
+ * tracer keeps for the accept queues and the per-core task backlogs.
  */
 
 #ifndef FSIM_TRACE_TRACE_EVENT_HH
@@ -44,44 +43,7 @@ constexpr int kNumPhases = kNumChargedPhases + 1;
 /** Stable lowercase phase name ("app", "syscall", "lock-spin", ...). */
 const char *phaseName(Phase p);
 
-/** Typed trace event kinds, one per named hook point. */
-enum class TraceEventType : std::uint8_t
-{
-    kSyscallEnter = 0,   //!< id = SyscallId
-    kSyscallExit,        //!< id = SyscallId
-    kSoftirqEnter,       //!< SoftIRQ task starts on this core
-    kSoftirqExit,
-    kLockSpinBegin,      //!< id = lock class id, arg = spin cycles
-    kLockSpinEnd,        //!< id = lock class id
-    kQueueEnqueue,       //!< id = TraceQueueId, arg = depth after push
-    kQueueDequeue,       //!< id = TraceQueueId, arg = depth after pop
-    kConnEstablished,    //!< arg = low 32 bits of socket id
-    kConnClosed,         //!< arg = low 32 bits of socket id
-    kPacketSteered,      //!< RFD software steer, arg = target core
-    kEpollWake,          //!< arg = fd made ready
-    kAppWake,            //!< id = process, arg = 1 if remote wakeup
-    kBacklogDrop,        //!< SoftIRQ budget drop, arg = queue depth
-    kSynGateDrop,        //!< SYN ingress gate drop, arg = queue depth
-    kAdmissionShed,      //!< id = ShedReason, arg = worker
-    kAdmissionDegrade,   //!< brownout admission, arg = worker
-};
-
-/** Stable event-type name used by reports and the JSON exporter. */
-const char *traceEventName(TraceEventType t);
-
-/** Syscall identifiers carried by kSyscallEnter/Exit events. */
-enum class SyscallId : std::uint16_t
-{
-    kAccept = 0,
-    kConnect,
-    kRead,
-    kWrite,
-    kClose,
-    kEpollWait,
-    kEpollCtl,
-};
-
-/** Queue identifiers carried by kQueueEnqueue/Dequeue events. */
+/** Queues whose depth the tracer records, one series each. */
 enum class TraceQueueId : std::uint16_t
 {
     kAcceptShared = 0,   //!< global/shared listen socket accept queue
@@ -91,19 +53,12 @@ enum class TraceQueueId : std::uint16_t
     kProcessBacklog,     //!< per-core process-context task backlog
 };
 
+/** Number of TraceQueueId values. */
+constexpr int kNumTraceQueues =
+    static_cast<int>(TraceQueueId::kProcessBacklog) + 1;
+
 /** Stable queue name used by reports and the JSON exporter. */
 const char *traceQueueName(TraceQueueId q);
-
-/** One recorded trace event (16 bytes; rings preallocate these). */
-struct TraceEvent
-{
-    Tick tick = 0;                 //!< simulated time of the event
-    std::uint32_t arg = 0;         //!< event-specific payload
-    std::uint16_t id = 0;          //!< event-specific identifier
-    TraceEventType type = TraceEventType::kSyscallEnter;
-};
-
-static_assert(sizeof(TraceEvent) <= 16, "TraceEvent must stay compact");
 
 } // namespace fsim
 

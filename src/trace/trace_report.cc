@@ -92,40 +92,13 @@ foldedStacks(const PhaseSnapshot &d)
 }
 
 std::vector<QueueSample>
-queueTimeline(const Tracer &tracer, TraceQueueId queue,
-              std::size_t max_samples)
+queueTimeline(const Tracer &tracer, TraceQueueId queue)
 {
     std::vector<QueueSample> out;
-    for (int c = 0; c < tracer.numCores(); ++c) {
-        const TraceRing &r = tracer.ring(c);
-        for (std::size_t i = 0; i < r.size(); ++i) {
-            const TraceEvent &ev = r.at(i);
-            if (ev.type != TraceEventType::kQueueEnqueue &&
-                ev.type != TraceEventType::kQueueDequeue)
-                continue;
-            if (static_cast<TraceQueueId>(ev.id) != queue)
-                continue;
-            QueueSample s;
-            s.tick = ev.tick;
-            s.depth = ev.arg;
-            s.queue = queue;
-            out.push_back(s);
-        }
-    }
-    std::sort(out.begin(), out.end(),
-              [](const QueueSample &a, const QueueSample &b) {
-                  return a.tick < b.tick;
-              });
-    if (max_samples > 0 && out.size() > max_samples) {
-        std::vector<QueueSample> thin;
-        thin.reserve(max_samples);
-        double step = static_cast<double>(out.size()) /
-                      static_cast<double>(max_samples);
-        for (std::size_t i = 0; i < max_samples; ++i)
-            thin.push_back(out[static_cast<std::size_t>(
-                static_cast<double>(i) * step)]);
-        out.swap(thin);
-    }
+    tracer.queueDepths(queue).forEachBucket(
+        [&](Tick tick, std::uint32_t depth) {
+            out.push_back(QueueSample{tick, depth, queue});
+        });
     return out;
 }
 

@@ -3,7 +3,7 @@
  * Report generators over trace data: per-core phase breakdown tables
  * (the paper's Figure 5 / Table 1 analysis for any bench), folded-stack
  * output consumable by standard flamegraph tooling, and queue-depth
- * timelines recovered from the event rings.
+ * timelines read from the tracer's per-queue depth series.
  */
 
 #ifndef FSIM_TRACE_TRACE_REPORT_HH
@@ -51,7 +51,7 @@ TextTable phaseBreakdownTable(const PhaseBreakdown &b);
 std::vector<std::pair<std::string, std::uint64_t>> foldedStacks(
     const PhaseSnapshot &d);
 
-/** One queue-depth observation recovered from the rings. */
+/** One queue-depth series bucket: its start tick and peak depth. */
 struct QueueSample
 {
     Tick tick = 0;
@@ -60,13 +60,12 @@ struct QueueSample
 };
 
 /**
- * Depth timeline of @p queue across all cores, oldest first. Covers
- * whatever the rings retain (overwrite mode keeps the newest window).
- * Pass @p max_samples to downsample long timelines evenly.
+ * Depth timeline of @p queue across all cores, oldest first: one sample
+ * per noted bucket of its series (at most DepthSeries::kMaxBuckets),
+ * covering everything noted since the last resetQueueDepths().
  */
 std::vector<QueueSample> queueTimeline(const Tracer &tracer,
-                                       TraceQueueId queue,
-                                       std::size_t max_samples = 0);
+                                       TraceQueueId queue);
 
 } // namespace fsim
 

@@ -2,14 +2,14 @@
  * @file
  * The per-machine tracer: the simulator's perf + ftrace + /proc/lockstat.
  *
- * Owns one TraceRing per core, the PhaseAccounting layer and the
- * ConnSpanLog. Ring emission is branch-cheap; each ring allocates once,
- * at its first event, so an untraced machine holds no ring storage. Phase
- * accounting allocates only the first time a folded stack shape is
- * seen, and the span log only while its live population reaches a new
- * peak — plus, on a single-machine testbed with no fleet log attached,
- * the chunks that retain completed traces. So the steady state of a
- * traced fleet is close to allocation-free, not exactly so.
+ * Owns one DepthSeries per TraceQueueId, the PhaseAccounting layer and
+ * the ConnSpanLog. A queue series allocates once, at its first note, so
+ * an untraced machine holds no series storage. Phase accounting
+ * allocates only the first time a folded stack shape is seen, and the
+ * span log only while its live population reaches a new peak — plus,
+ * on a single-machine testbed with no fleet log attached, the chunks
+ * that retain completed traces. So the steady state of a traced fleet
+ * is close to allocation-free, not exactly so.
  * Components reached through long init chains (locks, epoll, VFS) find
  * the tracer through the LockRegistry instead of growing their
  * constructor signatures.
@@ -18,15 +18,14 @@
 #ifndef FSIM_TRACE_TRACER_HH
 #define FSIM_TRACE_TRACER_HH
 
+#include <array>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "sim/types.hh"
 #include "trace/conn_span.hh"
+#include "trace/depth_series.hh"
 #include "trace/phase_accounting.hh"
 #include "trace/trace_event.hh"
-#include "trace/trace_ring.hh"
 
 namespace fsim
 {
@@ -35,13 +34,10 @@ namespace fsim
 class Tracer
 {
   public:
-    /** Default per-core ring capacity (events). */
-    static constexpr std::size_t kDefaultRingCapacity = 8192;
+    explicit Tracer(int n_cores);
 
-    explicit Tracer(int n_cores,
-                    std::size_t ring_capacity = kDefaultRingCapacity);
-
-    /** Master switch; rings, phase charges and the span log honor it. */
+    /** Master switch; queue series, phase charges and the span log
+     *  honor it. */
     void
     setEnabled(bool on)
     {
@@ -50,19 +46,21 @@ class Tracer
     }
     bool enabled() const { return enabled_; }
 
-    /** Record an event into core @p c's ring. */
+    /** Note that @p queue held @p depth at @p tick. */
     void
-    emit(CoreId c, TraceEventType type, Tick tick, std::uint32_t arg = 0,
-         std::uint16_t id = 0)
+    noteQueueDepth(TraceQueueId queue, Tick tick, std::uint32_t depth)
     {
-        if (!enabled_)
-            return;
-        TraceEvent ev;
-        ev.tick = tick;
-        ev.arg = arg;
-        ev.id = id;
-        ev.type = type;
-        rings_[c].push(ev);
+        if (enabled_)
+            queues_[static_cast<int>(queue)].note(tick, depth);
+    }
+
+    /** Restart every queue series at @p origin (the window start). */
+    void resetQueueDepths(Tick origin);
+
+    const DepthSeries &
+    queueDepths(TraceQueueId queue) const
+    {
+        return queues_[static_cast<int>(queue)];
     }
 
     /** @name Phase attribution (see PhaseAccounting) */
@@ -89,20 +87,15 @@ class Tracer
     }
     /** @} */
 
-    /** Convenience hook for lock spins: event pair + phase charge. */
+    /** Convenience hook for lock spins: phase charge only. */
     void
-    noteLockSpin(CoreId c, Tick t, Tick spin, std::uint16_t lock_class)
+    noteLockSpin(CoreId c, Tick spin)
     {
-        if (!enabled_ || spin == 0)
-            return;
-        emit(c, TraceEventType::kLockSpinBegin, t,
-             static_cast<std::uint32_t>(spin), lock_class);
-        emit(c, TraceEventType::kLockSpinEnd, t + spin, 0, lock_class);
-        phases_.charge(c, Phase::kLockSpin, spin);
+        if (enabled_ && spin > 0)
+            phases_.charge(c, Phase::kLockSpin, spin);
     }
 
-    /** Convenience hook for cache stalls: phase charge only (too hot
-     *  for per-access events). */
+    /** Convenience hook for cache stalls: phase charge only. */
     void
     noteCacheStall(CoreId c, Tick cycles)
     {
@@ -110,18 +103,10 @@ class Tracer
             phases_.charge(c, Phase::kCacheStall, cycles);
     }
 
-    const TraceRing &ring(CoreId c) const { return rings_.at(c); }
-    int numCores() const { return static_cast<int>(rings_.size()); }
+    int numCores() const { return phases_.numCores(); }
 
     PhaseSnapshot phaseSnapshot() const { return phases_.snapshot(); }
     const PhaseAccounting &phases() const { return phases_; }
-
-    /** Total events recorded / overwritten across all rings. */
-    std::uint64_t eventsRecorded() const;
-    std::uint64_t eventsOverwritten() const;
-
-    /** Events overwritten in core @p c's ring alone. */
-    std::uint64_t eventsOverwritten(CoreId c) const;
 
     /** Per-connection lifecycle span log. */
     ConnSpanLog &connSpans() { return spans_; }
@@ -129,7 +114,7 @@ class Tracer
 
   private:
     bool enabled_ = true;
-    std::vector<TraceRing> rings_;
+    std::array<DepthSeries, kNumTraceQueues> queues_;
     PhaseAccounting phases_;
     ConnSpanLog spans_;
 };

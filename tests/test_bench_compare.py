@@ -8,7 +8,7 @@ NaN (or +/-inf) sailed through the regression gate as a silent pass.
 These tests pin the fixed behavior: a non-finite candidate value
 inside a present block is an explicit MISSING regression (exit 1),
 and a non-finite *baseline* value downgrades to a note, exactly like
-an absent metric. Also pinned: only schema v11 is accepted (exit 2
+an absent metric. Also pinned: only schema v12 is accepted (exit 2
 otherwise), and an optional block that vanishes from the candidate
 turns its metrics into MISSING regressions.
 
@@ -30,7 +30,7 @@ FAILURES = []
 
 def base_doc():
     return {
-        "schema_version": 11,
+        "schema_version": 12,
         "bench": "unit",
         "rows": [{
             "label": "row/a",
@@ -152,8 +152,8 @@ def main():
     check("missing time-series metric is an explicit regression",
           rc == 1 and "MISSING" in out, out)
 
-    # Schema v11 only: any other version is a usage error, not a pass.
-    for version in (10, 12, None):
+    # Schema v12 only: any other version is a usage error, not a pass.
+    for version in (11, 13, None):
         old = copy.deepcopy(base)
         old["schema_version"] = version
         rc, out = run_compare(old, copy.deepcopy(base))

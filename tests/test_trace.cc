@@ -1,23 +1,29 @@
 /**
  * @file
- * Tests for the trace subsystem: ring overflow semantics and lazy ring
- * storage (this binary includes the counting allocator hook), phase
- * attribution arithmetic, the cycle-conservation invariant against the
- * CPU model, and the bench JSON block-presence rules.
+ * Tests for the trace subsystem: the queue-depth series against a
+ * brute-force per-bucket max, its lazy storage (this binary includes
+ * the counting allocator hook) and whole-window coverage on a real
+ * testbed, phase attribution arithmetic, the cycle-conservation
+ * invariant against the CPU model, and the bench JSON block-presence
+ * rules.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/bench_json.hh"
 #include "harness/experiment.hh"
 #include "sim/alloc_audit.hh"
+#include "sim/rng.hh"
+#include "trace/depth_series.hh"
 #include "trace/phase_accounting.hh"
 #include "trace/trace_report.hh"
-#include "trace/trace_ring.hh"
 #include "trace/trace_scope.hh"
 #include "trace/tracer.hh"
 
@@ -28,119 +34,174 @@ namespace fsim
 namespace
 {
 
-TraceEvent
-ev(Tick tick, TraceEventType type = TraceEventType::kSyscallEnter)
+/** The series' buckets as (start tick, peak depth) pairs. */
+std::vector<std::pair<Tick, std::uint32_t>>
+buckets(const DepthSeries &s)
 {
-    TraceEvent e;
-    e.tick = tick;
-    e.type = type;
-    return e;
+    std::vector<std::pair<Tick, std::uint32_t>> out;
+    s.forEachBucket([&](Tick t, std::uint32_t d) { out.emplace_back(t, d); });
+    return out;
 }
 
-TEST(TraceRing, FillsBelowCapacityInOrder)
+/** Brute force: the max of every note in each @p width-tick bucket
+ *  from @p origin, for the buckets that hold a note. */
+std::vector<std::pair<Tick, std::uint32_t>>
+bruteBuckets(const std::vector<std::pair<Tick, std::uint32_t>> &notes,
+             Tick origin, Tick width)
 {
-    TraceRing ring(8);
-    for (Tick t = 0; t < 3; ++t)
-        ring.push(ev(t));
-    EXPECT_EQ(ring.capacity(), 8u);
-    EXPECT_EQ(ring.size(), 3u);
-    EXPECT_EQ(ring.pushed(), 3u);
-    EXPECT_EQ(ring.overwritten(), 0u);
-    for (std::size_t i = 0; i < ring.size(); ++i)
-        EXPECT_EQ(ring.at(i).tick, static_cast<Tick>(i));
+    std::map<Tick, std::uint32_t> peak;
+    for (const auto &[t, d] : notes) {
+        const Tick start = origin + (t - origin) / width * width;
+        auto it = peak.find(start);
+        if (it == peak.end())
+            peak.emplace(start, d);
+        else
+            it->second = std::max(it->second, d);
+    }
+    return {peak.begin(), peak.end()};
 }
 
-TEST(TraceRing, OverwritesOldestWhenFull)
+TEST(DepthSeries, MatchesBruteForcePerBucketMaxAcrossCoarsenings)
 {
-    TraceRing ring(4);
-    for (Tick t = 0; t < 10; ++t)
-        ring.push(ev(t));
-    // ftrace overwrite mode: the newest window survives.
-    EXPECT_EQ(ring.size(), 4u);
-    EXPECT_EQ(ring.pushed(), 10u);
-    EXPECT_EQ(ring.overwritten(), 6u);
-    for (std::size_t i = 0; i < 4; ++i)
-        EXPECT_EQ(ring.at(i).tick, static_cast<Tick>(6 + i));
+    Rng rng(7);
+    DepthSeries s;
+    const Tick origin = 1'000'000;
+    s.reset(origin);
+    std::vector<std::pair<Tick, std::uint32_t>> notes;
+    Tick t = origin;
+    Tick width = s.width();
+    int coarsenings = 0;
+    // Irregular gaps and bursty depths; each width change is checked
+    // against the brute force at once, so every coarsening is covered.
+    for (int i = 0; i < 20000; ++i) {
+        t += rng.range(41);
+        const std::uint32_t d = static_cast<std::uint32_t>(
+            rng.range(i % 997 == 0 ? 5001 : 61));
+        s.note(t, d);
+        notes.emplace_back(t, d);
+        if (s.width() != width) {
+            ++coarsenings;
+            width = s.width();
+            ASSERT_EQ(buckets(s), bruteBuckets(notes, origin, width));
+        }
+    }
+    EXPECT_GE(coarsenings, 3);
+    const auto got = buckets(s);
+    ASSERT_EQ(got, bruteBuckets(notes, origin, s.width()));
+    EXPECT_LE(got.size(), DepthSeries::kMaxBuckets);
 
-    ring.clear();
-    EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.overwritten(), 0u);
+    // The peak is exact, and the series spans every note: the first
+    // and last buckets hold the first and last notes.
+    std::uint32_t peak = 0;
+    for (const auto &n : notes)
+        peak = std::max(peak, n.second);
+    std::uint32_t series_peak = 0;
+    for (const auto &b : got)
+        series_peak = std::max(series_peak, b.second);
+    EXPECT_EQ(series_peak, peak);
+    EXPECT_LE(got.front().first, notes.front().first);
+    EXPECT_GT(got.front().first + s.width(), notes.front().first);
+    EXPECT_LE(got.back().first, notes.back().first);
+    EXPECT_GT(got.back().first + s.width(), notes.back().first);
+    // Coarsening stops as soon as the span fits: more than half of the
+    // buckets are in use.
+    EXPECT_GE(notes.back().first - origin,
+              s.width() * (DepthSeries::kMaxBuckets / 2));
+
+    // A note far past the end coarsens several times in one call.
+    const Tick far = origin + s.width() * DepthSeries::kMaxBuckets * 16;
+    s.note(far, 3);
+    notes.emplace_back(far, 3);
+    EXPECT_EQ(buckets(s), bruteBuckets(notes, origin, s.width()));
+    EXPECT_LE(buckets(s).size(), DepthSeries::kMaxBuckets);
+
+    // reset() starts a fresh window at its origin and width 1.
+    s.reset(far + 10);
+    EXPECT_TRUE(buckets(s).empty());
+    EXPECT_EQ(s.width(), 1u);
+    s.note(far + 12, 0);
+    EXPECT_EQ(buckets(s),
+              (std::vector<std::pair<Tick, std::uint32_t>>{{far + 12, 0}}));
 }
 
-TEST(TraceRing, AllocatesStorageOnFirstPushOnly)
+TEST(DepthSeries, AllocatesOnFirstNoteOnly)
 {
-    TraceRing ring(64);
-    EXPECT_EQ(ring.capacity(), 64u);
-    EXPECT_EQ(ring.size(), 0u);
-    EXPECT_EQ(ring.pushed(), 0u);
-    EXPECT_EQ(ring.overwritten(), 0u);
-    EXPECT_EQ(ring.storageBytes(), 0u);
-
+    DepthSeries s;
+    EXPECT_EQ(s.storageBytes(), 0u);
     std::uint64_t first;
     {
         AllocAuditScope scope;
-        ring.push(ev(0));
+        s.note(0, 1);
         first = AllocAudit::disarm();
     }
     ASSERT_TRUE(AllocAudit::hooked());
     EXPECT_EQ(first, 1u);
-    EXPECT_EQ(ring.storageBytes(), 64 * sizeof(TraceEvent));
+    EXPECT_EQ(s.storageBytes(),
+              DepthSeries::kMaxBuckets * sizeof(std::uint32_t));
 
+    // Coarsening and reset reuse the same buckets.
     std::uint64_t rest;
     {
         AllocAuditScope scope;
-        for (Tick t = 1; t < 200; ++t)
-            ring.push(ev(t));
-        ring.clear();
-        ring.push(ev(7));
+        for (Tick t = 1; t < 100'000; t += 7)
+            s.note(t, static_cast<std::uint32_t>(t % 13));
+        s.reset(200'000);
+        s.note(200'005, 2);
         rest = AllocAudit::disarm();
     }
     EXPECT_EQ(rest, 0u);
-    EXPECT_EQ(ring.size(), 1u);
-    EXPECT_EQ(ring.at(0).tick, 7u);
+    EXPECT_EQ(s.storageBytes(),
+              DepthSeries::kMaxBuckets * sizeof(std::uint32_t));
 }
 
-/** Run a small nginx testbed briefly and check every core's ring: full
- *  storage when traced, none (with the counters at zero) when not. */
-void
-expectRingStorage(bool traced)
+/** A small two-core nginx testbed config, traced or not. */
+ExperimentConfig
+seriesConfig(bool traced)
 {
     ExperimentConfig cfg;
     cfg.app = AppKind::kNginx;
     cfg.machine.cores = 2;
     cfg.machine.traceEnabled = traced;
     cfg.concurrencyPerCore = 20;
-    Testbed bed(cfg);
+    return cfg;
+}
+
+TEST(QueueSeries, UntracedMachineHoldsNoSeriesStorage)
+{
+    Testbed bed(seriesConfig(/*traced=*/false));
     bed.startLoad();
     bed.runUntilChecked(ticksFromSeconds(0.02));
     ASSERT_GT(bed.load().completed(), 0u);
-
     const Tracer &tr = bed.machine().tracer();
-    ASSERT_EQ(tr.numCores(), 2);
-    for (int c = 0; c < tr.numCores(); ++c) {
-        const TraceRing &r = tr.ring(c);
-        EXPECT_EQ(r.capacity(), Tracer::kDefaultRingCapacity);
-        if (traced) {
-            EXPECT_GT(r.pushed(), 0u);
-            EXPECT_EQ(r.storageBytes(),
-                      Tracer::kDefaultRingCapacity * sizeof(TraceEvent));
-        } else {
-            EXPECT_EQ(r.size(), 0u);
-            EXPECT_EQ(r.pushed(), 0u);
-            EXPECT_EQ(r.overwritten(), 0u);
-            EXPECT_EQ(r.storageBytes(), 0u);
-        }
+    for (int q = 0; q < kNumTraceQueues; ++q) {
+        const DepthSeries &s = tr.queueDepths(static_cast<TraceQueueId>(q));
+        EXPECT_EQ(s.storageBytes(), 0u) << q;
+        EXPECT_TRUE(buckets(s).empty()) << q;
     }
 }
 
-TEST(TraceRing, UntracedTestbedHoldsNoRingStorage)
+TEST(QueueSeries, TracedSteadyStateMakesNoSeriesAllocations)
 {
-    expectRingStorage(/*traced=*/false);
-}
-
-TEST(TraceRing, TracedTestbedAllocatesEveryBusyRing)
-{
-    expectRingStorage(/*traced=*/true);
+    // After every busy queue's first note, the buckets never move or
+    // grow: their heap block is the same one through the window,
+    // across coarsenings and the reset at markWindows().
+    Testbed bed(seriesConfig(/*traced=*/true));
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromSeconds(0.005));
+    const Tracer &tr = bed.machine().tracer();
+    const auto &shared = tr.queueDepths(TraceQueueId::kAcceptShared);
+    const auto &softirq = tr.queueDepths(TraceQueueId::kSoftirqBacklog);
+    ASSERT_EQ(shared.storageBytes(),
+              DepthSeries::kMaxBuckets * sizeof(std::uint32_t));
+    ASSERT_EQ(softirq.storageBytes(), shared.storageBytes());
+    EXPECT_GT(shared.width(), 1u);
+    bed.markWindows();
+    EXPECT_EQ(shared.width(), 1u);
+    bed.runUntilChecked(bed.eventQueue().now() + ticksFromSeconds(0.02));
+    EXPECT_GT(shared.width(), 1u);
+    EXPECT_EQ(shared.storageBytes(),
+              DepthSeries::kMaxBuckets * sizeof(std::uint32_t));
+    EXPECT_EQ(softirq.storageBytes(), shared.storageBytes());
 }
 
 /** Folded map keyed by decoded stack string, for readable asserts. */
@@ -215,7 +276,7 @@ TEST(PhaseAccounting, DeltaSubtractsAndSaturates)
 
 TEST(TraceScope, UnclosedScopeAttributesZeroSelfTime)
 {
-    Tracer tr(1, 16);
+    Tracer tr(1);
     {
         TraceScope outer(&tr, 0, Phase::kApp, 0);
         {
@@ -233,38 +294,33 @@ TEST(TraceScope, UnclosedScopeAttributesZeroSelfTime)
     EXPECT_EQ(tr.phases().depth(0), 0);
 }
 
-TEST(Tracer, NoteLockSpinEmitsEventPairAndCharges)
+TEST(Tracer, NoteLockSpinChargesLockSpinPhase)
 {
-    Tracer tr(1, 16);
+    Tracer tr(1);
     tr.pushPhase(0, Phase::kSoftirq, 0);
-    tr.noteLockSpin(0, 50, 25, 3);
-    tr.noteLockSpin(0, 80, 0, 3);   // zero spin: no events, no charge
+    tr.noteLockSpin(0, 25);
+    tr.noteLockSpin(0, 0);   // zero spin: no charge, no folded stack
     tr.popPhase(0, 200);
-
-    const TraceRing &ring = tr.ring(0);
-    ASSERT_EQ(ring.size(), 2u);
-    EXPECT_EQ(ring.at(0).type, TraceEventType::kLockSpinBegin);
-    EXPECT_EQ(ring.at(0).tick, 50u);
-    EXPECT_EQ(ring.at(0).arg, 25u);
-    EXPECT_EQ(ring.at(0).id, 3u);
-    EXPECT_EQ(ring.at(1).type, TraceEventType::kLockSpinEnd);
-    EXPECT_EQ(ring.at(1).tick, 75u);
 
     PhaseSnapshot s = tr.phaseSnapshot();
     EXPECT_EQ(s.perCore[0][static_cast<int>(Phase::kLockSpin)], 25u);
     EXPECT_EQ(s.perCore[0][static_cast<int>(Phase::kSoftirq)], 175u);
+    auto folded = decodedFolded(s);
+    EXPECT_EQ(folded.size(), 2u);
+    EXPECT_EQ(folded["softirq;lock-spin"], 25u);
 }
 
 TEST(Tracer, DisabledTracerRecordsNothing)
 {
-    Tracer tr(2, 16);
+    Tracer tr(2);
     tr.setEnabled(false);
-    tr.emit(0, TraceEventType::kConnEstablished, 10);
+    tr.noteQueueDepth(TraceQueueId::kAcceptShared, 10, 4);
     tr.pushPhase(1, Phase::kApp, 0);
     tr.chargePhase(1, Phase::kLockSpin, 5);
-    tr.noteLockSpin(1, 10, 9, 0);
+    tr.noteLockSpin(1, 9);
     tr.popPhase(1, 100);
-    EXPECT_EQ(tr.eventsRecorded(), 0u);
+    EXPECT_EQ(tr.queueDepths(TraceQueueId::kAcceptShared).storageBytes(),
+              0u);
     PhaseSnapshot s = tr.phaseSnapshot();
     for (const auto &core : s.perCore)
         for (std::uint64_t v : core)
@@ -320,7 +376,6 @@ TEST(PhaseAttribution, BreakdownFractionsSumToOne)
     // A loaded run attributes real work, not just idle.
     EXPECT_GT(r.phases.total(Phase::kApp), 0.0);
     EXPECT_GT(r.phases.total(Phase::kSyscall), 0.0);
-    EXPECT_GT(r.traceEventsRecorded, 0u);
 }
 
 TEST(QueueTimelines, AcceptQueueDepthsAreRecovered)
@@ -337,6 +392,37 @@ TEST(QueueTimelines, AcceptQueueDepthsAreRecovered)
         prev = qs.tick;
         EXPECT_EQ(qs.queue, TraceQueueId::kAcceptShared);
     }
+}
+
+TEST(QueueTimelines, SeriesSpanTheWholeWindowOnFastsocket24)
+{
+    // Fig. 4(a)'s fastsocket row: 24 busy cores note queue depths far
+    // faster than any fixed per-core buffer could keep, yet every
+    // accept and SoftIRQ series must still cover the whole window.
+    ExperimentConfig cfg;
+    cfg.app = AppKind::kNginx;
+    cfg.machine.cores = 24;
+    cfg.machine.kernel = KernelConfig::fastsocket();
+    cfg.concurrencyPerCore = 150;
+    cfg.warmupSec = 0.005;
+    cfg.measureSec = 0.02;
+    Testbed bed(cfg);
+    ExperimentResult r = bed.run();
+    int checked = 0;
+    for (const auto &[name, samples] : r.queueTimelines) {
+        if (name.rfind("accept-", 0) != 0 && name != "softirq-backlog")
+            continue;
+        ++checked;
+        ASSERT_FALSE(samples.empty()) << name;
+        EXPECT_LE(samples.size(), DepthSeries::kMaxBuckets) << name;
+        const Tick span = samples.back().tick - samples.front().tick;
+        EXPECT_GE(span * 100, r.windowSpan * 95)
+            << name << " spans " << span << " of " << r.windowSpan;
+        EXPECT_LE(span, r.windowSpan) << name;
+        for (std::size_t i = 1; i < samples.size(); ++i)
+            EXPECT_LT(samples[i - 1].tick, samples[i].tick) << name;
+    }
+    EXPECT_GE(checked, 2);
 }
 
 TEST(BenchJson, DocumentCarriesSchemaVersionAndRequiredKeys)
@@ -357,7 +443,7 @@ TEST(BenchJson, DocumentCarriesSchemaVersionAndRequiredKeys)
     report.addRow("armed", armed, r);
     EXPECT_EQ(report.rowCount(), 2u);
     std::string doc = report.str();
-    EXPECT_NE(doc.find("\"schema_version\":11"), std::string::npos);
+    EXPECT_NE(doc.find("\"schema_version\":12"), std::string::npos);
 
     const std::size_t armed_at = doc.find("\"label\":\"armed\"");
     ASSERT_NE(armed_at, std::string::npos);

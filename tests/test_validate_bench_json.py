@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Unit tests for tools/validate_bench_json.py.
 
-Starts from a small schema-v11 document that carries every block (the
+Starts from a small schema-v12 document that carries every block (the
 optional ones included) and passes, then breaks one consistency rule
 at a time and checks that the validator prints a FAIL line naming it.
-Each case fails if its check is deleted from the validator's SCHEMA
-table. Also pinned: only v11 is accepted, an absent optional block
+Each case fails if its check is deleted from the validator. Also
+pinned: only v12 is accepted, an absent optional block
 passes, a present-but-malformed one fails, and every violation in a
 document is reported, not just the first.
 
@@ -124,17 +124,14 @@ def good_row():
             "exemplars": [{"percentile": "p99", "conn_id": 1,
                            "latency": 9, "unattributed": 1,
                            "stages": {"app": 8}, "cores": [0]}]},
-        "trace": {"window_span": 1000, "events_recorded": 50,
-                  "events_overwritten": 3,
-                  "overwritten_per_core": [1, 2],
-                  "untracked_cycles": 0},
+        "trace": {"window_span": 1000, "untracked_cycles": 0},
         "fingerprint": "0x0123456789abcdef",
         "invariants": {"checks_run": 4, "violations": 0, "failed": []},
     }
 
 
 def good_doc():
-    return {"schema_version": 11, "bench": "unit", "rows": [good_row()]}
+    return {"schema_version": 12, "bench": "unit", "rows": [good_row()]}
 
 
 def run_validator(doc):
@@ -175,7 +172,7 @@ BROKEN = [
      "malformed folded stack"),
     ("queue timeline ticks",
      lambda r: r["queue_timelines"]["accept-shared"].reverse(),
-     "ticks not monotonic"),
+     "ticks not strictly increasing"),
     ("lock-window end after start",
      lambda r: r["lock_windows"][0].update(end=-1), "end < start"),
     ("lock-window shape",
@@ -234,9 +231,18 @@ BROKEN = [
     ("latency_stages monotone percentiles",
      lambda r: r["latency_stages"]["stages"][0].update(p90=9),
      "percentiles not monotone"),
-    ("overwritten_per_core sum",
-     setk("trace", overwritten_per_core=[1, 1]),
-     "overwritten_per_core sums to 2"),
+    ("queue_timelines at most 512 samples",
+     lambda r: r["queue_timelines"].update(
+         {"softirq-backlog": [[t, 0] for t in range(513)]}),
+     "513 samples, more than 512"),
+    ("queue_timelines ticks never repeat",
+     lambda r: r["queue_timelines"].update(
+         {"accept-shared": [[0, 1], [5, 2], [5, 3]]}),
+     "ticks not strictly increasing"),
+    ("queue_timelines within window_span",
+     lambda r: r["queue_timelines"].update(
+         {"accept-local": [[10, 1], [1011, 2]]}),
+     "spans 1001 ticks, more than window_span 1000"),
     ("fingerprint format",
      lambda r: r.update(fingerprint="0x123"), "16-hex-digit"),
     ("invariants consistency", setk("invariants", violations=1),
@@ -248,7 +254,7 @@ BROKEN = [
 
 def main():
     rc, out = run_validator(good_doc())
-    check("complete v11 document passes", rc == 0 and "OK" in out, out)
+    check("complete v12 document passes", rc == 0 and "OK" in out, out)
 
     for name, fn, text in BROKEN:
         rc, out = run_validator(mutate(fn))
@@ -256,10 +262,10 @@ def main():
               "FAIL" in out, out)
 
     doc = good_doc()
-    doc["schema_version"] = 10
+    doc["schema_version"] = 11
     rc, out = run_validator(doc)
-    check("v10 document is rejected",
-          rc == 1 and "schema_version 10" in out, out)
+    check("v11 document is rejected",
+          rc == 1 and "schema_version 11" in out, out)
 
     def strip_optional(row):
         for b in OPTIONAL:
@@ -282,19 +288,19 @@ def main():
     check("unknown block fails",
           rc == 1 and "unknown block 'extra'" in out, out)
 
-    # Three independent violations print three FAIL lines; one is the
-    # overwritten_per_core sum on a row without latency_stages, which
-    # the trace block checks on every row.
+    # Three independent violations print three FAIL lines; one is a
+    # queue timeline longer than the window on a row without
+    # latency_stages, which is checked on every row.
     def three(row):
         del row["latency_stages"]
-        row["trace"]["overwritten_per_core"] = [0, 0]
+        row["trace"]["window_span"] = 4
         row["overload"]["offered"] = 99
         row["fingerprint"] = "bad"
     rc, out = run_validator(mutate(three))
     fails = [ln for ln in out.splitlines() if ": FAIL: " in ln]
     check("three seeded violations print three FAIL lines",
           rc == 1 and len(fails) == 3 and
-          any("overwritten_per_core" in ln for ln in fails), out)
+          any("more than window_span 4" in ln for ln in fails), out)
 
     if FAILURES:
         print(f"{len(FAILURES)} failure(s): {FAILURES}")

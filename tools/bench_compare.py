@@ -35,7 +35,7 @@ reverse direction (new in candidate) is reported as a note. Metrics
 absent from both sides are skipped.
 
 Improvements beyond the threshold are reported as such, never fatal.
-Both documents must be schema v11. Exit status: 0 = no regressions,
+Both documents must be schema v12. Exit status: 0 = no regressions,
 1 = at least one regression, 2 = usage/IO error or another schema
 version.
 """
@@ -45,7 +45,7 @@ import math
 import sys
 
 DEFAULT_THRESHOLD = 0.05
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 
 # metric -> (block, gate key, lower is better). The value is
 # row[block][metric]; it is comparable only when the block is present
