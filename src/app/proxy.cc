@@ -1,7 +1,5 @@
 #include "app/proxy.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace fsim
@@ -14,20 +12,6 @@ Proxy::Proxy(Machine &m, std::vector<IpAddr> backends, Port backend_port,
 {
     fsim_assert(!backends_.empty());
     health_.resize(backends_.size());
-}
-
-Proxy::~Proxy()
-{
-    // Sessions still in flight when the run ends are owned here; each
-    // may be keyed under both its client and backend fd, so dedupe.
-    std::vector<Session *> live;
-    sessions_.forEach([&live](std::uint64_t, Session *s) {
-        live.push_back(s);
-    });
-    std::sort(live.begin(), live.end());
-    live.erase(std::unique(live.begin(), live.end()), live.end());
-    for (Session *s : live)
-        delete s;
 }
 
 Tick
@@ -52,7 +36,7 @@ Proxy::closeSession(ProcState &ps, Session *s, Tick t)
             t = k.close(ps.proc, t, s->clientFd);
     }
     byId_.erase(s->id);
-    delete s;
+    sessionSlab_.release(s);
     return t;
 }
 
@@ -193,7 +177,8 @@ Proxy::onConnReadable(ProcState &ps, int fd, Tick t)
     Session *s = nullptr;
     if (!found) {
         // First event on a freshly accepted client connection.
-        s = new Session();
+        s = sessionSlab_.alloc();
+        *s = Session{};
         s->id = nextSessionId_++;
         s->procIdx = static_cast<std::size_t>(&ps - procs_.data());
         s->clientFd = fd;

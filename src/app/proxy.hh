@@ -16,6 +16,7 @@
 
 #include "app/app_base.hh"
 #include "sim/flat_map.hh"
+#include "sim/node_slab.hh"
 
 namespace fsim
 {
@@ -30,7 +31,6 @@ class Proxy : public AppBase
      */
     Proxy(Machine &m, std::vector<IpAddr> backends, Port backend_port = 80,
           std::uint32_t response_bytes = 64);
-    ~Proxy() override;
 
     /** Backend fault-tolerance knobs. Defaults keep every legacy path:
      *  no timeout, no retries, no health ejection. */
@@ -90,6 +90,7 @@ class Proxy : public AppBase
         std::uint32_t requestBytes = 0;
         int attempts = 0;           //!< backend connects tried so far
         std::size_t backendIdx = 0; //!< backend of the current attempt
+        Session *next = nullptr;    //!< free-list link (NodeSlab)
     };
 
     /** Per-backend circuit-breaker state. */
@@ -128,6 +129,9 @@ class Proxy : public AppBase
     std::uint64_t backendReadmissions_ = 0;
     std::uint64_t sessionFailures_ = 0;
     std::uint64_t nextSessionId_ = 1;
+    /** Session storage: a closed session's node is the next one handed
+     *  out, so request churn never touches the allocator. */
+    NodeSlab<Session, 256> sessionSlab_;
     FlatMap<std::uint64_t, Session *> sessions_;
     FlatMap<std::uint64_t, Session *> byId_;
 };

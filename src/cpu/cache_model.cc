@@ -18,36 +18,14 @@ CacheModel::CacheModel(int n_cores, Tick miss_penalty, int node_size,
       misses_(n_cores, 0)
 {
     fsim_assert(n_cores > 0);
-    owner_.reserve(1 << 16);
-}
-
-std::uint64_t
-CacheModel::newObject()
-{
-    if (!freeIds_.empty()) {
-        std::uint64_t id = freeIds_.back();
-        freeIds_.pop_back();
-        owner_[id] = kInvalidCore;
-        return id;
-    }
-    owner_.push_back(kInvalidCore);
-    return owner_.size() - 1;
-}
-
-void
-CacheModel::freeObject(std::uint64_t id)
-{
-    fsim_assert(id < owner_.size());
-    freeIds_.push_back(id);
 }
 
 Tick
-CacheModel::access(CoreId c, std::uint64_t obj, bool write, int lines)
+CacheModel::access(CoreId c, CacheLine &line, bool write, int lines)
 {
-    fsim_assert(obj < owner_.size());
     fsim_assert(c >= 0 && c < numCores());
     accesses_[c] += lines;
-    CoreId &own = owner_[obj];
+    CoreId &own = line.owner;
     if (own == c)
         return 0;
     misses_[c] += lines;

@@ -3,12 +3,15 @@
  * Ownership-based cache/coherence model.
  *
  * Every shared kernel object that matters for connection locality (socket
- * TCBs, table buckets, lock words, epoll instances) registers a cache
- * object id. Accessing an object from a core other than its current owner
- * costs a remote-transfer penalty and counts as an L3 miss; write accesses
- * migrate ownership. Useful work additionally charges implicit always-local
- * accesses so that the reported L3 miss *rate* stays in a realistic band
- * (the paper's Figure 5(a) reports 5-13%).
+ * TCBs, table buckets, lock words, epoll instances) embeds a CacheLine,
+ * the coherence state of its cache line, the way Linux embeds the lock
+ * word in the object it guards: the model reads and writes the owner in
+ * the object being touched, not in a side table. Accessing an object from
+ * a core other than its current owner costs a remote-transfer penalty and
+ * counts as an L3 miss; write accesses migrate ownership. Useful work
+ * additionally charges implicit always-local accesses so that the
+ * reported L3 miss *rate* stays in a realistic band (the paper's Figure
+ * 5(a) reports 5-13%).
  */
 
 #ifndef FSIM_CPU_CACHE_MODEL_HH
@@ -23,6 +26,16 @@ namespace fsim
 {
 
 class Tracer;
+
+/**
+ * Coherence state of one modelled cache line, stored in the object it
+ * belongs to. A default-constructed line is cold: no core holds it, so
+ * an object starts cold whenever it is (re)constructed or re-initialised.
+ */
+struct CacheLine
+{
+    CoreId owner = kInvalidCore;
+};
 
 /** Per-machine cache coherence model and L3 statistics. */
 class CacheModel
@@ -40,20 +53,14 @@ class CacheModel
     explicit CacheModel(int n_cores, Tick miss_penalty,
                         int node_size = 0, Tick remote_penalty = 0);
 
-    /** Register a new cache object (e.g.\ a socket). @return its id. */
-    std::uint64_t newObject();
-
-    /** Recycle an object id once the owning structure is destroyed. */
-    void freeObject(std::uint64_t id);
-
     /**
-     * Access @p obj from core @p c.
+     * Access @p line from core @p c.
      *
      * @param write Whether ownership should migrate to @p c.
      * @param lines Cache lines the object spans (a TCB is several).
      * @return extra cycles caused by a remote transfer (0 on a hit).
      */
-    Tick access(CoreId c, std::uint64_t obj, bool write = true,
+    Tick access(CoreId c, CacheLine &line, bool write = true,
                 int lines = 1);
 
     /**
@@ -96,8 +103,6 @@ class CacheModel
     int nodeSize_;
     double bgMissRate_ = 0.0;
     Tracer *tracer_ = nullptr;
-    std::vector<CoreId> owner_;
-    std::vector<std::uint64_t> freeIds_;
     std::vector<double> bgAccum_;
     std::vector<std::uint64_t> accesses_;
     std::vector<std::uint64_t> misses_;

@@ -14,7 +14,6 @@ EventPoll::EventPoll(LockRegistry &locks, CacheModel &cache,
 {
     epLock_.init(locks.getClass("ep.lock"), &cache_,
                  costs_.lockAcquireBase, costs_.lockHandoffStorm);
-    readyListObj_ = cache_.newObject();
 }
 
 void
@@ -65,7 +64,7 @@ EventPoll::wake(CoreId c, Tick t, int fd)
 {
     if (!watching(fd))
         return t;    // not watched; nothing to do
-    Tick penalty = cache_.access(c, readyListObj_, /*write=*/true);
+    Tick penalty = cache_.access(c, readyLine_, /*write=*/true);
     Tick end = epLock_.runLocked(c, t, costs_.epollWakeHold + penalty);
     if (interest_[fd] == kWatched) {
         interest_[fd] = kLinked;
@@ -92,7 +91,7 @@ Tick
 EventPoll::wait(CoreId c, Tick t, std::vector<int> &out, int max_events)
 {
     t += costs_.epollWaitBase;
-    Tick penalty = cache_.access(c, readyListObj_, /*write=*/true);
+    Tick penalty = cache_.access(c, readyLine_, /*write=*/true);
     Tick end = epLock_.runLocked(c, t, costs_.epollWakeHold + penalty);
     while (!ready_.empty() &&
            static_cast<int>(out.size()) < max_events) {

@@ -87,7 +87,7 @@ class EventPoll
     const CycleCosts &costs_;
     Tracer *tracer_;   //!< borrowed from the lock registry; may be null
     SimSpinLock epLock_;
-    std::uint64_t readyListObj_;
+    CacheLine readyLine_;
 
     enum : std::uint8_t
     {

@@ -5,13 +5,10 @@
 namespace fsim
 {
 
-LocalListenTable::LocalListenTable(int n_cores, CacheModel &cache)
-    : tables_(n_cores)
+LocalListenTable::LocalListenTable(int n_cores)
+    : tables_(n_cores), lines_(n_cores)
 {
     fsim_assert(n_cores > 0);
-    cacheObjs_.reserve(n_cores);
-    for (int i = 0; i < n_cores; ++i)
-        cacheObjs_.push_back(cache.newObject());
 }
 
 std::size_t

@@ -30,13 +30,13 @@ namespace fsim
 class LocalListenTable
 {
   public:
-    LocalListenTable(int n_cores, CacheModel &cache);
+    explicit LocalListenTable(int n_cores);
 
     ListenTable &table(CoreId c) { return tables_.at(c); }
     const ListenTable &table(CoreId c) const { return tables_.at(c); }
 
-    /** Cache object of core @p c's table head (local by construction). */
-    std::uint64_t cacheObj(CoreId c) const { return cacheObjs_.at(c); }
+    /** Cache line of core @p c's table head (local by construction). */
+    CacheLine &cacheLine(CoreId c) { return lines_.at(c); }
 
     int numCores() const { return static_cast<int>(tables_.size()); }
 
@@ -45,7 +45,7 @@ class LocalListenTable
 
   private:
     std::vector<ListenTable> tables_;
-    std::vector<std::uint64_t> cacheObjs_;
+    std::vector<CacheLine> lines_;
 };
 
 /** Per-core established tables. */

@@ -48,7 +48,7 @@ KernelStack::KernelStack(const Deps &deps, const KernelConfig &cfg)
         cfg_.ehashBuckets, *d_.locks, *d_.cache, *d_.costs, "ehash.lock");
 
     if (cfg_.localListen)
-        localListen_ = std::make_unique<LocalListenTable>(ncores, *d_.cache);
+        localListen_ = std::make_unique<LocalListenTable>(ncores);
     if (cfg_.localEstablished)
         localEhash_ = std::make_unique<LocalEstablishedTable>(
             ncores, cfg_.localEhashBuckets, *d_.locks, *d_.cache, *d_.costs);
@@ -267,7 +267,6 @@ KernelStack::newSocket()
     Socket *s = arena_.create();
     ++stats_.socketsCreated;
     s->id = nextSockId_++;
-    s->cacheObj = d_.cache->newObject();
     s->slock.init(d_.locks->getClass("slock"), d_.cache,
                   d_.costs->lockAcquireBase, d_.costs->lockHandoffStorm);
     return s;
@@ -300,8 +299,6 @@ KernelStack::destroySocket(CoreId core, Tick t, Socket *sock,
         ports_.release(sock->rxTuple.saddr, sock->rxTuple.sport,
                        sock->rxTuple.dport);
     }
-    d_.cache->freeObject(sock->cacheObj);
-    sock->slock.releaseLine();
     ++stats_.socketsDestroyed;
     if (d_.tracer && sock->kind == SockKind::kConnection) {
         if (ConnSpanLog *sl = spans())
@@ -610,7 +607,7 @@ KernelStack::lookupListener(CoreId core, IpAddr addr, Port port, Tick t)
 
     if (cfg_.localListen) {
         t += d_.costs->listenLookupBase;
-        t += d_.cache->access(core, localListen_->cacheObj(core),
+        t += d_.cache->access(core, localListen_->cacheLine(core),
                               /*write=*/false);
         ListenTable::Lookup l =
             localListen_->table(core).lookup(addr, port, *d_.rng);
@@ -635,7 +632,7 @@ KernelStack::lookupListener(CoreId core, IpAddr addr, Port port, Tick t)
         t += d_.costs->listenLookupPerEntry *
              static_cast<Tick>(l.walked - 1);
         for (Socket *clone : *l.chain)
-            t += d_.cache->access(core, clone->cacheObj, /*write=*/false);
+            t += d_.cache->access(core, clone->cacheLine, /*write=*/false);
     }
     stats_.listenChainWalked += static_cast<std::uint64_t>(
         l.walked > 0 ? l.walked : 1);
@@ -979,7 +976,7 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
     const Tick rx_begin = t;
     const std::uint64_t span_id = sock->id;
     sock->touch(core);
-    t += d_.cache->access(core, sock->cacheObj, /*write=*/true,
+    t += d_.cache->access(core, sock->cacheLine, /*write=*/true,
                           d_.costs->tcbLines);
 
     TcpState prev_state = sock->state;
@@ -1185,7 +1182,7 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
     t += d_.costs->syscallOverhead + d_.costs->acceptCost;
     // accept() writes the listener TCB (queue heads, counters), keeping
     // its cache line homed on the accepting core.
-    t += d_.cache->access(core, lsock->cacheObj, /*write=*/true);
+    t += d_.cache->access(core, lsock->cacheLine, /*write=*/true);
 
     Socket *conn = nullptr;
     Socket *global = lsock->isLocalListen ? lsock->globalParent : lsock;
@@ -1229,7 +1226,7 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
     out.sojourn = t > conn->acceptEnqueueTick
                       ? t - conn->acceptEnqueueTick
                       : 0;
-    t += d_.cache->access(core, conn->cacheObj, /*write=*/true,
+    t += d_.cache->access(core, conn->cacheLine, /*write=*/true,
                           d_.costs->tcbLines);
 
     SocketFile *file = nullptr;
@@ -1287,7 +1284,7 @@ KernelStack::connect(int proc, Tick t, IpAddr dst, Port dport)
         std::uint64_t ck = (static_cast<std::uint64_t>(dst) << 20) ^
                            (static_cast<std::uint64_t>(dport) << 6) ^
                            static_cast<std::uint64_t>(core);
-        std::uint32_t &cursor = rfdPortCursor_[ck];
+        std::uint32_t &cursor = *rfdPortCursor_.insert(ck, 0).first;
         for (std::uint32_t i = 0; i < count; ++i) {
             Port cand = rfd_->portCandidate(core,
                                             (cursor + i) % count);
@@ -1404,7 +1401,7 @@ KernelStack::read(int proc, Tick t, int fd)
     TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
     const Tick sys_begin = t;
     t += d_.costs->syscallOverhead + d_.costs->readCost;
-    t += d_.cache->access(core, sock->cacheObj, /*write=*/true,
+    t += d_.cache->access(core, sock->cacheLine, /*write=*/true,
                           d_.costs->tcbLines);
     sock->touch(core);
 
@@ -1440,7 +1437,7 @@ KernelStack::write(int proc, Tick t, int fd, std::uint32_t bytes)
     TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
     const Tick sys_begin = t;
     t += d_.costs->syscallOverhead + d_.costs->writeCost;
-    t += d_.cache->access(core, sock->cacheObj, /*write=*/true,
+    t += d_.cache->access(core, sock->cacheLine, /*write=*/true,
                           d_.costs->tcbLines);
     sock->touch(core);
 

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "conn/tcb_arena.hh"
@@ -33,6 +32,7 @@
 #include "net/wire.hh"
 #include "overload/overload_config.hh"
 #include "overload/pressure.hh"
+#include "sim/flat_map.hh"
 #include "sim/rng.hh"
 #include "tcp/established_table.hh"
 #include "tcp/listen_table.hh"
@@ -406,7 +406,7 @@ class KernelStack
     /** Local IPs this kernel serves (set by listen()). */
     std::vector<IpAddr> localAddrs_;
     /** Per (dst, dport, core) rotation cursor for RFD port candidates. */
-    std::unordered_map<std::uint64_t, std::uint32_t> rfdPortCursor_;
+    FlatMap<std::uint64_t, std::uint32_t> rfdPortCursor_;
     /** Round-robin cursor for baseline listen-socket wakeups. */
     std::size_t wakeCursor_ = 0;
 

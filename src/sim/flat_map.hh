@@ -4,14 +4,16 @@
  *
  * std::unordered_map allocates one node per element, which turns every
  * per-connection insert (TIME_WAIT index, load generator state, span
- * log) into steady-state heap traffic. FlatMap keeps keys and values in
- * flat arrays with linear probing and backward-shift deletion: erase
- * pulls each later entry of the probe run back into the hole unless
- * that would move it before its home slot, so runs stay contiguous and
- * no tombstones are left. Occupancy is the live size, nothing needs
- * purging, and the arrays are reallocated only when the live size
- * reaches a new high-water capacity; churn below it never touches the
- * allocator (the allocation-audit test enforces this end to end).
+ * log) into steady-state heap traffic. FlatMap keeps each entry's key,
+ * value and occupancy flag together in one flat slot array, so a probe
+ * step touches one slot rather than three arrays. It probes linearly and
+ * deletes by backward shift: erase pulls each later entry of the probe
+ * run back into the hole unless that would move it before its home
+ * slot, so runs stay contiguous and no tombstones are left. Occupancy
+ * is the live size, nothing needs purging, and the slot array is
+ * reallocated only when the live size reaches a new high-water
+ * capacity; churn below it never touches the allocator (the
+ * allocation-audit test enforces this end to end).
  *
  * Keys and values must be default-constructible and copyable. erase may
  * move other entries, so a pointer from find or insert is valid only
@@ -60,14 +62,14 @@ class FlatMap
     find(const K &key)
     {
         const std::size_t idx = locate(key);
-        return idx == kNpos ? nullptr : &vals_[idx];
+        return idx == kNpos ? nullptr : &slots_[idx].value;
     }
 
     const V *
     find(const K &key) const
     {
         const std::size_t idx = locate(key);
-        return idx == kNpos ? nullptr : &vals_[idx];
+        return idx == kNpos ? nullptr : &slots_[idx].value;
     }
 
     /**
@@ -80,17 +82,17 @@ class FlatMap
     insert(const K &key, V value)
     {
         // Keep occupancy under 3/4 so probe runs stay short.
-        if ((size_ + 1) * 4 >= full_.size() * 3)
-            grow(full_.empty() ? kMinCapacity : full_.size() * 2);
+        if ((size_ + 1) * 4 >= slots_.size() * 3)
+            grow(slots_.empty() ? kMinCapacity : slots_.size() * 2);
 
-        const std::size_t idx = slotFor(key);
-        if (full_[idx])
-            return {&vals_[idx], false};
-        full_[idx] = 1;
-        keys_[idx] = key;
-        vals_[idx] = std::move(value);
+        Slot &slot = slots_[slotFor(key)];
+        if (slot.full)
+            return {&slot.value, false};
+        slot.full = true;
+        slot.key = key;
+        slot.value = std::move(value);
         ++size_;
-        return {&vals_[idx], true};
+        return {&slot.value, true};
     }
 
     /** Call @p fn(key, value) for every entry, in slot order. The map
@@ -99,9 +101,9 @@ class FlatMap
     void
     forEach(Fn fn) const
     {
-        for (std::size_t i = 0; i < full_.size(); ++i)
-            if (full_[i])
-                fn(keys_[i], vals_[i]);
+        for (const Slot &slot : slots_)
+            if (slot.full)
+                fn(slot.key, slot.value);
     }
 
     /** @return true if the key existed and was removed. */
@@ -113,18 +115,15 @@ class FlatMap
             return false;
         // Backward shift: walk the rest of the run and move back every
         // entry whose home slot does not lie cyclically in (hole, j].
-        const std::size_t mask = full_.size() - 1;
-        for (std::size_t j = (hole + 1) & mask; full_[j];
+        const std::size_t mask = slots_.size() - 1;
+        for (std::size_t j = (hole + 1) & mask; slots_[j].full;
              j = (j + 1) & mask) {
-            if (((j - home(keys_[j])) & mask) < ((j - hole) & mask))
+            if (((j - home(slots_[j].key)) & mask) < ((j - hole) & mask))
                 continue;
-            keys_[hole] = std::move(keys_[j]);
-            vals_[hole] = std::move(vals_[j]);
+            slots_[hole] = std::move(slots_[j]);
             hole = j;
         }
-        full_[hole] = 0;
-        keys_[hole] = K{};
-        vals_[hole] = V{};
+        slots_[hole] = Slot{};
         --size_;
         return true;
     }
@@ -133,19 +132,26 @@ class FlatMap
     static constexpr std::size_t kNpos = ~std::size_t{0};
     static constexpr std::size_t kMinCapacity = 16;
 
+    struct Slot
+    {
+        K key{};
+        V value{};
+        bool full = false;
+    };
+
     std::size_t
     home(const K &key) const
     {
-        return Hash{}(key) & (full_.size() - 1);
+        return Hash{}(key) & (slots_.size() - 1);
     }
 
     /** The slot holding @p key, else the empty slot ending its run. */
     std::size_t
     slotFor(const K &key) const
     {
-        const std::size_t mask = full_.size() - 1;
+        const std::size_t mask = slots_.size() - 1;
         std::size_t idx = home(key);
-        while (full_[idx] && !Eq{}(keys_[idx], key))
+        while (slots_[idx].full && !Eq{}(slots_[idx].key, key))
             idx = (idx + 1) & mask;
         return idx;
     }
@@ -153,32 +159,26 @@ class FlatMap
     std::size_t
     locate(const K &key) const
     {
-        if (full_.empty())
+        if (slots_.empty())
             return kNpos;
         const std::size_t idx = slotFor(key);
-        return full_[idx] ? idx : kNpos;
+        return slots_[idx].full ? idx : kNpos;
     }
 
     void
     grow(std::size_t cap)
     {
         fsim_assert((cap & (cap - 1)) == 0 && cap > size_);
-        std::vector<std::uint8_t> full(cap, 0);
-        std::vector<K> keys(cap);
-        std::vector<V> vals(cap);
-        full.swap(full_);
-        keys.swap(keys_);
-        vals.swap(vals_);
+        std::vector<Slot> old(cap);
+        old.swap(slots_);
         // Re-insert everything: at most 3/8 full, insert cannot recurse.
         size_ = 0;
-        for (std::size_t i = 0; i < full.size(); ++i)
-            if (full[i])
-                insert(keys[i], std::move(vals[i]));
+        for (Slot &slot : old)
+            if (slot.full)
+                insert(slot.key, std::move(slot.value));
     }
 
-    std::vector<std::uint8_t> full_;
-    std::vector<K> keys_;
-    std::vector<V> vals_;
+    std::vector<Slot> slots_;
     std::size_t size_ = 0;
 };
 

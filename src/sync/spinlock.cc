@@ -16,18 +16,7 @@ SimSpinLock::init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
     cache_ = cache;
     baseCost_ = base_cost;
     stormCost_ = handoff_storm;
-    if (cache_) {
-        lineId_ = cache_->newObject();
-        hasLine_ = true;
-    }
-}
-
-void
-SimSpinLock::releaseLine()
-{
-    if (hasLine_)
-        cache_->freeObject(lineId_);
-    hasLine_ = false;
+    line_ = CacheLine{};
 }
 
 Tick
@@ -114,8 +103,8 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
     Tick grant = t + wait + baseCost_;
     // Pulling the lock word (and by extension the data it guards) from a
     // different core's cache delays the critical section further.
-    if (hasLine_)
-        grant += cache_->access(c, lineId_, /*write=*/true);
+    if (cache_)
+        grant += cache_->access(c, line_, /*write=*/true);
 
     Tick end = grant + hold;
     freeAt_ = end;
@@ -132,10 +121,7 @@ SimRwLock::init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
     cache_ = cache;
     baseCost_ = base_cost;
     stormCost_ = handoff_storm;
-    if (cache_) {
-        lineId_ = cache_->newObject();
-        hasLine_ = true;
-    }
+    line_ = CacheLine{};
 }
 
 Tick
@@ -167,8 +153,8 @@ SimRwLock::runReadLocked(CoreId c, Tick t, Tick hold)
     ++cls_->acquisitions;
     Tick grant = contendedGrant(c, t, writeFreeAt_, hold);
     grant += baseCost_;
-    if (hasLine_)
-        grant += cache_->access(c, lineId_, /*write=*/false);
+    if (cache_)
+        grant += cache_->access(c, line_, /*write=*/false);
     Tick end = grant + hold;
     readFreeAt_ = std::max(readFreeAt_, end);
     cls_->holdTicks += hold;
@@ -184,8 +170,8 @@ SimRwLock::runWriteLocked(CoreId c, Tick t, Tick hold)
                                 std::max(writeFreeAt_, readFreeAt_),
                                 hold);
     grant += baseCost_;
-    if (hasLine_)
-        grant += cache_->access(c, lineId_, /*write=*/true);
+    if (cache_)
+        grant += cache_->access(c, line_, /*write=*/true);
     Tick end = grant + hold;
     writeFreeAt_ = end;
     lastHolder_ = c;

@@ -37,7 +37,8 @@ class SimSpinLock
     SimSpinLock() = default;
 
     /**
-     * Bind this lock to its class, cache line and cost table.
+     * Bind this lock to its class and cost table; the lock word's cache
+     * line starts cold.
      *
      * @param cls Aggregated stats row (shared by the whole class).
      * @param cache Cache model; may be null for cost-free locks in tests.
@@ -54,10 +55,6 @@ class SimSpinLock
      *         caller's timeline after acquire + hold + release).
      */
     Tick runLocked(CoreId c, Tick t, Tick hold);
-
-    /** Give the lock's cache line back to the model: the structure that
-     *  embeds the lock is being destroyed and must not leak its id. */
-    void releaseLine();
 
     /** Tick until which the lock is committed (tests/diagnostics). */
     Tick busyUntil() const { return freeAt_; }
@@ -77,14 +74,13 @@ class SimSpinLock
   private:
     LockClassStats *cls_ = nullptr;
     CacheModel *cache_ = nullptr;
-    std::uint64_t lineId_ = 0;
-    bool hasLine_ = false;
     Tick baseCost_ = 0;
 
     Tick stormCost_ = 0;
     Tick freeAt_ = 0;
     Tick lastWait_ = 0;
     CoreId lastHolder_ = kInvalidCore;
+    CacheLine line_;   //!< the lock word's line (costed when cache_ set)
     Tick lastT_ = 0;           //!< previous acquisition tick
     double gapEwma_ = 1e9;     //!< mean inter-acquisition gap estimate
     double contAccum_ = 0.0;   //!< fractional contention accumulator
@@ -112,8 +108,6 @@ class SimRwLock
   private:
     LockClassStats *cls_ = nullptr;
     CacheModel *cache_ = nullptr;
-    std::uint64_t lineId_ = 0;
-    bool hasLine_ = false;
     Tick baseCost_ = 0;
 
     Tick contendedGrant(CoreId c, Tick t, Tick busy_until, Tick hold);
@@ -123,6 +117,7 @@ class SimRwLock
     Tick readFreeAt_ = 0;    //!< last shared section end
     CoreId lastHolder_ = kInvalidCore;
     int streak_ = 0;
+    CacheLine line_;   //!< the lock word's line (costed when cache_ set)
 };
 
 } // namespace fsim

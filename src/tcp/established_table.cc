@@ -42,17 +42,18 @@ EstablishedTable::EstablishedTable(int n_buckets, LockRegistry &locks,
 {
     fsim_assert(n_buckets > 0 && (n_buckets & (n_buckets - 1)) == 0);
     buckets_.resize(n_buckets);
+    locks_ = makeLocks(buckets_.size());
     mask_ = static_cast<std::uint32_t>(n_buckets - 1);
-    for (Bucket &b : buckets_)
-        initBucket(b);
 }
 
-void
-EstablishedTable::initBucket(Bucket &b)
+std::vector<SimSpinLock>
+EstablishedTable::makeLocks(std::size_t n) const
 {
-    b.lock.init(lockClass_, &cache_, costs_.lockAcquireBase,
-                costs_.lockHandoffStorm);
-    b.cacheObj = cache_.newObject();
+    std::vector<SimSpinLock> locks(n);
+    for (SimSpinLock &l : locks)
+        l.init(lockClass_, &cache_, costs_.lockAcquireBase,
+               costs_.lockHandoffStorm);
+    return locks;
 }
 
 void
@@ -82,10 +83,10 @@ EstablishedTable::chainUnlink(Bucket &b, Socket *sock)
     sock->ehashPrev = nullptr;
 }
 
-EstablishedTable::Bucket &
-EstablishedTable::bucketFor(const FiveTuple &tuple)
+std::size_t
+EstablishedTable::bucketIndex(const FiveTuple &tuple) const
 {
-    return buckets_[ehashMix(flowHash(tuple)) & mask_];
+    return ehashMix(flowHash(tuple)) & mask_;
 }
 
 Tick
@@ -98,21 +99,22 @@ EstablishedTable::maybeResize(CoreId, Tick t)
         buckets_.size() >= kMaxBuckets)
         return t;
 
+    // The grown buckets and their locks start cold, like the freshly
+    // allocated table the kernel would rehash into.
     std::vector<Bucket> grown(buckets_.size() * 2);
-    for (Bucket &b : grown)
-        initBucket(b);
     mask_ = static_cast<std::uint32_t>(grown.size() - 1);
     std::size_t moved = 0;
     for (Bucket &b : buckets_) {
         Socket *s = b.head;
         while (s != nullptr) {
             Socket *next = s->ehashNext;
-            chainPushBack(grown[ehashMix(flowHash(s->rxTuple)) & mask_], s);
+            chainPushBack(grown[bucketIndex(s->rxTuple)], s);
             ++moved;
             s = next;
         }
     }
     buckets_ = std::move(grown);
+    locks_ = makeLocks(buckets_.size());
     ++resizes_;
     // Rehash touches every entry once; only this core can observe the
     // table (resizable tables are per-core private), so the cost is a
@@ -123,11 +125,12 @@ EstablishedTable::maybeResize(CoreId, Tick t)
 Tick
 EstablishedTable::insert(CoreId c, Tick t, Socket *sock)
 {
-    Bucket &b = bucketFor(sock->rxTuple);
+    const std::size_t i = bucketIndex(sock->rxTuple);
+    Bucket &b = buckets_[i];
     // The bucket line is written inside the critical section; its
     // transfer penalty extends the hold the next waiter sees.
-    Tick penalty = cache_.access(c, b.cacheObj, /*write=*/true);
-    Tick end = b.lock.runLocked(c, t, costs_.ehashInsertHold + penalty);
+    Tick penalty = cache_.access(c, b.line, /*write=*/true);
+    Tick end = locks_[i].runLocked(c, t, costs_.ehashInsertHold + penalty);
     chainPushBack(b, sock);
     ++size_;
     return maybeResize(c, end);
@@ -136,9 +139,10 @@ EstablishedTable::insert(CoreId c, Tick t, Socket *sock)
 Tick
 EstablishedTable::remove(CoreId c, Tick t, Socket *sock)
 {
-    Bucket &b = bucketFor(sock->rxTuple);
-    Tick penalty = cache_.access(c, b.cacheObj, /*write=*/true);
-    Tick end = b.lock.runLocked(c, t, costs_.ehashInsertHold + penalty);
+    const std::size_t i = bucketIndex(sock->rxTuple);
+    Bucket &b = buckets_[i];
+    Tick penalty = cache_.access(c, b.line, /*write=*/true);
+    Tick end = locks_[i].runLocked(c, t, costs_.ehashInsertHold + penalty);
     for (Socket *s = b.head; s != nullptr; s = s->ehashNext) {
         if (s == sock) {
             chainUnlink(b, sock);
@@ -152,11 +156,11 @@ EstablishedTable::remove(CoreId c, Tick t, Socket *sock)
 EstablishedTable::Lookup
 EstablishedTable::lookup(CoreId c, Tick t, const FiveTuple &tuple)
 {
-    Bucket &b = bucketFor(tuple);
+    Bucket &b = buckets_[bucketIndex(tuple)];
     Lookup out;
     Tick begin = t;
     t += costs_.ehashLookup;
-    t += cache_.access(c, b.cacheObj, /*write=*/false);
+    t += cache_.access(c, b.line, /*write=*/false);
     std::uint64_t walked = 0;
     for (Socket *s = b.head; s != nullptr; s = s->ehashNext) {
         if (s->rxTuple == tuple) {

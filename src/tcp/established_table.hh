@@ -93,25 +93,29 @@ class EstablishedTable
   private:
     /** Chains are intrusive (Socket::ehashNext/ehashPrev), insertion-
      *  ordered — same walk order as the vector they replaced, but
-     *  inserting into an empty bucket never allocates. */
+     *  inserting into an empty bucket never allocates. A bucket is just
+     *  what a lookup reads: the chain ends and the bucket's cache line. */
     struct Bucket
     {
         Socket *head = nullptr;
         Socket *tail = nullptr;
-        SimSpinLock lock;
-        std::uint64_t cacheObj = 0;
+        CacheLine line;
     };
 
-    Bucket &bucketFor(const FiveTuple &tuple);
+    std::size_t bucketIndex(const FiveTuple &tuple) const;
     static void chainPushBack(Bucket &b, Socket *sock);
     static void chainUnlink(Bucket &b, Socket *sock);
-    void initBucket(Bucket &b);
+    /** Fresh per-bucket locks for @p n buckets. */
+    std::vector<SimSpinLock> makeLocks(std::size_t n) const;
     Tick maybeResize(CoreId c, Tick t);
 
     CacheModel &cache_;
     const CycleCosts &costs_;
     LockClassStats *lockClass_;
     std::vector<Bucket> buckets_;
+    /** Per-bucket locks, parallel to buckets_: only insert and remove
+     *  take them, so lookups never pull their lines. */
+    std::vector<SimSpinLock> locks_;
     std::uint32_t mask_;
     std::size_t size_ = 0;
     bool resizable_;

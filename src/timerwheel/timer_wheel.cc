@@ -10,47 +10,29 @@ namespace fsim
 TimerWheel::TimerWheel(std::uint64_t start_jiffy)
     : jiffy_(start_jiffy)
 {
-    // Give every slot a sticky capacity up front: the first pushes into
-    // a fresh slot would otherwise heap-allocate, and timers keep
-    // wrapping into fresh slot indices deep into steady state, which
-    // the allocation audit forbids. tv1 wraps every 256 jiffies, so a
-    // short warm-up discovers its per-slot high-water marks; the outer
-    // levels wrap over minutes of simulated time — no warm-up covers a
-    // revolution, so they get enough capacity for every live socket's
-    // long-horizon (keepalive/embryonic) timer to share one slot.
-    // 16, not a token 1-2: tv1 occupancy is sub-1 on average but
-    // cascades dump whole outer-level slots across it, so rare slots
-    // see several entries — the next doubling threshold must sit above
-    // any occupancy the steady state can reach.
-    for (Slot &s : tv1_)
-        s.reserve(16);
-    for (auto &level : tvn_)
-        for (Slot &s : level)
-            s.reserve(256);
 }
 
-TimerWheel::Node *
-TimerWheel::nodeAt(TimerId id)
+std::uint32_t
+TimerWheel::indexOf(TimerId id) const
 {
     const std::uint32_t idx = static_cast<std::uint32_t>(id);
     if (idx == 0 || idx > nodes_.size())
-        return nullptr;
-    Node &n = nodes_[idx - 1];
+        return kNil;
+    const Node &n = nodes_[idx - 1];
     if (!n.live || n.gen != static_cast<std::uint32_t>(id >> 32))
-        return nullptr;
-    return &n;
+        return kNil;
+    return idx - 1;
 }
 
 void
-TimerWheel::freeNode(TimerId id)
+TimerWheel::freeNode(std::uint32_t idx)
 {
-    const std::uint32_t idx = static_cast<std::uint32_t>(id) - 1;
     Node &n = nodes_[idx];
     n.cb.reset();
     n.live = false;
     n.level = kDetached;
     ++n.gen;   // every outstanding handle to this slot goes stale
-    n.nextFree = freeHead_;
+    n.next = freeHead_;
     freeHead_ = idx;
 }
 
@@ -58,9 +40,9 @@ TimerWheel::TimerId
 TimerWheel::add(std::uint64_t expires, Callback cb)
 {
     std::uint32_t idx;
-    if (freeHead_ != kNoFree) {
+    if (freeHead_ != kNil) {
         idx = freeHead_;
-        freeHead_ = nodes_[idx].nextFree;
+        freeHead_ = nodes_[idx].next;
     } else {
         idx = static_cast<std::uint32_t>(nodes_.size());
         nodes_.emplace_back();
@@ -70,22 +52,19 @@ TimerWheel::add(std::uint64_t expires, Callback cb)
     n.cb = std::move(cb);
     n.live = true;
     n.level = kDetached;
-    n.nextFree = kNoFree;
-    const TimerId id =
-        (static_cast<TimerId>(n.gen) << 32) | (idx + 1);
     ++liveCount_;
-    place(id, n);
-    return id;
+    place(idx);
+    return (static_cast<TimerId>(n.gen) << 32) | (idx + 1);
 }
 
 bool
 TimerWheel::cancel(TimerId id)
 {
-    Node *n = nodeAt(id);
-    if (!n)
+    const std::uint32_t idx = indexOf(id);
+    if (idx == kNil)
         return false;
-    detach(*n);
-    freeNode(id);
+    detach(idx);
+    freeNode(idx);
     --liveCount_;
     return true;
 }
@@ -93,26 +72,58 @@ TimerWheel::cancel(TimerId id)
 bool
 TimerWheel::modify(TimerId id, std::uint64_t expires)
 {
-    Node *n = nodeAt(id);
-    if (!n)
+    const std::uint32_t idx = indexOf(id);
+    if (idx == kNil)
         return false;
-    detach(*n);
-    n->expires = expires;
-    place(id, *n);
+    detach(idx);
+    nodes_[idx].expires = expires;
+    place(idx);
     return true;
 }
 
 TimerWheel::Slot &
-TimerWheel::slotAt(std::uint8_t level, std::uint32_t index)
+TimerWheel::slotOf(const Node &node)
 {
-    if (level == 0)
-        return tv1_[index];
-    return tvn_[level - 1][index];
+    if (node.level == kDue)
+        return due_;
+    if (node.level == 0)
+        return tv1_[node.index];
+    return tvn_[node.level - 1][node.index];
 }
 
 void
-TimerWheel::place(TimerId id, Node &node)
+TimerWheel::pushBack(Slot &slot, std::uint32_t idx)
 {
+    Node &n = nodes_[idx];
+    n.prev = slot.tail;
+    n.next = kNil;
+    if (slot.tail != kNil)
+        nodes_[slot.tail].next = idx;
+    else
+        slot.head = idx;
+    slot.tail = idx;
+    ++slot.count;
+}
+
+void
+TimerWheel::unlink(Slot &slot, std::uint32_t idx)
+{
+    const Node &n = nodes_[idx];
+    if (n.prev != kNil)
+        nodes_[n.prev].next = n.next;
+    else
+        slot.head = n.next;
+    if (n.next != kNil)
+        nodes_[n.next].prev = n.prev;
+    else
+        slot.tail = n.prev;
+    --slot.count;
+}
+
+void
+TimerWheel::place(std::uint32_t idx)
+{
+    Node &node = nodes_[idx];
     // Clamp far-future timers into the outermost level, like the kernel.
     constexpr std::uint64_t kMaxDelta =
         (1ull << (kTv1Bits + kLevels * kTvnBits)) - 1;
@@ -145,28 +156,39 @@ TimerWheel::place(TimerId id, Node &node)
         }
     }
 
-    Slot &slot = slotAt(level, index);
     node.level = level;
-    node.index = index;
-    node.pos = static_cast<std::uint32_t>(slot.size());
-    slot.push_back(id);
+    node.index = static_cast<std::uint16_t>(index);
+    pushBack(slotOf(node), idx);
 }
 
 void
-TimerWheel::detach(Node &node)
+TimerWheel::detach(std::uint32_t idx)
 {
+    Node &node = nodes_[idx];
     if (node.level == kDetached)
         return;
-    Slot &slot = slotAt(node.level, node.index);
-    fsim_assert(node.pos < slot.size());
-    TimerId moved = slot.back();
-    slot[node.pos] = moved;
-    slot.pop_back();
-    if (node.pos < slot.size()) {
-        // Fix the swapped-in entry's recorded position.
-        Node *mn = nodeAt(moved);
-        fsim_assert(mn != nullptr);
-        mn->pos = node.pos;
+    Slot &slot = slotOf(node);
+    if (node.level == kDue) {
+        // The due batch fires in list order; leave the rest in place.
+        unlink(slot, idx);
+    } else {
+        // Swap-with-back: the tail node takes over the hole, so slot
+        // order matches a vector slot's swap-and-pop.
+        const std::uint32_t moved = slot.tail;
+        unlink(slot, moved);
+        if (moved != idx) {
+            Node &m = nodes_[moved];
+            m.prev = node.prev;
+            m.next = node.next;
+            if (node.prev != kNil)
+                nodes_[node.prev].next = moved;
+            else
+                slot.head = moved;
+            if (node.next != kNil)
+                nodes_[node.next].prev = moved;
+            else
+                slot.tail = moved;
+        }
     }
     node.level = kDetached;
 }
@@ -175,24 +197,17 @@ void
 TimerWheel::cascade(std::uint32_t level, std::uint32_t index)
 {
     Slot &slot = tvn_[level][index];
-    cascaded_ += slot.size();
-    // place() may legally re-append into this same slot (clamped
-    // far-future timers), so iterate a scratch copy. The scratch's
-    // capacity is sticky (swapped back when done), keeping steady-state
-    // cascades allocation-free yet reentrancy-safe.
-    Slot moved;
-    moved.swap(cascadeScratch_);
-    moved.assign(slot.begin(), slot.end());
-    slot.clear();
-    for (TimerId id : moved) {
-        Node *n = nodeAt(id);
-        if (!n)
-            continue;   // defensive; eager detach should prevent this
-        n->level = kDetached;
-        place(id, *n);
+    cascaded_ += slot.count;
+    // Take the whole chain first: place() may legally re-append into
+    // this same slot (clamped far-future timers), and it rewrites each
+    // node's links, so read next before placing.
+    std::uint32_t idx = slot.head;
+    slot = Slot{};
+    while (idx != kNil) {
+        const std::uint32_t next = nodes_[idx].next;
+        place(idx);
+        idx = next;
     }
-    moved.clear();
-    moved.swap(cascadeScratch_);
 }
 
 void
@@ -210,38 +225,30 @@ TimerWheel::tickOnce()
         }
     }
 
-    // The due batch is detached from the wheel: copy it to a reusable
-    // scratch and mark members so a cancel()/modify() issued by an
-    // earlier callback in this batch does not try to swap-pop inside
-    // the already-cleared slot vector.
-    Slot due;
-    due.swap(due_);
-    due.assign(tv1_[idx1].begin(), tv1_[idx1].end());
-    tv1_[idx1].clear();
-    for (TimerId id : due) {
-        Node *n = nodeAt(id);
-        if (n)
-            n->level = kDetached;
-    }
-    for (TimerId id : due) {
-        Node *n = nodeAt(id);
-        if (!n)
-            continue;   // cancelled by an earlier callback in this batch
-        if (n->expires > jiffy_) {
-            // Re-armed to a later time by an earlier callback; if it is
-            // still detached, give it back a real slot.
-            if (n->level == kDetached)
-                place(id, *n);
+    // Move the due slot out whole. Its members are marked kDue, so a
+    // cancel()/modify() issued by an earlier callback in this batch
+    // unlinks the later member from the batch instead of from a wheel
+    // slot. Callbacks must not call advance() themselves.
+    fsim_assert(due_.head == kNil);
+    due_ = tv1_[idx1];
+    tv1_[idx1] = Slot{};
+    for (std::uint32_t i = due_.head; i != kNil; i = nodes_[i].next)
+        nodes_[i].level = kDue;
+    while (due_.head != kNil) {
+        const std::uint32_t idx = due_.head;
+        unlink(due_, idx);
+        Node &n = nodes_[idx];
+        n.level = kDetached;
+        if (n.expires > jiffy_) {
+            place(idx);
             continue;
         }
-        Callback cb = std::move(n->cb);
-        freeNode(id);
+        Callback cb = std::move(n.cb);
+        freeNode(idx);
         --liveCount_;
         ++fired_;
         cb();
     }
-    due.clear();
-    due.swap(due_);
 }
 
 std::size_t
@@ -258,10 +265,10 @@ TimerWheel::slotEntries() const
 {
     std::size_t n = 0;
     for (const Slot &s : tv1_)
-        n += s.size();
+        n += s.count;
     for (const auto &level : tvn_)
         for (const Slot &s : level)
-            n += s.size();
+            n += s.count;
     return n;
 }
 

@@ -8,20 +8,25 @@
  * index wraps. Each simulated core owns one wheel ("timer base"), protected
  * by the base.lock the paper's Table 1 reports on.
  *
- * Each node tracks its current slot position, so cancel() and modify()
- * detach the slot entry eagerly in O(1) (swap-with-back). The earlier
- * lazy-cancel scheme left stale ids in the slot vectors until the slot was
- * next visited; under keepalive-timer churn (one mod_timer per data
+ * Slots are intrusive lists of node-slab indices ({head, tail, count}),
+ * so the wheel's memory is the node slab and nothing else: no slot owns
+ * storage, and arming a timer into a never-used slot cannot allocate.
+ * cancel() and modify() detach eagerly in O(1) by moving the slot's tail
+ * node into the hole — the list analogue of swap-with-back — so timers in
+ * a slot keep firing in the order a vector-per-slot wheel fires them
+ * (tests/reference_timer_wheel.hh keeps that wheel as the oracle). The
+ * earlier lazy-cancel scheme left stale ids in the slots until the slot
+ * was next visited; under keepalive-timer churn (one mod_timer per data
  * segment) with millions of live connections those stale entries grew
  * without bound between cascades.
  *
  * Nodes live in a generation-tagged slab (a plain vector plus an
- * intrusive free list) instead of a std::unordered_map: arming a timer in
- * steady state recycles a slot instead of allocating a map node, which is
- * what keeps the timer path inside the simulator's zero-allocation
- * envelope. A TimerId encodes {slab index, generation}, so a stale handle
- * (cancel of an already-fired timer whose slot was since reused) misses
- * on the generation check exactly like it used to miss in the map.
+ * intrusive free list threaded through the same next link the slot
+ * lists use) instead of a std::unordered_map: arming a timer in steady
+ * state recycles a slot instead of allocating a map node. A TimerId
+ * encodes {slab index, generation}, so a stale handle (cancel of an
+ * already-fired timer whose slot was since reused) misses on the
+ * generation check exactly like it used to miss in the map.
  * Callbacks are stored inline (InlineFn): the wheel's capture budget is
  * sized by TimerBase's context wrapper [this, TimerBase::Callback].
  */
@@ -79,7 +84,8 @@ class TimerWheel
 
     /**
      * Advance time to @p to_jiffy inclusive, firing expired callbacks in
-     * jiffy order.
+     * jiffy order. Callbacks may add, cancel and modify timers, but must
+     * not call advance() themselves.
      *
      * @return number of timers fired.
      */
@@ -91,9 +97,9 @@ class TimerWheel
     std::uint64_t currentJiffy() const { return jiffy_; }
 
     /**
-     * Total ids held across all slot vectors. With eager detach this
+     * Total timers linked into wheel slots. With eager detach this
      * equals pending() outside of a firing batch; the accessor exists so
-     * tests can assert slot memory stays bounded under cancel/modify
+     * tests can assert slot occupancy stays bounded under cancel/modify
      * churn.
      */
     std::size_t slotEntries() const;
@@ -105,20 +111,32 @@ class TimerWheel
     std::size_t slabCapacity() const { return nodes_.size(); }
 
   private:
-    /** Slot coordinates: level 0 is tv1, 1..kLevels are tvn_[level-1]. */
+    /** Null slab index: end of a slot list or of the free list. */
+    static constexpr std::uint32_t kNil = 0xffffffff;
+    /** Node::level values beyond the wheel's own (0 = tv1, 1..kLevels
+     *  = tvn_[level-1]): in the batch being fired, or in no list. */
+    static constexpr std::uint8_t kDue = 0xfe;
     static constexpr std::uint8_t kDetached = 0xff;
-    static constexpr std::uint32_t kNoFree = 0xffffffff;
 
     struct Node
     {
         std::uint64_t expires = 0;
         Callback cb;
         std::uint32_t gen = 0;
-        std::uint32_t index = 0;
-        std::uint32_t pos = 0;
-        std::uint32_t nextFree = kNoFree;
+        /** Slot-list links; next doubles as the free-list link. */
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
+        std::uint16_t index = 0;
         std::uint8_t level = kDetached;
         bool live = false;
+    };
+
+    /** One slot: a doubly linked list of slab indices. */
+    struct Slot
+    {
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::uint32_t count = 0;
     };
 
     static constexpr std::uint32_t kTv1Bits = 8;
@@ -127,17 +145,18 @@ class TimerWheel
     static constexpr std::uint32_t kTvnSize = 1u << kTvnBits;   // 64
     static constexpr std::uint32_t kLevels = 4;                 // tv2..tv5
 
-    using Slot = std::vector<TimerId>;
-
-    /** Slab lookup; nullptr when the handle is stale or invalid. */
-    Node *nodeAt(TimerId id);
+    /** Slab index of a live handle; kNil when stale or invalid. */
+    std::uint32_t indexOf(TimerId id) const;
     /** Return a node to the free list; bumps its generation so every
      *  outstanding handle to it goes stale. */
-    void freeNode(TimerId id);
+    void freeNode(std::uint32_t idx);
 
-    Slot &slotAt(std::uint8_t level, std::uint32_t index);
-    void place(TimerId id, Node &node);
-    void detach(Node &node);
+    Slot &slotOf(const Node &node);
+    void pushBack(Slot &slot, std::uint32_t idx);
+    /** Order-preserving unlink. */
+    void unlink(Slot &slot, std::uint32_t idx);
+    void place(std::uint32_t idx);
+    void detach(std::uint32_t idx);
     void cascade(std::uint32_t level, std::uint32_t index);
     void tickOnce();
 
@@ -148,13 +167,12 @@ class TimerWheel
 
     Slot tv1_[kTv1Size];
     Slot tvn_[kLevels][kTvnSize];
+    /** The batch being fired: tv1's due slot, moved out whole so a
+     *  callback's cancel()/modify() of a later member unlinks it here. */
+    Slot due_;
 
     std::vector<Node> nodes_;
-    std::uint32_t freeHead_ = kNoFree;
-    /** Scratch vectors (capacity reused across ticks; swapped into a
-     *  local during use so reentrant advance stays safe). */
-    Slot due_;
-    Slot cascadeScratch_;
+    std::uint32_t freeHead_ = kNil;
 };
 
 } // namespace fsim

@@ -76,8 +76,7 @@ VfsLayer::allocSocketFile(CoreId c, Tick t, void *sock, SocketFile **out,
     *file = SocketFile{};
     file->ino = nextIno_++;
     file->priv = sock;
-    file->cacheObj = cache_.newObject();
-    t += cache_.access(c, file->cacheObj, /*write=*/true);
+    t += cache_.access(c, file->cacheLine, /*write=*/true);
     ++totalAllocs_;
 
     switch (mode_) {
@@ -120,7 +119,7 @@ VfsLayer::freeSocketFile(CoreId c, Tick t, SocketFile *file,
         fsim_panic("double free of socket file ino=%llu",
                    (unsigned long long)file->ino);
 
-    t += cache_.access(c, file->cacheObj, /*write=*/true);
+    t += cache_.access(c, file->cacheLine, /*write=*/true);
 
     switch (mode_) {
       case VfsMode::kGlobalLocks:
@@ -138,7 +137,6 @@ VfsLayer::freeSocketFile(CoreId c, Tick t, SocketFile *file,
         break;
     }
 
-    cache_.freeObject(file->cacheObj);
     slot->live = false;
     slot->nextFree = poolFree_;
     poolFree_ = slot->selfIdx;

@@ -46,7 +46,7 @@ struct SocketFile
     std::uint64_t ino = 0;          //!< inode number (0 = skeletal)
     void *priv = nullptr;           //!< the socket TCB behind this file
     bool fastPath = false;          //!< allocated via the Fastsocket path
-    std::uint64_t cacheObj = 0;     //!< cache line of the file struct
+    CacheLine cacheLine;            //!< cache line of the file struct
     int fd = -1;                    //!< descriptor in the owning process
     int owner = -1;                 //!< owning process id
 };

@@ -21,6 +21,10 @@
  *     sample of the run in 64 KiB chunks; it counts its own heap
  *     blocks and the audit must equal that count exactly.
  *
+ *     A --notrace haproxy experiment, which adds the active-open path
+ *     (proxy sessions, connect(), ephemeral ports), obeys the same
+ *     contract.
+ *
  *  3. A fleet (balancers + machines) obeys the same contract untraced.
  *     Traced, span recording recycles its live slots and stitches at
  *     close, so the only growth left is the per-request trace record
@@ -29,10 +33,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+
 #include "app/http_load.hh"
 #include "cpu/core.hh"
 #include "fleet/fleet.hh"
 #include "harness/experiment.hh"
+#include "kernel/timer_base.hh"
 #include "sim/alloc_audit.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
@@ -170,10 +178,8 @@ TEST(AllocAudit, TimerWheelSteadyStateIsAllocationFree)
             tw.add(1 + rng.range(5000), [&fired] { ++fired; }));
     tw.advance(2500);   // half the population fires; slab has churn
     // Unaudited steady-churn phase: same op mix as the audited loop,
-    // so every wheel slot the churn's horizon band can reach grows to
-    // its sticky high-water capacity first. Slot occupancy peaks are a
-    // max-of-draws statistic, so the warm phase runs several times
-    // longer than the audited one to discover them all.
+    // so the node slab reaches the live-timer high-water mark first.
+    // Slots own no storage, so nothing else has a capacity to grow.
     for (int i = 0; i < 600'000; ++i) {
         TimerWheel::TimerId &id = ids[rng.range(ids.size())];
         if (!tw.modify(id, tw.currentJiffy() + 1 + rng.range(5000)))
@@ -200,6 +206,25 @@ TEST(AllocAudit, TimerWheelSteadyStateIsAllocationFree)
     if (audited) dumpAllocHistogram("timer wheel");
     EXPECT_EQ(audited, 0u)
         << "timer arm/mod/fire hit the allocator in steady state";
+}
+
+TEST(AllocAudit, TwentyFourTimerBasesOwnNoSlotStorage)
+{
+    // A wheel's slots are index-list heads inside the wheel object, so a
+    // 24-core machine's timer bases hold no heap storage until a timer
+    // is armed: the only block is the array holding them.
+    using Bases = std::array<TimerBase, 24>;
+    std::uint64_t blocks;
+    std::uint64_t bytes;
+    {
+        AllocAuditScope scope;
+        auto bases = std::make_unique<Bases>();
+        bytes = AllocAudit::allocBytes();
+        blocks = AllocAudit::disarm();
+    }
+    if (blocks != 1) dumpAllocHistogram("timer bases");
+    EXPECT_EQ(blocks, 1u);
+    EXPECT_EQ(bytes, sizeof(Bases));
 }
 
 /** What an audited steady-state window cost: heap blocks allocated, how
@@ -264,6 +289,33 @@ TEST(AllocAudit, NotraceNginxSteadyStateIsAllocationFree)
            "sim/event_fn.hh capture budgets and the slab free lists";
 }
 
+TEST(AllocAudit, NotraceHaproxySteadyStateIsAllocationFree)
+{
+    // The active-open path on top of the nginx audit: proxy sessions,
+    // connect() and ephemeral ports, two connections per request.
+    ExperimentConfig cfg;
+    cfg.app = AppKind::kHaproxy;
+    cfg.backendCount = 4;
+    cfg.machine.cores = 2;
+    cfg.machine.seed = 1234;
+    cfg.machine.traceEnabled = false;
+    cfg.checkLevel = CheckLevel::kOff;
+    cfg.warmupSec = 0.0;
+    cfg.measureSec = 0.0;
+    cfg.concurrencyPerCore = 50;
+
+    Testbed bed(cfg);
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromSeconds(0.3));
+
+    const AuditWindow w = auditWindow(bed, ticksFromSeconds(0.5));
+    EXPECT_GT(w.conns, 500u);
+    if (w.blocks != w.latencyLogBlocks) dumpAllocHistogram("haproxy");
+    EXPECT_EQ(w.blocks, w.latencyLogBlocks)
+        << "steady-state haproxy allocated on the hot path; see the "
+           "proxy session slab and the kernel's connect-path maps";
+}
+
 FleetConfig
 auditFleet(bool traced)
 {
@@ -286,8 +338,9 @@ auditFleetWindow(bool traced)
     FleetTestbed bed(auditFleet(traced));
     bed.startLoad();
     // Warm-up covers several timer-wheel revolutions: the SYN_RCVD
-    // reaper the fleet always arms puts every SYN on the wheel, so tv1
-    // slots need a few passes to reach their high-water capacity.
+    // reaper the fleet always arms puts every SYN on the wheel, so the
+    // timer node slabs reach their high-water marks only after a few
+    // passes.
     bed.runUntilChecked(ticksFromSeconds(1.5));
     return auditWindow(bed, ticksFromSeconds(2.0));
 }
