@@ -1,13 +1,17 @@
 #include "check/scenario.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+#include <type_traits>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "fault/fault_plan.hh"
 #include "fleet/fleet.hh"
 #include "harness/calibration.hh"
 #include "sim/logging.hh"
+#include "sim/strict_parse.hh"
 
 namespace fsim
 {
@@ -286,6 +290,296 @@ randomScenario(Rng &rng)
     return s;
 }
 
+namespace
+{
+
+/** Typed pointer to the Scenario member one .scn key sets. */
+using Member =
+    std::variant<int Scenario::*, std::uint64_t Scenario::*,
+                 double Scenario::*, bool Scenario::*,
+                 std::string Scenario::*, AppKind Scenario::*>;
+
+/** When serializeScenario() writes a key. */
+enum class Emit
+{
+    kAlways,
+    kNonDefault,    //!< only when it differs from Scenario{}
+    kCustomKernel,  //!< the feature bits, when kernel == "custom"
+    kLongLived,     //!< the long-lived trio, when longLivedPermille > 0
+    kFleet,         //!< the fleet block, when fleetMachines > 0
+};
+
+/** Single-field shrink step. Moves that must change several fields
+ *  together stay in shrinkCandidates(). */
+enum class Step
+{
+    kNone,
+    kHalve,       //!< halve, never below `floor`
+    kHalveOrDec,  //!< as kHalve, plus one below when that differs
+    kDrop,        //!< straight to the lowest allowed value
+};
+
+/** One .scn key: the member it sets, what it accepts, when it is
+ *  written, and how it shrinks on its own. */
+struct Field
+{
+    const char *key;
+    Member member;
+    double lo = 0.0;   //!< numeric range, inclusive (bools: [0, 1])
+    double hi = 0.0;
+    std::vector<std::string> choices = {};   //!< allowed text, lowest first
+    Emit emit = Emit::kAlways;
+    Step step = Step::kNone;
+    double floor = 0.0;   //!< kHalve / kHalveOrDec floor
+};
+
+const Scenario kDefaults;   //!< what Emit::kNonDefault compares against
+
+/** Every key, in the order serializeScenario() writes them. The key is
+ *  the member's own name. */
+#define KEY(m) .key = #m, .member = &Scenario::m
+const Field kScenarioFields[] = {
+    {KEY(seed), .hi = 0x1p64},   // any 64-bit value
+    {KEY(cores), .lo = 1, .hi = 64, .step = Step::kHalveOrDec, .floor = 1},
+    {KEY(app), .choices = {"nginx", "haproxy"}},   // AppKind order
+    {KEY(kernel), .choices = {"base2632", "linux313", "fastsocket", "custom"}},
+    {KEY(fastVfs), .hi = 1, .emit = Emit::kCustomKernel},
+    {KEY(localListen), .hi = 1, .emit = Emit::kCustomKernel},
+    {KEY(rfd), .hi = 1, .emit = Emit::kCustomKernel},
+    {KEY(localEstablished), .hi = 1, .emit = Emit::kCustomKernel},
+    {KEY(concurrencyPerCore), .lo = 1, .hi = 100000, .step = Step::kHalve,
+     .floor = 4},
+    {KEY(requestsPerConn), .lo = 1, .hi = 1000, .step = Step::kDrop},
+    {KEY(maxConns), .lo = 1, .hi = 1e9, .step = Step::kHalve, .floor = 50},
+    {KEY(lossRate), .hi = 1},
+    {KEY(clientTimeoutSec), .hi = 3600},
+    {KEY(listenBacklog), .hi = 1 << 20, .step = Step::kDrop},
+    {KEY(uma), .hi = 1, .step = Step::kDrop},
+    {KEY(acceptMutex), .hi = 1, .step = Step::kDrop},
+    {KEY(traceEnabled), .hi = 1, .step = Step::kDrop},
+    {KEY(maxSimSec), .lo = 1e-3, .hi = 3600},
+    {KEY(longLivedPermille), .hi = 1000, .emit = Emit::kLongLived},
+    {KEY(longLivedRequests), .lo = 1, .hi = 1000, .emit = Emit::kLongLived},
+    {KEY(longLivedThinkMsec), .hi = 10000, .emit = Emit::kLongLived},
+    {KEY(clientPortSpan), .hi = 60000, .emit = Emit::kNonDefault},
+    {KEY(clientIps), .hi = 1 << 16, .emit = Emit::kNonDefault},
+    {KEY(twReuse), .hi = 1, .emit = Emit::kNonDefault},
+    {KEY(twRecycle), .hi = 1, .emit = Emit::kNonDefault},
+    {KEY(backendKeepAlive), .hi = 1, .emit = Emit::kNonDefault},
+    {KEY(ephemeralPorts), .hi = 28232, .emit = Emit::kNonDefault},
+    {KEY(fleetMachines), .hi = 8, .emit = Emit::kFleet},
+    {KEY(fleetBalancers), .lo = 1, .hi = 4, .emit = Emit::kFleet},
+    {KEY(fleetPolicy), .choices = {"chash", "rr"}, .emit = Emit::kFleet,
+     .step = Step::kDrop},
+    {KEY(sloMetrics), .hi = 1, .emit = Emit::kNonDefault, .step = Step::kDrop},
+    {KEY(faultPlan), .emit = Emit::kNonDefault},
+    {KEY(synCookies), .hi = 1, .emit = Emit::kNonDefault},
+    {KEY(synBacklog), .hi = 1 << 20, .emit = Emit::kNonDefault},
+    {KEY(clientRtoMsec), .hi = 10000, .emit = Emit::kNonDefault},
+};
+#undef KEY
+
+template <typename T>
+using MemberOf = std::remove_cvref_t<decltype(std::declval<Scenario>().*
+                                              std::declval<T>())>;
+
+bool
+written(const Field &f, const Scenario &s)
+{
+    switch (f.emit) {
+      case Emit::kAlways:
+        return true;
+      case Emit::kNonDefault:
+        return std::visit([&s](auto m) { return s.*m != kDefaults.*m; },
+                          f.member);
+      case Emit::kCustomKernel:
+        return s.kernel == "custom";
+      case Emit::kLongLived:
+        return s.longLivedPermille > 0;
+      case Emit::kFleet:
+        return s.fleetMachines > 0;
+    }
+    return true;
+}
+
+/** Set @p f's member from @p val; false if @p val is malformed or
+ *  outside the field's range or value list. */
+bool
+assign(const Field &f, const std::string &val, Scenario &s)
+{
+    return std::visit(
+        [&](auto m) {
+            using T = MemberOf<decltype(m)>;
+            if constexpr (std::is_same_v<T, std::string> ||
+                          std::is_same_v<T, AppKind>) {
+                auto it = std::find(f.choices.begin(), f.choices.end(), val);
+                if (!f.choices.empty() && it == f.choices.end())
+                    return false;
+                if constexpr (std::is_same_v<T, AppKind>)
+                    s.*m = static_cast<AppKind>(it - f.choices.begin());
+                else
+                    s.*m = val;
+                return true;
+            } else {
+                // A bool parses as an int; its [0, 1] range does the rest.
+                std::conditional_t<std::is_same_v<T, bool>, int, T> v{};
+                bool ok = false;
+                if constexpr (std::is_same_v<T, double>)
+                    ok = strictDouble(val, v);
+                else if constexpr (std::is_same_v<T, std::uint64_t>)
+                    ok = strictU64(val, v);
+                else
+                    ok = strictInt(val, v);
+                const double num = static_cast<double>(v);
+                if (!ok || num < f.lo || num > f.hi)
+                    return false;
+                s.*m = static_cast<T>(v);
+                return true;
+            }
+        },
+        f.member);
+}
+
+/** What @p f accepts, for error messages. */
+std::string
+allowed(const Field &f)
+{
+    std::ostringstream os;
+    if (!f.choices.empty()) {
+        os << "one of ";
+        for (const std::string &c : f.choices)
+            os << (&c == &f.choices.front() ? "" : "|") << c;
+    } else {
+        os << "a number in [" << f.lo << ", " << f.hi << "]";
+    }
+    return os.str();
+}
+
+/** Append @p f's single-field shrink candidates of @p s to @p out. */
+void
+shrinkField(const Field &f, const Scenario &s, std::vector<Scenario> &out)
+{
+    if (f.step == Step::kNone || !written(f, s))
+        return;
+    std::visit(
+        [&](auto m) {
+            using T = MemberOf<decltype(m)>;
+            auto push = [&](T v) {
+                if (v == s.*m)
+                    return;
+                out.push_back(s);
+                out.back().*m = std::move(v);
+            };
+            if constexpr (std::is_same_v<T, std::string>) {
+                push(f.choices.front());
+            } else if constexpr (std::is_arithmetic_v<T>) {
+                const T v = s.*m;
+                const T floor = static_cast<T>(f.floor);
+                if (f.step == Step::kDrop) {
+                    push(static_cast<T>(f.lo));
+                } else if (v > floor) {
+                    const T half = std::max<T>(floor, v / 2);
+                    push(half);
+                    if (f.step == Step::kHalveOrDec && v - 1 != half)
+                        push(v - 1);
+                }
+            }
+        },
+        f.member);
+}
+
+/** Fault kinds the fleet orchestrator consumes (fleet tier only). */
+bool
+isFleetKind(FaultKind k)
+{
+    return k == FaultKind::kMachineCrash ||
+           k == FaultKind::kRollingRestart ||
+           k == FaultKind::kLbCrash ||
+           k == FaultKind::kMachineDegrade ||
+           k == FaultKind::kNetPartition;
+}
+
+/** The constraints that span several fields (randomScenario() builds
+ *  them in); single-field ranges were checked as each key was read. */
+bool
+crossFieldValid(const Scenario &s, std::string &err)
+{
+    if (s.localEstablished && !(s.localListen && s.rfd)) {
+        err = "localEstablished requires localListen and rfd";
+        return false;
+    }
+    if (s.lossRate > 0.0 && s.clientTimeoutSec <= 0.0) {
+        err = "lossRate > 0 requires clientTimeoutSec > 0";
+        return false;
+    }
+    if (s.clientPortSpan > 0 && s.clientRtoMsec <= 0.0 && !s.twRecycle) {
+        err = "clientPortSpan > 0 requires clientRtoMsec > 0 or "
+              "twRecycle (TIME_WAIT SYN drops need a retry to drain)";
+        return false;
+    }
+    if (s.sloMetrics && s.fleetMachines <= 0) {
+        err = "sloMetrics requires fleetMachines > 0";
+        return false;
+    }
+    if (s.faultPlan.empty())
+        return true;
+    FaultPlan plan;
+    std::string perr;
+    if (!parseFaultPlan(s.faultPlan, plan, perr)) {
+        err = "faultPlan: " + perr;
+        return false;
+    }
+    if (s.clientTimeoutSec <= 0.0) {
+        err = "faultPlan requires clientTimeoutSec > 0";
+        return false;
+    }
+    // Fleet orchestration events only mean something on the fleet
+    // topology, and their targets must exist (the orchestrator asserts
+    // the range; resolveGroup aborts on a group token naming nothing).
+    auto groupInRange = [&s](const std::string &tok) {
+        if (tok == "clients" || tok == "lbs" || tok == "ms")
+            return true;
+        int idx = 0;
+        if (tok.rfind("lb", 0) == 0)
+            return strictInt(tok.substr(2), idx) && idx < s.fleetBalancers;
+        if (tok.rfind("m", 0) == 0)
+            return strictInt(tok.substr(1), idx) && idx < s.fleetMachines;
+        return false;
+    };
+    for (const FaultEvent &ev : plan.events) {
+        if (!isFleetKind(ev.kind))
+            continue;
+        if (s.fleetMachines <= 0) {
+            err = "faultPlan: fleet events require fleetMachines > 0";
+            return false;
+        }
+        if (ev.kind == FaultKind::kMachineCrash &&
+            ev.target >= s.fleetMachines) {
+            err = "faultPlan: machine_crash target out of range";
+            return false;
+        }
+        if (ev.kind == FaultKind::kMachineDegrade &&
+            (ev.target < 0 || ev.target >= s.fleetMachines)) {
+            err = "faultPlan: machine_degrade target out of range";
+            return false;
+        }
+        if (ev.kind == FaultKind::kLbCrash &&
+            ev.target >= s.fleetBalancers) {
+            err = "faultPlan: lb_crash target out of range";
+            return false;
+        }
+        if (ev.kind == FaultKind::kNetPartition &&
+            (!groupInRange(ev.partA) || !groupInRange(ev.partB))) {
+            err = "faultPlan: net_partition group names nothing in "
+                  "this fleet";
+            return false;
+        }
+    }
+    return true;
+}
+
+} // anonymous namespace
+
 std::string
 serializeScenario(const Scenario &s)
 {
@@ -294,77 +588,22 @@ serializeScenario(const Scenario &s)
     // lossRate in the 17th digit may no longer reproduce.
     os.precision(17);
     os << "# fsim fuzz scenario (replay: fuzz_scenarios --replay=FILE)\n";
-    os << "seed = " << s.seed << "\n";
-    os << "cores = " << s.cores << "\n";
-    os << "app = " << (s.app == AppKind::kHaproxy ? "haproxy" : "nginx")
-       << "\n";
-    os << "kernel = " << s.kernel << "\n";
-    if (s.kernel == "custom") {
-        os << "fastVfs = " << (s.fastVfs ? 1 : 0) << "\n";
-        os << "localListen = " << (s.localListen ? 1 : 0) << "\n";
-        os << "rfd = " << (s.rfd ? 1 : 0) << "\n";
-        os << "localEstablished = " << (s.localEstablished ? 1 : 0)
-           << "\n";
+    for (const Field &f : kScenarioFields) {
+        if (!written(f, s))
+            continue;
+        os << f.key << " = ";
+        std::visit(
+            [&](auto m) {
+                if constexpr (std::is_same_v<MemberOf<decltype(m)>, AppKind>)
+                    os << f.choices[static_cast<std::size_t>(s.*m)];
+                else
+                    os << s.*m;
+            },
+            f.member);
+        os << "\n";
     }
-    os << "concurrencyPerCore = " << s.concurrencyPerCore << "\n";
-    os << "requestsPerConn = " << s.requestsPerConn << "\n";
-    os << "maxConns = " << s.maxConns << "\n";
-    os << "lossRate = " << s.lossRate << "\n";
-    os << "clientTimeoutSec = " << s.clientTimeoutSec << "\n";
-    os << "listenBacklog = " << s.listenBacklog << "\n";
-    os << "uma = " << (s.uma ? 1 : 0) << "\n";
-    os << "acceptMutex = " << (s.acceptMutex ? 1 : 0) << "\n";
-    os << "traceEnabled = " << (s.traceEnabled ? 1 : 0) << "\n";
-    os << "maxSimSec = " << s.maxSimSec << "\n";
-    if (s.longLivedPermille > 0) {
-        os << "longLivedPermille = " << s.longLivedPermille << "\n";
-        os << "longLivedRequests = " << s.longLivedRequests << "\n";
-        os << "longLivedThinkMsec = " << s.longLivedThinkMsec << "\n";
-    }
-    if (s.clientPortSpan > 0)
-        os << "clientPortSpan = " << s.clientPortSpan << "\n";
-    if (s.clientIps > 0)
-        os << "clientIps = " << s.clientIps << "\n";
-    if (s.twReuse)
-        os << "twReuse = 1\n";
-    if (s.twRecycle)
-        os << "twRecycle = 1\n";
-    if (s.backendKeepAlive)
-        os << "backendKeepAlive = 1\n";
-    if (s.ephemeralPorts > 0)
-        os << "ephemeralPorts = " << s.ephemeralPorts << "\n";
-    if (s.fleetMachines > 0) {
-        os << "fleetMachines = " << s.fleetMachines << "\n";
-        os << "fleetBalancers = " << s.fleetBalancers << "\n";
-        os << "fleetPolicy = " << s.fleetPolicy << "\n";
-        if (s.sloMetrics)
-            os << "sloMetrics = 1\n";
-    }
-    if (!s.faultPlan.empty())
-        os << "faultPlan = " << s.faultPlan << "\n";
-    if (s.synCookies)
-        os << "synCookies = 1\n";
-    if (s.synBacklog != 0)
-        os << "synBacklog = " << s.synBacklog << "\n";
-    if (s.clientRtoMsec > 0.0)
-        os << "clientRtoMsec = " << s.clientRtoMsec << "\n";
     return os.str();
 }
-
-namespace
-{
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-} // anonymous namespace
 
 bool
 parseScenario(const std::string &text, Scenario &out, std::string &err)
@@ -378,216 +617,34 @@ parseScenario(const std::string &text, Scenario &out, std::string &err)
         std::string t = trim(line);
         if (t.empty() || t[0] == '#')
             continue;
+        const std::string where = "line " + std::to_string(lineno) + ": ";
         std::size_t eq = t.find('=');
         if (eq == std::string::npos) {
-            err = "line " + std::to_string(lineno) + ": expected key = "
-                  "value";
+            err = where + "expected key = value";
             return false;
         }
         std::string key = trim(t.substr(0, eq));
         std::string val = trim(t.substr(eq + 1));
         if (key.empty() || val.empty()) {
-            err = "line " + std::to_string(lineno) + ": empty key or "
-                  "value";
+            err = where + "empty key or value";
             return false;
         }
-        try {
-            if (key == "seed")
-                s.seed = std::stoull(val);
-            else if (key == "cores")
-                s.cores = std::stoi(val);
-            else if (key == "app")
-                s.app = val == "haproxy" ? AppKind::kHaproxy
-                                         : AppKind::kNginx;
-            else if (key == "kernel")
-                s.kernel = val;
-            else if (key == "fastVfs")
-                s.fastVfs = std::stoi(val) != 0;
-            else if (key == "localListen")
-                s.localListen = std::stoi(val) != 0;
-            else if (key == "rfd")
-                s.rfd = std::stoi(val) != 0;
-            else if (key == "localEstablished")
-                s.localEstablished = std::stoi(val) != 0;
-            else if (key == "concurrencyPerCore")
-                s.concurrencyPerCore = std::stoi(val);
-            else if (key == "requestsPerConn")
-                s.requestsPerConn = std::stoi(val);
-            else if (key == "maxConns")
-                s.maxConns = std::stoull(val);
-            else if (key == "lossRate")
-                s.lossRate = std::stod(val);
-            else if (key == "clientTimeoutSec")
-                s.clientTimeoutSec = std::stod(val);
-            else if (key == "listenBacklog")
-                s.listenBacklog = std::stoull(val);
-            else if (key == "uma")
-                s.uma = std::stoi(val) != 0;
-            else if (key == "acceptMutex")
-                s.acceptMutex = std::stoi(val) != 0;
-            else if (key == "traceEnabled")
-                s.traceEnabled = std::stoi(val) != 0;
-            else if (key == "maxSimSec")
-                s.maxSimSec = std::stod(val);
-            else if (key == "longLivedPermille")
-                s.longLivedPermille = std::stoi(val);
-            else if (key == "longLivedRequests")
-                s.longLivedRequests = std::stoi(val);
-            else if (key == "longLivedThinkMsec")
-                s.longLivedThinkMsec = std::stod(val);
-            else if (key == "clientPortSpan")
-                s.clientPortSpan = std::stoi(val);
-            else if (key == "clientIps")
-                s.clientIps = std::stoi(val);
-            else if (key == "twReuse")
-                s.twReuse = std::stoi(val) != 0;
-            else if (key == "twRecycle")
-                s.twRecycle = std::stoi(val) != 0;
-            else if (key == "backendKeepAlive")
-                s.backendKeepAlive = std::stoi(val) != 0;
-            else if (key == "ephemeralPorts")
-                s.ephemeralPorts = std::stoi(val);
-            else if (key == "fleetMachines")
-                s.fleetMachines = std::stoi(val);
-            else if (key == "fleetBalancers")
-                s.fleetBalancers = std::stoi(val);
-            else if (key == "fleetPolicy")
-                s.fleetPolicy = val;
-            else if (key == "sloMetrics")
-                s.sloMetrics = std::stoi(val) != 0;
-            else if (key == "faultPlan")
-                s.faultPlan = val;
-            else if (key == "synCookies")
-                s.synCookies = std::stoi(val) != 0;
-            else if (key == "synBacklog")
-                s.synBacklog = std::stoull(val);
-            else if (key == "clientRtoMsec")
-                s.clientRtoMsec = std::stod(val);
-            // Unknown keys are ignored (forward compatibility).
-        } catch (const std::exception &) {
-            err = "line " + std::to_string(lineno) + ": bad value for " +
-                  key;
+        const Field *f = nullptr;
+        for (const Field &cand : kScenarioFields)
+            if (key == cand.key)
+                f = &cand;
+        if (!f) {
+            err = where + "unknown key '" + key + "'";
+            return false;
+        }
+        if (!assign(*f, val, s)) {
+            err = where + "bad value '" + val + "' for " + key + " (want " +
+                  allowed(*f) + ")";
             return false;
         }
     }
-
-    // Validity: the same constraints randomScenario() builds in.
-    if (s.cores < 1 || s.cores > 64) {
-        err = "cores out of range";
+    if (!crossFieldValid(s, err))
         return false;
-    }
-    if (s.kernel != "base2632" && s.kernel != "linux313" &&
-        s.kernel != "fastsocket" && s.kernel != "custom") {
-        err = "unknown kernel '" + s.kernel + "'";
-        return false;
-    }
-    if (s.localEstablished && !(s.localListen && s.rfd)) {
-        err = "localEstablished requires localListen and rfd";
-        return false;
-    }
-    if (s.lossRate > 0.0 && s.clientTimeoutSec <= 0.0) {
-        err = "lossRate > 0 requires clientTimeoutSec > 0";
-        return false;
-    }
-    if (s.maxConns == 0) {
-        err = "maxConns must be > 0 (fuzz runs must quiesce)";
-        return false;
-    }
-    if (s.longLivedPermille < 0 || s.longLivedPermille > 1000) {
-        err = "longLivedPermille out of [0,1000]";
-        return false;
-    }
-    if (s.longLivedPermille > 0 && s.longLivedRequests < 1) {
-        err = "longLivedRequests must be >= 1";
-        return false;
-    }
-    if (s.clientPortSpan > 0 && s.clientRtoMsec <= 0.0 && !s.twRecycle) {
-        err = "clientPortSpan > 0 requires clientRtoMsec > 0 or "
-              "twRecycle (TIME_WAIT SYN drops need a retry to drain)";
-        return false;
-    }
-    if (s.ephemeralPorts < 0 || s.ephemeralPorts > 28232) {
-        err = "ephemeralPorts out of range";
-        return false;
-    }
-    if (s.clientIps < 0 || s.clientPortSpan < 0) {
-        err = "clientIps/clientPortSpan must be >= 0";
-        return false;
-    }
-    if (s.fleetMachines < 0 || s.fleetMachines > 8) {
-        err = "fleetMachines out of [0,8]";
-        return false;
-    }
-    if (s.fleetBalancers < 1 || s.fleetBalancers > 4) {
-        err = "fleetBalancers out of [1,4]";
-        return false;
-    }
-    if (s.sloMetrics && s.fleetMachines <= 0) {
-        err = "sloMetrics requires fleetMachines > 0";
-        return false;
-    }
-    if (s.fleetPolicy != "chash" && s.fleetPolicy != "rr") {
-        err = "unknown fleetPolicy '" + s.fleetPolicy + "'";
-        return false;
-    }
-    if (!s.faultPlan.empty()) {
-        FaultPlan plan;
-        std::string perr;
-        if (!parseFaultPlan(s.faultPlan, plan, perr)) {
-            err = "faultPlan: " + perr;
-            return false;
-        }
-        if (s.clientTimeoutSec <= 0.0) {
-            err = "a fault plan requires clientTimeoutSec > 0";
-            return false;
-        }
-        // Fleet orchestration events only mean something on the fleet
-        // topology, and their targets must exist (the orchestrator
-        // asserts the range).
-        // Group tokens resolve against the fleet topology; resolveGroup
-        // aborts on a token that names nothing, so reject those here.
-        auto groupInRange = [&s](const std::string &tok) {
-            if (tok == "clients" || tok == "lbs" || tok == "ms")
-                return true;
-            if (tok.rfind("lb", 0) == 0 && tok.size() > 2)
-                return std::stoi(tok.substr(2)) < s.fleetBalancers;
-            if (tok.size() > 1 && tok[0] == 'm')
-                return std::stoi(tok.substr(1)) < s.fleetMachines;
-            return false;
-        };
-        for (const FaultEvent &ev : plan.events) {
-            if (ev.kind != FaultKind::kMachineCrash &&
-                ev.kind != FaultKind::kRollingRestart &&
-                ev.kind != FaultKind::kLbCrash &&
-                ev.kind != FaultKind::kMachineDegrade &&
-                ev.kind != FaultKind::kNetPartition)
-                continue;
-            if (s.fleetMachines <= 0) {
-                err = "fleet fault events require fleetMachines > 0";
-                return false;
-            }
-            if (ev.kind == FaultKind::kMachineCrash &&
-                ev.target >= s.fleetMachines) {
-                err = "machine_crash target out of range";
-                return false;
-            }
-            if (ev.kind == FaultKind::kMachineDegrade &&
-                (ev.target < 0 || ev.target >= s.fleetMachines)) {
-                err = "machine_degrade target out of range";
-                return false;
-            }
-            if (ev.kind == FaultKind::kLbCrash &&
-                ev.target >= s.fleetBalancers) {
-                err = "lb_crash target out of range";
-                return false;
-            }
-            if (ev.kind == FaultKind::kNetPartition &&
-                (!groupInRange(ev.partA) || !groupInRange(ev.partB))) {
-                err = "net_partition group names nothing in this fleet";
-                return false;
-            }
-        }
-    }
     out = s;
     return true;
 }
@@ -602,10 +659,11 @@ struct OneRun
     InvariantReport invariants;
 };
 
-/** Drive @p bed until the bounded load drains or the sim-time cap. */
-template <typename Bed>
+/** Drive @p bed in 10 ms chunks until the bounded load drains or the
+ *  sim-time cap, calling @p onChunk(start, end) after each chunk. */
+template <typename Bed, typename OnChunk>
 bool
-driveUntilDrained(Bed &bed, const Scenario &s)
+driveUntilDrained(Bed &bed, const Scenario &s, OnChunk onChunk)
 {
     EventQueue &eq = bed.eventQueue();
     HttpLoad &load = bed.load();
@@ -613,8 +671,11 @@ driveUntilDrained(Bed &bed, const Scenario &s)
     const Tick chunk = ticksFromSeconds(0.01);
     bed.startLoad();
     while (eq.now() < cap &&
-           (load.inFlight() > 0 || load.started() < s.maxConns))
+           (load.inFlight() > 0 || load.started() < s.maxConns)) {
+        const Tick wstart = eq.now();
         bed.runUntilChecked(std::min(cap, eq.now() + chunk));
+        onChunk(wstart, eq.now());
+    }
     return load.inFlight() == 0 && load.started() >= s.maxConns;
 }
 
@@ -637,27 +698,13 @@ runOnce(const Scenario &s)
         fc.flowIdleTimeoutMsec = std::max(
             fc.flowIdleTimeoutMsec, 4.0 * s.longLivedThinkMsec + 100.0);
         FleetTestbed bed(fc);
-        {
-            // Fleet drive loop: same chunked cadence as
-            // driveUntilDrained, but when the observability layer is
-            // armed every chunk boundary also feeds the SLO tracker
-            // and samples the metrics registry — the fuzzer's own
-            // sub-window clock, since run() is bypassed here.
-            EventQueue &eq = bed.eventQueue();
-            HttpLoad &load = bed.load();
-            const Tick cap = ticksFromSeconds(s.maxSimSec);
-            const Tick chunk = ticksFromSeconds(0.01);
-            bed.startLoad();
-            while (eq.now() < cap &&
-                   (load.inFlight() > 0 || load.started() < s.maxConns)) {
-                const Tick wstart = eq.now();
-                bed.runUntilChecked(std::min(cap, eq.now() + chunk));
-                if (s.sloMetrics)
-                    bed.sampleObservability(wstart, eq.now());
-            }
-            r.drained =
-                load.inFlight() == 0 && load.started() >= s.maxConns;
-        }
+        // With the observability layer armed, every chunk boundary
+        // also feeds the SLO tracker and samples the metrics registry:
+        // the fuzzer's own sub-window clock, since run() is bypassed.
+        r.drained = driveUntilDrained(bed, s, [&](Tick start, Tick end) {
+            if (s.sloMetrics)
+                bed.sampleObservability(start, end);
+        });
         // No quiesce leak pass on the fleet: probe and flow-GC timers
         // self-reschedule forever (runAll would never return), and a
         // crashed generation legitimately strands its server TCBs.
@@ -717,7 +764,7 @@ runOnce(const Scenario &s)
         registerQuiesceInvariants(quiesce, bed.machine(), bed.load());
 
     EventQueue &eq = bed.eventQueue();
-    r.drained = driveUntilDrained(bed, s);
+    r.drained = driveUntilDrained(bed, s, [](Tick, Tick) {});
     if (r.drained) {
         eq.runAll();
         quiesce.runAll(eq.now());
@@ -768,32 +815,25 @@ ScenarioResult::summary() const
 namespace
 {
 
-bool
-isFleetKind(FaultKind k)
+/** @p planText parsed; empty when there is no (valid) plan. */
+FaultPlan
+planOf(const std::string &planText)
 {
-    return k == FaultKind::kMachineCrash ||
-           k == FaultKind::kRollingRestart ||
-           k == FaultKind::kLbCrash ||
-           k == FaultKind::kMachineDegrade ||
-           k == FaultKind::kNetPartition;
+    FaultPlan plan;
+    std::string err;
+    if (!planText.empty())
+        parseFaultPlan(planText, plan, err);
+    return plan;
 }
 
 /** Plan text minus the fleet-orchestration events ("" if none left). */
 std::string
 withoutFleetEvents(const std::string &planText)
 {
-    if (planText.empty())
-        return planText;
-    FaultPlan plan;
-    std::string err;
-    if (!parseFaultPlan(planText, plan, err))
-        return planText;
-    FaultPlan kept;
-    kept.seed = plan.seed;
-    for (const FaultEvent &ev : plan.events)
-        if (!isFleetKind(ev.kind))
-            kept.events.push_back(ev);
-    return serializeFaultPlan(kept);
+    FaultPlan plan = planOf(planText);
+    std::erase_if(plan.events,
+                  [](const FaultEvent &ev) { return isFleetKind(ev.kind); });
+    return serializeFaultPlan(plan);
 }
 
 /** Plan text with per-machine fleet targets clamped below @p machines:
@@ -801,16 +841,11 @@ withoutFleetEvents(const std::string &planText)
 std::string
 clampFleetTargets(const std::string &planText, int machines)
 {
-    if (planText.empty())
-        return planText;
-    FaultPlan plan;
-    std::string err;
-    if (!parseFaultPlan(planText, plan, err))
-        return planText;
+    FaultPlan plan = planOf(planText);
     auto clampMachineTok = [machines](std::string &tok) {
-        if (tok != "ms" && tok.size() > 1 && tok[0] == 'm')
-            tok = "m" + std::to_string(std::min(
-                            std::stoi(tok.substr(1)), machines - 1));
+        int idx = 0;
+        if (tok.rfind("m", 0) == 0 && strictInt(tok.substr(1), idx))
+            tok = "m" + std::to_string(std::min(idx, machines - 1));
     };
     for (FaultEvent &ev : plan.events) {
         if (ev.kind == FaultKind::kMachineCrash ||
@@ -824,21 +859,6 @@ clampFleetTargets(const std::string &planText, int machines)
     return serializeFaultPlan(plan);
 }
 
-bool
-planHasKind(const std::string &planText, FaultKind kind)
-{
-    if (planText.empty())
-        return false;
-    FaultPlan plan;
-    std::string err;
-    if (!parseFaultPlan(planText, plan, err))
-        return false;
-    for (const FaultEvent &ev : plan.events)
-        if (ev.kind == kind)
-            return true;
-    return false;
-}
-
 /** Single-step shrink candidates of @p s, most aggressive first. */
 std::vector<Scenario>
 shrinkCandidates(const Scenario &s)
@@ -850,7 +870,8 @@ shrinkCandidates(const Scenario &s)
         // Losing the whole fleet tier is the biggest simplification:
         // back to the single-machine Testbed, shedding the fleet-only
         // events (which are invalid without the tier). Then fewer
-        // machines, fewer balancers, and the default steering policy.
+        // machines and fewer balancers; the steering policy and the
+        // SLO knob shrink through the field table.
         Scenario c = s;
         c.fleetMachines = 0;
         c.fleetBalancers = 1;
@@ -858,11 +879,6 @@ shrinkCandidates(const Scenario &s)
         c.sloMetrics = false;   // fleet-only knob
         c.faultPlan = withoutFleetEvents(s.faultPlan);
         push(c);
-        if (s.sloMetrics) {
-            Scenario d = s;
-            d.sloMetrics = false;
-            push(d);
-        }
         if (s.fleetMachines > 2) {
             Scenario d = s;
             d.fleetMachines = 2;
@@ -871,40 +887,19 @@ shrinkCandidates(const Scenario &s)
         }
         // Dropping to one balancer invalidates events that name a
         // specific balancer (lb_crash target, partition lb<k> groups).
-        if (s.fleetBalancers > 1 &&
-            !planHasKind(s.faultPlan, FaultKind::kLbCrash) &&
-            !planHasKind(s.faultPlan, FaultKind::kNetPartition)) {
+        const FaultPlan plan = planOf(s.faultPlan);
+        if (s.fleetBalancers > 1 && !plan.has(FaultKind::kLbCrash) &&
+            !plan.has(FaultKind::kNetPartition)) {
             Scenario d = s;
             d.fleetBalancers = 1;
             push(d);
         }
-        if (s.fleetPolicy != "chash") {
-            Scenario d = s;
-            d.fleetPolicy = "chash";
-            push(d);
-        }
     }
+    // Single-field steps: cores, concurrency, maxConns, backlog and the
+    // on/off knobs.
+    for (const Field &f : kScenarioFields)
+        shrinkField(f, s, out);
 
-    if (s.maxConns > 50) {
-        Scenario c = s;
-        c.maxConns = std::max<std::uint64_t>(50, s.maxConns / 2);
-        push(c);
-    }
-    if (s.cores > 1) {
-        Scenario c = s;
-        c.cores = std::max(1, s.cores / 2);
-        push(c);
-        if (s.cores - 1 != c.cores) {
-            Scenario d = s;
-            d.cores = s.cores - 1;
-            push(d);
-        }
-    }
-    if (s.concurrencyPerCore > 4) {
-        Scenario c = s;
-        c.concurrencyPerCore = std::max(4, s.concurrencyPerCore / 2);
-        push(c);
-    }
     if (!s.faultPlan.empty()) {
         // Drop the whole plan first, then the hardening knobs that only
         // existed because of it.
@@ -930,11 +925,6 @@ shrinkCandidates(const Scenario &s)
         c.lossRate = 0.0;
         if (s.faultPlan.empty())
             c.clientTimeoutSec = 0.0;
-        push(c);
-    }
-    if (s.requestsPerConn > 1) {
-        Scenario c = s;
-        c.requestsPerConn = 1;
         push(c);
     }
     if (s.longLivedPermille > 0) {
@@ -963,26 +953,6 @@ shrinkCandidates(const Scenario &s)
     } else if (s.twReuse) {
         Scenario c = s;
         c.twReuse = false;
-        push(c);
-    }
-    if (s.listenBacklog != 0) {
-        Scenario c = s;
-        c.listenBacklog = 0;
-        push(c);
-    }
-    if (s.acceptMutex) {
-        Scenario c = s;
-        c.acceptMutex = false;
-        push(c);
-    }
-    if (s.uma) {
-        Scenario c = s;
-        c.uma = false;
-        push(c);
-    }
-    if (s.traceEnabled) {
-        Scenario c = s;
-        c.traceEnabled = false;
         push(c);
     }
     // Kernel shrinks toward the baseline: presets drop to base2632;

@@ -45,7 +45,7 @@ struct Scenario
     std::uint64_t maxConns = 1000;  //!< bounded so the run quiesces
     double lossRate = 0.0;
     double clientTimeoutSec = 0.0;  //!< required > 0 when lossRate > 0
-    std::size_t listenBacklog = 0;  //!< 0 = socket default
+    std::uint64_t listenBacklog = 0;  //!< 0 = socket default
     bool uma = false;               //!< UMA costs instead of calibrated
     bool acceptMutex = false;
     bool traceEnabled = true;
@@ -97,7 +97,7 @@ struct Scenario
      *  connections still drain. */
     std::string faultPlan;
     bool synCookies = false;        //!< server answers full SYN queues
-    std::size_t synBacklog = 0;     //!< SYN-queue cap (0 = kernel default)
+    std::uint64_t synBacklog = 0;   //!< SYN-queue cap (0 = kernel default)
     double clientRtoMsec = 0.0;     //!< client retx base RTO (0 = off)
 
     /** Materialize the harness config this scenario describes. */
@@ -111,8 +111,10 @@ Scenario randomScenario(Rng &rng);
 std::string serializeScenario(const Scenario &s);
 
 /**
- * Parse serializeScenario() output (unknown keys and blank/#-comment
- * lines are ignored). @return false and fills @p err on malformed input.
+ * Parse serializeScenario() output. Blank and #-comment lines are
+ * ignored; an unknown key, a malformed or out-of-range value, or a
+ * broken cross-field constraint is an error. @return false and fills
+ * @p err (naming the line or key) on malformed input.
  */
 bool parseScenario(const std::string &text, Scenario &out,
                    std::string &err);

@@ -1,7 +1,9 @@
 #include "overload/overload_config.hh"
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+
+#include "sim/strict_parse.hh"
 
 namespace fsim
 {
@@ -18,14 +20,6 @@ splitKv(const std::string &tok, std::string &key, std::string &val)
     key = tok.substr(0, eq);
     val = tok.substr(eq + 1);
     return true;
-}
-
-bool
-parseNum(const std::string &val, double &out)
-{
-    char *end = nullptr;
-    out = std::strtod(val.c_str(), &end);
-    return end && *end == '\0';
 }
 
 } // namespace
@@ -50,12 +44,20 @@ parseOverloadSpec(const std::string &text, OverloadConfig &cfg,
 
         std::string key, val;
         double num = 0.0;
-        if (!splitKv(tok, key, val) || !parseNum(val, num)) {
+        // strictDouble refuses nan and inf: a NaN watermark passes the
+        // low < high <= critical check (every comparison is false).
+        if (!splitKv(tok, key, val) || !strictDouble(val, num)) {
             err = "malformed token '" + tok + "' (want key=number)";
             return false;
         }
         if (num < 0.0) {
             err = "negative value in '" + tok + "'";
+            return false;
+        }
+        // Integer knobs are cast to int or narrower; keep every cast
+        // in range.
+        if (num > std::numeric_limits<int>::max()) {
+            err = "value out of range in '" + tok + "'";
             return false;
         }
 

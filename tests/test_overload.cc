@@ -24,6 +24,30 @@ armOverload(ExperimentConfig &cfg, const std::string &spec)
         << err;
 }
 
+TEST(Overload, SpecParseRejectsNonFiniteAndOversizedValues)
+{
+    const std::string good =
+        "budget=256,gate=96,deadline_ms=5,cap=64,high=0.3,"
+        "critical=0.7,low=0.15";
+    OverloadConfig cfg;
+    std::string err;
+    ASSERT_TRUE(parseOverloadSpec(good, cfg, err)) << err;
+    // The printed form rebuilds the same configuration.
+    OverloadConfig back;
+    ASSERT_TRUE(parseOverloadSpec(serializeOverloadSpec(cfg), back, err))
+        << err;
+    EXPECT_EQ(serializeOverloadSpec(back), serializeOverloadSpec(cfg));
+
+    for (const char *bad : {"high=nan", "low=nan", "critical=nan",
+                            "cap=inf", "budget=-inf", "cap=1e12",
+                            "gate=12x", "high=0.5.1"}) {
+        OverloadConfig c;
+        err.clear();
+        EXPECT_FALSE(parseOverloadSpec(bad, c, err)) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+}
+
 TEST(Overload, AdmissionCountersConserveUnderPressure)
 {
     ExperimentConfig cfg;
