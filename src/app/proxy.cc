@@ -1,6 +1,7 @@
 #include "app/proxy.hh"
 
 #include "sim/logging.hh"
+#include "trace/trace_scope.hh"
 
 namespace fsim
 {
@@ -155,13 +156,10 @@ Proxy::onBackendTimeout(std::uint64_t sid, Tick t)
         return closeSession(ps, s, t);
     }
     ++backendRetries_;
-    const Tick redisp_begin = t;
-    t += serviceCost() / 2;   // re-dispatch decision
-    if (m_.tracer().enabled()) {
-        if (Socket *cs = k.sockFromFd(ps.proc, s->clientFd))
-            m_.tracer().connSpans().add(cs->id, ConnStage::kAppProcess,
-                                        ps.core, redisp_begin, t);
-    }
+    StageScope sc(&m_.tracer(), ps.core, t);
+    if (Socket *cs = k.sockFromFd(ps.proc, s->clientFd))
+        sc.bind(cs->id, ConnStage::kAppProcess);
+    t = sc.close(t + serviceCost() / 2);   // re-dispatch decision
     return connectBackend(ps, s, t);
 }
 
@@ -194,12 +192,9 @@ Proxy::onConnReadable(ProcState &ps, int fd, Tick t)
         if (r.bytes > 0 && s->backendFd < 0) {
             // Got the request: pick a backend and connect (non-blocking).
             s->requestBytes = r.bytes;
-            const Tick proc_begin = t;
-            t += serviceCost();
-            if (m_.tracer().enabled())
-                m_.tracer().connSpans().add(sock->id,
-                                            ConnStage::kAppProcess,
-                                            ps.core, proc_begin, t);
+            StageScope sc(&m_.tracer(), ps.core, t);
+            sc.bind(sock->id, ConnStage::kAppProcess);
+            t = sc.close(t + serviceCost());
             return connectBackend(ps, s, t);
         } else if (r.finSeen && r.bytes == 0) {
             // Client hung up.

@@ -1,5 +1,7 @@
 #include "app/web_server.hh"
 
+#include "trace/trace_scope.hh"
+
 namespace fsim
 {
 
@@ -36,11 +38,9 @@ WebServer::onConnReadable(ProcState &ps, int fd, Tick t)
             cost /= admCfg_->brownoutCostDivisor;
             respBytes = admCfg_->brownoutBytes;
         }
-        const Tick proc_begin = t;
-        t += cost;
-        if (m_.tracer().enabled())
-            m_.tracer().connSpans().add(sock->id, ConnStage::kAppProcess,
-                                        ps.core, proc_begin, t);
+        StageScope sc(&m_.tracer(), ps.core, t);
+        sc.bind(sock->id, ConnStage::kAppProcess);
+        t = sc.close(t + cost);
         t = k.write(ps.proc, t, fd, respBytes);
         ++served_;
         if (degraded)

@@ -46,7 +46,7 @@ enum class TaskPrio
  *
  * Stored inline (no heap): the capture budget is sized by the largest
  * post() site in the tree, the kernel's RFD steering closure
- * [this, target, Packet, steer-timestamp, steer-from] in
+ * [this, target, Packet, steer origin] in
  * kernel_stack.cc (~80 bytes now that the Packet carries the 8-byte
  * distributed trace context), with headroom for alignment padding.
  */

@@ -200,7 +200,7 @@ Testbed::collect()
 
     // Per-connection span forensics over the window, plus the raw
     // traces when the caller wants to export them (Perfetto).
-    const ConnSpanLog &sl = tr.connSpans();
+    const auto &sl = tr.connSpans();
     r.spanForensics = buildSpanForensics(sl, mark_.spansCompleted);
     if (cfg_.keepSpanTraces && sl.enabled())
         r.spanTraces = sl.copyCompleted(mark_.spansCompleted);

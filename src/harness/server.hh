@@ -165,8 +165,8 @@ void collectRun(ExperimentResult &r, const RunMark &mark,
  *  from a window delta over @p cores cores; after collectRun(). */
 void fillWindow(ExperimentResult &r, ServerWindow d, int cores);
 
-/** Append a running server's per-core utilization and trace-ring
- *  counters to @p r. */
+/** Append a running server's per-core utilization to @p r; on an
+ *  untraced machine, also assert that the span log never allocated. */
 void addLiveServer(ExperimentResult &r, const Server &s);
 
 /** Add @p s's run totals to the overload and connection-census blocks;

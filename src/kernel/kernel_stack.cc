@@ -81,13 +81,6 @@ KernelStack::KernelStack(const Deps &deps, const KernelConfig &cfg)
 
 KernelStack::~KernelStack() = default;
 
-ConnSpanLog *
-KernelStack::spans() const
-{
-    return d_.tracer && d_.tracer->enabled() ? &d_.tracer->connSpans()
-                                             : nullptr;
-}
-
 // ---------------------------------------------------------------------
 // Setup-phase API
 // ---------------------------------------------------------------------
@@ -276,6 +269,7 @@ Tick
 KernelStack::destroySocket(CoreId core, Tick t, Socket *sock,
                            bool release_port)
 {
+    const Tick begin = t;
     if (sock->timer != TimerWheel::kInvalidTimer) {
         t = cancelConnTimer(core, t, sock);
     }
@@ -300,10 +294,10 @@ KernelStack::destroySocket(CoreId core, Tick t, Socket *sock,
                        sock->rxTuple.dport);
     }
     ++stats_.socketsDestroyed;
-    if (d_.tracer && sock->kind == SockKind::kConnection) {
-        if (ConnSpanLog *sl = spans())
-            sl->close(sock->id, t);
-    }
+    // Retiring the trace first records a scope still bound to this
+    // connection (the entry destroying it), its stage ending at begin.
+    if (d_.tracer && sock->kind == SockKind::kConnection)
+        d_.tracer->connSpans().close(sock->id, begin, t);
     arena_.destroy(sock);
     return t;
 }
@@ -542,7 +536,7 @@ KernelStack::packetArrived(const Packet &pkt)
     Packet copy = pkt;
     d_.cpu->post(core, TaskPrio::kSoftIrq, [this, core, copy](Tick start) {
         Tick t = start + d_.costs->irqPerPacket;
-        return netRx(core, copy, t, /*steered=*/false);
+        return netRx(core, copy, t, Steer{});
     });
 }
 
@@ -650,8 +644,9 @@ KernelStack::ehashFor(CoreId core)
 }
 
 Tick
-KernelStack::netRx(CoreId core, const Packet &pkt, Tick t, bool steered)
+KernelStack::netRx(CoreId core, const Packet &pkt, Tick t, Steer steer)
 {
+    const bool steered = steer.from != kInvalidCore;
     if (!steered) {
         ++stats_.rxPackets;
         t += d_.costs->netRxBase;
@@ -681,28 +676,17 @@ KernelStack::netRx(CoreId core, const Packet &pkt, Tick t, bool steered)
                 softirqBudgetDrop(target))
                 return t;
             Packet copy = pkt;
-            const Tick steer_t = t;
-            const CoreId steer_from = core;
+            const Steer from{core, t};
             d_.cpu->post(target, TaskPrio::kSoftIrq,
-                         [this, target, copy, steer_t,
-                          steer_from](Tick start) {
-                             // Trace-only handoff context: lets the
-                             // packet handlers record the cross-core
-                             // transfer wait against the connection.
-                             steerTick_ = steer_t;
-                             steerFrom_ = steer_from;
-                             Tick end = netRx(target, copy, start,
-                                              /*steered=*/true);
-                             steerTick_ = 0;
-                             steerFrom_ = kInvalidCore;
-                             return end;
+                         [this, target, copy, from](Tick start) {
+                             return netRx(target, copy, start, from);
                          });
             return t;
         }
     }
 
     if (pkt.has(kSyn) && !pkt.has(kAck))
-        return handleSyn(core, pkt, t);
+        return handleSyn(core, pkt, t, steer);
 
     // Established (or handshaking) connection traffic.
     EstablishedTable::Lookup l = ehashFor(core).lookup(core, t, pkt.tuple);
@@ -743,7 +727,7 @@ KernelStack::netRx(CoreId core, const Packet &pkt, Tick t, bool steered)
                                              pkt.tuple.dport, t);
             t = ll.t;
             if (ll.sock)
-                return establishFromCookie(core, ll.sock, pkt, t);
+                return establishFromCookie(core, ll.sock, pkt, t, steer);
         }
         if (!pkt.has(kRst)) {
             t += d_.costs->rstCost;
@@ -765,13 +749,14 @@ KernelStack::netRx(CoreId core, const Packet &pkt, Tick t, bool steered)
             ++stats_.activePktLocal;
     }
 
-    return handleEstablishedPacket(core, l.sock, pkt, t);
+    return handleEstablishedPacket(core, l.sock, pkt, t, steer);
 }
 
 Tick
-KernelStack::handleSyn(CoreId core, const Packet &pkt, Tick t)
+KernelStack::handleSyn(CoreId core, const Packet &pkt, Tick t, Steer steer)
 {
-    const Tick rx_begin = t;
+    StageScope sc(d_.tracer, core, t);
+    sc.steeredFrom(steer.from, steer.at);
     // Duplicate SYN (client retransmission): the connection may already
     // be in the handshake; just re-answer instead of minting a second
     // TCB for the same tuple.
@@ -860,10 +845,9 @@ KernelStack::handleSyn(CoreId core, const Packet &pkt, Tick t)
     conn->prio = pkt.prio;
     conn->traceId = pkt.traceId;
     conn->touch(core);
+    sc.open(conn->id, ConnStage::kSynRx, /*passive=*/true, conn->traceId);
     t += d_.costs->synProcess;
-    const Tick lk_begin = t;
-    t = listener->slock.runLocked(core, t, d_.costs->synQueueHold);
-    const Tick lk_wait = listener->slock.lastWait();
+    t = sc.locked(listener->slock, t, d_.costs->synQueueHold);
     ++listener->synQueueLen;
 
     t = ehashFor(core).insert(core, t, conn);
@@ -874,20 +858,7 @@ KernelStack::handleSyn(CoreId core, const Packet &pkt, Tick t)
     if (cfg_.synRcvdJiffies > 0)
         t = armConnTimer(core, t, conn, cfg_.synRcvdJiffies);
 
-    t = sendPacket(core, t, conn, kSyn | kAck, 0);
-    if (ConnSpanLog *sl = spans()) {
-        sl->open(conn->id, steerTick_ ? steerTick_ : rx_begin,
-                 /*passive=*/true);
-        sl->setTraceId(conn->id, conn->traceId);
-        if (steerTick_)
-            sl->add(conn->id, ConnStage::kCoreTransfer, core, steerTick_,
-                    rx_begin, static_cast<std::uint32_t>(steerFrom_));
-        sl->add(conn->id, ConnStage::kSynRx, core, rx_begin, t);
-        if (lk_wait)
-            sl->add(conn->id, ConnStage::kLockWait, core, lk_begin,
-                    lk_begin + lk_wait, listener->slock.classTraceId());
-    }
-    return t;
+    return sc.close(sendPacket(core, t, conn, kSyn | kAck, 0));
 }
 
 std::uint32_t
@@ -900,9 +871,10 @@ KernelStack::cookieFor(const FiveTuple &flow)
 
 Tick
 KernelStack::establishFromCookie(CoreId core, Socket *listener,
-                                 const Packet &pkt, Tick t)
+                                 const Packet &pkt, Tick t, Steer steer)
 {
-    const Tick rx_begin = t;
+    StageScope sc(d_.tracer, core, t);
+    sc.steeredFrom(steer.from, steer.at);
     listener->touch(core);
     t += d_.costs->synCookieCost + d_.costs->establish;
     ++stats_.synCookiesValidated;
@@ -919,6 +891,8 @@ KernelStack::establishFromCookie(CoreId core, Socket *listener,
     conn->prio = pkt.prio;
     conn->traceId = pkt.traceId;
     conn->touch(core);
+    sc.open(conn->id, ConnStage::kHandshake, /*passive=*/true,
+            conn->traceId);
     if (pkt.payload) {
         conn->rxPending += pkt.payload;
         if (pkt.has(kConnClose))
@@ -929,24 +903,7 @@ KernelStack::establishFromCookie(CoreId core, Socket *listener,
     t = ehashFor(core).insert(core, t, conn);
     conn->ehashHome = &ehashFor(core);
 
-    const Tick lk_begin = t;
-    t = listener->slock.runLocked(core, t, d_.costs->acceptQueuePushHold);
-    const Tick lk_wait = listener->slock.lastWait();
-    const auto record_handshake = [&](Tick end) {
-        ConnSpanLog *sl = spans();
-        if (!sl)
-            return;
-        sl->open(conn->id, steerTick_ ? steerTick_ : rx_begin,
-                 /*passive=*/true);
-        sl->setTraceId(conn->id, conn->traceId);
-        if (steerTick_)
-            sl->add(conn->id, ConnStage::kCoreTransfer, core, steerTick_,
-                    rx_begin, static_cast<std::uint32_t>(steerFrom_));
-        sl->add(conn->id, ConnStage::kHandshake, core, rx_begin, end);
-        if (lk_wait)
-            sl->add(conn->id, ConnStage::kLockWait, core, lk_begin,
-                    lk_begin + lk_wait, listener->slock.classTraceId());
-    };
+    t = sc.locked(listener->slock, t, d_.costs->acceptQueuePushHold);
     if (listener->acceptQueue.size() >= listener->backlog) {
         ++stats_.acceptOverflows;
         ++stats_.acceptQueueRsts;
@@ -957,24 +914,21 @@ KernelStack::establishFromCookie(CoreId core, Socket *listener,
         rst.tuple = pkt.tuple.reversed();
         rst.flags = kRst;
         d_.wire->transmit(rst, t);
-        record_handshake(t);
-        return destroySocket(core, t, conn);
+        return sc.close(destroySocket(core, t, conn));
     }
     conn->acceptEnqueueTick = t;
     conn->acceptEnqueueCore = core;
     listener->acceptQueue.push_back(conn);
     noteAcceptOccupancy(listener);
-    t = wakeListen(core, t, listener);
-    record_handshake(t);
-    return t;
+    return sc.close(wakeListen(core, t, listener));
 }
 
 Tick
 KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
-                                     const Packet &pkt, Tick t)
+                                     const Packet &pkt, Tick t, Steer steer)
 {
-    const Tick rx_begin = t;
-    const std::uint64_t span_id = sock->id;
+    StageScope sc(d_.tracer, core, t);
+    sc.steeredFrom(steer.from, steer.at);
     sock->touch(core);
     t += d_.cache->access(core, sock->cacheLine, /*write=*/true,
                           d_.costs->tcbLines);
@@ -1063,31 +1017,12 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
     bool entered_time_wait = sock->state == TcpState::kTimeWait &&
                              prev_state != TcpState::kTimeWait;
     bool send_ack = pkt.has(kFin) && !destroy;
+    sc.bind(sock->id, sock->state == TcpState::kEstablished &&
+                              prev_state == TcpState::kSynRcvd
+                          ? ConnStage::kHandshake
+                          : ConnStage::kSoftirqRx);
 
-    const Tick lk_begin = t;
-    t = sock->slock.runLocked(core, t, hold);
-    const Tick lk_wait = sock->slock.lastWait();
-    // Record this SoftIRQ's work on the connection once, at whichever
-    // exit path runs — before any destroySocket finalizes the trace.
-    bool rx_recorded = false;
-    const auto record_rx = [&](Tick end) {
-        ConnSpanLog *sl = spans();
-        if (!sl || rx_recorded)
-            return;
-        rx_recorded = true;
-        if (steerTick_)
-            sl->add(span_id, ConnStage::kCoreTransfer, core, steerTick_,
-                    rx_begin, static_cast<std::uint32_t>(steerFrom_));
-        const ConnStage stage =
-            sock->state == TcpState::kEstablished &&
-                    prev_state == TcpState::kSynRcvd
-                ? ConnStage::kHandshake
-                : ConnStage::kSoftirqRx;
-        sl->add(span_id, stage, core, rx_begin, end);
-        if (lk_wait)
-            sl->add(span_id, ConnStage::kLockWait, core, lk_begin,
-                    lk_begin + lk_wait, sock->slock.classTraceId());
-    };
+    t = sc.locked(sock->slock, t, hold);
 
     if (pkt.payload && sock->state == TcpState::kEstablished) {
         // Refresh the connection's idle timer on every data segment; in
@@ -1098,16 +1033,7 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
 
     if (wake_listener && sock->parentListen) {
         Socket *listener = sock->parentListen;
-        const Tick llk_begin = t;
-        t = listener->slock.runLocked(core, t,
-                                      d_.costs->acceptQueuePushHold);
-        const Tick llk_wait = listener->slock.lastWait();
-        if (llk_wait) {
-            if (ConnSpanLog *sl = spans())
-                sl->add(span_id, ConnStage::kLockWait, core, llk_begin,
-                        llk_begin + llk_wait,
-                        listener->slock.classTraceId());
-        }
+        t = sc.locked(listener->slock, t, d_.costs->acceptQueuePushHold);
         if (listener->acceptQueue.size() >= listener->backlog) {
             // Accept-queue overflow (somaxconn): reject the connection.
             ++stats_.acceptOverflows;
@@ -1119,8 +1045,7 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
             rst.tuple = sock->rxTuple.reversed();
             rst.flags = kRst;
             d_.wire->transmit(rst, t);
-            record_rx(t);
-            return destroySocket(core, t, sock);
+            return sc.close(destroySocket(core, t, sock));
         }
         sock->acceptEnqueueTick = t;
         sock->acceptEnqueueCore = core;
@@ -1140,15 +1065,12 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
         // lingering entry on this core's TIME_WAIT bucket (the bucket's
         // shared reaper replaces a per-socket 2*MSL timer).
         t = cancelConnTimer(core, t, sock);
-        record_rx(t);
-        return enterTimeWait(core, t, sock);
+        return sc.close(enterTimeWait(core, t, sock));
     }
 
-    record_rx(t);
     if (destroy)
         t = destroySocket(core, t, sock);
-
-    return t;
+    return sc.close(t);
 }
 
 // ---------------------------------------------------------------------
@@ -1174,11 +1096,7 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
     Socket *lsock = sockFromFd(proc, listen_fd);
     fsim_assert(lsock && lsock->kind == SockKind::kListen);
 
-    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
-    const Tick sys_begin = t;
-    Tick lk_begin = 0;
-    Tick lk_wait = 0;
-    std::uint16_t lk_cls = 0;
+    StageScope sc(d_.tracer, core, t, Phase::kSyscall);
     t += d_.costs->syscallOverhead + d_.costs->acceptCost;
     // accept() writes the listener TCB (queue heads, counters), keeping
     // its cache line homed on the accepting core.
@@ -1191,11 +1109,7 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
     // lock-free read when empty) so slow-path connections cannot starve
     // behind the always-busy local queue.
     if (lsock->isLocalListen && !global->acceptQueue.empty()) {
-        lk_begin = t;
-        t = global->slock.runLocked(core, t,
-                                    d_.costs->acceptQueuePushHold);
-        lk_wait = global->slock.lastWait();
-        lk_cls = global->slock.classTraceId();
+        t = sc.locked(global->slock, t, d_.costs->acceptQueuePushHold);
         if (!global->acceptQueue.empty()) {
             conn = global->acceptQueue.front();
             global->acceptQueue.pop_front();
@@ -1205,11 +1119,7 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
     }
 
     if (!conn) {
-        lk_begin = t;
-        t = lsock->slock.runLocked(core, t,
-                                   d_.costs->acceptQueuePushHold);
-        lk_wait = lsock->slock.lastWait();
-        lk_cls = lsock->slock.classTraceId();
+        t = sc.locked(lsock->slock, t, d_.costs->acceptQueuePushHold);
         if (!lsock->acceptQueue.empty()) {
             conn = lsock->acceptQueue.front();
             lsock->acceptQueue.pop_front();
@@ -1222,6 +1132,7 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
         return out;   // EAGAIN
     }
 
+    sc.bind(conn->id, ConnStage::kAccept);
     conn->touch(core);
     out.sojourn = t > conn->acceptEnqueueTick
                       ? t - conn->acceptEnqueueTick
@@ -1230,7 +1141,13 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
                           d_.costs->tcbLines);
 
     SocketFile *file = nullptr;
-    t = vfs_->allocSocketFile(core, t, conn, &file, conn->id);
+    t = sc.vfs(t, vfs_->allocSocketFile(core, t, conn, &file), vfs_->mode());
+    sc.waited(ConnStage::kAcceptQueue,
+              conn->acceptEnqueueCore != kInvalidCore
+                  ? conn->acceptEnqueueCore
+                  : core,
+              conn->acceptEnqueueTick,
+              conn->acceptEnqueueTick + out.sojourn);
     int fd = p.fds.alloc();
     t += d_.costs->fdBitmapCost;
     file->fd = fd;
@@ -1244,18 +1161,6 @@ KernelStack::accept(int proc, Tick t, int listen_fd)
     out.sock = conn;
     out.fd = fd;
     out.t = sc.close(t);
-    if (ConnSpanLog *sl = spans()) {
-        const CoreId qcore = conn->acceptEnqueueCore != kInvalidCore
-                                 ? conn->acceptEnqueueCore
-                                 : core;
-        sl->add(conn->id, ConnStage::kAcceptQueue, qcore,
-                conn->acceptEnqueueTick,
-                conn->acceptEnqueueTick + out.sojourn);
-        sl->add(conn->id, ConnStage::kAccept, core, sys_begin, out.t);
-        if (lk_wait)
-            sl->add(conn->id, ConnStage::kLockWait, core, lk_begin,
-                    lk_begin + lk_wait, lk_cls);
-    }
     return out;
 }
 
@@ -1270,10 +1175,7 @@ KernelStack::connect(int proc, Tick t, IpAddr dst, Port dport)
         fsim_fatal("connect() with no local address configured");
     IpAddr src = localAddrs_.front();
 
-    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
-    const Tick sys_begin = t;
-    Tick pb_begin = 0;
-    Tick pb_wait = 0;
+    StageScope sc(d_.tracer, core, t, Phase::kSyscall);
     t += d_.costs->syscallOverhead + d_.costs->connectCost +
          d_.costs->portAllocCost;
 
@@ -1304,11 +1206,9 @@ KernelStack::connect(int proc, Tick t, IpAddr dst, Port dport)
         // the Fastsocket build (any feature bit) patches it per-core.
         bool stock = cfg_.flavor == KernelFlavor::kBase2632 &&
                      !cfg_.fastVfs && !cfg_.localListen;
-        if (stock) {
-            pb_begin = t;
-            t = portBindLock_.runLocked(core, t, d_.costs->portBindHold);
-            pb_wait = portBindLock_.lastWait();
-        } else
+        if (stock)
+            t = sc.locked(portBindLock_, t, d_.costs->portBindHold);
+        else
             t += d_.costs->portBindHold / 4;
         psrc = ports_.alloc(dst, dport);
     }
@@ -1342,12 +1242,10 @@ KernelStack::connect(int proc, Tick t, IpAddr dst, Port dport)
     sock->ownerCore = core;
     sock->timerCore = core;
     sock->touch(core);
-
-    if (ConnSpanLog *sl = spans())
-        sl->open(sock->id, sys_begin, /*passive=*/false);
+    sc.open(sock->id, ConnStage::kConnect, /*passive=*/false);
 
     SocketFile *file = nullptr;
-    t = vfs_->allocSocketFile(core, t, sock, &file, sock->id);
+    t = sc.vfs(t, vfs_->allocSocketFile(core, t, sock, &file), vfs_->mode());
     int fd = p.fds.alloc();
     t += d_.costs->fdBitmapCost;
     file->fd = fd;
@@ -1364,12 +1262,6 @@ KernelStack::connect(int proc, Tick t, IpAddr dst, Port dport)
     out.sock = sock;
     out.fd = fd;
     out.t = sc.close(t);
-    if (ConnSpanLog *sl = spans()) {
-        sl->add(sock->id, ConnStage::kConnect, core, sys_begin, out.t);
-        if (pb_wait)
-            sl->add(sock->id, ConnStage::kLockWait, core, pb_begin,
-                    pb_begin + pb_wait, portBindLock_.classTraceId());
-    }
     return out;
 }
 
@@ -1377,7 +1269,7 @@ Tick
 KernelStack::epollWait(int proc, Tick t, std::vector<int> &fds)
 {
     KProcess &p = *procs_.at(proc);
-    TraceScope sc(d_.tracer, p.core, Phase::kSyscall, t);
+    StageScope sc(d_.tracer, p.core, t, Phase::kSyscall);
     return sc.close(p.epoll->wait(p.core, t, fds));
 }
 
@@ -1385,7 +1277,7 @@ Tick
 KernelStack::epollAdd(int proc, Tick t, int fd)
 {
     KProcess &p = *procs_.at(proc);
-    TraceScope sc(d_.tracer, p.core, Phase::kSyscall, t);
+    StageScope sc(d_.tracer, p.core, t, Phase::kSyscall);
     return sc.close(p.epoll->ctlAdd(p.core, t, fd));
 }
 
@@ -1398,31 +1290,25 @@ KernelStack::read(int proc, Tick t, int fd)
     Socket *sock = sockFromFd(proc, fd);
     fsim_assert(sock != nullptr);
 
-    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
-    const Tick sys_begin = t;
+    StageScope sc(d_.tracer, core, t, Phase::kSyscall);
+    sc.bind(sock->id, ConnStage::kAppRead);
+    if (sc.tracing()) {
+        // Dispatch delay: the epoll wakeup to this read().
+        const Tick wake_at = p.epoll->consumeWakeTick(fd);
+        if (wake_at > 0 && wake_at < t)
+            sc.waited(ConnStage::kDispatch, core, wake_at, t);
+    }
     t += d_.costs->syscallOverhead + d_.costs->readCost;
     t += d_.cache->access(core, sock->cacheLine, /*write=*/true,
                           d_.costs->tcbLines);
     sock->touch(core);
 
-    const Tick lk_begin = t;
-    t = sock->slock.runLocked(core, t, d_.costs->slockHoldApp);
+    t = sc.locked(sock->slock, t, d_.costs->slockHoldApp);
     out.bytes = sock->rxPending;
     sock->rxPending = 0;
     out.finSeen = sock->peerFin;
     out.connClose = sock->peerConnClose;
     out.t = sc.close(t);
-    if (ConnSpanLog *sl = spans()) {
-        const Tick wake_at = p.epoll->consumeWakeTick(fd);
-        if (wake_at > 0 && wake_at < sys_begin)
-            sl->add(sock->id, ConnStage::kDispatch, core, wake_at,
-                    sys_begin);
-        sl->add(sock->id, ConnStage::kAppRead, core, sys_begin, out.t);
-        if (sock->slock.lastWait())
-            sl->add(sock->id, ConnStage::kLockWait, core, lk_begin,
-                    lk_begin + sock->slock.lastWait(),
-                    sock->slock.classTraceId());
-    }
     return out;
 }
 
@@ -1434,30 +1320,20 @@ KernelStack::write(int proc, Tick t, int fd, std::uint32_t bytes)
     Socket *sock = sockFromFd(proc, fd);
     fsim_assert(sock != nullptr);
 
-    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
-    const Tick sys_begin = t;
+    StageScope sc(d_.tracer, core, t, Phase::kSyscall);
+    sc.bind(sock->id, ConnStage::kAppWrite);
     t += d_.costs->syscallOverhead + d_.costs->writeCost;
     t += d_.cache->access(core, sock->cacheLine, /*write=*/true,
                           d_.costs->tcbLines);
     sock->touch(core);
 
-    const Tick lk_begin = t;
-    t = sock->slock.runLocked(core, t, d_.costs->slockHoldApp);
+    t = sc.locked(sock->slock, t, d_.costs->slockHoldApp);
 
     // Arm/refresh the retransmission timer from process context; without
     // locality this crosses cores into the SoftIRQ core's base.
     t = armConnTimer(core, t, sock, cfg_.keepaliveJiffies);
 
-    const Tick end = sc.close(sendPacket(core, t, sock, kAck | kPsh,
-                                        bytes));
-    if (ConnSpanLog *sl = spans()) {
-        sl->add(sock->id, ConnStage::kAppWrite, core, sys_begin, end);
-        if (sock->slock.lastWait())
-            sl->add(sock->id, ConnStage::kLockWait, core, lk_begin,
-                    lk_begin + sock->slock.lastWait(),
-                    sock->slock.classTraceId());
-    }
-    return end;
+    return sc.close(sendPacket(core, t, sock, kAck | kPsh, bytes));
 }
 
 Tick
@@ -1469,8 +1345,9 @@ KernelStack::close(int proc, Tick t, int fd)
     fsim_assert(file != nullptr);
     Socket *sock = static_cast<Socket *>(file->priv);
 
-    TraceScope sc(d_.tracer, core, Phase::kSyscall, t);
-    const Tick sys_begin = t;
+    StageScope sc(d_.tracer, core, t, Phase::kSyscall);
+    if (sock->kind == SockKind::kConnection)
+        sc.bind(sock->id, ConnStage::kTeardown);
     t += d_.costs->syscallOverhead + d_.costs->closeCost;
     sock->touch(core);
 
@@ -1479,9 +1356,7 @@ KernelStack::close(int proc, Tick t, int fd)
     p.fds.free(fd);
     t += d_.costs->fdBitmapCost;
     p.clearFile(fd);
-    t = vfs_->freeSocketFile(core, t, file,
-                             sock->kind == SockKind::kConnection
-                                 ? sock->id : 0);
+    t = sc.vfs(t, vfs_->freeSocketFile(core, t, file), vfs_->mode());
     sock->file = nullptr;
 
     if (sock->kind == SockKind::kListen) {
@@ -1495,24 +1370,9 @@ KernelStack::close(int proc, Tick t, int fd)
         return sc.close(t);
     }
 
-    const Tick lk_begin = t;
-    t = sock->slock.runLocked(core, t, d_.costs->slockHoldApp);
-    TcpState st = sock->state;
+    t = sc.locked(sock->slock, t, d_.costs->slockHoldApp);
 
-    // The teardown span must land before destroySocket() retires the
-    // trace, so it is recorded per-branch rather than after the switch.
-    const std::uint64_t span_id = sock->id;
-    auto record_teardown = [&](Tick end) {
-        if (ConnSpanLog *sl = spans()) {
-            sl->add(span_id, ConnStage::kTeardown, core, sys_begin, end);
-            if (sock->slock.lastWait())
-                sl->add(span_id, ConnStage::kLockWait, core, lk_begin,
-                        lk_begin + sock->slock.lastWait(),
-                        sock->slock.classTraceId());
-        }
-    };
-
-    switch (st) {
+    switch (sock->state) {
       case TcpState::kEstablished:
         // Active close: FIN, wait for the peer's ACK/FIN.
         sock->state = TcpState::kFinWait1;
@@ -1526,15 +1386,11 @@ KernelStack::close(int proc, Tick t, int fd)
         break;
       case TcpState::kSynSent:
       case TcpState::kSynRcvd:
-        record_teardown(t);
-        t = destroySocket(core, t, sock);
-        return sc.close(t);
+        return sc.close(destroySocket(core, t, sock));
       default:
         break;
     }
-    const Tick end = sc.close(t);
-    record_teardown(end);
-    return end;
+    return sc.close(t);
 }
 
 std::vector<const Socket *>

@@ -44,8 +44,6 @@
 namespace fsim
 {
 
-class ConnSpanLog;
-
 /** Kernel-side state of one simulated process. */
 struct KProcess
 {
@@ -304,8 +302,16 @@ class KernelStack
     /** @} */
 
   private:
+    /** Where an RFD software steer came from (core, tick); from is
+     *  kInvalidCore for a packet taken straight off its NIC queue. */
+    struct Steer
+    {
+        CoreId from = kInvalidCore;
+        Tick at = 0;
+    };
+
     /** SoftIRQ-context packet processing on @p core. */
-    Tick netRx(CoreId core, const Packet &pkt, Tick t, bool steered);
+    Tick netRx(CoreId core, const Packet &pkt, Tick t, Steer steer);
 
     /** True if the SoftIRQ backlog budget says to drop a packet bound
      *  for @p core (accounts the drop and feeds the pressure state). */
@@ -316,12 +322,12 @@ class KernelStack
      *  and the tracer's depth series. */
     void noteAcceptOccupancy(const Socket *listener);
 
-    Tick handleSyn(CoreId core, const Packet &pkt, Tick t);
+    Tick handleSyn(CoreId core, const Packet &pkt, Tick t, Steer steer);
     Tick handleEstablishedPacket(CoreId core, Socket *sock,
-                                 const Packet &pkt, Tick t);
+                                 const Packet &pkt, Tick t, Steer steer);
     /** Mint an established TCB from a validated SYN-cookie ACK. */
     Tick establishFromCookie(CoreId core, Socket *listener,
-                             const Packet &pkt, Tick t);
+                             const Packet &pkt, Tick t, Steer steer);
 
     /** Pick the listener for an incoming SYN; charges lookup costs. */
     struct ListenLookup
@@ -372,9 +378,6 @@ class KernelStack
     /** Stateless SYN-cookie value for a flow (nonzero by construction). */
     static std::uint32_t cookieFor(const FiveTuple &flow);
 
-    /** Span log when tracing is on, else null (hooks cost nothing). */
-    ConnSpanLog *spans() const;
-
     Deps d_;
     KernelConfig cfg_;
     KernelStats stats_;
@@ -409,14 +412,6 @@ class KernelStack
     FlatMap<std::uint64_t, std::uint32_t> rfdPortCursor_;
     /** Round-robin cursor for baseline listen-socket wakeups. */
     std::size_t wakeCursor_ = 0;
-
-    /** @name Span-trace context for RFD software steers
-     * Set around the synchronous SoftIRQ hop so the packet handlers can
-     * record the cross-core transfer wait; trace-only state. */
-    /** @{ */
-    Tick steerTick_ = 0;
-    CoreId steerFrom_ = kInvalidCore;
-    /** @} */
 };
 
 } // namespace fsim

@@ -9,7 +9,7 @@
  * in the bench JSON (`timeseries` block) and, on request, as
  * Prometheus-style text via --metrics=<path>.
  *
- * Discipline mirrors ConnSpanLog: registration happens once at setup;
+ * Discipline mirrors the span log: registration happens once at setup;
  * mutation writes pre-registered slots and never allocates; sampling
  * is the only path that grows memory, it no-ops when the registry is
  * disabled, and allocations() counts exactly the points appended — so

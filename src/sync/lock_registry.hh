@@ -50,7 +50,7 @@ class LockRegistry
     /**
      * Attach the machine's tracer: existing and future classes get the
      * pointer, and components constructed with a LockRegistry reference
-     * (epoll, VFS) use this as their tracer rendezvous too.
+     * (epoll) use this as their tracer rendezvous too.
      */
     void setTracer(Tracer *tracer);
     Tracer *tracer() const { return tracer_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "trace/fleet_trace.hh"
+#include "trace/trace_scope.hh"
 
 namespace fsim
 {
@@ -162,10 +163,16 @@ ConnSpanLog::noteShed(std::uint64_t conn_id, std::uint8_t reason)
 }
 
 void
-ConnSpanLog::close(std::uint64_t conn_id, Tick t)
+ConnSpanLog::close(std::uint64_t conn_id, Tick begin, Tick t)
 {
     if (!enabled_)
         return;
+    for (StageScope *sc = scopes_; sc;) {
+        StageScope *next = sc->next_;
+        if (sc->conn_ == conn_id)
+            sc->unbind(begin, /*record_spans=*/true);
+        sc = next;
+    }
     if (const std::uint32_t *slot = live_.find(conn_id))
         finalize(*slot, t, /*orderly=*/true);
 }

@@ -3,13 +3,13 @@
  * Per-connection lifecycle span log: the simulator's answer to "where did
  * THIS connection lose its time?".
  *
- * Every connection TCB minted by the kernel opens a ConnSpanTrace; hook
- * points across the stack (SoftIRQ SYN/handshake processing, accept-queue
- * sojourn, accept/connect/read/write/close syscalls, VFS allocation,
- * epoll dispatch, lock spins, RFD cross-core transfers) append timestamped
- * stage spans with the executing core. Aggregate phase accounting
- * (PhaseAccounting) answers "where did the machine's cycles go"; this log
- * answers the per-request question the paper's tail analysis needs.
+ * Every connection TCB minted by the kernel opens a ConnSpanTrace; the
+ * StageScope (trace_scope.hh) each kernel entry and app service slice
+ * opens appends the connection's stage span with the executing core,
+ * plus the stage's wait and its VFS and lock-spin sub-spans. Aggregate
+ * phase accounting (PhaseAccounting) answers "where did the machine's
+ * cycles go"; this log answers the per-request question the paper's
+ * tail analysis needs.
  *
  * Stages come in three kinds:
  *  - exec:  cycles a core actually spent on this connection. Per core,
@@ -55,6 +55,7 @@ namespace fsim
 {
 
 class FleetTraceLog;
+class StageScope;
 
 /** Connection lifecycle stage a span is attributed to. */
 enum class ConnStage : std::uint8_t
@@ -177,8 +178,10 @@ class ConnSpanLog
     /** Attach the distributed trace context (kernel TCB inherit). */
     void setTraceId(std::uint64_t conn_id, std::uint64_t trace_id);
 
-    /** Finalize the trace (TCB destruction) in completion order. */
-    void close(std::uint64_t conn_id, Tick t);
+    /** Finalize the trace (TCB destruction from @p begin to @p t) in
+     *  completion order. A StageScope still bound to the connection
+     *  records first, its stage ending at @p begin. */
+    void close(std::uint64_t conn_id, Tick begin, Tick t);
 
     /** Finalize every still-live trace at @p t (machine death: the
      *  TCBs never destruct, so their spans would otherwise leak).
@@ -233,6 +236,8 @@ class ConnSpanLog
     std::uint64_t execSelfTicks(CoreId core) const;
 
   private:
+    friend class StageScope;
+
     /** A live trace: header plus an owned span buffer whose capacity
      *  survives slot reuse. */
     struct LiveTrace
@@ -252,6 +257,7 @@ class ConnSpanLog
 
     bool enabled_ = true;
     FleetTraceLog *fleet_ = nullptr;
+    StageScope *scopes_ = nullptr;   //!< bound scopes, linked by next_
     FlatMap<std::uint64_t, std::uint32_t> live_;
     std::vector<LiveTrace> slots_;
     std::vector<std::uint32_t> freeSlots_;

@@ -3,7 +3,7 @@
  * Cycle attribution by execution phase.
  *
  * Every simulated core carries a stack of open phase frames (pushed and
- * popped by TraceScope guards or directly by the CPU model's task loop).
+ * popped by StageScope guards or directly by the CPU model's task loop).
  * When a frame closes, the cycles it spanned minus the cycles already
  * attributed to nested frames and direct charges — its *self time* — are
  * charged to the frame's phase and to the folded call-stack key, giving

@@ -10,7 +10,7 @@
  * on a single-machine testbed with no fleet log attached, the chunks
  * that retain completed traces. So the steady state of a traced fleet
  * is close to allocation-free, not exactly so.
- * Components reached through long init chains (locks, epoll, VFS) find
+ * Components reached through long init chains (locks, epoll) find
  * the tracer through the LockRegistry instead of growing their
  * constructor signatures.
  */

@@ -1,14 +1,13 @@
 #include "vfs/vfs.hh"
 
 #include "sim/logging.hh"
-#include "trace/tracer.hh"
 
 namespace fsim
 {
 
 VfsLayer::VfsLayer(VfsMode mode, LockRegistry &locks, CacheModel &cache,
                    const CycleCosts &costs, int fine_buckets)
-    : mode_(mode), cache_(cache), costs_(costs), tracer_(locks.tracer())
+    : mode_(mode), cache_(cache), costs_(costs)
 {
     fsim_assert(fine_buckets > 0);
     LockClassStats *dcache = locks.getClass("dcache_lock");
@@ -57,10 +56,8 @@ VfsLayer::inodeBucket(std::uint64_t ino)
 }
 
 Tick
-VfsLayer::allocSocketFile(CoreId c, Tick t, void *sock, SocketFile **out,
-                          std::uint64_t conn_id)
+VfsLayer::allocSocketFile(CoreId c, Tick t, void *sock, SocketFile **out)
 {
-    const Tick begin = t;
     PoolSlot *slot;
     if (poolFree_ != kPoolNone) {
         slot = &slotAt(poolFree_);
@@ -102,17 +99,12 @@ VfsLayer::allocSocketFile(CoreId c, Tick t, void *sock, SocketFile **out,
 
     ++liveFiles_;
     *out = file;
-    if (conn_id && tracer_ && tracer_->enabled())
-        tracer_->connSpans().add(conn_id, ConnStage::kVfs, c, begin, t,
-                                 static_cast<std::uint32_t>(mode_));
     return t;
 }
 
 Tick
-VfsLayer::freeSocketFile(CoreId c, Tick t, SocketFile *file,
-                         std::uint64_t conn_id)
+VfsLayer::freeSocketFile(CoreId c, Tick t, SocketFile *file)
 {
-    const Tick begin = t;
     fsim_assert(file != nullptr);
     PoolSlot *slot = reinterpret_cast<PoolSlot *>(file);
     if (!slot->live)
@@ -141,9 +133,6 @@ VfsLayer::freeSocketFile(CoreId c, Tick t, SocketFile *file,
     slot->nextFree = poolFree_;
     poolFree_ = slot->selfIdx;
     --liveFiles_;
-    if (conn_id && tracer_ && tracer_->enabled())
-        tracer_->connSpans().add(conn_id, ConnStage::kVfs, c, begin, t,
-                                 static_cast<std::uint32_t>(mode_));
     return t;
 }
 

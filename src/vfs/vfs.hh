@@ -30,8 +30,6 @@
 namespace fsim
 {
 
-class Tracer;
-
 /** Which VFS implementation the simulated kernel runs. */
 enum class VfsMode
 {
@@ -71,16 +69,12 @@ class VfsLayer
      * Charges the mode's cycle and lock costs.
      *
      * @param[out] out The new file.
-     * @param conn_id Connection id for span attribution (0 = none,
-     *        e.g. listener setup); trace-only, never affects costs.
      * @return The tick at which the allocation completes.
      */
-    Tick allocSocketFile(CoreId c, Tick t, void *sock, SocketFile **out,
-                         std::uint64_t conn_id = 0);
+    Tick allocSocketFile(CoreId c, Tick t, void *sock, SocketFile **out);
 
     /** Destroy a socket file; inverse cost profile of alloc. */
-    Tick freeSocketFile(CoreId c, Tick t, SocketFile *file,
-                        std::uint64_t conn_id = 0);
+    Tick freeSocketFile(CoreId c, Tick t, SocketFile *file);
 
     /**
      * Enumerate all live socket files, as /proc/net readers (netstat,
@@ -114,7 +108,6 @@ class VfsLayer
     VfsMode mode_;
     CacheModel &cache_;
     const CycleCosts &costs_;
-    Tracer *tracer_;    //!< borrowed from the lock registry; may be null
 
     SimSpinLock dcacheLock_;    //!< global (2.6.32 mode)
     SimSpinLock inodeLock_;     //!< global (2.6.32 mode)

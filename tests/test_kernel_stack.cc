@@ -267,6 +267,43 @@ TEST_F(KernelFixture, ActiveConnectHandshake)
     EXPECT_EQ(k.stats().activeConns, 1u);
 }
 
+TEST_F(KernelFixture, EmbryonicCloseRecordsTeardownBeforeTraceRetires)
+{
+    // close() in SYN_SENT destroys the TCB inside the syscall. The
+    // teardown span must still reach the trace, ending where the
+    // destruction began, before the trace is retired at its end.
+    build(KernelConfig::base2632());
+    KernelStack &k = m->kernel();
+    int proc = k.addProcess(1);
+    k.listen(proc, srv(), 80);
+
+    auto c = k.connect(proc, eq.now(), kBackendIp, 80);
+    ASSERT_NE(c.sock, nullptr);
+    ASSERT_EQ(c.sock->state, TcpState::kSynSent);
+    const std::uint64_t id = c.sock->id;
+    const Tick end = k.close(proc, c.t, c.fd);
+    EXPECT_EQ(k.liveSockets(), 1u);   // only the listener is left
+
+    const auto &log = m->tracer().connSpans();
+    ASSERT_EQ(log.completedCount(), 1u);
+    const ConnSpanTrace &tr = log.completed().front();
+    EXPECT_EQ(tr.connId, id);
+    EXPECT_TRUE(tr.closed);
+    EXPECT_EQ(tr.closeTick, end);
+    const ConnSpan *teardown = nullptr;
+    int vfs = 0;
+    for (const ConnSpan &sp : tr.spans) {
+        if (sp.stage == ConnStage::kTeardown)
+            teardown = &sp;
+        vfs += sp.stage == ConnStage::kVfs;
+    }
+    ASSERT_NE(teardown, nullptr);
+    EXPECT_EQ(teardown->begin, c.t);
+    // The port release under the bind lock follows the stage's end.
+    EXPECT_LT(teardown->end, end);
+    EXPECT_EQ(vfs, 2);   // socket-file alloc in connect(), free in close()
+}
+
 TEST_F(KernelFixture, RfdEncodesCoreInSourcePort)
 {
     build(KernelConfig::fastsocket(), 4);

@@ -4,8 +4,8 @@
  * brute-force per-bucket max, its lazy storage (this binary includes
  * the counting allocator hook) and whole-window coverage on a real
  * testbed, phase attribution arithmetic, the cycle-conservation
- * invariant against the CPU model, and the bench JSON block-presence
- * rules.
+ * invariant against the CPU model, the StageScope guard every kernel
+ * entry opens, and the bench JSON block-presence rules.
  */
 
 #include <gtest/gtest.h>
@@ -274,24 +274,130 @@ TEST(PhaseAccounting, DeltaSubtractsAndSaturates)
     EXPECT_EQ(decodedFolded(d)["app"], 70u);
 }
 
-TEST(TraceScope, UnclosedScopeAttributesZeroSelfTime)
+/** A lock whose every critical section waits @p wait cycles first. */
+struct SpinningLock
+{
+    Tick wait = 0;
+
+    Tick runLocked(CoreId, Tick t, Tick hold) { return t + wait + hold; }
+    Tick lastWait() const { return wait; }
+    std::uint16_t classTraceId() const { return 3; }
+};
+
+std::uint64_t
+phaseCycles(const PhaseSnapshot &s, Phase p)
+{
+    return s.perCore[0][static_cast<int>(p)];
+}
+
+TEST(StageScope, RecordsNotedSpansThenStageThenLockWaits)
 {
     Tracer tr(1);
+    SpinningLock lock{5};
+    tr.pushPhase(0, Phase::kSoftirq, 0);
     {
-        TraceScope outer(&tr, 0, Phase::kApp, 0);
-        {
-            TraceScope sc(&tr, 0, Phase::kSyscall, 10);
-            tr.chargePhase(0, Phase::kLockSpin, 7);
-            // No close(): an early-return path. The destructor pops
-            // with zero self time but keeps the nested charge.
-        }
-        outer.close(100);
+        // A steered SYN: the trace opens at the steer tick.
+        StageScope sc(&tr, 0, 100);
+        sc.steeredFrom(1, 60);
+        sc.open(9, ConnStage::kSynRx, /*passive=*/true, /*trace_id=*/44);
+        EXPECT_EQ(sc.locked(lock, 110, 20), 135u);
+        EXPECT_EQ(sc.vfs(140, 150, 2), 150u);
+        EXPECT_EQ(sc.locked(lock, 150, 10), 165u);
+        EXPECT_EQ(sc.close(170), 170u);
     }
-    PhaseSnapshot s = tr.phaseSnapshot();
-    EXPECT_EQ(s.perCore[0][static_cast<int>(Phase::kSyscall)], 0u);
-    EXPECT_EQ(s.perCore[0][static_cast<int>(Phase::kLockSpin)], 7u);
-    EXPECT_EQ(s.perCore[0][static_cast<int>(Phase::kApp)], 93u);
+    tr.popPhase(0, 200);
     EXPECT_EQ(tr.phases().depth(0), 0);
+
+    ConnSpanLog &log = tr.connSpans();
+    log.close(9, 300, 300);
+    ASSERT_EQ(log.completedCount(), 1u);
+    const ConnSpanTrace &trace = log.completed().front();
+    EXPECT_EQ(trace.openTick, 60u);
+    EXPECT_EQ(trace.traceId, 44u);
+    const ConnSpan want[] = {
+        {60, 100, 1, 0, ConnStage::kCoreTransfer},
+        {140, 150, 2, 0, ConnStage::kVfs},
+        {100, 170, 0, 0, ConnStage::kSynRx},
+        {110, 115, 3, 0, ConnStage::kLockWait},
+        {150, 155, 3, 0, ConnStage::kLockWait},
+    };
+    ASSERT_EQ(trace.spans.size(), std::size(want));
+    for (std::size_t i = 0; i < std::size(want); ++i) {
+        EXPECT_EQ(trace.spans[i].stage, want[i].stage) << i;
+        EXPECT_EQ(trace.spans[i].core, want[i].core) << i;
+        EXPECT_EQ(trace.spans[i].begin, want[i].begin) << i;
+        EXPECT_EQ(trace.spans[i].end, want[i].end) << i;
+        EXPECT_EQ(trace.spans[i].aux, want[i].aux) << i;
+    }
+}
+
+TEST(StageScope, UnboundOrUnclosedScopeRecordsNoSpan)
+{
+    Tracer tr(1);
+    SpinningLock lock{5};
+    ConnSpanLog &log = tr.connSpans();
+    log.open(7, 0, /*passive=*/true);
+    tr.pushPhase(0, Phase::kApp, 0);
+    {
+        // accept() on an empty queue: closed but never bound, so its
+        // lock wait has no connection to land on. The frame still
+        // charges the syscall's self time.
+        StageScope sc(&tr, 0, 10, Phase::kSyscall);
+        sc.locked(lock, 10, 5);
+        sc.close(30);
+    }
+    {
+        // An early return: bound, then left without close(). The frame
+        // pops with zero self time and keeps the nested charge.
+        StageScope sc(&tr, 0, 40, Phase::kSyscall);
+        sc.bind(7, ConnStage::kAppRead);
+        tr.chargePhase(0, Phase::kLockSpin, 7);
+    }
+    tr.popPhase(0, 100);
+
+    PhaseSnapshot s = tr.phaseSnapshot();
+    EXPECT_EQ(phaseCycles(s, Phase::kSyscall), 20u);
+    EXPECT_EQ(phaseCycles(s, Phase::kLockSpin), 7u);
+    EXPECT_EQ(phaseCycles(s, Phase::kApp), 73u);
+    EXPECT_EQ(tr.phases().depth(0), 0);
+    EXPECT_EQ(log.spansRecorded(), 0u);
+    // The unclosed scope unlinked itself: retiring the trace finds no
+    // scope to record.
+    log.close(7, 100, 100);
+    ASSERT_EQ(log.completedCount(), 1u);
+    EXPECT_TRUE(log.completed().front().spans.empty());
+}
+
+TEST(StageScope, DisabledTracerPushesNoFrameAndRecordsNothing)
+{
+    Tracer tr(1);
+    tr.setEnabled(false);
+    SpinningLock lock{5};
+    std::uint64_t allocs;
+    {
+        AllocAuditScope audit;
+        for (Tracer *t : {&tr, static_cast<Tracer *>(nullptr)}) {
+            StageScope sc(t, 0, 10, Phase::kSyscall);
+            EXPECT_FALSE(sc.tracing());
+            sc.steeredFrom(1, 5);
+            sc.open(1, ConnStage::kConnect, /*passive=*/false);
+            EXPECT_EQ(tr.phases().depth(0), 0);
+            // The critical section still runs; only the record is gone.
+            EXPECT_EQ(sc.locked(lock, 10, 20), 35u);
+            EXPECT_EQ(sc.vfs(35, 40, 2), 40u);
+            EXPECT_EQ(sc.close(50), 50u);
+        }
+        allocs = AllocAudit::disarm();
+    }
+    ASSERT_TRUE(AllocAudit::hooked());
+    EXPECT_EQ(allocs, 0u);
+    const ConnSpanLog &log = tr.connSpans();
+    EXPECT_EQ(log.opened(), 0u);
+    EXPECT_EQ(log.spansRecorded(), 0u);
+    EXPECT_EQ(log.allocations(), 0u);
+    PhaseSnapshot s = tr.phaseSnapshot();
+    EXPECT_EQ(phaseCycles(s, Phase::kSyscall), 0u);
+    EXPECT_TRUE(s.folded.empty());
 }
 
 TEST(Tracer, NoteLockSpinChargesLockSpinPhase)
