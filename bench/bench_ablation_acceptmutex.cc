@@ -21,34 +21,37 @@ main(int argc, char **argv)
            "Paper 4.2.2: the accept mutex is pointless (disabled) once "
            "the listen socket is partitioned per core.");
 
-    TextTable table;
-    table.header({"kernel", "accept mutex", "throughput", "max util",
-                  "min util"});
-
     BenchJsonReport json("ablation_acceptmutex");
-    for (int k = 0; k < 2; ++k) {
-        KernelConfig kernel =
-            k == 0 ? KernelConfig::base2632() : KernelConfig::fastsocket();
-        const char *kname = k == 0 ? "base-2.6.32" : "fastsocket";
+    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
+    std::vector<BenchRow> rows;
+    for (const KernelUnderTest &k : kernels)
         for (bool mutex : {false, true}) {
             ExperimentConfig cfg;
             cfg.app = AppKind::kNginx;
             cfg.machine.cores = 12;
-            cfg.machine.kernel = kernel;
+            cfg.machine.kernel = k.config;
             cfg.acceptMutex = mutex;
             cfg.concurrencyPerCore = args.quick ? 100 : 300;
             cfg.warmupSec = args.quick ? 0.02 : 0.04;
             cfg.measureSec = args.quick ? 0.04 : 0.1;
-            args.apply(cfg);
-            ExperimentResult r = runExperiment(cfg);
-            json.addRow(std::string(kname) +
-                            (mutex ? "-mutex-on" : "-mutex-off"),
-                        cfg, r);
-            table.row({kname, mutex ? "on" : "off", kcps(r.cps),
+            rows.push_back({std::string(k.name) +
+                                (mutex ? "-mutex-on" : "-mutex-off"),
+                            cfg});
+        }
+    const std::vector<ExperimentResult> res =
+        runRows(args, json, std::move(rows));
+
+    TextTable table;
+    table.header({"kernel", "accept mutex", "throughput", "max util",
+                  "min util"});
+    std::size_t i = 0;
+    for (const KernelUnderTest &k : kernels)
+        for (bool mutex : {false, true}) {
+            const ExperimentResult &r = res[i++];
+            table.row({k.name, mutex ? "on" : "off", kcps(r.cps),
                        formatPercent(r.maxUtil()),
                        formatPercent(r.minUtil())});
         }
-    }
     table.print();
     std::printf("\nExpected: the mutex costs throughput whenever accept "
                 "is a shared resource; under Fastsocket\nthe listen path "

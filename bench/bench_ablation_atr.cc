@@ -21,7 +21,10 @@ main(int argc, char **argv)
            "Paper measures 76.5% local packets with default ATR.");
 
     BenchJsonReport json("ablation_atr");
-    auto run_one = [&](int sample_rate, std::uint32_t table_size) {
+    const int rates[] = {1, 4, 8, 20, 64};
+    const std::uint32_t sizes[] = {256u, 1024u, 4096u, 16384u};
+    std::vector<BenchRow> rows;
+    auto add = [&](int sample_rate, std::uint32_t table_size) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kHaproxy;
         cfg.machine.cores = 16;
@@ -35,20 +38,23 @@ main(int argc, char **argv)
         cfg.concurrencyPerCore = args.quick ? 100 : 250;
         cfg.warmupSec = args.quick ? 0.02 : 0.04;
         cfg.measureSec = args.quick ? 0.04 : 0.1;
-        args.apply(cfg);
-        ExperimentResult r = runExperiment(cfg);
-        json.addRow("rate-1/" + std::to_string(sample_rate) + "-table-" +
-                        std::to_string(table_size),
-                    cfg, r);
-        return r;
+        rows.push_back({"rate-1/" + std::to_string(sample_rate) +
+                            "-table-" + std::to_string(table_size),
+                        cfg});
     };
+    for (int rate : rates)
+        add(rate, 8192);
+    for (std::uint32_t size : sizes)
+        add(8, size);
+    const std::vector<ExperimentResult> res =
+        runRows(args, json, std::move(rows));
 
     TextTable rate_table;
     rate_table.header({"sample rate", "local pkts", "throughput",
                        "L3 miss"});
-    for (int rate : {1, 4, 8, 20, 64}) {
-        ExperimentResult r = run_one(rate, 8192);
-        rate_table.row({"1/" + std::to_string(rate),
+    for (std::size_t i = 0; i < std::size(rates); ++i) {
+        const ExperimentResult &r = res[i];
+        rate_table.row({"1/" + std::to_string(rates[i]),
                         formatPercent(r.localPktProportion), kcps(r.cps),
                         formatPercent(r.l3MissRate)});
     }
@@ -57,9 +63,9 @@ main(int argc, char **argv)
     std::printf("\n");
     TextTable size_table;
     size_table.header({"table size", "local pkts", "throughput"});
-    for (std::uint32_t size : {256u, 1024u, 4096u, 16384u}) {
-        ExperimentResult r = run_one(8, size);
-        size_table.row({std::to_string(size),
+    for (std::size_t i = 0; i < std::size(sizes); ++i) {
+        const ExperimentResult &r = res[std::size(rates) + i];
+        size_table.row({std::to_string(sizes[i]),
                         formatPercent(r.localPktProportion),
                         kcps(r.cps)});
     }

@@ -33,13 +33,9 @@ main(int argc, char **argv)
         cfg.concurrencyPerCore = args.quick ? 600 : 1500;   // overload
         cfg.warmupSec = args.quick ? 0.02 : 0.04;
         cfg.measureSec = args.quick ? 0.05 : 0.1;
-
+        cfg.listenBacklog = backlog;
         args.apply(cfg);
         Testbed bed(cfg);
-        for (const Socket *s : bed.machine().kernel().allSockets()) {
-            if (s->kind == SockKind::kListen)
-                const_cast<Socket *>(s)->backlog = backlog;
-        }
         ExperimentResult r = bed.run();
         json.addRow("backlog-" + std::to_string(backlog), cfg, r);
         const KernelStats &ks = bed.machine().kernel().stats();

@@ -21,10 +21,7 @@ main(int argc, char **argv)
            "HAProxy, 24 cores, V+L+R enabled; only the established-table "
            "strategy varies.");
 
-    TextTable table;
-    table.header({"established table", "ehash contentions", "throughput"});
-
-    auto base_cfg = [&](int buckets, bool local) {
+    auto row = [&](const std::string &label, int buckets, bool local) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kHaproxy;
         cfg.machine.cores = 24;
@@ -38,30 +35,29 @@ main(int argc, char **argv)
         cfg.concurrencyPerCore = args.quick ? 100 : 250;
         cfg.warmupSec = args.quick ? 0.02 : 0.04;
         cfg.measureSec = args.quick ? 0.05 : 0.12;
-        return cfg;
+        return BenchRow{label, cfg};
     };
 
     BenchJsonReport json("ablation_ehash");
-    for (int buckets : {64, 1024, 16384}) {
-        ExperimentConfig cfg = base_cfg(buckets, false);
-        args.apply(cfg);
-        ExperimentResult r = runExperiment(cfg);
-        json.addRow("global-" + std::to_string(buckets), cfg, r);
-        table.row({"global, " + std::to_string(buckets) + " buckets",
+    const int bucketCounts[] = {64, 1024, 16384};
+    std::vector<BenchRow> rows;
+    for (int buckets : bucketCounts)
+        rows.push_back(
+            row("global-" + std::to_string(buckets), buckets, false));
+    rows.push_back(row("per-core-local", 16384, true));
+    const std::vector<ExperimentResult> res =
+        runRows(args, json, std::move(rows));
+
+    TextTable table;
+    table.header({"established table", "ehash contentions", "throughput"});
+    for (std::size_t i = 0; i < res.size(); ++i)
+        table.row({i < std::size(bucketCounts)
+                       ? "global, " + std::to_string(bucketCounts[i]) +
+                             " buckets"
+                       : "per-core local tables",
                    formatCount(static_cast<double>(
-                       r.locks.at("ehash.lock").contentions)),
-                   kcps(r.cps)});
-    }
-    {
-        ExperimentConfig cfg = base_cfg(16384, true);
-        args.apply(cfg);
-        ExperimentResult r = runExperiment(cfg);
-        json.addRow("per-core-local", cfg, r);
-        table.row({"per-core local tables",
-                   formatCount(static_cast<double>(
-                       r.locks.at("ehash.lock").contentions)),
-                   kcps(r.cps)});
-    }
+                       res[i].locks.at("ehash.lock").contentions)),
+                   kcps(res[i].cps)});
     table.print();
     std::printf("\nExpected: finer buckets reduce but never eliminate "
                 "contention; the per-core partition is exactly zero\n"

@@ -23,42 +23,44 @@ main(int argc, char **argv)
            "Same cycle costs; only the cross-socket transfer penalty "
            "differs.");
 
-    TextTable table;
-    table.header({"kernel", "cores", "NUMA (2x12)", "UMA (1x24)",
-                  "UMA gain"});
-
     BenchJsonReport json("ablation_numa");
-    for (int k = 0; k < 2; ++k) {
-        KernelConfig kernel =
-            k == 0 ? KernelConfig::base2632() : KernelConfig::fastsocket();
-        const char *kname = k == 0 ? "base-2.6.32" : "fastsocket";
-        for (int cores : {12, 24}) {
-            double cps[2];
+    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
+    const int coreCounts[2] = {12, 24};
+    std::vector<BenchRow> rows;
+    for (const KernelUnderTest &k : kernels)
+        for (int cores : coreCounts)
             for (int u = 0; u < 2; ++u) {
                 ExperimentConfig cfg;
                 cfg.app = AppKind::kNginx;
                 cfg.machine.cores = cores;
-                cfg.machine.kernel = kernel;
+                cfg.machine.kernel = k.config;
                 cfg.machine.costs = u == 0 ? calibratedCosts()
                                            : umaCosts();
                 cfg.concurrencyPerCore = args.quick ? 100 : 300;
                 cfg.warmupSec = args.quick ? 0.02 : 0.04;
                 cfg.measureSec = args.quick ? 0.04 : 0.1;
-                args.apply(cfg);
-                ExperimentResult r = runExperiment(cfg);
-                json.addRow(std::string(kname) + "@" +
-                                std::to_string(cores) +
-                                (u == 0 ? "-numa" : "-uma"),
-                            cfg, r);
-                cps[u] = r.cps;
+                rows.push_back({std::string(k.name) + "@" +
+                                    std::to_string(cores) +
+                                    (u == 0 ? "-numa" : "-uma"),
+                                cfg});
             }
+    const std::vector<ExperimentResult> res =
+        runRows(args, json, std::move(rows));
+
+    TextTable table;
+    table.header({"kernel", "cores", "NUMA (2x12)", "UMA (1x24)",
+                  "UMA gain"});
+    std::size_t i = 0;
+    for (const KernelUnderTest &k : kernels)
+        for (int cores : coreCounts) {
+            const double numa = res[i++].cps;
+            const double uma = res[i++].cps;
             char gain[16];
             std::snprintf(gain, sizeof(gain), "%+.0f%%",
-                          100.0 * (cps[1] - cps[0]) / cps[0]);
-            table.row({kname, std::to_string(cores), kcps(cps[0]),
-                       kcps(cps[1]), gain});
+                          100.0 * (uma - numa) / numa);
+            table.row({k.name, std::to_string(cores), kcps(numa),
+                       kcps(uma), gain});
         }
-    }
     table.print();
     std::printf("\nExpected: UMA helps the shared-everything baseline "
                 "mostly at 24 cores (cross-socket traffic is its tax)\n"

@@ -266,7 +266,6 @@ main(int argc, char **argv)
            "and wire faults holds availability\nwith bounded "
            "detect-to-eject MTTR and zero invariant violations.");
 
-    const int nMachines = 4;
     const double warmup = args.quick ? 0.02 : 0.03;
     const double winLen = args.quick ? 0.015 : 0.03;
     const int nWin = 12;
@@ -287,7 +286,7 @@ main(int argc, char **argv)
     const double slotLen = 9 * winLen / nIncidents;
     std::string soakPlan = buildCampaign(campaignSeed, warmup + winLen,
                                          slotLen, nIncidents,
-                                         nMachines);
+                                         kFleetMachines);
     {
         char buf[120];
         std::snprintf(buf, sizeof(buf),
@@ -301,23 +300,12 @@ main(int argc, char **argv)
 
     const std::string grayPlan =
         "machine_degrade@" +
-        [&] {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf),
-                          "%.4f-%.4f:target=1,factor=1.3,jitter=800",
-                          fs, fe);
-            return std::string(buf);
-        }();
-
-    // An explicit --faults plan replaces both parts' plans; the gates
-    // assume the built-in calibration, so they are reported but not
-    // enforced in that mode.
-    const bool userPlan = !args.faults.empty();
+        windowStr(fs, fe, ":target=1,factor=1.3,jitter=800", 4);
 
     const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
 
     BenchJsonReport json("chaos");
-    int rc = 0;
+    Gates gates(kBenchName, args);
 
     struct Run
     {
@@ -341,26 +329,7 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(campaignSeed),
                         soakPlan.c_str());
         for (const KernelUnderTest &k : kernels) {
-            FleetConfig fc;
-            fc.serverMachines = nMachines;
-            fc.balancers = 2;
-            fc.base.app = AppKind::kNginx;
-            fc.base.machine.cores = 4;
-            fc.base.machine.kernel = k.config;
-            fc.base.machine.traceEnabled = args.trace;
-            fc.base.concurrencyPerCore = 50;
-            fc.base.warmupSec = warmup;
-            fc.base.measureSec = nWin * winLen;
-            fc.base.statWindows = nWin;
-            fc.base.checkLevel = CheckLevel::kPeriodic;
-            fc.base.clientTimeout = ticksFromSeconds(0.08);
-            fc.maxFlowsPerBalancer = 60'000;
-            fc.base.clientRtoBase = ticksFromUsec(15000);
-            // Same probe grace as bench_fleet_resilience — and the
-            // gray calibration below depends on it: the 800us egress
-            // delay keeps probe RTTs near half the timeout, far from
-            // a binary fail yet far above the scorer's peer band.
-            fc.probeTimeoutMsec = 1.8;
+            FleetConfig fc = fleetPreset(k.config, warmup, winLen, nWin);
             fc.healthMode = run.mode;
             fc.openLoopRate = steadyRate;
 
@@ -370,10 +339,8 @@ main(int argc, char **argv)
             if (fc.base.faults.has(FaultKind::kSynFlood) &&
                 fc.base.machine.kernel.synRcvdJiffies == 0)
                 fc.base.machine.kernel.synRcvdJiffies = 300;
-            if (userPlan)
-                args.apply(fc.base);
-            else if (args.seed != 0)
-                fc.base.machine.seed = args.seed;
+            // An explicit --faults plan replaces the built-in plan.
+            args.apply(fc.base);
 
             FleetTestbed bed(fc);
             ExperimentResult r = bed.run();
@@ -400,78 +367,44 @@ main(int argc, char **argv)
                 r.invariants.summary().c_str());
             printSpans(sp);
 
-            if (r.invariants.violationCount > 0) {
-                printGateFailure(kBenchName, args, fc.base,
-                                 "invariant violations: " +
-                                     r.invariants.summary());
-                rc = 1;
-            }
-            if (userPlan)
-                continue;
-            char msg[176];
+            const ExperimentConfig &cfg = fc.base;
+            const bool score = run.mode == L4Balancer::HealthMode::kScore;
+            gates.invariant(r.invariants.violationCount == 0, cfg,
+                            "invariant violations: %s",
+                            r.invariants.summary().c_str());
             const double minSuccess = run.soak ? 0.90 : 0.97;
-            if (fl.requestSuccessRatio < minSuccess) {
-                std::snprintf(msg, sizeof(msg),
-                              "request success %.2f%% under %s "
-                              "(< %.0f%%)",
-                              100.0 * fl.requestSuccessRatio,
-                              run.label, 100.0 * minSuccess);
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (!run.soak &&
-                run.mode == L4Balancer::HealthMode::kBinary &&
-                fl.ejections != 0) {
-                std::snprintf(
-                    msg, sizeof(msg),
-                    "binary probes ejected %llu targets on the gray "
-                    "degrade — the control is supposed to be "
-                    "invisible to pass/fail probing",
-                    static_cast<unsigned long long>(fl.ejections));
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (run.mode == L4Balancer::HealthMode::kScore &&
-                fl.scoreEjections == 0) {
-                std::snprintf(
-                    msg, sizeof(msg),
-                    "scoring detector ejected nothing under %s "
-                    "(binary-vs-score gap not demonstrated)",
-                    run.label);
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (run.mode == L4Balancer::HealthMode::kScore &&
-                (sp.detected == 0 ||
-                 (!run.soak && sp.recovered == 0))) {
-                std::snprintf(msg, sizeof(msg),
-                              "incident funnel incomplete under %s "
-                              "(%d detected, %d recovered)",
-                              run.label, sp.detected, sp.recovered);
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (run.soak && sp.ejectMs.empty()) {
-                printGateFailure(kBenchName, args, fc.base,
-                                 "soak produced no measurable "
-                                 "detect->eject span");
-                rc = 1;
-            }
-            if (run.soak && !sp.ejectMs.empty() &&
-                pct(sp.ejectMs, 0.99) > kDetectEjectP99Ms) {
-                std::snprintf(msg, sizeof(msg),
-                              "detect->eject p99 %.2fms exceeds "
-                              "%.0fms",
-                              pct(sp.ejectMs, 0.99),
-                              kDetectEjectP99Ms);
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
+            gates.calibrated(fl.requestSuccessRatio >= minSuccess, cfg,
+                             "request success %.2f%% under %s (< %.0f%%)",
+                             100.0 * fl.requestSuccessRatio, run.label,
+                             100.0 * minSuccess);
+            gates.calibrated(run.soak || score || fl.ejections == 0, cfg,
+                             "binary probes ejected %llu targets on the "
+                             "gray degrade — the control is supposed to "
+                             "be invisible to pass/fail probing",
+                             static_cast<unsigned long long>(
+                                 fl.ejections));
+            gates.calibrated(!score || fl.scoreEjections != 0, cfg,
+                             "scoring detector ejected nothing under %s "
+                             "(binary-vs-score gap not demonstrated)",
+                             run.label);
+            gates.calibrated(!score || (sp.detected != 0 &&
+                                        (run.soak || sp.recovered != 0)),
+                             cfg,
+                             "incident funnel incomplete under %s (%d "
+                             "detected, %d recovered)",
+                             run.label, sp.detected, sp.recovered);
+            gates.calibrated(!run.soak || !sp.ejectMs.empty(), cfg,
+                             "soak produced no measurable detect->eject "
+                             "span");
+            gates.calibrated(!run.soak || sp.ejectMs.empty() ||
+                                 pct(sp.ejectMs, 0.99) <= kDetectEjectP99Ms,
+                             cfg, "detect->eject p99 %.2fms exceeds %.0fms",
+                             pct(sp.ejectMs, 0.99), kDetectEjectP99Ms);
         }
         std::printf("\n");
     }
 
-    std::printf("chaos: %s\n", rc == 0 ? "PASS" : "FAIL");
+    gates.printVerdict("chaos");
     finishJson(args, json);
-    return rc;
+    return gates.status();
 }

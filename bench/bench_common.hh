@@ -1,6 +1,8 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction benches.
+ * Shared scaffold for the figure/table reproduction benches: the shared
+ * flags (BenchArgs, applied to every row), the gate recorder (Gates),
+ * the shared row presets and the sweep driver (runRows).
  *
  * Every bench accepts `--quick` to shrink simulation windows (useful for
  * smoke runs and CI) and `--json=<path>` to export every experiment row
@@ -13,6 +15,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +24,7 @@
 #include <vector>
 
 #include "fault/fault_plan.hh"
+#include "fleet/fleet.hh"
 #include "harness/bench_json.hh"
 #include "harness/experiment.hh"
 #include "overload/overload_config.hh"
@@ -230,12 +234,6 @@ struct BenchArgs
     }
 };
 
-/**
- * Shared bench epilogue: print per-row determinism fingerprints when
- * --fingerprint was given (same seed + config must reprint identical
- * values, with or without --notrace) and write the JSON report when
- * --json was given.
- */
 /** "RFD+FDir_ATR" -> "rfd-fdir-atr" (per-row Perfetto file stems). */
 inline std::string
 sanitizeLabel(const std::string &label)
@@ -273,6 +271,12 @@ perfettoRowPath(const std::string &base, const std::string &label,
     return stem + "." + sanitizeLabel(label) + ext;
 }
 
+/**
+ * Shared bench epilogue: print per-row determinism fingerprints when
+ * --fingerprint was given (same seed + config must reprint identical
+ * values, with or without --notrace) and write the JSON report when
+ * --json was given.
+ */
 inline void
 finishJson(const BenchArgs &args, const BenchJsonReport &report)
 {
@@ -324,7 +328,11 @@ finishJson(const BenchArgs &args, const BenchJsonReport &report)
     }
     if (!args.perfettoPath.empty()) {
         for (std::size_t i = 0; i < report.rowCount(); ++i) {
+            // Fleet rows keep no single-machine span traces;
+            // bench_fleet_trace exports their stitched traces itself.
             const ExperimentResult &r = report.rowResult(i);
+            if (r.fleetTrace.enabled)
+                continue;
             if (!r.spanTraces) {
                 std::fprintf(stderr,
                              "warning: --perfetto: row %s kept no span "
@@ -399,19 +407,92 @@ reproducerCommand(const char *bench, const BenchArgs &args,
     return cmd;
 }
 
-/** Print one gate failure with seed, specs, and the reproducer line. */
-inline void
-printGateFailure(const char *bench, const BenchArgs &args,
-                 const ExperimentConfig &cfg, const std::string &what)
+/**
+ * Gate recorder: the one way a bench checks its pass criteria. Each
+ * check prints nothing when it holds and the failure, the row's seed
+ * and specs, and its reproducer line when it does not.
+ *
+ * - invariant(): a property that holds whatever the flags (checked
+ *   invariants, lossless stitching). A failure always fails the run.
+ * - calibrated(): a threshold tuned on the bench's built-in fault plans
+ *   and overload specs. When --faults or --overload replaced those, a
+ *   failure is reported but does not fail the run.
+ */
+class Gates
 {
-    std::printf("  FAIL: %s\n", what.c_str());
-    std::printf("    seed=%llu faults=\"%s\" overload=\"%s\"\n",
-                static_cast<unsigned long long>(cfg.machine.seed),
-                serializeFaultPlan(cfg.faults).c_str(),
-                serializeOverloadSpec(cfg.machine.overload).c_str());
-    std::printf("    reproduce: %s\n",
-                reproducerCommand(bench, args, cfg).c_str());
-}
+  public:
+    Gates(const char *bench, const BenchArgs &args)
+        : bench_(bench), args_(args),
+          enforceCalibrated_(args.faults.empty() &&
+                             args.overloadSpec.empty())
+    {
+    }
+
+    /** @return @p ok; a false @p ok fails the run. */
+    bool invariant(bool ok, const ExperimentConfig &cfg, const char *fmt,
+                   ...) __attribute__((format(printf, 4, 5)))
+    {
+        va_list ap;
+        va_start(ap, fmt);
+        record(ok, true, cfg, fmt, ap);
+        va_end(ap);
+        return ok;
+    }
+
+    /** @return @p ok; a false @p ok fails the run unless --faults or
+     *  --overload replaced the calibration. */
+    bool calibrated(bool ok, const ExperimentConfig &cfg, const char *fmt,
+                    ...) __attribute__((format(printf, 4, 5)))
+    {
+        va_list ap;
+        va_start(ap, fmt);
+        record(ok, enforceCalibrated_, cfg, fmt, ap);
+        va_end(ap);
+        return ok;
+    }
+
+    /** Enforced failures so far. */
+    int failures() const { return failures_; }
+
+    /** Process exit status: 1 once any enforced gate failed. */
+    int status() const { return failures_ ? 1 : 0; }
+
+    /** "<name>: PASS" or "<name>: FAIL". */
+    void
+    printVerdict(const char *name) const
+    {
+        std::printf("%s: %s\n", name, failures_ ? "FAIL" : "PASS");
+    }
+
+  private:
+    void
+    record(bool ok, bool enforce, const ExperimentConfig &cfg,
+           const char *fmt, va_list ap)
+    {
+        if (ok)
+            return;
+        std::fputs(enforce ? "  FAIL: "
+                           : "  not enforced (--faults/--overload "
+                             "replaced the calibration): ",
+                   stdout);
+        std::vprintf(fmt, ap);
+        std::fputs("\n", stdout);
+        if (!enforce)
+            return;
+        ++failures_;
+        std::printf("    seed=%llu faults=\"%s\" overload=\"%s\"\n",
+                    static_cast<unsigned long long>(cfg.machine.seed),
+                    serializeFaultPlan(cfg.faults).c_str(),
+                    serializeOverloadSpec(cfg.machine.overload).c_str());
+        std::printf("    reproduce: %s\n",
+                    reproducerCommand(bench_, args_, cfg).c_str());
+    }
+
+    const char *bench_;
+    const BenchArgs &args_;
+    bool enforceCalibrated_;
+    int failures_ = 0;
+};
 
 /** The three kernels Figure 4 compares. */
 struct KernelUnderTest
@@ -428,6 +509,136 @@ inline const KernelUnderTest kKernels[3] = {
 
 /** Core counts of the Figure 4 sweep. */
 inline const int kCoreSweep[] = {1, 4, 8, 12, 16, 20, 24};
+
+/** One Figure 4 row: @p app on @p cores running @p kernel, at the Figure
+ *  4 concurrency and windows (fig4a, fig4b and phase_breakdown). */
+inline ExperimentConfig
+fig4Config(const BenchArgs &args, AppKind app, int cores,
+           const KernelConfig &kernel)
+{
+    ExperimentConfig cfg;
+    cfg.app = app;
+    cfg.machine.cores = cores;
+    cfg.machine.kernel = kernel;
+    cfg.concurrencyPerCore = args.quick ? 150 : 400;
+    cfg.warmupSec = args.quick ? 0.02 : 0.05;
+    cfg.measureSec = args.quick ? 0.05 : 0.15;
+    return cfg;
+}
+
+/** One labelled row of a sweep. */
+struct BenchRow
+{
+    std::string label;
+    ExperimentConfig cfg;
+};
+
+/**
+ * Run a plain sweep: apply the shared flags to every row, run the rows
+ * in order and add each to @p report under its label.
+ * @return the results, in row order.
+ */
+inline std::vector<ExperimentResult>
+runRows(const BenchArgs &args, BenchJsonReport &report,
+        std::vector<BenchRow> rows)
+{
+    std::vector<ExperimentResult> results;
+    results.reserve(rows.size());
+    for (BenchRow &row : rows) {
+        args.apply(row.cfg);
+        results.push_back(runExperiment(row.cfg));
+        report.addRow(row.label, row.cfg, results.back());
+    }
+    return results;
+}
+
+/** Server machines in the fleet benches' topology. */
+inline constexpr int kFleetMachines = 4;
+
+/**
+ * The fleet every fleet bench runs: kFleetMachines 4-core nginx
+ * machines behind 2 balancers, a closed loop of 50 connections per
+ * core, periodic invariant checks and @p windows sub-windows of
+ * @p winLen seconds after @p warmup.
+ */
+inline FleetConfig
+fleetPreset(const KernelConfig &kernel, double warmup, double winLen,
+            int windows)
+{
+    FleetConfig fc;
+    fc.serverMachines = kFleetMachines;
+    fc.balancers = 2;
+    fc.base.app = AppKind::kNginx;
+    fc.base.machine.cores = 4;
+    fc.base.machine.kernel = kernel;
+    fc.base.concurrencyPerCore = 50;
+    fc.base.warmupSec = warmup;
+    fc.base.measureSec = windows * winLen;
+    fc.base.statWindows = windows;
+    fc.base.checkLevel = CheckLevel::kPeriodic;
+    fc.base.clientTimeout = ticksFromSeconds(0.08);
+    // Flow-table sizing is part of the containment story: a SYN the
+    // server tier silently gates out leaves a half-open flow pinned
+    // until the client's 80ms give-up, so the table must hold offered *
+    // give-up / balancers (1.2M/s * 0.08s / 2 = 48K) or a spike evicts
+    // real flows. NAT port space caps a balancer at 63487.
+    fc.maxFlowsPerBalancer = 60'000;
+    // Clients retransmit SYNs/requests: a connection steered into a
+    // blackhole (dead machine, headless VIP) retries at +15/+30ms and
+    // lands on the recovered path instead of pinning its closed-loop
+    // slot for the full 80ms give-up.
+    fc.base.clientRtoBase = ticksFromUsec(15000);
+    // 1ms of probe grace is too tight when the machines run at
+    // closed-loop saturation: handshake replies queue behind softirq
+    // work and spurious ejections flap the target set. bench_chaos's
+    // gray calibration depends on this value: its 800us egress delay
+    // keeps probe RTTs near half the timeout, far from a binary fail
+    // yet far above the scorer's peer band.
+    fc.probeTimeoutMsec = 1.8;
+    return fc;
+}
+
+/**
+ * Built-in overload protection spec (bench_overload's protected ramp,
+ * bench_fleet_resilience's cascade scenario). The SYN ingress gate (48
+ * entries per accept queue) is the load-bearing knob: past saturation
+ * the *handshake* work of doomed connections is what starves process
+ * context (receive livelock), so excess SYNs must die before the kernel
+ * invests in them — app-level shedding alone starts too late. The gate
+ * also bounds the queue sojourn (~gate / per-queue drain rate), which
+ * keeps every accepted connection fresh: 48 entries is ~0.5ms for the
+ * baseline's single shared queue and ~1.6ms for a Fastsocket per-core
+ * queue (per-queue drain = capacity / cores), both safely under the 5ms
+ * deadline shed that remains as a backstop along with the worker cap.
+ * Watermarks are sized to the *gated* depth against somaxconn 8192:
+ * elevated at ~0.004 x 8192 = 32 entries so brownout engages while the
+ * gate holds the queue near 48, nominal again below ~16.
+ */
+inline const char *const kProtectSpec =
+    "budget=256,gate=48,deadline_ms=5,cap=256,brownout=1,"
+    "health_bytes=32,high=0.004,critical=0.5,low=0.002";
+
+/** Fault-plan time window "start-end<tail>", @p digits decimals. */
+inline std::string
+windowStr(double start, double end, const char *tail, int digits = 3)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "%.*f-%.*f%s", digits, start, digits,
+                  end, tail);
+    return buf;
+}
+
+/** Mean goodput of sub-windows @p first..@p last (clamped). */
+inline double
+meanGoodput(const std::vector<LockWindow> &ws, std::size_t first,
+            std::size_t last)
+{
+    double sum = 0.0;
+    std::size_t n = 0;
+    for (std::size_t i = first; i <= last && i < ws.size(); ++i, ++n)
+        sum += ws[i].goodput;
+    return n ? sum / static_cast<double>(n) : 0.0;
+}
 
 inline std::string
 kcps(double cps)

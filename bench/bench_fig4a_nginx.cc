@@ -25,55 +25,35 @@ main(int argc, char **argv)
            "keep-alive off.\nPaper shape: fastsocket ~20x at 24 cores; "
            "base peaks ~12 cores then collapses; 3.13 lands in between.");
 
+    BenchJsonReport json("fig4a_nginx");
+    std::vector<BenchRow> rows;
+    for (int cores : kCoreSweep)
+        for (const KernelUnderTest &k : kKernels)
+            rows.push_back({std::string(k.name) + "@" +
+                                std::to_string(cores),
+                            fig4Config(args, AppKind::kNginx, cores,
+                                       k.config)});
+    const std::vector<ExperimentResult> res = runRows(args, json, std::move(rows));
+    // Row (sweep point c, kernel k) is res[3 * c + k].
+    auto cps = [&](std::size_t c, int k) { return res[3 * c + k].cps; };
+
     TextTable table;
     table.header({"cores", "base-2.6.32", "linux-3.13", "fastsocket",
                   "fast/base"});
-
-    BenchJsonReport json("fig4a_nginx");
-    double speedup_base[3] = {0, 0, 0};
-    for (int cores : kCoreSweep) {
-        double cps[3];
-        for (int k = 0; k < 3; ++k) {
-            ExperimentConfig cfg;
-            cfg.app = AppKind::kNginx;
-            cfg.machine.cores = cores;
-            cfg.machine.kernel = kKernels[k].config;
-            cfg.machine.traceEnabled = args.trace;
-            cfg.concurrencyPerCore = args.quick ? 150 : 400;
-            cfg.warmupSec = args.quick ? 0.02 : 0.05;
-            cfg.measureSec = args.quick ? 0.05 : 0.15;
-            args.apply(cfg);
-            ExperimentResult r = runExperiment(cfg);
-            json.addRow(std::string(kKernels[k].name) + "@" +
-                            std::to_string(cores),
-                        cfg, r);
-            cps[k] = r.cps;
-            if (cores == 1)
-                speedup_base[k] = r.cps;
-        }
+    for (std::size_t c = 0; c < std::size(kCoreSweep); ++c) {
         char ratio[16];
-        std::snprintf(ratio, sizeof(ratio), "%.2fx", cps[2] / cps[0]);
-        table.row({std::to_string(cores), kcps(cps[0]), kcps(cps[1]),
-                   kcps(cps[2]), ratio});
+        std::snprintf(ratio, sizeof(ratio), "%.2fx", cps(c, 2) / cps(c, 0));
+        table.row({std::to_string(kCoreSweep[c]), kcps(cps(c, 0)),
+                   kcps(cps(c, 1)), kcps(cps(c, 2)), ratio});
     }
     table.print();
 
     std::printf("\nSpeedup at 24 cores vs each kernel's single core:\n");
-    // Re-derive from the last sweep row is not retained; re-run cheaply.
-    for (int k = 0; k < 3; ++k) {
-        ExperimentConfig cfg;
-        cfg.app = AppKind::kNginx;
-        cfg.machine.cores = 24;
-        cfg.machine.kernel = kKernels[k].config;
-        cfg.concurrencyPerCore = args.quick ? 150 : 400;
-        cfg.warmupSec = args.quick ? 0.02 : 0.05;
-        cfg.measureSec = args.quick ? 0.05 : 0.15;
-        args.apply(cfg);
-        double at24 = runExperiment(cfg).cps;
+    const std::size_t last = std::size(kCoreSweep) - 1;
+    for (int k = 0; k < 3; ++k)
         std::printf("  %-12s %5.1fx   (paper: base 7.5x, 3.13 ~12x, "
                     "fastsocket 20.0x)\n",
-                    kKernels[k].name, at24 / speedup_base[k]);
-    }
+                    kKernels[k].name, cps(last, k) / cps(0, k));
     finishJson(args, json);
     return 0;
 }

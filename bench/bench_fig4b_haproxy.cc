@@ -23,33 +23,29 @@ main(int argc, char **argv)
            "keep-alive off.\nPaper shape: fastsocket > 3.13 > base; "
            "single-core runs nearly tie; gaps widen with cores.");
 
+    BenchJsonReport json("fig4b_haproxy");
+    std::vector<BenchRow> rows;
+    for (int cores : kCoreSweep)
+        for (const KernelUnderTest &k : kKernels) {
+            ExperimentConfig cfg =
+                fig4Config(args, AppKind::kHaproxy, cores, k.config);
+            cfg.backendCount = 16;
+            rows.push_back({std::string(k.name) + "@" +
+                                std::to_string(cores),
+                            cfg});
+        }
+    const std::vector<ExperimentResult> res =
+        runRows(args, json, std::move(rows));
+
     TextTable table;
     table.header({"cores", "base-2.6.32", "linux-3.13", "fastsocket",
                   "fast-313", "fast-base"});
-
-    BenchJsonReport json("fig4b_haproxy");
-    for (int cores : kCoreSweep) {
-        double cps[3];
-        for (int k = 0; k < 3; ++k) {
-            ExperimentConfig cfg;
-            cfg.app = AppKind::kHaproxy;
-            cfg.machine.cores = cores;
-            cfg.machine.kernel = kKernels[k].config;
-            cfg.concurrencyPerCore = args.quick ? 150 : 400;
-            cfg.backendCount = 16;
-            cfg.warmupSec = args.quick ? 0.02 : 0.05;
-            cfg.measureSec = args.quick ? 0.05 : 0.15;
-            args.apply(cfg);
-            ExperimentResult r = runExperiment(cfg);
-            json.addRow(std::string(kKernels[k].name) + "@" +
-                            std::to_string(cores),
-                        cfg, r);
-            cps[k] = r.cps;
-        }
-        table.row({std::to_string(cores), kcps(cps[0]), kcps(cps[1]),
-                   kcps(cps[2]), kcps(cps[2] - cps[1]),
-                   kcps(cps[2] - cps[0])});
-    }
+    auto cps = [&](std::size_t c, int k) { return res[3 * c + k].cps; };
+    for (std::size_t c = 0; c < std::size(kCoreSweep); ++c)
+        table.row({std::to_string(kCoreSweep[c]), kcps(cps(c, 0)),
+                   kcps(cps(c, 1)), kcps(cps(c, 2)),
+                   kcps(cps(c, 2) - cps(c, 1)),
+                   kcps(cps(c, 2) - cps(c, 0))});
     table.print();
     std::printf("\nPaper at 24 cores: fastsocket beats 3.13 by 139K cps "
                 "and base by 370K cps.\n");

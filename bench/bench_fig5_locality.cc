@@ -47,11 +47,8 @@ main(int argc, char **argv)
         // source ports it cannot be programmed correctly (paper 4.2.4).
     };
 
-    TextTable table;
-    table.header({"config", "throughput", "L3 miss", "local pkts",
-                  "sw-steered"});
-
     BenchJsonReport json("fig5_locality");
+    std::vector<BenchRow> rows;
     for (const Config &c : configs) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kHaproxy;
@@ -71,11 +68,18 @@ main(int argc, char **argv)
         cfg.concurrencyPerCore = args.quick ? 150 : 400;
         cfg.warmupSec = args.quick ? 0.02 : 0.06;
         cfg.measureSec = args.quick ? 0.05 : 0.15;
-        args.apply(cfg);
-        ExperimentResult r = runExperiment(cfg);
-        json.addRow(c.name, cfg, r);
+        rows.push_back({c.name, cfg});
+    }
+    const std::vector<ExperimentResult> res =
+        runRows(args, json, std::move(rows));
 
-        table.row({c.name, kcps(r.cps), formatPercent(r.l3MissRate),
+    TextTable table;
+    table.header({"config", "throughput", "L3 miss", "local pkts",
+                  "sw-steered"});
+    for (std::size_t i = 0; i < res.size(); ++i) {
+        const ExperimentResult &r = res[i];
+        table.row({configs[i].name, kcps(r.cps),
+                   formatPercent(r.l3MissRate),
                    formatPercent(r.localPktProportion),
                    formatCount(static_cast<double>(r.steeredPackets))});
     }

@@ -44,14 +44,6 @@ namespace
 
 using namespace fsim;
 
-const char *kBenchName = "bench_fleet_resilience";
-
-/** Per-machine admission/pressure stack for the cascade scenario
- *  (same shape as bench_overload's protection spec). */
-const char *kProtectSpec =
-    "budget=256,gate=48,deadline_ms=5,cap=256,brownout=1,"
-    "health_bytes=32,high=0.004,critical=0.5,low=0.002";
-
 struct Scenario
 {
     const char *name;
@@ -71,25 +63,6 @@ struct Scenario
     /** @} */
 };
 
-std::string
-windowStr(double start, double end, const char *fmt_tail)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%.3f-%.3f%s", start, end, fmt_tail);
-    return buf;
-}
-
-double
-meanGoodput(const std::vector<LockWindow> &ws, std::size_t first,
-            std::size_t last)
-{
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = first; i <= last && i < ws.size(); ++i, ++n)
-        sum += ws[i].goodput;
-    return n ? sum / static_cast<double>(n) : 0.0;
-}
-
 } // anonymous namespace
 
 int
@@ -106,7 +79,6 @@ main(int argc, char **argv)
            "a dead balancer's VIP fails over,\nand server-tier "
            "overload shedding never cascades into the balancer tier.");
 
-    const int nMachines = 4;
     // 12 sub-windows; disruptive faults span sub-windows 4..7 (the
     // rolling sweep starts at window 2 so 4 drain+down cycles fit).
     const double warmup = args.quick ? 0.02 : 0.03;
@@ -148,46 +120,13 @@ main(int argc, char **argv)
     };
     const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
 
-    // An explicit --faults plan replaces every scenario's plan; the
-    // gates assume the built-in windows, so they are reported but not
-    // enforced in that mode.
-    const bool userPlan = !args.faults.empty();
-
     BenchJsonReport json("fleet_resilience");
-    int rc = 0;
+    Gates gates("bench_fleet_resilience", args);
 
     for (const Scenario &sc : scenarios) {
         std::printf("--- scenario %s ---\n", sc.name);
         for (const KernelUnderTest &k : kernels) {
-            FleetConfig fc;
-            fc.serverMachines = nMachines;
-            fc.balancers = 2;
-            fc.base.app = AppKind::kNginx;
-            fc.base.machine.cores = 4;
-            fc.base.machine.kernel = k.config;
-            fc.base.machine.traceEnabled = args.trace;
-            fc.base.concurrencyPerCore = 50;
-            fc.base.warmupSec = warmup;
-            fc.base.measureSec = nWin * winLen;
-            fc.base.statWindows = nWin;
-            fc.base.checkLevel = CheckLevel::kPeriodic;
-            fc.base.clientTimeout = ticksFromSeconds(0.08);
-            // Flow-table sizing is part of the containment story: a
-            // SYN the server tier silently gates out leaves a
-            // half-open flow pinned until the client's 80ms give-up,
-            // so the table must hold offered * give-up / balancers
-            // (1.2M/s * 0.08s / 2 = 48K) or the spike evicts real
-            // flows. NAT port space caps a balancer at 63487.
-            fc.maxFlowsPerBalancer = 60'000;
-            // Clients retransmit SYNs/requests: a connection steered
-            // into a blackhole (dead machine, headless VIP) retries at
-            // +15/+30ms and lands on the recovered path instead of
-            // pinning its closed-loop slot for the full 80ms give-up.
-            fc.base.clientRtoBase = ticksFromUsec(15000);
-            // 1ms of probe grace is too tight when the machines run at
-            // closed-loop saturation: handshake replies queue behind
-            // softirq work and spurious ejections flap the target set.
-            fc.probeTimeoutMsec = 1.8;
+            FleetConfig fc = fleetPreset(k.config, warmup, winLen, nWin);
             fc.openLoopRate = sc.openLoopRate;
             if (!sc.plan.empty()) {
                 std::string perr;
@@ -200,10 +139,8 @@ main(int argc, char **argv)
                     kProtectSpec, fc.base.machine.overload, oerr);
                 fsim_assert(ok && "built-in overload spec must parse");
             }
-            if (userPlan)
-                args.apply(fc.base);
-            else if (args.seed != 0)
-                fc.base.machine.seed = args.seed;
+            // An explicit --faults plan replaces the scenario's plan.
+            args.apply(fc.base);
 
             FleetTestbed bed(fc);
 
@@ -267,85 +204,59 @@ main(int argc, char **argv)
                         "", pre / 1000.0, post / 1000.0, 100.0 * ratio,
                         r.invariants.summary().c_str());
 
-            if (r.invariants.violationCount > 0) {
-                printGateFailure(kBenchName, args, fc.base,
-                                 "invariant violations: " +
-                                     r.invariants.summary());
-                rc = 1;
-            }
-            if (userPlan)
-                continue;
-            char msg[160];
-            if (sc.gateSuccess99 && fl.requestSuccessRatio < 0.99) {
-                std::snprintf(msg, sizeof(msg),
-                              "request success %.2f%% under rolling "
-                              "restart (< 99%%)",
-                              100.0 * fl.requestSuccessRatio);
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (sc.gateSuccess99 && fl.undrainedFlows != 0) {
-                std::snprintf(msg, sizeof(msg),
-                              "%llu un-drained flows lost during "
-                              "planned restarts",
-                              static_cast<unsigned long long>(
-                                  fl.undrainedFlows));
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (sc.gateAllRestarted &&
-                fl.restarts != static_cast<std::uint64_t>(nMachines)) {
-                std::snprintf(msg, sizeof(msg),
-                              "rolling restart covered %llu of %d "
-                              "machines",
-                              static_cast<unsigned long long>(
-                                  fl.restarts),
-                              nMachines);
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (sc.gateRecovery && ratio < 0.9) {
-                std::snprintf(msg, sizeof(msg),
-                              "post-fault goodput %.0f%% of pre-fault "
-                              "(< 90%%)",
-                              100.0 * ratio);
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (sc.gateEjectReadmit &&
-                (fl.ejections == 0 || fl.readmissions == 0)) {
-                std::snprintf(msg, sizeof(msg),
-                              "crash not tracked by health probes "
-                              "(%llu ejections, %llu readmissions)",
-                              static_cast<unsigned long long>(
-                                  fl.ejections),
-                              static_cast<unsigned long long>(
-                                  fl.readmissions));
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (sc.gateTakeover && fl.vipTakeovers == 0) {
-                printGateFailure(kBenchName, args, fc.base,
-                                 "balancer loss produced no VIP "
-                                 "takeover");
-                rc = 1;
-            }
-            if (sc.gateContainment &&
-                (fl.shedCapacity != 0 || fl.shedNoBackend != 0)) {
-                std::snprintf(
-                    msg, sizeof(msg),
-                    "overload cascaded into the balancer tier "
-                    "(shed_capacity=%llu, shed_no_backend=%llu)",
-                    static_cast<unsigned long long>(fl.shedCapacity),
-                    static_cast<unsigned long long>(fl.shedNoBackend));
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
+            const ExperimentConfig &cfg = fc.base;
+            gates.invariant(r.invariants.violationCount == 0, cfg,
+                            "invariant violations: %s",
+                            r.invariants.summary().c_str());
+            gates.calibrated(!sc.gateSuccess99 ||
+                                 fl.requestSuccessRatio >= 0.99,
+                             cfg,
+                             "request success %.2f%% under rolling "
+                             "restart (< 99%%)",
+                             100.0 * fl.requestSuccessRatio);
+            gates.calibrated(!sc.gateSuccess99 || fl.undrainedFlows == 0,
+                             cfg,
+                             "%llu un-drained flows lost during planned "
+                             "restarts",
+                             static_cast<unsigned long long>(
+                                 fl.undrainedFlows));
+            gates.calibrated(!sc.gateAllRestarted ||
+                                 fl.restarts == std::uint64_t{kFleetMachines},
+                             cfg,
+                             "rolling restart covered %llu of %d machines",
+                             static_cast<unsigned long long>(fl.restarts),
+                             kFleetMachines);
+            gates.calibrated(!sc.gateRecovery || ratio >= 0.9, cfg,
+                             "post-fault goodput %.0f%% of pre-fault "
+                             "(< 90%%)",
+                             100.0 * ratio);
+            gates.calibrated(!sc.gateEjectReadmit ||
+                                 (fl.ejections != 0 &&
+                                  fl.readmissions != 0),
+                             cfg,
+                             "crash not tracked by health probes (%llu "
+                             "ejections, %llu readmissions)",
+                             static_cast<unsigned long long>(
+                                 fl.ejections),
+                             static_cast<unsigned long long>(
+                                 fl.readmissions));
+            gates.calibrated(!sc.gateTakeover || fl.vipTakeovers != 0, cfg,
+                             "balancer loss produced no VIP takeover");
+            gates.calibrated(!sc.gateContainment ||
+                                 (fl.shedCapacity == 0 &&
+                                  fl.shedNoBackend == 0),
+                             cfg,
+                             "overload cascaded into the balancer tier "
+                             "(shed_capacity=%llu, shed_no_backend=%llu)",
+                             static_cast<unsigned long long>(
+                                 fl.shedCapacity),
+                             static_cast<unsigned long long>(
+                                 fl.shedNoBackend));
         }
         std::printf("\n");
     }
 
-    std::printf("fleet_resilience: %s\n", rc == 0 ? "PASS" : "FAIL");
+    gates.printVerdict("fleet_resilience");
     finishJson(args, json);
-    return rc;
+    return gates.status();
 }

@@ -99,7 +99,6 @@ main(int argc, char **argv)
            "burns the error budget loudly before the scorer ejects "
            "the machine.");
 
-    const int nMachines = 4;
     const int nWin = 24;
     const double warmup = args.quick ? 0.02 : 0.03;
     const double winLen = args.quick ? 0.0075 : 0.015;
@@ -109,53 +108,28 @@ main(int argc, char **argv)
     const double fe = warmup + 16 * winLen;
     const double steadyRate = args.quick ? 40'000.0 : 80'000.0;
 
-    const auto window = [&](double s, double e, const char *tail) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf), "%.4f-%.4f%s", s, e, tail);
-        return std::string(buf);
-    };
-
     const Scenario scenarios[] = {
         {"steady", "", false, false},
         {"failover-churn",
          "machine_crash@" +
-             window(fs, fe - 2 * winLen, ":target=1,mode=blackhole") +
-             ";lb_crash@" + window(fs + 2 * winLen, fe, ":target=0"),
+             windowStr(fs, fe - 2 * winLen,
+                       ":target=1,mode=blackhole", 4) +
+             ";lb_crash@" + windowStr(fs + 2 * winLen, fe, ":target=0", 4),
          false, false},
         {"gray-burn",
          "machine_degrade@" +
-             window(fs, fe, ":target=1,factor=1.3,jitter=800"),
+             windowStr(fs, fe, ":target=1,factor=1.3,jitter=800", 4),
          /*sloArmed=*/true, /*gateBurnBeforeEject=*/true},
     };
     const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
 
-    // An explicit --faults plan replaces every scenario's plan; the
-    // gates assume the built-in windows, so they are reported but not
-    // enforced in that mode.
-    const bool userPlan = !args.faults.empty();
-
     BenchJsonReport json("fleet_trace");
-    int rc = 0;
+    Gates gates(kBenchName, args);
 
     for (const Scenario &sc : scenarios) {
         std::printf("--- scenario %s ---\n", sc.name);
         for (const KernelUnderTest &k : kernels) {
-            FleetConfig fc;
-            fc.serverMachines = nMachines;
-            fc.balancers = 2;
-            fc.base.app = AppKind::kNginx;
-            fc.base.machine.cores = 4;
-            fc.base.machine.kernel = k.config;
-            fc.base.machine.traceEnabled = args.trace;
-            fc.base.concurrencyPerCore = 50;
-            fc.base.warmupSec = warmup;
-            fc.base.measureSec = nWin * winLen;
-            fc.base.statWindows = nWin;
-            fc.base.checkLevel = CheckLevel::kPeriodic;
-            fc.base.clientTimeout = ticksFromSeconds(0.08);
-            fc.maxFlowsPerBalancer = 60'000;
-            fc.base.clientRtoBase = ticksFromUsec(15000);
-            fc.probeTimeoutMsec = 1.8;
+            FleetConfig fc = fleetPreset(k.config, warmup, winLen, nWin);
             fc.openLoopRate = steadyRate;
             if (sc.gateBurnBeforeEject) {
                 // The point of the scenario: the SLO layer pages while
@@ -178,10 +152,8 @@ main(int argc, char **argv)
                 bool ok = parseFaultPlan(sc.plan, fc.base.faults, perr);
                 fsim_assert(ok && "scenario plans are hand-written");
             }
-            if (userPlan)
-                args.apply(fc.base);
-            else if (args.seed != 0)
-                fc.base.machine.seed = args.seed;
+            // An explicit --faults plan replaces the scenario's plan.
+            args.apply(fc.base);
 
             FleetTestbed bed(fc);
             ExperimentResult r = bed.run();
@@ -246,7 +218,7 @@ main(int argc, char **argv)
                 FleetPerfettoMeta meta;
                 meta.bench = kBenchName;
                 meta.label = std::string(sc.name) + "/" + k.name;
-                meta.machines = nMachines;
+                meta.machines = fc.serverMachines;
                 meta.balancers = fc.balancers;
                 std::string path = perfettoRowPath(
                     args.perfettoPath,
@@ -268,62 +240,44 @@ main(int argc, char **argv)
                                  path.c_str());
             }
 
-            if (r.invariants.violationCount > 0) {
-                printGateFailure(kBenchName, args, fc.base,
-                                 "invariant violations: " +
-                                     r.invariants.summary());
-                rc = 1;
-            }
-
-            char msg[192];
+            const ExperimentConfig &cfg = fc.base;
+            gates.invariant(r.invariants.violationCount == 0, cfg,
+                            "invariant violations: %s",
+                            r.invariants.summary().c_str());
             // Reconciliation holds with or without faults (vacuously
             // zero under --notrace).
-            if (fl.spanReconcileViolations != 0) {
-                std::snprintf(msg, sizeof(msg),
-                              "%llu cores recorded more exec-span time "
-                              "than they ran",
-                              static_cast<unsigned long long>(
-                                  fl.spanReconcileViolations));
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
+            gates.invariant(fl.spanReconcileViolations == 0, cfg,
+                            "%llu cores recorded more exec-span time than "
+                            "they ran",
+                            static_cast<unsigned long long>(
+                                fl.spanReconcileViolations));
             if (!args.trace)
                 continue;   // stitching gates need the recorder on
-            if (fl.tracesStarted != bed.load().started() ||
-                fl.tracesCompleted != finished) {
-                std::snprintf(
-                    msg, sizeof(msg),
-                    "trace accounting broke: started %llu != %llu or "
-                    "completed %llu != %llu",
-                    static_cast<unsigned long long>(fl.tracesStarted),
-                    static_cast<unsigned long long>(
-                        bed.load().started()),
-                    static_cast<unsigned long long>(fl.tracesCompleted),
-                    static_cast<unsigned long long>(finished));
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (fl.traceOrphans != 0 || fl.traceDuplicates != 0) {
-                std::snprintf(msg, sizeof(msg),
-                              "lossless stitching broke: %llu orphans, "
-                              "%llu duplicates",
-                              static_cast<unsigned long long>(
-                                  fl.traceOrphans),
-                              static_cast<unsigned long long>(
-                                  fl.traceDuplicates));
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (unstitched != 0) {
-                std::snprintf(msg, sizeof(msg),
-                              "%llu successful requests have no "
-                              "server-machine span",
-                              static_cast<unsigned long long>(
-                                  unstitched));
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
-            if (userPlan || !sc.gateBurnBeforeEject)
+            gates.invariant(fl.tracesStarted == bed.load().started() &&
+                                fl.tracesCompleted == finished,
+                            cfg,
+                            "trace accounting broke: started %llu != %llu "
+                            "or completed %llu != %llu",
+                            static_cast<unsigned long long>(
+                                fl.tracesStarted),
+                            static_cast<unsigned long long>(
+                                bed.load().started()),
+                            static_cast<unsigned long long>(
+                                fl.tracesCompleted),
+                            static_cast<unsigned long long>(finished));
+            gates.invariant(fl.traceOrphans == 0 && fl.traceDuplicates == 0,
+                            cfg,
+                            "lossless stitching broke: %llu orphans, %llu "
+                            "duplicates",
+                            static_cast<unsigned long long>(
+                                fl.traceOrphans),
+                            static_cast<unsigned long long>(
+                                fl.traceDuplicates));
+            gates.invariant(unstitched == 0, cfg,
+                            "%llu successful requests have no "
+                            "server-machine span",
+                            static_cast<unsigned long long>(unstitched));
+            if (!sc.gateBurnBeforeEject)
                 continue;
             // Burn-before-eject: the first kSloBurn detect stamp must
             // precede the degrade incident's eject stamp.
@@ -342,33 +296,23 @@ main(int argc, char **argv)
                         ejectAt = inc.ejectAt;
                 }
             }
-            if (fl.sloFastAlerts == 0 || burnAt == 0) {
-                printGateFailure(kBenchName, args, fc.base,
-                                 "gray degrade never fired a fast "
-                                 "burn-rate alert");
-                rc = 1;
-            }
-            if (!ejected) {
-                printGateFailure(kBenchName, args, fc.base,
-                                 "scorer never ejected the gray "
-                                 "machine (calibration broke)");
-                rc = 1;
-            }
-            if (burnAt != 0 && ejected && burnAt >= ejectAt) {
-                std::snprintf(
-                    msg, sizeof(msg),
-                    "burn alert at %.2fms did not precede scorer "
-                    "eject at %.2fms",
-                    secondsFromTicks(burnAt) * 1000.0,
-                    secondsFromTicks(ejectAt) * 1000.0);
-                printGateFailure(kBenchName, args, fc.base, msg);
-                rc = 1;
-            }
+            gates.calibrated(fl.sloFastAlerts != 0 && burnAt != 0, cfg,
+                             "gray degrade never fired a fast burn-rate "
+                             "alert");
+            gates.calibrated(ejected, cfg,
+                             "scorer never ejected the gray machine "
+                             "(calibration broke)");
+            gates.calibrated(burnAt == 0 || !ejected || burnAt < ejectAt,
+                             cfg,
+                             "burn alert at %.2fms did not precede scorer "
+                             "eject at %.2fms",
+                             secondsFromTicks(burnAt) * 1000.0,
+                             secondsFromTicks(ejectAt) * 1000.0);
         }
         std::printf("\n");
     }
 
-    std::printf("fleet_trace: %s\n", rc == 0 ? "PASS" : "FAIL");
+    gates.printVerdict("fleet_trace");
     finishJson(args, json);
-    return rc;
+    return gates.status();
 }

@@ -24,34 +24,37 @@ main(int argc, char **argv)
            "short-lived scalability problem.\nMetric is requests/s; "
            "fast/base should shrink toward ~1x as keep-alive grows.");
 
-    TextTable table;
-    table.header({"reqs/conn", "base-2.6.32 rps", "fastsocket rps",
-                  "fast/base"});
-
     BenchJsonReport json("longlived");
-    for (int reqs : {1, 4, 16, 64}) {
-        double rps[2];
-        for (int k = 0; k < 2; ++k) {
+    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
+    const int reqCounts[] = {1, 4, 16, 64};
+    std::vector<BenchRow> rows;
+    for (int reqs : reqCounts)
+        for (const KernelUnderTest &k : kernels) {
             ExperimentConfig cfg;
             cfg.app = AppKind::kNginx;
             cfg.machine.cores = 16;
-            cfg.machine.kernel = k == 0 ? KernelConfig::base2632()
-                                        : KernelConfig::fastsocket();
+            cfg.machine.kernel = k.config;
             cfg.requestsPerConn = reqs;
             cfg.concurrencyPerCore = args.quick ? 100 : 250;
             cfg.warmupSec = args.quick ? 0.02 : 0.04;
             cfg.measureSec = args.quick ? 0.05 : 0.12;
-            args.apply(cfg);
-            ExperimentResult r = runExperiment(cfg);
-            json.addRow(std::string(k == 0 ? "base-2.6.32" : "fastsocket") +
-                            "-reqs-" + std::to_string(reqs),
-                        cfg, r);
-            rps[k] = r.rps;
+            rows.push_back({std::string(k.name) + "-reqs-" +
+                                std::to_string(reqs),
+                            cfg});
         }
+    const std::vector<ExperimentResult> res =
+        runRows(args, json, std::move(rows));
+
+    TextTable table;
+    table.header({"reqs/conn", "base-2.6.32 rps", "fastsocket rps",
+                  "fast/base"});
+    for (std::size_t i = 0; i < std::size(reqCounts); ++i) {
+        const double base = res[2 * i].rps;
+        const double fast = res[2 * i + 1].rps;
         char ratio[16];
         std::snprintf(ratio, sizeof(ratio), "%.2fx",
-                      rps[0] > 0 ? rps[1] / rps[0] : 0.0);
-        table.row({std::to_string(reqs), kcps(rps[0]), kcps(rps[1]),
+                      base > 0 ? fast / base : 0.0);
+        table.row({std::to_string(reqCounts[i]), kcps(base), kcps(fast),
                    ratio});
     }
     table.print();

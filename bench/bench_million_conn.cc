@@ -18,7 +18,8 @@
  * chains — every SYN's duplicate check and every TIME_WAIT segment walks
  * them — while Fastsocket's per-core local tables resize and stay flat.
  *
- * Gates (exit 1 on violation, with a reproducer line):
+ * Gates (exit 1 on violation, with a reproducer line; reported but not
+ * enforced under --faults or --overload):
  *   - fastsocket holds >= 1M live TCBs (>= 100k with --quick);
  *   - fastsocket cycles/lookup stays flat (last <= 1.10x first
  *     checkpoint), and so does bytes-per-connection;
@@ -92,14 +93,13 @@ main(int argc, char **argv)
                   "gates"});
 
     BenchJsonReport json("million_conn");
-    bool failed = false;
+    Gates gates("bench_million_conn", args);
 
     for (const RampRow &row : rows) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kNginx;
         cfg.machine.cores = 24;
         cfg.machine.kernel = row.kernel;
-        cfg.machine.traceEnabled = false;   // span logs don't scale to 1M
         cfg.longLivedPermille =
             static_cast<int>(kLongLivedShare * 1000.0);
         cfg.longLivedRequests = 2;
@@ -109,7 +109,7 @@ main(int argc, char **argv)
         cfg.listenBacklog = 1024;
         cfg.machine.kernel.synBacklog = 4096;
         args.apply(cfg);
-        cfg.machine.traceEnabled = false;   // not even with --notrace off
+        cfg.machine.traceEnabled = false;   // span logs don't scale to 1M
 
         Testbed bed(cfg);
         KernelStack &kern = bed.machine().kernel();
@@ -171,44 +171,39 @@ main(int argc, char **argv)
                 (settled == 0.0 || ramp[i].cyclesPerLookup < settled))
                 settled = ramp[i].cyclesPerLookup;
 
-        std::string verdict = "ok";
-        auto gate = [&](bool ok, const std::string &what) {
-            if (ok)
-                return;
-            failed = true;
-            verdict = "FAIL";
-            printGateFailure("bench_million_conn", args, cfg,
-                             row.name + (": " + what));
-        };
-        char buf[160];
-        if (row.mustHoldTarget) {
-            std::snprintf(buf, sizeof(buf),
-                          "held %llu live TCBs at peak, gate >= %llu",
-                          static_cast<unsigned long long>(
-                              r.conn.tcbLivePeak),
-                          static_cast<unsigned long long>(hold_gate));
-            gate(r.conn.tcbLivePeak >= hold_gate, buf);
-        }
+        const int failuresBefore = gates.failures();
+        if (row.mustHoldTarget)
+            gates.calibrated(r.conn.tcbLivePeak >= hold_gate, cfg,
+                             "%s: held %llu live TCBs at peak, gate >= "
+                             "%llu",
+                             row.name,
+                             static_cast<unsigned long long>(
+                                 r.conn.tcbLivePeak),
+                             static_cast<unsigned long long>(hold_gate));
         if (row.mustStayFlat && settled > 0) {
-            std::snprintf(buf, sizeof(buf),
-                          "cycles/lookup settled %.1f -> last %.1f, "
-                          "flat gate 1.10x",
-                          settled, last.cyclesPerLookup);
-            gate(last.cyclesPerLookup <= 1.10 * settled, buf);
-            std::snprintf(buf, sizeof(buf),
-                          "bytes/conn %.1f -> %.1f, flat gate 1.10x",
-                          first.bytesPerConn, last.bytesPerConn);
-            gate(last.bytesPerConn <= 1.10 * first.bytesPerConn, buf);
+            gates.calibrated(last.cyclesPerLookup <= 1.10 * settled, cfg,
+                             "%s: cycles/lookup settled %.1f -> last "
+                             "%.1f, flat gate 1.10x",
+                             row.name, settled, last.cyclesPerLookup);
+            gates.calibrated(last.bytesPerConn <=
+                                 1.10 * first.bytesPerConn,
+                             cfg,
+                             "%s: bytes/conn %.1f -> %.1f, flat gate "
+                             "1.10x",
+                             row.name, first.bytesPerConn,
+                             last.bytesPerConn);
         }
-        if (row.mustDegrade && first.cyclesPerLookup > 0) {
-            std::snprintf(buf, sizeof(buf),
-                          "cycles/lookup %.1f -> %.1f, degradation "
-                          "gate 1.30x (global ehash should not scale)",
-                          first.cyclesPerLookup, last.cyclesPerLookup);
-            gate(last.cyclesPerLookup >=
-                     1.30 * first.cyclesPerLookup,
-                 buf);
-        }
+        if (row.mustDegrade && first.cyclesPerLookup > 0)
+            gates.calibrated(last.cyclesPerLookup >=
+                                 1.30 * first.cyclesPerLookup,
+                             cfg,
+                             "%s: cycles/lookup %.1f -> %.1f, "
+                             "degradation gate 1.30x (global ehash "
+                             "should not scale)",
+                             row.name, first.cyclesPerLookup,
+                             last.cyclesPerLookup);
+        const char *verdict =
+            gates.failures() == failuresBefore ? "ok" : "FAIL";
 
         char probe[32], cyc[32], bpc[32], tgt[24], peak[24], tw[24];
         std::snprintf(probe, sizeof(probe), "%.2f > %.2f",
@@ -230,10 +225,7 @@ main(int argc, char **argv)
 
     table.print();
     finishJson(args, json);
-    if (failed) {
-        std::printf("\nmillion-conn gates FAILED\n");
-        return 1;
-    }
-    std::printf("\nall million-conn gates passed\n");
-    return 0;
+    std::printf("\n%s\n", gates.status() ? "million-conn gates FAILED"
+                                         : "all million-conn gates passed");
+    return gates.status();
 }

@@ -19,8 +19,9 @@
  *     fresh, so goodput holds near capacity and the latency tail stays
  *     bounded.
  *
- * Pass criteria (exit != 0 on violation; reported but not enforced when
- * --overload overrides the built-in spec):
+ * Pass criteria (exit != 0 on violation; the four calibrated ones are
+ * reported but not enforced when --overload or --faults overrides the
+ * built-in setup):
  *   - unprotected goodput at 3x offered < 50% of capacity (the bench
  *     must reproduce the collapse, or the protection gate is vacuous);
  *   - protected goodput at 3x offered >= 85% of capacity;
@@ -41,27 +42,6 @@ namespace
 {
 
 using namespace fsim;
-
-const char *kBenchName = "bench_overload";
-
-/**
- * Built-in protection spec. The SYN ingress gate (48 entries per accept
- * queue) is the load-bearing knob: past saturation the *handshake* work
- * of doomed connections is what starves process context (receive
- * livelock), so excess SYNs must die before the kernel invests in them
- * — app-level shedding alone starts too late. The gate also bounds the
- * queue sojourn (~gate / per-queue drain rate), which keeps every
- * accepted connection fresh: 48 entries is ~0.5ms for the baseline's
- * single shared queue and ~1.6ms for a Fastsocket per-core queue
- * (per-queue drain = capacity / cores), both safely under the 5ms
- * deadline shed that remains as a backstop along with the worker cap.
- * Watermarks are sized to the *gated* depth against somaxconn 8192:
- * elevated at ~0.004 x 8192 = 32 entries so brownout engages while the
- * gate holds the queue near 48, nominal again below ~16.
- */
-const char *kProtectSpec =
-    "budget=256,gate=48,deadline_ms=5,cap=256,brownout=1,"
-    "health_bytes=32,high=0.004,critical=0.5,low=0.002";
 
 struct StepRow
 {
@@ -182,11 +162,6 @@ main(int argc, char **argv)
            "src/overload stack armed, stale work is shed on accept and "
            "goodput holds.");
 
-    // An explicit --overload spec replaces the built-in protection; the
-    // gates assume the built-in knobs, so they are reported but not
-    // enforced in that mode.
-    const bool userSpec = !args.overloadSpec.empty();
-
     const Tick warm = ticksFromSeconds(args.quick ? 0.012 : 0.025);
     const Tick step = ticksFromSeconds(args.quick ? 0.012 : 0.025);
     const std::vector<double> mults = {1.0, 1.5, 2.0, 2.5, 3.0, 3.0};
@@ -196,7 +171,7 @@ main(int argc, char **argv)
 
     const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
     BenchJsonReport json("overload");
-    int rc = 0;
+    Gates gates("bench_overload", args);
 
     for (const KernelUnderTest &k : kernels) {
         std::printf("--- %s ---\n", k.name);
@@ -205,7 +180,6 @@ main(int argc, char **argv)
         base.app = AppKind::kNginx;
         base.machine.cores = args.quick ? 4 : 8;
         base.machine.kernel = k.config;
-        base.machine.traceEnabled = args.trace;
 
         // Phase 1: closed-loop capacity (the ramp's yardstick).
         ExperimentConfig ccfg = base;
@@ -218,12 +192,9 @@ main(int argc, char **argv)
         json.addRow(std::string("capacity/") + k.name, ccfg, cres);
         std::printf("  capacity (closed loop): %.0f conns/s  [%s]\n",
                     capacity, cres.invariants.summary().c_str());
-        if (capacity <= 0.0) {
-            printGateFailure(kBenchName, args, ccfg,
-                             "capacity measured as zero");
-            rc = 1;
+        if (!gates.invariant(capacity > 0.0, ccfg,
+                             "capacity measured as zero"))
             continue;
-        }
 
         // Phase 2: open-loop ramp, shared shape for both variants.
         ExperimentConfig ramp = base;
@@ -267,59 +238,34 @@ main(int argc, char **argv)
                     pr.res.invariants.summary().c_str());
 
         // Gates.
-        if (un.res.invariants.violationCount > 0) {
-            printGateFailure(kBenchName, args, uncfg,
-                             "invariant violations (unprotected ramp): " +
-                                 un.res.invariants.summary());
-            rc = 1;
-        }
-        if (pr.res.invariants.violationCount > 0) {
-            printGateFailure(kBenchName, args, prcfg,
-                             "invariant violations (protected ramp): " +
-                                 pr.res.invariants.summary());
-            rc = 1;
-        }
-        if (!userSpec) {
-            char msg[160];
-            if (un.finalGoodput >= 0.5 * capacity) {
-                std::snprintf(msg, sizeof(msg),
-                              "unprotected goodput at 3x is %.0f%% of "
-                              "capacity (expected < 50%%: no collapse "
-                              "reproduced)",
-                              100.0 * un.finalGoodput / capacity);
-                printGateFailure(kBenchName, args, uncfg, msg);
-                rc = 1;
-            }
-            if (pr.finalGoodput < 0.85 * capacity) {
-                std::snprintf(msg, sizeof(msg),
-                              "protected goodput at 3x is %.0f%% of "
-                              "capacity (expected >= 85%%)",
-                              100.0 * pr.finalGoodput / capacity);
-                printGateFailure(kBenchName, args, prcfg, msg);
-                rc = 1;
-            }
-            if (pr.finalP99 > p99Bound) {
-                std::snprintf(msg, sizeof(msg),
-                              "protected p99 at 3x is %.2fms (expected "
-                              "<= %.0fms)",
-                              1e3 * secondsFromTicks(pr.finalP99),
-                              1e3 * secondsFromTicks(p99Bound));
-                printGateFailure(kBenchName, args, prcfg, msg);
-                rc = 1;
-            }
-            if (pr.healthRate < 0.9) {
-                std::snprintf(msg, sizeof(msg),
-                              "health probes completed at %.0f%% through "
-                              "the protected stack (expected >= 90%%)",
-                              100.0 * pr.healthRate);
-                printGateFailure(kBenchName, args, prcfg, msg);
-                rc = 1;
-            }
-        }
+        gates.invariant(un.res.invariants.violationCount == 0, uncfg,
+                        "invariant violations (unprotected ramp): %s",
+                        un.res.invariants.summary().c_str());
+        gates.invariant(pr.res.invariants.violationCount == 0, prcfg,
+                        "invariant violations (protected ramp): %s",
+                        pr.res.invariants.summary().c_str());
+        gates.calibrated(un.finalGoodput < 0.5 * capacity, uncfg,
+                         "unprotected goodput at 3x is %.0f%% of "
+                         "capacity (expected < 50%%: no collapse "
+                         "reproduced)",
+                         100.0 * un.finalGoodput / capacity);
+        gates.calibrated(pr.finalGoodput >= 0.85 * capacity, prcfg,
+                         "protected goodput at 3x is %.0f%% of capacity "
+                         "(expected >= 85%%)",
+                         100.0 * pr.finalGoodput / capacity);
+        gates.calibrated(pr.finalP99 <= p99Bound, prcfg,
+                         "protected p99 at 3x is %.2fms (expected <= "
+                         "%.0fms)",
+                         1e3 * secondsFromTicks(pr.finalP99),
+                         1e3 * secondsFromTicks(p99Bound));
+        gates.calibrated(pr.healthRate >= 0.9, prcfg,
+                         "health probes completed at %.0f%% through the "
+                         "protected stack (expected >= 90%%)",
+                         100.0 * pr.healthRate);
         std::printf("\n");
     }
 
-    std::printf("overload: %s\n", rc == 0 ? "PASS" : "FAIL");
+    gates.printVerdict("overload");
     finishJson(args, json);
-    return rc;
+    return gates.status();
 }

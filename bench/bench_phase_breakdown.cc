@@ -29,20 +29,19 @@ main(int argc, char **argv)
 
     BenchJsonReport json("phase_breakdown");
     const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
-
+    std::vector<BenchRow> rows;
     for (const KernelUnderTest &k : kernels) {
-        ExperimentConfig cfg;
-        cfg.app = AppKind::kNginx;
-        cfg.machine.cores = 24;
-        cfg.machine.kernel = k.config;
-        cfg.concurrencyPerCore = args.quick ? 150 : 400;
-        cfg.warmupSec = args.quick ? 0.02 : 0.05;
-        cfg.measureSec = args.quick ? 0.05 : 0.15;
+        ExperimentConfig cfg =
+            fig4Config(args, AppKind::kNginx, 24, k.config);
         cfg.statWindows = 5;
-        args.apply(cfg);
-        ExperimentResult r = runExperiment(cfg);
-        json.addRow(k.name, cfg, r);
+        rows.push_back({k.name, cfg});
+    }
+    const std::vector<ExperimentResult> res =
+        runRows(args, json, std::move(rows));
 
+    for (int i = 0; i < 2; ++i) {
+        const KernelUnderTest &k = kernels[i];
+        const ExperimentResult &r = res[i];
         std::printf("--- %s: %s cps ---\n", k.name, kcps(r.cps).c_str());
         phaseBreakdownTable(r.phases).print();
 

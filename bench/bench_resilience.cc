@@ -10,8 +10,9 @@
  * goodput curve shows the dip during the fault window and the recovery
  * after it.
  *
- * Pass criteria (exit status != 0 on violation, skipped when --faults
- * overrides the scenario plans):
+ * Pass criteria (exit status != 0 on violation; the first two are
+ * reported but not enforced when --faults or --overload overrides the
+ * scenario setup):
  *   - goodput after the fault window recovers to >= 90% of the
  *     pre-fault level, on both kernels;
  *   - under the SYN flood with cookies enabled, legitimate goodput
@@ -46,25 +47,6 @@ struct Scenario
     bool backendRetry = false;  //!< arm proxy timeout+retry+ejection
     bool duringNonzero = false; //!< require goodput > 0 inside the fault
 };
-
-std::string
-windowStr(double start, double end, const char *fmt_tail)
-{
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%.3f-%.3f%s", start, end, fmt_tail);
-    return buf;
-}
-
-double
-meanGoodput(const std::vector<LockWindow> &ws, std::size_t first,
-            std::size_t last)
-{
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = first; i <= last && i < ws.size(); ++i, ++n)
-        sum += ws[i].goodput;
-    return n ? sum / static_cast<double>(n) : 0.0;
-}
 
 } // anonymous namespace
 
@@ -105,13 +87,8 @@ main(int argc, char **argv)
     };
     const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
 
-    // An explicit --faults plan replaces every scenario's plan; the
-    // recovery gates assume the built-in windows, so they are reported
-    // but not enforced in that mode.
-    const bool userPlan = !args.faults.empty();
-
     BenchJsonReport json("resilience");
-    int rc = 0;
+    Gates gates("bench_resilience", args);
 
     for (const Scenario &sc : scenarios) {
         std::printf("--- scenario %s (%s) ---\n", sc.name,
@@ -121,7 +98,6 @@ main(int argc, char **argv)
             cfg.app = sc.app;
             cfg.machine.cores = 8;
             cfg.machine.kernel = k.config;
-            cfg.machine.traceEnabled = args.trace;
             // The backend-flap scenario runs at lower concurrency: a
             // saturated closed loop pushes the proxy's backend-leg tail
             // latency past any useful per-attempt timeout, so timeouts
@@ -158,8 +134,8 @@ main(int argc, char **argv)
                 cfg.clientRtoBase = ticksFromUsec(15000);
             if (sc.backendRetry)
                 cfg.backendTimeout = ticksFromUsec(10000);
-            if (userPlan)
-                args.apply(cfg);
+            // An explicit --faults plan replaces the scenario's plan.
+            args.apply(cfg);
 
             Testbed bed(cfg);
             ExperimentResult r = bed.run();
@@ -199,33 +175,19 @@ main(int argc, char **argv)
                         "", pre / 1000.0, during / 1000.0, post / 1000.0,
                         100.0 * ratio, r.invariants.summary().c_str());
 
-            if (r.invariants.violationCount > 0) {
-                printGateFailure("bench_resilience", args, cfg,
-                                 "invariant violations: " +
-                                     r.invariants.summary());
-                rc = 1;
-            }
-            if (!userPlan) {
-                char msg[128];
-                if (ratio < 0.9) {
-                    std::snprintf(msg, sizeof(msg),
-                                  "post-fault goodput %.0f%% of "
-                                  "pre-fault (< 90%%)", 100.0 * ratio);
-                    printGateFailure("bench_resilience", args, cfg, msg);
-                    rc = 1;
-                }
-                if (sc.duringNonzero && during <= 0.0) {
-                    printGateFailure("bench_resilience", args, cfg,
-                                     "goodput hit zero during the "
-                                     "fault window");
-                    rc = 1;
-                }
-            }
+            gates.invariant(r.invariants.violationCount == 0, cfg,
+                            "invariant violations: %s",
+                            r.invariants.summary().c_str());
+            gates.calibrated(ratio >= 0.9, cfg,
+                             "post-fault goodput %.0f%% of pre-fault "
+                             "(< 90%%)", 100.0 * ratio);
+            gates.calibrated(!sc.duringNonzero || during > 0.0, cfg,
+                             "goodput hit zero during the fault window");
         }
         std::printf("\n");
     }
 
-    std::printf("resilience: %s\n", rc == 0 ? "PASS" : "FAIL");
+    gates.printVerdict("resilience");
     finishJson(args, json);
-    return rc;
+    return gates.status();
 }

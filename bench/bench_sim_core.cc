@@ -302,13 +302,12 @@ main(int argc, char **argv)
         cfg.app = AppKind::kNginx;
         cfg.machine.cores = 4;
         cfg.machine.kernel = KernelConfig::fastsocket();
-        cfg.machine.traceEnabled = false;   // raw-speed contract
         cfg.checkLevel = CheckLevel::kOff;
         cfg.concurrencyPerCore = args.quick ? 100 : 250;
         cfg.warmupSec = 0.0;
         cfg.measureSec = 0.0;
         args.apply(cfg);
-        cfg.machine.traceEnabled = false;
+        cfg.machine.traceEnabled = false;   // raw-speed contract
 
         Testbed bed(cfg);
         bed.startLoad();
@@ -324,7 +323,6 @@ main(int argc, char **argv)
         cfg.app = AppKind::kNginx;
         cfg.machine.cores = 24;
         cfg.machine.kernel = KernelConfig::fastsocket();
-        cfg.machine.traceEnabled = false;
         cfg.checkLevel = CheckLevel::kOff;
         cfg.longLivedPermille = 900;
         cfg.longLivedRequests = 2;

@@ -68,8 +68,7 @@ main(int argc, char **argv)
     table.header({"lock", "Baseline", "+V", "+VL", "+VLR", "+VLRE(=FS)"});
 
     BenchJsonReport json("table1_locks");
-    std::vector<ExperimentResult> results;
-    std::vector<double> cps;
+    std::vector<BenchRow> rows;
     for (const Step &s : steps) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kHaproxy;
@@ -81,12 +80,10 @@ main(int argc, char **argv)
         // Four sub-windows expose how contention evolves inside the
         // measurement window.
         cfg.statWindows = 4;
-        args.apply(cfg);
-        Testbed bed(cfg);
-        results.push_back(bed.run());
-        json.addRow(s.name, cfg, results.back());
-        cps.push_back(results.back().cps);
+        rows.push_back({s.name, cfg});
     }
+    const std::vector<ExperimentResult> results =
+        runRows(args, json, std::move(rows));
 
     for (const char *lock : kLockRows) {
         std::vector<std::string> row{lock};
@@ -103,7 +100,8 @@ main(int argc, char **argv)
 
     std::printf("\nThroughput along the feature ladder:\n");
     for (std::size_t i = 0; i < steps.size(); ++i)
-        std::printf("  %-10s %s cps\n", steps[i].name, kcps(cps[i]).c_str());
+        std::printf("  %-10s %s cps\n", steps[i].name,
+                    kcps(results[i].cps).c_str());
 
     // Cycle-share table: the paper's section-1 profile ("spin lock
     // consumes 9% of cycles in TCB management and 11% in VFS") was taken
