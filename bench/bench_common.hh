@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "harness/bench_json.hh"
 #include "harness/experiment.hh"
 #include "overload/overload_config.hh"
+#include "sim/strict_parse.hh"
 #include "stats/metrics.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
@@ -49,6 +51,8 @@ namespace fsim
  * typo like `--forensic` must never silently run the bench without the
  * option the caller asked for. Benches with their own flags declare
  * them via parse()'s allowlist ("--name" exact, "--name=" prefix).
+ * Malformed values exit 2 the same way: `--seed=abc` must not run the
+ * default seed.
  */
 struct BenchArgs
 {
@@ -88,7 +92,7 @@ struct BenchArgs
             else if (!std::strncmp(argv[i], "--metrics=", 10))
                 a.metricsPath = argv[i] + 10;
             else if (!std::strncmp(argv[i], "--seed=", 7))
-                a.seed = std::strtoull(argv[i] + 7, nullptr, 10);
+                a.seed = wholeNumber("--seed=", argv[i] + 7);
             else if (!std::strncmp(argv[i], "--faults=", 9)) {
                 a.faultsSpec = argv[i] + 9;
                 std::string err;
@@ -177,7 +181,7 @@ struct BenchArgs
         return false;
     }
 
-    /** Bench-specific value flag, e.g. extraValue("--runs=", out). */
+    /** Bench-specific value flag, e.g. extraValue("--out=", out). */
     bool
     extraValue(const char *prefix, std::string &out) const
     {
@@ -189,6 +193,38 @@ struct BenchArgs
                 found = true;   // last occurrence wins, like argv scans
             }
         return found;
+    }
+
+    /** Bench-specific count flag, e.g. extraCount("--runs=", runs):
+     *  @p out keeps its value when the flag is absent, and a value that
+     *  is not a whole number from 1 to T's maximum exits 2. */
+    template <typename T>
+    void
+    extraCount(const char *prefix, T &out) const
+    {
+        std::string v;
+        if (extraValue(prefix, v))
+            out = static_cast<T>(wholeNumber(
+                prefix, v, 1,
+                static_cast<std::uint64_t>(std::numeric_limits<T>::max())));
+    }
+
+    /** @p v as a whole number in [lo, hi]; anything else names @p flag
+     *  and exits 2. */
+    static std::uint64_t
+    wholeNumber(const char *flag, const std::string &v,
+                std::uint64_t lo = 0,
+                std::uint64_t hi = std::numeric_limits<std::uint64_t>::max())
+    {
+        std::uint64_t n = 0;
+        if (!strictU64(v, n) || n < lo || n > hi) {
+            std::fprintf(stderr,
+                         "%s: '%s' is not a whole number in [%llu, %llu]\n",
+                         flag, v.c_str(), static_cast<unsigned long long>(lo),
+                         static_cast<unsigned long long>(hi));
+            std::exit(2);
+        }
+        return n;
     }
 
     /**

@@ -60,11 +60,7 @@ main(int argc, char **argv)
     // --target=<n> overrides the parked-population target of every row
     // (the CI smoke job sizes the ramp explicitly).
     std::uint64_t target_override = 0;
-    {
-        std::string v;
-        if (args.extraValue("--target=", v))
-            target_override = std::strtoull(v.c_str(), nullptr, 10);
-    }
+    args.extraCount("--target=", target_override);
 
     const std::uint64_t fast_target =
         target_override ? target_override

@@ -77,13 +77,14 @@ main(int argc, char **argv)
     bool faults = !args.extraFlag("--nofaults");
     if (args.seed != 0)
         wl.seed = args.seed;
-    std::string v;
-    if (args.extraValue("--cores=", v))
-        wl.cores = std::atoi(v.c_str());
-    if (args.extraValue("--conns=", v))
-        wl.maxConns = std::strtoull(v.c_str(), nullptr, 10);
-    if (args.extraValue("--app=", v))
-        app = v;
+    args.extraCount("--cores=", wl.cores);
+    args.extraCount("--conns=", wl.maxConns);
+    args.extraValue("--app=", app);
+    if (app != "nginx" && app != "haproxy" && app != "both") {
+        std::fprintf(stderr, "--app=: '%s' is not nginx, haproxy or both\n",
+                     app.c_str());
+        return 2;
+    }
 
     int rc = 0;
     if (app == "nginx" || app == "both") {

@@ -75,8 +75,7 @@ main(int argc, char **argv)
     std::string outDir = ".";
     std::string replayPath;
     std::string v;
-    if (args.extraValue("--runs=", v))
-        runs = std::atoi(v.c_str());
+    args.extraCount("--runs=", runs);
     if (args.extraValue("--out=", v))
         outDir = v;
     if (args.extraValue("--replay=", v))

@@ -6,10 +6,10 @@ namespace fsim
 BackendPool::BackendPool(EventQueue &eq, Wire &wire, IpAddr first,
                          IpAddr last, std::uint32_t response_bytes,
                          Tick service_delay)
-    : eq_(eq), wire_(wire), first_(first), last_(last),
+    : eq_(eq), wire_(wire), first_(first),
       responseBytes_(response_bytes), serviceDelay_(service_delay)
 {
-    wire_.attachRange(first_, last_,
+    wire_.attachRange(first_, last,
                       [this](const Packet &pkt) { onPacket(pkt); });
 }
 

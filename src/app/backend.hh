@@ -45,9 +45,8 @@ class BackendPool
     /** Packets swallowed by outage windows. */
     std::uint64_t outageDrops() const { return outageDrops_; }
 
-    /** Addresses usable by a Proxy. */
+    /** First backend address; fault targets index from it. */
     IpAddr firstAddr() const { return first_; }
-    IpAddr lastAddr() const { return last_; }
 
     /** @name Fault injection */
     /** @{ */
@@ -75,7 +74,6 @@ class BackendPool
     EventQueue &eq_;
     Wire &wire_;
     IpAddr first_;
-    IpAddr last_;
     std::uint32_t responseBytes_;
     Tick serviceDelay_;
     bool keepAlive_ = false;

@@ -11,6 +11,9 @@ namespace fsim
 namespace
 {
 
+/** Retransmissions before a connection gives up and fails. */
+constexpr int kMaxRetx = 6;
+
 /** Deterministic nonzero trace id from a connection epoch (splitmix64
  *  finalizer). Epochs are globally unique per attempt, so trace ids
  *  are too; retransmissions of one attempt share the epoch and hence
@@ -33,8 +36,8 @@ HttpLoad::HttpLoad(EventQueue &eq, Wire &wire, const Config &cfg)
     fsim_assert(!cfg_.serverAddrs.empty());
     fsim_assert(cfg_.clientIps > 0);
     nextPort_.assign(cfg_.clientIps, 1024);
-    wire_.attachRange(cfg_.clientBase,
-                      cfg_.clientBase +
+    wire_.attachRange(kClientBase,
+                      kClientBase +
                           static_cast<IpAddr>(cfg_.clientIps - 1),
                       [this](const Packet &pkt) { onPacket(pkt); });
 }
@@ -125,7 +128,7 @@ HttpLoad::launch()
         server = cfg_.serverAddrs[serverCursor_++ %
                                   cfg_.serverAddrs.size()];
         std::size_t ci = clientCursor_++ % cfg_.clientIps;
-        client = cfg_.clientBase + static_cast<IpAddr>(ci);
+        client = kClientBase + static_cast<IpAddr>(ci);
         sport = nextPort_[ci];
         nextPort_[ci] = sport >= port_hi ? port_lo
                                          : static_cast<Port>(sport + 1);
@@ -136,7 +139,6 @@ HttpLoad::launch()
         }
     }
     if (!found) {
-        ++launchSkips_;
         eq_.scheduleIn(ticksFromUsec(100), [this] { launch(); });
         return;
     }
@@ -215,7 +217,7 @@ HttpLoad::armRetx(std::uint64_t k, std::uint64_t epoch, State armed_state,
         if (armed_state == State::kWaitResponse &&
             c.rxResponses != progress)
             return;   // response arrived since the request went out
-        if (c.retx >= cfg_.maxRetx) {
+        if (c.retx >= kMaxRetx) {
             ++retxGiveups_;
             finish(k, false);
             return;
@@ -228,7 +230,7 @@ HttpLoad::armRetx(std::uint64_t k, std::uint64_t epoch, State armed_state,
             ++reqRetx_;
             send(c, k, kAck | kPsh, reqBytes(c));
         }
-        Tick cap = cfg_.rtoMax > 0 ? cfg_.rtoMax : 8 * cfg_.rtoBase;
+        Tick cap = 8 * cfg_.rtoBase;
         Tick next = rto * 2 > cap ? cap : rto * 2;
         armRetx(k, epoch, armed_state, progress, next);
     });

@@ -38,18 +38,19 @@ class FleetTraceLog;
 class HttpLoad
 {
   public:
+    /** First client address (172.16.0.1); clientIps addresses follow. */
+    static constexpr IpAddr kClientBase = 0xac100001;
+
     struct Config
     {
         std::vector<IpAddr> serverAddrs;
         Port serverPort = 80;
         /** Closed-loop outstanding connections (paper: 500 x cores). */
         int concurrency = 500;
-        std::uint32_t requestBytes = 600;    //!< typical WeiBo request
         /** Requests pipelined per connection (1 = short-lived, the
          *  paper's default; >1 = HTTP keep-alive / long-lived mode,
          *  where the client closes first after the last response). */
         int requestsPerConn = 1;
-        IpAddr clientBase = 0xac100001;      //!< 172.16.0.1
         int clientIps = 256;
         std::uint64_t seed = 7;
         /** Per-connection give-up timeout (0 = none). A timed-out
@@ -63,15 +64,10 @@ class HttpLoad
          *  oracle and quiesce-leak checks rely on. */
         std::uint64_t maxConns = 0;
 
-        /** @name SYN/request retransmission (0 = disabled) */
-        /** @{ */
-        /** Initial retransmission timeout; doubles per attempt. */
+        /** Initial SYN/request retransmission timeout (0 = no
+         *  retransmission); doubles per attempt up to 8 x rtoBase, and
+         *  the connection fails after six retransmissions. */
         Tick rtoBase = 0;
-        /** Backoff cap (0 = 8 x rtoBase). */
-        Tick rtoMax = 0;
-        /** Give up (connection fails) after this many retransmissions. */
-        int maxRetx = 6;
-        /** @} */
 
         /** @name Health probes (0 = disabled) */
         /** @{ */
@@ -130,11 +126,8 @@ class HttpLoad
     std::uint64_t synRetransmits() const { return synRetx_; }
     /** Request retransmissions sent. */
     std::uint64_t requestRetransmits() const { return reqRetx_; }
-    /** Connections abandoned after maxRetx retransmissions. */
+    /** Connections abandoned after their last retransmission. */
     std::uint64_t retxGiveups() const { return retxGiveups_; }
-    /** Launches skipped because the client tuple space was saturated
-     *  (every candidate 4-tuple still in flight). */
-    std::uint64_t launchSkips() const { return launchSkips_; }
     std::uint64_t inFlight() const { return conns_.size(); }
     /** Response payload bytes received (the "bytes served" oracle). */
     std::uint64_t bytesReceived() const { return bytesReceived_; }
@@ -254,17 +247,19 @@ class HttpLoad
     std::uint64_t synRetx_ = 0;
     std::uint64_t reqRetx_ = 0;
     std::uint64_t retxGiveups_ = 0;
-    std::uint64_t launchSkips_ = 0;
     std::uint64_t bytesReceived_ = 0;
     std::uint64_t nextEpoch_ = 1;
     std::uint64_t healthStarted_ = 0;
     std::uint64_t healthCompleted_ = 0;
     std::uint64_t healthFailed_ = 0;
 
+    /** Request payload of a typical WeiBo request. */
+    static constexpr std::uint32_t kRequestBytes = 600;
+
     /** Per-conn request payload (health probes send the tiny one). */
     std::uint32_t reqBytes(const Conn &c) const
     {
-        return c.health ? cfg_.healthRequestBytes : cfg_.requestBytes;
+        return c.health ? cfg_.healthRequestBytes : kRequestBytes;
     }
 
     /** Index of the first sample completed at or after windowStart_. */

@@ -6,6 +6,16 @@
 namespace fsim
 {
 
+namespace
+{
+
+/** Backend retries after the first attempt before a session fails. */
+constexpr int kMaxRetries = 2;
+/** Consecutive failures that eject a backend from rotation. */
+constexpr int kEjectThreshold = 3;
+
+} // anonymous namespace
+
 Proxy::Proxy(Machine &m, std::vector<IpAddr> backends, Port backend_port,
              std::uint32_t response_bytes)
     : AppBase(m), backends_(std::move(backends)),
@@ -55,9 +65,7 @@ Proxy::pickBackend()
             return bi;
         if (m_.eventQueue().now() >= h.retryAt) {
             h.ejected = false;
-            h.consecFails = tuning_.ejectThreshold > 0
-                                ? tuning_.ejectThreshold - 1
-                                : 0;
+            h.consecFails = kEjectThreshold - 1;
             ++backendReadmissions_;
             return bi;
         }
@@ -71,12 +79,9 @@ Proxy::noteBackendFailure(std::size_t bi)
 {
     Health &h = health_[bi];
     ++h.consecFails;
-    if (!h.ejected && tuning_.ejectThreshold > 0 &&
-        h.consecFails >= tuning_.ejectThreshold) {
+    if (!h.ejected && h.consecFails >= kEjectThreshold) {
         h.ejected = true;
-        Tick period = tuning_.ejectPeriod > 0 ? tuning_.ejectPeriod
-                                              : 4 * tuning_.backendTimeout;
-        h.retryAt = m_.eventQueue().now() + period;
+        h.retryAt = m_.eventQueue().now() + 4 * backendTimeout_;
         ++backendEjections_;
     }
 }
@@ -99,7 +104,7 @@ Proxy::connectBackend(ProcState &ps, Session *s, Tick t)
     s->phase = Phase::kBackendConnect;
     *sessions_.insert(skey(ps.proc, cr.fd), s).first = s;
     t = k.epollAdd(ps.proc, t, cr.fd);
-    if (tuning_.backendTimeout > 0)
+    if (backendTimeout_ > 0)
         armBackendTimeout(s->id, s->attempts);
     return t;
 }
@@ -107,7 +112,7 @@ Proxy::connectBackend(ProcState &ps, Session *s, Tick t)
 void
 Proxy::armBackendTimeout(std::uint64_t sid, int attempt)
 {
-    m_.eventQueue().scheduleIn(tuning_.backendTimeout,
+    m_.eventQueue().scheduleIn(backendTimeout_,
                                [this, sid, attempt] {
         Session *const *found = byId_.find(sid);
         if (!found)
@@ -151,7 +156,7 @@ Proxy::onBackendTimeout(std::uint64_t sid, Tick t)
             t = k.close(ps.proc, t, s->backendFd);
         s->backendFd = -1;
     }
-    if (s->attempts > tuning_.maxRetries) {
+    if (s->attempts > kMaxRetries) {
         ++sessionFailures_;
         return closeSession(ps, s, t);
     }

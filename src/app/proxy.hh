@@ -32,21 +32,10 @@ class Proxy : public AppBase
     Proxy(Machine &m, std::vector<IpAddr> backends, Port backend_port = 80,
           std::uint32_t response_bytes = 64);
 
-    /** Backend fault-tolerance knobs. Defaults keep every legacy path:
-     *  no timeout, no retries, no health ejection. */
-    struct Tuning
-    {
-        /** Per-attempt backend timeout (0 = disabled). */
-        Tick backendTimeout = 0;
-        /** Retries after the first attempt before the session fails. */
-        int maxRetries = 2;
-        /** Consecutive failures that eject a backend from rotation. */
-        int ejectThreshold = 3;
-        /** Ejection duration (0 = 4 x backendTimeout). */
-        Tick ejectPeriod = 0;
-    };
-
-    void setTuning(const Tuning &t) { tuning_ = t; }
+    /** Per-attempt backend timeout (0 = disabled, the default). A
+     *  timeout enables two retries per session and ejects a backend
+     *  after three consecutive failures, for 4 x the timeout. */
+    void setBackendTimeout(Tick t) { backendTimeout_ = t; }
 
     /** Active connections the proxy failed to open (port exhaustion). */
     std::uint64_t connectFailures() const { return connectFailures_; }
@@ -119,7 +108,7 @@ class Proxy : public AppBase
     std::vector<IpAddr> backends_;
     Port backendPort_;
     std::uint32_t responseBytes_;
-    Tuning tuning_;
+    Tick backendTimeout_ = 0;
     std::vector<Health> health_;
     std::size_t backendCursor_ = 0;
     std::uint64_t connectFailures_ = 0;

@@ -46,8 +46,6 @@ class SynFlood
     void addWindow(Tick start, Tick end, double syns_per_sec);
 
     std::uint64_t synsSent() const { return synsSent_; }
-    /** SYN-ACKs the victim wasted on the flood (never answered). */
-    std::uint64_t synAcksAbsorbed() const { return synAcksAbsorbed_; }
 
   private:
     void fire(Tick end, Tick spacing);
@@ -57,7 +55,6 @@ class SynFlood
     std::vector<IpAddr> targets_;
     Port targetPort_;
     std::uint64_t synsSent_ = 0;
-    std::uint64_t synAcksAbsorbed_ = 0;
     std::uint64_t cursor_ = 0;   //!< rotates target/src-ip/src-port
 };
 

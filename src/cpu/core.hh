@@ -166,7 +166,6 @@ class CpuModel
     {
         slowdownPermille_ = permille < 1000 ? 1000 : permille;
     }
-    std::uint32_t slowdownPermille() const { return slowdownPermille_; }
 
   private:
     /** Task nodes per slab chunk (16 KiB of 128-byte nodes). */

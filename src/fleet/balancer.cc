@@ -21,6 +21,20 @@ constexpr std::uint32_t kNatSpan = 65536 - kNatBase;
 constexpr std::uint32_t kProbeBase = 100;
 constexpr std::uint32_t kProbeSpan = 900;
 
+/** Service port clients address on every VIP. */
+constexpr Port kVipPort = 80;
+/** Consistent-hash ring entries per target. */
+constexpr int kVnodes = 64;
+/** Bounded-load cap factor c: a target holding more than
+ *  ceil(c * average) flows is passed over on the first steering pass. */
+constexpr double kBoundedLoadFactor = 2.0;
+/** Binary health: consecutive failed probes that eject a target, and
+ *  consecutive answered probes that readmit it. */
+constexpr int kFallThreshold = 2;
+constexpr int kRiseThreshold = 1;
+/** Idle-flow GC sweep period. */
+constexpr Tick kGcPeriod = ticksFromMsec(10.0);
+
 } // anonymous namespace
 
 const char *
@@ -121,7 +135,7 @@ L4Balancer::rebuildRing()
     if (cfg_.policy != Policy::kConsistentHash)
         return;
     for (int m = 0; m < static_cast<int>(targets_.size()); ++m) {
-        for (int r = 0; r < cfg_.vnodes; ++r) {
+        for (int r = 0; r < kVnodes; ++r) {
             RingEntry e;
             e.hash = mix64(cfg_.seed ^
                            (static_cast<std::uint64_t>(m) * 0x9e3779b9ULL +
@@ -155,8 +169,8 @@ L4Balancer::start()
                                    cfg_.probeTimeout);
         eq_.scheduleIn(cfg_.probeInterval, [this] { probeRound(); });
     }
-    if (cfg_.gcPeriod > 0 && cfg_.flowIdleTimeout > 0)
-        eq_.scheduleIn(cfg_.gcPeriod, [this] { gcSweep(); });
+    if (cfg_.flowIdleTimeout > 0)
+        eq_.scheduleIn(kGcPeriod, [this] { gcSweep(); });
 }
 
 void
@@ -211,7 +225,7 @@ L4Balancer::noteRestarted(int m)
 {
     Target &t = targets_.at(m);
     t.adminDown = false;
-    // Stays kDown until riseThreshold probe successes readmit it.
+    // Stays kDown until kRiseThreshold probe successes readmit it.
     t.consecOks = 0;
     t.consecFails = 0;
 }
@@ -254,11 +268,9 @@ L4Balancer::pickMachine(std::uint64_t key)
     if (healthyCount == 0)
         return -1;
 
-    std::uint64_t cap = 0;
-    if (cfg_.boundedLoadFactor > 0.0)
-        cap = static_cast<std::uint64_t>(std::ceil(
-            cfg_.boundedLoadFactor *
-            static_cast<double>(flows_.size() + 1) / healthyCount));
+    const auto cap = static_cast<std::uint64_t>(
+        std::ceil(kBoundedLoadFactor *
+                  static_cast<double>(flows_.size() + 1) / healthyCount));
 
     const int n = static_cast<int>(targets_.size());
     // Slow-start readmission: a freshly readmitted target accepts only
@@ -303,7 +315,7 @@ L4Balancer::pickMachine(std::uint64_t key)
                 const Target &t = targets_[m];
                 if (t.state != TargetState::kHealthy)
                     continue;
-                if (pass == 0 && cap && t.active + 1 > cap) {
+                if (pass == 0 && t.active + 1 > cap) {
                     ++boundedLoadFallbacks_;
                     continue;
                 }
@@ -321,7 +333,7 @@ L4Balancer::pickMachine(std::uint64_t key)
                 const Target &t = targets_[m];
                 if (t.state != TargetState::kHealthy)
                     continue;
-                if (pass == 0 && cap && t.active + 1 > cap) {
+                if (pass == 0 && t.active + 1 > cap) {
                     ++boundedLoadFallbacks_;
                     continue;
                 }
@@ -346,7 +358,7 @@ L4Balancer::sendRstToClient(const Packet &cause)
     rst.tuple = cause.tuple.reversed();
     rst.flags = kRst;
     rst.connId = cause.connId;
-    fabric_.transmit(rst, eq_.now() + cfg_.forwardDelay);
+    fabric_.transmit(rst, eq_.now() + kForwardDelay);
 }
 
 void
@@ -375,7 +387,7 @@ L4Balancer::forwardC2s(Flow &f, const Packet &pkt)
     // Restamp from the flow entry: the trace context rides the NAT
     // state, not just the packet copy, so the rewrite can never drop it.
     out.traceId = f.traceId;
-    fabric_.transmit(out, eq_.now() + cfg_.forwardDelay);
+    fabric_.transmit(out, eq_.now() + kForwardDelay);
     ++forwardedC2s_;
     if (traceLog_)
         traceLog_->lbForward(f.traceId);
@@ -388,11 +400,11 @@ L4Balancer::forwardS2c(Flow &f, const Packet &pkt)
 {
     Packet out = pkt;
     out.tuple.saddr = f.vip;
-    out.tuple.sport = cfg_.vipPort;
+    out.tuple.sport = kVipPort;
     out.tuple.daddr = f.clientIp;
     out.tuple.dport = f.clientPort;
     out.traceId = f.traceId;
-    fabric_.transmit(out, eq_.now() + cfg_.forwardDelay);
+    fabric_.transmit(out, eq_.now() + kForwardDelay);
     ++forwardedS2c_;
     if (traceLog_)
         traceLog_->lbForward(f.traceId);
@@ -648,7 +660,7 @@ L4Balancer::probeOk(int m, Tick rtt)
     Target &t = targets_[m];
     t.consecFails = 0;
     if (t.state == TargetState::kDown && !t.adminDown) {
-        if (++t.consecOks >= cfg_.riseThreshold) {
+        if (++t.consecOks >= kRiseThreshold) {
             t.state = TargetState::kHealthy;
             t.consecOks = 0;
             ++readmissions_;
@@ -673,7 +685,7 @@ L4Balancer::probeFail(int m)
     if (t.state == TargetState::kHealthy) {
         if (t.consecFails == 0)
             t.failStreakStart = eq_.now();
-        if (++t.consecFails >= cfg_.fallThreshold) {
+        if (++t.consecFails >= kFallThreshold) {
             t.state = TargetState::kDown;
             t.consecFails = 0;
             ++ejections_;
@@ -701,7 +713,7 @@ L4Balancer::gcSweep()
         retire(key);
         ++idleRetired_;
     }
-    eq_.scheduleIn(cfg_.gcPeriod, [this] { gcSweep(); });
+    eq_.scheduleIn(kGcPeriod, [this] { gcSweep(); });
 }
 
 std::uint64_t

@@ -75,27 +75,21 @@ class L4Balancer
     struct Config
     {
         IpAddr vip = 0;             //!< client-facing virtual IP
-        Port vipPort = 80;
         IpAddr natIp = 0;           //!< source address servers reply to
         Policy policy = Policy::kConsistentHash;
-        int vnodes = 64;            //!< ring entries per target
-        /** Bounded-load cap factor (c in ceil(c * avg)); 0 disables the
-         *  fallback walk. */
-        double boundedLoadFactor = 2.0;
         std::size_t maxFlows = 1u << 15;    //!< flow-table capacity
         Tick probeInterval = 0;     //!< 0 = probing disabled
         Tick probeTimeout = 0;      //!< silence -> failure after this
-        int fallThreshold = 2;      //!< consecutive failures to eject
-        int riseThreshold = 1;      //!< consecutive successes to readmit
         /** kScore swaps the binary fall/rise machine for latency-aware
          *  outlier scoring (requires probing enabled). */
         HealthMode healthMode = HealthMode::kBinary;
         HealthScoreConfig score;    //!< kScore knobs
         Tick flowIdleTimeout = 0;   //!< 0 = idle GC disabled
-        Tick gcPeriod = 0;
-        Tick forwardDelay = 0;      //!< per-packet rewrite/forward cost
         std::uint64_t seed = 1;     //!< ring placement salt
     };
+
+    /** Per-packet rewrite/forward cost of every balancer hop. */
+    static constexpr Tick kForwardDelay = ticksFromUsec(2.0);
 
     /** A steerable server machine: its listen addresses and port. */
     struct TargetSpec
@@ -215,12 +209,9 @@ class L4Balancer
     std::uint64_t idleRetired() const { return idleRetired_; }
     std::uint64_t forwardedC2s() const { return forwardedC2s_; }
     std::uint64_t forwardedS2c() const { return forwardedS2c_; }
-    /** Packets dropped because this balancer was down. */
-    std::uint64_t downDrops() const { return downDrops_; }
     /** @} */
 
     int targetCount() const { return static_cast<int>(targets_.size()); }
-    TargetState targetState(int m) const { return targets_[m].state; }
 
     /** Fold every counter into one word (for run fingerprints). */
     std::uint64_t counterHash() const;

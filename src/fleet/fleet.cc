@@ -10,6 +10,23 @@
 namespace fsim
 {
 
+namespace
+{
+
+/** Balancer health-probe round period. */
+constexpr Tick kProbeInterval = ticksFromMsec(2.0);
+/** Drain-progress poll period. */
+constexpr Tick kDrainPoll = ticksFromMsec(0.5);
+/** VIP failover detection lag. */
+constexpr Tick kTakeoverDelay = ticksFromMsec(5.0);
+/** Fabric links: clients <-> VIPs, and the NATs <-> each machine. */
+constexpr Tick kFrontLinkLatency = ticksFromUsec(100.0);
+constexpr double kFrontLinkGbps = 40.0;
+constexpr Tick kRackLinkLatency = ticksFromUsec(20.0);
+constexpr double kRackLinkGbps = 10.0;
+
+} // anonymous namespace
+
 FleetTestbed::FleetTestbed(const FleetConfig &cfg)
     : cfg_(cfg)
 {
@@ -22,37 +39,31 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
     if (cfg_.base.machine.kernel.synRcvdJiffies == 0)
         cfg_.base.machine.kernel.synRcvdJiffies = 20;
 
-    drainPoll_ = ticksFromMsec(cfg_.drainPollMsec);
-    fsim_assert(drainPoll_ > 0);
-
     eq_ = std::make_unique<EventQueue>();
-    fabric_ = std::make_unique<Wire>(*eq_, cfg_.base.wireDelay);
+    fabric_ = std::make_unique<Wire>(*eq_, kWireDelay);
     if (cfg_.base.lossRate > 0.0)
         fabric_->setLossRate(cfg_.base.lossRate,
                              cfg_.base.machine.seed ^ 0x10ad);
 
     const int clientIps = cfg_.base.clientIps > 0 ? cfg_.base.clientIps
                                                   : 256;
-    const IpAddr clientBase = HttpLoad::Config{}.clientBase;
-    if (cfg_.useLinks) {
-        Wire::LinkSpec front;
-        front.aFirst = clientBase;
-        front.aLast = clientBase + static_cast<IpAddr>(clientIps) - 1;
-        front.bFirst = vipAddr(0);
-        front.bLast = vipAddr(cfg_.balancers - 1);
-        front.latency = ticksFromUsec(cfg_.frontLinkLatencyUsec);
-        front.gbps = cfg_.frontLinkGbps;
-        fabric_->addLink(front);
-        for (int s = 0; s < cfg_.serverMachines; ++s) {
-            Wire::LinkSpec rack;
-            rack.aFirst = natAddr(0);
-            rack.aLast = natAddr(cfg_.balancers - 1);
-            rack.bFirst = machineBase(s);
-            rack.bLast = machineBase(s) + 0xff;
-            rack.latency = ticksFromUsec(cfg_.rackLinkLatencyUsec);
-            rack.gbps = cfg_.rackLinkGbps;
-            fabric_->addLink(rack);
-        }
+    Wire::LinkSpec front;
+    front.aFirst = HttpLoad::kClientBase;
+    front.aLast = HttpLoad::kClientBase + static_cast<IpAddr>(clientIps) - 1;
+    front.bFirst = vipAddr(0);
+    front.bLast = vipAddr(cfg_.balancers - 1);
+    front.latency = kFrontLinkLatency;
+    front.gbps = kFrontLinkGbps;
+    fabric_->addLink(front);
+    for (int s = 0; s < cfg_.serverMachines; ++s) {
+        Wire::LinkSpec rack;
+        rack.aFirst = natAddr(0);
+        rack.aLast = natAddr(cfg_.balancers - 1);
+        rack.bFirst = machineBase(s);
+        rack.bLast = machineBase(s) + 0xff;
+        rack.latency = kRackLinkLatency;
+        rack.gbps = kRackLinkGbps;
+        fabric_->addLink(rack);
     }
 
     backends_ = buildBackends(*eq_, *fabric_, cfg_.base, backendAddrs_);
@@ -66,21 +77,14 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
     for (int k = 0; k < cfg_.balancers; ++k) {
         L4Balancer::Config bc;
         bc.vip = vipAddr(k);
-        bc.vipPort = 80;
         bc.natIp = natAddr(k);
         bc.policy = cfg_.policy;
-        bc.vnodes = cfg_.vnodes;
-        bc.boundedLoadFactor = cfg_.boundedLoadFactor;
         bc.maxFlows = cfg_.maxFlowsPerBalancer;
-        bc.probeInterval = ticksFromMsec(cfg_.probeIntervalMsec);
+        bc.probeInterval = kProbeInterval;
         bc.probeTimeout = ticksFromMsec(cfg_.probeTimeoutMsec);
-        bc.fallThreshold = cfg_.probeFallThreshold;
-        bc.riseThreshold = cfg_.probeRiseThreshold;
         bc.healthMode = cfg_.healthMode;
         bc.score = cfg_.healthScore;
         bc.flowIdleTimeout = ticksFromMsec(cfg_.flowIdleTimeoutMsec);
-        bc.gcPeriod = ticksFromMsec(cfg_.flowGcPeriodMsec);
-        bc.forwardDelay = ticksFromUsec(cfg_.forwardDelayUsec);
         bc.seed = cfg_.base.machine.seed ^ 0xb417;
         auto b = std::make_unique<L4Balancer>(*eq_, *fabric_, bc);
         for (int s = 0; s < cfg_.serverMachines; ++s) {
@@ -205,9 +209,9 @@ FleetTestbed::resolveGroup(const std::string &tok) const
         const int clientIps = cfg_.base.clientIps > 0
                                   ? cfg_.base.clientIps
                                   : 256;
-        const IpAddr base = HttpLoad::Config{}.clientBase;
-        out.emplace_back(base,
-                         base + static_cast<IpAddr>(clientIps) - 1);
+        out.emplace_back(HttpLoad::kClientBase,
+                         HttpLoad::kClientBase +
+                             static_cast<IpAddr>(clientIps) - 1);
     } else if (tok == "lbs") {
         out.emplace_back(vipAddr(0), vipAddr(cfg_.balancers - 1));
         out.emplace_back(natAddr(0), natAddr(cfg_.balancers - 1));
@@ -515,7 +519,7 @@ FleetTestbed::advanceRolling()
 void
 FleetTestbed::pollDrain(int s, Tick deadline)
 {
-    eq_->scheduleIn(drainPoll_, [this, s, deadline] {
+    eq_->scheduleIn(kDrainPoll, [this, s, deadline] {
         if (!slots_[s].up) {
             // Crashed out from under the drain; close the books and
             // move on (the crash window owns the restart).
@@ -544,7 +548,7 @@ FleetTestbed::pollDrain(int s, Tick deadline)
 void
 FleetTestbed::pollReadmit(int s)
 {
-    eq_->scheduleIn(drainPoll_, [this, s] {
+    eq_->scheduleIn(kDrainPoll, [this, s] {
         bool ok = true;
         for (std::size_t k = 0; k < balancers_.size(); ++k)
             if (lbUp_[k])
@@ -571,7 +575,7 @@ FleetTestbed::crashBalancer(int k)
     fabric_->attach(natAddr(k),
                     [this](const Packet &) { ++blackholed_; });
     // A surviving peer adopts the VIP after the detection lag.
-    eq_->scheduleIn(ticksFromMsec(cfg_.takeoverDelayMsec), [this, k] {
+    eq_->scheduleIn(kTakeoverDelay, [this, k] {
         if (lbUp_[k])
             return;     // restored before the failover fired
         for (std::size_t kk = 0; kk < balancers_.size(); ++kk) {
@@ -998,7 +1002,7 @@ FleetTestbed::collect()
     }
     r.timeseries = metrics_.snapshot();
     r.fleetTrace = buildFleetTraceForensics(
-        traceLog_, ticksFromUsec(cfg_.forwardDelayUsec));
+        traceLog_, L4Balancer::kForwardDelay);
     return r;
 }
 

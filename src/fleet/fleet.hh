@@ -66,39 +66,18 @@ struct FleetConfig
     /** @name Steering */
     /** @{ */
     L4Balancer::Policy policy = L4Balancer::Policy::kConsistentHash;
-    int vnodes = 64;
-    double boundedLoadFactor = 2.0;     //!< 0 = plain consistent hash
     std::size_t maxFlowsPerBalancer = 1u << 15;
-    double forwardDelayUsec = 2.0;      //!< balancer rewrite cost
+    /** Balancer flows idle this long are retired. */
+    double flowIdleTimeoutMsec = 200.0;
     /** @} */
 
-    /** @name Health probing (wire-level SYN probes) */
+    /** @name Health probing (wire-level SYN probes every 2 ms) */
     /** @{ */
-    double probeIntervalMsec = 2.0;
     double probeTimeoutMsec = 1.0;
-    int probeFallThreshold = 2;
-    int probeRiseThreshold = 1;
     /** kScore replaces the binary fall/rise machine with latency-aware
      *  outlier scoring (catches gray degradation binary probes miss). */
     L4Balancer::HealthMode healthMode = L4Balancer::HealthMode::kBinary;
     HealthScoreConfig healthScore;
-    /** @} */
-
-    /** @name Draining / failover */
-    /** @{ */
-    double drainPollMsec = 0.5;         //!< drain-progress poll period
-    double takeoverDelayMsec = 5.0;     //!< VIP failover detection lag
-    double flowIdleTimeoutMsec = 200.0;
-    double flowGcPeriodMsec = 10.0;
-    /** @} */
-
-    /** @name Fabric links (useLinks=false -> flat wireDelay fabric) */
-    /** @{ */
-    bool useLinks = true;
-    double frontLinkLatencyUsec = 100.0;    //!< clients <-> VIPs
-    double frontLinkGbps = 40.0;
-    double rackLinkLatencyUsec = 20.0;      //!< NAT <-> each machine
-    double rackLinkGbps = 10.0;
     /** @} */
 
     /** >0: drive an open-loop Poisson arrival rate instead of the
@@ -154,7 +133,6 @@ class FleetTestbed
     void degradeMachine(int s, std::uint32_t permille, double nicLoss,
                         Tick nicDelay);
     void clearDegrade(int s);
-    bool machineDegraded(int s) const { return slots_[s].degraded; }
     /** @} */
 
     /** Incident ledger (inject -> detect -> eject -> recover stamps;
@@ -273,7 +251,6 @@ class FleetTestbed
     InvariantRegistry checks_;
     bool loadStarted_ = false;
 
-    Tick drainPoll_ = 0;
     bool rollingActive_ = false;
     int rollingIndex_ = 0;
     Tick rollingDrain_ = 0;

@@ -42,7 +42,7 @@ Testbed::Testbed(const ExperimentConfig &cfg)
     : cfg_(cfg)
 {
     eq_ = std::make_unique<EventQueue>();
-    wire_ = std::make_unique<Wire>(*eq_, cfg_.wireDelay);
+    wire_ = std::make_unique<Wire>(*eq_, kWireDelay);
     if (cfg_.lossRate > 0.0)
         wire_->setLossRate(cfg_.lossRate, cfg_.machine.seed ^ 0x10ad);
     std::vector<IpAddr> backendAddrs;

@@ -53,8 +53,6 @@ struct ExperimentConfig
     double measureSec = 0.12;
     /** Number of ideal backend servers (HAProxy experiments). */
     int backendCount = 16;
-    /** One-way wire latency. */
-    Tick wireDelay = ticksFromUsec(50);
     /** Backend service port (a non-well-known port exercises RFD rule
      *  3, the precise listener probe). */
     Port backendPort = 80;
@@ -64,8 +62,6 @@ struct ExperimentConfig
     bool backendKeepAlive = false;
     /** nginx accept mutex (paper 4.2.2 disables it under Fastsocket). */
     bool acceptMutex = false;
-    std::uint32_t responseBytes = 64;
-    std::uint32_t requestBytes = 600;
     /** Requests per connection (1 = short-lived; >1 enables HTTP
      *  keep-alive on the web server and long-lived client behavior). */
     int requestsPerConn = 1;
@@ -110,10 +106,6 @@ struct ExperimentConfig
     FaultPlan faults;
     /** Client SYN/request retransmission base RTO (0 = off). */
     Tick clientRtoBase = 0;
-    /** Backoff cap (0 = 8 x clientRtoBase). */
-    Tick clientRtoMax = 0;
-    /** Client retransmissions before giving up. */
-    int clientMaxRetx = 6;
     /** Proxy per-attempt backend timeout (0 = off); enables retry with
      *  backend health ejection (haproxy app only). */
     Tick backendTimeout = 0;

@@ -12,6 +12,9 @@ namespace fsim
 namespace
 {
 
+/** HTTP response payload of every server app and backend. */
+constexpr std::uint32_t kResponseBytes = 64;
+
 std::uint64_t
 sat(std::uint64_t after, std::uint64_t before)
 {
@@ -35,7 +38,7 @@ buildBackends(EventQueue &eq, Wire &wire, const ExperimentConfig &cfg,
     const IpAddr first = 0x0a010001;   // 10.1.0.1
     const IpAddr last = first + static_cast<IpAddr>(cfg.backendCount - 1);
     auto pool = std::make_unique<BackendPool>(
-        eq, wire, first, last, cfg.responseBytes, ticksFromUsec(100));
+        eq, wire, first, last, kResponseBytes, ticksFromUsec(100));
     pool->setKeepAlive(cfg.backendKeepAlive);
     for (IpAddr a = first; a <= last; ++a)
         addrs.push_back(a);
@@ -51,18 +54,16 @@ buildServer(EventQueue &eq, Wire &link, const ExperimentConfig &cfg,
     if (cfg.app == AppKind::kHaproxy) {
         auto proxy = std::make_unique<Proxy>(*s.machine, backendAddrs,
                                              cfg.backendPort,
-                                             cfg.responseBytes);
-        if (cfg.backendTimeout > 0) {
-            Proxy::Tuning pt;
-            pt.backendTimeout = cfg.backendTimeout;
-            proxy->setTuning(pt);
-        }
+                                             kResponseBytes);
+        proxy->setBackendTimeout(cfg.backendTimeout);
         s.app = std::move(proxy);
     } else {
         s.app = std::make_unique<WebServer>(
-            *s.machine, cfg.responseBytes,
+            *s.machine, kResponseBytes,
             cfg.requestsPerConn > 1 || cfg.longLivedPermille > 0);
     }
+    if (cfg.listenBacklog > 0)
+        s.machine->kernel().setListenBacklog(cfg.listenBacklog);
     s.app->setAcceptMutex(cfg.acceptMutex);
     s.app->start();
 
@@ -75,12 +76,6 @@ buildServer(EventQueue &eq, Wire &link, const ExperimentConfig &cfg,
         s.app->setAdmission(s.admission.get(),
                             &s.machine->config().overload);
     }
-
-    if (cfg.listenBacklog > 0) {
-        for (const Socket *sock : s.machine->kernel().allSockets())
-            if (sock->kind == SockKind::kListen)
-                const_cast<Socket *>(sock)->backlog = cfg.listenBacklog;
-    }
     return s;
 }
 
@@ -92,14 +87,11 @@ clientConfig(const ExperimentConfig &cfg, std::vector<IpAddr> addrs,
     lc.serverAddrs = std::move(addrs);
     lc.serverPort = port;
     lc.concurrency = concurrency;
-    lc.requestBytes = cfg.requestBytes;
     lc.requestsPerConn = cfg.requestsPerConn;
     lc.timeout = cfg.clientTimeout;
     lc.seed = cfg.machine.seed ^ 0xabcdef;
     lc.maxConns = cfg.maxConns;
     lc.rtoBase = cfg.clientRtoBase;
-    lc.rtoMax = cfg.clientRtoMax;
-    lc.maxRetx = cfg.clientMaxRetx;
     lc.healthEvery = cfg.clientHealthEvery;
     if (cfg.machine.overload.healthRequestBytes > 0)
         lc.healthRequestBytes = cfg.machine.overload.healthRequestBytes;

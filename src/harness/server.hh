@@ -38,6 +38,10 @@ namespace fsim
 struct ExperimentConfig;
 struct ExperimentResult;
 
+/** One-way latency of the testbed's flat wire, and of the fleet
+ *  fabric's routes that no link covers (proxy <-> backends). */
+constexpr Tick kWireDelay = ticksFromUsec(50);
+
 /** One server machine: kernel + cores, its application, and the
  *  admission gate in front of the application. */
 struct Server

@@ -48,17 +48,11 @@ struct KernelConfig
     bool localEstablished = false;  //!< E: Local Established Table
     /** @} */
 
-    /** Use RFD rule 3 (listener probe) for ambiguous packets. */
-    bool rfdPrecise = true;
     /** Randomize the RFD hash bits (security hardening extension). */
     bool rfdRandomBits = false;
 
     /** Buckets of the global established table (power of two). */
     int ehashBuckets = 16384;
-    /** Buckets of each per-core local established table. */
-    int localEhashBuckets = 2048;
-    /** Fine-grained VFS bucket count (3.13 flavor). */
-    int vfsFineBuckets = 64;
 
     /** @name SYN-flood hardening */
     /** @{ */
@@ -80,10 +74,6 @@ struct KernelConfig
     std::uint64_t synRcvdJiffies = 0;
     /** @} */
 
-    /** Jiffy length in milliseconds (HZ=1000). */
-    double jiffyMsec = 1.0;
-    /** Shortened 2*MSL for TIME_WAIT reaping, in jiffies. */
-    std::uint64_t timeWaitJiffies = 20;
     /** @name TIME_WAIT pressure relief (tcp_tw_reuse / tcp_tw_recycle) */
     /** @{ */
     /** Release the ephemeral source port of an actively-closed
@@ -105,9 +95,6 @@ struct KernelConfig
     Port ephemeralPortLo = 32768;
     Port ephemeralPortHi = 61000;
     /** @} */
-
-    /** Idle/keepalive timer horizon armed per data segment, jiffies. */
-    std::uint64_t keepaliveJiffies = 3000;
 
     /** Derived VFS mode. */
     VfsMode

@@ -12,6 +12,15 @@ namespace fsim
 namespace
 {
 
+/** Jiffy length (HZ=1000). */
+constexpr Tick kJiffy = ticksFromMsec(1.0);
+/** Shortened 2*MSL for TIME_WAIT reaping, in jiffies. */
+constexpr std::uint64_t kTimeWaitJiffies = 20;
+/** Idle/keepalive timer horizon armed per data segment, jiffies. */
+constexpr std::uint64_t kKeepaliveJiffies = 3000;
+/** Buckets of each per-core local established table. */
+constexpr int kLocalEhashBuckets = 2048;
+
 /** Which accept queue a listener represents, for queue-depth traces. */
 TraceQueueId
 acceptQueueIdOf(const Socket *listener)
@@ -43,7 +52,7 @@ KernelStack::KernelStack(const Deps &deps, const KernelConfig &cfg)
     int ncores = d_.cpu->numCores();
 
     vfs_ = std::make_unique<VfsLayer>(cfg_.vfsMode(), *d_.locks, *d_.cache,
-                                      *d_.costs, cfg_.vfsFineBuckets);
+                                      *d_.costs);
     globalEhash_ = std::make_unique<EstablishedTable>(
         cfg_.ehashBuckets, *d_.locks, *d_.cache, *d_.costs, "ehash.lock");
 
@@ -51,10 +60,9 @@ KernelStack::KernelStack(const Deps &deps, const KernelConfig &cfg)
         localListen_ = std::make_unique<LocalListenTable>(ncores);
     if (cfg_.localEstablished)
         localEhash_ = std::make_unique<LocalEstablishedTable>(
-            ncores, cfg_.localEhashBuckets, *d_.locks, *d_.cache, *d_.costs);
+            ncores, kLocalEhashBuckets, *d_.locks, *d_.cache, *d_.costs);
     if (cfg_.rfd) {
-        rfd_ = std::make_unique<ReceiveFlowDeliver>(ncores,
-                                                    cfg_.rfdPrecise);
+        rfd_ = std::make_unique<ReceiveFlowDeliver>(ncores);
         if (cfg_.rfdRandomBits)
             rfd_->randomizeBits(*d_.rng);
     }
@@ -63,12 +71,11 @@ KernelStack::KernelStack(const Deps &deps, const KernelConfig &cfg)
                        d_.costs->lockAcquireBase,
                        d_.costs->lockHandoffStorm);
 
-    Tick jiffy_ticks = ticksFromMsec(cfg_.jiffyMsec);
     timerBases_.reserve(ncores);
     for (int c = 0; c < ncores; ++c) {
         timerBases_.push_back(std::make_unique<TimerBase>());
         timerBases_.back()->init(c, *d_.locks, *d_.cache, *d_.costs,
-                                 *d_.cpu, jiffy_ticks);
+                                 *d_.cpu, kJiffy);
     }
 
     // TIME_WAIT entries are bucketed by closing core when the
@@ -176,22 +183,14 @@ KernelStack::listen(int proc, IpAddr addr, Port port)
     if (cfg_.reuseport()) {
         // SO_REUSEPORT: every process inserts its own clone; NET_RX picks
         // one clone at random per SYN.
-        lsock = newSocket();
-        lsock->kind = SockKind::kListen;
-        lsock->state = TcpState::kListen;
-        lsock->bindAddr = addr;
-        lsock->bindPort = port;
+        lsock = newListenSocket(addr, port);
         lsock->reuseportOwner = proc;
         globalListen_.insert(lsock);
         p.reuseClones.push_back(lsock);
     } else {
         lsock = globalListen_.findExact(addr, port);
         if (!lsock) {
-            lsock = newSocket();
-            lsock->kind = SockKind::kListen;
-            lsock->state = TcpState::kListen;
-            lsock->bindAddr = addr;
-            lsock->bindPort = port;
+            lsock = newListenSocket(addr, port);
             globalListen_.insert(lsock);
         }
     }
@@ -222,11 +221,7 @@ KernelStack::localListen(int proc, IpAddr addr, Port port)
     if (!global)
         fsim_fatal("local_listen() before listen() on %u:%u", addr, port);
 
-    Socket *clone = newSocket();
-    clone->kind = SockKind::kListen;
-    clone->state = TcpState::kListen;
-    clone->bindAddr = addr;
-    clone->bindPort = port;
+    Socket *clone = newListenSocket(addr, port);
     clone->isLocalListen = true;
     clone->homeCore = p.core;
     clone->globalParent = global;
@@ -262,6 +257,18 @@ KernelStack::newSocket()
     s->id = nextSockId_++;
     s->slock.init(d_.locks->getClass("slock"), d_.cache,
                   d_.costs->lockAcquireBase, d_.costs->lockHandoffStorm);
+    return s;
+}
+
+Socket *
+KernelStack::newListenSocket(IpAddr addr, Port port)
+{
+    Socket *s = newSocket();
+    s->kind = SockKind::kListen;
+    s->state = TcpState::kListen;
+    s->bindAddr = addr;
+    s->bindPort = port;
+    s->backlog = listenBacklog_;
     return s;
 }
 
@@ -333,7 +340,7 @@ KernelStack::enterTimeWait(CoreId core, Tick t, Socket *sock)
     bool holds_port = active && !cfg_.twReuse;
     int bucket = twBucketFor(core);
     std::uint64_t now = timerBases_.at(core)->jiffies();
-    timeWait_->add(bucket, sock->rxTuple, now + cfg_.timeWaitJiffies,
+    timeWait_->add(bucket, sock->rxTuple, now + kTimeWaitJiffies,
                    holds_port);
     // Swap the full TCB for the compact entry, like the kernel trading
     // a tcp_sock for an inet_timewait_sock: the Socket dies now and the
@@ -1028,7 +1035,7 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
         // Refresh the connection's idle timer on every data segment; in
         // the stock kernel this hits the creating core's timer base from
         // whatever core runs NET_RX — base.lock cross-core traffic.
-        t = armConnTimer(core, t, sock, cfg_.keepaliveJiffies);
+        t = armConnTimer(core, t, sock, kKeepaliveJiffies);
     }
 
     if (wake_listener && sock->parentListen) {
@@ -1331,7 +1338,7 @@ KernelStack::write(int proc, Tick t, int fd, std::uint32_t bytes)
 
     // Arm/refresh the retransmission timer from process context; without
     // locality this crosses cores into the SoftIRQ core's base.
-    t = armConnTimer(core, t, sock, cfg_.keepaliveJiffies);
+    t = armConnTimer(core, t, sock, kKeepaliveJiffies);
 
     return sc.close(sendPacket(core, t, sock, kAck | kPsh, bytes));
 }

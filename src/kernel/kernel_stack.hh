@@ -200,6 +200,11 @@ class KernelStack
      */
     void localListen(int proc, IpAddr addr, Port port);
 
+    /** Accept-queue capacity (somaxconn) of every listen socket
+     *  created afterwards: global listeners, Fastsocket local clones
+     *  and SO_REUSEPORT clones alike. */
+    void setListenBacklog(std::size_t backlog) { listenBacklog_ = backlog; }
+
     /** Callback fired when a process's epoll becomes ready. The flag
      *  says whether the wakeup came from another core (IPI + resched
      *  cost is then paid by the woken side). */
@@ -343,6 +348,8 @@ class KernelStack
     EstablishedTable &ehashFor(CoreId core);
 
     Socket *newSocket();
+    /** A new listen socket bound to (addr, port). */
+    Socket *newListenSocket(IpAddr addr, Port port);
     Tick destroySocket(CoreId core, Tick t, Socket *sock,
                        bool release_port = true);
 
@@ -405,6 +412,7 @@ class KernelStack
      *  while the bucket is empty). */
     std::vector<TimerWheel::TimerId> twReaperTimers_;
     std::uint64_t nextSockId_ = 1;
+    std::size_t listenBacklog_ = Socket::kDefaultBacklog;
 
     /** Local IPs this kernel serves (set by listen()). */
     std::vector<IpAddr> localAddrs_;

@@ -66,7 +66,6 @@ class NetPort : public Wire
 
     /** Open/close the TX gate (crash = close; restart gets a new port). */
     void setTxOpen(bool open) { txOpen_ = open; }
-    bool txOpen() const { return txOpen_; }
 
     /**
      * Degrade (or restore, with 0/0) this machine's NIC: drop

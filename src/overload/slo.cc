@@ -8,21 +8,31 @@
 namespace fsim
 {
 
+namespace
+{
+
+/** Success-ratio objective (error budget = 1 - this). */
+constexpr double kSuccessObjective = 0.999;
+/** Fraction of requests that must meet the latency objective. */
+constexpr double kLatencyQuantile = 0.99;
+constexpr double kFastBurnThreshold = 14.0;
+constexpr double kSlowBurnThreshold = 2.0;
+/** Trailing stat windows of the slow-burn arm. */
+constexpr int kSlowWindows = 12;
+
+} // anonymous namespace
+
 SloTracker::SloTracker(const SloConfig &cfg) : cfg_(cfg)
 {
-    fsim_assert(cfg_.successObjective > 0.0 &&
-                cfg_.successObjective < 1.0);
-    fsim_assert(cfg_.fastWindows > 0 && cfg_.slowWindows > 0);
+    fsim_assert(cfg_.fastWindows > 0);
     SloObjective avail;
     avail.name = "availability";
-    avail.errorBudget = 1.0 - cfg_.successObjective;
+    avail.errorBudget = 1.0 - kSuccessObjective;
     objectives_.push_back(avail);
     if (cfg_.latencyObjective > 0) {
-        fsim_assert(cfg_.latencyQuantile > 0.0 &&
-                    cfg_.latencyQuantile < 1.0);
         SloObjective lat;
         lat.name = "latency";
-        lat.errorBudget = 1.0 - cfg_.latencyQuantile;
+        lat.errorBudget = 1.0 - kLatencyQuantile;
         objectives_.push_back(lat);
     }
 }
@@ -50,7 +60,7 @@ SloTracker::evalArm(SloObjective &obj, Tick now, bool fast)
 {
     const double burn = fast ? obj.fastBurn : obj.slowBurn;
     const double thresh =
-        fast ? cfg_.fastBurnThreshold : cfg_.slowBurnThreshold;
+        fast ? kFastBurnThreshold : kSlowBurnThreshold;
     bool &active = fast ? obj.fastActive : obj.slowActive;
     int &incident = fast ? obj.fastIncident : obj.slowIncident;
 
@@ -89,7 +99,7 @@ void
 SloTracker::addWindow(Tick now, std::uint64_t ok, std::uint64_t failed,
                       std::uint64_t lat_misses)
 {
-    const int keep = std::max(cfg_.fastWindows, cfg_.slowWindows);
+    const int keep = std::max(cfg_.fastWindows, kSlowWindows);
     for (SloObjective &obj : objectives_) {
         std::uint64_t bad;
         std::uint64_t good;
@@ -104,7 +114,7 @@ SloTracker::addWindow(Tick now, std::uint64_t ok, std::uint64_t failed,
         if (static_cast<int>(obj.windows.size()) > keep)
             obj.windows.erase(obj.windows.begin());
         obj.fastBurn = burnOver(obj, cfg_.fastWindows);
-        obj.slowBurn = burnOver(obj, cfg_.slowWindows);
+        obj.slowBurn = burnOver(obj, kSlowWindows);
         evalArm(obj, now, true);
         evalArm(obj, now, false);
     }

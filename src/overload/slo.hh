@@ -11,11 +11,15 @@
  * exactly exhausts the budget at the period horizon. Two alert arms
  * fire per objective:
  *
- *  - fast: trailing `fastWindows`, threshold `fastBurnThreshold` —
- *    pages on sudden cliffs (a gray-degraded machine) well before
- *    wire-level health probes accumulate eject evidence;
- *  - slow: trailing `slowWindows`, threshold `slowBurnThreshold` —
- *    catches slow leaks the fast arm averages away.
+ *  - fast: trailing `fastWindows`, burn threshold 14 — pages on
+ *    sudden cliffs (a gray-degraded machine) well before wire-level
+ *    health probes accumulate eject evidence;
+ *  - slow: trailing 12 windows, burn threshold 2 — catches slow leaks
+ *    the fast arm averages away.
+ *
+ * The availability objective is a 99.9% success ratio; the latency
+ * objective asks 99% of completed requests to finish within
+ * `latencyObjective`.
  *
  * First firing per arm opens a kSloBurn incident in the IncidentLog
  * (detect stamped at the firing tick, by id — never routed through a
@@ -43,17 +47,11 @@ class IncidentLog;
 
 struct SloConfig
 {
-    /** Success-ratio objective (error budget = 1 - this). */
-    double successObjective = 0.999;
     /** Latency objective in ticks (0 = latency SLO disabled): a
      *  completed request slower than this is a latency-SLO miss. */
     Tick latencyObjective = 0;
-    /** Fraction of requests that must meet latencyObjective. */
-    double latencyQuantile = 0.99;
-    double fastBurnThreshold = 14.0;
-    double slowBurnThreshold = 2.0;
+    /** Trailing stat windows of the fast-burn arm. */
     int fastWindows = 2;
-    int slowWindows = 12;
 };
 
 /** One objective's live state. */

@@ -204,7 +204,6 @@ EventQueue::pushTop(Node *n)
 void
 EventQueue::spillTop()
 {
-    ++topSpills_;
     Node *head = topHead_;
     const std::size_t count = topCount_;
     const Tick min = topMin_;
@@ -279,7 +278,6 @@ EventQueue::drainBucket(Rung &r, std::size_t idx)
     // order never matters for the final order).
     if (r.shift > 0 && count > kSortThreshold &&
         activeRungs_ < kMaxRungs) {
-        ++rungsSpawned_;
         // The parent bucket covers 2^shift ticks. openRung may grow
         // rungs_ and dangle @p r, so read its geometry first.
         const Tick start = r.start + (static_cast<Tick>(idx) << r.shift);
@@ -304,7 +302,6 @@ EventQueue::drainBucket(Rung &r, std::size_t idx)
 void
 EventQueue::sortBottomSuffix(std::size_t from)
 {
-    ++bucketSorts_;
     std::sort(bottom_.begin() + static_cast<std::ptrdiff_t>(from),
               bottom_.end(),
               [](const Node *a, const Node *b) {

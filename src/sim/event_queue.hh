@@ -170,12 +170,6 @@ class EventQueue
     std::uint64_t clampedPast() const { return clampedPast_; }
     /** High-water mark of pending(). */
     std::size_t peakPending() const { return peakPending_; }
-    /** Top epochs spilled into a fresh rung so far. */
-    std::uint64_t topSpills() const { return topSpills_; }
-    /** Overfull buckets subdivided into a narrower rung so far. */
-    std::uint64_t rungsSpawned() const { return rungsSpawned_; }
-    /** Buckets sorted into the dispatch bottom so far. */
-    std::uint64_t bucketSorts() const { return bucketSorts_; }
     /** High-water mark of the sorted dispatch bottom, taken between
      *  operations. With no rung active it stays at most kBottomMax. */
     std::size_t peakBottom() const { return peakBottom_; }
@@ -308,9 +302,6 @@ class EventQueue
     std::uint64_t scheduled_ = 0;
     std::uint64_t clampedPast_ = 0;
     std::size_t peakPending_ = 0;
-    std::uint64_t topSpills_ = 0;
-    std::uint64_t rungsSpawned_ = 0;
-    std::uint64_t bucketSorts_ = 0;
     std::size_t peakBottom_ = 0;
 
     // Op-trace recording (bench_sim_core workload capture).

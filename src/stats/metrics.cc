@@ -129,7 +129,6 @@ MetricsRegistry::sample(Tick now)
         s.points.emplace_back(now, v);
         ++allocations_;
     }
-    ++samples_;
 }
 
 MetricsSnapshot

@@ -100,8 +100,6 @@ class MetricsRegistry
 
     /** Points appended so far; exactly zero when disabled. */
     std::uint64_t allocations() const { return allocations_; }
-    std::size_t metricCount() const { return slots_.size(); }
-    std::size_t sampleCount() const { return samples_; }
 
     MetricsSnapshot snapshot() const;
 
@@ -121,7 +119,6 @@ class MetricsRegistry
 
     bool enabled_ = true;
     Tick samplePeriod_ = 0;
-    std::size_t samples_ = 0;
     std::uint64_t allocations_ = 0;
     std::vector<Slot> slots_;
 };

@@ -64,6 +64,9 @@ enum class SockKind
  */
 struct Socket
 {
+    /** Stock accept-queue capacity (somaxconn). */
+    static constexpr std::size_t kDefaultBacklog = 512;
+
     std::uint64_t id = 0;
     SockKind kind = SockKind::kConnection;
     TcpState state = TcpState::kClosed;
@@ -166,7 +169,7 @@ struct Socket
      *  arena-recycled TCB one hidden 512-byte allocation. */
     RingQueue<Socket *> acceptQueue;
     /** Accept-queue capacity (somaxconn); overflow rejects connections. */
-    std::size_t backlog = 512;
+    std::size_t backlog = kDefaultBacklog;
     /** SO_REUSEPORT clone owner process (kLinux313 flavor). */
     int reuseportOwner = -1;
     /** Embryonic (SYN_RECV) children not yet established. */

@@ -140,6 +140,40 @@ TEST(Harness, NginxTestbedHasNoBackends)
     EXPECT_EQ(bed.backends(), nullptr);
 }
 
+TEST(Harness, ListenBacklogReachesEveryListenSocket)
+{
+    // The global listeners, Fastsocket's per-core local clones and the
+    // 3.13 SO_REUSEPORT clones all take cfg.listenBacklog.
+    const KernelConfig kernels[] = {KernelConfig::base2632(),
+                                    KernelConfig::linux313(),
+                                    KernelConfig::fastsocket()};
+    for (const KernelConfig &k : kernels) {
+        ExperimentConfig cfg;
+        cfg.machine.cores = 3;
+        cfg.machine.kernel = k;
+        cfg.concurrencyPerCore = 1;
+        cfg.listenBacklog = 37;
+        Testbed bed(cfg);
+        std::size_t global = 0, local = 0, reuse = 0;
+        for (const Socket *s : bed.machine().kernel().allSockets()) {
+            if (s->kind != SockKind::kListen)
+                continue;
+            EXPECT_EQ(s->backlog, 37u);
+            if (s->isLocalListen)
+                ++local;
+            else if (s->reuseportOwner >= 0)
+                ++reuse;
+            else
+                ++global;
+        }
+        const std::size_t addrs = bed.machine().addrs().size();
+        const std::size_t clones = addrs * 3;
+        EXPECT_EQ(global, k.reuseport() ? 0 : addrs);
+        EXPECT_EQ(local, k.localListen ? clones : 0);
+        EXPECT_EQ(reuse, k.reuseport() ? clones : 0);
+    }
+}
+
 TEST(Harness, RxPacketsTracked)
 {
     ExperimentConfig cfg;

@@ -25,7 +25,6 @@ TEST(RfdRule3, HighPortsStillGetCompleteLocality)
     cfg.app = AppKind::kHaproxy;
     cfg.machine.cores = 4;
     cfg.machine.kernel = KernelConfig::fastsocket();
-    cfg.machine.kernel.rfdPrecise = true;
     cfg.machine.servicePort = 8080;
     cfg.backendPort = 9090;
     cfg.concurrencyPerCore = 40;

@@ -217,7 +217,7 @@ TEST_F(KernelFixture, ActiveCloseEntersTimeWaitAndReaps)
     eq.runUntil(eq.now() + ticksFromMsec(2));
     EXPECT_EQ(r.sock->state, TcpState::kTimeWait);
 
-    // The 2*MSL reaper fires within timeWaitJiffies.
+    // The 2*MSL reaper fires within 20 jiffies.
     eq.runAll();
     EXPECT_EQ(k.stats().timeWaitReaped, 1u);
 }
