@@ -247,8 +247,14 @@ HttpLoad::finish(std::uint64_t k, bool ok)
             else
                 ++healthFailed_;
         }
-        if (ok)
-            latencySamples_.push_back({eq_.now(), eq_.now() - c.startTick});
+        if (ok) {
+            latencySamples_.push_back(eq_.now() - c.startTick);
+            if (lastSampleTick_ != eq_.now()) {
+                lastSampleTick_ = eq_.now();
+                samplesAtLastTick_ = 0;
+            }
+            ++samplesAtLastTick_;
+        }
         if (traceLog_)
             traceLog_->clientEnd(c.traceId, eq_.now(), ok);
         conns_.erase(k);
@@ -380,6 +386,9 @@ void
 HttpLoad::markWindow()
 {
     windowStart_ = eq_.now();
+    // Samples that completed at this very tick count in the window.
+    windowBegin_ = latencySamples_.size() -
+                   (lastSampleTick_ == windowStart_ ? samplesAtLastTick_ : 0);
     completedAtMark_ = completed_;
     responsesAtMark_ = responses_;
 }
@@ -402,47 +411,44 @@ HttpLoad::requestThroughputSinceMark() const
     return static_cast<double>(responses_ - responsesAtMark_) / span;
 }
 
-std::size_t
-HttpLoad::windowBegin() const
-{
-    // Completion ticks never decrease, so the window is a suffix.
-    std::size_t lo = 0;
-    std::size_t hi = latencySamples_.size();
-    while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        if (latencySamples_[mid].first < windowStart_)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
 Tick
 HttpLoad::latencyPercentileSinceMark(double p) const
 {
-    const std::size_t begin = windowBegin();
-    std::vector<Tick> lat(latencySamples_.size() - begin);
+    Tick v = 0;
+    latencyPercentilesSinceMark({&p, 1}, {&v, 1});
+    return v;
+}
+
+void
+HttpLoad::latencyPercentilesSinceMark(std::span<const double> ps,
+                                      std::span<Tick> out) const
+{
+    fsim_assert(ps.size() == out.size());
+    std::vector<Tick> lat(latencySamples_.size() - windowBegin_);
     for (std::size_t i = 0; i < lat.size(); ++i)
-        lat[i] = latencySamples_[begin + i].second;
-    if (lat.empty())
-        return 0;
-    if (p < 0.0)
-        p = 0.0;
-    if (p > 1.0)
-        p = 1.0;
-    auto idx = static_cast<std::size_t>(
-        p * static_cast<double>(lat.size() - 1) + 0.5);
-    std::nth_element(lat.begin(),
-                     lat.begin() + static_cast<std::ptrdiff_t>(idx),
-                     lat.end());
-    return lat[idx];
+        lat[i] = latencySamples_[windowBegin_ + i];
+    // Each selection runs over the part of the window at or above the
+    // previous one, so the percentiles must come in ascending order.
+    auto from = lat.begin();
+    for (std::size_t k = 0; k < ps.size(); ++k) {
+        if (lat.empty()) {
+            out[k] = 0;
+            continue;
+        }
+        const double p = std::clamp(ps[k], 0.0, 1.0);
+        const auto nth = lat.begin() + static_cast<std::ptrdiff_t>(
+            p * static_cast<double>(lat.size() - 1) + 0.5);
+        fsim_assert(nth >= from);
+        std::nth_element(from, nth, lat.end());
+        out[k] = *nth;
+        from = nth;
+    }
 }
 
 std::uint64_t
 HttpLoad::latencySamplesSinceMark() const
 {
-    return latencySamples_.size() - windowBegin();
+    return latencySamples_.size() - windowBegin_;
 }
 
 } // namespace fsim

@@ -19,6 +19,7 @@
 #define FSIM_APP_HTTP_LOAD_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/packet.hh"
@@ -143,18 +144,22 @@ class HttpLoad
      * connections completed since markWindow(); 0 if none completed.
      */
     Tick latencyPercentileSinceMark(double p) const;
+    /** latencyPercentileSinceMark(ps[k]) into out[k] for ascending
+     *  @p ps, from one copy of the window. */
+    void latencyPercentilesSinceMark(std::span<const double> ps,
+                                     std::span<Tick> out) const;
     /** Completed connections with a latency sample since markWindow(). */
     std::uint64_t latencySamplesSinceMark() const;
 
     /**
-     * Every (completion tick, connect-to-last-byte latency) sample of the
-     * run, in completion order, so completion ticks never decrease. The
-     * log is append-only and chunked: it grows without copying, and an
-     * index into it stays valid for the life of the generator, which is
-     * how the fleet's metrics layer and SLO tracker consume new samples
-     * through a cursor. allocations() counts its heap blocks.
+     * Every connect-to-last-byte latency sample of the run, in
+     * completion order. The log is append-only and chunked (64 KiB
+     * chunks): it grows without copying, and an index into it stays
+     * valid for the life of the generator, which is how the fleet's
+     * metrics layer and SLO tracker consume new samples through a
+     * cursor. allocations() counts its heap blocks.
      */
-    using LatencyLog = ChunkedVector<std::pair<Tick, Tick>>;
+    using LatencyLog = ChunkedVector<Tick, 13>;
     const LatencyLog &latencySamples() const { return latencySamples_; }
 
     /**
@@ -262,11 +267,14 @@ class HttpLoad
         return c.health ? cfg_.healthRequestBytes : kRequestBytes;
     }
 
-    /** Index of the first sample completed at or after windowStart_. */
-    std::size_t windowBegin() const;
-
-    /** (completion tick, connect-to-last-byte latency) per success. */
+    /** Connect-to-last-byte latency per success. */
     LatencyLog latencySamples_;
+    /** Completion tick of the newest sample, and how many samples
+     *  completed at that tick. */
+    Tick lastSampleTick_ = 0;
+    std::size_t samplesAtLastTick_ = 0;
+    /** Index of the first sample completed at or after windowStart_. */
+    std::size_t windowBegin_ = 0;
 
     Tick windowStart_ = 0;
     std::uint64_t completedAtMark_ = 0;

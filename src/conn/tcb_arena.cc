@@ -27,7 +27,9 @@ Socket *
 TcbArena::create()
 {
     if (freelist_.empty()) {
-        auto slab = std::make_unique<Slab>();
+        // Default-initialised: the socket storage stays raw (sockets
+        // are placement-new'd into it); liveBits has its initialiser.
+        auto slab = std::make_unique_for_overwrite<Slab>();
         std::size_t base = slabs_.size() * kSlabSize;
         // Push in reverse so the LIFO freelist hands out slot 0 first.
         freelist_.reserve(freelist_.size() + kSlabSize);

@@ -45,11 +45,19 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
         fabric_->setLossRate(cfg_.base.lossRate,
                              cfg_.base.machine.seed ^ 0x10ad);
 
-    const int clientIps = cfg_.base.clientIps > 0 ? cfg_.base.clientIps
-                                                  : 256;
+    std::vector<IpAddr> vips;
+    for (int k = 0; k < cfg_.balancers; ++k)
+        vips.push_back(vipAddr(k));
+    const HttpLoad::Config lc = clientConfig(
+        cfg_.base, vips, 80,
+        cfg_.base.concurrencyPerCore * cfg_.base.machine.cores *
+            cfg_.serverMachines);
+    clientLast_ = HttpLoad::kClientBase +
+                  static_cast<IpAddr>(lc.clientIps) - 1;
+
     Wire::LinkSpec front;
     front.aFirst = HttpLoad::kClientBase;
-    front.aLast = HttpLoad::kClientBase + static_cast<IpAddr>(clientIps) - 1;
+    front.aLast = clientLast_;
     front.bFirst = vipAddr(0);
     front.bLast = vipAddr(cfg_.balancers - 1);
     front.latency = kFrontLinkLatency;
@@ -109,13 +117,6 @@ FleetTestbed::FleetTestbed(const FleetConfig &cfg)
     }
     lbUp_.assign(cfg_.balancers, true);
 
-    std::vector<IpAddr> vips;
-    for (int k = 0; k < cfg_.balancers; ++k)
-        vips.push_back(vipAddr(k));
-    HttpLoad::Config lc = clientConfig(
-        cfg_.base, vips, 80,
-        cfg_.base.concurrencyPerCore * cfg_.base.machine.cores *
-            cfg_.serverMachines);
     load_ = std::make_unique<HttpLoad>(*eq_, *fabric_, lc);
     load_->setTraceLog(&traceLog_);
     setupObservability();
@@ -206,12 +207,7 @@ FleetTestbed::resolveGroup(const std::string &tok) const
 {
     std::vector<std::pair<IpAddr, IpAddr>> out;
     if (tok == "clients") {
-        const int clientIps = cfg_.base.clientIps > 0
-                                  ? cfg_.base.clientIps
-                                  : 256;
-        out.emplace_back(HttpLoad::kClientBase,
-                         HttpLoad::kClientBase +
-                             static_cast<IpAddr>(clientIps) - 1);
+        out.emplace_back(HttpLoad::kClientBase, clientLast_);
     } else if (tok == "lbs") {
         out.emplace_back(vipAddr(0), vipAddr(cfg_.balancers - 1));
         out.emplace_back(natAddr(0), natAddr(cfg_.balancers - 1));
@@ -707,9 +703,9 @@ FleetTestbed::sampleObservability(Tick wstart, Tick wend)
     const auto &lat = load_->latencySamples();
     std::uint64_t latMisses = 0;
     for (; latCursor_ < lat.size(); ++latCursor_) {
-        metrics_.observe(mid_.latency, lat[latCursor_].second);
+        metrics_.observe(mid_.latency, lat[latCursor_]);
         if (cfg_.slo.latencyObjective > 0 &&
-            lat[latCursor_].second > cfg_.slo.latencyObjective)
+            lat[latCursor_] > cfg_.slo.latencyObjective)
             ++latMisses;
     }
 

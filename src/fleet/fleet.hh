@@ -247,6 +247,9 @@ class FleetTestbed
     std::unique_ptr<BackendPool> backends_;
     std::vector<IpAddr> backendAddrs_;
     std::unique_ptr<HttpLoad> load_;
+    /** Last client address: the front link, the "clients" partition
+     *  group and the load generator all cover the same range. */
+    IpAddr clientLast_ = 0;
     std::unique_ptr<FaultInjector> faults_;
     InvariantRegistry checks_;
     bool loadStarted_ = false;

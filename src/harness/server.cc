@@ -248,8 +248,11 @@ collectRun(ExperimentResult &r, const RunMark &mark, const EventQueue &eq,
     OverloadResult &ov = r.overload;
     ov.enabled = cfg.machine.overload.enabled;
     ov.spec = serializeOverloadSpec(cfg.machine.overload);
-    ov.latencyP50 = load.latencyPercentileSinceMark(0.50);
-    ov.latencyP99 = load.latencyPercentileSinceMark(0.99);
+    const double ps[] = {0.50, 0.99};
+    Tick lat[2];
+    load.latencyPercentilesSinceMark(ps, lat);
+    ov.latencyP50 = lat[0];
+    ov.latencyP99 = lat[1];
     ov.latencySamples = load.latencySamplesSinceMark();
     ov.healthProbesStarted = load.healthStarted();
     ov.healthProbesCompleted = load.healthCompleted();

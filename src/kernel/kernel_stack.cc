@@ -53,14 +53,17 @@ KernelStack::KernelStack(const Deps &deps, const KernelConfig &cfg)
 
     vfs_ = std::make_unique<VfsLayer>(cfg_.vfsMode(), *d_.locks, *d_.cache,
                                       *d_.costs);
-    globalEhash_ = std::make_unique<EstablishedTable>(
-        cfg_.ehashBuckets, *d_.locks, *d_.cache, *d_.costs, "ehash.lock");
-
-    if (cfg_.localListen)
-        localListen_ = std::make_unique<LocalListenTable>(ncores);
+    // Exactly one established-table layout exists: the per-core local
+    // tables, else the global table. Both register "ehash.lock".
     if (cfg_.localEstablished)
         localEhash_ = std::make_unique<LocalEstablishedTable>(
             ncores, kLocalEhashBuckets, *d_.locks, *d_.cache, *d_.costs);
+    else
+        globalEhash_ = std::make_unique<EstablishedTable>(
+            cfg_.ehashBuckets, *d_.locks, *d_.cache, *d_.costs,
+            "ehash.lock");
+    if (cfg_.localListen)
+        localListen_ = std::make_unique<LocalListenTable>(ncores);
     if (cfg_.rfd) {
         rfd_ = std::make_unique<ReceiveFlowDeliver>(ncores);
         if (cfg_.rfdRandomBits)
@@ -698,12 +701,6 @@ KernelStack::netRx(CoreId core, const Packet &pkt, Tick t, Steer steer)
     // Established (or handshaking) connection traffic.
     EstablishedTable::Lookup l = ehashFor(core).lookup(core, t, pkt.tuple);
     t = l.t;
-    if (!l.sock && cfg_.localEstablished && globalEhash_->size() > 0) {
-        EstablishedTable::Lookup g = globalEhash_->lookup(core, t,
-                                                          pkt.tuple);
-        t = g.t;
-        l.sock = g.sock;
-    }
 
     if (!l.sock) {
         // A lingering TIME_WAIT tuple absorbs stray segments for the
@@ -1410,43 +1407,38 @@ KernelStack::allSockets() const
 }
 
 std::uint64_t
+KernelStack::sumEhash(std::uint64_t (EstablishedTable::*stat)() const) const
+{
+    if (globalEhash_)
+        return ((*globalEhash_).*stat)();
+    std::uint64_t n = 0;
+    for (int c = 0; c < localEhash_->numCores(); ++c)
+        n += (localEhash_->table(c).*stat)();
+    return n;
+}
+
+std::uint64_t
 KernelStack::ehashLookups() const
 {
-    std::uint64_t n = globalEhash_->lookups();
-    if (localEhash_)
-        for (int c = 0; c < localEhash_->numCores(); ++c)
-            n += localEhash_->table(c).lookups();
-    return n;
+    return sumEhash(&EstablishedTable::lookups);
 }
 
 std::uint64_t
 KernelStack::ehashProbesWalked() const
 {
-    std::uint64_t n = globalEhash_->probesWalked();
-    if (localEhash_)
-        for (int c = 0; c < localEhash_->numCores(); ++c)
-            n += localEhash_->table(c).probesWalked();
-    return n;
+    return sumEhash(&EstablishedTable::probesWalked);
 }
 
 std::uint64_t
 KernelStack::ehashLookupCycles() const
 {
-    std::uint64_t n = globalEhash_->lookupCycles();
-    if (localEhash_)
-        for (int c = 0; c < localEhash_->numCores(); ++c)
-            n += localEhash_->table(c).lookupCycles();
-    return n;
+    return sumEhash(&EstablishedTable::lookupCycles);
 }
 
 std::uint64_t
 KernelStack::ehashResizes() const
 {
-    std::uint64_t n = globalEhash_->resizes();
-    if (localEhash_)
-        for (int c = 0; c < localEhash_->numCores(); ++c)
-            n += localEhash_->table(c).resizes();
-    return n;
+    return sumEhash(&EstablishedTable::resizes);
 }
 
 std::vector<std::string>

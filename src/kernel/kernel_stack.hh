@@ -346,6 +346,9 @@ class KernelStack
 
     /** Insert/lookup/remove in the right established table. */
     EstablishedTable &ehashFor(CoreId core);
+    /** @p stat summed over the established table(s) in use. */
+    std::uint64_t
+    sumEhash(std::uint64_t (EstablishedTable::*stat)() const) const;
 
     Socket *newSocket();
     /** A new listen socket bound to (addr, port). */
@@ -391,6 +394,7 @@ class KernelStack
 
     std::unique_ptr<VfsLayer> vfs_;
     ListenTable globalListen_;
+    /** Built only without Local Established Tables. */
     std::unique_ptr<EstablishedTable> globalEhash_;
     std::unique_ptr<LocalListenTable> localListen_;
     std::unique_ptr<LocalEstablishedTable> localEhash_;

@@ -2,28 +2,69 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
+#include <iterator>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 namespace fsim
 {
 
+FleetTraceLog::IndexSlot &
+FleetTraceLog::slotFor(std::uint64_t trace_id)
+{
+    const std::size_t mask = index_.size() - 1;
+    const std::uint32_t tag = tagOf(trace_id);
+    std::size_t i = static_cast<std::size_t>(trace_id) & mask;
+    while (index_[i].ref != 0 &&
+           (index_[i].tag != tag ||
+            records_[index_[i].ref - 1].traceId != trace_id))
+        i = (i + 1) & mask;
+    return index_[i];
+}
+
+void
+FleetTraceLog::reserveIndex()
+{
+    // Keep occupancy under 3/4 so probe runs stay short.
+    if ((records_.size() + 1) * 4 < index_.size() * 3)
+        return;
+    const std::size_t cap = index_.empty() ? 16 : index_.size() * 2;
+    // Records are never erased, so the new table is rebuilt from them;
+    // the old one is released first and never copied.
+    index_ = {};
+    index_.resize(cap);
+    const std::size_t mask = cap - 1;
+    for (std::size_t r = 0; r < records_.size(); ++r) {
+        const std::uint64_t id = records_[r].traceId;
+        std::size_t i = static_cast<std::size_t>(id) & mask;
+        while (index_[i].ref != 0)
+            i = (i + 1) & mask;
+        index_[i] = {static_cast<std::uint32_t>(r + 1), tagOf(id)};
+    }
+}
+
 FleetTrace *
 FleetTraceLog::find(std::uint64_t trace_id)
 {
-    const std::uint32_t *idx = index_.find(trace_id);
-    return idx ? &records_[*idx] : nullptr;
+    if (index_.empty())
+        return nullptr;
+    const IndexSlot &slot = slotFor(trace_id);
+    return slot.ref != 0 ? &records_[slot.ref - 1] : nullptr;
 }
 
 FleetTrace &
 FleetTraceLog::findOrAdd(std::uint64_t trace_id, bool &created)
 {
-    const auto ins = index_.insert(
-        trace_id, static_cast<std::uint32_t>(records_.size()));
-    created = ins.second;
+    reserveIndex();
+    IndexSlot &slot = slotFor(trace_id);
+    created = slot.ref == 0;
     if (!created)
-        return records_[*ins.first];
+        return records_[slot.ref - 1];
     ++allocations_;
+    slot = {static_cast<std::uint32_t>(records_.size() + 1),
+            tagOf(trace_id)};
     FleetTrace &tr = records_.push_back(FleetTrace{});
     tr.traceId = trace_id;
     return tr;
@@ -133,20 +174,29 @@ FleetTraceLog::orphans() const
     return n;
 }
 
+namespace
+{
+
+/** The deterministic report order: (clientStart, traceId). */
+bool
+startsBefore(const FleetTrace *a, const FleetTrace *b)
+{
+    if (a->clientStart != b->clientStart)
+        return a->clientStart < b->clientStart;
+    return a->traceId < b->traceId;
+}
+
+} // namespace
+
 std::vector<const FleetTrace *>
 FleetTraceLog::sortedCompleted() const
 {
     std::vector<const FleetTrace *> out;
-    out.reserve(records_.size());
+    out.reserve(clientCompleted_);
     for (const FleetTrace &tr : records_)
         if (tr.clientDone)
             out.push_back(&tr);
-    std::sort(out.begin(), out.end(),
-              [](const FleetTrace *a, const FleetTrace *b) {
-                  if (a->clientStart != b->clientStart)
-                      return a->clientStart < b->clientStart;
-                  return a->traceId < b->traceId;
-              });
+    std::sort(out.begin(), out.end(), startsBefore);
     return out;
 }
 
@@ -187,14 +237,32 @@ sliceTrace(const FleetTrace &tr, Tick forward_delay)
     return s;
 }
 
-Tick
-pct(std::vector<Tick> &sorted, double q)
+/** The percentiles forensics reports. */
+constexpr double kQuantiles[] = {0.50, 0.99, 0.999};
+
+/**
+ * Where a full sort of [first, last) under @p less would put percentile
+ * q of kQuantiles, at position q * (n - 1), selected in place. The
+ * quantiles ascend, so each selection runs over the part of the range
+ * above the previous pick and never moves an earlier pick; the range
+ * from the last pick on holds the top of the order. The range must be
+ * non-empty.
+ */
+template <typename It, typename Less = std::less<>>
+std::array<It, std::size(kQuantiles)>
+selectQuantiles(It first, It last, Less less = {})
 {
-    if (sorted.empty())
-        return 0;
-    std::size_t idx =
-        static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-    return sorted[idx];
+    const double top = static_cast<double>(last - first - 1);
+    std::array<It, std::size(kQuantiles)> at{};
+    It from = first;
+    for (std::size_t k = 0; k < at.size(); ++k) {
+        at[k] = first + static_cast<std::ptrdiff_t>(kQuantiles[k] * top);
+        if (at[k] < from)
+            continue;   // the same position as the previous pick
+        std::nth_element(from, at[k], last, less);
+        from = at[k] + 1;
+    }
+    return at;
 }
 
 } // namespace
@@ -210,53 +278,56 @@ buildFleetTraceForensics(const FleetTraceLog &log, Tick forward_delay)
     if (!f.enabled)
         return f;
 
+    // One pointer per completed-ok trace, in the (clientStart, traceId)
+    // order sortedCompleted() gives, so shares sum in that order.
     std::vector<const FleetTrace *> done;
-    for (const FleetTrace *tr : log.sortedCompleted())
-        if (tr->ok)
-            done.push_back(tr);
+    done.reserve(log.clientCompleted());
+    for (const FleetTrace &tr : log.records())
+        if (tr.clientDone && tr.ok)
+            done.push_back(&tr);
     f.tracesCompleted = done.size();
     if (done.empty())
         return f;
+    std::sort(done.begin(), done.end(), startsBefore);
 
-    // Rank by end-to-end latency for percentiles + exemplar picks.
-    std::vector<const FleetTrace *> byLat = done;
-    std::stable_sort(byLat.begin(), byLat.end(),
-                     [](const FleetTrace *a, const FleetTrace *b) {
-                         return a->e2eLatency() < b->e2eLatency();
-                     });
-    auto rankAt = [&](double q) {
-        std::size_t idx = static_cast<std::size_t>(
-            q * static_cast<double>(byLat.size() - 1));
-        return byLat[idx];
-    };
-    f.e2eP50 = rankAt(0.50)->e2eLatency();
-    f.e2eP99 = rankAt(0.99)->e2eLatency();
-    f.e2eP999 = rankAt(0.999)->e2eLatency();
-
-    std::array<std::vector<Tick>, HopSlices::kNumHops> perHop;
-    for (auto &v : perHop)
-        v.reserve(done.size());
     std::array<double, HopSlices::kNumHops> hopSum{};
     double e2eSum = 0.0;
     for (const FleetTrace *tr : done) {
         const HopSlices s = sliceTrace(*tr, forward_delay);
-        for (int h = 0; h < HopSlices::kNumHops; ++h) {
-            perHop[h].push_back(s.t[h]);
+        for (int h = 0; h < HopSlices::kNumHops; ++h)
             hopSum[h] += static_cast<double>(s.t[h]);
-        }
         e2eSum += static_cast<double>(tr->e2eLatency());
     }
+
+    // Per-hop distributions, one hop at a time through one buffer.
+    std::vector<Tick> slice(done.size());
     for (int h = 0; h < HopSlices::kNumHops; ++h) {
-        std::sort(perHop[h].begin(), perHop[h].end());
+        for (std::size_t i = 0; i < done.size(); ++i)
+            slice[i] = sliceTrace(*done[i], forward_delay).t[h];
+        const auto at = selectQuantiles(slice.begin(), slice.end());
         FleetHopStat st;
         st.hop = kHopNames[h];
-        st.p50 = pct(perHop[h], 0.50);
-        st.p99 = pct(perHop[h], 0.99);
-        st.p999 = pct(perHop[h], 0.999);
-        st.max = perHop[h].back();
+        st.p50 = *at[0];
+        st.p99 = *at[1];
+        st.p999 = *at[2];
+        st.max = *std::max_element(at[2], slice.end());
         st.share = e2eSum > 0.0 ? hopSum[h] / e2eSum : 0.0;
         f.hops.push_back(st);
     }
+
+    // Exemplars: rank by end-to-end latency, ties in (clientStart,
+    // traceId) order. Trace ids are unique, so that order is total and
+    // selecting in place picks what a stable sort by latency would.
+    const auto exemplar = selectQuantiles(
+        done.begin(), done.end(),
+        [](const FleetTrace *a, const FleetTrace *b) {
+            const Tick la = a->e2eLatency();
+            const Tick lb = b->e2eLatency();
+            return la != lb ? la < lb : startsBefore(a, b);
+        });
+    f.e2eP50 = (*exemplar[0])->e2eLatency();
+    f.e2eP99 = (*exemplar[1])->e2eLatency();
+    f.e2eP999 = (*exemplar[2])->e2eLatency();
 
     auto dominant = [&](const FleetTrace *tr) {
         const HopSlices s = sliceTrace(*tr, forward_delay);
@@ -266,9 +337,9 @@ buildFleetTraceForensics(const FleetTraceLog &log, Tick forward_delay)
                 best = h;
         return std::string(kHopNames[best]);
     };
-    f.dominantP50 = dominant(rankAt(0.50));
-    f.dominantP99 = dominant(rankAt(0.99));
-    f.dominantP999 = dominant(rankAt(0.999));
+    f.dominantP50 = dominant(*exemplar[0]);
+    f.dominantP99 = dominant(*exemplar[1]);
+    f.dominantP999 = dominant(*exemplar[2]);
     return f;
 }
 

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "sim/chunked_vector.hh"
-#include "sim/flat_map.hh"
 #include "sim/types.hh"
 #include "trace/conn_span.hh"
 
@@ -76,8 +75,10 @@ struct FleetTrace
  * ConnSpanLog stitches its spans in as connections close, and collect
  * adds the spans still in flight (matching on ConnSpanTrace::traceId).
  *
- * Records live in chunked storage in first-seen order, indexed by trace
- * id through a FlatMap: appends never move or copy earlier records.
+ * Records live in chunked storage in first-seen order and are never
+ * erased: appends never move or copy earlier records. An open-addressing
+ * index of 8-byte slots maps a trace id to its record; the full id is
+ * read from the record, so the index holds no keys.
  */
 class FleetTraceLog
 {
@@ -139,14 +140,33 @@ class FleetTraceLog
     std::vector<const FleetTrace *> sortedCompleted() const;
 
   private:
+    /** One index slot: a record reference and a fragment of its id. */
+    struct IndexSlot
+    {
+        std::uint32_t ref = 0;  //!< record index + 1; 0 = empty slot
+        std::uint32_t tag = 0;  //!< the id's high half, checked first
+    };
+
+    static std::uint32_t tagOf(std::uint64_t trace_id)
+    {
+        return static_cast<std::uint32_t>(trace_id >> 32);
+    }
+
+    /** The slot holding @p trace_id, else the empty slot ending its
+     *  probe run. The index must be non-empty. */
+    IndexSlot &slotFor(std::uint64_t trace_id);
+    /** Size the index for one more record, re-indexing records_. */
+    void reserveIndex();
+
     FleetTrace *find(std::uint64_t trace_id);
     /** The record for @p trace_id, appended if new (@p created says). */
     FleetTrace &findOrAdd(std::uint64_t trace_id, bool &created);
 
     bool enabled_ = true;
     ChunkedVector<FleetTrace> records_;
-    /** Trace id -> index into records_ (ids are already hashed). */
-    FlatMap<std::uint64_t, std::uint32_t> index_;
+    /** Trace id -> records_ index, linear probing from the id's low
+     *  bits (ids are already hashed); a power of 2, under 3/4 full. */
+    std::vector<IndexSlot> index_;
     std::uint64_t clientStarts_ = 0;
     std::uint64_t clientCompleted_ = 0;
     std::uint64_t duplicates_ = 0;

@@ -28,7 +28,9 @@
  *  3. A fleet (balancers + machines) obeys the same contract untraced.
  *     Traced, span recording recycles its live slots and stitches at
  *     close, so the only growth left is the per-request trace record
- *     log: chunked, well under one heap block per 1000 connections.
+ *     log: chunked, well under one heap block per 1000 connections,
+ *     and at most 16 B per record beyond the record itself. collect()'s
+ *     forensics allocate at most 24 B per completed trace.
  */
 
 #include <gtest/gtest.h>
@@ -233,6 +235,7 @@ TEST(AllocAudit, TwentyFourTimerBasesOwnNoSlotStorage)
 struct AuditWindow
 {
     std::uint64_t blocks = 0;
+    std::uint64_t bytes = 0;
     std::uint64_t latencyLogBlocks = 0;
     std::uint64_t conns = 0;
 };
@@ -249,6 +252,7 @@ auditWindow(Bed &bed, Tick until)
     {
         AllocAuditScope scope;
         bed.runUntilChecked(until);
+        w.bytes = AllocAudit::allocBytes();
         w.blocks = AllocAudit::disarm();
     }
     w.latencyLogBlocks = load.latencySamples().allocations() - logBlocks;
@@ -331,9 +335,10 @@ auditFleet(bool traced)
     return fc;
 }
 
-/** A warmed-up fleet's audited 0.5 s window. */
+/** A warmed-up fleet's audited 0.5 s window, and the trace records
+ *  appended during it. */
 AuditWindow
-auditFleetWindow(bool traced)
+auditFleetWindow(bool traced, std::uint64_t *records = nullptr)
 {
     FleetTestbed bed(auditFleet(traced));
     bed.startLoad();
@@ -342,7 +347,11 @@ auditFleetWindow(bool traced)
     // timer node slabs reach their high-water marks only after a few
     // passes.
     bed.runUntilChecked(ticksFromSeconds(1.5));
-    return auditWindow(bed, ticksFromSeconds(2.0));
+    const std::size_t before = bed.traceLog().records().size();
+    const AuditWindow w = auditWindow(bed, ticksFromSeconds(2.0));
+    if (records)
+        *records = bed.traceLog().records().size() - before;
+    return w;
 }
 
 TEST(AllocAudit, NotraceFleetSteadyStateIsAllocationFree)
@@ -356,13 +365,43 @@ TEST(AllocAudit, NotraceFleetSteadyStateIsAllocationFree)
 
 TEST(AllocAudit, TracedFleetAllocatesUnderOneBlockPer1000Conns)
 {
-    const AuditWindow w = auditFleetWindow(/*traced=*/true);
+    std::uint64_t records = 0;
+    const AuditWindow w = auditFleetWindow(/*traced=*/true, &records);
     EXPECT_GT(w.conns, 5000u);
     if (w.blocks * 1000 >= w.conns) dumpAllocHistogram("fleet traced");
     EXPECT_LT(w.blocks * 1000, w.conns)
         << w.blocks << " heap blocks for " << w.conns
         << " connections: span recording or stitching is allocating "
            "per connection";
+    // Bytes, not just blocks: each request's trace record plus at most
+    // 16 B of index and latency-log growth.
+    ASSERT_GT(records, 5000u);
+    EXPECT_LE(w.bytes, records * (sizeof(FleetTrace) + 16))
+        << w.bytes << " bytes for " << records << " trace records";
+}
+
+TEST(AllocAudit, TracedFleetCollectAllocatesUnder24BytesPerTrace)
+{
+    // Forensics over the run's completed traces works from one pointer
+    // array and one reused tick buffer: no per-hop copies, no sort
+    // buffer.
+    FleetTestbed bed(auditFleet(/*traced=*/true));
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromSeconds(0.5));
+    bed.markWindows();
+    bed.runUntilChecked(ticksFromSeconds(1.5));
+    std::uint64_t bytes;
+    ExperimentResult r;
+    {
+        AllocAuditScope scope;
+        r = bed.collect();
+        bytes = AllocAudit::allocBytes();
+    }
+    const std::uint64_t traces = r.fleetTrace.tracesCompleted;
+    ASSERT_GT(traces, 10000u);
+    if (bytes > traces * 24) dumpAllocHistogram("fleet collect");
+    EXPECT_LE(bytes, traces * 24)
+        << bytes << " bytes for " << traces << " completed traces";
 }
 
 } // namespace

@@ -20,8 +20,9 @@ TOOL, BASELINES = sys.argv[1], sys.argv[2]
 
 # The committed baselines and the keys CI checks on each of them.
 CHECKS = {
-    "bench_fleet_resilience_quick.json": ["fingerprint"],
-    "bench_chaos_quick.json": ["fingerprint"],
+    "bench_fleet_resilience_quick.json":
+        ["fingerprint", "fleet_trace", "fleet.trace*"],
+    "bench_chaos_quick.json": ["fingerprint", "fleet_trace", "fleet.trace*"],
     "bench_million_conn_quick.json": ["fingerprint"],
     "bench_phase_breakdown_quick.json":
         ["phases", "folded_stacks", "latency_stages", "fingerprint"],

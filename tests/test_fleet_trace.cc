@@ -12,10 +12,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <tuple>
+#include <vector>
 
 #include "fault/fault_injector.hh"
 #include "fleet/fleet.hh"
+#include "sim/rng.hh"
 
 namespace fsim
 {
@@ -139,6 +142,193 @@ TEST(FleetTrace, StitchWinnerIndependentOfArrivalOrder)
     // The orderly span with the longest service, earliest open and
     // latest close: the second candidate.
     EXPECT_EQ(want, Stored(true, true, 100, 950, 200, 60, 1));
+}
+
+/**
+ * Reference forensics: the sort-based builder the one-pass builder
+ * replaced, kept verbatim in spirit — every completed-ok trace in
+ * sortedCompleted() order, a stable sort by end-to-end latency for
+ * the exemplars, and a full sort per hop for the percentiles.
+ */
+FleetTraceForensics
+referenceForensics(const FleetTraceLog &log, Tick forward_delay)
+{
+    constexpr int kNumHops = 5;
+    constexpr const char *kNames[kNumHops] = {
+        "wire", "lb-ingress", "lb-nat", "server-exec", "backend-rtt",
+    };
+    const auto slices = [forward_delay](const FleetTrace &tr) {
+        std::array<Tick, kNumHops> t{};
+        const Tick e2e = tr.e2eLatency();
+        const Tick ingress = Tick{tr.lbFlows} * forward_delay;
+        const Tick nat = tr.lbForwards > tr.lbFlows
+            ? Tick{tr.lbForwards - tr.lbFlows} * forward_delay
+            : 0;
+        const Tick exec = std::min(tr.serverExec, tr.serverService);
+        const Tick rtt = tr.serverService - exec;
+        const Tick accounted = ingress + nat + exec + rtt;
+        t[1] = ingress;
+        t[2] = nat;
+        t[3] = exec;
+        t[4] = rtt;
+        t[0] = e2e > accounted ? e2e - accounted : 0;
+        return t;
+    };
+    const auto pct = [](const std::vector<Tick> &sorted, double q) {
+        return sorted[static_cast<std::size_t>(
+            q * static_cast<double>(sorted.size() - 1))];
+    };
+
+    FleetTraceForensics f;
+    f.enabled = log.enabled();
+    f.duplicates = log.duplicates();
+    f.orphans = log.orphans();
+    f.stitched = log.machineSpansStitched();
+    if (!f.enabled)
+        return f;
+    std::vector<const FleetTrace *> done;
+    for (const FleetTrace *tr : log.sortedCompleted())
+        if (tr->ok)
+            done.push_back(tr);
+    f.tracesCompleted = done.size();
+    if (done.empty())
+        return f;
+
+    std::vector<const FleetTrace *> byLat = done;
+    std::stable_sort(byLat.begin(), byLat.end(),
+                     [](const FleetTrace *a, const FleetTrace *b) {
+                         return a->e2eLatency() < b->e2eLatency();
+                     });
+    const auto rankAt = [&](double q) {
+        return byLat[static_cast<std::size_t>(
+            q * static_cast<double>(byLat.size() - 1))];
+    };
+    f.e2eP50 = rankAt(0.50)->e2eLatency();
+    f.e2eP99 = rankAt(0.99)->e2eLatency();
+    f.e2eP999 = rankAt(0.999)->e2eLatency();
+
+    std::array<std::vector<Tick>, kNumHops> perHop;
+    std::array<double, kNumHops> hopSum{};
+    double e2eSum = 0.0;
+    for (const FleetTrace *tr : done) {
+        const auto t = slices(*tr);
+        for (int h = 0; h < kNumHops; ++h) {
+            perHop[h].push_back(t[h]);
+            hopSum[h] += static_cast<double>(t[h]);
+        }
+        e2eSum += static_cast<double>(tr->e2eLatency());
+    }
+    for (int h = 0; h < kNumHops; ++h) {
+        std::sort(perHop[h].begin(), perHop[h].end());
+        FleetHopStat st;
+        st.hop = kNames[h];
+        st.p50 = pct(perHop[h], 0.50);
+        st.p99 = pct(perHop[h], 0.99);
+        st.p999 = pct(perHop[h], 0.999);
+        st.max = perHop[h].back();
+        st.share = e2eSum > 0.0 ? hopSum[h] / e2eSum : 0.0;
+        f.hops.push_back(st);
+    }
+    const auto dominant = [&](const FleetTrace *tr) {
+        const auto t = slices(*tr);
+        int best = 0;
+        for (int h = 1; h < kNumHops; ++h)
+            if (t[h] > t[best])
+                best = h;
+        return std::string(kNames[best]);
+    };
+    f.dominantP50 = dominant(rankAt(0.50));
+    f.dominantP99 = dominant(rankAt(0.99));
+    f.dominantP999 = dominant(rankAt(0.999));
+    return f;
+}
+
+/** A machine span for @p id: optional softirq exec, then one app write
+ *  ending at @p write_end (the service latency's end). */
+ConnSpanTrace
+machineSpan(std::uint64_t id, Tick open, Tick close, bool orderly,
+            Tick write_end, Tick softirq, std::vector<ConnSpan> &storage)
+{
+    storage.clear();
+    if (softirq > 0)
+        storage.push_back({open + 1, open + 1 + softirq, 0, 0,
+                           ConnStage::kSoftirqRx});
+    storage.push_back({write_end - 3, write_end, 0, 1,
+                       ConnStage::kAppWrite});
+    ConnSpanTrace tr;
+    tr.traceId = id;
+    tr.openTick = open;
+    tr.closeTick = close;
+    tr.closed = orderly;
+    tr.spans = storage;
+    return tr;
+}
+
+/**
+ * A random log with the cases forensics must order and filter: equal
+ * client starts, equal end-to-end latencies, failed and unfinished
+ * requests, orphans (no balancer flow), failover (two flows),
+ * unstitched traces, re-stitched spans and duplicate starts.
+ */
+void
+fillRandomLog(FleetTraceLog &log, Rng &rng, std::size_t n)
+{
+    std::vector<ConnSpan> storage;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t id = rng.next() | 1;
+        // Few distinct starts and latencies: many exact ties.
+        const Tick start = 1000 + 10 * rng.range(n / 4 + 1);
+        const Tick e2e = 50 + 25 * rng.range(12);
+        log.clientStart(id, start);
+        if (rng.chance(0.02))
+            log.clientStart(id, start + 5);     // duplicate start
+        const int flows = rng.chance(0.05) ? 0 : rng.chance(0.1) ? 2 : 1;
+        for (int k = 0; k < flows; ++k)
+            log.lbIngress(id, start + 2 + Tick(k), k,
+                          static_cast<int>(rng.range(4)));
+        const std::uint64_t forwards = rng.range(8);
+        for (std::uint64_t k = 0; k < forwards; ++k)
+            log.lbForward(id);
+        const int spans = rng.chance(0.1) ? 0 : rng.chance(0.2) ? 2 : 1;
+        for (int k = 0; k < spans; ++k) {
+            const Tick open = start + 3 + rng.range(4);
+            const Tick write = open + 4 + rng.range(e2e);
+            log.stitchMachineSpan(machineSpan(
+                id, open, rng.chance(0.2) ? 0 : write + 2,
+                rng.chance(0.8), write, rng.range(3) * 7, storage));
+        }
+        if (rng.chance(0.9))
+            log.clientEnd(id, start + e2e, rng.chance(0.9));
+    }
+}
+
+TEST(FleetTrace, OnePassForensicsMatchesSortBasedReference)
+{
+    Rng rng(20160402);
+    const Tick fd = 2;
+    std::uint64_t orphans = 0;
+    std::uint64_t unstitched = 0;
+    for (int round = 0; round < 60; ++round) {
+        // Tiny logs (0-3 traces) exercise the rank-index edges.
+        const std::size_t n =
+            round < 12 ? static_cast<std::size_t>(round % 4)
+                       : 1 + rng.range(3000);
+        FleetTraceLog log;
+        fillRandomLog(log, rng, n);
+        const FleetTraceForensics want = referenceForensics(log, fd);
+        const FleetTraceForensics got = buildFleetTraceForensics(log, fd);
+        ASSERT_EQ(got, want) << "round " << round << ", " << n
+                             << " traces";
+        orphans += want.orphans;
+        unstitched += unstitchedOk(log);
+    }
+    // The generator produced the cases it promises.
+    EXPECT_GT(orphans, 0u);
+    EXPECT_GT(unstitched, 0u);
+
+    FleetTraceLog off;
+    off.setEnabled(false);
+    EXPECT_EQ(buildFleetTraceForensics(off, fd), referenceForensics(off, fd));
 }
 
 TEST(FleetTrace, ClientTraceIdSurvivesNatRewriteBothKernels)

@@ -192,14 +192,52 @@ struct JitterServer : FakeServer
     }
 };
 
+/**
+ * Runs the queue event by event and notes each latency sample's
+ * completion tick, which the log itself does not keep, so the window
+ * boundary is checked against ticks observed from outside.
+ */
+struct CompletionTicks
+{
+    EventQueue &eq;
+    const HttpLoad &load;
+    std::vector<Tick> ticks;    //!< completion tick per sample
+
+    void
+    note()
+    {
+        while (ticks.size() < load.latencySamples().size())
+            ticks.push_back(eq.now());
+    }
+
+    bool
+    step()
+    {
+        const bool ran = eq.runOne();
+        note();
+        return ran;
+    }
+
+    /** Run until now() reaches @p until, then finish that tick. */
+    void
+    runUntil(Tick until)
+    {
+        while (eq.now() < until && step()) {
+        }
+        eq.runUntil(eq.now());
+        note();
+    }
+};
+
 /** Latencies of the samples completed at or after @p mark, sorted. */
 std::vector<Tick>
-bruteForceWindow(const HttpLoad &load, Tick mark)
+bruteForceWindow(const HttpLoad &load, const CompletionTicks &done,
+                 Tick mark)
 {
     std::vector<Tick> lat;
-    for (const auto &s : load.latencySamples())
-        if (s.first >= mark)
-            lat.push_back(s.second);
+    for (std::size_t i = 0; i < done.ticks.size(); ++i)
+        if (done.ticks[i] >= mark)
+            lat.push_back(load.latencySamples()[i]);
     std::sort(lat.begin(), lat.end());
     return lat;
 }
@@ -216,14 +254,21 @@ bruteForcePercentile(const std::vector<Tick> &lat, double p)
 
 /** The window since @p mark: count and percentiles vs brute force. */
 void
-expectWindowMatchesBruteForce(const HttpLoad &load, Tick mark)
+expectWindowMatchesBruteForce(const HttpLoad &load,
+                              const CompletionTicks &done, Tick mark)
 {
-    const std::vector<Tick> lat = bruteForceWindow(load, mark);
+    ASSERT_EQ(done.ticks.size(), load.latencySamples().size());
+    const std::vector<Tick> lat = bruteForceWindow(load, done, mark);
     EXPECT_EQ(load.latencySamplesSinceMark(), lat.size());
-    for (double p : {0.0, 0.5, 0.99, 0.9999, 1.0})
-        EXPECT_EQ(load.latencyPercentileSinceMark(p),
-                  bruteForcePercentile(lat, p))
-            << "p" << p * 100 << " of " << lat.size() << " samples";
+    const double ps[] = {0.0, 0.5, 0.99, 0.9999, 1.0};
+    Tick together[5];
+    load.latencyPercentilesSinceMark(ps, together);
+    for (std::size_t k = 0; k < 5; ++k) {
+        const Tick want = bruteForcePercentile(lat, ps[k]);
+        EXPECT_EQ(load.latencyPercentileSinceMark(ps[k]), want)
+            << "p" << ps[k] * 100 << " of " << lat.size() << " samples";
+        EXPECT_EQ(together[k], want) << "p" << ps[k] * 100 << ", together";
+    }
 }
 
 /** A closed loop of 32 connections against a JitterServer. */
@@ -233,6 +278,7 @@ struct HttpLoadLatency : public ::testing::Test
     Wire wire{eq, ticksFromUsec(10)};
     JitterServer server{eq, wire, 500};
     HttpLoad load{eq, wire, config()};
+    CompletionTicks done{eq, load, {}};
 
     static HttpLoad::Config
     config()
@@ -249,16 +295,20 @@ TEST_F(HttpLoadLatency, WindowMatchesBruteForce)
     load.start();
 
     load.markWindow();      // before any traffic: the window is the run
-    eq.runUntil(ticksFromMsec(60));
+    done.runUntil(ticksFromMsec(60));
     ASSERT_GT(load.latencySamples().size(), 5000u);
-    expectWindowMatchesBruteForce(load, 0);
+    expectWindowMatchesBruteForce(load, done, 0);
 
     load.markWindow();      // mid-run, then more traffic
     const Tick mark = eq.now();
-    eq.runUntil(ticksFromMsec(120));
-    expectWindowMatchesBruteForce(load, mark);
+    done.runUntil(ticksFromMsec(120));
+    expectWindowMatchesBruteForce(load, done, mark);
 
-    load.markWindow();      // nothing completed since
+    // Step past the last completion's tick: a mark there has nothing
+    // completed since.
+    while (done.ticks.back() == eq.now())
+        ASSERT_TRUE(done.step());
+    load.markWindow();
     EXPECT_EQ(load.latencySamplesSinceMark(), 0u);
     EXPECT_EQ(load.latencyPercentileSinceMark(0.99), 0u);
 }
@@ -266,21 +316,23 @@ TEST_F(HttpLoadLatency, WindowMatchesBruteForce)
 TEST_F(HttpLoadLatency, SamplesCompletedAtTheMarkTickAreInTheWindow)
 {
     load.start();
-    eq.runUntil(ticksFromMsec(5));
+    done.runUntil(ticksFromMsec(5));
 
-    // Step to the next completion and mark the window at its tick.
-    const std::size_t before = load.latencySamples().size();
-    while (load.latencySamples().size() == before)
-        ASSERT_TRUE(eq.runOne());
+    // Step to the next completion and mark the window at its tick,
+    // after that sample was recorded.
+    const std::size_t before = done.ticks.size();
+    while (done.ticks.size() == before)
+        ASSERT_TRUE(done.step());
     const Tick mark = eq.now();
-    ASSERT_EQ(load.latencySamples().back().first, mark);
+    ASSERT_EQ(done.ticks.back(), mark);
+    ASSERT_GT(mark, done.ticks[before - 1]);
     load.markWindow();
     EXPECT_EQ(load.latencySamplesSinceMark(), 1u);
     EXPECT_EQ(load.latencyPercentileSinceMark(0.5),
-              load.latencySamples().back().second);
+              load.latencySamples().back());
 
-    eq.runUntil(ticksFromMsec(10));
-    expectWindowMatchesBruteForce(load, mark);
+    done.runUntil(ticksFromMsec(10));
+    expectWindowMatchesBruteForce(load, done, mark);
 }
 
 TEST(HttpLoadFleet, CursorConsumesEverySampleOnce)
@@ -323,7 +375,7 @@ TEST(HttpLoadFleet, CursorConsumesEverySampleOnce)
     for (std::size_t w = 0; w < 6; ++w) {
         std::uint64_t slow = 0;
         for (std::size_t i = cuts[w]; i < cuts[w + 1]; ++i)
-            slow += load.latencySamples()[i].second > fc.slo.latencyObjective;
+            slow += load.latencySamples()[i] > fc.slo.latencyObjective;
         const auto [good, bad] = obj->windows[w];
         EXPECT_EQ(good + bad, cuts[w + 1] - cuts[w]) << "window " << w;
         EXPECT_EQ(bad, slow) << "window " << w;
