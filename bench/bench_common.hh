@@ -63,7 +63,6 @@ struct BenchArgs
     std::string jsonPath;   //!< --json=<path>; empty = no export
     std::string perfettoPath;   //!< --perfetto=<path>; empty = none
     std::string metricsPath;    //!< --metrics=<path>; Prometheus text
-    std::string faultsSpec; //!< --faults=<plan>; raw text for the report
     FaultPlan faults;       //!< parsed --faults plan (empty = none)
     std::string overloadSpec;   //!< --overload=<spec>; raw text
     OverloadConfig overload;    //!< parsed --overload knobs
@@ -76,6 +75,7 @@ struct BenchArgs
           std::initializer_list<const char *> allowed = {})
     {
         BenchArgs a;
+        std::string err;
         for (int i = 1; i < argc; ++i) {
             if (!std::strcmp(argv[i], "--quick"))
                 a.quick = true;
@@ -94,33 +94,12 @@ struct BenchArgs
             else if (!std::strncmp(argv[i], "--seed=", 7))
                 a.seed = wholeNumber("--seed=", argv[i] + 7);
             else if (!std::strncmp(argv[i], "--faults=", 9)) {
-                a.faultsSpec = argv[i] + 9;
-                std::string err;
-                if (!parseFaultPlan(a.faultsSpec, a.faults, err)) {
-                    std::fprintf(stderr, "--faults: %s\n", err.c_str());
-                    std::fprintf(stderr,
-                                 "valid fault event kinds: loss_burst, "
-                                 "reorder, duplicate, syn_flood, "
-                                 "backend_slow, backend_down, "
-                                 "atr_shrink, machine_crash, "
-                                 "rolling_restart, lb_crash, "
-                                 "machine_degrade, net_partition\n");
-                    std::exit(2);
-                }
+                if (!parseFaultPlan(argv[i] + 9, a.faults, err))
+                    badSpec("--faults", err);
             } else if (!std::strncmp(argv[i], "--overload=", 11)) {
                 a.overloadSpec = argv[i] + 11;
-                std::string err;
-                if (!parseOverloadSpec(a.overloadSpec, a.overload,
-                                       err)) {
-                    std::fprintf(stderr, "--overload: %s\n",
-                                 err.c_str());
-                    std::fprintf(stderr,
-                                 "keys: budget, gate, deadline_ms, "
-                                 "deadline_us, cap, brownout, "
-                                 "brownout_bytes, brownout_divisor, "
-                                 "health_bytes, high, critical, low\n");
-                    std::exit(2);
-                }
+                if (!parseOverloadSpec(a.overloadSpec, a.overload, err))
+                    badSpec("--overload", err);
             } else if (!std::strncmp(argv[i], "--", 2) &&
                        !allowedMatch(argv[i], allowed)) {
                 usage(argv[0], argv[i], allowed);
@@ -130,6 +109,15 @@ struct BenchArgs
             }
         }
         return a;
+    }
+
+    /** A --faults/--overload value its parser refused: print the
+     *  parser's error and exit 2. */
+    [[noreturn]] static void
+    badSpec(const char *flag, const std::string &err)
+    {
+        std::fprintf(stderr, "%s: %s\n", flag, err.c_str());
+        std::exit(2);
     }
 
     /** True when @p arg matches an allowlist entry: entries ending in
@@ -230,12 +218,25 @@ struct BenchArgs
     /**
      * Apply every shared knob to one experiment config: the fault plan,
      * the overload spec, and the seed override. Call once per row after
-     * the bench's own config is final.
+     * the bench's own config is final. Fault runs get a client give-up
+     * timeout (stuck connections must not wedge the closed loop), and a
+     * SYN flood additionally arms the embryonic-TCB reaper so the SYN
+     * queue drains once the attack window closes.
      */
     void
     apply(ExperimentConfig &cfg) const
     {
-        applyFaults(cfg);
+        if (!faults.empty()) {
+            cfg.faults = faults;
+            // Cap the give-up at half the measurement window so --quick
+            // runs (70ms end to end) still recycle wedged slots in-run.
+            if (cfg.clientTimeout == 0)
+                cfg.clientTimeout = ticksFromSeconds(
+                    std::min(0.1, cfg.measureSec / 2.0));
+            if (faults.has(FaultKind::kSynFlood) &&
+                cfg.machine.kernel.synRcvdJiffies == 0)
+                cfg.machine.kernel.synRcvdJiffies = 300;
+        }
         if (!overloadSpec.empty())
             cfg.machine.overload = overload;
         if (seed != 0)
@@ -244,29 +245,6 @@ struct BenchArgs
             cfg.machine.traceEnabled = false;
         if (!perfettoPath.empty())
             cfg.keepSpanTraces = true;
-    }
-
-    /**
-     * Arm the parsed --faults plan on @p cfg. Call after the row's
-     * kernel config is final. Fault runs get a client give-up timeout
-     * (stuck connections must not wedge the closed loop), and a SYN
-     * flood additionally arms the embryonic-TCB reaper so the SYN queue
-     * drains once the attack window closes.
-     */
-    void
-    applyFaults(ExperimentConfig &cfg) const
-    {
-        if (faults.empty())
-            return;
-        cfg.faults = faults;
-        // Cap the give-up at half the measurement window so --quick
-        // runs (70ms end to end) still recycle wedged slots in-run.
-        if (cfg.clientTimeout == 0)
-            cfg.clientTimeout = ticksFromSeconds(
-                std::min(0.1, cfg.measureSec / 2.0));
-        if (faults.has(FaultKind::kSynFlood) &&
-            cfg.machine.kernel.synRcvdJiffies == 0)
-            cfg.machine.kernel.synRcvdJiffies = 300;
     }
 };
 

@@ -1,7 +1,11 @@
 #include "fault/fault_plan.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <iterator>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "sim/strict_parse.hh"
 
@@ -11,60 +15,77 @@ namespace fsim
 namespace
 {
 
-struct KindName
+/** Typed pointer to the FaultEvent member one plan parameter sets. The
+ *  member's type picks the value check: a finite number, a whole number
+ *  (>= 0 for an unsigned member), a kModes name, or a group token. */
+using Member = std::variant<double FaultEvent::*, int FaultEvent::*,
+                            std::uint32_t FaultEvent::*,
+                            FaultEvent::CrashMode FaultEvent::*,
+                            std::string FaultEvent::*>;
+
+/** One plan parameter: its key and the member it sets. */
+struct Param
+{
+    const char *key;
+    Member member;
+};
+
+/** The parameter table: every key of the grammar, spelled once. */
+const Param kRate{"rate", &FaultEvent::rate};
+const Param kFactor{"factor", &FaultEvent::factor};
+const Param kTarget{"target", &FaultEvent::target};
+const Param kJitter{"jitter", &FaultEvent::jitterUsec};
+const Param kSize{"size", &FaultEvent::tableSize};
+const Param kMode{"mode", &FaultEvent::mode};
+const Param kDrain{"drain_ms", &FaultEvent::drainMsec};
+const Param kDown{"down_ms", &FaultEvent::downMsec};
+const Param kFlap{"flap_ms", &FaultEvent::flapMsec};
+const Param kGroupA{"a", &FaultEvent::partA};
+const Param kGroupB{"b", &FaultEvent::partB};
+
+/** The plan-level element that sets FaultPlan::seed. */
+const std::string kSeedKey = "seed=";
+
+/** machine_crash `mode` values, in CrashMode order. */
+const char *const kModes[] = {"rst", "blackhole"};
+
+/** One event kind: its token and the only parameters it takes, in the
+ *  order serializeFaultPlan() prints them. Rows are in FaultKind order. */
+struct KindSpec
 {
     FaultKind kind;
     const char *name;
+    std::vector<const Param *> params;
 };
 
-constexpr KindName kKinds[] = {
-    {FaultKind::kLossBurst, "loss_burst"},
-    {FaultKind::kReorder, "reorder"},
-    {FaultKind::kDuplicate, "duplicate"},
-    {FaultKind::kSynFlood, "syn_flood"},
-    {FaultKind::kBackendSlow, "backend_slow"},
-    {FaultKind::kBackendDown, "backend_down"},
-    {FaultKind::kAtrShrink, "atr_shrink"},
-    {FaultKind::kMachineCrash, "machine_crash"},
-    {FaultKind::kRollingRestart, "rolling_restart"},
-    {FaultKind::kLbCrash, "lb_crash"},
-    {FaultKind::kMachineDegrade, "machine_degrade"},
-    {FaultKind::kNetPartition, "net_partition"},
+const KindSpec kKinds[] = {
+    {FaultKind::kLossBurst, "loss_burst", {&kRate}},
+    {FaultKind::kReorder, "reorder", {&kRate, &kJitter}},
+    {FaultKind::kDuplicate, "duplicate", {&kRate}},
+    {FaultKind::kSynFlood, "syn_flood", {&kRate}},
+    {FaultKind::kBackendSlow, "backend_slow", {&kFactor, &kTarget}},
+    {FaultKind::kBackendDown, "backend_down", {&kTarget}},
+    {FaultKind::kAtrShrink, "atr_shrink", {&kSize}},
+    {FaultKind::kMachineCrash, "machine_crash", {&kTarget, &kMode}},
+    {FaultKind::kRollingRestart, "rolling_restart", {&kDrain, &kDown}},
+    {FaultKind::kLbCrash, "lb_crash", {&kTarget}},
+    {FaultKind::kMachineDegrade, "machine_degrade",
+     {&kTarget, &kFactor, &kRate, &kJitter, &kFlap}},
+    {FaultKind::kNetPartition, "net_partition", {&kGroupA, &kGroupB}},
 };
 
+/** The names of @p items, comma separated. */
+template <typename Range, typename Name>
 std::string
-validKindList()
+joined(const Range &items, Name name)
 {
     std::string s;
-    for (const KindName &k : kKinds) {
+    for (const auto &item : items) {
         if (!s.empty())
             s += ", ";
-        s += k.name;
+        s += name(item);
     }
     return s;
-}
-
-bool
-kindFromName(const std::string &name, FaultKind &out)
-{
-    for (const KindName &k : kKinds) {
-        if (name == k.name) {
-            out = k.kind;
-            return true;
-        }
-    }
-    return false;
-}
-
-std::vector<std::string>
-split(const std::string &s, char sep)
-{
-    std::vector<std::string> out;
-    std::istringstream is(s);
-    std::string part;
-    while (std::getline(is, part, sep))
-        out.push_back(part);
-    return out;
 }
 
 /** Compact double formatting that round-trips through parse. */
@@ -98,15 +119,119 @@ validGroupToken(const std::string &tok)
     return true;
 }
 
+/** Set @p p's member of @p ev from @p val; "" on success, else what
+ *  the member accepts. */
+std::string
+assign(const Param &p, const std::string &val, FaultEvent &ev)
+{
+    return std::visit(
+        [&](auto m) -> std::string {
+            using T = std::remove_cvref_t<decltype(ev.*m)>;
+            if constexpr (std::is_same_v<T, double>) {
+                return strictDouble(val, ev.*m) ? "" : "a finite number";
+            } else if constexpr (std::is_same_v<T, int>) {
+                return strictInt(val, ev.*m) ? "" : "a whole number";
+            } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+                return strictU32(val, ev.*m) ? "" : "a whole number >= 0";
+            } else if constexpr (std::is_same_v<T, FaultEvent::CrashMode>) {
+                auto it = std::find(std::begin(kModes), std::end(kModes),
+                                    val);
+                if (it == std::end(kModes))
+                    return "one of " +
+                           joined(kModes, [](const char *s) { return s; });
+                ev.*m = static_cast<T>(it - std::begin(kModes));
+                return "";
+            } else {
+                if (!validGroupToken(val))
+                    return "a group token: clients, lbs, ms, lb<k>, m<s>";
+                ev.*m = val;
+                return "";
+            }
+        },
+        p.member);
+}
+
+/** @p p's member of @p ev in the grammar's text form. */
+std::string
+valueStr(const Param &p, const FaultEvent &ev)
+{
+    return std::visit(
+        [&ev](auto m) -> std::string {
+            using T = std::remove_cvref_t<decltype(ev.*m)>;
+            if constexpr (std::is_same_v<T, double>)
+                return numStr(ev.*m);
+            else if constexpr (std::is_same_v<T, FaultEvent::CrashMode>)
+                return kModes[static_cast<int>(ev.*m)];
+            else if constexpr (std::is_same_v<T, std::string>)
+                return ev.*m;
+            else
+                return std::to_string(ev.*m);
+        },
+        p.member);
+}
+
+/** Why @p ev's values are out of range for its kind; "" if they are
+ *  not. */
+std::string
+rangeError(const FaultEvent &ev)
+{
+    std::string why;   // the first requirement that fails
+    auto need = [&why](bool ok, const Param &p, const std::string &want) {
+        if (!ok && why.empty())
+            why = std::string(p.key) + " must be " + want;
+    };
+    switch (ev.kind) {
+      case FaultKind::kLossBurst:
+      case FaultKind::kReorder:
+      case FaultKind::kDuplicate:
+        need(ev.rate > 0.0 && ev.rate < 1.0, kRate, "in (0, 1)");
+        break;
+      case FaultKind::kSynFlood:
+        need(ev.rate > 0.0, kRate, "> 0 (SYNs per second)");
+        break;
+      case FaultKind::kBackendSlow:
+        need(ev.factor > 1.0, kFactor, "> 1");
+        break;
+      case FaultKind::kBackendDown:
+        break;
+      case FaultKind::kAtrShrink:
+        need(ev.tableSize != 0 && (ev.tableSize & (ev.tableSize - 1)) == 0,
+             kSize, "a power of two");
+        break;
+      case FaultKind::kMachineCrash:
+      case FaultKind::kLbCrash:
+        need(ev.target >= 0, kTarget, ">= 0 (machine index)");
+        break;
+      case FaultKind::kRollingRestart:
+        need(ev.drainMsec > 0.0, kDrain, "> 0");
+        need(ev.downMsec > 0.0, kDown, "> 0");
+        break;
+      case FaultKind::kMachineDegrade:
+        need(ev.target >= 0, kTarget, ">= 0 (machine index)");
+        need(ev.factor >= 1.0, kFactor, ">= 1 (CPU slowdown multiplier)");
+        need(ev.rate >= 0.0 && ev.rate < 1.0, kRate,
+             "in [0, 1) (NIC egress loss)");
+        need(ev.jitterUsec >= 0.0, kJitter, ">= 0");
+        need(ev.flapMsec >= 0.0, kFlap, ">= 0");
+        need(ev.factor > 1.0 || ev.rate > 0.0 || ev.jitterUsec > 0.0,
+             kFactor, std::string("> 1, or ") + kRate.key + " or " +
+                          kJitter.key + " > 0 (else the degrade is a "
+                          "no-op)");
+        break;
+      case FaultKind::kNetPartition:
+        need(ev.partA != ev.partB, kGroupB,
+             std::string("a group other than ") + kGroupA.key);
+        break;
+    }
+    return why;
+}
+
 } // anonymous namespace
 
 const char *
 faultKindName(FaultKind kind)
 {
-    for (const KindName &k : kKinds)
-        if (k.kind == kind)
-            return k.name;
-    return "?";
+    return kKinds[static_cast<std::size_t>(kind)].name;
 }
 
 bool
@@ -122,14 +247,15 @@ bool
 parseFaultPlan(const std::string &text, FaultPlan &out, std::string &err)
 {
     FaultPlan plan;
-    for (const std::string &raw : split(text, ';')) {
+    std::istringstream events(text);
+    for (std::string raw; std::getline(events, raw, ';');) {
         std::string item = trim(raw);
         if (item.empty())
             continue;
 
         // Plan-level seed: a bare "seed=N" element.
-        if (item.compare(0, 5, "seed=") == 0) {
-            if (!strictU64(trim(item.substr(5)), plan.seed)) {
+        if (item.compare(0, kSeedKey.size(), kSeedKey) == 0) {
+            if (!strictU64(trim(item.substr(kSeedKey.size())), plan.seed)) {
                 err = "bad fault plan seed '" + item + "'";
                 return false;
             }
@@ -142,13 +268,18 @@ parseFaultPlan(const std::string &text, FaultPlan &out, std::string &err)
                   "expected kind@startSec-endSec[:param=value,...]";
             return false;
         }
-        FaultEvent ev;
         std::string kind = trim(item.substr(0, at));
-        if (!kindFromName(kind, ev.kind)) {
+        const KindSpec *spec = nullptr;
+        for (const KindSpec &k : kKinds)
+            if (kind == k.name)
+                spec = &k;
+        if (!spec) {
             err = "unknown fault kind '" + kind + "'; valid kinds: " +
-                  validKindList();
+                  joined(kKinds, [](const KindSpec &k) { return k.name; });
             return false;
         }
+        FaultEvent ev;
+        ev.kind = spec->kind;
 
         std::string rest = item.substr(at + 1);
         std::size_t colon = rest.find(':');
@@ -156,12 +287,8 @@ parseFaultPlan(const std::string &text, FaultPlan &out, std::string &err)
                                       ? rest
                                       : rest.substr(0, colon));
         std::size_t dash = window.find('-');
-        if (dash == std::string::npos) {
-            err = "fault event '" + item + "': window must be "
-                  "startSec-endSec";
-            return false;
-        }
-        if (!strictDouble(trim(window.substr(0, dash)), ev.startSec) ||
+        if (dash == std::string::npos ||
+            !strictDouble(trim(window.substr(0, dash)), ev.startSec) ||
             !strictDouble(trim(window.substr(dash + 1)), ev.endSec)) {
             err = "fault event '" + item + "': bad window time '" +
                   window + "' (want finite startSec-endSec)";
@@ -174,8 +301,8 @@ parseFaultPlan(const std::string &text, FaultPlan &out, std::string &err)
         }
 
         if (colon != std::string::npos) {
-            for (const std::string &p : split(rest.substr(colon + 1),
-                                              ',')) {
+            std::istringstream params(rest.substr(colon + 1));
+            for (std::string p; std::getline(params, p, ',');) {
                 std::string kv = trim(p);
                 if (kv.empty())
                     continue;
@@ -187,150 +314,32 @@ parseFaultPlan(const std::string &text, FaultPlan &out, std::string &err)
                 }
                 std::string key = trim(kv.substr(0, eq));
                 std::string val = trim(kv.substr(eq + 1));
-                bool numOk = true;
-                if (key == "rate")
-                    numOk = strictDouble(val, ev.rate);
-                else if (key == "factor")
-                    numOk = strictDouble(val, ev.factor);
-                else if (key == "target")
-                    numOk = strictInt(val, ev.target);
-                else if (key == "jitter")
-                    numOk = strictDouble(val, ev.jitterUsec);
-                else if (key == "size")
-                    numOk = strictU32(val, ev.tableSize);
-                else if (key == "mode") {
-                    if (val == "rst")
-                        ev.mode = FaultEvent::CrashMode::kRst;
-                    else if (val == "blackhole")
-                        ev.mode = FaultEvent::CrashMode::kBlackhole;
-                    else {
-                        err = "fault event '" + item + "': mode must "
-                              "be rst or blackhole";
-                        return false;
-                    }
-                } else if (key == "drain_ms")
-                    numOk = strictDouble(val, ev.drainMsec);
-                else if (key == "down_ms")
-                    numOk = strictDouble(val, ev.downMsec);
-                else if (key == "flap_ms")
-                    numOk = strictDouble(val, ev.flapMsec);
-                else if (key == "a") {
-                    if (!validGroupToken(val)) {
-                        err = "fault event '" + item + "': bad group "
-                              "token '" + val + "' for 'a' (valid: "
-                              "clients, lbs, ms, lb<k>, m<s>)";
-                        return false;
-                    }
-                    ev.partA = val;
-                } else if (key == "b") {
-                    if (!validGroupToken(val)) {
-                        err = "fault event '" + item + "': bad group "
-                              "token '" + val + "' for 'b' (valid: "
-                              "clients, lbs, ms, lb<k>, m<s>)";
-                        return false;
-                    }
-                    ev.partB = val;
-                } else {
-                    err = "fault event '" + item + "': unknown "
-                          "parameter '" + key + "' (valid: rate, "
-                          "factor, target, jitter, size, mode, "
-                          "drain_ms, down_ms, flap_ms, a, b)";
+                const Param *param = nullptr;
+                for (const Param *cand : spec->params)
+                    if (key == cand->key)
+                        param = cand;
+                if (!param) {
+                    err = "fault event '" + item + "': " + spec->name +
+                          " takes no parameter '" + key + "' (valid: " +
+                          joined(spec->params,
+                                 [](const Param *q) { return q->key; }) +
+                          ")";
                     return false;
                 }
-                if (!numOk) {
+                std::string want = assign(*param, val, ev);
+                if (!want.empty()) {
                     err = "fault event '" + item + "': bad value '" +
-                          val + "' for '" + key + "' (must be a whole, "
-                          "finite number)";
+                          val + "' for '" + key + "' (want " + want + ")";
                     return false;
                 }
             }
         }
 
         // Per-kind validity so armed plans cannot misbehave silently.
-        switch (ev.kind) {
-          case FaultKind::kLossBurst:
-          case FaultKind::kReorder:
-          case FaultKind::kDuplicate:
-            if (ev.rate <= 0.0 || ev.rate >= 1.0) {
-                err = "fault event '" + item + "': rate must be in "
-                      "(0, 1)";
-                return false;
-            }
-            break;
-          case FaultKind::kSynFlood:
-            if (ev.rate <= 0.0) {
-                err = "fault event '" + item + "': syn_flood needs "
-                      "rate > 0 (SYNs per second)";
-                return false;
-            }
-            break;
-          case FaultKind::kBackendSlow:
-            if (ev.factor <= 1.0) {
-                err = "fault event '" + item + "': backend_slow needs "
-                      "factor > 1";
-                return false;
-            }
-            break;
-          case FaultKind::kBackendDown:
-            break;
-          case FaultKind::kAtrShrink:
-            if (ev.tableSize == 0 ||
-                (ev.tableSize & (ev.tableSize - 1)) != 0) {
-                err = "fault event '" + item + "': size must be a "
-                      "power of two";
-                return false;
-            }
-            break;
-          case FaultKind::kMachineCrash:
-          case FaultKind::kLbCrash:
-            if (ev.target < 0) {
-                err = "fault event '" + item + "': needs target >= 0 "
-                      "(machine index)";
-                return false;
-            }
-            break;
-          case FaultKind::kRollingRestart:
-            if (ev.drainMsec <= 0.0 || ev.downMsec <= 0.0) {
-                err = "fault event '" + item + "': drain_ms and down_ms "
-                      "must be > 0";
-                return false;
-            }
-            break;
-          case FaultKind::kMachineDegrade:
-            if (ev.target < 0) {
-                err = "fault event '" + item + "': needs target >= 0 "
-                      "(machine index)";
-                return false;
-            }
-            if (ev.factor < 1.0) {
-                err = "fault event '" + item + "': machine_degrade "
-                      "needs factor >= 1 (CPU slowdown multiplier)";
-                return false;
-            }
-            if (ev.rate < 0.0 || ev.rate >= 1.0) {
-                err = "fault event '" + item + "': rate (NIC egress "
-                      "loss) must be in [0, 1)";
-                return false;
-            }
-            if (ev.jitterUsec < 0.0 || ev.flapMsec < 0.0) {
-                err = "fault event '" + item + "': jitter and flap_ms "
-                      "must be >= 0";
-                return false;
-            }
-            if (ev.factor == 1.0 && ev.rate == 0.0 &&
-                ev.jitterUsec == 0.0) {
-                err = "fault event '" + item + "': degrade is a no-op "
-                      "(factor=1, rate=0, jitter=0)";
-                return false;
-            }
-            break;
-          case FaultKind::kNetPartition:
-            if (ev.partA == ev.partB) {
-                err = "fault event '" + item + "': partition groups "
-                      "'a' and 'b' must differ";
-                return false;
-            }
-            break;
+        std::string why = rangeError(ev);
+        if (!why.empty()) {
+            err = "fault event '" + item + "': " + why;
+            return false;
         }
         plan.events.push_back(ev);
     }
@@ -347,79 +356,24 @@ serializeFaultPlan(const FaultPlan &plan)
     for (const FaultEvent &e : plan.events) {
         if (!s.empty())
             s += ";";
-        s += faultKindName(e.kind);
+        const KindSpec &spec = kKinds[static_cast<std::size_t>(e.kind)];
+        s += spec.name;
         s += '@';
         s += numStr(e.startSec);
         s += '-';
         s += numStr(e.endSec);
-        switch (e.kind) {
-          case FaultKind::kLossBurst:
-          case FaultKind::kReorder:
-          case FaultKind::kDuplicate:
-            s += ":rate=";
-            s += numStr(e.rate);
-            if (e.kind == FaultKind::kReorder) {
-                s += ",jitter=";
-                s += numStr(e.jitterUsec);
-            }
-            break;
-          case FaultKind::kSynFlood:
-            s += ":rate=";
-            s += numStr(e.rate);
-            break;
-          case FaultKind::kBackendSlow:
-            s += ":factor=";
-            s += numStr(e.factor);
-            s += ",target=";
-            s += std::to_string(e.target);
-            break;
-          case FaultKind::kBackendDown:
-            s += ":target=";
-            s += std::to_string(e.target);
-            break;
-          case FaultKind::kAtrShrink:
-            s += ":size=";
-            s += std::to_string(e.tableSize);
-            break;
-          case FaultKind::kMachineCrash:
-            s += ":target=";
-            s += std::to_string(e.target);
-            s += ",mode=";
-            s += e.mode == FaultEvent::CrashMode::kRst ? "rst"
-                                                       : "blackhole";
-            break;
-          case FaultKind::kRollingRestart:
-            s += ":drain_ms=";
-            s += numStr(e.drainMsec);
-            s += ",down_ms=";
-            s += numStr(e.downMsec);
-            break;
-          case FaultKind::kLbCrash:
-            s += ":target=";
-            s += std::to_string(e.target);
-            break;
-          case FaultKind::kMachineDegrade:
-            s += ":target=";
-            s += std::to_string(e.target);
-            s += ",factor=";
-            s += numStr(e.factor);
-            s += ",rate=";
-            s += numStr(e.rate);
-            s += ",jitter=";
-            s += numStr(e.jitterUsec);
-            s += ",flap_ms=";
-            s += numStr(e.flapMsec);
-            break;
-          case FaultKind::kNetPartition:
-            s += ":a=";
-            s += e.partA;
-            s += ",b=";
-            s += e.partB;
-            break;
+        char sep = ':';
+        for (const Param *p : spec.params) {
+            s += sep;
+            s += p->key;
+            s += '=';
+            s += valueStr(*p, e);
+            sep = ',';
         }
     }
     if (plan.seed != FaultPlan{}.seed) {
-        s += ";seed=";
+        s += ';';
+        s += kSeedKey;
         s += std::to_string(plan.seed);
     }
     return s;

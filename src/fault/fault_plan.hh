@@ -106,9 +106,10 @@ struct FaultPlan
 /**
  * Parse the single-line plan grammar above.
  *
- * @return false and fill @p err (listing the valid event kinds when the
- *         kind token is unknown) on malformed input. An empty/whitespace
- *         @p text parses to an empty plan.
+ * @return false and fill @p err on malformed input: an unknown kind
+ *         token lists the valid kinds, and a parameter the kind does not
+ *         take lists the ones it does. An empty/whitespace @p text
+ *         parses to an empty plan.
  */
 bool parseFaultPlan(const std::string &text, FaultPlan &out,
                     std::string &err);

@@ -969,7 +969,6 @@ FleetTestbed::collect()
     fl.tracesStarted = traceLog_.clientStarts();
     fl.tracesCompleted = traceLog_.clientCompleted();
     fl.tracesStitched = traceLog_.machineSpansStitched();
-    fl.traceOrphans = traceLog_.orphans();
     fl.traceDuplicates = traceLog_.duplicates();
 
     // Span/CPU reconciliation, fleet-wide: recorded exec-span cycles on
@@ -999,6 +998,7 @@ FleetTestbed::collect()
     r.timeseries = metrics_.snapshot();
     r.fleetTrace = buildFleetTraceForensics(
         traceLog_, L4Balancer::kForwardDelay);
+    fl.traceOrphans = r.fleetTrace.orphans;   // one walk of the records
     return r;
 }
 

@@ -1,7 +1,13 @@
 #include "overload/overload_config.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <sstream>
+#include <type_traits>
 
 #include "sim/strict_parse.hh"
 
@@ -11,15 +17,76 @@ namespace fsim
 namespace
 {
 
-bool
-splitKv(const std::string &tok, std::string &key, std::string &val)
+/** How one spec key reads and prints its value. */
+enum class Unit
 {
-    std::size_t eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= tok.size())
-        return false;
-    key = tok.substr(0, eq);
-    val = tok.substr(eq + 1);
-    return true;
+    kCount,   //!< whole number
+    kBool,    //!< 0 or 1
+    kRatio,   //!< any number; printed as %g, with more digits if needed
+    kUsec,    //!< microseconds of a Tick member, printed to the tick
+    kMsec,    //!< milliseconds of a Tick member; parse-only alias
+};
+
+/** The member value @p num in @p unit stands for. */
+double
+inUnits(Unit unit, double num)
+{
+    if (unit == Unit::kUsec)
+        return static_cast<double>(ticksFromUsec(num));
+    if (unit == Unit::kMsec)
+        return static_cast<double>(ticksFromMsec(num));
+    return num;
+}
+
+/** One spec key: its unit, its least value and accessors of the member
+ *  it sets. Values travel as doubles: every member value the grammar
+ *  reaches (ticks included) is a whole number below 2^53 or a double
+ *  already. */
+struct Key
+{
+    const char *key;
+    Unit unit;
+    double lo;
+    double (*get)(const OverloadConfig &);
+    void (*set)(OverloadConfig &, double);
+};
+
+template <auto M>
+constexpr Key
+key(const char *name, Unit unit, double lo = 0.0)
+{
+    using T = std::remove_cvref_t<decltype(OverloadConfig{}.*M)>;
+    return {name, unit, lo,
+            [](const OverloadConfig &c) { return static_cast<double>(c.*M); },
+            [](OverloadConfig &c, double v) { c.*M = static_cast<T>(v); }};
+}
+
+/** Every key, in the order serializeOverloadSpec() prints them. */
+const Key kKeys[] = {
+    key<&OverloadConfig::softirqBudget>("budget", Unit::kCount),
+    key<&OverloadConfig::synGate>("gate", Unit::kCount),
+    key<&OverloadConfig::queueDeadline>("deadline_us", Unit::kUsec),
+    key<&OverloadConfig::queueDeadline>("deadline_ms", Unit::kMsec),
+    key<&OverloadConfig::workerCap>("cap", Unit::kCount),
+    key<&OverloadConfig::brownout>("brownout", Unit::kBool),
+    key<&OverloadConfig::brownoutBytes>("brownout_bytes", Unit::kCount),
+    key<&OverloadConfig::brownoutCostDivisor>("brownout_divisor",
+                                              Unit::kCount, 1.0),
+    key<&OverloadConfig::healthRequestBytes>("health_bytes", Unit::kCount),
+    key<&OverloadConfig::acceptHighWatermark>("high", Unit::kRatio),
+    key<&OverloadConfig::acceptCriticalWatermark>("critical", Unit::kRatio),
+    key<&OverloadConfig::acceptLowWatermark>("low", Unit::kRatio),
+};
+
+/** The key that sets member @p M: key<M>() gives every row of one
+ *  member the same getter, so the getter names the member. */
+template <auto M>
+std::string
+keyOf()
+{
+    return std::find_if(std::begin(kKeys), std::end(kKeys), [](const Key &k) {
+               return k.get == key<M>("", Unit::kCount).get;
+           })->key;
 }
 
 } // namespace
@@ -32,72 +99,53 @@ parseOverloadSpec(const std::string &text, OverloadConfig &cfg,
         err = "empty overload spec";
         return false;
     }
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t comma = text.find(',', pos);
-        std::string tok = text.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        pos = comma == std::string::npos ? text.size() : comma + 1;
+    std::istringstream is(text);
+    for (std::string tok; std::getline(is, tok, ',');) {
         if (tok.empty())
             continue;
-
-        std::string key, val;
+        std::size_t eq = tok.find('=');
         double num = 0.0;
         // strictDouble refuses nan and inf: a NaN watermark passes the
         // low < high <= critical check (every comparison is false).
-        if (!splitKv(tok, key, val) || !strictDouble(val, num)) {
+        if (eq == std::string::npos ||
+            !strictDouble(tok.substr(eq + 1), num)) {
             err = "malformed token '" + tok + "' (want key=number)";
             return false;
         }
-        if (num < 0.0) {
-            err = "negative value in '" + tok + "'";
+        const std::string name = tok.substr(0, eq);
+        const Key *k = nullptr;
+        for (const Key &cand : kKeys)
+            if (name == cand.key)
+                k = &cand;
+        if (!k) {
+            err = "unknown overload key '" + name + "' (valid:";
+            for (const Key &cand : kKeys)
+                err += std::string(&cand == kKeys ? " " : ", ") + cand.key;
+            err += ")";
             return false;
         }
-        // Integer knobs are cast to int or narrower; keep every cast
-        // in range.
-        if (num > std::numeric_limits<int>::max()) {
-            err = "value out of range in '" + tok + "'";
+        // Integer knobs are int or narrower: keep every value in range.
+        const bool whole = k->unit == Unit::kCount || k->unit == Unit::kBool;
+        const double max = k->unit == Unit::kBool
+                               ? 1.0
+                               : std::numeric_limits<int>::max();
+        if (num < k->lo || num > max ||
+            (whole && num != std::floor(num))) {
+            char want[64];
+            std::snprintf(want, sizeof(want), "%s in [%.0f, %.0f]",
+                          whole ? "a whole number" : "a number", k->lo, max);
+            err = "bad value in '" + tok + "' (want " + want + ")";
             return false;
         }
-
-        if (key == "budget")
-            cfg.softirqBudget = static_cast<std::size_t>(num);
-        else if (key == "gate")
-            cfg.synGate = static_cast<std::size_t>(num);
-        else if (key == "deadline_ms")
-            cfg.queueDeadline = ticksFromMsec(num);
-        else if (key == "deadline_us")
-            cfg.queueDeadline = ticksFromUsec(num);
-        else if (key == "cap")
-            cfg.workerCap = static_cast<int>(num);
-        else if (key == "brownout")
-            cfg.brownout = num != 0.0;
-        else if (key == "brownout_bytes")
-            cfg.brownoutBytes = static_cast<std::uint32_t>(num);
-        else if (key == "brownout_divisor")
-            cfg.brownoutCostDivisor = static_cast<std::uint32_t>(num);
-        else if (key == "health_bytes")
-            cfg.healthRequestBytes = static_cast<std::uint32_t>(num);
-        else if (key == "high")
-            cfg.acceptHighWatermark = num;
-        else if (key == "critical")
-            cfg.acceptCriticalWatermark = num;
-        else if (key == "low")
-            cfg.acceptLowWatermark = num;
-        else {
-            err = "unknown overload key '" + key + "'";
-            return false;
-        }
+        k->set(cfg, inUnits(k->unit, num));
         cfg.enabled = true;
     }
     if (cfg.acceptLowWatermark >= cfg.acceptHighWatermark ||
         cfg.acceptHighWatermark > cfg.acceptCriticalWatermark) {
-        err = "watermarks must satisfy low < high <= critical";
-        return false;
-    }
-    if (cfg.brownoutCostDivisor == 0) {
-        err = "brownout_divisor must be >= 1";
+        err = "watermarks must satisfy " +
+              keyOf<&OverloadConfig::acceptLowWatermark>() + " < " +
+              keyOf<&OverloadConfig::acceptHighWatermark>() + " <= " +
+              keyOf<&OverloadConfig::acceptCriticalWatermark>();
         return false;
     }
     return true;
@@ -108,21 +156,27 @@ serializeOverloadSpec(const OverloadConfig &cfg)
 {
     if (!cfg.enabled)
         return "";
-    // Every knob, round-trippable: parse(serialize(cfg)) == cfg, so a
-    // printed reproducer command rebuilds the exact configuration.
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "budget=%zu,gate=%zu,deadline_us=%.0f,cap=%d,"
-                  "brownout=%d,brownout_bytes=%u,brownout_divisor=%u,"
-                  "health_bytes=%u,high=%g,critical=%g,low=%g",
-                  cfg.softirqBudget, cfg.synGate,
-                  static_cast<double>(cfg.queueDeadline) /
-                      (kCoreHz / 1e6),
-                  cfg.workerCap, cfg.brownout ? 1 : 0, cfg.brownoutBytes,
-                  cfg.brownoutCostDivisor, cfg.healthRequestBytes,
-                  cfg.acceptHighWatermark, cfg.acceptCriticalWatermark,
-                  cfg.acceptLowWatermark);
-    return buf;
+    // parse(serialize(cfg)) == cfg, so a printed reproducer command
+    // rebuilds the exact configuration. Ratios start from %g's six
+    // digits; a tick prints as the midpoint of its microsecond interval.
+    std::string s;
+    for (const Key &k : kKeys) {
+        if (k.unit == Unit::kMsec)
+            continue;
+        const double v = k.get(cfg);
+        const bool g = k.unit == Unit::kRatio;
+        const double shown =
+            k.unit == Unit::kUsec ? (v + 0.5) / (kCoreHz / 1e6) : v;
+        char buf[64];
+        for (int digits = g ? 6 : 0; digits <= 17; ++digits) {
+            std::snprintf(buf, sizeof(buf), g ? "%.*g" : "%.*f", digits,
+                          shown);
+            if (inUnits(k.unit, std::strtod(buf, nullptr)) == v)
+                break;
+        }
+        s += std::string(s.empty() ? "" : ",") + k.key + "=" + buf;
+    }
+    return s;
 }
 
 } // namespace fsim

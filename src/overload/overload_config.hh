@@ -118,15 +118,17 @@ struct OverloadConfig
  *
  *   "budget=256,gate=96,deadline_ms=5,cap=64,brownout=1,health_bytes=32"
  *
- * Keys: budget, gate, deadline_ms, deadline_us, cap, brownout,
- * brownout_bytes, brownout_divisor, health_bytes, high, critical, low.
- * Any key present sets enabled=true. Returns false and fills @p err on a
- * malformed spec.
+ * Units: whole numbers (a fraction is rejected), except brownout (0 or
+ * 1), high/critical/low (fractions of the backlog), deadline_us (usec)
+ * and its parse-only alias deadline_ms (msec). Any key present sets
+ * enabled=true. Returns false and fills @p err on a malformed spec.
  */
 bool parseOverloadSpec(const std::string &text, OverloadConfig &cfg,
                        std::string &err);
 
-/** Render @p cfg back into the spec grammar ("" when disabled). */
+/** Render @p cfg back into the spec grammar ("" when disabled) in the
+ *  fewest digits that parse back to it: deadline_us keeps its fraction
+ *  down to the tick. */
 std::string serializeOverloadSpec(const OverloadConfig &cfg);
 
 } // namespace fsim

@@ -30,7 +30,20 @@ def cases(oracle, fuzz, million):
         (fuzz, "--seed=12abc"),
         (million, "--target=10k"),
         (million, "--seed=abc"),
+        (million, "--faults=syn_flood@0-1:rate=100,size=100"),
+        (million, "--overload=cap=1.7"),
+        (million, "--overload=frob=1"),
     ]
+
+
+# Flags whose error line (the stderr line naming the bad token) must also
+# list these words: the parser's own list of what is valid, not a copy
+# kept in the bench.
+ERROR_LINE_MUST_NAME = {
+    "--overload=frob=1": ("frob", ["budget", "deadline_us", "deadline_ms",
+                                   "brownout_divisor", "health_bytes",
+                                   "low"]),
+}
 
 
 def main():
@@ -50,6 +63,13 @@ def main():
         elif not proc.stderr.strip():
             print(f"FAIL: {name} exited 2 without saying why")
             bad += 1
+        elif flag in ERROR_LINE_MUST_NAME:
+            token, words = ERROR_LINE_MUST_NAME[flag]
+            lines = [ln for ln in proc.stderr.splitlines() if token in ln]
+            if not any(all(w in ln for w in words) for ln in lines):
+                print(f"FAIL: {name}: no stderr line names '{token}' and "
+                      f"all of {words}: {proc.stderr.strip()}")
+                bad += 1
     if bad:
         return 1
     print("ok: every malformed flag value exits 2")

@@ -61,6 +61,30 @@ TEST(FaultPlan, ParsesEveryKindAndRoundTrips)
     EXPECT_EQ(plan.events[11].partA, "lb0");
     EXPECT_EQ(plan.events[11].partB, "m1");
 
+    // The printed form is pinned: it travels in JSON reports and
+    // reproducer lines. Each kind prints exactly its own parameters, in
+    // a fixed order, with 17 significant digits.
+    EXPECT_EQ(serializeFaultPlan(plan),
+              "loss_burst@0.01-0.02:rate=0.25;"
+              "reorder@0.01-0.02:rate=0.10000000000000001,jitter=300;"
+              "duplicate@0.01-0.02:rate=0.050000000000000003;"
+              "syn_flood@0.02-0.029999999999999999:rate=100000;"
+              "backend_slow@0.01-0.029999999999999999:factor=6,target=1;"
+              "backend_down@0.01-0.029999999999999999:target=0;"
+              "atr_shrink@0.01-0.029999999999999999:size=64;"
+              "machine_crash@0.029999999999999999-0.040000000000000001:"
+              "target=2,mode=blackhole;"
+              "rolling_restart@0.040000000000000001-0.059999999999999998:"
+              "drain_ms=4,down_ms=2;"
+              "lb_crash@0.050000000000000003-0.059999999999999998:"
+              "target=1;"
+              "machine_degrade@0.059999999999999998-0.080000000000000002:"
+              "target=1,factor=2.5,rate=0.080000000000000002,jitter=500,"
+              "flap_ms=4;"
+              "net_partition@0.070000000000000007-0.089999999999999997:"
+              "a=lb0,b=m1;"
+              "seed=42");
+
     // serialize -> parse is the identity on the event list.
     FaultPlan again;
     ASSERT_TRUE(parseFaultPlan(serializeFaultPlan(plan), again, err))
@@ -130,6 +154,20 @@ TEST(FaultPlan, RejectsMalformedEvents)
     EXPECT_FALSE(parseFaultPlan("loss_burst@0-1:rate=0.5,frob=1", plan,
                                 err));
     EXPECT_NE(err.find("frob"), std::string::npos);
+    // A parameter of another kind is refused too (it would be dropped
+    // when the plan is printed), and the error lists the ones this kind
+    // takes.
+    EXPECT_FALSE(parseFaultPlan("syn_flood@0-1:rate=100,size=100", plan,
+                                err));
+    EXPECT_NE(err.find("'size'"), std::string::npos) << err;
+    EXPECT_NE(err.find("(valid: rate)"), std::string::npos) << err;
+    EXPECT_FALSE(parseFaultPlan("loss_burst@0-1:rate=0.5,target=3", plan,
+                                err));
+    EXPECT_NE(err.find("'target'"), std::string::npos) << err;
+    EXPECT_NE(err.find("(valid: rate)"), std::string::npos) << err;
+    EXPECT_FALSE(parseFaultPlan("machine_crash@0-1:target=1,rate=0.5",
+                                plan, err));
+    EXPECT_NE(err.find("(valid: target, mode)"), std::string::npos) << err;
     // Flood needs a rate; slowdowns must actually slow down.
     EXPECT_FALSE(parseFaultPlan("syn_flood@0-1", plan, err));
     EXPECT_FALSE(parseFaultPlan("backend_slow@0-1:factor=0.5", plan, err));

@@ -32,15 +32,39 @@ TEST(Overload, SpecParseRejectsNonFiniteAndOversizedValues)
     OverloadConfig cfg;
     std::string err;
     ASSERT_TRUE(parseOverloadSpec(good, cfg, err)) << err;
-    // The printed form rebuilds the same configuration.
-    OverloadConfig back;
-    ASSERT_TRUE(parseOverloadSpec(serializeOverloadSpec(cfg), back, err))
-        << err;
-    EXPECT_EQ(serializeOverloadSpec(back), serializeOverloadSpec(cfg));
+    // The printed form rebuilds the same configuration, field for field:
+    // a deadline keeps its fraction down to the tick (whole-us printing
+    // turned 1.5 us into 2 and 0.4 us into 0, which disables the shed)
+    // and a ratio keeps every digit it was given.
+    for (const char *spec :
+         {good.c_str(), "deadline_us=1.5", "deadline_ms=0.0004",
+          "deadline_us=0.2996", "high=0.1234567,critical=0.9,low=0.05"}) {
+        OverloadConfig c;
+        ASSERT_TRUE(parseOverloadSpec(spec, c, err)) << spec << ": " << err;
+        const std::string text = serializeOverloadSpec(c);
+        OverloadConfig back;
+        ASSERT_TRUE(parseOverloadSpec(text, back, err)) << text << ": "
+                                                        << err;
+        EXPECT_EQ(back.enabled, c.enabled) << text;
+        EXPECT_EQ(back.softirqBudget, c.softirqBudget) << text;
+        EXPECT_EQ(back.synGate, c.synGate) << text;
+        EXPECT_EQ(back.acceptHighWatermark, c.acceptHighWatermark) << text;
+        EXPECT_EQ(back.acceptCriticalWatermark, c.acceptCriticalWatermark)
+            << text;
+        EXPECT_EQ(back.acceptLowWatermark, c.acceptLowWatermark) << text;
+        EXPECT_EQ(back.queueDeadline, c.queueDeadline) << text;
+        EXPECT_EQ(back.workerCap, c.workerCap) << text;
+        EXPECT_EQ(back.brownout, c.brownout) << text;
+        EXPECT_EQ(back.brownoutBytes, c.brownoutBytes) << text;
+        EXPECT_EQ(back.brownoutCostDivisor, c.brownoutCostDivisor) << text;
+        EXPECT_EQ(back.healthRequestBytes, c.healthRequestBytes) << text;
+    }
 
+    // Whole-number keys refuse a fraction instead of truncating it.
     for (const char *bad : {"high=nan", "low=nan", "critical=nan",
                             "cap=inf", "budget=-inf", "cap=1e12",
-                            "gate=12x", "high=0.5.1"}) {
+                            "gate=12x", "high=0.5.1", "cap=1.7",
+                            "budget=2.5"}) {
         OverloadConfig c;
         err.clear();
         EXPECT_FALSE(parseOverloadSpec(bad, c, err)) << bad;
