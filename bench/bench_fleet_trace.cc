@@ -66,16 +66,16 @@ unstitchedOk(const FleetTraceLog &log)
 {
     std::uint64_t n = 0;
     for (const FleetTrace &tr : log.records())
-        if (tr.clientDone && tr.ok && !tr.stitched) {
+        if (tr.clientDone() && tr.ok() && !tr.stitched()) {
             ++n;
 #ifdef FSIM_TRACE_DEBUG
             std::printf("  [unstitched] trace=%llx start=%llu end=%llu "
                         "lbFlows=%llu lbForwards=%llu\n",
-                        (unsigned long long)tr.traceId,
-                        (unsigned long long)tr.clientStart,
-                        (unsigned long long)tr.clientEnd,
-                        (unsigned long long)tr.lbFlows,
-                        (unsigned long long)tr.lbForwards);
+                        (unsigned long long)tr.traceId(),
+                        (unsigned long long)tr.clientStart(),
+                        (unsigned long long)tr.clientEnd(),
+                        (unsigned long long)tr.lbFlows(),
+                        (unsigned long long)tr.lbForwards());
 #endif
         }
     return n;

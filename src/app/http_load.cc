@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "sim/logging.hh"
+#include "sim/order_stat.hh"
 #include "trace/fleet_trace.hh"
 
 namespace fsim
@@ -424,24 +425,23 @@ HttpLoad::latencyPercentilesSinceMark(std::span<const double> ps,
                                       std::span<Tick> out) const
 {
     fsim_assert(ps.size() == out.size());
-    std::vector<Tick> lat(latencySamples_.size() - windowBegin_);
-    for (std::size_t i = 0; i < lat.size(); ++i)
-        lat[i] = latencySamples_[windowBegin_ + i];
-    // Each selection runs over the part of the window at or above the
-    // previous one, so the percentiles must come in ascending order.
-    auto from = lat.begin();
+    // The window is read in place: each percentile is an exact
+    // selection over the log, with no copy of the samples.
+    const std::size_t n = latencySamples_.size() - windowBegin_;
+    const auto window = [this](auto &&sink) {
+        for (std::size_t i = windowBegin_; i < latencySamples_.size(); ++i)
+            sink(latencySamples_[i]);
+    };
     for (std::size_t k = 0; k < ps.size(); ++k) {
-        if (lat.empty()) {
+        if (n == 0) {
             out[k] = 0;
             continue;
         }
         const double p = std::clamp(ps[k], 0.0, 1.0);
-        const auto nth = lat.begin() + static_cast<std::ptrdiff_t>(
-            p * static_cast<double>(lat.size() - 1) + 0.5);
-        fsim_assert(nth >= from);
-        std::nth_element(from, nth, lat.end());
-        out[k] = *nth;
-        from = nth;
+        out[k] = selectRank(window, static_cast<std::uint64_t>(
+                                        p * static_cast<double>(n - 1) +
+                                        0.5))
+                     .value;
     }
 }
 

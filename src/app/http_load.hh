@@ -144,8 +144,8 @@ class HttpLoad
      * connections completed since markWindow(); 0 if none completed.
      */
     Tick latencyPercentileSinceMark(double p) const;
-    /** latencyPercentileSinceMark(ps[k]) into out[k] for ascending
-     *  @p ps, from one copy of the window. */
+    /** latencyPercentileSinceMark(ps[k]) into out[k]. The samples are
+     *  read in place (sim/order_stat.hh): no copy of the window. */
     void latencyPercentilesSinceMark(std::span<const double> ps,
                                      std::span<Tick> out) const;
     /** Completed connections with a latency sample since markWindow(). */

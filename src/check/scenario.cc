@@ -722,7 +722,8 @@ runOnce(const Scenario &s)
                        [&](Tick, std::string &why) {
                            std::uint64_t unstitched = 0;
                            for (const FleetTrace &tr : log.records())
-                               if (tr.clientDone && tr.ok && !tr.stitched)
+                               if (tr.clientDone() && tr.ok() &&
+                                   !tr.stitched())
                                    ++unstitched;
                            if (fr.fleet.traceOrphans == 0 &&
                                fr.fleet.traceDuplicates == 0 &&

@@ -1,7 +1,24 @@
 #include "sync/lock_registry.hh"
 
+#include "sim/logging.hh"
+
 namespace fsim
 {
+
+void
+LockClassStats::bindCosts(CacheModel *c, Tick base_cost, Tick storm_cost)
+{
+    if (!costsBound) {
+        costsBound = true;
+        cache = c;
+        baseCost = base_cost;
+        stormCost = storm_cost;
+        return;
+    }
+    fsim_assert(cache == c && baseCost == base_cost &&
+                stormCost == storm_cost &&
+                "every lock of a class must share its cache and costs");
+}
 
 LockClassStats *
 LockRegistry::getClass(const std::string &name)

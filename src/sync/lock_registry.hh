@@ -21,6 +21,7 @@
 namespace fsim
 {
 
+class CacheModel;
 class Tracer;
 
 /** Aggregated statistics for one class of locks. */
@@ -38,6 +39,20 @@ struct LockClassStats
      *  Locks reach the tracer through their class row so that the many
      *  SimSpinLock::init call sites keep their signature. */
     Tracer *tracer = nullptr;
+
+    /** @name Cost model shared by every lock of the class
+     *  Bound by the first lock's init; every later init must pass the
+     *  same values. Held here rather than in each lock, so that a
+     *  SimSpinLock fits one cache line. */
+    /** @{ */
+    bool costsBound = false;
+    CacheModel *cache = nullptr;    //!< null: cost-free locks (tests)
+    Tick baseCost = 0;              //!< uncontended acquire + release
+    Tick stormCost = 0;             //!< handoff storm per spinner
+    /** Bind the class's costs, or check that they match the bound
+     *  ones. */
+    void bindCosts(CacheModel *c, Tick base_cost, Tick storm_cost);
+    /** @} */
 };
 
 /** Registry mapping class names to their aggregated statistics. */

@@ -12,10 +12,8 @@ void
 SimSpinLock::init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
                   Tick handoff_storm)
 {
+    cls->bindCosts(cache, base_cost, handoff_storm);
     cls_ = cls;
-    cache_ = cache;
-    baseCost_ = base_cost;
-    stormCost_ = handoff_storm;
     line_ = CacheLine{};
 }
 
@@ -25,9 +23,9 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
     fsim_assert(cls_ != nullptr);
     ++cls_->acquisitions;
 
-    const int max_queue = cache_ ? cache_->numCores() : 32;
-    const Tick miss = cache_ ? cache_->missPenalty() : 0;
-    const double s0 = static_cast<double>(hold + baseCost_ + miss);
+    const int max_queue = cls_->cache ? cls_->cache->numCores() : 32;
+    const Tick miss = cls_->cache ? cls_->cache->missPenalty() : 0;
+    const double s0 = static_cast<double>(hold + cls_->baseCost + miss);
 
     // Demand estimate: exponentially averaged inter-acquisition gap in
     // virtual time. Coarse-task cursor skew averages out of the mean.
@@ -52,7 +50,7 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
         // — the superlinear-collapse mechanism of hot global spinlocks.
         double rho0 = std::min(1.0, s0 / mean_gap);
         double spinners = rho0 * static_cast<double>(max_queue - 1);
-        double s_eff = s0 + static_cast<double>(stormCost_) * spinners;
+        double s_eff = s0 + static_cast<double>(cls_->stormCost) * spinners;
         double rho = s_eff / mean_gap;
         // Mean spin ~ queue-depth/2 critical sections; the queue is
         // physically bounded by the core count.
@@ -100,11 +98,11 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
 
     lastWait_ = wait;
 
-    Tick grant = t + wait + baseCost_;
+    Tick grant = t + wait + cls_->baseCost;
     // Pulling the lock word (and by extension the data it guards) from a
     // different core's cache delays the critical section further.
-    if (cache_)
-        grant += cache_->access(c, line_, /*write=*/true);
+    if (cls_->cache)
+        grant += cls_->cache->access(c, line_, /*write=*/true);
 
     Tick end = grant + hold;
     freeAt_ = end;
@@ -117,26 +115,24 @@ void
 SimRwLock::init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
                 Tick handoff_storm)
 {
+    cls->bindCosts(cache, base_cost, handoff_storm);
     cls_ = cls;
-    cache_ = cache;
-    baseCost_ = base_cost;
-    stormCost_ = handoff_storm;
     line_ = CacheLine{};
 }
 
 Tick
 SimRwLock::contendedGrant(CoreId c, Tick t, Tick busy_until, Tick hold)
 {
-    int max_queue = cache_ ? cache_->numCores() : 32;
+    int max_queue = cls_->cache ? cls_->cache->numCores() : 32;
     if (busy_until <= t) {
         streak_ /= 2;
         return t;
     }
     ++cls_->contentions;
     streak_ = std::min(streak_ + 1, max_queue);
-    Tick storm = stormCost_ * static_cast<Tick>(streak_);
-    Tick serialized = hold + baseCost_ + storm +
-                      (cache_ ? cache_->missPenalty() : 0);
+    Tick storm = cls_->stormCost * static_cast<Tick>(streak_);
+    Tick serialized = hold + cls_->baseCost + storm +
+                      (cls_->cache ? cls_->cache->missPenalty() : 0);
     Tick wait = std::min(busy_until - t,
                          serialized * static_cast<Tick>(streak_));
     cls_->waitTicks += wait;
@@ -152,9 +148,9 @@ SimRwLock::runReadLocked(CoreId c, Tick t, Tick hold)
     fsim_assert(cls_ != nullptr);
     ++cls_->acquisitions;
     Tick grant = contendedGrant(c, t, writeFreeAt_, hold);
-    grant += baseCost_;
-    if (cache_)
-        grant += cache_->access(c, line_, /*write=*/false);
+    grant += cls_->baseCost;
+    if (cls_->cache)
+        grant += cls_->cache->access(c, line_, /*write=*/false);
     Tick end = grant + hold;
     readFreeAt_ = std::max(readFreeAt_, end);
     cls_->holdTicks += hold;
@@ -169,9 +165,9 @@ SimRwLock::runWriteLocked(CoreId c, Tick t, Tick hold)
     Tick grant = contendedGrant(c, t,
                                 std::max(writeFreeAt_, readFreeAt_),
                                 hold);
-    grant += baseCost_;
-    if (cache_)
-        grant += cache_->access(c, line_, /*write=*/true);
+    grant += cls_->baseCost;
+    if (cls_->cache)
+        grant += cls_->cache->access(c, line_, /*write=*/true);
     Tick end = grant + hold;
     writeFreeAt_ = end;
     lastHolder_ = c;

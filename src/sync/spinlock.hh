@@ -37,8 +37,9 @@ class SimSpinLock
     SimSpinLock() = default;
 
     /**
-     * Bind this lock to its class and cost table; the lock word's cache
-     * line starts cold.
+     * Bind this lock to its class; the lock word's cache line starts
+     * cold. The cache model and costs belong to the class: the first
+     * init of a class binds them, and later inits must match.
      *
      * @param cls Aggregated stats row (shared by the whole class).
      * @param cache Cache model; may be null for cost-free locks in tests.
@@ -72,11 +73,7 @@ class SimSpinLock
     }
 
   private:
-    LockClassStats *cls_ = nullptr;
-    CacheModel *cache_ = nullptr;
-    Tick baseCost_ = 0;
-
-    Tick stormCost_ = 0;
+    LockClassStats *cls_ = nullptr;   //!< also holds the cost model
     Tick freeAt_ = 0;
     Tick lastWait_ = 0;
     CoreId lastHolder_ = kInvalidCore;
@@ -86,6 +83,9 @@ class SimSpinLock
     double contAccum_ = 0.0;   //!< fractional contention accumulator
     double crossEwma_ = 0.0;   //!< fraction of owner-changing acquires
 };
+
+// Thousands of per-bucket and per-socket locks: one cache line each.
+static_assert(sizeof(SimSpinLock) == 64);
 
 /**
  * Simulated reader-writer lock.
@@ -106,13 +106,10 @@ class SimRwLock
     Tick runWriteLocked(CoreId c, Tick t, Tick hold);
 
   private:
-    LockClassStats *cls_ = nullptr;
-    CacheModel *cache_ = nullptr;
-    Tick baseCost_ = 0;
+    LockClassStats *cls_ = nullptr;   //!< also holds the cost model
 
     Tick contendedGrant(CoreId c, Tick t, Tick busy_until, Tick hold);
 
-    Tick stormCost_ = 0;
     Tick writeFreeAt_ = 0;   //!< last exclusive section end
     Tick readFreeAt_ = 0;    //!< last shared section end
     CoreId lastHolder_ = kInvalidCore;

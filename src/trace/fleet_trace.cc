@@ -2,14 +2,98 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
-#include <iterator>
 #include <sstream>
 #include <tuple>
 #include <vector>
 
+#include "sim/logging.hh"
+#include "sim/order_stat.hh"
+
 namespace fsim
 {
+
+FleetTrace::FleetTrace(std::uint64_t trace_id, Tick t)
+    : traceId_(trace_id)
+{
+    fsim_assert(t <= kMaxClientStart &&
+                "fleet trace tick past 2^48 (~31 sim-hours)");
+    base_ = t;
+}
+
+void
+FleetTrace::setInstant(Wide w, Tick t)
+{
+    Tick raw = 0;
+    if (t != 0) {
+        raw = t - Tick{base_} + kBias;
+        fsim_assert(raw != 0 && raw < 2 * kBias &&
+                    "fleet trace instant more than 2^39 ticks (~220 "
+                    "sim-s) from its clientStart");
+    }
+    setWide(w, raw);
+}
+
+void
+FleetTrace::setClientStart(Tick t)
+{
+    fsim_assert(t <= kMaxClientStart &&
+                "fleet trace tick past 2^48 (~31 sim-hours)");
+    std::array<Tick, kNumInstants> at;
+    for (int i = 0; i < kNumInstants; ++i)
+        at[i] = instant(static_cast<Wide>(i));
+    base_ = t;
+    for (int i = 0; i < kNumInstants; ++i)
+        setInstant(static_cast<Wide>(i), at[i]);
+    set(kStarted, true);
+}
+
+void
+FleetTrace::setClientEnd(Tick t, bool ok)
+{
+    setInstant(kClientEnd, t);
+    set(kClientDone, true);
+    set(kOk, ok);
+}
+
+void
+FleetTrace::addLbFlow(Tick t, int lb, int slot)
+{
+    fsim_assert(lbFlows_ < kMaxLbFlows &&
+                "fleet trace: more than 255 balancer flows");
+    if (lbFlows_ == 0) {
+        fsim_assert(lb >= 0 && lb <= kMaxLbId && slot >= 0 &&
+                    slot <= kMaxServerSlot &&
+                    "fleet trace: balancer id or machine slot out of range");
+        lbId_ = static_cast<std::uint8_t>(lb);
+        serverSlot_ = static_cast<std::uint8_t>(slot);
+        setInstant(kLbIngress, t);
+    }
+    ++lbFlows_;
+}
+
+void
+FleetTrace::addLbForward()
+{
+    fsim_assert(lbForwards_ < kMaxLbForwards &&
+                "fleet trace: more than 65535 NAT forwards");
+    ++lbForwards_;
+}
+
+void
+FleetTrace::setServerSpan(bool orderly, Tick open, Tick close,
+                          Tick service, Tick exec)
+{
+    fsim_assert(service <= kMaxServerService &&
+                "fleet trace service latency past 2^40 ticks");
+    fsim_assert(exec <= kMaxServerExec &&
+                "fleet trace exec time past 2^32 ticks (~1.7 sim-s)");
+    set(kStitched, true);
+    set(kServerOrderly, orderly);
+    setInstant(kServerOpen, open);
+    setInstant(kServerClose, close);
+    setWide(kServerService, service);
+    serverExec_ = static_cast<std::uint32_t>(exec);
+}
 
 FleetTraceLog::IndexSlot &
 FleetTraceLog::slotFor(std::uint64_t trace_id)
@@ -19,7 +103,7 @@ FleetTraceLog::slotFor(std::uint64_t trace_id)
     std::size_t i = static_cast<std::size_t>(trace_id) & mask;
     while (index_[i].ref != 0 &&
            (index_[i].tag != tag ||
-            records_[index_[i].ref - 1].traceId != trace_id))
+            records_[index_[i].ref - 1].traceId() != trace_id))
         i = (i + 1) & mask;
     return index_[i];
 }
@@ -37,7 +121,7 @@ FleetTraceLog::reserveIndex()
     index_.resize(cap);
     const std::size_t mask = cap - 1;
     for (std::size_t r = 0; r < records_.size(); ++r) {
-        const std::uint64_t id = records_[r].traceId;
+        const std::uint64_t id = records_[r].traceId();
         std::size_t i = static_cast<std::size_t>(id) & mask;
         while (index_[i].ref != 0)
             i = (i + 1) & mask;
@@ -55,7 +139,7 @@ FleetTraceLog::find(std::uint64_t trace_id)
 }
 
 FleetTrace &
-FleetTraceLog::findOrAdd(std::uint64_t trace_id, bool &created)
+FleetTraceLog::findOrAdd(std::uint64_t trace_id, Tick t, bool &created)
 {
     reserveIndex();
     IndexSlot &slot = slotFor(trace_id);
@@ -65,9 +149,7 @@ FleetTraceLog::findOrAdd(std::uint64_t trace_id, bool &created)
     ++allocations_;
     slot = {static_cast<std::uint32_t>(records_.size() + 1),
             tagOf(trace_id)};
-    FleetTrace &tr = records_.push_back(FleetTrace{});
-    tr.traceId = trace_id;
-    return tr;
+    return records_.push_back(FleetTrace(trace_id, t));
 }
 
 void
@@ -76,12 +158,12 @@ FleetTraceLog::clientStart(std::uint64_t trace_id, Tick t)
     if (!enabled_ || trace_id == 0)
         return;
     bool created;
-    FleetTrace &tr = findOrAdd(trace_id, created);
-    if (!created && tr.clientStart != 0) {
+    FleetTrace &tr = findOrAdd(trace_id, t, created);
+    if (!created && tr.clientStart() != 0) {
         ++duplicates_;
         return;
     }
-    tr.clientStart = t;
+    tr.setClientStart(t);
     ++clientStarts_;
 }
 
@@ -91,11 +173,9 @@ FleetTraceLog::clientEnd(std::uint64_t trace_id, Tick t, bool ok)
     if (!enabled_ || trace_id == 0)
         return;
     FleetTrace *tr = find(trace_id);
-    if (!tr || tr->clientDone)
+    if (!tr || tr->clientDone())
         return;
-    tr->clientEnd = t;
-    tr->clientDone = true;
-    tr->ok = ok;
+    tr->setClientEnd(t, ok);
     ++clientCompleted_;
 }
 
@@ -108,13 +188,7 @@ FleetTraceLog::lbIngress(std::uint64_t trace_id, Tick t, int lb, int slot)
     // record landed (cannot happen with in-order recording, but keep
     // the record coherent).
     bool created;
-    FleetTrace &tr = findOrAdd(trace_id, created);
-    if (tr.lbFlows == 0) {
-        tr.lbId = lb;
-        tr.lbIngress = t;
-        tr.serverSlot = slot;
-    }
-    ++tr.lbFlows;
+    findOrAdd(trace_id, t, created).addLbFlow(t, lb, slot);
 }
 
 void
@@ -124,7 +198,7 @@ FleetTraceLog::lbForward(std::uint64_t trace_id)
         return;
     FleetTrace *tr = find(trace_id);
     if (tr)
-        ++tr->lbForwards;
+        tr->addLbForward();
 }
 
 void
@@ -147,21 +221,17 @@ FleetTraceLog::stitchMachineSpan(const ConnSpanTrace &span)
                          Tick ex) {
         return std::make_tuple(orderly, svc, ~open, close, ex);
     };
-    if (tr->stitched) {
+    if (tr->stitched()) {
         if (rank(span.closed, service, span.openTick, span.closeTick,
-                 exec) <= rank(tr->serverOrderly, tr->serverService,
-                               tr->serverOpen, tr->serverClose,
-                               tr->serverExec))
+                 exec) <= rank(tr->serverOrderly(), tr->serverService(),
+                               tr->serverOpen(), tr->serverClose(),
+                               tr->serverExec()))
             return;
     } else {
         ++stitched_;
     }
-    tr->stitched = true;
-    tr->serverOrderly = span.closed;
-    tr->serverOpen = span.openTick;
-    tr->serverClose = span.closeTick;
-    tr->serverService = service;
-    tr->serverExec = exec;
+    tr->setServerSpan(span.closed, span.openTick, span.closeTick, service,
+                      exec);
 }
 
 std::uint64_t
@@ -169,7 +239,7 @@ FleetTraceLog::orphans() const
 {
     std::uint64_t n = 0;
     for (const FleetTrace &tr : records_)
-        if (tr.clientDone && tr.ok && tr.lbFlows == 0)
+        if (tr.clientDone() && tr.ok() && tr.lbFlows() == 0)
             ++n;
     return n;
 }
@@ -181,9 +251,9 @@ namespace
 bool
 startsBefore(const FleetTrace *a, const FleetTrace *b)
 {
-    if (a->clientStart != b->clientStart)
-        return a->clientStart < b->clientStart;
-    return a->traceId < b->traceId;
+    if (a->clientStart() != b->clientStart())
+        return a->clientStart() < b->clientStart();
+    return a->traceId() < b->traceId();
 }
 
 } // namespace
@@ -194,7 +264,7 @@ FleetTraceLog::sortedCompleted() const
     std::vector<const FleetTrace *> out;
     out.reserve(clientCompleted_);
     for (const FleetTrace &tr : records_)
-        if (tr.clientDone)
+        if (tr.clientDone())
             out.push_back(&tr);
     std::sort(out.begin(), out.end(), startsBefore);
     return out;
@@ -222,12 +292,12 @@ sliceTrace(const FleetTrace &tr, Tick forward_delay)
 {
     HopSlices s;
     const Tick e2e = tr.e2eLatency();
-    const Tick ingress = Tick{tr.lbFlows} * forward_delay;
-    const Tick nat = tr.lbForwards > tr.lbFlows
-        ? Tick{tr.lbForwards - tr.lbFlows} * forward_delay
+    const Tick ingress = Tick{tr.lbFlows()} * forward_delay;
+    const Tick nat = tr.lbForwards() > tr.lbFlows()
+        ? Tick{tr.lbForwards() - tr.lbFlows()} * forward_delay
         : 0;
-    const Tick exec = std::min(tr.serverExec, tr.serverService);
-    const Tick rtt = tr.serverService - exec;
+    const Tick exec = std::min(tr.serverExec(), tr.serverService());
+    const Tick rtt = tr.serverService() - exec;
     Tick accounted = ingress + nat + exec + rtt;
     s.t[1] = ingress;
     s.t[2] = nat;
@@ -235,34 +305,6 @@ sliceTrace(const FleetTrace &tr, Tick forward_delay)
     s.t[4] = rtt;
     s.t[0] = e2e > accounted ? e2e - accounted : 0; // wire + residual
     return s;
-}
-
-/** The percentiles forensics reports. */
-constexpr double kQuantiles[] = {0.50, 0.99, 0.999};
-
-/**
- * Where a full sort of [first, last) under @p less would put percentile
- * q of kQuantiles, at position q * (n - 1), selected in place. The
- * quantiles ascend, so each selection runs over the part of the range
- * above the previous pick and never moves an earlier pick; the range
- * from the last pick on holds the top of the order. The range must be
- * non-empty.
- */
-template <typename It, typename Less = std::less<>>
-std::array<It, std::size(kQuantiles)>
-selectQuantiles(It first, It last, Less less = {})
-{
-    const double top = static_cast<double>(last - first - 1);
-    std::array<It, std::size(kQuantiles)> at{};
-    It from = first;
-    for (std::size_t k = 0; k < at.size(); ++k) {
-        at[k] = first + static_cast<std::ptrdiff_t>(kQuantiles[k] * top);
-        if (at[k] < from)
-            continue;   // the same position as the previous pick
-        std::nth_element(from, at[k], last, less);
-        from = at[k] + 1;
-    }
-    return at;
 }
 
 } // namespace
@@ -278,68 +320,110 @@ buildFleetTraceForensics(const FleetTraceLog &log, Tick forward_delay)
     if (!f.enabled)
         return f;
 
-    // One pointer per completed-ok trace, in the (clientStart, traceId)
-    // order sortedCompleted() gives, so shares sum in that order.
-    std::vector<const FleetTrace *> done;
-    done.reserve(log.clientCompleted());
-    for (const FleetTrace &tr : log.records())
-        if (tr.clientDone && tr.ok)
-            done.push_back(&tr);
-    f.tracesCompleted = done.size();
-    if (done.empty())
-        return f;
-    std::sort(done.begin(), done.end(), startsBefore);
-
-    std::array<double, HopSlices::kNumHops> hopSum{};
-    double e2eSum = 0.0;
-    for (const FleetTrace *tr : done) {
-        const HopSlices s = sliceTrace(*tr, forward_delay);
+    // Every statistic below is a pass over the completed-ok records in
+    // place; nothing per trace is copied. The sums are exact integers,
+    // so they do not depend on the order the records are read in.
+    const auto forDone = [&log](auto &&fn) {
+        for (const FleetTrace &tr : log.records())
+            if (tr.clientDone() && tr.ok())
+                fn(tr);
+    };
+    std::uint64_t n = 0;
+    std::array<Tick, HopSlices::kNumHops> hopSum{};
+    Tick e2eSum = 0;
+    forDone([&](const FleetTrace &tr) {
+        ++n;
+        const HopSlices s = sliceTrace(tr, forward_delay);
         for (int h = 0; h < HopSlices::kNumHops; ++h)
-            hopSum[h] += static_cast<double>(s.t[h]);
-        e2eSum += static_cast<double>(tr->e2eLatency());
-    }
+            hopSum[h] += s.t[h];
+        e2eSum += tr.e2eLatency();
+    });
+    f.tracesCompleted = n;
+    if (n == 0)
+        return f;
+    // Percentile q sits at index q * (n - 1) of the sorted values; the
+    // hops also select their maximum, index n - 1.
+    const auto rankOf = [n](double q) {
+        return static_cast<std::uint64_t>(q * static_cast<double>(n - 1));
+    };
+    const std::array<std::uint64_t, 3> ranks = {
+        rankOf(0.50), rankOf(0.99), rankOf(0.999)};
+    const std::array<std::uint64_t, 4> hopRanks = {ranks[0], ranks[1],
+                                                   ranks[2], n - 1};
 
-    // Per-hop distributions, one hop at a time through one buffer.
-    std::vector<Tick> slice(done.size());
     for (int h = 0; h < HopSlices::kNumHops; ++h) {
-        for (std::size_t i = 0; i < done.size(); ++i)
-            slice[i] = sliceTrace(*done[i], forward_delay).t[h];
-        const auto at = selectQuantiles(slice.begin(), slice.end());
+        const auto hop = [&](auto &&sink) {
+            forDone([&](const FleetTrace &tr) {
+                sink(sliceTrace(tr, forward_delay).t[h]);
+            });
+        };
+        const auto at = selectRanks(hop, hopRanks);
         FleetHopStat st;
         st.hop = kHopNames[h];
-        st.p50 = *at[0];
-        st.p99 = *at[1];
-        st.p999 = *at[2];
-        st.max = *std::max_element(at[2], slice.end());
-        st.share = e2eSum > 0.0 ? hopSum[h] / e2eSum : 0.0;
+        st.p50 = at[0].value;
+        st.p99 = at[1].value;
+        st.p999 = at[2].value;
+        st.max = at[3].value;
+        st.share = e2eSum > 0 ? static_cast<double>(hopSum[h]) /
+                                    static_cast<double>(e2eSum)
+                              : 0.0;
         f.hops.push_back(st);
     }
 
-    // Exemplars: rank by end-to-end latency, ties in (clientStart,
-    // traceId) order. Trace ids are unique, so that order is total and
-    // selecting in place picks what a stable sort by latency would.
-    const auto exemplar = selectQuantiles(
-        done.begin(), done.end(),
-        [](const FleetTrace *a, const FleetTrace *b) {
-            const Tick la = a->e2eLatency();
-            const Tick lb = b->e2eLatency();
-            return la != lb ? la < lb : startsBefore(a, b);
+    // Exemplars rank by end-to-end latency, ties in (clientStart,
+    // traceId) order: select the latency, then the start among the
+    // traces of that latency, then the id among those. Ids are unique,
+    // so the last pick names one trace.
+    const auto lats = selectRanks(
+        [&](auto &&sink) {
+            forDone([&](const FleetTrace &tr) { sink(tr.e2eLatency()); });
+        },
+        ranks);
+    const auto exemplar = [&](std::size_t k) -> const FleetTrace & {
+        const RankedValue lat = lats[k];
+        std::uint64_t rank = ranks[k] - lat.below;
+        const RankedValue start = selectRank(
+            [&](auto &&sink) {
+                forDone([&](const FleetTrace &tr) {
+                    if (tr.e2eLatency() == lat.value)
+                        sink(tr.clientStart());
+                });
+            },
+            rank);
+        rank -= start.below;
+        const RankedValue id = selectRank(
+            [&](auto &&sink) {
+                forDone([&](const FleetTrace &tr) {
+                    if (tr.e2eLatency() == lat.value &&
+                        tr.clientStart() == start.value)
+                        sink(tr.traceId());
+                });
+            },
+            rank);
+        const FleetTrace *pick = nullptr;
+        forDone([&](const FleetTrace &tr) {
+            if (tr.traceId() == id.value)
+                pick = &tr;
         });
-    f.e2eP50 = (*exemplar[0])->e2eLatency();
-    f.e2eP99 = (*exemplar[1])->e2eLatency();
-    f.e2eP999 = (*exemplar[2])->e2eLatency();
-
-    auto dominant = [&](const FleetTrace *tr) {
-        const HopSlices s = sliceTrace(*tr, forward_delay);
+        return *pick;
+    };
+    const auto dominant = [&](const FleetTrace &tr) {
+        const HopSlices s = sliceTrace(tr, forward_delay);
         int best = 0;
         for (int h = 1; h < HopSlices::kNumHops; ++h)
             if (s.t[h] > s.t[best])
                 best = h;
         return std::string(kHopNames[best]);
     };
-    f.dominantP50 = dominant(*exemplar[0]);
-    f.dominantP99 = dominant(*exemplar[1]);
-    f.dominantP999 = dominant(*exemplar[2]);
+    const FleetTrace &p50 = exemplar(0);
+    const FleetTrace &p99 = exemplar(1);
+    const FleetTrace &p999 = exemplar(2);
+    f.e2eP50 = p50.e2eLatency();
+    f.e2eP99 = p99.e2eLatency();
+    f.e2eP999 = p999.e2eLatency();
+    f.dominantP50 = dominant(p50);
+    f.dominantP99 = dominant(p99);
+    f.dominantP999 = dominant(p999);
     return f;
 }
 

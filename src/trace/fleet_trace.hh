@@ -31,43 +31,152 @@
 namespace fsim
 {
 
-/** One end-to-end request trace, stitched across fleet hops. */
-struct FleetTrace
+/**
+ * One end-to-end request trace, stitched across fleet hops, packed into
+ * 48 bytes. traceId and clientStart are stored whole. The other four
+ * instants are stored as their distance from clientStart, the service
+ * latency in 40 bits, and the counts and ids in the widths the fleet
+ * allows. Within the limits below the record is lossless: every field
+ * reads back the value written, and a write outside them fails an
+ * assertion instead of truncating. Tick 0 reads back exactly for every
+ * instant: a span still open at collect reports it as its close.
+ *
+ * A record the balancer creates before the client's start (not expected
+ * with in-order recording) measures its instants from its first one
+ * until clientStart arrives, and moves them to the new base then.
+ */
+class FleetTrace
 {
-    std::uint64_t traceId = 0;
+  public:
+    /** @name Limits of the packed layout */
+    /** @{ */
+    /** clientStart: 48 bits, ~31 sim-hours at 2.5 GHz. */
+    static constexpr Tick kMaxClientStart = (Tick{1} << 48) - 1;
+    /** How far clientEnd, lbIngress, serverOpen and serverClose may lie
+     *  from clientStart, before or after it: ~220 sim-s. */
+    static constexpr Tick kMaxDistance = (Tick{1} << 39) - 1;
+    static constexpr Tick kMaxServerService = (Tick{1} << 40) - 1;
+    static constexpr Tick kMaxServerExec = 0xffff'ffff;
+    static constexpr std::uint32_t kMaxLbFlows = 0xff;
+    static constexpr std::uint32_t kMaxLbForwards = 0xffff;
+    /** FleetTestbed runs at most 8 balancers and 64 machines. */
+    static constexpr int kMaxLbId = 7;
+    static constexpr int kMaxServerSlot = 0xff;
+    /** @} */
+
+    FleetTrace() = default;
+    /** The record of @p trace_id, first seen at tick @p t. */
+    FleetTrace(std::uint64_t trace_id, Tick t);
+
+    std::uint64_t traceId() const { return traceId_; }
 
     /** @name Client hop (HttpLoad) */
     /** @{ */
-    Tick clientStart = 0;       //!< launch (SYN minted)
-    Tick clientEnd = 0;         //!< closed-loop finish (ok or failed)
-    bool clientDone = false;
-    bool ok = false;
+    /** Launch (SYN minted); 0 until set. */
+    Tick clientStart() const { return has(kStarted) ? Tick{base_} : 0; }
+    /** Closed-loop finish (ok or failed); 0 until clientDone(). */
+    Tick clientEnd() const { return instant(kClientEnd); }
+    bool clientDone() const { return has(kClientDone); }
+    bool ok() const { return has(kOk); }
     /** @} */
 
     /** @name Balancer hop (L4 full NAT) */
     /** @{ */
-    int lbId = -1;              //!< first balancer that created a flow
-    Tick lbIngress = 0;         //!< first SYN arrival at a VIP
-    std::uint32_t lbFlows = 0;  //!< flow entries created (failover -> >1)
-    std::uint32_t lbForwards = 0;   //!< packets NAT-rewritten, both ways
-    int serverSlot = -1;        //!< machine slot the flow steered to
+    /** First balancer that created a flow; -1 before any. */
+    int lbId() const { return lbFlows_ ? lbId_ : -1; }
+    /** First SYN arrival at a VIP. */
+    Tick lbIngress() const { return instant(kLbIngress); }
+    /** Flow entries created (failover -> more than 1). */
+    std::uint32_t lbFlows() const { return lbFlows_; }
+    /** Packets NAT-rewritten, both ways. */
+    std::uint32_t lbForwards() const { return lbForwards_; }
+    /** Machine slot the first flow steered to; -1 before any. */
+    int serverSlot() const { return lbFlows_ ? serverSlot_ : -1; }
     /** @} */
 
     /** @name Server-machine hop (stitched from ConnSpanLog) */
     /** @{ */
-    bool stitched = false;
-    bool serverOrderly = false; //!< span closed via TCB destruction
-    Tick serverOpen = 0;        //!< TCB mint (SYN rx)
-    Tick serverClose = 0;       //!< TCB destruction
-    Tick serverService = 0;     //!< ConnSpanTrace::serviceLatency
-    Tick serverExec = 0;        //!< sum of exec-stage spans
+    bool stitched() const { return has(kStitched); }
+    /** The span closed via TCB destruction. */
+    bool serverOrderly() const { return has(kServerOrderly); }
+    Tick serverOpen() const { return instant(kServerOpen); }   //!< TCB mint
+    Tick serverClose() const { return instant(kServerClose); } //!< TCB end
+    /** ConnSpanTrace::serviceLatency. */
+    Tick serverService() const { return wide(kServerService); }
+    /** Sum of exec-stage spans. */
+    Tick serverExec() const { return serverExec_; }
     /** @} */
 
     Tick e2eLatency() const
     {
-        return clientEnd > clientStart ? clientEnd - clientStart : 0;
+        const Tick start = clientStart();
+        const Tick end = clientEnd();
+        return end > start ? end - start : 0;
     }
+
+    /** @name Writers (FleetTraceLog) */
+    /** @{ */
+    void setClientStart(Tick t);
+    void setClientEnd(Tick t, bool ok);
+    /** Count one balancer flow; the first also sets lbId, lbIngress and
+     *  serverSlot. */
+    void addLbFlow(Tick t, int lb, int slot);
+    void addLbForward();
+    /** Store the stitched machine span and mark the record stitched. */
+    void setServerSpan(bool orderly, Tick open, Tick close, Tick service,
+                       Tick exec);
+    /** @} */
+
+  private:
+    /** The 40-bit fields: four instants, then the service latency. */
+    enum Wide { kClientEnd, kLbIngress, kServerOpen, kServerClose,
+                kServerService, kNumWide };
+    static constexpr int kNumInstants = kServerService;
+    enum Flag : std::uint8_t {
+        kStarted = 1, kClientDone = 2, kOk = 4, kStitched = 8,
+        kServerOrderly = 16,
+    };
+
+    bool has(Flag f) const { return (flags_ & f) != 0; }
+    void set(Flag f, bool on)
+    {
+        flags_ = on ? flags_ | f : flags_ & ~f;
+    }
+    Tick wide(Wide w) const
+    {
+        return Tick{low_[w]} | Tick{high_[w]} << 32;
+    }
+    void setWide(Wide w, Tick v)
+    {
+        low_[w] = static_cast<std::uint32_t>(v);
+        high_[w] = static_cast<std::uint8_t>(v >> 32);
+    }
+    /** An instant is its distance from base_ plus 2^39, so the field
+     *  holds distances either way; the raw value 0 stands for tick 0. */
+    static constexpr Tick kBias = Tick{1} << 39;
+    Tick instant(Wide w) const
+    {
+        const Tick raw = wide(w);
+        return raw == 0 ? 0 : Tick{base_} + raw - kBias;
+    }
+    void setInstant(Wide w, Tick t);
+
+    std::uint64_t traceId_ = 0;
+    /** clientStart once started, else the tick the record was made. */
+    std::uint64_t base_ : 48 = 0;
+    std::uint64_t lbForwards_ : 16 = 0;
+    /** The 40-bit fields as a low word and a high byte, so the record
+     *  packs with no padding. */
+    std::uint32_t low_[kNumWide] = {};
+    std::uint32_t serverExec_ = 0;
+    std::uint8_t high_[kNumWide] = {};
+    std::uint8_t serverSlot_ = 0;
+    std::uint8_t lbFlows_ = 0;
+    std::uint8_t lbId_ : 3 = 0;
+    std::uint8_t flags_ : 5 = 0;
 };
+
+static_assert(sizeof(FleetTrace) == 48);
 
 /**
  * Fleet-scope trace collector, owned by FleetTestbed. The client and
@@ -159,8 +268,9 @@ class FleetTraceLog
     void reserveIndex();
 
     FleetTrace *find(std::uint64_t trace_id);
-    /** The record for @p trace_id, appended if new (@p created says). */
-    FleetTrace &findOrAdd(std::uint64_t trace_id, bool &created);
+    /** The record for @p trace_id, appended (first seen at @p t) if new;
+     *  @p created says which. */
+    FleetTrace &findOrAdd(std::uint64_t trace_id, Tick t, bool &created);
 
     bool enabled_ = true;
     ChunkedVector<FleetTrace> records_;

@@ -291,41 +291,41 @@ writeFleetPerfettoTrace(const std::string &path, const FleetTraceLog &log,
 
     for (std::size_t i = 0; i < n; ++i) {
         const FleetTrace &tr = *done[i];
-        const Tick end = std::max(tr.clientEnd, tr.clientStart);
-        writeFleetEvent(w, 'b', tr.clientStart, kClientPid, tr.traceId,
-                        "request", "fleet");
-        writeFleetEvent(w, 'e', end, kClientPid, tr.traceId, "request",
+        const Tick end = std::max(tr.clientEnd(), tr.clientStart());
+        writeFleetEvent(w, 'b', tr.clientStart(), kClientPid,
+                        tr.traceId(), "request", "fleet");
+        writeFleetEvent(w, 'e', end, kClientPid, tr.traceId(), "request",
                         "fleet");
         st.waitEvents += 2;
 
-        const bool haveLb = tr.lbFlows > 0 && tr.lbId >= 0;
+        const bool haveLb = tr.lbId() >= 0;     // a flow was created
         if (haveLb) {
-            const int pid = kLbPidBase + tr.lbId;
-            const Tick lb_end = std::max(end, tr.lbIngress);
-            writeFleetEvent(w, 'b', tr.lbIngress, pid, tr.traceId, "lb",
-                            "fleet");
-            writeFleetEvent(w, 'e', lb_end, pid, tr.traceId, "lb",
+            const int pid = kLbPidBase + tr.lbId();
+            const Tick lb_end = std::max(end, tr.lbIngress());
+            writeFleetEvent(w, 'b', tr.lbIngress(), pid, tr.traceId(),
+                            "lb", "fleet");
+            writeFleetEvent(w, 'e', lb_end, pid, tr.traceId(), "lb",
                             "fleet");
             st.waitEvents += 2;
         }
 
-        if (tr.stitched && tr.serverSlot >= 0) {
-            const int pid = kMachinePidBase + tr.serverSlot;
-            const Tick close = std::max(tr.serverClose, tr.serverOpen);
-            writeFleetEvent(w, 'b', tr.serverOpen, pid, tr.traceId,
+        if (tr.stitched() && tr.serverSlot() >= 0) {
+            const int pid = kMachinePidBase + tr.serverSlot();
+            const Tick close = std::max(tr.serverClose(), tr.serverOpen());
+            writeFleetEvent(w, 'b', tr.serverOpen(), pid, tr.traceId(),
                             "server", "fleet");
-            writeFleetEvent(w, 'e', close, pid, tr.traceId, "server",
+            writeFleetEvent(w, 'e', close, pid, tr.traceId(), "server",
                             "fleet");
             st.waitEvents += 2;
             // Cross-machine arrow: balancer admission -> server TCB
             // mint. Causality orders the mint after the ingress, so
             // the f endpoint never precedes its s.
-            if (haveLb && tr.serverOpen >= tr.lbIngress) {
-                writeFleetEvent(w, 's', tr.lbIngress,
-                                kLbPidBase + tr.lbId, tr.traceId,
+            if (haveLb && tr.serverOpen() >= tr.lbIngress()) {
+                writeFleetEvent(w, 's', tr.lbIngress(),
+                                kLbPidBase + tr.lbId(), tr.traceId(),
                                 "steer", "fleet-flow");
-                writeFleetEvent(w, 'f', tr.serverOpen, pid, tr.traceId,
-                                "steer", "fleet-flow");
+                writeFleetEvent(w, 'f', tr.serverOpen(), pid,
+                                tr.traceId(), "steer", "fleet-flow");
                 ++st.flowPairs;
             }
         }

@@ -5,7 +5,7 @@
  *
  * This binary includes the counting allocator hook (alloc_hook.hh), so
  * every allocation made while an AllocAuditScope is armed is counted
- * (the counters live in sim/alloc_audit). Three layers of contract:
+ * (the counters live in sim/alloc_audit). Four layers of contract:
  *
  *  1. The raw simulator substrate — EventQueue scheduling/dispatch,
  *     TimerWheel arm/mod/cancel/fire, CpuModel task posting — must make
@@ -29,8 +29,11 @@
  *     Traced, span recording recycles its live slots and stitches at
  *     close, so the only growth left is the per-request trace record
  *     log: chunked, well under one heap block per 1000 connections,
- *     and at most 16 B per record beyond the record itself. collect()'s
- *     forensics allocate at most 24 B per completed trace.
+ *     and at most 16 B per record beyond the record itself.
+ *
+ *  4. collect() allocates a fixed amount, not an amount per trace or
+ *     per latency sample: fleet forensics and window percentiles select
+ *     in place.
  */
 
 #include <gtest/gtest.h>
@@ -380,11 +383,15 @@ TEST(AllocAudit, TracedFleetAllocatesUnderOneBlockPer1000Conns)
         << w.bytes << " bytes for " << records << " trace records";
 }
 
-TEST(AllocAudit, TracedFleetCollectAllocatesUnder24BytesPerTrace)
+TEST(AllocAudit, TracedFleetCollectAllocatesUnder32KiB)
 {
-    // Forensics over the run's completed traces works from one pointer
-    // array and one reused tick buffer: no per-hop copies, no sort
-    // buffer.
+    // Forensics selects its percentiles and exemplars in place over the
+    // trace records (sim/order_stat.hh): no pointer array, no tick
+    // buffer, and no gather of tied traces, since ties are settled by
+    // selecting on clientStart, then traceId. What collect() allocates
+    // is its result (lock and phase maps, hop rows, time series) and
+    // the in-flight span snapshot, none of it per completed trace:
+    // ~15.8 KB here, for ~73K traces.
     FleetTestbed bed(auditFleet(/*traced=*/true));
     bed.startLoad();
     bed.runUntilChecked(ticksFromSeconds(0.5));
@@ -399,9 +406,44 @@ TEST(AllocAudit, TracedFleetCollectAllocatesUnder24BytesPerTrace)
     }
     const std::uint64_t traces = r.fleetTrace.tracesCompleted;
     ASSERT_GT(traces, 10000u);
-    if (bytes > traces * 24) dumpAllocHistogram("fleet collect");
-    EXPECT_LE(bytes, traces * 24)
+    if (bytes > 32 * 1024) dumpAllocHistogram("fleet collect");
+    EXPECT_LE(bytes, 32u * 1024)
         << bytes << " bytes for " << traces << " completed traces";
+}
+
+/** Bytes one collect() allocates after a @p window_sec window of an
+ *  untraced 2-core nginx machine. */
+std::uint64_t
+singleMachineCollectBytes(double window_sec)
+{
+    ExperimentConfig cfg;
+    cfg.app = AppKind::kNginx;
+    cfg.machine.cores = 2;
+    cfg.machine.seed = 1234;
+    cfg.machine.traceEnabled = false;
+    cfg.checkLevel = CheckLevel::kOff;
+    cfg.concurrencyPerCore = 50;
+    Testbed bed(cfg);
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromSeconds(0.1));
+    bed.markWindows();
+    bed.runUntilChecked(ticksFromSeconds(0.1 + window_sec));
+    AllocAuditScope scope;
+    bed.collect();
+    return AllocAudit::allocBytes();
+}
+
+TEST(AllocAudit, SingleMachineCollectDoesNotGrowWithTheWindow)
+{
+    // The window's latency percentiles read the sample log in place, so
+    // a window 4x longer (4x the samples) costs collect() no more heap.
+    // (Traced, the span forensics still builds per-trace vectors at
+    // collect; folding traces at close is ROADMAP item 7.)
+    const std::uint64_t shortWin = singleMachineCollectBytes(0.05);
+    const std::uint64_t longWin = singleMachineCollectBytes(0.2);
+    EXPECT_LE(longWin, shortWin)
+        << "collect() allocated " << shortWin << " bytes after a 0.05 s "
+        << "window and " << longWin << " after a 0.2 s one";
 }
 
 } // namespace

@@ -134,9 +134,9 @@ TEST(ConnSpanLog, FleetWiredLogStitchesPastRetention)
                                 log.tracesHandedOff());
     std::uint64_t stitched = 0;
     for (const FleetTrace &tr : fleet.records()) {
-        stitched += tr.stitched;
-        EXPECT_EQ(tr.serverService, 6u);
-        EXPECT_EQ(tr.serverExec, 5u);
+        stitched += tr.stitched();
+        EXPECT_EQ(tr.serverService(), 6u);
+        EXPECT_EQ(tr.serverExec(), 5u);
     }
     EXPECT_EQ(stitched, n);
     // One recycled slot and span buffer served every connection.

@@ -66,7 +66,7 @@ unstitchedOk(const FleetTraceLog &log)
 {
     std::uint64_t n = 0;
     for (const FleetTrace &tr : log.records())
-        if (tr.clientDone && tr.ok && !tr.stitched)
+        if (tr.clientDone() && tr.ok() && !tr.stitched())
             ++n;
     return n;
 }
@@ -129,8 +129,9 @@ TEST(FleetTrace, StitchWinnerIndependentOfArrivalOrder)
         for (int i : order)
             log.stitchMachineSpan(cands[i].trace());
         const FleetTrace &tr = log.records().front();
-        const Stored got{tr.stitched, tr.serverOrderly, tr.serverOpen,
-                         tr.serverClose, tr.serverService, tr.serverExec,
+        const Stored got{tr.stitched(), tr.serverOrderly(),
+                         tr.serverOpen(), tr.serverClose(),
+                         tr.serverService(), tr.serverExec(),
                          log.machineSpansStitched()};
         if (first)
             want = got;
@@ -142,6 +143,167 @@ TEST(FleetTrace, StitchWinnerIndependentOfArrivalOrder)
     // The orderly span with the longest service, earliest open and
     // latest close: the second candidate.
     EXPECT_EQ(want, Stored(true, true, 100, 950, 200, 60, 1));
+}
+
+static_assert(sizeof(FleetTrace) <= 56,
+              "a fleet trace record is paid once per simulated request");
+
+/** Every field of @p tr, for whole-record comparisons. */
+using Fields = std::tuple<std::uint64_t, Tick, Tick, bool, bool, int, Tick,
+                          std::uint32_t, std::uint32_t, int, bool, bool,
+                          Tick, Tick, Tick, Tick>;
+
+Fields
+fieldsOf(const FleetTrace &tr)
+{
+    return {tr.traceId(),     tr.clientStart(),   tr.clientEnd(),
+            tr.clientDone(),  tr.ok(),            tr.lbId(),
+            tr.lbIngress(),   tr.lbFlows(),       tr.lbForwards(),
+            tr.serverSlot(),  tr.stitched(),      tr.serverOrderly(),
+            tr.serverOpen(),  tr.serverClose(),   tr.serverService(),
+            tr.serverExec()};
+}
+
+TEST(FleetTrace, RecordRoundTripsEveryFieldAtZeroAndAtItsLimit)
+{
+    FleetTrace fresh;
+    EXPECT_EQ(fieldsOf(fresh),
+              Fields(0, 0, 0, false, false, -1, 0, 0, 0, -1, false, false,
+                     0, 0, 0, 0));
+
+    FleetTrace zero(0, 0);
+    zero.setClientStart(0);
+    zero.setClientEnd(0, false);
+    zero.addLbFlow(0, 0, 0);
+    zero.setServerSpan(false, 0, 0, 0, 0);
+    EXPECT_EQ(fieldsOf(zero),
+              Fields(0, 0, 0, true, false, 0, 0, 1, 0, 0, true, false, 0,
+                     0, 0, 0));
+
+    // The largest value of every field; instants as far from
+    // clientStart as the layout allows, before and after it.
+    const Tick start = FleetTrace::kMaxClientStart;
+    const Tick far = FleetTrace::kMaxDistance;
+    FleetTrace top(~std::uint64_t{0}, start);
+    top.setClientStart(start);
+    top.setClientEnd(start + far, true);
+    for (std::uint32_t k = 0; k < FleetTrace::kMaxLbFlows; ++k)
+        top.addLbFlow(start - far, FleetTrace::kMaxLbId,
+                      FleetTrace::kMaxServerSlot);
+    for (std::uint32_t k = 0; k < FleetTrace::kMaxLbForwards; ++k)
+        top.addLbForward();
+    top.setServerSpan(true, start + far - 1, start + far,
+                      FleetTrace::kMaxServerService,
+                      FleetTrace::kMaxServerExec);
+    EXPECT_EQ(fieldsOf(top),
+              Fields(~std::uint64_t{0}, start, start + far, true, true,
+                     FleetTrace::kMaxLbId, start - far,
+                     FleetTrace::kMaxLbFlows, FleetTrace::kMaxLbForwards,
+                     FleetTrace::kMaxServerSlot, true, true,
+                     start + far - 1, start + far,
+                     FleetTrace::kMaxServerService,
+                     FleetTrace::kMaxServerExec));
+    EXPECT_EQ(top.e2eLatency(), far);
+
+    // A later, lower-ranked write replaces every server field: flags
+    // clear as well as set.
+    top.setServerSpan(false, start - 5, 0, 1, 2);
+    EXPECT_FALSE(top.serverOrderly());
+    EXPECT_EQ(top.serverOpen(), start - 5);
+    EXPECT_EQ(top.serverClose(), 0u);
+    EXPECT_EQ(top.serverService(), 1u);
+    EXPECT_EQ(top.serverExec(), 2u);
+}
+
+TEST(FleetTrace, RecordRejectsValuesPastItsLayout)
+{
+    FleetTrace tr(1, 1000);
+    tr.setClientStart(1000);
+    EXPECT_DEATH(tr.setClientEnd(1000 + FleetTrace::kMaxDistance + 1, true),
+                 "from its clientStart");
+    EXPECT_DEATH(FleetTrace(1, FleetTrace::kMaxClientStart + 1),
+                 "past 2\\^48");
+    EXPECT_DEATH(tr.setServerSpan(true, 1000, 2000, 10,
+                                  FleetTrace::kMaxServerExec + 1),
+                 "exec time");
+    EXPECT_DEATH(tr.addLbFlow(1000, FleetTrace::kMaxLbId + 1, 0),
+                 "balancer id");
+}
+
+/** A span of @p id opened at @p open and closed at @p close whose
+ *  response ends at @p write_end; exec is 20 softirq ticks plus the
+ *  40-tick write. */
+ConnSpanTrace
+longSpan(std::uint64_t id, Tick open, Tick close, Tick write_end,
+         std::vector<ConnSpan> &storage)
+{
+    storage = {{open + 10, open + 30, 0, 0, ConnStage::kSoftirqRx},
+               {write_end - 40, write_end, 0, 1, ConnStage::kAppWrite}};
+    ConnSpanTrace tr;
+    tr.traceId = id;
+    tr.openTick = open;
+    tr.closeTick = close;
+    tr.closed = true;
+    tr.spans = storage;
+    return tr;
+}
+
+TEST(FleetTrace, LongTraceRoundTripsThroughTheLog)
+{
+    // A server span that closes more than 2^32 ticks (1.72 sim-s)
+    // after clientStart, with a service latency past 32 bits: the
+    // offsets and the service field must keep every bit.
+    const Tick t0 = ticksFromSeconds(3.0);
+    const Tick past32 = (Tick{1} << 32) + 12345;
+    std::vector<ConnSpan> a, b;
+    const ConnSpanTrace slow = longSpan(9, t0 + 20, t0 + past32 + 50,
+                                        t0 + past32, a);
+    const ConnSpanTrace fast = longSpan(9, t0 + 25, t0 + 900, t0 + 800, b);
+    ASSERT_GT(slow.serviceLatency(), Tick{1} << 32);
+
+    Fields first;
+    for (bool slowFirst : {true, false}) {
+        FleetTraceLog log;
+        log.clientStart(9, t0);
+        log.lbIngress(9, t0 + 5, 1, 2);
+        log.lbForward(9);
+        log.stitchMachineSpan(slowFirst ? slow : fast);
+        log.stitchMachineSpan(slowFirst ? fast : slow);
+        log.clientEnd(9, t0 + past32 + 60, true);
+        ASSERT_EQ(log.records().size(), 1u);
+        const FleetTrace &tr = log.records().front();
+        // The longer service wins in either arrival order.
+        EXPECT_EQ(fieldsOf(tr),
+                  Fields(9, t0, t0 + past32 + 60, true, true, 1, t0 + 5, 1,
+                         1, 2, true, true, t0 + 20, t0 + past32 + 50,
+                         past32 - 20, 60))
+            << (slowFirst ? "slow span first" : "fast span first");
+        EXPECT_EQ(tr.e2eLatency(), past32 + 60);
+        EXPECT_EQ(log.machineSpansStitched(), 1u);
+        if (slowFirst)
+            first = fieldsOf(tr);
+        else
+            EXPECT_EQ(fieldsOf(tr), first);
+    }
+}
+
+TEST(FleetTrace, RecordMadeBeforeClientStartReadsBack)
+{
+    // The balancer sees the SYN first; the client's start lands later
+    // and becomes the base the earlier instants are measured from.
+    const Tick t0 = ticksFromSeconds(500.0);    // past 2^40 ticks
+    std::vector<ConnSpan> storage;
+    FleetTraceLog log;
+    log.lbIngress(5, t0, 3, 7);
+    ConnSpanTrace live = longSpan(5, t0 + 40, 0, t0 + 200, storage);
+    live.closed = false;                        // open at collect
+    log.stitchMachineSpan(live);
+    log.clientStart(5, t0 + 1000);
+    log.clientEnd(5, t0 + 3000, false);
+    EXPECT_EQ(log.duplicates(), 0u);
+    EXPECT_EQ(fieldsOf(log.records().front()),
+              Fields(5, t0 + 1000, t0 + 3000, true, false, 3, t0, 1, 0, 7,
+                     true, false, t0 + 40, 0, 160, 60));
 }
 
 /**
@@ -160,12 +322,12 @@ referenceForensics(const FleetTraceLog &log, Tick forward_delay)
     const auto slices = [forward_delay](const FleetTrace &tr) {
         std::array<Tick, kNumHops> t{};
         const Tick e2e = tr.e2eLatency();
-        const Tick ingress = Tick{tr.lbFlows} * forward_delay;
-        const Tick nat = tr.lbForwards > tr.lbFlows
-            ? Tick{tr.lbForwards - tr.lbFlows} * forward_delay
+        const Tick ingress = Tick{tr.lbFlows()} * forward_delay;
+        const Tick nat = tr.lbForwards() > tr.lbFlows()
+            ? Tick{tr.lbForwards() - tr.lbFlows()} * forward_delay
             : 0;
-        const Tick exec = std::min(tr.serverExec, tr.serverService);
-        const Tick rtt = tr.serverService - exec;
+        const Tick exec = std::min(tr.serverExec(), tr.serverService());
+        const Tick rtt = tr.serverService() - exec;
         const Tick accounted = ingress + nat + exec + rtt;
         t[1] = ingress;
         t[2] = nat;
@@ -188,7 +350,7 @@ referenceForensics(const FleetTraceLog &log, Tick forward_delay)
         return f;
     std::vector<const FleetTrace *> done;
     for (const FleetTrace *tr : log.sortedCompleted())
-        if (tr->ok)
+        if (tr->ok())
             done.push_back(tr);
     f.tracesCompleted = done.size();
     if (done.empty())
@@ -268,17 +430,18 @@ machineSpan(std::uint64_t id, Tick open, Tick close, bool orderly,
  * A random log with the cases forensics must order and filter: equal
  * client starts, equal end-to-end latencies, failed and unfinished
  * requests, orphans (no balancer flow), failover (two flows),
- * unstitched traces, re-stitched spans and duplicate starts.
+ * unstitched traces, re-stitched spans and duplicate starts. Starts
+ * take @p starts distinct values and latencies @p latencies.
  */
 void
-fillRandomLog(FleetTraceLog &log, Rng &rng, std::size_t n)
+fillRandomLog(FleetTraceLog &log, Rng &rng, std::size_t n,
+              std::uint64_t starts, std::uint64_t latencies)
 {
     std::vector<ConnSpan> storage;
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t id = rng.next() | 1;
-        // Few distinct starts and latencies: many exact ties.
-        const Tick start = 1000 + 10 * rng.range(n / 4 + 1);
-        const Tick e2e = 50 + 25 * rng.range(12);
+        const Tick start = 1000 + 10 * rng.range(starts);
+        const Tick e2e = 50 + 25 * rng.range(latencies);
         log.clientStart(id, start);
         if (rng.chance(0.02))
             log.clientStart(id, start + 5);     // duplicate start
@@ -308,13 +471,23 @@ TEST(FleetTrace, OnePassForensicsMatchesSortBasedReference)
     const Tick fd = 2;
     std::uint64_t orphans = 0;
     std::uint64_t unstitched = 0;
-    for (int round = 0; round < 60; ++round) {
+    for (int round = 0; round < 90; ++round) {
         // Tiny logs (0-3 traces) exercise the rank-index edges.
         const std::size_t n =
             round < 12 ? static_cast<std::size_t>(round % 4)
                        : 1 + rng.range(3000);
         FleetTraceLog log;
-        fillRandomLog(log, rng, n);
+        if (round < 60) {
+            // Few distinct starts and latencies: many exact ties.
+            fillRandomLog(log, rng, n, n / 4 + 1, 12);
+        } else {
+            // One or two latencies and a handful of starts: each
+            // exemplar is picked among hundreds of traces of equal
+            // latency, and often of equal start, so the (clientStart,
+            // traceId) tie order decides which trace it is.
+            fillRandomLog(log, rng, n, 1 + rng.range(4),
+                          1 + rng.range(2));
+        }
         const FleetTraceForensics want = referenceForensics(log, fd);
         const FleetTraceForensics got = buildFleetTraceForensics(log, fd);
         ASSERT_EQ(got, want) << "round " << round << ", " << n
@@ -355,8 +528,8 @@ TEST(FleetTrace, ClientTraceIdSurvivesNatRewriteBothKernels)
         // The span a trace stitched came from a real TCB whose id the
         // balancer could only have learned from the client's packet.
         for (const FleetTrace *tr : log.sortedCompleted()) {
-            if (tr->ok) {
-                EXPECT_GE(tr->lbFlows, 1u);
+            if (tr->ok()) {
+                EXPECT_GE(tr->lbFlows(), 1u);
             }
         }
         EXPECT_EQ(r.fleet.spanReconcileViolations, 0u);
