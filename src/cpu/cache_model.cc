@@ -73,12 +73,4 @@ CacheModel::totalMisses() const
                            std::uint64_t{0});
 }
 
-double
-CacheModel::missRate() const
-{
-    std::uint64_t a = totalAccesses();
-    return a ? static_cast<double>(totalMisses()) / static_cast<double>(a)
-             : 0.0;
-}
-
 } // namespace fsim

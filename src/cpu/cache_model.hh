@@ -84,8 +84,6 @@ class CacheModel
     std::uint64_t misses(CoreId c) const { return misses_[c]; }
     std::uint64_t totalAccesses() const;
     std::uint64_t totalMisses() const;
-    /** Machine-wide L3 miss rate over the whole run. */
-    double missRate() const;
     /** @} */
 
     /** NUMA node of a core. */

@@ -11,15 +11,6 @@ LocalListenTable::LocalListenTable(int n_cores)
     fsim_assert(n_cores > 0);
 }
 
-std::size_t
-LocalListenTable::totalSockets() const
-{
-    std::size_t n = 0;
-    for (const ListenTable &t : tables_)
-        n += t.size();
-    return n;
-}
-
 LocalEstablishedTable::LocalEstablishedTable(int n_cores, int n_buckets,
                                              LockRegistry &locks,
                                              CacheModel &cache,
@@ -35,15 +26,6 @@ LocalEstablishedTable::LocalEstablishedTable(int n_cores, int n_buckets,
             n_buckets, locks, cache, costs, "ehash.lock",
             /*resizable=*/true));
     }
-}
-
-std::size_t
-LocalEstablishedTable::totalSockets() const
-{
-    std::size_t n = 0;
-    for (const auto &t : tables_)
-        n += t->size();
-    return n;
 }
 
 } // namespace fsim

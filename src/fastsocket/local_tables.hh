@@ -40,9 +40,6 @@ class LocalListenTable
 
     int numCores() const { return static_cast<int>(tables_.size()); }
 
-    /** Total local listen sockets across all cores. */
-    std::size_t totalSockets() const;
-
   private:
     std::vector<ListenTable> tables_;
     std::vector<CacheLine> lines_;
@@ -62,9 +59,6 @@ class LocalEstablishedTable
     const EstablishedTable &table(CoreId c) const { return *tables_.at(c); }
 
     int numCores() const { return static_cast<int>(tables_.size()); }
-
-    /** Total established sockets across all cores (leak checks). */
-    std::size_t totalSockets() const;
 
   private:
     std::vector<std::unique_ptr<EstablishedTable>> tables_;

@@ -54,29 +54,20 @@ ReceiveFlowDeliver::classify(
     // Rule 1: a well-known *source* port means the packet is a reply from
     // a server we connected to — the kernel never picks a well-known port
     // as an ephemeral source port.
-    if (pkt.tuple.sport <= kWellKnownPortMax) {
-        ++stats_.classifiedActive;
+    if (pkt.tuple.sport <= kWellKnownPortMax)
         return PacketClass::kActiveIncoming;
-    }
 
     // Rule 2: a well-known *destination* port means it targets one of our
     // services: passive.
-    if (pkt.tuple.dport <= kWellKnownPortMax) {
-        ++stats_.classifiedPassive;
+    if (pkt.tuple.dport <= kWellKnownPortMax)
         return PacketClass::kPassiveIncoming;
-    }
 
     // Rule 3 (optional precise mode): a destination port somebody listens
     // on cannot have been used as an active source port.
-    if (precise_ && has_listener) {
-        ++stats_.preciseProbes;
-        if (has_listener(pkt.tuple.daddr, pkt.tuple.dport)) {
-            ++stats_.classifiedPassive;
-            return PacketClass::kPassiveIncoming;
-        }
-    }
+    if (precise_ && has_listener &&
+        has_listener(pkt.tuple.daddr, pkt.tuple.dport))
+        return PacketClass::kPassiveIncoming;
 
-    ++stats_.classifiedActive;
     return PacketClass::kActiveIncoming;
 }
 

@@ -47,15 +47,6 @@ enum class PacketClass
     kActiveIncoming,    //!< reply traffic of an active (connect()) flow
 };
 
-/** Classification census, exported by the trace/JSON reports. */
-struct RfdStats
-{
-    std::uint64_t classifiedActive = 0;
-    std::uint64_t classifiedPassive = 0;
-    /** Times rule 3 (the listener-table probe) had to run. */
-    std::uint64_t preciseProbes = 0;
-};
-
 /** Receive Flow Deliver. */
 class ReceiveFlowDeliver
 {
@@ -113,15 +104,10 @@ class ReceiveFlowDeliver
 
     int numCores() const { return nCores_; }
 
-    /** Rule-hit counters (classify() is logically const; the census is
-     *  observability state, not steering state). */
-    const RfdStats &stats() const { return stats_; }
-
   private:
     int nCores_;
     bool precise_;
     std::vector<int> bits_;     //!< positions of hash bits, LSB-first
-    mutable RfdStats stats_;
 };
 
 } // namespace fsim

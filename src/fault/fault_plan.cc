@@ -228,12 +228,6 @@ rangeError(const FaultEvent &ev)
 
 } // anonymous namespace
 
-const char *
-faultKindName(FaultKind kind)
-{
-    return kKinds[static_cast<std::size_t>(kind)].name;
-}
-
 bool
 FaultPlan::has(FaultKind kind) const
 {

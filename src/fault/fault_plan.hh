@@ -55,9 +55,6 @@ enum class FaultKind
                       //!< for the window; the link heals at window end
 };
 
-/** Text name of @p kind (the token the plan grammar uses). */
-const char *faultKindName(FaultKind kind);
-
 /** One scheduled fault window. */
 struct FaultEvent
 {

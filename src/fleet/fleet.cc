@@ -1021,11 +1021,4 @@ FleetTestbed::run()
     return r;
 }
 
-ExperimentResult
-runFleetExperiment(const FleetConfig &cfg)
-{
-    FleetTestbed bed(cfg);
-    return bed.run();
-}
-
 } // namespace fsim

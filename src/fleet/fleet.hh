@@ -312,9 +312,6 @@ class FleetTestbed
     ServerWindow retiredWindow_;
 };
 
-/** One-shot convenience mirroring runExperiment(). */
-ExperimentResult runFleetExperiment(const FleetConfig &cfg);
-
 } // namespace fsim
 
 #endif // FSIM_FLEET_FLEET_HH

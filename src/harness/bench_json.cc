@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <utility>
 
+#include "check/fingerprint.hh"
 #include "trace/json_writer.hh"
 
 namespace fsim
@@ -494,10 +495,7 @@ BenchJsonReport::str() const
         w.key("untracked_cycles").value(r.phaseCycles.untracked);
         w.endObject();
 
-        char fphex[24];
-        std::snprintf(fphex, sizeof(fphex), "0x%016llx",
-                      static_cast<unsigned long long>(r.fingerprint));
-        w.key("fingerprint").value(fphex);
+        w.key("fingerprint").value(Fingerprint::hex(r.fingerprint));
 
         w.key("invariants").beginObject();
         w.key("checks_run").value(r.invariants.checksRun);

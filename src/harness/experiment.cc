@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "check/fingerprint.hh"
+#include "trace/perfetto_export.hh"
 
 namespace fsim
 {
@@ -202,8 +203,11 @@ Testbed::collect()
     // traces when the caller wants to export them (Perfetto).
     const auto &sl = tr.connSpans();
     r.spanForensics = buildSpanForensics(sl, mark_.spansCompleted);
+    // One trace past the export cap, so the export still sees (and
+    // marks) a truncated window.
     if (cfg_.keepSpanTraces && sl.enabled())
-        r.spanTraces = sl.copyCompleted(mark_.spansCompleted);
+        r.spanTraces =
+            sl.copyCompleted(mark_.spansCompleted, kPerfettoMaxTraces + 1);
 
     r.fingerprint = currentFingerprint();
     addRunTotals(r, server_, /*up=*/true);

@@ -370,8 +370,10 @@ struct ExperimentResult
      *  tracing is off, and then the JSON "latency_stages" block is
      *  omitted). */
     SpanForensics spanForensics;
-    /** The window's completed span traces, kept only when
-     *  cfg.keepSpanTraces (shared: results are copied by value). */
+    /** The window's first completed span traces, up to one past
+     *  kPerfettoMaxTraces (what a Perfetto export writes, plus one to
+     *  show truncation), kept only when cfg.keepSpanTraces (shared:
+     *  results are copied by value). */
     std::shared_ptr<const std::vector<ConnSpanTrace>> spanTraces;
     /** @} */
 

@@ -1196,8 +1196,7 @@ KernelStack::connect(int proc, Tick t, IpAddr dst, Port dport)
                                             (cursor + i) % count);
             if (cand <= kWellKnownPortMax)
                 continue;
-            if (!ports_.inUse(dst, dport, cand) &&
-                ports_.claim(dst, dport, cand)) {
+            if (ports_.claim(dst, dport, cand)) {
                 psrc = cand;
                 cursor = (cursor + i + 1) % count;
                 break;

@@ -31,24 +31,4 @@ FiveTuple::str() const
     return buf;
 }
 
-std::string
-Packet::str() const
-{
-    std::string s = tuple.str();
-    if (has(kSyn))
-        s += " SYN";
-    if (has(kAck))
-        s += " ACK";
-    if (has(kFin))
-        s += " FIN";
-    if (has(kRst))
-        s += " RST";
-    if (payload) {
-        char buf[24];
-        std::snprintf(buf, sizeof(buf), " len=%u", payload);
-        s += buf;
-    }
-    return s;
-}
-
 } // namespace fsim

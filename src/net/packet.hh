@@ -92,7 +92,6 @@ struct Packet
     std::uint64_t traceId = 0;
 
     bool has(TcpFlag f) const { return flags & f; }
-    std::string str() const;
 };
 
 } // namespace fsim

@@ -77,12 +77,6 @@ AdmissionController::release(int worker)
 }
 
 std::uint64_t
-AdmissionController::inflight(int worker) const
-{
-    return inflight_.at(static_cast<std::size_t>(worker));
-}
-
-std::uint64_t
 AdmissionController::inflightTotal() const
 {
     std::uint64_t total = 0;

@@ -93,8 +93,6 @@ class AdmissionController
      *  attribution; meaningful only right after decide() returned
      *  kShed). */
     ShedReason lastShedReason() const { return lastShedReason_; }
-    /** Currently admitted-but-unreleased connections of @p worker. */
-    std::uint64_t inflight(int worker) const;
     std::uint64_t inflightTotal() const;
     /** @} */
 

@@ -3,17 +3,6 @@
 namespace fsim
 {
 
-const char *
-pressureLevelName(PressureLevel l)
-{
-    switch (l) {
-      case PressureLevel::kNominal:  return "nominal";
-      case PressureLevel::kElevated: return "elevated";
-      case PressureLevel::kCritical: return "critical";
-    }
-    return "?";
-}
-
 PressureState::PressureState(const OverloadConfig &cfg)
     : cfg_(cfg)
 {

@@ -29,9 +29,6 @@ enum class PressureLevel : std::uint8_t
     kCritical,      //!< near overflow; shed non-priority admissions
 };
 
-/** Stable lowercase level name ("nominal", "elevated", "critical"). */
-const char *pressureLevelName(PressureLevel l);
-
 /** Condensed pressure signals of one machine. */
 class PressureState
 {

@@ -87,14 +87,6 @@ EventQueue::finishSchedule(Node *n)
 }
 
 void
-EventQueue::schedule(Tick when, EventFn fn)
-{
-    Node *n = beginSchedule(&when);
-    n->fn = std::move(fn);
-    finishSchedule(n);
-}
-
-void
 EventQueue::insertNode(Node *n)
 {
     const Tick when = n->when;

@@ -36,8 +36,6 @@ namespace fsim
 class EventQueue
 {
   public:
-    using Handler = EventFn;
-
     EventQueue();
     ~EventQueue();
     EventQueue(const EventQueue &) = delete;
@@ -47,7 +45,8 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Schedule a handler at an absolute time.
+     * Schedule callable @p fn at an absolute time. The closure is
+     * constructed once, in place inside a recycled event node.
      *
      * @param when Absolute tick. Must not be in the past: a past tick is
      *             a simulator bug, asserted fatal in debug builds; in
@@ -55,17 +54,7 @@ class EventQueue
      *             runs, in FIFO order at the current tick) and counted
      *             in clampedPast() so harnesses can flag it.
      */
-    void schedule(Tick when, EventFn fn);
-
-    /**
-     * Schedule a callable directly (the common case). The closure is
-     * constructed once, in place inside a recycled event node, instead
-     * of being copied through an EventFn temporary — one 56-byte copy
-     * per schedule instead of two on the hot path.
-     */
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, EventFn>>>
+    template <typename F>
     void
     schedule(Tick when, F &&fn)
     {

@@ -6,19 +6,6 @@
 namespace fsim
 {
 
-namespace
-{
-
-void
-vreport(const char *tag, const char *fmt, va_list ap)
-{
-    std::fprintf(stderr, "%s: ", tag);
-    std::vfprintf(stderr, fmt, ap);
-    std::fprintf(stderr, "\n");
-}
-
-} // anonymous namespace
-
 void
 panicImpl(const char *file, int line, const char *fmt, ...)
 {
@@ -41,24 +28,6 @@ fatalImpl(const char *file, int line, const char *fmt, ...)
     va_end(ap);
     std::fprintf(stderr, "\n");
     std::exit(1);
-}
-
-void
-warnImpl(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("warn", fmt, ap);
-    va_end(ap);
-}
-
-void
-informImpl(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    vreport("info", fmt, ap);
-    va_end(ap);
 }
 
 } // namespace fsim

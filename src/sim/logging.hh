@@ -1,12 +1,10 @@
 /**
  * @file
- * Error and status reporting, following the gem5 fatal/panic distinction.
+ * Error reporting, following the gem5 fatal/panic distinction.
  *
- * panic()  - an internal simulator bug; never the user's fault. Aborts.
- * fatal()  - the simulation cannot continue because of user input
- *            (bad configuration, invalid arguments). Exits with code 1.
- * warn()   - something is off but the simulation can continue.
- * inform() - plain status output.
+ * panic() - an internal simulator bug; never the user's fault. Aborts.
+ * fatal() - the simulation cannot continue because of user input
+ *           (bad configuration, invalid arguments). Exits with code 1.
  */
 
 #ifndef FSIM_SIM_LOGGING_HH
@@ -25,12 +23,6 @@ namespace fsim
                             const char *fmt, ...)
     __attribute__((format(printf, 3, 4)));
 
-void warnImpl(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
-void informImpl(const char *fmt, ...)
-    __attribute__((format(printf, 1, 2)));
-
 /** Abort with a message: an internal invariant was violated. */
 #define fsim_panic(...) \
     ::fsim::panicImpl(__FILE__, __LINE__, __VA_ARGS__)
@@ -38,9 +30,6 @@ void informImpl(const char *fmt, ...)
 /** Exit with a message: the user asked for something impossible. */
 #define fsim_fatal(...) \
     ::fsim::fatalImpl(__FILE__, __LINE__, __VA_ARGS__)
-
-#define fsim_warn(...)   ::fsim::warnImpl(__VA_ARGS__)
-#define fsim_inform(...) ::fsim::informImpl(__VA_ARGS__)
 
 /** Simulation-invariant assertion that is kept in release builds. */
 #define fsim_assert(cond) \

@@ -19,15 +19,6 @@ metricKindName(MetricKind k)
     return "?";
 }
 
-const MetricSeries *
-MetricsSnapshot::find(const std::string &name) const
-{
-    for (const MetricSeries &s : series)
-        if (s.name == name)
-            return &s;
-    return nullptr;
-}
-
 MetricsRegistry::MetricId
 MetricsRegistry::addSlot(const std::string &name, MetricKind kind)
 {

@@ -62,7 +62,6 @@ struct MetricsSnapshot
     Tick samplePeriod = 0;
     std::vector<MetricSeries> series;
 
-    const MetricSeries *find(const std::string &name) const;
     bool operator==(const MetricsSnapshot &) const = default;
 };
 

@@ -1,90 +1,15 @@
 /**
  * @file
- * Lightweight statistics primitives for the simulator.
- *
- * Counters and distributions are plain value types owned by the component
- * that measures them; a StatSnapshot can diff two points in time so that
- * benchmarks measure steady state only (warmup excluded).
+ * Number formatting for the paper-style report tables.
  */
 
 #ifndef FSIM_STATS_STATS_HH
 #define FSIM_STATS_STATS_HH
 
-#include <algorithm>
-#include <cstdint>
-#include <limits>
 #include <string>
 
 namespace fsim
 {
-
-/** Monotonic event counter. */
-class Counter
-{
-  public:
-    void inc(std::uint64_t n = 1) { value_ += n; }
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/**
- * Moment-based sample distribution (count/sum/min/max/mean/variance).
- *
- * Keeps no per-sample storage, so it can absorb millions of samples.
- */
-class Distribution
-{
-  public:
-    void
-    sample(double x)
-    {
-        ++count_;
-        sum_ += x;
-        sumSq_ += x * x;
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-    double
-    mean() const
-    {
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-    }
-
-    double
-    variance() const
-    {
-        if (count_ < 2)
-            return 0.0;
-        double n = static_cast<double>(count_);
-        double m = mean();
-        return (sumSq_ - n * m * m) / (n - 1.0);
-    }
-
-    void
-    reset()
-    {
-        count_ = 0;
-        sum_ = sumSq_ = 0.0;
-        min_ = std::numeric_limits<double>::infinity();
-        max_ = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sumSq_ = 0.0;
-    double min_ = std::numeric_limits<double>::infinity();
-    double max_ = -std::numeric_limits<double>::infinity();
-};
 
 /** Render a count with the paper's K/M suffix convention (e.g.\ 26.4M). */
 std::string formatCount(double v);

@@ -62,19 +62,4 @@ LockRegistry::snapshot() const
     return out;
 }
 
-std::uint64_t
-LockRegistry::contentionDelta(
-    const std::map<std::string, LockClassStats> &before,
-    const std::string &name) const
-{
-    auto cur = byName_.find(name);
-    if (cur == byName_.end())
-        return 0;
-    std::uint64_t base = 0;
-    auto it = before.find(name);
-    if (it != before.end())
-        base = it->second.contentions;
-    return cur->second->contentions - base;
-}
-
 } // namespace fsim

@@ -76,14 +76,6 @@ class LockRegistry
     /** Copy of the current counters, for window (before/after) diffing. */
     std::map<std::string, LockClassStats> snapshot() const;
 
-    /**
-     * Contention-count delta of class @p name between @p before and the
-     * current counters. Returns 0 for unknown classes.
-     */
-    std::uint64_t contentionDelta(
-        const std::map<std::string, LockClassStats> &before,
-        const std::string &name) const;
-
   private:
     std::vector<std::unique_ptr<LockClassStats>> order_;
     std::map<std::string, LockClassStats *> byName_;

@@ -111,68 +111,4 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
     return end;
 }
 
-void
-SimRwLock::init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
-                Tick handoff_storm)
-{
-    cls->bindCosts(cache, base_cost, handoff_storm);
-    cls_ = cls;
-    line_ = CacheLine{};
-}
-
-Tick
-SimRwLock::contendedGrant(CoreId c, Tick t, Tick busy_until, Tick hold)
-{
-    int max_queue = cls_->cache ? cls_->cache->numCores() : 32;
-    if (busy_until <= t) {
-        streak_ /= 2;
-        return t;
-    }
-    ++cls_->contentions;
-    streak_ = std::min(streak_ + 1, max_queue);
-    Tick storm = cls_->stormCost * static_cast<Tick>(streak_);
-    Tick serialized = hold + cls_->baseCost + storm +
-                      (cls_->cache ? cls_->cache->missPenalty() : 0);
-    Tick wait = std::min(busy_until - t,
-                         serialized * static_cast<Tick>(streak_));
-    cls_->waitTicks += wait;
-    cls_->maxWaitTicks = std::max(cls_->maxWaitTicks, wait);
-    if (cls_->tracer)
-        cls_->tracer->noteLockSpin(c, wait + storm);
-    return t + wait + storm;
-}
-
-Tick
-SimRwLock::runReadLocked(CoreId c, Tick t, Tick hold)
-{
-    fsim_assert(cls_ != nullptr);
-    ++cls_->acquisitions;
-    Tick grant = contendedGrant(c, t, writeFreeAt_, hold);
-    grant += cls_->baseCost;
-    if (cls_->cache)
-        grant += cls_->cache->access(c, line_, /*write=*/false);
-    Tick end = grant + hold;
-    readFreeAt_ = std::max(readFreeAt_, end);
-    cls_->holdTicks += hold;
-    return end;
-}
-
-Tick
-SimRwLock::runWriteLocked(CoreId c, Tick t, Tick hold)
-{
-    fsim_assert(cls_ != nullptr);
-    ++cls_->acquisitions;
-    Tick grant = contendedGrant(c, t,
-                                std::max(writeFreeAt_, readFreeAt_),
-                                hold);
-    grant += cls_->baseCost;
-    if (cls_->cache)
-        grant += cls_->cache->access(c, line_, /*write=*/true);
-    Tick end = grant + hold;
-    writeFreeAt_ = end;
-    lastHolder_ = c;
-    cls_->holdTicks += hold;
-    return end;
-}
-
 } // namespace fsim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulated spinlocks and reader-writer locks.
+ * Simulated spinlocks.
  *
  * A SimSpinLock serializes simulated critical sections in virtual time.
  * The caller declares the critical-section length (hold) when acquiring:
@@ -86,36 +86,6 @@ class SimSpinLock
 
 // Thousands of per-bucket and per-socket locks: one cache line each.
 static_assert(sizeof(SimSpinLock) == 64);
-
-/**
- * Simulated reader-writer lock.
- *
- * Readers do not serialize against each other; a read while a write is in
- * flight (or vice versa) waits and counts a contention against the class.
- */
-class SimRwLock
-{
-  public:
-    void init(LockClassStats *cls, CacheModel *cache, Tick base_cost,
-              Tick handoff_storm = 150);
-
-    /** Shared section of @p hold cycles. @return its end tick. */
-    Tick runReadLocked(CoreId c, Tick t, Tick hold);
-
-    /** Exclusive section of @p hold cycles. @return its end tick. */
-    Tick runWriteLocked(CoreId c, Tick t, Tick hold);
-
-  private:
-    LockClassStats *cls_ = nullptr;   //!< also holds the cost model
-
-    Tick contendedGrant(CoreId c, Tick t, Tick busy_until, Tick hold);
-
-    Tick writeFreeAt_ = 0;   //!< last exclusive section end
-    Tick readFreeAt_ = 0;    //!< last shared section end
-    CoreId lastHolder_ = kInvalidCore;
-    int streak_ = 0;
-    CacheLine line_;   //!< the lock word's line (costed when cache_ set)
-};
 
 } // namespace fsim
 

@@ -2,11 +2,12 @@
  * @file
  * Ephemeral source-port allocator for active connections.
  *
- * Supports the standard rotating next-fit policy and the Fastsocket RFD
- * policy: pick a source port p with (p & mask) == core so that the reply's
- * destination port hashes back to the initiating core (section 3.3).
- * Uniqueness is per (destination address, destination port), like the
- * kernel's four-tuple-scoped port reuse.
+ * alloc() is the stock rotating next-fit search. claim() takes one given
+ * port: Fastsocket's RFD path (KernelStack::connect) walks the core's
+ * ReceiveFlowDeliver candidates and claims the first free one, so the
+ * reply's destination port hashes back to the initiating core (section
+ * 3.3). Uniqueness is per (destination address, destination port), like
+ * the kernel's four-tuple-scoped port reuse.
  */
 
 #ifndef FSIM_TCP_PORT_ALLOC_HH
@@ -37,17 +38,9 @@ class PortAllocator
     Port alloc(IpAddr dst, Port dport);
 
     /**
-     * Allocate a port whose low bits encode @p core: (p & mask) == core.
-     *
-     * @param mask RFD hash mask, roundup_pow2(ncores)-1; core <= mask.
-     * @return 0 if exhausted.
-     */
-    Port allocForCore(IpAddr dst, Port dport, CoreId core, Port mask);
-
-    /**
      * Claim a specific port (used by RFD's candidate iteration).
      *
-     * @return false if it is already in use.
+     * @return false, changing nothing, if it is already in use.
      */
     bool claim(IpAddr dst, Port dport, Port p);
 
@@ -71,8 +64,8 @@ class PortAllocator
     /** Per-destination in-use bitmap. A hash set would allocate a node
      *  per claimed port — once per connection, the exact churn the
      *  allocation audit forbids. 8 KB per destination, sized lazily to
-     *  the whole 16-bit port space: RFD's candidates (claim/inUse) are
-     *  not confined to [lo, hi]. */
+     *  the whole 16-bit port space: the RFD candidates connect() claims
+     *  are not confined to [lo, hi]. */
     struct PortSet
     {
         static constexpr std::size_t kWords = 65536 / 64;
@@ -100,7 +93,6 @@ class PortAllocator
      *  sets are deliberately never erased — their capacity is the
      *  recycled resource. */
     std::unordered_map<std::uint64_t, PortSet> used_;
-    std::unordered_map<std::uint64_t, Port> coreHints_;
     std::size_t total_ = 0;
 };
 

@@ -47,16 +47,6 @@ connStageKind(ConnStage s)
 }
 
 Tick
-ConnSpanTrace::stageTicks(ConnStage s) const
-{
-    Tick total = 0;
-    for (const ConnSpan &sp : spans)
-        if (sp.stage == s)
-            total += sp.end - sp.begin;
-    return total;
-}
-
-Tick
 ConnSpanTrace::serviceLatency() const
 {
     Tick last_write = 0;
@@ -87,7 +77,8 @@ ConnSpanLog::findLive(std::uint64_t conn_id)
 }
 
 void
-ConnSpanLog::open(std::uint64_t conn_id, Tick t, bool passive)
+ConnSpanLog::open(std::uint64_t conn_id, Tick t, bool passive,
+                  std::uint64_t trace_id)
 {
     if (!enabled_)
         return;
@@ -107,50 +98,38 @@ ConnSpanLog::open(std::uint64_t conn_id, Tick t, bool passive)
         lt->head = ConnSpanTrace{};
     }
     lt->head.connId = conn_id;
+    lt->head.traceId = trace_id;
     lt->head.openTick = t;
     lt->head.passive = passive;
     ++opened_;
 }
 
 void
-ConnSpanLog::add(std::uint64_t conn_id, ConnStage stage, CoreId core,
-                 Tick begin, Tick end, std::uint32_t aux)
+ConnSpanLog::append(std::uint64_t conn_id, std::span<const ConnSpan> batch)
 {
     if (!enabled_)
         return;
     LiveTrace *lt = findLive(conn_id);
     if (!lt)
         return; // stray work after teardown (e.g. duplicate packets)
-    if (end < begin)
-        end = begin;
-    if (connStageKind(stage) == ConnStageKind::kExec) {
-        if (execTicksPerCore_.size() <= static_cast<std::size_t>(core))
-            execTicksPerCore_.resize(core + 1, 0);
-        execTicksPerCore_[core] += end - begin;
+    for (ConnSpan sp : batch) {
+        if (sp.end < sp.begin)
+            sp.end = sp.begin;
+        if (connStageKind(sp.stage) == ConnStageKind::kExec) {
+            const auto core = static_cast<std::size_t>(sp.core);
+            if (execTicksPerCore_.size() <= core)
+                execTicksPerCore_.resize(core + 1, 0);
+            execTicksPerCore_[core] += sp.end - sp.begin;
+        }
+        if (lt->spans.size() >= kMaxSpansPerConn) {
+            ++spansDropped_;
+            continue;
+        }
+        if (lt->spans.size() == lt->spans.capacity())
+            ++allocations_;
+        lt->spans.push_back(sp);
+        ++spansRecorded_;
     }
-    if (lt->spans.size() >= kMaxSpansPerConn) {
-        ++spansDropped_;
-        return;
-    }
-    ConnSpan sp;
-    sp.begin = begin;
-    sp.end = end;
-    sp.aux = aux;
-    sp.core = static_cast<std::int16_t>(core);
-    sp.stage = stage;
-    if (lt->spans.size() == lt->spans.capacity())
-        ++allocations_;
-    lt->spans.push_back(sp);
-    ++spansRecorded_;
-}
-
-void
-ConnSpanLog::setTraceId(std::uint64_t conn_id, std::uint64_t trace_id)
-{
-    if (!enabled_)
-        return;
-    if (LiveTrace *lt = findLive(conn_id))
-        lt->head.traceId = trace_id;
 }
 
 void
@@ -250,7 +229,7 @@ ConnSpanLog::liveSnapshot() const
 }
 
 std::shared_ptr<const std::vector<ConnSpanTrace>>
-ConnSpanLog::copyCompleted(std::size_t from) const
+ConnSpanLog::copyCompleted(std::size_t from, std::size_t max) const
 {
     struct Owned
     {
@@ -258,14 +237,17 @@ ConnSpanLog::copyCompleted(std::size_t from) const
         std::vector<ConnSpanTrace> traces;
     };
     auto own = std::make_shared<Owned>();
+    const std::size_t end =
+        from + (completed_.size() > from
+                    ? std::min(max, completed_.size() - from)
+                    : 0);
     std::size_t nspans = 0;
-    for (std::size_t i = from; i < completed_.size(); ++i)
+    for (std::size_t i = from; i < end; ++i)
         nspans += completed_[i].spans.size();
     // Reserved up front: the copied views must not move.
     own->spans.reserve(nspans);
-    own->traces.reserve(completed_.size() > from ? completed_.size() - from
-                                                 : 0);
-    for (std::size_t i = from; i < completed_.size(); ++i) {
+    own->traces.reserve(end - from);
+    for (std::size_t i = from; i < end; ++i) {
         ConnSpanTrace tr = completed_[i];
         const std::size_t at = own->spans.size();
         own->spans.insert(own->spans.end(), tr.spans.begin(),

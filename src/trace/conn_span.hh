@@ -5,8 +5,9 @@
  *
  * Every connection TCB minted by the kernel opens a ConnSpanTrace; the
  * StageScope (trace_scope.hh) each kernel entry and app service slice
- * opens appends the connection's stage span with the executing core,
- * plus the stage's wait and its VFS and lock-spin sub-spans. Aggregate
+ * opens hands the log one batch per entry: the stage's waits and VFS
+ * sub-span, its stage span with the executing core, then its lock-spin
+ * sub-spans, appended under a single trace lookup. Aggregate
  * phase accounting (PhaseAccounting) answers "where did the machine's
  * cycles go"; this log answers the per-request question the paper's
  * tail analysis needs.
@@ -128,9 +129,6 @@ struct ConnSpanTrace
      *  ConnSpanLog (or by whoever built the trace), never by the trace. */
     std::span<const ConnSpan> spans;
 
-    /** Sum of span durations recorded for @p s. */
-    Tick stageTicks(ConnStage s) const;
-
     /**
      * Service latency: open until the last response byte was written
      * (end of the last kAppWrite span), falling back to the last exec
@@ -164,19 +162,22 @@ class ConnSpanLog
      *  instead of retaining it; nullptr (the default) retains. */
     void stitchInto(FleetTraceLog *fleet) { fleet_ = fleet; }
 
-    /** Begin a trace for @p conn_id (kernel TCB creation). */
-    void open(std::uint64_t conn_id, Tick t, bool passive);
+    /** Begin a trace for @p conn_id (kernel TCB creation) in the
+     *  distributed trace context @p trace_id (0: none). */
+    void open(std::uint64_t conn_id, Tick t, bool passive,
+              std::uint64_t trace_id = 0);
 
-    /** Append one stage span; unknown ids are ignored (the trace may
-     *  already be finalized, e.g. stray packets after destruction). */
-    void add(std::uint64_t conn_id, ConnStage stage, CoreId core,
-             Tick begin, Tick end, std::uint32_t aux = 0);
+    /**
+     * Append @p batch, in order, to @p conn_id's trace. Each span's end
+     * is clamped to its begin; exec spans are charged to their core
+     * even past the kMaxSpansPerConn cap, where spans are dropped and
+     * counted. Unknown ids are ignored (the trace may already be
+     * finalized, e.g. stray packets after destruction).
+     */
+    void append(std::uint64_t conn_id, std::span<const ConnSpan> batch);
 
     /** Record an admission-control shed verdict on the trace. */
     void noteShed(std::uint64_t conn_id, std::uint8_t reason);
-
-    /** Attach the distributed trace context (kernel TCB inherit). */
-    void setTraceId(std::uint64_t conn_id, std::uint64_t trace_id);
 
     /** Finalize the trace (TCB destruction from @p begin to @p t) in
      *  completion order. A StageScope still bound to the connection
@@ -203,10 +204,11 @@ class ConnSpanLog
         return completed_;
     }
 
-    /** Retained traces from index @p from on, in storage the returned
-     *  pointer owns (outlives this log; for result export). */
+    /** Up to @p max retained traces from index @p from on, in storage
+     *  the returned pointer owns (outlives this log; for result
+     *  export). */
     std::shared_ptr<const std::vector<ConnSpanTrace>>
-    copyCompleted(std::size_t from) const;
+    copyCompleted(std::size_t from, std::size_t max) const;
 
     std::size_t completedCount() const { return completed_.size(); }
     std::size_t liveCount() const { return live_.size(); }

@@ -5,26 +5,6 @@
 namespace fsim
 {
 
-const char *
-incidentKindName(IncidentKind kind)
-{
-    switch (kind) {
-      case IncidentKind::kMachineCrash:
-        return "machine_crash";
-      case IncidentKind::kMachineDegrade:
-        return "machine_degrade";
-      case IncidentKind::kMachineFlap:
-        return "machine_flap";
-      case IncidentKind::kNetPartition:
-        return "net_partition";
-      case IncidentKind::kLbCrash:
-        return "lb_crash";
-      case IncidentKind::kSloBurn:
-        return "slo_burn";
-    }
-    return "?";
-}
-
 int
 IncidentLog::open(IncidentKind kind, int target, Tick injectAt)
 {

@@ -37,8 +37,6 @@ enum class IncidentKind : std::uint8_t
     kSloBurn,           //!< error-budget burn-rate alert (SLO layer)
 };
 
-const char *incidentKindName(IncidentKind kind);
-
 /** One fault's lifecycle timeline. */
 struct Incident
 {

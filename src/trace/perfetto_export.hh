@@ -41,16 +41,20 @@ struct PerfettoStats
     bool truncated = false;
 };
 
+/** Connections one single-machine export writes at most, to keep
+ *  files loadable. */
+constexpr std::size_t kPerfettoMaxTraces = 20000;
+
 /**
  * Write @p traces as trace-event JSON to @p path. Timestamps are raw
  * simulator ticks (integers; otherData.ts_unit records the unit).
- * Exports at most @p max_traces connections (completion order) to keep
- * files loadable. @return false on I/O error.
+ * Exports at most @p max_traces connections (completion order); with
+ * more, the export is marked truncated. @return false on I/O error.
  */
 bool writePerfettoTrace(const std::string &path,
                         const std::vector<ConnSpanTrace> &traces,
                         const PerfettoMeta &meta, PerfettoStats *stats,
-                        std::size_t max_traces = 20000);
+                        std::size_t max_traces = kPerfettoMaxTraces);
 
 /** Run identity for a fleet-scope export. */
 struct FleetPerfettoMeta

@@ -7,9 +7,10 @@
  * syscall, a SoftIRQ packet handler, a slice of app service work —
  * records both. It opens a phase frame when the entry has a phase of
  * its own (syscalls; handlers and app work run in the task loop's root
- * frame). Once bound to a connection it records, at close(), the spans
- * noted with waited() and vfs() in the order noted, the stage span, then
- * the lock waits of the sections run through locked(), as taken.
+ * frame). Once bound to a connection it hands the log, at close(), one
+ * batch under one trace lookup: the spans noted with waited() and vfs()
+ * in the order noted, the stage span, then the lock waits of the
+ * sections run through locked(), as taken.
  *
  * Tick cursors are explicit, so close() takes the final one and returns
  * it (`return sc.close(t);`). A scope destroyed unclosed (an early
@@ -24,6 +25,7 @@
 #ifndef FSIM_TRACE_TRACE_SCOPE_HH
 #define FSIM_TRACE_TRACE_SCOPE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
@@ -88,9 +90,8 @@ class StageScope
     {
         if (!tracer_)
             return;
-        ConnSpanLog &log = tracer_->connSpans();
-        log.open(conn, nBefore_ ? before_[0].begin : begin_, passive);
-        log.setTraceId(conn, trace_id);
+        tracer_->connSpans().open(
+            conn, nBefore_ ? before_[0].begin : begin_, passive, trace_id);
         bind(conn, stage);
     }
 
@@ -114,7 +115,8 @@ class StageScope
         if (!tracer_)
             return;
         fsim_assert(nBefore_ < kMaxBefore);
-        before_[nBefore_++] = {begin, end, aux, core, stage};
+        before_[nBefore_++] = {begin, end, aux,
+                               static_cast<std::int16_t>(core), stage};
     }
 
     /** [@p begin, @p end] was VFS socket-file work in mode @p mode
@@ -139,7 +141,8 @@ class StageScope
         if (tracer_ && lock.lastWait()) {
             fsim_assert(nAfter_ < kMaxAfter);
             after_[nAfter_++] = {t, t + lock.lastWait(),
-                                 lock.classTraceId(), core_,
+                                 lock.classTraceId(),
+                                 static_cast<std::int16_t>(core_),
                                  ConnStage::kLockWait};
         }
         return end;
@@ -158,22 +161,12 @@ class StageScope
   private:
     friend class ConnSpanLog;
 
-    /** A noted span. */
-    struct Pending
-    {
-        Tick begin;
-        Tick end;
-        std::uint32_t aux;
-        CoreId core;
-        ConnStage stage;
-    };
-
     /** Spans one entry notes: accept() a VFS sub-span and its queue
      *  wait; the rx path two lock waits. */
     static constexpr int kMaxBefore = 2;
     static constexpr int kMaxAfter = 4;
 
-    /** Leave the span log's bound list, first appending the spans to
+    /** Leave the span log's bound list, first appending the batch to
      *  the trace (the stage ending at @p end) when @p record_spans. */
     void
     unbind(Tick end, bool record_spans)
@@ -186,13 +179,11 @@ class StageScope
         bound_ = false;
         if (!record_spans)
             return;
-        for (int i = 0; i < nBefore_; ++i)
-            log.add(conn_, before_[i].stage, before_[i].core,
-                    before_[i].begin, before_[i].end, before_[i].aux);
-        log.add(conn_, stage_, core_, begin_, end);
-        for (int i = 0; i < nAfter_; ++i)
-            log.add(conn_, after_[i].stage, after_[i].core,
-                    after_[i].begin, after_[i].end, after_[i].aux);
+        ConnSpan batch[kMaxBefore + 1 + kMaxAfter];
+        ConnSpan *out = std::copy_n(before_, nBefore_, batch);
+        *out++ = {begin_, end, 0, static_cast<std::int16_t>(core_), stage_};
+        out = std::copy_n(after_, nAfter_, out);
+        log.append(conn_, {batch, out});
     }
 
     void
@@ -215,10 +206,17 @@ class StageScope
     ConnStage stage_ = ConnStage::kSynRx;
     std::uint64_t conn_ = 0;
     StageScope *next_ = nullptr;   //!< ConnSpanLog's bound-scope list
-    // Left uninitialized: an entry is written before nBefore_/nAfter_
-    // count it, and zeroing them would cost every untraced entry.
-    Pending before_[kMaxBefore];
-    Pending after_[kMaxAfter];
+    // Left uninitialized (ConnSpan's member defaults do not run for
+    // union members): a slot is written before nBefore_/nAfter_ count
+    // it, and zeroing them would cost every untraced entry.
+    union
+    {
+        ConnSpan before_[kMaxBefore];
+    };
+    union
+    {
+        ConnSpan after_[kMaxAfter];
+    };
 };
 
 } // namespace fsim

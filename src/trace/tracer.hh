@@ -78,16 +78,9 @@ class Tracer
         if (enabled_)
             phases_.pop(c, t);
     }
-
-    void
-    chargePhase(CoreId c, Phase p, Tick cycles)
-    {
-        if (enabled_)
-            phases_.charge(c, p, cycles);
-    }
     /** @} */
 
-    /** Convenience hook for lock spins: phase charge only. */
+    /** Charge a lock spin to core @p c's lock-spin phase. */
     void
     noteLockSpin(CoreId c, Tick spin)
     {
@@ -95,7 +88,7 @@ class Tracer
             phases_.charge(c, Phase::kLockSpin, spin);
     }
 
-    /** Convenience hook for cache stalls: phase charge only. */
+    /** Charge a cache stall to core @p c's cache-stall phase. */
     void
     noteCacheStall(CoreId c, Tick cycles)
     {

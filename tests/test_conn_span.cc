@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 #include "check/scenario.hh"
 #include "harness/experiment.hh"
@@ -43,11 +44,12 @@ TEST(ConnSpanLog, RecordsLifecycleAndLatency)
 {
     ConnSpanLog log;
     log.open(7, 100, /*passive=*/true);
-    log.add(7, ConnStage::kSynRx, 0, 100, 140);
-    log.add(7, ConnStage::kAcceptQueue, 0, 140, 300);
-    log.add(7, ConnStage::kAccept, 1, 300, 360);
-    log.add(7, ConnStage::kAppRead, 1, 400, 420);
-    log.add(7, ConnStage::kAppWrite, 1, 420, 470);
+    const ConnSpan spans[] = {{100, 140, 0, 0, ConnStage::kSynRx},
+                              {140, 300, 0, 0, ConnStage::kAcceptQueue},
+                              {300, 360, 0, 1, ConnStage::kAccept},
+                              {400, 420, 0, 1, ConnStage::kAppRead},
+                              {420, 470, 0, 1, ConnStage::kAppWrite}};
+    log.append(7, spans);
     log.close(7, 600, 600);
 
     ASSERT_EQ(log.completedCount(), 1u);
@@ -58,11 +60,14 @@ TEST(ConnSpanLog, RecordsLifecycleAndLatency)
     EXPECT_TRUE(tr.passive);
     EXPECT_EQ(tr.openTick, 100u);
     EXPECT_EQ(tr.closeTick, 600u);
-    EXPECT_EQ(tr.stageTicks(ConnStage::kAcceptQueue), 160u);
+    ASSERT_EQ(tr.spans.size(), 5u);
+    EXPECT_EQ(tr.spans[1].stage, ConnStage::kAcceptQueue);
+    EXPECT_EQ(tr.spans[1].end - tr.spans[1].begin, 160u);
     // Latency runs to the end of the last write, not to destruction.
     EXPECT_EQ(tr.serviceLatency(), 470u - 100u);
     // Spans on unknown ids (already destroyed) are silently ignored.
-    log.add(999, ConnStage::kSoftirqRx, 0, 700, 710);
+    const ConnSpan stray[] = {{700, 710, 0, 0, ConnStage::kSoftirqRx}};
+    log.append(999, stray);
     EXPECT_EQ(log.spansRecorded(), 5u);
 }
 
@@ -71,7 +76,8 @@ TEST(ConnSpanLog, DisabledIsFree)
     ConnSpanLog log;
     log.setEnabled(false);
     log.open(1, 10, true);
-    log.add(1, ConnStage::kSynRx, 0, 10, 20);
+    const ConnSpan spans[] = {{10, 20, 0, 0, ConnStage::kSynRx}};
+    log.append(1, spans);
     log.noteShed(1, 0);
     log.close(1, 30, 30);
     EXPECT_EQ(log.allocations(), 0u);
@@ -88,7 +94,8 @@ TEST(ConnSpanLog, PerConnSpanCapCountsDrops)
     for (std::size_t i = 0; i < ConnSpanLog::kMaxSpansPerConn + extra;
          ++i) {
         Tick b = static_cast<Tick>(i * 10);
-        log.add(1, ConnStage::kSoftirqRx, 0, b, b + 4);
+        const ConnSpan sp[] = {{b, b + 4, 0, 0, ConnStage::kSoftirqRx}};
+        log.append(1, sp);
     }
     EXPECT_EQ(log.spansDropped(), extra);
     log.close(1, 10000, 10000);
@@ -100,6 +107,54 @@ TEST(ConnSpanLog, PerConnSpanCapCountsDrops)
               4u * (ConnSpanLog::kMaxSpansPerConn + extra));
 }
 
+TEST(ConnSpanLog, BatchCrossingTheCapKeepsItsHead)
+{
+    ConnSpanLog log;
+    log.open(1, 0, true);
+    // Fill the trace to two below the cap with core-0 exec spans.
+    std::vector<ConnSpan> fill;
+    for (std::size_t i = 0; i + 2 < ConnSpanLog::kMaxSpansPerConn; ++i)
+        fill.push_back({i * 10, i * 10 + 4, 0, 0, ConnStage::kSoftirqRx});
+    log.append(1, fill);
+    ASSERT_EQ(log.spansDropped(), 0u);
+
+    // One batch of five crosses the cap: its first two spans are kept;
+    // the last three are dropped, yet their exec time still counts.
+    const ConnSpan batch[] = {
+        {5000, 5100, 0, 1, ConnStage::kAppRead},
+        {5100, 5120, 9, 1, ConnStage::kLockWait},
+        {5200, 5230, 0, 1, ConnStage::kAppWrite},       // dropped, exec
+        {5300, 5250, 0, 1, ConnStage::kTeardown},       // dropped, clamped
+        {5230, 5900, 0, 1, ConnStage::kDispatch},       // dropped, wait
+    };
+    log.append(1, batch);
+    EXPECT_EQ(log.spansRecorded(), ConnSpanLog::kMaxSpansPerConn);
+    EXPECT_EQ(log.spansDropped(), 3u);
+    EXPECT_EQ(log.execSelfTicks(0), 4u * fill.size());
+    EXPECT_EQ(log.execSelfTicks(1), 100u + 30u);
+
+    log.close(1, 6000, 6000);
+    const ConnSpanTrace &tr = log.completed().front();
+    ASSERT_EQ(tr.spans.size(), ConnSpanLog::kMaxSpansPerConn);
+    const ConnSpan &read = tr.spans[fill.size()];
+    const ConnSpan &lock = tr.spans[fill.size() + 1];
+    EXPECT_EQ(read.stage, ConnStage::kAppRead);
+    EXPECT_EQ(read.begin, 5000u);
+    EXPECT_EQ(read.core, 1);
+    EXPECT_EQ(lock.stage, ConnStage::kLockWait);
+    EXPECT_EQ(lock.aux, 9u);
+    EXPECT_EQ(lock.end, 5120u);
+
+    // The connection is retired: a later batch records and counts
+    // nothing.
+    log.append(1, batch);
+    EXPECT_EQ(log.spansRecorded(), ConnSpanLog::kMaxSpansPerConn);
+    EXPECT_EQ(log.spansDropped(), 3u);
+    EXPECT_EQ(log.execSelfTicks(1), 100u + 30u);
+    EXPECT_EQ(log.completed().front().spans.size(),
+              ConnSpanLog::kMaxSpansPerConn);
+}
+
 /** Open, span and close @p n traced connections (conn id = trace id,
  *  1..n) on @p log, each with a client record in @p fleet. */
 void
@@ -108,9 +163,9 @@ churn(ConnSpanLog &log, FleetTraceLog &fleet, std::uint64_t n)
     for (std::uint64_t id = 1; id <= n; ++id) {
         const Tick t = id * 10;
         fleet.clientStart(id, t);
-        log.open(id, t, /*passive=*/true);
-        log.setTraceId(id, id);
-        log.add(id, ConnStage::kAppWrite, 0, t + 1, t + 6);
+        log.open(id, t, /*passive=*/true, /*trace_id=*/id);
+        const ConnSpan write[] = {{t + 1, t + 6, 0, 0, ConnStage::kAppWrite}};
+        log.append(id, write);
         log.close(id, t + 8, t + 8);
     }
 }
@@ -293,10 +348,11 @@ TEST(ConnSpanTest, ForensicsSingleConnPicksItEverywhere)
 {
     ConnSpanLog log;
     log.open(42, 0, true);
-    log.add(42, ConnStage::kSynRx, 0, 0, 10);
-    log.add(42, ConnStage::kAcceptQueue, 0, 10, 200);
-    log.add(42, ConnStage::kAccept, 1, 200, 230);
-    log.add(42, ConnStage::kAppWrite, 1, 240, 260);
+    const ConnSpan spans[] = {{0, 10, 0, 0, ConnStage::kSynRx},
+                              {10, 200, 0, 0, ConnStage::kAcceptQueue},
+                              {200, 230, 0, 1, ConnStage::kAccept},
+                              {240, 260, 0, 1, ConnStage::kAppWrite}};
+    log.append(42, spans);
     log.close(42, 300, 300);
 
     SpanForensics f = buildSpanForensics(log, 0);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "app/machine.hh"
@@ -321,6 +322,95 @@ TEST_F(KernelFixture, RfdEncodesCoreInSourcePort)
             << "RFD: hash(psrc) must be the initiating core";
         EXPECT_GT(psrc, kWellKnownPortMax);
     }
+}
+
+/**
+ * Property over RFD machines of several sizes: every connect() from
+ * every core picks a source port that ReceiveFlowDeliver hashes back to
+ * that core, and no two live connections to one backend share a port.
+ */
+class RfdConnect : public KernelFixture,
+                   public ::testing::WithParamInterface<int>
+{
+  protected:
+    static constexpr int kConnsPerCore = 64;
+
+    void
+    connectFromEveryCore(bool random_bits)
+    {
+        const int cores = GetParam();
+        KernelConfig kc = KernelConfig::fastsocket();
+        kc.rfdRandomBits = random_bits;
+        build(kc, cores);
+        KernelStack &k = m->kernel();
+        const ReceiveFlowDeliver &rfd = *k.rfd();
+        std::set<Port> live[2];   // per backend
+        for (CoreId core = 0; core < cores; ++core) {
+            const int proc = k.addProcess(core);
+            if (core == 0)
+                k.listen(proc, srv(), 80);   // the outbound address
+            for (int i = 0; i < kConnsPerCore; ++i) {
+                const int b = i % 2;
+                auto c = k.connect(proc, eq.now(), kBackendIp + b, 80);
+                ASSERT_NE(c.sock, nullptr);
+                const Port psrc = c.sock->rxTuple.dport;
+                EXPECT_EQ(rfd.hash(psrc), core)
+                    << "RFD: hash(psrc) must be the initiating core";
+                EXPECT_GT(psrc, kWellKnownPortMax);
+                EXPECT_TRUE(live[b].insert(psrc).second)
+                    << "port " << psrc << " shared by two live "
+                    << "connections to backend " << b;
+            }
+        }
+    }
+};
+
+TEST_P(RfdConnect, DefaultBitsHashToCore)
+{
+    connectFromEveryCore(/*random_bits=*/false);
+}
+
+TEST_P(RfdConnect, RandomBitsHashToCore)
+{
+    connectFromEveryCore(/*random_bits=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(Cores, RfdConnect,
+                         ::testing::Values(1, 2, 8, 12, 24));
+
+TEST_F(KernelFixture, RfdConnectExhaustsOnlyItsCoresPorts)
+{
+    // 32 cores: 2048 RFD candidates per core, 32 of them well-known.
+    build(KernelConfig::fastsocket(), 32);
+    KernelStack &k = m->kernel();
+    const ReceiveFlowDeliver &rfd = *k.rfd();
+    const int p0 = k.addProcess(0);
+    const int p1 = k.addProcess(1);
+    k.listen(p0, srv(), 80);
+    std::uint32_t usable = 0;
+    for (std::uint32_t i = 0; i < rfd.candidateCount(); ++i)
+        usable += rfd.portCandidate(0, i) > kWellKnownPortMax;
+
+    std::vector<KernelStack::ConnectResult> conns;
+    for (std::uint32_t i = 0; i < usable; ++i) {
+        conns.push_back(k.connect(p0, eq.now(), kBackendIp, 80));
+        ASSERT_NE(conns.back().sock, nullptr)
+            << "connect " << i << " of " << usable;
+    }
+    // Every candidate of core 0 is held: EADDRNOTAVAIL, counted.
+    EXPECT_EQ(k.connect(p0, eq.now(), kBackendIp, 80).sock, nullptr);
+    EXPECT_EQ(k.stats().portAllocFailures, 1u);
+    // Other cores, and other backends, are unaffected.
+    EXPECT_NE(k.connect(p1, eq.now(), kBackendIp, 80).sock, nullptr);
+    EXPECT_NE(k.connect(p0, eq.now(), kBackendIp + 1, 80).sock, nullptr);
+
+    // Closing one frees its port, and the candidate walk wraps to it.
+    const KernelStack::ConnectResult &mid = conns[usable / 2];
+    const Port freed = mid.sock->rxTuple.dport;
+    k.close(p0, eq.now(), mid.fd);
+    auto again = k.connect(p0, eq.now(), kBackendIp, 80);
+    ASSERT_NE(again.sock, nullptr);
+    EXPECT_EQ(again.sock->rxTuple.dport, freed);
 }
 
 TEST_F(KernelFixture, SlowPathSurvivesProcessCrash)

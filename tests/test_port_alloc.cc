@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit tests for the ephemeral port allocator, including the RFD
- * core-encoding policy.
+ * Unit tests for the ephemeral port allocator. RFD's core-encoding port
+ * choice lives in KernelStack::connect and is tested there
+ * (test_kernel_stack.cc).
  */
 
 #include <gtest/gtest.h>
@@ -87,47 +88,6 @@ TEST(PortAlloc, InUseReflectsState)
     EXPECT_FALSE(pa.inUse(6, 80, p));
 }
 
-/** Property: allocForCore always satisfies (p & mask) == core. */
-class PortForCore : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(PortForCore, EncodingHolds)
-{
-    int ncores = GetParam();
-    Port mask = 1;
-    while (static_cast<int>(mask) + 1 < ncores)
-        mask = static_cast<Port>((mask << 1) | 1);
-    if (ncores == 1)
-        mask = 0;
-
-    PortAllocator pa;
-    for (CoreId c = 0; c < ncores; ++c) {
-        for (int i = 0; i < 50; ++i) {
-            Port p = pa.allocForCore(9, 80, c, mask);
-            ASSERT_NE(p, 0);
-            EXPECT_EQ(p & mask, c)
-                << "hash(psrc) must equal the initiating core";
-            EXPECT_GE(p, pa.lo());
-            EXPECT_LE(p, pa.hi());
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(Cores, PortForCore,
-                         ::testing::Values(1, 2, 8, 12, 24));
-
-TEST(PortAlloc, AllocForCoreExhaustsItsStripeOnly)
-{
-    // mask 3 -> stride 4; range of 8 ports holds 2 per core.
-    PortAllocator pa(32768, 32775);
-    EXPECT_NE(pa.allocForCore(1, 80, 0, 3), 0);
-    EXPECT_NE(pa.allocForCore(1, 80, 0, 3), 0);
-    EXPECT_EQ(pa.allocForCore(1, 80, 0, 3), 0);
-    // Other cores unaffected.
-    EXPECT_NE(pa.allocForCore(1, 80, 1, 3), 0);
-}
-
 TEST(PortAlloc, WraparoundSearchTerminatesAndStaysExact)
 {
     // The rotating next-fit hint wraps past hi_ constantly under churn;
@@ -180,41 +140,6 @@ TEST(PortAlloc, FragmentedReuseNeverAliases)
     EXPECT_EQ(refilled, freed);
     EXPECT_EQ(pa.alloc(9, 443), 0);
     EXPECT_EQ(pa.inUseCount(), 300u);
-}
-
-TEST(PortAlloc, AllocForCoreWraparoundExhaustsCleanly)
-{
-    // The striped (RFD) search also wraps; exhaustion of one stripe
-    // must terminate with 0 while other stripes keep allocating, cycle
-    // after cycle.
-    PortAllocator pa(32768, 32799);   // 32 ports, 8 per core at mask 3
-    for (int cycle = 0; cycle < 20; ++cycle) {
-        std::vector<Port> got;
-        for (int i = 0; i < 8; ++i) {
-            Port p = pa.allocForCore(4, 80, 2, 3);
-            ASSERT_NE(p, 0);
-            EXPECT_EQ(p & 3, 2);
-            got.push_back(p);
-        }
-        EXPECT_EQ(pa.allocForCore(4, 80, 2, 3), 0);
-        Port probe = pa.allocForCore(4, 80, 3, 3);
-        EXPECT_NE(probe, 0)
-            << "other stripes unaffected by core 2's exhaustion";
-        EXPECT_TRUE(pa.release(4, 80, probe));
-        for (Port p : got)
-            EXPECT_TRUE(pa.release(4, 80, p));
-        EXPECT_EQ(pa.inUseCount(), 0u);
-    }
-}
-
-TEST(PortAlloc, MixedPoliciesCoexist)
-{
-    PortAllocator pa(32768, 33000);
-    Port rfd = pa.allocForCore(1, 80, 2, 7);
-    Port any = pa.alloc(1, 80);
-    EXPECT_NE(rfd, any);
-    EXPECT_TRUE(pa.inUse(1, 80, rfd));
-    EXPECT_TRUE(pa.inUse(1, 80, any));
 }
 
 } // anonymous namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the simulated spinlock / rwlock models.
+ * Unit tests for the simulated spinlock model.
  *
  * The central properties under test mirror the paper's claims:
  *  - a lock only ever taken from one core never contends (full partition);
@@ -120,46 +120,6 @@ TEST(SpinLock, ClassStatsAggregateAcrossInstances)
     a.runLocked(0, 0, 10);
     b.runLocked(1, 0, 10);
     EXPECT_EQ(cls->acquisitions, 2u);
-}
-
-struct RwFixture : public ::testing::Test
-{
-    LockRegistry reg;
-    CacheModel cache{4, 400};
-    LockClassStats *cls = reg.getClass("rw");
-    SimRwLock lock;
-
-    void
-    SetUp() override
-    {
-        lock.init(cls, &cache, 40, 250);
-    }
-};
-
-TEST_F(RwFixture, ReadersDoNotSerializeEachOther)
-{
-    Tick e0 = lock.runReadLocked(0, 1000, 500);
-    Tick e1 = lock.runReadLocked(1, 1000, 500);
-    // Both start immediately (only base + line costs differ).
-    EXPECT_LE(e0, 1000u + 40 + 100 + 500);
-    EXPECT_LE(e1, 1000u + 40 + 400 + 500);
-    EXPECT_EQ(cls->contentions, 0u);
-}
-
-TEST_F(RwFixture, WriterWaitsForReaders)
-{
-    lock.runReadLocked(0, 1000, 2000);
-    Tick we = lock.runWriteLocked(1, 1500, 100);
-    EXPECT_GT(we, 1500u + 40 + 100);
-    EXPECT_GE(cls->contentions, 1u);
-}
-
-TEST_F(RwFixture, ReaderWaitsForWriter)
-{
-    lock.runWriteLocked(0, 1000, 2000);
-    std::uint64_t before = cls->contentions;
-    lock.runReadLocked(1, 1500, 100);
-    EXPECT_GT(cls->contentions, before);
 }
 
 /** Property: wait is always bounded by cores x serialized section. */

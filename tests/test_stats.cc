@@ -1,10 +1,12 @@
 /**
  * @file
- * Unit tests for counters, distributions and the table printer.
+ * Unit tests for number formatting, the table printer and the lock
+ * registry.
  */
 
 #include <gtest/gtest.h>
 
+#include "harness/server.hh"
 #include "stats/stats.hh"
 #include "stats/table.hh"
 #include "sync/lock_registry.hh"
@@ -13,51 +15,6 @@ namespace fsim
 {
 namespace
 {
-
-TEST(Counter, IncrementsAndResets)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(9);
-    EXPECT_EQ(c.value(), 10u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Distribution, EmptyIsZero)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_EQ(d.mean(), 0.0);
-    EXPECT_EQ(d.min(), 0.0);
-    EXPECT_EQ(d.max(), 0.0);
-    EXPECT_EQ(d.variance(), 0.0);
-}
-
-TEST(Distribution, MomentsMatchHandComputation)
-{
-    Distribution d;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        d.sample(x);
-    EXPECT_EQ(d.count(), 8u);
-    EXPECT_DOUBLE_EQ(d.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(d.min(), 2.0);
-    EXPECT_DOUBLE_EQ(d.max(), 9.0);
-    // Sample variance with Bessel correction: 32/7.
-    EXPECT_NEAR(d.variance(), 32.0 / 7.0, 1e-9);
-}
-
-TEST(Distribution, ResetClears)
-{
-    Distribution d;
-    d.sample(1.0);
-    d.reset();
-    EXPECT_EQ(d.count(), 0u);
-    d.sample(3.0);
-    EXPECT_DOUBLE_EQ(d.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(d.min(), 3.0);
-}
 
 TEST(Format, CountSuffixes)
 {
@@ -121,8 +78,9 @@ TEST(LockRegistry, SnapshotAndDelta)
     a->contentions = 5;
     auto before = reg.snapshot();
     a->contentions = 30;
-    EXPECT_EQ(reg.contentionDelta(before, "dcache_lock"), 25u);
-    EXPECT_EQ(reg.contentionDelta(before, "missing"), 0u);
+    auto d = lockDelta(before, reg.snapshot());
+    EXPECT_EQ(d["dcache_lock"].contentions, 25u);
+    EXPECT_EQ(d.count("missing"), 0u);
 }
 
 } // anonymous namespace

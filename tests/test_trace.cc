@@ -351,7 +351,7 @@ TEST(StageScope, UnboundOrUnclosedScopeRecordsNoSpan)
         // pops with zero self time and keeps the nested charge.
         StageScope sc(&tr, 0, 40, Phase::kSyscall);
         sc.bind(7, ConnStage::kAppRead);
-        tr.chargePhase(0, Phase::kLockSpin, 7);
+        tr.noteLockSpin(0, 7);
     }
     tr.popPhase(0, 100);
 
@@ -422,7 +422,6 @@ TEST(Tracer, DisabledTracerRecordsNothing)
     tr.setEnabled(false);
     tr.noteQueueDepth(TraceQueueId::kAcceptShared, 10, 4);
     tr.pushPhase(1, Phase::kApp, 0);
-    tr.chargePhase(1, Phase::kLockSpin, 5);
     tr.noteLockSpin(1, 9);
     tr.popPhase(1, 100);
     EXPECT_EQ(tr.queueDepths(TraceQueueId::kAcceptShared).storageBytes(),
