@@ -21,10 +21,9 @@ main(int argc, char **argv)
            "Paper 4.2.2: the accept mutex is pointless (disabled) once "
            "the listen socket is partitioned per core.");
 
-    BenchJsonReport json("ablation_acceptmutex");
-    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
-    std::vector<BenchRow> rows;
-    for (const KernelUnderTest &k : kernels)
+    Bench bench("ablation_acceptmutex", args);
+    std::vector<BenchRow<>> rows;
+    for (const KernelUnderTest &k : kBaseAndFast)
         for (bool mutex : {false, true}) {
             ExperimentConfig cfg;
             cfg.app = AppKind::kNginx;
@@ -38,14 +37,13 @@ main(int argc, char **argv)
                                 (mutex ? "-mutex-on" : "-mutex-off"),
                             cfg});
         }
-    const std::vector<ExperimentResult> res =
-        runRows(args, json, std::move(rows));
+    const auto res = runRows(bench, std::move(rows)).results;
 
     TextTable table;
     table.header({"kernel", "accept mutex", "throughput", "max util",
                   "min util"});
     std::size_t i = 0;
-    for (const KernelUnderTest &k : kernels)
+    for (const KernelUnderTest &k : kBaseAndFast)
         for (bool mutex : {false, true}) {
             const ExperimentResult &r = res[i++];
             table.row({k.name, mutex ? "on" : "off", kcps(r.cps),
@@ -56,6 +54,5 @@ main(int argc, char **argv)
     std::printf("\nExpected: the mutex costs throughput whenever accept "
                 "is a shared resource; under Fastsocket\nthe listen path "
                 "is already per-core, so serializing it is pure loss.\n");
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

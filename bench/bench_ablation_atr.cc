@@ -20,10 +20,10 @@ main(int argc, char **argv)
            "HAProxy on 16 cores, Fastsocket V+L (no RFD), FDir ATR. "
            "Paper measures 76.5% local packets with default ATR.");
 
-    BenchJsonReport json("ablation_atr");
+    Bench bench("ablation_atr", args);
     const int rates[] = {1, 4, 8, 20, 64};
     const std::uint32_t sizes[] = {256u, 1024u, 4096u, 16384u};
-    std::vector<BenchRow> rows;
+    std::vector<BenchRow<>> rows;
     auto add = [&](int sample_rate, std::uint32_t table_size) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kHaproxy;
@@ -46,8 +46,7 @@ main(int argc, char **argv)
         add(rate, 8192);
     for (std::uint32_t size : sizes)
         add(8, size);
-    const std::vector<ExperimentResult> res =
-        runRows(args, json, std::move(rows));
+    const auto res = runRows(bench, std::move(rows)).results;
 
     TextTable rate_table;
     rate_table.header({"sample rate", "local pkts", "throughput",
@@ -74,6 +73,5 @@ main(int argc, char **argv)
                 "local share up, but never to 100%% — only\nRFD's "
                 "deterministic port encoding (Perfect-Filtering) "
                 "achieves complete locality.\n");
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

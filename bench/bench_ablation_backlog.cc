@@ -20,12 +20,10 @@ main(int argc, char **argv)
     banner("Ablation: accept-queue backlog under overload",
            "2-core Fastsocket nginx, concurrency far above capacity.");
 
-    TextTable table;
-    table.header({"backlog", "throughput", "overflows", "client failures",
-                  "served"});
-
-    BenchJsonReport json("ablation_backlog");
-    for (std::size_t backlog : {16u, 64u, 256u, 1024u}) {
+    Bench bench("ablation_backlog", args);
+    const std::size_t backlogs[] = {16, 64, 256, 1024};
+    std::vector<BenchRow<Testbed, KernelStats>> rows;
+    for (std::size_t backlog : backlogs) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kNginx;
         cfg.machine.cores = 2;
@@ -34,19 +32,26 @@ main(int argc, char **argv)
         cfg.warmupSec = args.quick ? 0.02 : 0.04;
         cfg.measureSec = args.quick ? 0.05 : 0.1;
         cfg.listenBacklog = backlog;
-        args.apply(cfg);
-        Testbed bed(cfg);
-        ExperimentResult r = bed.run();
-        json.addRow("backlog-" + std::to_string(backlog), cfg, r);
-        const KernelStats &ks = bed.machine().kernel().stats();
-        table.row({std::to_string(backlog), kcps(r.cps),
-                   formatCount(static_cast<double>(ks.acceptOverflows)),
+        BenchRow<Testbed, KernelStats> row{
+            "backlog-" + std::to_string(backlog), cfg};
+        row.read = [](Testbed &bed) { return bed.machine().kernel().stats(); };
+        rows.push_back(std::move(row));
+    }
+    const auto done = runRows(bench, std::move(rows));
+
+    TextTable table;
+    table.header({"backlog", "throughput", "overflows", "client failures",
+                  "served"});
+    for (std::size_t i = 0; i < std::size(backlogs); ++i) {
+        const ExperimentResult &r = done.results[i];
+        table.row({std::to_string(backlogs[i]), kcps(r.cps),
+                   formatCount(static_cast<double>(
+                       done.reads[i].acceptOverflows)),
                    formatCount(static_cast<double>(r.clientFailures)),
                    formatCount(static_cast<double>(r.served))});
     }
     table.print();
     std::printf("\nExpected: small backlogs shed load with RSTs; larger "
                 "ones absorb the closed-loop burst with no failures.\n");
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

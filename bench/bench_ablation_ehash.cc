@@ -35,18 +35,17 @@ main(int argc, char **argv)
         cfg.concurrencyPerCore = args.quick ? 100 : 250;
         cfg.warmupSec = args.quick ? 0.02 : 0.04;
         cfg.measureSec = args.quick ? 0.05 : 0.12;
-        return BenchRow{label, cfg};
+        return BenchRow<>{label, cfg};
     };
 
-    BenchJsonReport json("ablation_ehash");
+    Bench bench("ablation_ehash", args);
     const int bucketCounts[] = {64, 1024, 16384};
-    std::vector<BenchRow> rows;
+    std::vector<BenchRow<>> rows;
     for (int buckets : bucketCounts)
         rows.push_back(
             row("global-" + std::to_string(buckets), buckets, false));
     rows.push_back(row("per-core-local", 16384, true));
-    const std::vector<ExperimentResult> res =
-        runRows(args, json, std::move(rows));
+    const auto res = runRows(bench, std::move(rows)).results;
 
     TextTable table;
     table.header({"established table", "ehash contentions", "throughput"});
@@ -62,6 +61,5 @@ main(int argc, char **argv)
     std::printf("\nExpected: finer buckets reduce but never eliminate "
                 "contention; the per-core partition is exactly zero\n"
                 "(Table 1's E column), independent of core count.\n");
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

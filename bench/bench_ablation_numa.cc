@@ -23,11 +23,10 @@ main(int argc, char **argv)
            "Same cycle costs; only the cross-socket transfer penalty "
            "differs.");
 
-    BenchJsonReport json("ablation_numa");
-    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
+    Bench bench("ablation_numa", args);
     const int coreCounts[2] = {12, 24};
-    std::vector<BenchRow> rows;
-    for (const KernelUnderTest &k : kernels)
+    std::vector<BenchRow<>> rows;
+    for (const KernelUnderTest &k : kBaseAndFast)
         for (int cores : coreCounts)
             for (int u = 0; u < 2; ++u) {
                 ExperimentConfig cfg;
@@ -44,14 +43,13 @@ main(int argc, char **argv)
                                     (u == 0 ? "-numa" : "-uma"),
                                 cfg});
             }
-    const std::vector<ExperimentResult> res =
-        runRows(args, json, std::move(rows));
+    const auto res = runRows(bench, std::move(rows)).results;
 
     TextTable table;
     table.header({"kernel", "cores", "NUMA (2x12)", "UMA (1x24)",
                   "UMA gain"});
     std::size_t i = 0;
-    for (const KernelUnderTest &k : kernels)
+    for (const KernelUnderTest &k : kBaseAndFast)
         for (int cores : coreCounts) {
             const double numa = res[i++].cps;
             const double uma = res[i++].cps;
@@ -66,6 +64,5 @@ main(int argc, char **argv)
                 "mostly at 24 cores (cross-socket traffic is its tax)\n"
                 "and helps Fastsocket least — partitioned state does not "
                 "cross sockets in the first place.\n");
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

@@ -21,12 +21,10 @@ main(int argc, char **argv)
            "Paper 3.2.1: a missing local listen socket must fall back to "
            "the global listen socket, not reset the client.");
 
-    TextTable table;
-    table.header({"killed procs", "throughput", "slow-path accepts",
-                  "slow share", "RSTs", "client failures"});
-
-    BenchJsonReport json("ablation_slowpath");
-    for (int killed : {0, 1, 2, 4}) {
+    Bench bench("ablation_slowpath", args);
+    const int killedCounts[] = {0, 1, 2, 4};
+    std::vector<BenchRow<Testbed, KernelStats>> rows;
+    for (int killed : killedCounts) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kNginx;
         cfg.machine.cores = 8;
@@ -34,21 +32,30 @@ main(int argc, char **argv)
         cfg.concurrencyPerCore = args.quick ? 100 : 250;
         cfg.warmupSec = args.quick ? 0.02 : 0.04;
         cfg.measureSec = args.quick ? 0.05 : 0.1;
+        BenchRow<Testbed, KernelStats> row{
+            "killed-" + std::to_string(killed), cfg};
+        row.drive = [killed](Testbed &bed, RowOutput<KernelStats> &out) {
+            for (int p = 0; p < killed; ++p)
+                bed.machine().kernel().killProcess(p);
+            out.yield(bed.run());
+        };
+        row.read = [](Testbed &bed) { return bed.machine().kernel().stats(); };
+        rows.push_back(std::move(row));
+    }
+    const auto done = runRows(bench, std::move(rows));
 
-        args.apply(cfg);
-        Testbed bed(cfg);
-        for (int p = 0; p < killed; ++p)
-            bed.machine().kernel().killProcess(p);
-        ExperimentResult r = bed.run();
-        json.addRow("killed-" + std::to_string(killed), cfg, r);
-
-        const KernelStats &ks = bed.machine().kernel().stats();
+    TextTable table;
+    table.header({"killed procs", "throughput", "slow-path accepts",
+                  "slow share", "RSTs", "client failures"});
+    for (std::size_t i = 0; i < std::size(killedCounts); ++i) {
+        const ExperimentResult &r = done.results[i];
+        const KernelStats &ks = done.reads[i];
         double slow_share =
             ks.acceptedConns
                 ? static_cast<double>(ks.slowPathAccepts) /
                       static_cast<double>(ks.acceptedConns)
                 : 0.0;
-        table.row({std::to_string(killed), kcps(r.cps),
+        table.row({std::to_string(killedCounts[i]), kcps(r.cps),
                    formatCount(static_cast<double>(ks.slowPathAccepts)),
                    formatPercent(slow_share),
                    formatCount(static_cast<double>(ks.rstSent)),
@@ -57,6 +64,5 @@ main(int argc, char **argv)
     table.print();
     std::printf("\nExpected: slow share ~= killed/8, zero RSTs from "
                 "orphaned cores, graceful throughput degradation.\n");
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

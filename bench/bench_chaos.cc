@@ -44,15 +44,12 @@
 
 #include "bench_common.hh"
 #include "fleet/fleet.hh"
-#include "sim/logging.hh"
 #include "trace/incident_log.hh"
 
 namespace
 {
 
 using namespace fsim;
-
-const char *kBenchName = "bench_chaos";
 
 /** Detect-to-eject p99 gate, milliseconds. The scoring detector needs
  *  outlierRounds consecutive outlier rounds at a 2ms probe interval,
@@ -302,10 +299,9 @@ main(int argc, char **argv)
         "machine_degrade@" +
         windowStr(fs, fe, ":target=1,factor=1.3,jitter=800", 4);
 
-    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
 
-    BenchJsonReport json("chaos");
-    Gates gates(kBenchName, args);
+    Bench bench("chaos", args);
+    Gates &gates = bench.gates;
 
     struct Run
     {
@@ -322,33 +318,34 @@ main(int argc, char **argv)
         {"soak", &soakPlan, L4Balancer::HealthMode::kScore, true},
     };
 
+    std::vector<BenchRow<FleetTestbed, IncidentSpans>> rows;
+    for (const Run &run : runs)
+        for (const KernelUnderTest &k : kBaseAndFast) {
+            FleetConfig fc = fleetPreset(k.config, warmup, winLen, nWin);
+            fc.healthMode = run.mode;
+            fc.openLoopRate = steadyRate;
+            if (run.soak)   // the soak's SYN flood needs the TCB reaper
+                fc.base.machine.kernel.synRcvdJiffies = 300;
+            BenchRow<FleetTestbed, IncidentSpans> row{
+                std::string(run.label) + "/" + k.name, fc, *run.plan};
+            row.read = [](FleetTestbed &bed) {
+                return reduceIncidents(bed.incidents());
+            };
+            rows.push_back(std::move(row));
+        }
+    const auto done = runRows(bench, std::move(rows));
+
+    std::size_t i = 0;
     for (const Run &run : runs) {
         std::printf("--- scenario %s ---\n", run.label);
         if (run.soak)
             std::printf("campaign (seed %llu): %s\n",
-                        static_cast<unsigned long long>(campaignSeed),
-                        soakPlan.c_str());
-        for (const KernelUnderTest &k : kernels) {
-            FleetConfig fc = fleetPreset(k.config, warmup, winLen, nWin);
-            fc.healthMode = run.mode;
-            fc.openLoopRate = steadyRate;
-
-            std::string perr;
-            bool ok = parseFaultPlan(*run.plan, fc.base.faults, perr);
-            fsim_assert(ok && "built-in chaos plans must parse");
-            if (fc.base.faults.has(FaultKind::kSynFlood) &&
-                fc.base.machine.kernel.synRcvdJiffies == 0)
-                fc.base.machine.kernel.synRcvdJiffies = 300;
-            // An explicit --faults plan replaces the built-in plan.
-            args.apply(fc.base);
-
-            FleetTestbed bed(fc);
-            ExperimentResult r = bed.run();
-            json.addRow(std::string(run.label) + "/" + k.name,
-                        fc.base, r);
-
+                        llu(campaignSeed), soakPlan.c_str());
+        for (const KernelUnderTest &k : kBaseAndFast) {
+            const ExperimentResult &r = done.results[i];
+            const ExperimentConfig &cfg = done.configs[i];
+            const IncidentSpans &sp = done.reads[i++];
             const FleetResult &fl = r.fleet;
-            const IncidentSpans sp = reduceIncidents(bed.incidents());
             std::printf(
                 "%-12s %s: success %.2f%%, ejections %llu "
                 "(score %llu, capped %llu), readmissions %llu, "
@@ -356,22 +353,14 @@ main(int argc, char **argv)
                 "(dropped %llu)  [%s]\n",
                 k.name, fl.healthMode.c_str(),
                 100.0 * fl.requestSuccessRatio,
-                static_cast<unsigned long long>(fl.ejections),
-                static_cast<unsigned long long>(fl.scoreEjections),
-                static_cast<unsigned long long>(fl.ejectionsCapped),
-                static_cast<unsigned long long>(fl.readmissions),
-                static_cast<unsigned long long>(fl.degradesApplied),
-                static_cast<unsigned long long>(fl.flapTransitions),
-                static_cast<unsigned long long>(fl.partitionsArmed),
-                static_cast<unsigned long long>(fl.partitionDropped),
+                llu(fl.ejections), llu(fl.scoreEjections),
+                llu(fl.ejectionsCapped), llu(fl.readmissions),
+                llu(fl.degradesApplied), llu(fl.flapTransitions),
+                llu(fl.partitionsArmed), llu(fl.partitionDropped),
                 r.invariants.summary().c_str());
             printSpans(sp);
 
-            const ExperimentConfig &cfg = fc.base;
             const bool score = run.mode == L4Balancer::HealthMode::kScore;
-            gates.invariant(r.invariants.violationCount == 0, cfg,
-                            "invariant violations: %s",
-                            r.invariants.summary().c_str());
             const double minSuccess = run.soak ? 0.90 : 0.97;
             gates.calibrated(fl.requestSuccessRatio >= minSuccess, cfg,
                              "request success %.2f%% under %s (< %.0f%%)",
@@ -381,8 +370,7 @@ main(int argc, char **argv)
                              "binary probes ejected %llu targets on the "
                              "gray degrade — the control is supposed to "
                              "be invisible to pass/fail probing",
-                             static_cast<unsigned long long>(
-                                 fl.ejections));
+                             llu(fl.ejections));
             gates.calibrated(!score || fl.scoreEjections != 0, cfg,
                              "scoring detector ejected nothing under %s "
                              "(binary-vs-score gap not demonstrated)",
@@ -404,7 +392,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    gates.printVerdict("chaos");
-    finishJson(args, json);
-    return gates.status();
+    return bench.finish(/*verdict=*/true);
 }

@@ -1,13 +1,25 @@
 /**
  * @file
  * Shared scaffold for the figure/table reproduction benches: the shared
- * flags (BenchArgs, applied to every row), the gate recorder (Gates),
- * the shared row presets and the sweep driver (runRows).
+ * flags (BenchArgs), the gate recorder (Gates), the shared row presets
+ * and the row driver (runRows).
  *
  * Every bench accepts `--quick` to shrink simulation windows (useful for
  * smoke runs and CI) and `--json=<path>` to export every experiment row
  * as a versioned JSON document, and prints the paper-format table plus
  * the paper's reference numbers for side-by-side comparison.
+ *
+ * runRows is the only code that builds, flags, gates and reports a row:
+ * it parses the row's built-in specs, applies BenchArgs, builds the
+ * Testbed or FleetTestbed, drives and reads it, gates each window's
+ * invariants and adds each window to the JSON report. Its contract:
+ *  - rows share only immutable inputs (flags, presets, scenario tables);
+ *  - what the bench needs from a testbed (kernel stats, proxy counters,
+ *    incidents, the trace log, ramp checkpoints) is read inside the row;
+ *  - printing and calibrated gates come after runRows, in row order.
+ * Exempt, with the reason in each header: bench_sim_core,
+ * bench_listener_lookup, bench_micro_structures, fuzz_scenarios and
+ * diff_oracle.
  */
 
 #ifndef FSIM_BENCH_BENCH_COMMON_HH
@@ -19,16 +31,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <initializer_list>
 #include <limits>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "check/fingerprint.hh"
 #include "fault/fault_plan.hh"
 #include "fleet/fleet.hh"
 #include "harness/bench_json.hh"
 #include "harness/experiment.hh"
 #include "overload/overload_config.hh"
+#include "sim/logging.hh"
 #include "sim/strict_parse.hh"
 #include "stats/metrics.hh"
 #include "stats/stats.hh"
@@ -39,6 +56,13 @@
 
 namespace fsim
 {
+
+/** @p v as the type a %llu conversion takes. */
+inline unsigned long long
+llu(std::uint64_t v)
+{
+    return v;
+}
 
 /**
  * Parse shared bench flags.
@@ -208,8 +232,7 @@ struct BenchArgs
         if (!strictU64(v, n) || n < lo || n > hi) {
             std::fprintf(stderr,
                          "%s: '%s' is not a whole number in [%llu, %llu]\n",
-                         flag, v.c_str(), static_cast<unsigned long long>(lo),
-                         static_cast<unsigned long long>(hi));
+                         flag, v.c_str(), llu(lo), llu(hi));
             std::exit(2);
         }
         return n;
@@ -217,11 +240,11 @@ struct BenchArgs
 
     /**
      * Apply every shared knob to one experiment config: the fault plan,
-     * the overload spec, and the seed override. Call once per row after
-     * the bench's own config is final. Fault runs get a client give-up
-     * timeout (stuck connections must not wedge the closed loop), and a
-     * SYN flood additionally arms the embryonic-TCB reaper so the SYN
-     * queue drains once the attack window closes.
+     * the overload spec, and the seed override. runRows calls this once
+     * per row, after its own config and built-in specs. Fault runs get a
+     * client give-up timeout (stuck connections must not wedge the
+     * closed loop), and a SYN flood additionally arms the embryonic-TCB
+     * reaper so the SYN queue drains once the attack window closes.
      */
     void
     apply(ExperimentConfig &cfg) const
@@ -297,10 +320,8 @@ finishJson(const BenchArgs &args, const BenchJsonReport &report)
     if (args.fingerprint) {
         std::printf("\nfingerprints:\n");
         for (std::size_t i = 0; i < report.rowCount(); ++i)
-            std::printf("  %-32s 0x%016llx  [%s]\n",
-                        report.rowLabel(i).c_str(),
-                        static_cast<unsigned long long>(
-                            report.rowFingerprint(i)),
+            std::printf("  %-32s %s  [%s]\n", report.rowLabel(i).c_str(),
+                        Fingerprint::hex(report.rowFingerprint(i)).c_str(),
                         report.rowInvariants(i).summary().c_str());
     }
     if (args.forensics) {
@@ -367,15 +388,9 @@ finishJson(const BenchArgs &args, const BenchJsonReport &report)
             if (writePerfettoTrace(path, *r.spanTraces, meta, &st))
                 std::printf("wrote %s (%llu conns, %llu slices, "
                             "%llu waits, %llu cross-core flows%s)\n",
-                            path.c_str(),
-                            static_cast<unsigned long long>(
-                                st.tracesExported),
-                            static_cast<unsigned long long>(
-                                st.durationEvents),
-                            static_cast<unsigned long long>(
-                                st.waitEvents),
-                            static_cast<unsigned long long>(
-                                st.flowPairs),
+                            path.c_str(), llu(st.tracesExported),
+                            llu(st.durationEvents), llu(st.waitEvents),
+                            llu(st.flowPairs),
                             st.truncated ? ", truncated" : "");
             else
                 std::fprintf(stderr, "error: could not write %s\n",
@@ -409,8 +424,7 @@ reproducerCommand(const char *bench, const BenchArgs &args,
     if (!args.trace)
         cmd += " --notrace";
     char buf[48];
-    std::snprintf(buf, sizeof(buf), " --seed=%llu",
-                  static_cast<unsigned long long>(cfg.machine.seed));
+    std::snprintf(buf, sizeof(buf), " --seed=%llu", llu(cfg.machine.seed));
     cmd += buf;
     std::string plan = serializeFaultPlan(cfg.faults);
     if (!plan.empty())
@@ -435,8 +449,8 @@ reproducerCommand(const char *bench, const BenchArgs &args,
 class Gates
 {
   public:
-    Gates(const char *bench, const BenchArgs &args)
-        : bench_(bench), args_(args),
+    Gates(std::string bench, const BenchArgs &args)
+        : bench_(std::move(bench)), args_(args),
           enforceCalibrated_(args.faults.empty() &&
                              args.overloadSpec.empty())
     {
@@ -471,13 +485,6 @@ class Gates
     /** Process exit status: 1 once any enforced gate failed. */
     int status() const { return failures_ ? 1 : 0; }
 
-    /** "<name>: PASS" or "<name>: FAIL". */
-    void
-    printVerdict(const char *name) const
-    {
-        std::printf("%s: %s\n", name, failures_ ? "FAIL" : "PASS");
-    }
-
   private:
     void
     record(bool ok, bool enforce, const ExperimentConfig &cfg,
@@ -495,17 +502,42 @@ class Gates
             return;
         ++failures_;
         std::printf("    seed=%llu faults=\"%s\" overload=\"%s\"\n",
-                    static_cast<unsigned long long>(cfg.machine.seed),
+                    llu(cfg.machine.seed),
                     serializeFaultPlan(cfg.faults).c_str(),
                     serializeOverloadSpec(cfg.machine.overload).c_str());
         std::printf("    reproduce: %s\n",
-                    reproducerCommand(bench_, args_, cfg).c_str());
+                    reproducerCommand(bench_.c_str(), args_, cfg).c_str());
     }
 
-    const char *bench_;
+    std::string bench_;
     const BenchArgs &args_;
     bool enforceCalibrated_;
     int failures_ = 0;
+};
+
+/** What every row of a bench shares: its flags, JSON report and gates. */
+struct Bench
+{
+    Bench(const char *name, const BenchArgs &flags)
+        : args(flags), json(name), gates(std::string("bench_") + name, flags)
+    {
+    }
+
+    /** Print "<bench>: PASS|FAIL" when @p verdict, then the epilogue
+     *  (finishJson). @return the exit status. */
+    int
+    finish(bool verdict = false) const
+    {
+        if (verdict)
+            std::printf("%s: %s\n", json.benchName().c_str(),
+                        gates.status() ? "FAIL" : "PASS");
+        finishJson(args, json);
+        return gates.status();
+    }
+
+    const BenchArgs &args;
+    BenchJsonReport json;
+    Gates gates;
 };
 
 /** The three kernels Figure 4 compares. */
@@ -520,6 +552,9 @@ inline const KernelUnderTest kKernels[3] = {
     {"linux-3.13", KernelConfig::linux313()},
     {"fastsocket", KernelConfig::fastsocket()},
 };
+
+/** The two kernels most benches compare: base-2.6.32 and Fastsocket. */
+inline const KernelUnderTest kBaseAndFast[2] = {kKernels[0], kKernels[2]};
 
 /** Core counts of the Figure 4 sweep. */
 inline const int kCoreSweep[] = {1, 4, 8, 12, 16, 20, 24};
@@ -540,30 +575,100 @@ fig4Config(const BenchArgs &args, AppKind app, int cores,
     return cfg;
 }
 
-/** One labelled row of a sweep. */
-struct BenchRow
+/** The read-out of a row that reads nothing. */
+struct NoRead {};
+
+/** What a row measured: each window's result under its JSON label, and
+ *  its read-out. */
+template <typename Read>
+struct RowOutput
 {
     std::string label;
-    ExperimentConfig cfg;
+    std::vector<std::pair<std::string, ExperimentResult>> windows = {};
+    Read read = {};
+
+    /** Add a measured window, under the row's label unless @p as. */
+    void
+    yield(ExperimentResult r, const std::string &as = {})
+    {
+        windows.emplace_back(as.empty() ? label : as, std::move(r));
+    }
 };
 
 /**
- * Run a plain sweep: apply the shared flags to every row, run the rows
- * in order and add each to @p report under its label.
- * @return the results, in row order.
+ * One bench row: its config, the built-in specs --faults and --overload
+ * replace, and two optional steps. The drive step runs the built
+ * testbed and yields each measured window (default: yield(run())); it
+ * may also fill out.read with what only the drive sees. The read step
+ * then returns what the bench prints or gates later.
  */
-inline std::vector<ExperimentResult>
-runRows(const BenchArgs &args, BenchJsonReport &report,
-        std::vector<BenchRow> rows)
+template <typename Bed = Testbed, typename Read = NoRead>
+struct BenchRow
+{
+    std::string label;
+    std::conditional_t<std::is_same_v<Bed, FleetTestbed>, FleetConfig,
+                       ExperimentConfig> cfg;
+    std::string faults = {};
+    std::string overload = {};
+    bool overloadOff = false;   //!< unprotected even under --overload
+    std::function<void(Bed &, RowOutput<Read> &)> drive = {};
+    std::function<Read(Bed &)> read = {};
+};
+
+/** runRows' output: every window's result, and each row's config as
+ *  run (for gate reproducer lines) and read-out, in row order. */
+template <typename Read>
+struct RowsRun
 {
     std::vector<ExperimentResult> results;
-    results.reserve(rows.size());
-    for (BenchRow &row : rows) {
-        args.apply(row.cfg);
-        results.push_back(runExperiment(row.cfg));
-        report.addRow(row.label, row.cfg, results.back());
+    std::vector<ExperimentConfig> configs;
+    std::vector<Read> reads;
+};
+
+/** The machine-level config of a row's config. */
+inline ExperimentConfig &experimentOf(ExperimentConfig &cfg) { return cfg; }
+inline ExperimentConfig &experimentOf(FleetConfig &fc) { return fc.base; }
+
+/** The row driver (see the file comment). */
+template <typename Bed, typename Read>
+RowsRun<Read>
+runRows(Bench &bench, std::vector<BenchRow<Bed, Read>> rows)
+{
+    RowsRun<Read> done;
+    for (BenchRow<Bed, Read> &row : rows) {
+        ExperimentConfig &cfg = experimentOf(row.cfg);
+        std::string err;
+        if ((!row.faults.empty() &&
+             !parseFaultPlan(row.faults, cfg.faults, err)) ||
+            (!row.overload.empty() &&
+             !parseOverloadSpec(row.overload, cfg.machine.overload, err)))
+            fsim_panic("%s: %s", row.label.c_str(), err.c_str());
+        bench.args.apply(cfg);
+        if (row.overloadOff)
+            cfg.machine.overload = OverloadConfig{};
+
+        RowOutput<Read> out{row.label};
+        {
+            Bed bed(row.cfg);
+            if (row.drive)
+                row.drive(bed, out);
+            else
+                out.yield(bed.run());
+            if (row.read)
+                out.read = row.read(bed);
+        }
+        for (auto &[label, r] : out.windows) {
+            bench.gates.invariant(r.invariants.violationCount == 0, cfg,
+                                  "%s: invariant violations: %s",
+                                  label.c_str(),
+                                  r.invariants.summary().c_str());
+            bench.json.addRow(label, cfg, r);
+            done.results.push_back(std::move(r));
+        }
+        done.configs.push_back(cfg);
+        done.reads.push_back(std::move(out.read));
     }
-    return results;
+    return done;
 }
 
 /** Server machines in the fleet benches' topology. */

@@ -13,7 +13,6 @@
  * gain and, via 1/maxUtil, a 53.5% effective-capacity gain.
  */
 
-#include <cmath>
 #include <vector>
 
 #include "bench_common.hh"
@@ -46,85 +45,75 @@ main(int argc, char **argv)
     const double peak_rate = 45000.0;
     const double hour_sim = args.quick ? 0.05 : 0.12;   // seconds/hour
 
-    struct Server
-    {
-        const char *name;
-        KernelConfig kernel;
-        std::vector<double> avg, lo, hi;
-    };
-    Server servers[2] = {
-        {"base-2.6.32", KernelConfig::base2632(), {}, {}, {}},
-        {"fastsocket", KernelConfig::fastsocket(), {}, {}, {}},
-    };
-
-    BenchJsonReport json("fig3_production");
-    for (Server &srv : servers) {
-        ExperimentConfig cfg;
-        cfg.app = AppKind::kHaproxy;
-        cfg.machine.cores = 8;
-        cfg.machine.kernel = srv.kernel;
-        cfg.backendCount = 8;
-        args.apply(cfg);
-        Testbed bed(cfg);
-        bed.load().startOpenLoop(peak_rate * kDiurnal[0]);
-
-        for (int hour = 0; hour < 24; ++hour) {
-            bed.load().setOpenLoopRate(peak_rate * kDiurnal[hour]);
-            // Short settle, then measure the hour window.
-            bed.eventQueue().runUntil(bed.eventQueue().now() +
-                                      ticksFromSeconds(hour_sim * 0.3));
-            bed.markWindows();
-            bed.eventQueue().runUntil(bed.eventQueue().now() +
-                                      ticksFromSeconds(hour_sim));
-            ExperimentResult r = bed.collect();
-            srv.avg.push_back(r.avgUtil());
-            srv.lo.push_back(r.minUtil());
-            srv.hi.push_back(r.maxUtil());
-            char label[32];
-            std::snprintf(label, sizeof(label), "%s@%02d:00", srv.name,
-                          hour);
-            json.addRow(label, cfg, r);
-        }
-        bed.load().stopOpenLoop();
+    Bench bench("fig3_production", args);
+    std::vector<BenchRow<>> rows;
+    for (const KernelUnderTest &srv : kBaseAndFast) {
+        BenchRow<> row{srv.name, {}};
+        row.cfg.app = AppKind::kHaproxy;
+        row.cfg.machine.cores = 8;
+        row.cfg.machine.kernel = srv.config;
+        row.cfg.backendCount = 8;
+        row.drive = [&](Testbed &bed, RowOutput<NoRead> &out) {
+            bed.load().startOpenLoop(peak_rate * kDiurnal[0]);
+            for (int hour = 0; hour < 24; ++hour) {
+                bed.load().setOpenLoopRate(peak_rate * kDiurnal[hour]);
+                // Short settle, then measure the hour window.
+                bed.eventQueue().runUntil(bed.eventQueue().now() +
+                                          ticksFromSeconds(hour_sim * 0.3));
+                bed.markWindows();
+                bed.eventQueue().runUntil(bed.eventQueue().now() +
+                                          ticksFromSeconds(hour_sim));
+                char label[32];
+                std::snprintf(label, sizeof(label), "%s@%02d:00",
+                              srv.name, hour);
+                out.yield(bed.collect(), label);
+            }
+            bed.load().stopOpenLoop();
+        };
+        rows.push_back(std::move(row));
     }
+    // Hour h of base is res[h], of Fastsocket res[24 + h].
+    const auto res = runRows(bench, std::move(rows)).results;
 
     TextTable table;
     table.header({"hour", "base avg", "base min..max", "fast avg",
                   "fast min..max"});
     for (int hour = 0; hour < 24; ++hour) {
+        const ExperimentResult &base = res[hour];
+        const ExperimentResult &fast = res[24 + hour];
         char brange[32], frange[32];
         std::snprintf(brange, sizeof(brange), "%4.1f%%..%4.1f%%",
-                      servers[0].lo[hour] * 100, servers[0].hi[hour] * 100);
+                      base.minUtil() * 100, base.maxUtil() * 100);
         std::snprintf(frange, sizeof(frange), "%4.1f%%..%4.1f%%",
-                      servers[1].lo[hour] * 100, servers[1].hi[hour] * 100);
+                      fast.minUtil() * 100, fast.maxUtil() * 100);
         char label[8];
         std::snprintf(label, sizeof(label), "%02d:00", hour);
-        table.row({label, formatPercent(servers[0].avg[hour]), brange,
-                   formatPercent(servers[1].avg[hour]), frange});
+        table.row({label, formatPercent(base.avgUtil()), brange,
+                   formatPercent(fast.avgUtil()), frange});
     }
     table.print();
 
     // Section 4.2.1 arithmetic at the evening peak (hour 18).
     int peak = 18;
-    double base_max = servers[0].hi[peak];
-    double fast_max = servers[1].hi[peak];
+    const ExperimentResult &base = res[peak];
+    const ExperimentResult &fast = res[24 + peak];
+    double base_max = base.maxUtil();
+    double fast_max = fast.maxUtil();
     double capacity_gain =
         (1.0 / fast_max - 1.0 / base_max) / (1.0 / base_max);
-    double cpu_gain = (servers[0].avg[peak] - servers[1].avg[peak]) /
-                      servers[1].avg[peak];
+    double cpu_gain = (base.avgUtil() - fast.avgUtil()) / fast.avgUtil();
     std::printf("\nAt the %02d:00 peak:\n", peak);
     std::printf("  base: avg %s, hottest core %s   "
                 "(paper: 45.1%%, 57.7%%)\n",
-                formatPercent(servers[0].avg[peak]).c_str(),
+                formatPercent(base.avgUtil()).c_str(),
                 formatPercent(base_max).c_str());
     std::printf("  fast: avg %s, hottest core %s   "
                 "(paper: 34.3%%, 37.6%%)\n",
-                formatPercent(servers[1].avg[peak]).c_str(),
+                formatPercent(fast.avgUtil()).c_str(),
                 formatPercent(fast_max).c_str());
     std::printf("  CPU efficiency gain:     %s   (paper: 31.5%%)\n",
                 formatPercent(cpu_gain).c_str());
     std::printf("  effective capacity gain: %s   (paper: 53.5%%)\n",
                 formatPercent(capacity_gain).c_str());
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

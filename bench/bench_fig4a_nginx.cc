@@ -25,15 +25,15 @@ main(int argc, char **argv)
            "keep-alive off.\nPaper shape: fastsocket ~20x at 24 cores; "
            "base peaks ~12 cores then collapses; 3.13 lands in between.");
 
-    BenchJsonReport json("fig4a_nginx");
-    std::vector<BenchRow> rows;
+    Bench bench("fig4a_nginx", args);
+    std::vector<BenchRow<>> rows;
     for (int cores : kCoreSweep)
         for (const KernelUnderTest &k : kKernels)
             rows.push_back({std::string(k.name) + "@" +
                                 std::to_string(cores),
                             fig4Config(args, AppKind::kNginx, cores,
                                        k.config)});
-    const std::vector<ExperimentResult> res = runRows(args, json, std::move(rows));
+    const auto res = runRows(bench, std::move(rows)).results;
     // Row (sweep point c, kernel k) is res[3 * c + k].
     auto cps = [&](std::size_t c, int k) { return res[3 * c + k].cps; };
 
@@ -54,6 +54,5 @@ main(int argc, char **argv)
         std::printf("  %-12s %5.1fx   (paper: base 7.5x, 3.13 ~12x, "
                     "fastsocket 20.0x)\n",
                     kKernels[k].name, cps(last, k) / cps(0, k));
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

@@ -23,8 +23,8 @@ main(int argc, char **argv)
            "keep-alive off.\nPaper shape: fastsocket > 3.13 > base; "
            "single-core runs nearly tie; gaps widen with cores.");
 
-    BenchJsonReport json("fig4b_haproxy");
-    std::vector<BenchRow> rows;
+    Bench bench("fig4b_haproxy", args);
+    std::vector<BenchRow<>> rows;
     for (int cores : kCoreSweep)
         for (const KernelUnderTest &k : kKernels) {
             ExperimentConfig cfg =
@@ -34,8 +34,7 @@ main(int argc, char **argv)
                                 std::to_string(cores),
                             cfg});
         }
-    const std::vector<ExperimentResult> res =
-        runRows(args, json, std::move(rows));
+    const auto res = runRows(bench, std::move(rows)).results;
 
     TextTable table;
     table.header({"cores", "base-2.6.32", "linux-3.13", "fastsocket",
@@ -49,6 +48,5 @@ main(int argc, char **argv)
     table.print();
     std::printf("\nPaper at 24 cores: fastsocket beats 3.13 by 139K cps "
                 "and base by 370K cps.\n");
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

@@ -47,8 +47,8 @@ main(int argc, char **argv)
         // source ports it cannot be programmed correctly (paper 4.2.4).
     };
 
-    BenchJsonReport json("fig5_locality");
-    std::vector<BenchRow> rows;
+    Bench bench("fig5_locality", args);
+    std::vector<BenchRow<>> rows;
     for (const Config &c : configs) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kHaproxy;
@@ -70,8 +70,7 @@ main(int argc, char **argv)
         cfg.measureSec = args.quick ? 0.05 : 0.15;
         rows.push_back({c.name, cfg});
     }
-    const std::vector<ExperimentResult> res =
-        runRows(args, json, std::move(rows));
+    const auto res = runRows(bench, std::move(rows)).results;
 
     TextTable table;
     table.header({"config", "throughput", "L3 miss", "local pkts",
@@ -84,6 +83,5 @@ main(int argc, char **argv)
                    formatCount(static_cast<double>(r.steeredPackets))});
     }
     table.print();
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

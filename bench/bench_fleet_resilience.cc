@@ -31,13 +31,11 @@
  * diffs two same-seed --json exports byte for byte.
  */
 
-#include <cmath>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "fleet/fleet.hh"
-#include "sim/logging.hh"
 
 namespace
 {
@@ -118,63 +116,56 @@ main(int argc, char **argv)
          false, /*gateRecovery=*/true, false, false,
          /*gateContainment=*/true, false},
     };
-    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
 
-    BenchJsonReport json("fleet_resilience");
-    Gates gates("bench_fleet_resilience", args);
+    Bench bench("fleet_resilience", args);
+    Gates &gates = bench.gates;
 
-    for (const Scenario &sc : scenarios) {
-        std::printf("--- scenario %s ---\n", sc.name);
-        for (const KernelUnderTest &k : kernels) {
+    std::vector<BenchRow<FleetTestbed>> rows;
+    for (const Scenario &sc : scenarios)
+        for (const KernelUnderTest &k : kBaseAndFast) {
             FleetConfig fc = fleetPreset(k.config, warmup, winLen, nWin);
             fc.openLoopRate = sc.openLoopRate;
-            if (!sc.plan.empty()) {
-                std::string perr;
-                bool ok = parseFaultPlan(sc.plan, fc.base.faults, perr);
-                fsim_assert(ok && "scenario plans are hand-written");
-            }
-            if (sc.overloadStack) {
-                std::string oerr;
-                bool ok = parseOverloadSpec(
-                    kProtectSpec, fc.base.machine.overload, oerr);
-                fsim_assert(ok && "built-in overload spec must parse");
-            }
-            // An explicit --faults plan replaces the scenario's plan.
-            args.apply(fc.base);
-
-            FleetTestbed bed(fc);
-
+            BenchRow<FleetTestbed> row{
+                std::string(sc.name) + "/" + k.name, fc, sc.plan,
+                sc.overloadStack ? kProtectSpec : ""};
             // Shape the open loop before run(): a stepped diurnal
             // curve for the rolling restart, a square spike over the
             // fault window for the cascade scenario.
-            if (sc.diurnal) {
-                static const double curve[] = {0.6, 0.8, 1.0, 1.2,
-                                               1.0, 0.8};
-                for (int w = 0; w < nWin; ++w) {
-                    const double mult = curve[w % 6];
+            row.drive = [&](FleetTestbed &bed, RowOutput<NoRead> &out) {
+                if (sc.diurnal) {
+                    static const double curve[] = {0.6, 0.8, 1.0, 1.2,
+                                                   1.0, 0.8};
+                    for (int w = 0; w < nWin; ++w) {
+                        const double mult = curve[w % 6];
+                        bed.eventQueue().schedule(
+                            ticksFromSeconds(warmup + w * winLen),
+                            [&bed, mult, steadyRate] {
+                                bed.load().setOpenLoopRate(steadyRate * mult);
+                            });
+                    }
+                }
+                if (sc.spikeRate > 0.0) {
                     bed.eventQueue().schedule(
-                        ticksFromSeconds(warmup + w * winLen),
-                        [&bed, mult, steadyRate] {
-                            bed.load().setOpenLoopRate(steadyRate *
-                                                       mult);
+                        ticksFromSeconds(fs), [&bed, &sc] {
+                            bed.load().setOpenLoopRate(sc.spikeRate);
+                        });
+                    bed.eventQueue().schedule(
+                        ticksFromSeconds(fe), [&bed, &sc] {
+                            bed.load().setOpenLoopRate(sc.openLoopRate);
                         });
                 }
-            }
-            if (sc.spikeRate > 0.0) {
-                bed.eventQueue().schedule(
-                    ticksFromSeconds(fs), [&bed, &sc] {
-                        bed.load().setOpenLoopRate(sc.spikeRate);
-                    });
-                bed.eventQueue().schedule(
-                    ticksFromSeconds(fe), [&bed, &sc] {
-                        bed.load().setOpenLoopRate(sc.openLoopRate);
-                    });
-            }
+                out.yield(bed.run());
+            };
+            rows.push_back(std::move(row));
+        }
+    const auto done = runRows(bench, std::move(rows));
 
-            ExperimentResult r = bed.run();
-            json.addRow(std::string(sc.name) + "/" + k.name, fc.base,
-                        r);
-
+    std::size_t i = 0;
+    for (const Scenario &sc : scenarios) {
+        std::printf("--- scenario %s ---\n", sc.name);
+        for (const KernelUnderTest &k : kBaseAndFast) {
+            const ExperimentResult &r = done.results[i];
+            const ExperimentConfig &cfg = done.configs[i++];
             std::printf("%-12s goodput/s by sub-window:", k.name);
             for (const LockWindow &w : r.lockWindows)
                 std::printf(" %5.0fK", w.goodput / 1000.0);
@@ -185,14 +176,10 @@ main(int argc, char **argv)
                 "(undrained %llu), ejections %llu, readmissions %llu, "
                 "takeovers %llu, shed cap/nb %llu/%llu\n",
                 "", 100.0 * fl.requestSuccessRatio,
-                static_cast<unsigned long long>(fl.flowsRetired),
-                static_cast<unsigned long long>(fl.flowsCreated),
-                static_cast<unsigned long long>(fl.undrainedFlows),
-                static_cast<unsigned long long>(fl.ejections),
-                static_cast<unsigned long long>(fl.readmissions),
-                static_cast<unsigned long long>(fl.vipTakeovers),
-                static_cast<unsigned long long>(fl.shedCapacity),
-                static_cast<unsigned long long>(fl.shedNoBackend));
+                llu(fl.flowsRetired), llu(fl.flowsCreated),
+                llu(fl.undrainedFlows), llu(fl.ejections),
+                llu(fl.readmissions), llu(fl.vipTakeovers),
+                llu(fl.shedCapacity), llu(fl.shedNoBackend));
 
             // Windows 0..3 precede the fault (0 discarded as ramp),
             // 4..7 overlap it, 8..11 follow it (8 discarded as drain).
@@ -204,10 +191,6 @@ main(int argc, char **argv)
                         "", pre / 1000.0, post / 1000.0, 100.0 * ratio,
                         r.invariants.summary().c_str());
 
-            const ExperimentConfig &cfg = fc.base;
-            gates.invariant(r.invariants.violationCount == 0, cfg,
-                            "invariant violations: %s",
-                            r.invariants.summary().c_str());
             gates.calibrated(!sc.gateSuccess99 ||
                                  fl.requestSuccessRatio >= 0.99,
                              cfg,
@@ -218,14 +201,12 @@ main(int argc, char **argv)
                              cfg,
                              "%llu un-drained flows lost during planned "
                              "restarts",
-                             static_cast<unsigned long long>(
-                                 fl.undrainedFlows));
+                             llu(fl.undrainedFlows));
             gates.calibrated(!sc.gateAllRestarted ||
                                  fl.restarts == std::uint64_t{kFleetMachines},
                              cfg,
                              "rolling restart covered %llu of %d machines",
-                             static_cast<unsigned long long>(fl.restarts),
-                             kFleetMachines);
+                             llu(fl.restarts), kFleetMachines);
             gates.calibrated(!sc.gateRecovery || ratio >= 0.9, cfg,
                              "post-fault goodput %.0f%% of pre-fault "
                              "(< 90%%)",
@@ -236,10 +217,7 @@ main(int argc, char **argv)
                              cfg,
                              "crash not tracked by health probes (%llu "
                              "ejections, %llu readmissions)",
-                             static_cast<unsigned long long>(
-                                 fl.ejections),
-                             static_cast<unsigned long long>(
-                                 fl.readmissions));
+                             llu(fl.ejections), llu(fl.readmissions));
             gates.calibrated(!sc.gateTakeover || fl.vipTakeovers != 0, cfg,
                              "balancer loss produced no VIP takeover");
             gates.calibrated(!sc.gateContainment ||
@@ -248,15 +226,10 @@ main(int argc, char **argv)
                              cfg,
                              "overload cascaded into the balancer tier "
                              "(shed_capacity=%llu, shed_no_backend=%llu)",
-                             static_cast<unsigned long long>(
-                                 fl.shedCapacity),
-                             static_cast<unsigned long long>(
-                                 fl.shedNoBackend));
+                             llu(fl.shedCapacity), llu(fl.shedNoBackend));
         }
         std::printf("\n");
     }
 
-    gates.printVerdict("fleet_resilience");
-    finishJson(args, json);
-    return gates.status();
+    return bench.finish(/*verdict=*/true);
 }

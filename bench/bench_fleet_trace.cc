@@ -36,20 +36,16 @@
  * breakdown per hop.
  */
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
 #include "fleet/fleet.hh"
-#include "sim/logging.hh"
 
 namespace
 {
 
 using namespace fsim;
-
-const char *kBenchName = "bench_fleet_trace";
 
 struct Scenario
 {
@@ -59,26 +55,58 @@ struct Scenario
     bool gateBurnBeforeEject = false;
 };
 
-/** Ok traces whose server span never joined (must be zero after the
- *  settle window: every successful request was served by SOMEONE). */
-std::uint64_t
-unstitchedOk(const FleetTraceLog &log)
+/** What a row reads from its fleet for the stitching and burn gates,
+ *  and the outcome of its --perfetto export. */
+struct TraceChecks
 {
-    std::uint64_t n = 0;
-    for (const FleetTrace &tr : log.records())
-        if (tr.clientDone() && tr.ok() && !tr.stitched()) {
-            ++n;
-#ifdef FSIM_TRACE_DEBUG
-            std::printf("  [unstitched] trace=%llx start=%llu end=%llu "
-                        "lbFlows=%llu lbForwards=%llu\n",
-                        (unsigned long long)tr.traceId(),
-                        (unsigned long long)tr.clientStart(),
-                        (unsigned long long)tr.clientEnd(),
-                        (unsigned long long)tr.lbFlows(),
-                        (unsigned long long)tr.lbForwards());
-#endif
+    std::uint64_t started = 0;      //!< requests the clients started
+    std::uint64_t finished = 0;     //!< completed + failed requests
+    /** Ok traces whose server span never joined (must be zero after
+     *  the settle window: every successful request was served by
+     *  SOMEONE). */
+    std::uint64_t unstitched = 0;
+    /** First kSloBurn detect and gray-degrade eject stamps (0: none). */
+    Tick burnAt = 0;
+    Tick ejectAt = 0;
+    bool ejected = false;
+    std::string perfettoPath;   //!< empty: nothing exported
+    bool perfettoWritten = false;
+    PerfettoStats perfetto;
+};
+
+/** Read step: the row's trace checks, and its stitched fleet traces
+ *  exported under --perfetto (one file per row). */
+TraceChecks
+readTraceChecks(FleetTestbed &bed, const BenchArgs &args,
+                const char *scenario, const char *kernel)
+{
+    TraceChecks tc;
+    tc.started = bed.load().started();
+    tc.finished = bed.load().completed() + bed.load().failed();
+    for (const FleetTrace &tr : bed.traceLog().records())
+        tc.unstitched += tr.clientDone() && tr.ok() && !tr.stitched();
+    for (const Incident &inc : bed.incidents().incidents()) {
+        if (inc.kind == IncidentKind::kSloBurn && inc.detected &&
+            (tc.burnAt == 0 || inc.detectAt < tc.burnAt))
+            tc.burnAt = inc.detectAt;
+        if (inc.kind == IncidentKind::kMachineDegrade && inc.ejected) {
+            tc.ejected = true;
+            if (tc.ejectAt == 0 || inc.ejectAt < tc.ejectAt)
+                tc.ejectAt = inc.ejectAt;
         }
-    return n;
+    }
+    if (!args.perfettoPath.empty() && args.trace) {
+        FleetPerfettoMeta meta;
+        meta.bench = "bench_fleet_trace";
+        meta.label = std::string(scenario) + "/" + kernel;
+        meta.machines = bed.machineCount();
+        meta.balancers = bed.balancerCount();
+        tc.perfettoPath = perfettoRowPath(
+            args.perfettoPath, std::string(scenario) + "-" + kernel, 2);
+        tc.perfettoWritten = writeFleetPerfettoTrace(
+            tc.perfettoPath, bed.traceLog(), meta, &tc.perfetto);
+    }
+    return tc;
 }
 
 } // anonymous namespace
@@ -121,14 +149,13 @@ main(int argc, char **argv)
              windowStr(fs, fe, ":target=1,factor=1.3,jitter=800", 4),
          /*sloArmed=*/true, /*gateBurnBeforeEject=*/true},
     };
-    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
 
-    BenchJsonReport json("fleet_trace");
-    Gates gates(kBenchName, args);
+    Bench bench("fleet_trace", args);
+    Gates &gates = bench.gates;
 
-    for (const Scenario &sc : scenarios) {
-        std::printf("--- scenario %s ---\n", sc.name);
-        for (const KernelUnderTest &k : kernels) {
+    std::vector<BenchRow<FleetTestbed, TraceChecks>> rows;
+    for (const Scenario &sc : scenarios)
+        for (const KernelUnderTest &k : kBaseAndFast) {
             FleetConfig fc = fleetPreset(k.config, warmup, winLen, nWin);
             fc.openLoopRate = steadyRate;
             if (sc.gateBurnBeforeEject) {
@@ -147,59 +174,53 @@ main(int argc, char **argv)
                 fc.slo.fastWindows = 1;
                 fc.slo.latencyObjective = ticksFromUsec(3000);
             }
-            if (!sc.plan.empty()) {
-                std::string perr;
-                bool ok = parseFaultPlan(sc.plan, fc.base.faults, perr);
-                fsim_assert(ok && "scenario plans are hand-written");
-            }
-            // An explicit --faults plan replaces the scenario's plan.
-            args.apply(fc.base);
+            BenchRow<FleetTestbed, TraceChecks> row{
+                std::string(sc.name) + "/" + k.name, fc, sc.plan};
+            row.drive = [](FleetTestbed &bed, RowOutput<TraceChecks> &out) {
+                ExperimentResult r = bed.run();
+                // Settle: stop launching and drain in-flight teardowns
+                // so every finished request's server TCB has destructed
+                // (its span completed). Without this, requests
+                // finishing in the last RTT legitimately lack a machine
+                // span and the unstitched gate would race the FIN
+                // exchange.
+                bed.load().setOpenLoopRate(0.0);
+                bed.runUntilChecked(bed.eventQueue().now() +
+                                    ticksFromSeconds(0.02));
+                std::vector<LockWindow> windows = std::move(r.lockWindows);
+                r = bed.collect();
+                r.lockWindows = std::move(windows);
+                out.yield(std::move(r));
+            };
+            row.read = [&args, &sc, &k](FleetTestbed &bed) {
+                return readTraceChecks(bed, args, sc.name, k.name);
+            };
+            rows.push_back(std::move(row));
+        }
+    const auto done = runRows(bench, std::move(rows));
 
-            FleetTestbed bed(fc);
-            ExperimentResult r = bed.run();
-
-            // Settle: stop launching and drain in-flight teardowns so
-            // every finished request's server TCB has destructed (its
-            // span completed). Without this, requests finishing in the
-            // last RTT legitimately lack a machine span and the
-            // unstitched gate would race the FIN exchange.
-            bed.load().setOpenLoopRate(0.0);
-            bed.runUntilChecked(bed.eventQueue().now() +
-                                ticksFromSeconds(0.02));
-            std::vector<LockWindow> windows =
-                std::move(r.lockWindows);
-            r = bed.collect();
-            r.lockWindows = std::move(windows);
-            json.addRow(std::string(sc.name) + "/" + k.name, fc.base,
-                        r);
-
+    std::size_t i = 0;
+    for (const Scenario &sc : scenarios) {
+        std::printf("--- scenario %s ---\n", sc.name);
+        for (const KernelUnderTest &k : kBaseAndFast) {
+            const ExperimentResult &r = done.results[i];
+            const ExperimentConfig &cfg = done.configs[i];
+            const TraceChecks &tc = done.reads[i++];
             const FleetResult &fl = r.fleet;
-            const std::uint64_t finished =
-                bed.load().completed() + bed.load().failed();
-            const std::uint64_t unstitched =
-                unstitchedOk(bed.traceLog());
             std::printf(
                 "%-12s traces: started %llu/%llu, completed %llu/%llu, "
                 "stitched %llu, orphans %llu, dups %llu, unstitched-ok "
                 "%llu, reconcile-violations %llu\n",
-                k.name,
-                static_cast<unsigned long long>(fl.tracesStarted),
-                static_cast<unsigned long long>(bed.load().started()),
-                static_cast<unsigned long long>(fl.tracesCompleted),
-                static_cast<unsigned long long>(finished),
-                static_cast<unsigned long long>(fl.tracesStitched),
-                static_cast<unsigned long long>(fl.traceOrphans),
-                static_cast<unsigned long long>(fl.traceDuplicates),
-                static_cast<unsigned long long>(unstitched),
-                static_cast<unsigned long long>(
-                    fl.spanReconcileViolations));
+                k.name, llu(fl.tracesStarted), llu(tc.started),
+                llu(fl.tracesCompleted), llu(tc.finished),
+                llu(fl.tracesStitched), llu(fl.traceOrphans),
+                llu(fl.traceDuplicates), llu(tc.unstitched),
+                llu(fl.spanReconcileViolations));
             const FleetTraceForensics &ft = r.fleetTrace;
             std::printf(
                 "%-12s e2e p50/p99/p999 %llu/%llu/%llu ticks, critical "
                 "path p50=%s p99=%s p999=%s  [%s]\n",
-                "", static_cast<unsigned long long>(ft.e2eP50),
-                static_cast<unsigned long long>(ft.e2eP99),
-                static_cast<unsigned long long>(ft.e2eP999),
+                "", llu(ft.e2eP50), llu(ft.e2eP99), llu(ft.e2eP999),
                 ft.dominantP50.empty() ? "-" : ft.dominantP50.c_str(),
                 ft.dominantP99.empty() ? "-" : ft.dominantP99.c_str(),
                 ft.dominantP999.empty() ? "-" : ft.dominantP999.c_str(),
@@ -208,111 +229,61 @@ main(int argc, char **argv)
                 std::printf(
                     "%-12s slo: fast alerts %llu (first at %.2fms), "
                     "slow alerts %llu, score ejections %llu\n",
-                    "",
-                    static_cast<unsigned long long>(fl.sloFastAlerts),
-                    fl.sloFirstFastAlertMs,
-                    static_cast<unsigned long long>(fl.sloSlowAlerts),
-                    static_cast<unsigned long long>(fl.scoreEjections));
+                    "", llu(fl.sloFastAlerts), fl.sloFirstFastAlertMs,
+                    llu(fl.sloSlowAlerts), llu(fl.scoreEjections));
 
-            if (!args.perfettoPath.empty() && args.trace) {
-                FleetPerfettoMeta meta;
-                meta.bench = kBenchName;
-                meta.label = std::string(sc.name) + "/" + k.name;
-                meta.machines = fc.serverMachines;
-                meta.balancers = fc.balancers;
-                std::string path = perfettoRowPath(
-                    args.perfettoPath,
-                    std::string(sc.name) + "-" + k.name, 2);
-                PerfettoStats st;
-                if (writeFleetPerfettoTrace(path, bed.traceLog(), meta,
-                                            &st))
-                    std::printf("wrote %s (%llu traces, %llu flow "
-                                "arrows%s)\n",
-                                path.c_str(),
-                                static_cast<unsigned long long>(
-                                    st.tracesExported),
-                                static_cast<unsigned long long>(
-                                    st.flowPairs),
-                                st.truncated ? ", truncated" : "");
-                else
-                    std::fprintf(stderr,
-                                 "error: could not write %s\n",
-                                 path.c_str());
-            }
+            if (tc.perfettoWritten)
+                std::printf("wrote %s (%llu traces, %llu flow arrows%s)\n",
+                            tc.perfettoPath.c_str(),
+                            llu(tc.perfetto.tracesExported),
+                            llu(tc.perfetto.flowPairs),
+                            tc.perfetto.truncated ? ", truncated" : "");
+            else if (!tc.perfettoPath.empty())
+                std::fprintf(stderr, "error: could not write %s\n",
+                             tc.perfettoPath.c_str());
 
-            const ExperimentConfig &cfg = fc.base;
-            gates.invariant(r.invariants.violationCount == 0, cfg,
-                            "invariant violations: %s",
-                            r.invariants.summary().c_str());
             // Reconciliation holds with or without faults (vacuously
             // zero under --notrace).
             gates.invariant(fl.spanReconcileViolations == 0, cfg,
                             "%llu cores recorded more exec-span time than "
                             "they ran",
-                            static_cast<unsigned long long>(
-                                fl.spanReconcileViolations));
+                            llu(fl.spanReconcileViolations));
             if (!args.trace)
                 continue;   // stitching gates need the recorder on
-            gates.invariant(fl.tracesStarted == bed.load().started() &&
-                                fl.tracesCompleted == finished,
+            gates.invariant(fl.tracesStarted == tc.started &&
+                                fl.tracesCompleted == tc.finished,
                             cfg,
                             "trace accounting broke: started %llu != %llu "
                             "or completed %llu != %llu",
-                            static_cast<unsigned long long>(
-                                fl.tracesStarted),
-                            static_cast<unsigned long long>(
-                                bed.load().started()),
-                            static_cast<unsigned long long>(
-                                fl.tracesCompleted),
-                            static_cast<unsigned long long>(finished));
+                            llu(fl.tracesStarted), llu(tc.started),
+                            llu(fl.tracesCompleted), llu(tc.finished));
             gates.invariant(fl.traceOrphans == 0 && fl.traceDuplicates == 0,
                             cfg,
                             "lossless stitching broke: %llu orphans, %llu "
                             "duplicates",
-                            static_cast<unsigned long long>(
-                                fl.traceOrphans),
-                            static_cast<unsigned long long>(
-                                fl.traceDuplicates));
-            gates.invariant(unstitched == 0, cfg,
+                            llu(fl.traceOrphans), llu(fl.traceDuplicates));
+            gates.invariant(tc.unstitched == 0, cfg,
                             "%llu successful requests have no "
                             "server-machine span",
-                            static_cast<unsigned long long>(unstitched));
+                            llu(tc.unstitched));
             if (!sc.gateBurnBeforeEject)
                 continue;
-            // Burn-before-eject: the first kSloBurn detect stamp must
-            // precede the degrade incident's eject stamp.
-            Tick burnAt = 0;
-            Tick ejectAt = 0;
-            bool ejected = false;
-            for (const Incident &inc : bed.incidents().incidents()) {
-                if (inc.kind == IncidentKind::kSloBurn &&
-                    inc.detected &&
-                    (burnAt == 0 || inc.detectAt < burnAt))
-                    burnAt = inc.detectAt;
-                if (inc.kind == IncidentKind::kMachineDegrade &&
-                    inc.ejected) {
-                    ejected = true;
-                    if (ejectAt == 0 || inc.ejectAt < ejectAt)
-                        ejectAt = inc.ejectAt;
-                }
-            }
-            gates.calibrated(fl.sloFastAlerts != 0 && burnAt != 0, cfg,
+            gates.calibrated(fl.sloFastAlerts != 0 && tc.burnAt != 0, cfg,
                              "gray degrade never fired a fast burn-rate "
                              "alert");
-            gates.calibrated(ejected, cfg,
+            gates.calibrated(tc.ejected, cfg,
                              "scorer never ejected the gray machine "
                              "(calibration broke)");
-            gates.calibrated(burnAt == 0 || !ejected || burnAt < ejectAt,
+            gates.calibrated(tc.burnAt == 0 || !tc.ejected ||
+                                 tc.burnAt < tc.ejectAt,
                              cfg,
                              "burn alert at %.2fms did not precede scorer "
                              "eject at %.2fms",
-                             secondsFromTicks(burnAt) * 1000.0,
-                             secondsFromTicks(ejectAt) * 1000.0);
+                             secondsFromTicks(tc.burnAt) * 1000.0,
+                             secondsFromTicks(tc.ejectAt) * 1000.0);
         }
         std::printf("\n");
     }
 
-    gates.printVerdict("fleet_trace");
-    finishJson(args, json);
-    return gates.status();
+    return bench.finish(/*verdict=*/true);
 }

@@ -8,6 +8,8 @@
  *     the data structure itself, so real wall-clock numbers apply.
  *  2. A simulated estimate of the walk's share of per-core CPU cycles,
  *     reproducing the paper's 0.26% (1 core) -> 24.2% (24 cores) claim.
+ *
+ * Not on runRows: it runs under google-benchmark.
  */
 
 #include <benchmark/benchmark.h>

@@ -24,12 +24,11 @@ main(int argc, char **argv)
            "short-lived scalability problem.\nMetric is requests/s; "
            "fast/base should shrink toward ~1x as keep-alive grows.");
 
-    BenchJsonReport json("longlived");
-    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
+    Bench bench("longlived", args);
     const int reqCounts[] = {1, 4, 16, 64};
-    std::vector<BenchRow> rows;
+    std::vector<BenchRow<>> rows;
     for (int reqs : reqCounts)
-        for (const KernelUnderTest &k : kernels) {
+        for (const KernelUnderTest &k : kBaseAndFast) {
             ExperimentConfig cfg;
             cfg.app = AppKind::kNginx;
             cfg.machine.cores = 16;
@@ -42,8 +41,7 @@ main(int argc, char **argv)
                                 std::to_string(reqs),
                             cfg});
         }
-    const std::vector<ExperimentResult> res =
-        runRows(args, json, std::move(rows));
+    const auto res = runRows(bench, std::move(rows)).results;
 
     TextTable table;
     table.header({"reqs/conn", "base-2.6.32 rps", "fastsocket rps",
@@ -58,6 +56,5 @@ main(int argc, char **argv)
                    ratio});
     }
     table.print();
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

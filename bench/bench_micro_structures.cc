@@ -3,6 +3,8 @@
  * google-benchmark micro-benchmarks of the substrate data structures:
  * event queue, timer wheel, fd bitmap, RFD hashing, NIC classification.
  * These are real (not simulated-time) costs of the library itself.
+ *
+ * Not on runRows: it runs under google-benchmark.
  */
 
 #include <benchmark/benchmark.h>

@@ -88,9 +88,10 @@ main(int argc, char **argv)
                   "probe 1st>last", "cyc/lkp 1st>last", "tw entered",
                   "gates"});
 
-    BenchJsonReport json("million_conn");
-    Gates gates("bench_million_conn", args);
+    Bench bench("million_conn", args);
+    Gates &gates = bench.gates;
 
+    std::vector<BenchRow<>> benchRows;
     for (const RampRow &row : rows) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kNginx;
@@ -104,55 +105,62 @@ main(int argc, char **argv)
         cfg.longLivedThink = ticksFromSeconds(30.0);
         cfg.listenBacklog = 1024;
         cfg.machine.kernel.synBacklog = 4096;
-        args.apply(cfg);
         cfg.machine.traceEnabled = false;   // span logs don't scale to 1M
+        BenchRow<> benchRow{row.name, cfg};
+        benchRow.drive = [&args, &row](Testbed &bed, RowOutput<NoRead> &out) {
+            KernelStack &kern = bed.machine().kernel();
+            const double ramp_sec =
+                static_cast<double>(row.targetParked) /
+                (row.ratePerSec * kLongLivedShare);
+            bed.load().startOpenLoop(row.ratePerSec);
 
-        Testbed bed(cfg);
-        KernelStack &kern = bed.machine().kernel();
-
-        const double ramp_sec =
-            static_cast<double>(row.targetParked) /
-            (row.ratePerSec * kLongLivedShare);
-        bed.load().startOpenLoop(row.ratePerSec);
-
-        std::vector<ConnRampPoint> ramp;
-        std::uint64_t prev_lookups = 0, prev_probes = 0, prev_cycles = 0;
-        const Tick t0 = bed.eventQueue().now();
-        for (int i = 1; i <= kCheckpoints; ++i) {
-            bed.runUntilChecked(
-                t0 + ticksFromSeconds(ramp_sec * i / kCheckpoints));
-            ConnRampPoint pt;
-            pt.live = kern.liveSockets();
-            const TcbArena &arena = kern.tcbArena();
-            pt.bytesPerConn =
-                arena.peakLive()
-                    ? static_cast<double>(arena.slabBytes()) /
-                          static_cast<double>(arena.peakLive())
-                    : 0.0;
-            std::uint64_t lk = kern.ehashLookups() - prev_lookups;
-            std::uint64_t pr = kern.ehashProbesWalked() - prev_probes;
-            std::uint64_t cy = kern.ehashLookupCycles() - prev_cycles;
-            prev_lookups += lk;
-            prev_probes += pr;
-            prev_cycles += cy;
-            if (lk) {
-                pt.cyclesPerLookup = static_cast<double>(cy) /
+            std::vector<ConnRampPoint> ramp;
+            std::uint64_t prev_lookups = 0, prev_probes = 0, prev_cycles = 0;
+            const Tick t0 = bed.eventQueue().now();
+            for (int i = 1; i <= kCheckpoints; ++i) {
+                bed.runUntilChecked(
+                    t0 + ticksFromSeconds(ramp_sec * i / kCheckpoints));
+                ConnRampPoint pt;
+                pt.live = kern.liveSockets();
+                const TcbArena &arena = kern.tcbArena();
+                pt.bytesPerConn =
+                    arena.peakLive()
+                        ? static_cast<double>(arena.slabBytes()) /
+                              static_cast<double>(arena.peakLive())
+                        : 0.0;
+                std::uint64_t lk = kern.ehashLookups() - prev_lookups;
+                std::uint64_t pr = kern.ehashProbesWalked() - prev_probes;
+                std::uint64_t cy = kern.ehashLookupCycles() - prev_cycles;
+                prev_lookups += lk;
+                prev_probes += pr;
+                prev_cycles += cy;
+                if (lk) {
+                    pt.cyclesPerLookup = static_cast<double>(cy) /
+                                         static_cast<double>(lk);
+                    pt.avgProbeLen = static_cast<double>(pr) /
                                      static_cast<double>(lk);
-                pt.avgProbeLen = static_cast<double>(pr) /
-                                 static_cast<double>(lk);
+                }
+                ramp.push_back(pt);
             }
-            ramp.push_back(pt);
-        }
 
-        // Measure a short steady window on top of the full population,
-        // then collect the run census.
-        bed.markWindows();
-        bed.runUntilChecked(bed.eventQueue().now() +
-                            ticksFromSeconds(args.quick ? 0.05 : 0.1));
-        ExperimentResult r = bed.collect();
-        r.conn.ramp = ramp;
-        json.addRow(row.name, cfg, r);
+            // Measure a short steady window on top of the full
+            // population, then collect the run census.
+            bed.markWindows();
+            bed.runUntilChecked(bed.eventQueue().now() +
+                                ticksFromSeconds(args.quick ? 0.05 : 0.1));
+            ExperimentResult r = bed.collect();
+            r.conn.ramp = std::move(ramp);
+            out.yield(std::move(r));
+        };
+        benchRows.push_back(std::move(benchRow));
+    }
+    const auto done = runRows(bench, std::move(benchRows));
 
+    for (std::size_t k = 0; k < std::size(rows); ++k) {
+        const RampRow &row = rows[k];
+        const ExperimentResult &r = done.results[k];
+        const ExperimentConfig &cfg = done.configs[k];
+        const std::vector<ConnRampPoint> &ramp = r.conn.ramp;
         const ConnRampPoint &first = ramp.front();
         const ConnRampPoint &last = ramp.back();
         // Flatness reference: the cheapest second-half checkpoint. The
@@ -173,9 +181,7 @@ main(int argc, char **argv)
                              "%s: held %llu live TCBs at peak, gate >= "
                              "%llu",
                              row.name,
-                             static_cast<unsigned long long>(
-                                 r.conn.tcbLivePeak),
-                             static_cast<unsigned long long>(hold_gate));
+                             llu(r.conn.tcbLivePeak), llu(hold_gate));
         if (row.mustStayFlat && settled > 0) {
             gates.calibrated(last.cyclesPerLookup <= 1.10 * settled, cfg,
                              "%s: cycles/lookup settled %.1f -> last "
@@ -207,21 +213,16 @@ main(int argc, char **argv)
         std::snprintf(cyc, sizeof(cyc), "%.0f > %.0f",
                       first.cyclesPerLookup, last.cyclesPerLookup);
         std::snprintf(bpc, sizeof(bpc), "%.0f", r.conn.bytesPerConn);
-        std::snprintf(tgt, sizeof(tgt), "%lluK",
-                      static_cast<unsigned long long>(
-                          row.targetParked / 1000));
+        std::snprintf(tgt, sizeof(tgt), "%lluK", llu(row.targetParked / 1000));
         std::snprintf(peak, sizeof(peak), "%lluK",
-                      static_cast<unsigned long long>(
-                          r.conn.tcbLivePeak / 1000));
-        std::snprintf(tw, sizeof(tw), "%llu",
-                      static_cast<unsigned long long>(
-                          r.conn.timeWaitEntered));
+                      llu(r.conn.tcbLivePeak / 1000));
+        std::snprintf(tw, sizeof(tw), "%llu", llu(r.conn.timeWaitEntered));
         table.row({row.name, tgt, peak, bpc, probe, cyc, tw, verdict});
     }
 
     table.print();
-    finishJson(args, json);
-    std::printf("\n%s\n", gates.status() ? "million-conn gates FAILED"
-                                         : "all million-conn gates passed");
-    return gates.status();
+    const int status = bench.finish();
+    std::printf("\n%s\n", status ? "million-conn gates FAILED"
+                                 : "all million-conn gates passed");
+    return status;
 }

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "sim/logging.hh"
 
 namespace
 {
@@ -55,9 +54,9 @@ struct StepRow
     std::uint64_t degraded = 0;
 };
 
+/** What a ramp row's drive step measured besides its final collect(). */
 struct RampOutcome
 {
-    ExperimentResult res;       //!< final-step collect()
     std::vector<StepRow> steps;
     double finalGoodput = 0.0;
     Tick finalP99 = 0;
@@ -65,13 +64,14 @@ struct RampOutcome
     double normalRate = 0.0;    //!< same for non-probe connections
 };
 
-RampOutcome
-runRamp(const ExperimentConfig &cfg, double capacity,
-        const std::vector<double> &mults, Tick warm_ticks,
-        Tick step_ticks, Tick drain_ticks)
+/** Drive step of a ramp row: the stepped open-loop ramp, then a drain;
+ *  yields the final collect(). */
+void
+driveRamp(Testbed &bed, RowOutput<RampOutcome> &rowOut, double capacity,
+          const std::vector<double> &mults, Tick warm_ticks,
+          Tick step_ticks, Tick drain_ticks)
 {
-    RampOutcome out;
-    Testbed bed(cfg);
+    RampOutcome &out = rowOut.read;
     HttpLoad &load = bed.load();
     EventQueue &eq = bed.eventQueue();
     const KernelStats &ks = bed.machine().kernel().stats();
@@ -111,7 +111,7 @@ runRamp(const ExperimentConfig &cfg, double capacity,
     load.stopOpenLoop();
     bed.runUntilChecked(eq.now() + drain_ticks);
 
-    out.res = bed.collect();
+    rowOut.yield(bed.collect());
     out.finalGoodput = out.steps.back().goodput;
     out.finalP99 = out.steps.back().p99;
     // Success rates over connections with a *determined* outcome: a
@@ -128,7 +128,6 @@ runRamp(const ExperimentConfig &cfg, double capacity,
     if (nc + nf > 0)
         out.normalRate = static_cast<double>(nc) /
                          static_cast<double>(nc + nf);
-    return out;
 }
 
 void
@@ -141,10 +140,8 @@ printSteps(const char *tag, const RampOutcome &o)
                     " %-11llu %llu\n",
                     "", s.mult, s.offered, s.goodput,
                     1e3 * secondsFromTicks(s.p99),
-                    static_cast<unsigned long long>(s.shed),
-                    static_cast<unsigned long long>(s.degraded),
-                    static_cast<unsigned long long>(s.gateDrops),
-                    static_cast<unsigned long long>(s.backlogDrops));
+                    llu(s.shed), llu(s.degraded), llu(s.gateDrops),
+                    llu(s.backlogDrops));
 }
 
 } // anonymous namespace
@@ -169,11 +166,10 @@ main(int argc, char **argv)
     const Tick drain = clientGiveUp + ticksFromUsec(10000);
     const Tick p99Bound = ticksFromUsec(25000);
 
-    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
-    BenchJsonReport json("overload");
-    Gates gates("bench_overload", args);
+    Bench bench("overload", args);
+    Gates &gates = bench.gates;
 
-    for (const KernelUnderTest &k : kernels) {
+    for (const KernelUnderTest &k : kBaseAndFast) {
         std::printf("--- %s ---\n", k.name);
 
         ExperimentConfig base;
@@ -182,17 +178,15 @@ main(int argc, char **argv)
         base.machine.kernel = k.config;
 
         // Phase 1: closed-loop capacity (the ramp's yardstick).
-        ExperimentConfig ccfg = base;
-        ccfg.concurrencyPerCore = args.quick ? 100 : 250;
-        ccfg.warmupSec = args.quick ? 0.015 : 0.03;
-        ccfg.measureSec = args.quick ? 0.04 : 0.08;
-        args.apply(ccfg);
-        ExperimentResult cres = runExperiment(ccfg);
-        double capacity = cres.cps;
-        json.addRow(std::string("capacity/") + k.name, ccfg, cres);
+        BenchRow<> capRow{std::string("capacity/") + k.name, base};
+        capRow.cfg.concurrencyPerCore = args.quick ? 100 : 250;
+        capRow.cfg.warmupSec = args.quick ? 0.015 : 0.03;
+        capRow.cfg.measureSec = args.quick ? 0.04 : 0.08;
+        const auto cap = runRows(bench, std::vector{capRow});
+        const double capacity = cap.results[0].cps;
         std::printf("  capacity (closed loop): %.0f conns/s  [%s]\n",
-                    capacity, cres.invariants.summary().c_str());
-        if (!gates.invariant(capacity > 0.0, ccfg,
+                    capacity, cap.results[0].invariants.summary().c_str());
+        if (!gates.invariant(capacity > 0.0, cap.configs[0],
                              "capacity measured as zero"))
             continue;
 
@@ -202,30 +196,30 @@ main(int argc, char **argv)
         ramp.clientTimeout = clientGiveUp;
         ramp.clientHealthEvery = 20;    // 5% of conns are health probes
         ramp.checkLevel = CheckLevel::kPeriodic;
+        const auto drive = [&](Testbed &bed, RowOutput<RampOutcome> &out) {
+            driveRamp(bed, out, capacity, mults, warm, step, drain);
+        };
+        BenchRow<Testbed, RampOutcome> unRow{
+            std::string("unprotected/") + k.name, ramp};
+        unRow.overloadOff = true;
+        unRow.drive = drive;
+        BenchRow<Testbed, RampOutcome> prRow{
+            std::string("protected/") + k.name, ramp, "", kProtectSpec};
+        prRow.drive = drive;
+        const auto ramps = runRows(bench, std::vector{unRow, prRow});
+        const RampOutcome &un = ramps.reads[0];
+        const RampOutcome &pr = ramps.reads[1];
+        const ExperimentResult &prRes = ramps.results[1];
+        const ExperimentConfig &uncfg = ramps.configs[0];
+        const ExperimentConfig &prcfg = ramps.configs[1];
 
-        ExperimentConfig uncfg = ramp;
-        args.apply(uncfg);
-        uncfg.machine.overload = OverloadConfig{};  // protection OFF
-        RampOutcome un = runRamp(uncfg, capacity, mults, warm, step,
-                                 drain);
-        json.addRow(std::string("unprotected/") + k.name, uncfg, un.res);
         printSteps("unprotected", un);
         std::printf("  %-12s final goodput %.0f/s (%.0f%% of capacity), "
                     "p99 %.2fms, health %.0f%%  [%s]\n", "",
                     un.finalGoodput, 100.0 * un.finalGoodput / capacity,
                     1e3 * secondsFromTicks(un.finalP99),
                     100.0 * un.healthRate,
-                    un.res.invariants.summary().c_str());
-
-        ExperimentConfig prcfg = ramp;
-        std::string perr;
-        bool pok = parseOverloadSpec(kProtectSpec,
-                                     prcfg.machine.overload, perr);
-        fsim_assert(pok && "built-in overload spec must parse");
-        args.apply(prcfg);              // --overload / --seed override
-        RampOutcome pr = runRamp(prcfg, capacity, mults, warm, step,
-                                 drain);
-        json.addRow(std::string("protected/") + k.name, prcfg, pr.res);
+                    ramps.results[0].invariants.summary().c_str());
         printSteps("protected", pr);
         std::printf("  %-12s final goodput %.0f/s (%.0f%% of capacity), "
                     "p99 %.2fms, health %.0f%% (normal %.0f%%), "
@@ -233,17 +227,10 @@ main(int argc, char **argv)
                     pr.finalGoodput, 100.0 * pr.finalGoodput / capacity,
                     1e3 * secondsFromTicks(pr.finalP99),
                     100.0 * pr.healthRate, 100.0 * pr.normalRate,
-                    static_cast<unsigned long long>(
-                        pr.res.overload.servedDegraded),
-                    pr.res.invariants.summary().c_str());
+                    llu(prRes.overload.servedDegraded),
+                    prRes.invariants.summary().c_str());
 
         // Gates.
-        gates.invariant(un.res.invariants.violationCount == 0, uncfg,
-                        "invariant violations (unprotected ramp): %s",
-                        un.res.invariants.summary().c_str());
-        gates.invariant(pr.res.invariants.violationCount == 0, prcfg,
-                        "invariant violations (protected ramp): %s",
-                        pr.res.invariants.summary().c_str());
         gates.calibrated(un.finalGoodput < 0.5 * capacity, uncfg,
                          "unprotected goodput at 3x is %.0f%% of "
                          "capacity (expected < 50%%: no collapse "
@@ -265,7 +252,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    gates.printVerdict("overload");
-    finishJson(args, json);
-    return gates.status();
+    return bench.finish(/*verdict=*/true);
 }

@@ -27,20 +27,18 @@ main(int argc, char **argv)
            "idle is the derived remainder.\nExpected: lock-spin dominates "
            "the kernel share on base-2.6.32 and vanishes on fastsocket.");
 
-    BenchJsonReport json("phase_breakdown");
-    const KernelUnderTest kernels[2] = {kKernels[0], kKernels[2]};
-    std::vector<BenchRow> rows;
-    for (const KernelUnderTest &k : kernels) {
+    Bench bench("phase_breakdown", args);
+    std::vector<BenchRow<>> rows;
+    for (const KernelUnderTest &k : kBaseAndFast) {
         ExperimentConfig cfg =
             fig4Config(args, AppKind::kNginx, 24, k.config);
         cfg.statWindows = 5;
         rows.push_back({k.name, cfg});
     }
-    const std::vector<ExperimentResult> res =
-        runRows(args, json, std::move(rows));
+    const auto res = runRows(bench, std::move(rows)).results;
 
     for (int i = 0; i < 2; ++i) {
-        const KernelUnderTest &k = kernels[i];
+        const KernelUnderTest &k = kBaseAndFast[i];
         const ExperimentResult &r = res[i];
         std::printf("--- %s: %s cps ---\n", k.name, kcps(r.cps).c_str());
         phaseBreakdownTable(r.phases).print();
@@ -78,6 +76,5 @@ main(int argc, char **argv)
         std::printf("\n");
     }
 
-    finishJson(args, json);
-    return 0;
+    return bench.finish();
 }

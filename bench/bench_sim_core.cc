@@ -29,6 +29,8 @@
  *
  * Wall-clock numbers vary by machine; tools/bench_compare.py gates
  * them with a generous threshold rather than byte-diffing.
+ *
+ * Not on runRows: sequential wall timing is what this bench measures.
  */
 
 #include <chrono>

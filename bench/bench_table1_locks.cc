@@ -67,8 +67,8 @@ main(int argc, char **argv)
     TextTable table;
     table.header({"lock", "Baseline", "+V", "+VL", "+VLR", "+VLRE(=FS)"});
 
-    BenchJsonReport json("table1_locks");
-    std::vector<BenchRow> rows;
+    Bench bench("table1_locks", args);
+    std::vector<BenchRow<>> rows;
     for (const Step &s : steps) {
         ExperimentConfig cfg;
         cfg.app = AppKind::kHaproxy;
@@ -82,14 +82,32 @@ main(int argc, char **argv)
         cfg.statWindows = 4;
         rows.push_back({s.name, cfg});
     }
-    const std::vector<ExperimentResult> results =
-        runRows(args, json, std::move(rows));
+    // Cycle-share row: the paper's section-1 profile ("spin lock
+    // consumes 9% of cycles in TCB management and 11% in VFS") was taken
+    // on an 8-core production HAProxy at partial load; replicate that
+    // setting rather than the saturated 24-core run.
+    BenchRow<> partial{"8core-partial-load", {}};
+    partial.cfg.app = AppKind::kHaproxy;
+    partial.cfg.machine.cores = 8;
+    partial.cfg.machine.kernel = KernelConfig::base2632();
+    partial.drive = [&args, measure](Testbed &bed, RowOutput<NoRead> &out) {
+        // Open-loop partial load, like the production traffic sample.
+        bed.load().startOpenLoop(75000.0);
+        bed.eventQueue().runUntil(ticksFromSeconds(args.quick ? 0.03 : 0.06));
+        bed.markWindows();
+        bed.eventQueue().runUntil(bed.eventQueue().now() +
+                                  ticksFromSeconds(measure));
+        out.yield(bed.collect());
+        bed.load().stopOpenLoop();
+    };
+    rows.push_back(std::move(partial));
+    const auto results = runRows(bench, std::move(rows)).results;
 
     for (const char *lock : kLockRows) {
         std::vector<std::string> row{lock};
-        for (const ExperimentResult &r : results) {
-            auto it = r.locks.find(lock);
-            double cont = it == r.locks.end()
+        for (std::size_t i = 0; i < steps.size(); ++i) {
+            auto it = results[i].locks.find(lock);
+            double cont = it == results[i].locks.end()
                               ? 0.0
                               : static_cast<double>(it->second.contentions);
             row.push_back(formatCount(cont * scale));
@@ -103,10 +121,6 @@ main(int argc, char **argv)
         std::printf("  %-10s %s cps\n", steps[i].name,
                     kcps(results[i].cps).c_str());
 
-    // Cycle-share table: the paper's section-1 profile ("spin lock
-    // consumes 9% of cycles in TCB management and 11% in VFS") was taken
-    // on an 8-core production HAProxy at partial load; replicate that
-    // setting rather than the saturated 24-core run.
     std::printf("\nSpin-wait cycle share per lock class on an 8-core "
                 "baseline at ~50%% load\n(paper section 1: ~9%% TCB + "
                 "~11%% VFS):\n");
@@ -114,36 +128,18 @@ main(int argc, char **argv)
         auto it = r.lockCycleShare.find(n);
         return it == r.lockCycleShare.end() ? 0.0 : it->second;
     };
-    {
-        ExperimentConfig cfg;
-        cfg.app = AppKind::kHaproxy;
-        cfg.machine.cores = 8;
-        cfg.machine.kernel = KernelConfig::base2632();
-        args.apply(cfg);
-        Testbed bed(cfg);
-        // Open-loop partial load, like the production traffic sample.
-        bed.load().startOpenLoop(75000.0);
-        bed.eventQueue().runUntil(ticksFromSeconds(args.quick ? 0.03
-                                                             : 0.06));
-        bed.markWindows();
-        bed.eventQueue().runUntil(bed.eventQueue().now() +
-                                  ticksFromSeconds(measure));
-        ExperimentResult r = bed.collect();
-        bed.load().stopOpenLoop();
-        double vfs = share(r, "dcache_lock") + share(r, "inode_lock");
-        double tcb = share(r, "slock") + share(r, "ep.lock") +
-                     share(r, "base.lock") + share(r, "ehash.lock") +
-                     share(r, "portbind.lock");
-        TextTable shares;
-        shares.header({"class", "cycle share", "paper"});
-        shares.row({"VFS (dcache+inode)", formatPercent(vfs), "~11%"});
-        shares.row({"TCB (slock/ep/base/ehash/bind)", formatPercent(tcb),
-                    "~9%"});
-        shares.row({"avg core utilization", formatPercent(r.avgUtil()),
-                    "~45%"});
-        shares.print();
-        json.addRow("8core-partial-load", cfg, r);
-    }
-    finishJson(args, json);
-    return 0;
+    const ExperimentResult &r = results.back();
+    double vfs = share(r, "dcache_lock") + share(r, "inode_lock");
+    double tcb = share(r, "slock") + share(r, "ep.lock") +
+                 share(r, "base.lock") + share(r, "ehash.lock") +
+                 share(r, "portbind.lock");
+    TextTable shares;
+    shares.header({"class", "cycle share", "paper"});
+    shares.row({"VFS (dcache+inode)", formatPercent(vfs), "~11%"});
+    shares.row({"TCB (slock/ep/base/ehash/bind)", formatPercent(tcb),
+                "~9%"});
+    shares.row({"avg core utilization", formatPercent(r.avgUtil()),
+                "~45%"});
+    shares.print();
+    return bench.finish();
 }

@@ -24,6 +24,8 @@
  *
  * Usage: diff_oracle [--cores=N] [--conns=N] [--seed=S] [--app=nginx|
  * haproxy|both] [--nofaults]
+ *
+ * Not on runRows: it drives src/check's differential runner.
  */
 
 #include <cstdio>

@@ -12,6 +12,8 @@
  * Usage:
  *   fuzz_scenarios [--runs=N] [--seed=S] [--out=DIR]   fuzz N scenarios
  *   fuzz_scenarios --replay=FILE                       rerun a reproducer
+ *
+ * Not on runRows: it drives src/check's scenario runner.
  */
 
 #include <cstdio>

@@ -15,30 +15,6 @@ Fingerprint::mix(double v)
     mix(bits);
 }
 
-void
-Fingerprint::mix(const std::string &s)
-{
-    mix(static_cast<std::uint64_t>(s.size()));
-    std::uint64_t word = 0;
-    int n = 0;
-    for (char c : s) {
-        word = (word << 8) | static_cast<unsigned char>(c);
-        if (++n == 8) {
-            mix(word);
-            word = 0;
-            n = 0;
-        }
-    }
-    if (n)
-        mix(word);
-}
-
-std::string
-Fingerprint::hex() const
-{
-    return hex(h_);
-}
-
 std::string
 Fingerprint::hex(std::uint64_t v)
 {

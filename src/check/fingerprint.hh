@@ -46,12 +46,10 @@ class Fingerprint
     }
 
     void mix(double v);
-    void mix(const std::string &s);
 
     std::uint64_t value() const { return h_; }
 
     /** "0x%016x" rendering (the JSON/CLI format). */
-    std::string hex() const;
     static std::string hex(std::uint64_t v);
 
   private:

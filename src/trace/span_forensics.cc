@@ -1,8 +1,11 @@
 #include "trace/span_forensics.hh"
 
 #include <algorithm>
+#include <array>
 #include <cinttypes>
 #include <cstdio>
+
+#include "sim/order_stat.hh"
 
 namespace fsim
 {
@@ -10,13 +13,11 @@ namespace fsim
 namespace
 {
 
-Tick
-percentileOf(const std::vector<Tick> &sorted, double p)
+/** Index of percentile @p p among @p n sorted values (nearest rank). */
+std::uint64_t
+rankOf(double p, std::uint64_t n)
 {
-    if (sorted.empty())
-        return 0;
-    const double pos = p * static_cast<double>(sorted.size() - 1);
-    return sorted[static_cast<std::size_t>(pos + 0.5)];
+    return static_cast<std::uint64_t>(p * static_cast<double>(n - 1) + 0.5);
 }
 
 ExemplarBreakdown
@@ -67,15 +68,21 @@ buildSpanForensics(const ConnSpanLog &log, std::size_t from_idx)
     const auto &all = log.completed();
     if (from_idx > all.size())
         from_idx = all.size();
-    const std::size_t n = all.size() - from_idx;
-    f.completed = n;
+    f.completed = all.size() - from_idx;
 
-    // Per-stage distributions over the window's completed connections.
-    std::vector<std::vector<Tick>> per_stage(kNumConnStages);
-    for (std::size_t i = from_idx; i < all.size(); ++i) {
-        const ConnSpanTrace &tr = all[i];
+    // Every statistic below is a pass over the window's completed
+    // traces in place; nothing per trace is copied.
+    const auto forWindow = [&](auto &&fn) {
+        for (std::size_t i = from_idx; i < all.size(); ++i)
+            fn(all[i]);
+    };
+    std::uint64_t count[kNumConnStages] = {};
+    std::uint64_t sum[kNumConnStages] = {};
+    std::uint64_t passive = 0;
+    forWindow([&](const ConnSpanTrace &tr) {
         if (tr.shedReason != ConnSpanTrace::kNotShed)
             ++f.shed;
+        passive += tr.passive;
         Tick totals[kNumConnStages] = {};
         bool seen[kNumConnStages] = {};
         for (const ConnSpan &sp : tr.spans) {
@@ -84,63 +91,97 @@ buildSpanForensics(const ConnSpanLog &log, std::size_t from_idx)
             seen[idx] = true;
         }
         for (int s = 0; s < kNumConnStages; ++s)
-            if (seen[s])
-                per_stage[s].push_back(totals[s]);
-    }
+            if (seen[s]) {
+                ++count[s];
+                sum[s] += totals[s];
+            }
+    });
+
+    // Per-stage distributions over the connections with a span there.
     for (int s = 0; s < kNumConnStages; ++s) {
-        std::vector<Tick> &v = per_stage[s];
-        if (v.empty())
+        const std::uint64_t n = count[s];
+        if (n == 0)
             continue;
-        std::sort(v.begin(), v.end());
+        const auto at = selectRanks(
+            [&](auto &&sink) {
+                forWindow([&](const ConnSpanTrace &tr) {
+                    Tick total = 0;
+                    bool seen = false;
+                    for (const ConnSpan &sp : tr.spans)
+                        if (static_cast<int>(sp.stage) == s) {
+                            total += sp.end - sp.begin;
+                            seen = true;
+                        }
+                    if (seen)
+                        sink(total);
+                });
+            },
+            std::array<std::uint64_t, 5>{rankOf(0.50, n), rankOf(0.90, n),
+                                         rankOf(0.99, n), rankOf(0.999, n),
+                                         n - 1});
         StagePercentiles sp;
         sp.stage = static_cast<ConnStage>(s);
-        sp.count = v.size();
-        sp.p50 = percentileOf(v, 0.50);
-        sp.p90 = percentileOf(v, 0.90);
-        sp.p99 = percentileOf(v, 0.99);
-        sp.p999 = percentileOf(v, 0.999);
-        sp.max = v.back();
-        for (Tick t : v)
-            sp.totalTicks += t;
+        sp.count = n;
+        sp.p50 = at[0].value;
+        sp.p90 = at[1].value;
+        sp.p99 = at[2].value;
+        sp.p999 = at[3].value;
+        sp.max = at[4].value;
+        sp.totalTicks = sum[s];
         f.stages.push_back(sp);
     }
 
-    // Exemplars: rank passive connections by service latency with a
-    // (latency, connId) sort so equal latencies pick deterministically.
-    std::vector<std::pair<Tick, const ConnSpanTrace *>> ranked;
-    ranked.reserve(n);
-    for (std::size_t i = from_idx; i < all.size(); ++i)
-        if (all[i].passive)
-            ranked.emplace_back(all[i].serviceLatency(), &all[i]);
-    if (ranked.empty())
-        for (std::size_t i = from_idx; i < all.size(); ++i)
-            ranked.emplace_back(all[i].serviceLatency(), &all[i]);
-    std::sort(ranked.begin(), ranked.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.first != b.first)
-                      return a.first < b.first;
-                  return a.second->connId < b.second->connId;
-              });
-    if (!ranked.empty()) {
-        const auto pick = [&](double p) -> const ConnSpanTrace * {
-            const double pos = p * static_cast<double>(ranked.size() - 1);
-            return ranked[static_cast<std::size_t>(pos + 0.5)].second;
-        };
-        f.exemplars.push_back(breakdownOf(*pick(0.50), "p50"));
-        f.exemplars.push_back(breakdownOf(*pick(0.99), "p99"));
-        f.exemplars.push_back(breakdownOf(*pick(0.999), "p999"));
+    // Exemplars rank passive connections (all of them when none is
+    // passive) by service latency, ties in connId order: select the
+    // latency, then the id among the connections of that latency.
+    const std::uint64_t ranked = passive ? passive : f.completed;
+    if (ranked == 0)
+        return f;
+    const auto forRanked = [&](auto &&fn) {
+        forWindow([&](const ConnSpanTrace &tr) {
+            if (tr.passive || passive == 0)
+                fn(tr);
+        });
+    };
+    const std::array<std::uint64_t, 3> ranks = {
+        rankOf(0.50, ranked), rankOf(0.99, ranked), rankOf(0.999, ranked)};
+    const auto lats = selectRanks(
+        [&](auto &&sink) {
+            forRanked([&](const ConnSpanTrace &tr) {
+                sink(tr.serviceLatency());
+            });
+        },
+        ranks);
+    const auto exemplar = [&](std::size_t k, const char *percentile) {
+        const Tick lat = lats[k].value;
+        const RankedValue id = selectRank(
+            [&](auto &&sink) {
+                forRanked([&](const ConnSpanTrace &tr) {
+                    if (tr.serviceLatency() == lat)
+                        sink(tr.connId);
+                });
+            },
+            ranks[k] - lats[k].below);
+        const ConnSpanTrace *pick = nullptr;
+        forRanked([&](const ConnSpanTrace &tr) {
+            if (!pick && tr.connId == id.value &&
+                tr.serviceLatency() == lat)
+                pick = &tr;
+        });
+        return breakdownOf(*pick, percentile);
+    };
+    f.exemplars.push_back(exemplar(0, "p50"));
+    f.exemplars.push_back(exemplar(1, "p99"));
+    f.exemplars.push_back(exemplar(2, "p999"));
 
-        const ExemplarBreakdown &p99 = f.exemplars[1];
-        Tick best = 0;
-        for (int s = 0; s < kNumConnStages; ++s) {
-            if (connStageKind(static_cast<ConnStage>(s)) ==
-                ConnStageKind::kSub)
-                continue;
-            if (p99.stageTicks[s] > best) {
-                best = p99.stageTicks[s];
-                f.dominantTailStage =
-                    connStageName(static_cast<ConnStage>(s));
-            }
+    const ExemplarBreakdown &p99 = f.exemplars[1];
+    Tick best = 0;
+    for (int s = 0; s < kNumConnStages; ++s) {
+        if (connStageKind(static_cast<ConnStage>(s)) == ConnStageKind::kSub)
+            continue;
+        if (p99.stageTicks[s] > best) {
+            best = p99.stageTicks[s];
+            f.dominantTailStage = connStageName(static_cast<ConnStage>(s));
         }
     }
     return f;

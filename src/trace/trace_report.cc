@@ -94,11 +94,15 @@ foldedStacks(const PhaseSnapshot &d)
 std::vector<QueueSample>
 queueTimeline(const Tracer &tracer, TraceQueueId queue)
 {
+    const DepthSeries &series = tracer.queueDepths(queue);
     std::vector<QueueSample> out;
-    tracer.queueDepths(queue).forEachBucket(
-        [&](Tick tick, std::uint32_t depth) {
-            out.push_back(QueueSample{tick, depth, queue});
-        });
+    // One block at the bucket cap: a traced collect() allocates the same
+    // however long its window ran.
+    if (series.storageBytes() != 0)
+        out.reserve(DepthSeries::kMaxBuckets);
+    series.forEachBucket([&](Tick tick, std::uint32_t depth) {
+        out.push_back(QueueSample{tick, depth, queue});
+    });
     return out;
 }
 

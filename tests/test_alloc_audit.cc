@@ -32,8 +32,8 @@
  *     and at most 16 B per record beyond the record itself.
  *
  *  4. collect() allocates a fixed amount, not an amount per trace or
- *     per latency sample: fleet forensics and window percentiles select
- *     in place.
+ *     per latency sample: fleet and span forensics and window
+ *     percentiles select in place.
  */
 
 #include <gtest/gtest.h>
@@ -411,16 +411,16 @@ TEST(AllocAudit, TracedFleetCollectAllocatesUnder32KiB)
         << bytes << " bytes for " << traces << " completed traces";
 }
 
-/** Bytes one collect() allocates after a @p window_sec window of an
- *  untraced 2-core nginx machine. */
+/** Bytes one collect() allocates after a @p window_sec window of a
+ *  2-core nginx machine, traced or not. */
 std::uint64_t
-singleMachineCollectBytes(double window_sec)
+singleMachineCollectBytes(double window_sec, bool traced)
 {
     ExperimentConfig cfg;
     cfg.app = AppKind::kNginx;
     cfg.machine.cores = 2;
     cfg.machine.seed = 1234;
-    cfg.machine.traceEnabled = false;
+    cfg.machine.traceEnabled = traced;
     cfg.checkLevel = CheckLevel::kOff;
     cfg.concurrencyPerCore = 50;
     Testbed bed(cfg);
@@ -435,15 +435,19 @@ singleMachineCollectBytes(double window_sec)
 
 TEST(AllocAudit, SingleMachineCollectDoesNotGrowWithTheWindow)
 {
-    // The window's latency percentiles read the sample log in place, so
-    // a window 4x longer (4x the samples) costs collect() no more heap.
-    // (Traced, the span forensics still builds per-trace vectors at
-    // collect; folding traces at close is ROADMAP item 7.)
-    const std::uint64_t shortWin = singleMachineCollectBytes(0.05);
-    const std::uint64_t longWin = singleMachineCollectBytes(0.2);
-    EXPECT_LE(longWin, shortWin)
-        << "collect() allocated " << shortWin << " bytes after a 0.05 s "
-        << "window and " << longWin << " after a 0.2 s one";
+    // The window's latency percentiles read the sample log in place, and
+    // traced, the span forensics select their stage percentiles and
+    // exemplars in place over the retained traces (sim/order_stat.hh),
+    // so a window 4x longer (4x the samples and traces) costs collect()
+    // no more heap.
+    for (bool traced : {false, true}) {
+        const std::uint64_t shortWin = singleMachineCollectBytes(0.05, traced);
+        const std::uint64_t longWin = singleMachineCollectBytes(0.2, traced);
+        EXPECT_LE(longWin, shortWin)
+            << (traced ? "traced" : "untraced") << " collect() allocated "
+            << shortWin << " bytes after a 0.05 s window and " << longWin
+            << " after a 0.2 s one";
+    }
 }
 
 } // namespace

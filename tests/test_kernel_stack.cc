@@ -305,25 +305,6 @@ TEST_F(KernelFixture, EmbryonicCloseRecordsTeardownBeforeTraceRetires)
     EXPECT_EQ(vfs, 2);   // socket-file alloc in connect(), free in close()
 }
 
-TEST_F(KernelFixture, RfdEncodesCoreInSourcePort)
-{
-    build(KernelConfig::fastsocket(), 4);
-    KernelStack &k = m->kernel();
-    Port mask = ReceiveFlowDeliver::hashMask(4);
-    for (CoreId core = 0; core < 4; ++core) {
-        int proc = k.addProcess(core);
-        k.listen(proc, srv(), 80);
-        if (k.config().localListen)
-            k.localListen(proc, srv(), 80);
-        auto c = k.connect(proc, eq.now(), kBackendIp, 80);
-        ASSERT_NE(c.sock, nullptr);
-        Port psrc = c.sock->rxTuple.dport;
-        EXPECT_EQ(psrc & mask, core)
-            << "RFD: hash(psrc) must be the initiating core";
-        EXPECT_GT(psrc, kWellKnownPortMax);
-    }
-}
-
 /**
  * Property over RFD machines of several sizes: every connect() from
  * every core picks a source port that ReceiveFlowDeliver hashes back to
