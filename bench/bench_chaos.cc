@@ -44,6 +44,7 @@
 
 #include "bench_common.hh"
 #include "fleet/fleet.hh"
+#include "sim/rng.hh"
 #include "trace/incident_log.hh"
 
 namespace
@@ -63,15 +64,7 @@ struct CampaignRng
 {
     std::uint64_t s;
 
-    std::uint64_t
-    next()
-    {
-        s += 0x9e3779b97f4a7c15ULL;
-        std::uint64_t z = s;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        return z ^ (z >> 31);
-    }
+    std::uint64_t next() { return splitmix64(s); }
 
     double
     uniform()

@@ -83,8 +83,7 @@ readTraceChecks(FleetTestbed &bed, const BenchArgs &args,
     TraceChecks tc;
     tc.started = bed.load().started();
     tc.finished = bed.load().completed() + bed.load().failed();
-    for (const FleetTrace &tr : bed.traceLog().records())
-        tc.unstitched += tr.clientDone() && tr.ok() && !tr.stitched();
+    tc.unstitched = bed.traceLog().unstitchedOk();
     for (const Incident &inc : bed.incidents().incidents()) {
         if (inc.kind == IncidentKind::kSloBurn && inc.detected &&
             (tc.burnAt == 0 || inc.detectAt < tc.burnAt))

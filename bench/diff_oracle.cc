@@ -25,6 +25,9 @@
  * Usage: diff_oracle [--cores=N] [--conns=N] [--seed=S] [--app=nginx|
  * haproxy|both] [--nofaults]
  *
+ * The workload is a single-machine Scenario; runDifferential runs it
+ * under each kernel through the scenario fuzzer's bounded-run driver.
+ *
  * Not on runRows: it drives src/check's differential runner.
  */
 
@@ -39,14 +42,14 @@ namespace
 {
 
 int
-runOne(const fsim::DifferentialWorkload &wl, const char *name)
+runOne(const fsim::Scenario &s, const char *name)
 {
     using namespace fsim;
     std::printf("=== %s, %d cores, %llu connections%s%s ===\n", name,
-                wl.cores, static_cast<unsigned long long>(wl.maxConns),
-                wl.faultPlan.empty() ? "" : ", faults ",
-                wl.faultPlan.c_str());
-    DifferentialOutcome out = runDifferential(wl);
+                s.cores, static_cast<unsigned long long>(s.maxConns),
+                s.faultPlan.empty() ? "" : ", faults ",
+                s.faultPlan.c_str());
+    DifferentialOutcome out = runDifferential(s);
     std::printf("%s\n\n", out.summary().c_str());
     return out.ok() ? 0 : 1;
 }
@@ -54,13 +57,13 @@ runOne(const fsim::DifferentialWorkload &wl, const char *name)
 /** The lossy pass: whole-run random drops both kernels must absorb
  *  with byte-identical application output (see the file comment for
  *  why the window must cover the entire run). */
-fsim::DifferentialWorkload
-withLossBurst(fsim::DifferentialWorkload wl)
+fsim::Scenario
+withLossBurst(fsim::Scenario s)
 {
-    wl.faultPlan = "loss_burst@0-10:rate=0.25";
-    wl.clientTimeoutSec = 0.1;
-    wl.clientRtoMsec = 20.0;
-    return wl;
+    s.faultPlan = "loss_burst@0-10:rate=0.25";
+    s.clientTimeoutSec = 0.1;
+    s.clientRtoMsec = 20.0;
+    return s;
 }
 
 } // anonymous namespace
@@ -74,13 +77,19 @@ main(int argc, char **argv)
     // are consumed from its leftover-argument list.
     BenchArgs args = BenchArgs::parse(
         argc, argv, {"--nofaults", "--cores=", "--conns=", "--app="});
-    DifferentialWorkload wl;
+    // The oracle's bounded workload; runDifferential sets the kernel.
+    Scenario s;
+    s.cores = 4;
+    s.maxConns = 2000;
+    s.concurrencyPerCore = 50;
+    s.maxSimSec = 20.0;
+    s.seed = 1;
     std::string app = "both";
     bool faults = !args.extraFlag("--nofaults");
     if (args.seed != 0)
-        wl.seed = args.seed;
-    args.extraCount("--cores=", wl.cores);
-    args.extraCount("--conns=", wl.maxConns);
+        s.seed = args.seed;
+    args.extraCount("--cores=", s.cores);
+    args.extraCount("--conns=", s.maxConns);
     args.extraValue("--app=", app);
     if (app != "nginx" && app != "haproxy" && app != "both") {
         std::fprintf(stderr, "--app=: '%s' is not nginx, haproxy or both\n",
@@ -90,14 +99,14 @@ main(int argc, char **argv)
 
     int rc = 0;
     if (app == "nginx" || app == "both") {
-        wl.app = AppKind::kNginx;
-        rc |= runOne(wl, "nginx");
+        s.app = AppKind::kNginx;
+        rc |= runOne(s, "nginx");
         if (faults)
-            rc |= runOne(withLossBurst(wl), "nginx+loss-burst");
+            rc |= runOne(withLossBurst(s), "nginx+loss-burst");
     }
     if (app == "haproxy" || app == "both") {
-        wl.app = AppKind::kHaproxy;
-        rc |= runOne(wl, "haproxy");
+        s.app = AppKind::kHaproxy;
+        rc |= runOne(s, "haproxy");
         // No lossy pass: backend-leg ephemeral ports are kernel-chosen,
         // so the two kernels' packets draw different content-hash fates.
     }

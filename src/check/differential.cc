@@ -1,91 +1,12 @@
 #include "check/differential.hh"
 
-#include <algorithm>
 #include <sstream>
-
-#include "fault/fault_plan.hh"
-#include "sim/logging.hh"
 
 namespace fsim
 {
 
 namespace
 {
-
-KernelTotals
-runOneKernel(const DifferentialWorkload &wl, const KernelConfig &kc,
-             const std::string &name)
-{
-    ExperimentConfig cfg;
-    cfg.app = wl.app;
-    cfg.machine.cores = wl.cores;
-    cfg.machine.kernel = kc;
-    cfg.machine.seed = wl.seed;
-    cfg.concurrencyPerCore = wl.concurrencyPerCore;
-    cfg.requestsPerConn = wl.requestsPerConn;
-    cfg.maxConns = wl.maxConns;
-    cfg.checkLevel = CheckLevel::kPeriodic;
-    cfg.clientTimeout = ticksFromSeconds(wl.clientTimeoutSec);
-    cfg.clientRtoBase = ticksFromUsec(
-        static_cast<std::uint64_t>(wl.clientRtoMsec * 1000.0));
-    if (!wl.faultPlan.empty()) {
-        std::string err;
-        bool ok = parseFaultPlan(wl.faultPlan, cfg.faults, err);
-        fsim_assert(ok);
-        fsim_assert(wl.clientTimeoutSec > 0.0);
-    }
-
-    Testbed bed(cfg);
-    // Quiesce (leak) checks live in their own registry: they only hold
-    // once the run drains, so they must not join the periodic passes
-    // bed.checks() performs mid-run. Under faults, abandoned handshakes
-    // legitimately strand server TCBs until their keepalive horizon, so
-    // the leak bar only applies to fault-free runs.
-    InvariantRegistry quiesce;
-    if (wl.faultPlan.empty())
-        registerQuiesceInvariants(quiesce, bed.machine(), bed.load());
-
-    EventQueue &eq = bed.eventQueue();
-    HttpLoad &load = bed.load();
-    Tick cap = ticksFromSeconds(wl.maxSimSec);
-    Tick chunk = ticksFromSeconds(0.01);
-
-    bed.startLoad();
-    while (eq.now() < cap &&
-           (load.inFlight() > 0 || load.started() < wl.maxConns))
-        bed.runUntilChecked(std::min(cap, eq.now() + chunk));
-
-    KernelTotals t;
-    t.kernel = name;
-    t.drained = load.inFlight() == 0 && load.started() >= wl.maxConns;
-    t.drainTick = eq.now();
-
-    // Let the kernel finish housekeeping (TIME_WAIT reaping, timer
-    // bases going idle) so the leak checks see the true final state.
-    // Bounded workloads quiesce: timer bases only reschedule their
-    // jiffy tick while timers are pending.
-    if (t.drained) {
-        eq.runAll();
-        quiesce.runAll(eq.now());
-    }
-    bed.checks().runAll(eq.now());
-
-    t.started = load.started();
-    t.completed = load.completed();
-    t.failed = load.failed();
-    t.timeouts = load.timeouts();
-    t.responses = load.responses();
-    t.bytesReceived = load.bytesReceived();
-    t.served = bed.app().served();
-    t.lockWaitTicks = 0;
-    for (const auto &kv : bed.machine().locks().snapshot())
-        t.lockWaitTicks += kv.second.waitTicks;
-    t.busyTicks = bed.machine().cpu().totalBusyTicks();
-    t.fingerprint = bed.currentFingerprint();
-    t.invariants = bed.checks().report();
-    t.invariants.merge(quiesce.report());
-    return t;
-}
 
 void
 diffField(std::vector<std::string> &out, const char *name,
@@ -101,11 +22,14 @@ diffField(std::vector<std::string> &out, const char *name,
 } // namespace
 
 DifferentialOutcome
-runDifferential(const DifferentialWorkload &wl)
+runDifferential(const Scenario &s)
 {
     DifferentialOutcome out;
-    out.base = runOneKernel(wl, KernelConfig::base2632(), "base-2.6.32");
-    out.fast = runOneKernel(wl, KernelConfig::fastsocket(), "fastsocket");
+    Scenario run = s;
+    run.kernel = "base2632";
+    out.base = runOnMachine(run);
+    run.kernel = "fastsocket";
+    out.fast = runOnMachine(run);
 
     diffField(out.mismatches, "started", out.base.started,
               out.fast.started);
@@ -124,7 +48,7 @@ runDifferential(const DifferentialWorkload &wl)
     // finish the fixed workload sooner or burn fewer lock-wait cycles
     // doing it (in practice both). Single-digit-core runs can tie, so
     // only assert from 4 cores up.
-    if (wl.cores >= 4 && out.base.drained && out.fast.drained) {
+    if (s.cores >= 4 && out.base.drained && out.fast.drained) {
         bool faster = out.fast.drainTick <= out.base.drainTick;
         bool cheaper = out.fast.lockWaitTicks < out.base.lockWaitTicks;
         out.perfDirectionOk = faster || cheaper;

@@ -72,6 +72,7 @@ Scenario::toConfig() const
         std::string err;
         bool ok = parseFaultPlan(faultPlan, cfg.faults, err);
         fsim_assert(ok);   // validity was enforced at parse/generate time
+        fsim_assert(clientTimeoutSec > 0.0);   // so stuck conns drain
         // A flood fills a bounded SYN queue with half-opens nobody will
         // ever complete; the embryonic reaper is what lets it drain.
         if (cfg.faults.has(FaultKind::kSynFlood))
@@ -652,13 +653,6 @@ parseScenario(const std::string &text, Scenario &out, std::string &err)
 namespace
 {
 
-struct OneRun
-{
-    bool drained = false;
-    std::uint64_t fingerprint = 0;
-    InvariantReport invariants;
-};
-
 /** Drive @p bed in 10 ms chunks until the bounded load drains or the
  *  sim-time cap, calling @p onChunk(start, end) after each chunk. */
 template <typename Bed, typename OnChunk>
@@ -679,93 +673,94 @@ driveUntilDrained(Bed &bed, const Scenario &s, OnChunk onChunk)
     return load.inFlight() == 0 && load.started() >= s.maxConns;
 }
 
-OneRun
-runOnce(const Scenario &s)
+ScenarioRun
+runOnFleet(const Scenario &s)
 {
-    ExperimentConfig cfg = s.toConfig();
-    OneRun r;
-
-    if (s.fleetMachines > 0) {
-        FleetConfig fc;
-        fc.base = cfg;
-        fc.serverMachines = s.fleetMachines;
-        fc.balancers = s.fleetBalancers;
-        bool ok = L4Balancer::policyFromName(s.fleetPolicy, fc.policy);
-        fsim_assert(ok);   // validity was enforced at parse time
-        fc.sloEnabled = s.sloMetrics;
-        // Long-lived think pauses must stay well inside the balancer's
-        // idle-flow GC horizon or mid-conversation flows get retired.
-        fc.flowIdleTimeoutMsec = std::max(
-            fc.flowIdleTimeoutMsec, 4.0 * s.longLivedThinkMsec + 100.0);
-        FleetTestbed bed(fc);
-        // With the observability layer armed, every chunk boundary
-        // also feeds the SLO tracker and samples the metrics registry:
-        // the fuzzer's own sub-window clock, since run() is bypassed.
-        r.drained = driveUntilDrained(bed, s, [&](Tick start, Tick end) {
-            if (s.sloMetrics)
-                bed.sampleObservability(start, end);
+    FleetConfig fc;
+    fc.base = s.toConfig();
+    fc.serverMachines = s.fleetMachines;
+    fc.balancers = s.fleetBalancers;
+    bool ok = L4Balancer::policyFromName(s.fleetPolicy, fc.policy);
+    fsim_assert(ok);   // validity was enforced at parse time
+    fc.sloEnabled = s.sloMetrics;
+    // Long-lived think pauses must stay well inside the balancer's
+    // idle-flow GC horizon or mid-conversation flows get retired.
+    fc.flowIdleTimeoutMsec = std::max(fc.flowIdleTimeoutMsec,
+                                      4.0 * s.longLivedThinkMsec + 100.0);
+    FleetTestbed bed(fc);
+    ScenarioRun r;
+    // With the observability layer armed, every chunk boundary also
+    // feeds the SLO tracker and samples the metrics registry: the
+    // fuzzer's own sub-window clock, since run() is bypassed.
+    r.drained = driveUntilDrained(bed, s, [&](Tick start, Tick end) {
+        if (s.sloMetrics)
+            bed.sampleObservability(start, end);
+    });
+    // No quiesce leak pass on the fleet: probe and flow-GC timers
+    // self-reschedule forever (runAll would never return), and a
+    // crashed generation legitimately strands its server TCBs.
+    bed.checks().runAll(bed.eventQueue().now());
+    if (s.traceEnabled) {
+        // Stitching invariant: collect() reconciles every machine span
+        // against the client-minted trace ids. After a full drain no
+        // successful request may be missing its server span, no id may
+        // be born twice, and no span may disagree with its balancer
+        // flow's byte accounting.
+        ExperimentResult fr = bed.collect();
+        const std::uint64_t unstitched = bed.traceLog().unstitchedOk();
+        InvariantRegistry stitch;
+        stitch.add("trace-stitch-lossless", [&](Tick, std::string &why) {
+            if (fr.fleet.traceOrphans == 0 &&
+                fr.fleet.traceDuplicates == 0 && unstitched == 0)
+                return true;
+            why = "orphans=" + std::to_string(fr.fleet.traceOrphans) +
+                  " duplicates=" +
+                  std::to_string(fr.fleet.traceDuplicates) +
+                  " unstitched-ok=" + std::to_string(unstitched);
+            return false;
         });
-        // No quiesce leak pass on the fleet: probe and flow-GC timers
-        // self-reschedule forever (runAll would never return), and a
-        // crashed generation legitimately strands its server TCBs.
-        bed.checks().runAll(bed.eventQueue().now());
-        if (cfg.machine.traceEnabled) {
-            // Stitching invariant: collect() reconciles every machine
-            // span against the client-minted trace ids. After a full
-            // drain no successful request may be missing its server
-            // span, no id may be born twice, and no span may disagree
-            // with its balancer flow's byte accounting.
-            ExperimentResult fr = bed.collect();
-            const FleetTraceLog &log = bed.traceLog();
-            InvariantRegistry stitch;
-            stitch.add("trace-stitch-lossless",
-                       [&](Tick, std::string &why) {
-                           std::uint64_t unstitched = 0;
-                           for (const FleetTrace &tr : log.records())
-                               if (tr.clientDone() && tr.ok() &&
-                                   !tr.stitched())
-                                   ++unstitched;
-                           if (fr.fleet.traceOrphans == 0 &&
-                               fr.fleet.traceDuplicates == 0 &&
-                               unstitched == 0)
-                               return true;
-                           why = "orphans=" +
-                                 std::to_string(fr.fleet.traceOrphans) +
-                                 " duplicates=" +
-                                 std::to_string(fr.fleet.traceDuplicates) +
-                                 " unstitched-ok=" +
-                                 std::to_string(unstitched);
-                           return false;
-                       });
-            stitch.add("trace-span-reconcile",
-                       [&](Tick, std::string &why) {
-                           if (fr.fleet.spanReconcileViolations == 0)
-                               return true;
-                           why = "span reconcile violations=" +
-                                 std::to_string(
-                                     fr.fleet.spanReconcileViolations);
-                           return false;
-                       });
-            stitch.runAll(bed.eventQueue().now());
-            r.invariants = stitch.report();
-        }
-        r.fingerprint = bed.currentFingerprint();
-        r.invariants.merge(bed.checks().report());
-        return r;
+        stitch.add("trace-span-reconcile", [&](Tick, std::string &why) {
+            if (fr.fleet.spanReconcileViolations == 0)
+                return true;
+            why = "span reconcile violations=" +
+                  std::to_string(fr.fleet.spanReconcileViolations);
+            return false;
+        });
+        stitch.runAll(bed.eventQueue().now());
+        r.invariants = stitch.report();
     }
+    r.fingerprint = bed.currentFingerprint();
+    r.invariants.merge(bed.checks().report());
+    return r;
+}
 
-    Testbed bed(cfg);
+} // anonymous namespace
 
-    // Leak checks are only meaningful when every client connection runs
-    // to a clean close: under injected loss, abandoned handshakes
-    // legitimately strand server-side TCBs until their (long) keepalive
-    // horizon, which is model behavior, not a leak.
+ScenarioRun
+runOnMachine(const Scenario &s)
+{
+    fsim_assert(s.fleetMachines == 0);
+    Testbed bed(s.toConfig());
+
+    // Quiesce (leak) checks live in their own registry: they only hold
+    // once the run drains, so they must not join the periodic passes
+    // bed.checks() performs mid-run. They are only meaningful when
+    // every client connection runs to a clean close: under injected
+    // loss or faults, abandoned handshakes legitimately strand
+    // server-side TCBs until their (long) keepalive horizon, which is
+    // model behavior, not a leak.
     InvariantRegistry quiesce;
     if (s.lossRate == 0.0 && s.faultPlan.empty())
         registerQuiesceInvariants(quiesce, bed.machine(), bed.load());
 
     EventQueue &eq = bed.eventQueue();
+    ScenarioRun r;
     r.drained = driveUntilDrained(bed, s, [](Tick, Tick) {});
+    r.drainTick = eq.now();
+    // Let the kernel finish housekeeping (TIME_WAIT reaping, timer
+    // bases going idle) so the leak checks see the true final state.
+    // Bounded workloads quiesce: timer bases only reschedule their
+    // jiffy tick while timers are pending.
     if (r.drained) {
         eq.runAll();
         quiesce.runAll(eq.now());
@@ -774,16 +769,27 @@ runOnce(const Scenario &s)
     r.fingerprint = bed.currentFingerprint();
     r.invariants = bed.checks().report();
     r.invariants.merge(quiesce.report());
+
+    const HttpLoad &load = bed.load();
+    r.started = load.started();
+    r.completed = load.completed();
+    r.failed = load.failed();
+    r.timeouts = load.timeouts();
+    r.responses = load.responses();
+    r.bytesReceived = load.bytesReceived();
+    r.served = bed.app().served();
+    for (const auto &kv : bed.machine().locks().snapshot())
+        r.lockWaitTicks += kv.second.waitTicks;
+    r.busyTicks = bed.machine().cpu().totalBusyTicks();
     return r;
 }
-
-} // anonymous namespace
 
 ScenarioResult
 runScenario(const Scenario &s)
 {
-    OneRun a = runOnce(s);
-    OneRun b = runOnce(s);
+    auto runOnce = s.fleetMachines > 0 ? runOnFleet : runOnMachine;
+    ScenarioRun a = runOnce(s);
+    ScenarioRun b = runOnce(s);
 
     ScenarioResult r;
     r.drained = a.drained;

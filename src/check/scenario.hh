@@ -10,6 +10,10 @@
  * kPeriodic plus a same-seed determinism double-run, and — on violation —
  * greedily shrunk toward a minimal reproducer that can be committed to
  * tests/corpus/ and replayed as a regression test.
+ *
+ * runOnMachine() is the one bounded-run driver for a single machine:
+ * the fuzzer's runScenario() and the differential oracle
+ * (check/differential.hh) both run their scenarios through it.
  */
 
 #ifndef FSIM_CHECK_SCENARIO_HH
@@ -131,6 +135,45 @@ struct ScenarioResult
     bool ok() const { return drained && deterministic && invariants.ok(); }
     std::string summary() const;
 };
+
+/**
+ * What one bounded run of a scenario produced: the fuzzer's verdict
+ * (drain, fingerprint, invariants) plus the totals the differential
+ * oracle compares across kernels. The totals are read on a single
+ * machine only; the fleet tier leaves them zero.
+ */
+struct ScenarioRun
+{
+    bool drained = false;        //!< quiesced under the sim-time cap
+    std::uint64_t fingerprint = 0;
+    InvariantReport invariants;  //!< periodic + final + quiesce checks
+
+    /** @name Application-level totals (a kernel must not change them) */
+    /** @{ */
+    std::uint64_t started = 0;
+    std::uint64_t completed = 0;
+    std::uint64_t failed = 0;
+    std::uint64_t timeouts = 0;
+    std::uint64_t responses = 0;
+    std::uint64_t bytesReceived = 0;
+    std::uint64_t served = 0;    //!< server-side response count
+    /** @} */
+
+    /** @name Performance totals (expected to differ across kernels) */
+    /** @{ */
+    Tick drainTick = 0;              //!< sim time at drain (or the cap)
+    std::uint64_t lockWaitTicks = 0; //!< spin-wait cycles, all classes
+    std::uint64_t busyTicks = 0;     //!< total core busy cycles
+    /** @} */
+};
+
+/**
+ * Run single-machine scenario @p s once (fleetMachines == 0): drive its
+ * bounded load in 10 ms chunks until it drains or hits maxSimSec, let
+ * the kernel quiesce, then run the final checks plus, on loss- and
+ * fault-free runs, the leak checks.
+ */
+ScenarioRun runOnMachine(const Scenario &s);
 
 /**
  * Run @p s twice with all invariants armed (periodic conservation plus

@@ -7,18 +7,18 @@
 namespace fsim
 {
 
-namespace
-{
-
 std::uint64_t
-splitmix64(std::uint64_t &x)
+splitmix64(std::uint64_t &state)
 {
-    x += 0x9e3779b97f4a7c15ULL;
-    std::uint64_t z = x;
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
     return z ^ (z >> 31);
 }
+
+namespace
+{
 
 std::uint64_t
 rotl(std::uint64_t x, int k)

@@ -14,6 +14,9 @@
 namespace fsim
 {
 
+/** One SplitMix64 step: advance @p state and return its next output. */
+std::uint64_t splitmix64(std::uint64_t &state);
+
 /** Deterministic 64-bit PRNG (xoshiro256**). */
 class Rng
 {

@@ -244,6 +244,16 @@ FleetTraceLog::orphans() const
     return n;
 }
 
+std::uint64_t
+FleetTraceLog::unstitchedOk() const
+{
+    std::uint64_t n = 0;
+    for (const FleetTrace &tr : records_)
+        if (tr.clientDone() && tr.ok() && !tr.stitched())
+            ++n;
+    return n;
+}
+
 namespace
 {
 

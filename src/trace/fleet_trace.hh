@@ -241,6 +241,11 @@ class FleetTraceLog
      *  was lost in flight. Must stay zero. */
     std::uint64_t orphans() const;
 
+    /** Completed-ok traces no machine span ever joined. Must be zero
+     *  once the fleet settles: every served request was served by
+     *  some machine. */
+    std::uint64_t unstitchedOk() const;
+
     /** Every record, in first-seen order. */
     const ChunkedVector<FleetTrace> &records() const { return records_; }
 

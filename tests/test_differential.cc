@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential-oracle tests: base 2.6.32 and Fastsocket must produce
- * identical application-level totals for the same bounded workload,
+ * identical application-level totals for the same bounded scenario,
  * with clean leak-free quiescence on both sides — while the perf
  * observables move in the paper's direction on a contended machine.
  */
@@ -17,12 +17,12 @@ namespace
 
 TEST(Differential, NginxAppObservablesMatch)
 {
-    DifferentialWorkload wl;
-    wl.app = AppKind::kNginx;
-    wl.cores = 4;
-    wl.maxConns = 800;
-    wl.concurrencyPerCore = 40;
-    DifferentialOutcome out = runDifferential(wl);
+    Scenario s;
+    s.app = AppKind::kNginx;
+    s.cores = 4;
+    s.maxConns = 800;
+    s.concurrencyPerCore = 40;
+    DifferentialOutcome out = runDifferential(s);
     EXPECT_TRUE(out.appMatch()) << out.summary();
     EXPECT_TRUE(out.base.drained);
     EXPECT_TRUE(out.fast.drained);
@@ -38,12 +38,12 @@ TEST(Differential, NginxAppObservablesMatch)
 
 TEST(Differential, HaproxyAppObservablesMatch)
 {
-    DifferentialWorkload wl;
-    wl.app = AppKind::kHaproxy;
-    wl.cores = 4;
-    wl.maxConns = 800;
-    wl.concurrencyPerCore = 40;
-    DifferentialOutcome out = runDifferential(wl);
+    Scenario s;
+    s.app = AppKind::kHaproxy;
+    s.cores = 4;
+    s.maxConns = 800;
+    s.concurrencyPerCore = 40;
+    DifferentialOutcome out = runDifferential(s);
     EXPECT_TRUE(out.appMatch()) << out.summary();
     EXPECT_EQ(out.base.completed, 800u);
     EXPECT_TRUE(out.base.invariants.ok())
@@ -55,13 +55,13 @@ TEST(Differential, HaproxyAppObservablesMatch)
 
 TEST(Differential, KeepAliveWorkloadMatches)
 {
-    DifferentialWorkload wl;
-    wl.app = AppKind::kNginx;
-    wl.cores = 2;
-    wl.maxConns = 300;
-    wl.requestsPerConn = 3;
-    wl.concurrencyPerCore = 25;
-    DifferentialOutcome out = runDifferential(wl);
+    Scenario s;
+    s.app = AppKind::kNginx;
+    s.cores = 2;
+    s.maxConns = 300;
+    s.requestsPerConn = 3;
+    s.concurrencyPerCore = 25;
+    DifferentialOutcome out = runDifferential(s);
     EXPECT_TRUE(out.appMatch()) << out.summary();
     EXPECT_EQ(out.base.responses, 900u) << "3 responses per connection";
 }
@@ -71,10 +71,10 @@ TEST(Differential, PerfObservablesActuallyDiffer)
     // The oracle is only meaningful if the two kernels genuinely take
     // different paths: the baseline must burn lock-wait cycles that
     // Fastsocket's partitioned design avoids.
-    DifferentialWorkload wl;
-    wl.cores = 4;
-    wl.maxConns = 800;
-    DifferentialOutcome out = runDifferential(wl);
+    Scenario s;
+    s.cores = 4;
+    s.maxConns = 800;
+    DifferentialOutcome out = runDifferential(s);
     EXPECT_GT(out.base.lockWaitTicks, out.fast.lockWaitTicks)
         << out.perfDetail;
     EXPECT_NE(out.base.fingerprint, out.fast.fingerprint);

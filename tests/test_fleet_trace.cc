@@ -60,7 +60,8 @@ settle(FleetTestbed &bed)
 }
 
 /** Successful client requests with no server-machine span: must be
- *  zero after settle — every served request was served by SOMEONE. */
+ *  zero after settle — every served request was served by SOMEONE.
+ *  The reference FleetTraceLog::unstitchedOk() is checked against. */
 std::uint64_t
 unstitchedOk(const FleetTraceLog &log)
 {
@@ -494,6 +495,7 @@ TEST(FleetTrace, OnePassForensicsMatchesSortBasedReference)
                              << " traces";
         orphans += want.orphans;
         unstitched += unstitchedOk(log);
+        ASSERT_EQ(log.unstitchedOk(), unstitchedOk(log)) << "round " << round;
     }
     // The generator produced the cases it promises.
     EXPECT_GT(orphans, 0u);
