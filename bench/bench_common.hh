@@ -266,8 +266,6 @@ struct BenchArgs
             cfg.machine.seed = seed;
         if (!trace)
             cfg.machine.traceEnabled = false;
-        if (!perfettoPath.empty())
-            cfg.keepSpanTraces = true;
     }
 };
 
@@ -288,14 +286,10 @@ sanitizeLabel(const std::string &label)
     return out.empty() ? "row" : out;
 }
 
-/** Per-row output path: base.json + "RSS" -> base.rss.json (single-row
- *  reports keep the path untouched). */
+/** Per-row output path: base.json + "RSS" -> base.rss.json. */
 inline std::string
-perfettoRowPath(const std::string &base, const std::string &label,
-                std::size_t row_count)
+perfettoRowPath(const std::string &base, const std::string &label)
 {
-    if (row_count <= 1)
-        return base;
     std::size_t dot = base.rfind('.');
     std::size_t slash = base.rfind('/');
     std::string stem = base;
@@ -308,14 +302,25 @@ perfettoRowPath(const std::string &base, const std::string &label,
     return stem + "." + sanitizeLabel(label) + ext;
 }
 
+/** A row's --perfetto file, written by runRows while the row's span
+ *  log is live; path stays empty when the row wrote none. */
+struct PerfettoFile
+{
+    std::string path;
+    bool written = false;
+    PerfettoStats stats;
+};
+
 /**
  * Shared bench epilogue: print per-row determinism fingerprints when
  * --fingerprint was given (same seed + config must reprint identical
- * values, with or without --notrace) and write the JSON report when
+ * values, with or without --notrace), report the @p perfetto files of
+ * the report's rows (in row order), and write the JSON report when
  * --json was given.
  */
 inline void
-finishJson(const BenchArgs &args, const BenchJsonReport &report)
+finishJson(const BenchArgs &args, const BenchJsonReport &report,
+           const std::vector<PerfettoFile> &perfetto = {})
 {
     if (args.fingerprint) {
         std::printf("\nfingerprints:\n");
@@ -350,9 +355,8 @@ finishJson(const BenchArgs &args, const BenchJsonReport &report)
                              report.rowLabel(i).c_str());
                 continue;
             }
-            std::string path = perfettoRowPath(args.metricsPath,
-                                               report.rowLabel(i),
-                                               report.rowCount());
+            std::string path =
+                perfettoRowPath(args.metricsPath, report.rowLabel(i));
             if (writePrometheusText(path, ts))
                 std::printf("wrote %s (%zu series)\n", path.c_str(),
                             ts.series.size());
@@ -365,36 +369,27 @@ finishJson(const BenchArgs &args, const BenchJsonReport &report)
         for (std::size_t i = 0; i < report.rowCount(); ++i) {
             // Fleet rows keep no single-machine span traces;
             // bench_fleet_trace exports their stitched traces itself.
-            const ExperimentResult &r = report.rowResult(i);
-            if (r.fleetTrace.enabled)
+            if (report.rowResult(i).fleetTrace.enabled)
                 continue;
-            if (!r.spanTraces) {
+            if (i >= perfetto.size() || perfetto[i].path.empty()) {
                 std::fprintf(stderr,
                              "warning: --perfetto: row %s kept no span "
                              "traces (tracing disabled?)\n",
                              report.rowLabel(i).c_str());
                 continue;
             }
-            const ExperimentConfig &cfg = report.rowConfig(i);
-            PerfettoMeta meta;
-            meta.bench = report.benchName();
-            meta.label = report.rowLabel(i);
-            meta.cores = cfg.machine.cores;
-            meta.rfd = cfg.machine.kernel.rfd;
-            std::string path = perfettoRowPath(args.perfettoPath,
-                                               report.rowLabel(i),
-                                               report.rowCount());
-            PerfettoStats st;
-            if (writePerfettoTrace(path, *r.spanTraces, meta, &st))
+            const PerfettoFile &pf = perfetto[i];
+            const PerfettoStats &st = pf.stats;
+            if (pf.written)
                 std::printf("wrote %s (%llu conns, %llu slices, "
                             "%llu waits, %llu cross-core flows%s)\n",
-                            path.c_str(), llu(st.tracesExported),
+                            pf.path.c_str(), llu(st.tracesExported),
                             llu(st.durationEvents), llu(st.waitEvents),
                             llu(st.flowPairs),
                             st.truncated ? ", truncated" : "");
             else
                 std::fprintf(stderr, "error: could not write %s\n",
-                             path.c_str());
+                             pf.path.c_str());
         }
     }
     if (args.jsonPath.empty())
@@ -531,13 +526,15 @@ struct Bench
         if (verdict)
             std::printf("%s: %s\n", json.benchName().c_str(),
                         gates.status() ? "FAIL" : "PASS");
-        finishJson(args, json);
+        finishJson(args, json, perfetto);
         return gates.status();
     }
 
     const BenchArgs &args;
     BenchJsonReport json;
     Gates gates;
+    /** The --perfetto file of each JSON row, in row order. */
+    std::vector<PerfettoFile> perfetto;
 };
 
 /** The three kernels Figure 4 compares. */
@@ -656,6 +653,23 @@ runRows(Bench &bench, std::vector<BenchRow<Bed, Read>> rows)
                 out.yield(bed.run());
             if (row.read)
                 out.read = row.read(bed);
+            // Each window's Perfetto file, read from the live span log
+            // (fleet rows export their stitched traces in their read).
+            for (const auto &[label, r] : out.windows) {
+                PerfettoFile &pf = bench.perfetto.emplace_back();
+                if constexpr (std::is_same_v<Bed, Testbed>) {
+                    const SpanForensics &w = r.spanForensics;
+                    if (bench.args.perfettoPath.empty() || !w.enabled)
+                        continue;
+                    pf.path = perfettoRowPath(bench.args.perfettoPath, label);
+                    pf.written = writePerfettoTrace(
+                        pf.path, bed.machine().tracer().connSpans(),
+                        w.firstCompleted, w.firstCompleted + w.completed,
+                        {bench.json.benchName(), label, cfg.machine.cores,
+                         cfg.machine.kernel.rfd},
+                        &pf.stats);
+                }
+            }
         }
         for (auto &[label, r] : out.windows) {
             bench.gates.invariant(r.invariants.violationCount == 0, cfg,

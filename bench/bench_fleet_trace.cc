@@ -69,9 +69,7 @@ struct TraceChecks
     Tick burnAt = 0;
     Tick ejectAt = 0;
     bool ejected = false;
-    std::string perfettoPath;   //!< empty: nothing exported
-    bool perfettoWritten = false;
-    PerfettoStats perfetto;
+    PerfettoFile perfetto;
 };
 
 /** Read step: the row's trace checks, and its stitched fleet traces
@@ -100,10 +98,10 @@ readTraceChecks(FleetTestbed &bed, const BenchArgs &args,
         meta.label = std::string(scenario) + "/" + kernel;
         meta.machines = bed.machineCount();
         meta.balancers = bed.balancerCount();
-        tc.perfettoPath = perfettoRowPath(
-            args.perfettoPath, std::string(scenario) + "-" + kernel, 2);
-        tc.perfettoWritten = writeFleetPerfettoTrace(
-            tc.perfettoPath, bed.traceLog(), meta, &tc.perfetto);
+        tc.perfetto.path = perfettoRowPath(
+            args.perfettoPath, std::string(scenario) + "-" + kernel);
+        tc.perfetto.written = writeFleetPerfettoTrace(
+            tc.perfetto.path, bed.traceLog(), meta, &tc.perfetto.stats);
     }
     return tc;
 }
@@ -231,15 +229,15 @@ main(int argc, char **argv)
                     "", llu(fl.sloFastAlerts), fl.sloFirstFastAlertMs,
                     llu(fl.sloSlowAlerts), llu(fl.scoreEjections));
 
-            if (tc.perfettoWritten)
+            const PerfettoFile &pf = tc.perfetto;
+            if (pf.written)
                 std::printf("wrote %s (%llu traces, %llu flow arrows%s)\n",
-                            tc.perfettoPath.c_str(),
-                            llu(tc.perfetto.tracesExported),
-                            llu(tc.perfetto.flowPairs),
-                            tc.perfetto.truncated ? ", truncated" : "");
-            else if (!tc.perfettoPath.empty())
+                            pf.path.c_str(), llu(pf.stats.tracesExported),
+                            llu(pf.stats.flowPairs),
+                            pf.stats.truncated ? ", truncated" : "");
+            else if (!pf.path.empty())
                 std::fprintf(stderr, "error: could not write %s\n",
-                             tc.perfettoPath.c_str());
+                             pf.path.c_str());
 
             // Reconciliation holds with or without faults (vacuously
             // zero under --notrace).

@@ -489,17 +489,6 @@ shrinkField(const Field &f, const Scenario &s, std::vector<Scenario> &out)
         f.member);
 }
 
-/** Fault kinds the fleet orchestrator consumes (fleet tier only). */
-bool
-isFleetKind(FaultKind k)
-{
-    return k == FaultKind::kMachineCrash ||
-           k == FaultKind::kRollingRestart ||
-           k == FaultKind::kLbCrash ||
-           k == FaultKind::kMachineDegrade ||
-           k == FaultKind::kNetPartition;
-}
-
 /** The constraints that span several fields (randomScenario() builds
  *  them in); single-field ranges were checked as each key was read. */
 bool

@@ -79,14 +79,11 @@ FaultInjector::arm(const std::vector<IpAddr> &server_addrs,
             eq_.schedule(end, [this] { nic_.setAtrCapacityClamp(0); });
             break;
           }
-          case FaultKind::kMachineCrash:
-          case FaultKind::kRollingRestart:
-          case FaultKind::kLbCrash:
-          case FaultKind::kMachineDegrade:
-          case FaultKind::kNetPartition:
+          default:
             // Fleet orchestration: meaningless on a single machine.
             // The FleetTestbed consumes these itself before arming the
             // injector with the remaining wire/backend events.
+            fsim_assert(isFleetKind(e.kind));
             ++ignoredEvents_;
             break;
         }

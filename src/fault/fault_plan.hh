@@ -55,6 +55,14 @@ enum class FaultKind
                       //!< for the window; the link heals at window end
 };
 
+/** The kinds after kAtrShrink: the fleet orchestrator's (fleet tier
+ *  only; a single-machine FaultInjector counts them as ignored). */
+constexpr bool
+isFleetKind(FaultKind k)
+{
+    return k > FaultKind::kAtrShrink;
+}
+
 /** One scheduled fault window. */
 struct FaultEvent
 {

@@ -961,10 +961,8 @@ FleetTestbed::collect()
     // spans join here: a server stuck in FIN retransmission after its
     // NAT flow died (balancer failover mid-teardown) still served its
     // request; orderly-closed spans outrank these.
-    forEachGeneration([this](const Generation &g) {
-        for (const ConnSpanTrace &tr :
-             g.machine->tracer().connSpans().liveSnapshot())
-            traceLog_.stitchMachineSpan(tr);
+    forEachGeneration([](const Generation &g) {
+        g.machine->tracer().connSpans().stitchLive();
     });
     fl.tracesStarted = traceLog_.clientStarts();
     fl.tracesCompleted = traceLog_.clientCompleted();

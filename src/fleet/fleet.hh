@@ -144,9 +144,6 @@ class FleetTestbed
      *  in-flight ones at collect()). */
     const FleetTraceLog &traceLog() const { return traceLog_; }
 
-    /** Fleet metrics registry (sampled once per stat sub-window). */
-    const MetricsRegistry &metrics() const { return metrics_; }
-
     /** SLO burn tracker (null unless cfg.sloEnabled). */
     const SloTracker *slo() const { return slo_.get(); }
 
@@ -171,13 +168,8 @@ class FleetTestbed
 
     /** @name Orchestration counters */
     /** @{ */
-    std::uint64_t crashes() const { return crashes_; }
     std::uint64_t restarts() const { return restarts_; }
-    std::uint64_t lbCrashes() const { return lbCrashes_; }
     std::uint64_t vipTakeovers() const { return vipTakeovers_; }
-    std::uint64_t degradesApplied() const { return degradesApplied_; }
-    std::uint64_t flapTransitions() const { return flapTransitions_; }
-    std::uint64_t partitionsArmed() const { return partitionsArmed_; }
     /** @} */
 
     /** @name Address plan (stable; tests depend on it) */

@@ -187,8 +187,9 @@ writeLatencyStages(JsonWriter &w, const SpanForensics &sf)
         }
         w.endObject();
         w.key("cores").beginArray();
-        for (int c : ex.cores)
-            w.value(c);
+        for (int c = 0; c < ConnSpanFold::kMaxCores; ++c)
+            if (ex.cores[static_cast<std::size_t>(c)])
+                w.value(c);
         w.endArray();
         w.endObject();
     }
@@ -241,12 +242,6 @@ const InvariantReport &
 BenchJsonReport::rowInvariants(std::size_t i) const
 {
     return rows_.at(i).res.invariants;
-}
-
-const ExperimentConfig &
-BenchJsonReport::rowConfig(std::size_t i) const
-{
-    return rows_.at(i).cfg;
 }
 
 const ExperimentResult &

@@ -41,8 +41,7 @@ class BenchJsonReport
     const std::string &rowLabel(std::size_t i) const;
     std::uint64_t rowFingerprint(std::size_t i) const;
     const InvariantReport &rowInvariants(std::size_t i) const;
-    /** Full row access (forensics rendering + Perfetto export). */
-    const ExperimentConfig &rowConfig(std::size_t i) const;
+    /** Full row access (forensics rendering). */
     const ExperimentResult &rowResult(std::size_t i) const;
     /** @} */
 

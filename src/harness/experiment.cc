@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/fingerprint.hh"
-#include "trace/perfetto_export.hh"
 
 namespace fsim
 {
@@ -199,15 +198,8 @@ Testbed::collect()
             r.queueTimelines[traceQueueName(qid)] = std::move(tl);
     }
 
-    // Per-connection span forensics over the window, plus the raw
-    // traces when the caller wants to export them (Perfetto).
-    const auto &sl = tr.connSpans();
-    r.spanForensics = buildSpanForensics(sl, mark_.spansCompleted);
-    // One trace past the export cap, so the export still sees (and
-    // marks) a truncated window.
-    if (cfg_.keepSpanTraces && sl.enabled())
-        r.spanTraces =
-            sl.copyCompleted(mark_.spansCompleted, kPerfettoMaxTraces + 1);
+    r.spanForensics =
+        buildSpanForensics(tr.connSpans(), mark_.spansCompleted);
 
     r.fingerprint = currentFingerprint();
     addRunTotals(r, server_, /*up=*/true);

@@ -118,14 +118,6 @@ struct ExperimentConfig
      *  admission gate classifies them. */
     int clientHealthEvery = 0;
     /** @} */
-
-    /** @name Span tracing (src/trace conn spans) */
-    /** @{ */
-    /** Copy the window's completed per-connection span traces into the
-     *  result (needed by the Perfetto exporter; forensics alone do
-     *  not). Meaningless when machine.traceEnabled is off. */
-    bool keepSpanTraces = false;
-    /** @} */
 };
 
 /** Overload-control counters of one run (run totals, not deltas, except
@@ -370,11 +362,6 @@ struct ExperimentResult
      *  tracing is off, and then the JSON "latency_stages" block is
      *  omitted). */
     SpanForensics spanForensics;
-    /** The window's first completed span traces, up to one past
-     *  kPerfettoMaxTraces (what a Perfetto export writes, plus one to
-     *  show truncation), kept only when cfg.keepSpanTraces (shared:
-     *  results are copied by value). */
-    std::shared_ptr<const std::vector<ConnSpanTrace>> spanTraces;
     /** @} */
 
     /** @name Correctness (src/check) */

@@ -264,6 +264,23 @@ KernelStack::newSocket()
 }
 
 Socket *
+KernelStack::newPassiveSocket(CoreId core, Socket *listener,
+                              const Packet &pkt, TcpState state)
+{
+    Socket *conn = newSocket();
+    conn->kind = SockKind::kConnection;
+    conn->state = state;
+    conn->rxTuple = pkt.tuple;
+    conn->passive = true;
+    conn->parentListen = listener;
+    conn->timerCore = core;
+    conn->prio = pkt.prio;
+    conn->traceId = pkt.traceId;
+    conn->touch(core);
+    return conn;
+}
+
+Socket *
 KernelStack::newListenSocket(IpAddr addr, Port port)
 {
     Socket *s = newSocket();
@@ -451,6 +468,18 @@ KernelStack::sendPacket(CoreId core, Tick t, Socket *sock,
     d_.nic->noteTx(pkt, core);   // XPS: transmit on the local queue
     d_.wire->transmit(pkt, t);
     ++stats_.txPackets;
+    return t;
+}
+
+Tick
+KernelStack::sendRst(const FiveTuple &rx, Tick t)
+{
+    t += d_.costs->rstCost;
+    ++stats_.rstSent;
+    Packet rst;
+    rst.tuple = rx.reversed();
+    rst.flags = kRst;
+    d_.wire->transmit(rst, t);
     return t;
 }
 
@@ -733,15 +762,8 @@ KernelStack::netRx(CoreId core, const Packet &pkt, Tick t, Steer steer)
             if (ll.sock)
                 return establishFromCookie(core, ll.sock, pkt, t, steer);
         }
-        if (!pkt.has(kRst)) {
-            t += d_.costs->rstCost;
-            ++stats_.rstSent;
-            Packet rst;
-            rst.tuple = pkt.tuple.reversed();
-            rst.flags = kRst;
-            d_.wire->transmit(rst, t);
-        }
-        return t;
+        // No connection: answer with a RST, unless the packet is one.
+        return pkt.has(kRst) ? t : sendRst(pkt.tuple, t);
     }
 
     // Figure 5(b) accounting: for active connections, a packet is "local"
@@ -795,13 +817,7 @@ KernelStack::handleSyn(CoreId core, const Packet &pkt, Tick t, Steer steer)
     t = l.t;
     if (!l.sock) {
         // No listener: reject with RST.
-        t += d_.costs->rstCost;
-        ++stats_.rstSent;
-        Packet rst;
-        rst.tuple = pkt.tuple.reversed();
-        rst.flags = kRst;
-        d_.wire->transmit(rst, t);
-        return t;
+        return sendRst(pkt.tuple, t);
     }
 
     Socket *listener = l.sock;
@@ -839,16 +855,8 @@ KernelStack::handleSyn(CoreId core, const Packet &pkt, Tick t, Steer steer)
 
     // Create the connection TCB and queue it on the listener's SYN queue
     // (under the listener's slock, the baseline's hot lock).
-    Socket *conn = newSocket();
-    conn->kind = SockKind::kConnection;
-    conn->state = TcpState::kSynRcvd;
-    conn->rxTuple = pkt.tuple;
-    conn->passive = true;
-    conn->parentListen = listener;
-    conn->timerCore = core;
-    conn->prio = pkt.prio;
-    conn->traceId = pkt.traceId;
-    conn->touch(core);
+    Socket *conn = newPassiveSocket(core, listener, pkt,
+                                    TcpState::kSynRcvd);
     sc.open(conn->id, ConnStage::kSynRx, /*passive=*/true, conn->traceId);
     t += d_.costs->synProcess;
     t = sc.locked(listener->slock, t, d_.costs->synQueueHold);
@@ -883,18 +891,10 @@ KernelStack::establishFromCookie(CoreId core, Socket *listener,
     t += d_.costs->synCookieCost + d_.costs->establish;
     ++stats_.synCookiesValidated;
 
-    Socket *conn = newSocket();
-    conn->kind = SockKind::kConnection;
-    conn->state = TcpState::kEstablished;
+    Socket *conn = newPassiveSocket(core, listener, pkt,
+                                    TcpState::kEstablished);
     if (++stats_.establishedCurr > stats_.establishedPeak)
         stats_.establishedPeak = stats_.establishedCurr;
-    conn->rxTuple = pkt.tuple;
-    conn->passive = true;
-    conn->parentListen = listener;
-    conn->timerCore = core;
-    conn->prio = pkt.prio;
-    conn->traceId = pkt.traceId;
-    conn->touch(core);
     sc.open(conn->id, ConnStage::kHandshake, /*passive=*/true,
             conn->traceId);
     if (pkt.payload) {
@@ -911,13 +911,8 @@ KernelStack::establishFromCookie(CoreId core, Socket *listener,
     if (listener->acceptQueue.size() >= listener->backlog) {
         ++stats_.acceptOverflows;
         ++stats_.acceptQueueRsts;
-        ++stats_.rstSent;
         noteAcceptOccupancy(listener);
-        t += d_.costs->rstCost;
-        Packet rst;
-        rst.tuple = pkt.tuple.reversed();
-        rst.flags = kRst;
-        d_.wire->transmit(rst, t);
+        t = sendRst(pkt.tuple, t);
         return sc.close(destroySocket(core, t, conn));
     }
     conn->acceptEnqueueTick = t;
@@ -1042,13 +1037,8 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
             // Accept-queue overflow (somaxconn): reject the connection.
             ++stats_.acceptOverflows;
             ++stats_.acceptQueueRsts;
-            ++stats_.rstSent;
             noteAcceptOccupancy(listener);
-            t += d_.costs->rstCost;
-            Packet rst;
-            rst.tuple = sock->rxTuple.reversed();
-            rst.flags = kRst;
-            d_.wire->transmit(rst, t);
+            t = sendRst(sock->rxTuple, t);
             return sc.close(destroySocket(core, t, sock));
         }
         sock->acceptEnqueueTick = t;

@@ -351,6 +351,10 @@ class KernelStack
     sumEhash(std::uint64_t (EstablishedTable::*stat)() const) const;
 
     Socket *newSocket();
+    /** A new passive connection TCB in @p state for @p pkt's flow,
+     *  child of @p listener, minted on @p core. */
+    Socket *newPassiveSocket(CoreId core, Socket *listener,
+                             const Packet &pkt, TcpState state);
     /** A new listen socket bound to (addr, port). */
     Socket *newListenSocket(IpAddr addr, Port port);
     Tick destroySocket(CoreId core, Tick t, Socket *sock,
@@ -372,6 +376,9 @@ class KernelStack
 
     Tick sendPacket(CoreId core, Tick t, Socket *sock, std::uint8_t flags,
                     std::uint32_t payload);
+    /** Answer the sender of a packet on flow @p rx with a RST, sent
+     *  after the RST cost; returns completion tick. */
+    Tick sendRst(const FiveTuple &rx, Tick t);
 
     /** Wake the epoll watcher(s) of @p sock; returns completion tick. */
     Tick wakeSocket(CoreId core, Tick t, Socket *sock, int fd_hint);

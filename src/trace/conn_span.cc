@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
 #include "trace/fleet_trace.hh"
 #include "trace/trace_scope.hh"
 
@@ -49,16 +50,37 @@ connStageKind(ConnStage s)
 Tick
 ConnSpanTrace::serviceLatency() const
 {
+    return ConnSpanFold(*this).latency;
+}
+
+ConnSpanFold::ConnSpanFold(const ConnSpanTrace &tr)
+{
     Tick last_write = 0;
-    Tick last_exec = openTick;
-    for (const ConnSpan &sp : spans) {
+    Tick last_exec = tr.openTick;
+    Tick covered = 0;
+    for (const ConnSpan &sp : tr.spans) {
+        const auto idx = static_cast<std::size_t>(sp.stage);
+        const Tick len = sp.end - sp.begin;
+        stageTicks[idx] += len;
+        ++stageCounts[idx];
         if (sp.stage == ConnStage::kAppWrite)
             last_write = std::max(last_write, sp.end);
-        if (connStageKind(sp.stage) == ConnStageKind::kExec)
+        const ConnStageKind kind = connStageKind(sp.stage);
+        if (kind == ConnStageKind::kExec) {
+            exec += len;
             last_exec = std::max(last_exec, sp.end);
+        }
+        if (kind != ConnStageKind::kSub)
+            covered += len;
+        if (kind != ConnStageKind::kWait && sp.core >= 0) {
+            fsim_assert(sp.core < kMaxCores &&
+                        "ConnSpanFold: core id past kMaxCores");
+            cores[static_cast<std::size_t>(sp.core)] = true;
+        }
     }
     const Tick done = last_write ? last_write : last_exec;
-    return done > openTick ? done - openTick : 0;
+    latency = done > tr.openTick ? done - tr.openTick : 0;
+    unattributed = latency > covered ? latency - covered : 0;
 }
 
 ConnSpanTrace
@@ -213,49 +235,14 @@ ConnSpanLog::retainSpans(std::span<const ConnSpan> src)
     return {dst, src.size()};
 }
 
-std::vector<ConnSpanTrace>
-ConnSpanLog::liveSnapshot() const
+void
+ConnSpanLog::stitchLive()
 {
-    std::vector<ConnSpanTrace> out;
-    out.reserve(live_.size());
+    if (!fleet_)
+        return;
     live_.forEach([&](std::uint64_t, std::uint32_t slot) {
-        out.push_back(slots_[slot].view());
+        fleet_->stitchMachineSpan(slots_[slot].view());
     });
-    std::sort(out.begin(), out.end(),
-              [](const ConnSpanTrace &a, const ConnSpanTrace &b) {
-                  return a.connId < b.connId;
-              });
-    return out;
-}
-
-std::shared_ptr<const std::vector<ConnSpanTrace>>
-ConnSpanLog::copyCompleted(std::size_t from, std::size_t max) const
-{
-    struct Owned
-    {
-        std::vector<ConnSpan> spans;
-        std::vector<ConnSpanTrace> traces;
-    };
-    auto own = std::make_shared<Owned>();
-    const std::size_t end =
-        from + (completed_.size() > from
-                    ? std::min(max, completed_.size() - from)
-                    : 0);
-    std::size_t nspans = 0;
-    for (std::size_t i = from; i < end; ++i)
-        nspans += completed_[i].spans.size();
-    // Reserved up front: the copied views must not move.
-    own->spans.reserve(nspans);
-    own->traces.reserve(end - from);
-    for (std::size_t i = from; i < end; ++i) {
-        ConnSpanTrace tr = completed_[i];
-        const std::size_t at = own->spans.size();
-        own->spans.insert(own->spans.end(), tr.spans.begin(),
-                          tr.spans.end());
-        tr.spans = {own->spans.data() + at, tr.spans.size()};
-        own->traces.push_back(tr);
-    }
-    return {own, &own->traces};
 }
 
 std::uint64_t

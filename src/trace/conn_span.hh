@@ -32,6 +32,8 @@
  * machines: stitched at close, nothing retained) or, with none attached
  * (single-machine testbeds), is retained: its header in chunked storage,
  * its spans copied into a chunked arena that ConnSpanTrace::spans views.
+ * Forensics and the Perfetto exporter read a window of the retained
+ * traces in place.
  *
  * Determinism: completed traces are kept in completion order (a pure
  * function of simulated events), never in pointer or hash order, so any
@@ -43,6 +45,8 @@
 #ifndef FSIM_TRACE_CONN_SPAN_HH
 #define FSIM_TRACE_CONN_SPAN_HH
 
+#include <array>
+#include <bitset>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -129,14 +133,43 @@ struct ConnSpanTrace
      *  ConnSpanLog (or by whoever built the trace), never by the trace. */
     std::span<const ConnSpan> spans;
 
+    /** ConnSpanFold::latency of this trace. */
+    Tick serviceLatency() const;
+};
+
+/**
+ * A trace folded into fixed-size per-connection totals in one pass over
+ * its spans, allocating nothing. It is the one span walk behind
+ * per-trace totals: forensics' stage distributions and exemplar
+ * breakdowns, the fleet stitcher, and serviceLatency all read it.
+ */
+struct ConnSpanFold
+{
+    /** Core ids a fold can name; a higher one fails an assertion. */
+    static constexpr int kMaxCores = 256;
+
+    explicit ConnSpanFold(const ConnSpanTrace &tr);
+    bool operator==(const ConnSpanFold &) const = default;
+
+    /** Per-stage total ticks and span counts, indexed by ConnStage. */
+    std::array<Tick, kNumConnStages> stageTicks{};
+    std::array<std::uint32_t, kNumConnStages> stageCounts{};
     /**
      * Service latency: open until the last response byte was written
      * (end of the last kAppWrite span), falling back to the last exec
-     * span for connections that never produced a response. This is the
-     * server-side analogue of the client-observed latency, minus wire
-     * delay, and the ranking key for tail exemplars.
+     * span for connections that never produced a response, and 0 with
+     * neither. This is the server-side analogue of the client-observed
+     * latency, minus wire delay, and the ranking key for tail
+     * exemplars.
      */
-    Tick serviceLatency() const;
+    Tick latency = 0;
+    /** Sum of the exec spans. */
+    Tick exec = 0;
+    /** Service latency no exec or wait span covers (queue gaps, wire);
+     *  sub spans lie inside exec spans and cover nothing more. */
+    Tick unattributed = 0;
+    /** Cores that ran an exec or sub span of the connection. */
+    std::bitset<kMaxCores> cores;
 };
 
 /**
@@ -190,25 +223,20 @@ class ConnSpanLog
      *  processed in ascending conn-id order for determinism. */
     void closeAllLive(Tick t);
 
-    /** Deterministic snapshot of still-open traces (connections in
-     *  flight at collection time), ascending conn-id order; the span
-     *  views stay valid until the next mutation. A span does not need
-     *  an orderly close to join an end-to-end trace — e.g. a server
-     *  stuck retransmitting its FIN through a NAT flow that died in a
-     *  balancer failover still served the request. */
-    std::vector<ConnSpanTrace> liveSnapshot() const;
+    /** Hand every still-open trace (connections in flight at
+     *  collection time) to the attached fleet log's stitcher, leaving
+     *  it open. A span does not need an orderly close to join an
+     *  end-to-end trace — e.g. a server stuck retransmitting its FIN
+     *  through a NAT flow that died in a balancer failover still
+     *  served the request. The stitcher's total order makes the
+     *  visiting order irrelevant. */
+    void stitchLive();
 
     /** Retained completed traces, oldest first (completion order). */
     const ChunkedVector<ConnSpanTrace> &completed() const
     {
         return completed_;
     }
-
-    /** Up to @p max retained traces from index @p from on, in storage
-     *  the returned pointer owns (outlives this log; for result
-     *  export). */
-    std::shared_ptr<const std::vector<ConnSpanTrace>>
-    copyCompleted(std::size_t from, std::size_t max) const;
 
     std::size_t completedCount() const { return completed_.size(); }
     std::size_t liveCount() const { return live_.size(); }

@@ -209,11 +209,7 @@ FleetTraceLog::stitchMachineSpan(const ConnSpanTrace &span)
     FleetTrace *tr = find(span.traceId);
     if (!tr)
         return;
-    const Tick service = span.serviceLatency();
-    Tick exec = 0;
-    for (const ConnSpan &sp : span.spans)
-        if (connStageKind(sp.stage) == ConnStageKind::kExec)
-            exec += sp.end - sp.begin;
+    const ConnSpanFold fold(span);
     // Failover can leave a reaped half-open TCB on the old machine plus
     // the span that actually served: rank candidates by the total order
     // stitchMachineSpan documents (~open: the earlier open ranks higher).
@@ -222,16 +218,16 @@ FleetTraceLog::stitchMachineSpan(const ConnSpanTrace &span)
         return std::make_tuple(orderly, svc, ~open, close, ex);
     };
     if (tr->stitched()) {
-        if (rank(span.closed, service, span.openTick, span.closeTick,
-                 exec) <= rank(tr->serverOrderly(), tr->serverService(),
-                               tr->serverOpen(), tr->serverClose(),
-                               tr->serverExec()))
+        if (rank(span.closed, fold.latency, span.openTick,
+                 span.closeTick, fold.exec) <=
+            rank(tr->serverOrderly(), tr->serverService(),
+                 tr->serverOpen(), tr->serverClose(), tr->serverExec()))
             return;
     } else {
         ++stitched_;
     }
-    tr->setServerSpan(span.closed, span.openTick, span.closeTick, service,
-                      exec);
+    tr->setServerSpan(span.closed, span.openTick, span.closeTick,
+                      fold.latency, fold.exec);
 }
 
 std::uint64_t
@@ -381,42 +377,14 @@ buildFleetTraceForensics(const FleetTraceLog &log, Tick forward_delay)
     }
 
     // Exemplars rank by end-to-end latency, ties in (clientStart,
-    // traceId) order: select the latency, then the start among the
-    // traces of that latency, then the id among those. Ids are unique,
-    // so the last pick names one trace.
-    const auto lats = selectRanks(
-        [&](auto &&sink) {
-            forDone([&](const FleetTrace &tr) { sink(tr.e2eLatency()); });
+    // traceId) order. Ids are unique, so the keys name one trace.
+    const auto picks = selectRecords<FleetTrace>(
+        forDone,
+        [](const FleetTrace &tr) {
+            return std::array<std::uint64_t, 3>{
+                tr.e2eLatency(), tr.clientStart(), tr.traceId()};
         },
         ranks);
-    const auto exemplar = [&](std::size_t k) -> const FleetTrace & {
-        const RankedValue lat = lats[k];
-        std::uint64_t rank = ranks[k] - lat.below;
-        const RankedValue start = selectRank(
-            [&](auto &&sink) {
-                forDone([&](const FleetTrace &tr) {
-                    if (tr.e2eLatency() == lat.value)
-                        sink(tr.clientStart());
-                });
-            },
-            rank);
-        rank -= start.below;
-        const RankedValue id = selectRank(
-            [&](auto &&sink) {
-                forDone([&](const FleetTrace &tr) {
-                    if (tr.e2eLatency() == lat.value &&
-                        tr.clientStart() == start.value)
-                        sink(tr.traceId());
-                });
-            },
-            rank);
-        const FleetTrace *pick = nullptr;
-        forDone([&](const FleetTrace &tr) {
-            if (tr.traceId() == id.value)
-                pick = &tr;
-        });
-        return *pick;
-    };
     const auto dominant = [&](const FleetTrace &tr) {
         const HopSlices s = sliceTrace(tr, forward_delay);
         int best = 0;
@@ -425,9 +393,9 @@ buildFleetTraceForensics(const FleetTraceLog &log, Tick forward_delay)
                 best = h;
         return std::string(kHopNames[best]);
     };
-    const FleetTrace &p50 = exemplar(0);
-    const FleetTrace &p99 = exemplar(1);
-    const FleetTrace &p999 = exemplar(2);
+    const FleetTrace &p50 = *picks[0];
+    const FleetTrace &p99 = *picks[1];
+    const FleetTrace &p999 = *picks[2];
     f.e2eP50 = p50.e2eLatency();
     f.e2eP99 = p99.e2eLatency();
     f.e2eP999 = p999.e2eLatency();

@@ -59,14 +59,14 @@ writeEvent(JsonWriter &w, const OutEvent &ev)
 } // namespace
 
 bool
-writePerfettoTrace(const std::string &path,
-                   const std::vector<ConnSpanTrace> &traces,
+writePerfettoTrace(const std::string &path, const ConnSpanLog &log,
+                   std::size_t from, std::size_t to,
                    const PerfettoMeta &meta, PerfettoStats *stats,
                    std::size_t max_traces)
 {
     PerfettoStats st;
-    const std::size_t n = std::min(traces.size(), max_traces);
-    st.truncated = n < traces.size();
+    const std::size_t n = std::min(to - from, max_traces);
+    st.truncated = n < to - from;
     st.tracesExported = n;
 
     // Bucket exec/sub spans per core; waits go straight to the side list.
@@ -75,8 +75,8 @@ writePerfettoTrace(const std::string &path,
     std::vector<OutEvent> side; // async waits + flows, any order
     std::uint64_t flow_id = 0;
     std::uint64_t seq = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const ConnSpanTrace &tr = traces[i];
+    for (std::size_t i = from; i < from + n; ++i) {
+        const ConnSpanTrace &tr = log.completed()[i];
         const ConnSpan *prev_exec = nullptr;
         for (const ConnSpan &sp : tr.spans) {
             ++seq;

@@ -46,13 +46,14 @@ struct PerfettoStats
 constexpr std::size_t kPerfettoMaxTraces = 20000;
 
 /**
- * Write @p traces as trace-event JSON to @p path. Timestamps are raw
- * simulator ticks (integers; otherData.ts_unit records the unit).
- * Exports at most @p max_traces connections (completion order); with
- * more, the export is marked truncated. @return false on I/O error.
+ * Write @p log's completed traces [@p from, @p to) as trace-event JSON
+ * to @p path, read in place. Timestamps are raw simulator ticks
+ * (integers; otherData.ts_unit records the unit). Exports at most
+ * @p max_traces connections (completion order); with more, the export
+ * is marked truncated. @return false on I/O error.
  */
-bool writePerfettoTrace(const std::string &path,
-                        const std::vector<ConnSpanTrace> &traces,
+bool writePerfettoTrace(const std::string &path, const ConnSpanLog &log,
+                        std::size_t from, std::size_t to,
                         const PerfettoMeta &meta, PerfettoStats *stats,
                         std::size_t max_traces = kPerfettoMaxTraces);
 

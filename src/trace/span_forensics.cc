@@ -20,37 +20,6 @@ rankOf(double p, std::uint64_t n)
     return static_cast<std::uint64_t>(p * static_cast<double>(n - 1) + 0.5);
 }
 
-ExemplarBreakdown
-breakdownOf(const ConnSpanTrace &tr, const char *percentile)
-{
-    ExemplarBreakdown ex;
-    ex.percentile = percentile;
-    ex.connId = tr.connId;
-    ex.latency = tr.serviceLatency();
-    ex.stageTicks.assign(kNumConnStages, 0);
-    ex.stageCounts.assign(kNumConnStages, 0);
-    for (const ConnSpan &sp : tr.spans) {
-        const int idx = static_cast<int>(sp.stage);
-        ex.stageTicks[idx] += sp.end - sp.begin;
-        ++ex.stageCounts[idx];
-        if (connStageKind(sp.stage) != ConnStageKind::kWait &&
-            sp.core >= 0 &&
-            std::find(ex.cores.begin(), ex.cores.end(),
-                      static_cast<int>(sp.core)) == ex.cores.end())
-            ex.cores.push_back(sp.core);
-    }
-    std::sort(ex.cores.begin(), ex.cores.end());
-    // Attributable time = exec + wait stage totals; sub-stages (lock
-    // spin, VFS) live inside exec spans and would double-count.
-    Tick covered = 0;
-    for (int s = 0; s < kNumConnStages; ++s)
-        if (connStageKind(static_cast<ConnStage>(s)) !=
-            ConnStageKind::kSub)
-            covered += ex.stageTicks[s];
-    ex.unattributed = ex.latency > covered ? ex.latency - covered : 0;
-    return ex;
-}
-
 } // namespace
 
 SpanForensics
@@ -68,6 +37,7 @@ buildSpanForensics(const ConnSpanLog &log, std::size_t from_idx)
     const auto &all = log.completed();
     if (from_idx > all.size())
         from_idx = all.size();
+    f.firstCompleted = from_idx;
     f.completed = all.size() - from_idx;
 
     // Every statistic below is a pass over the window's completed
@@ -83,96 +53,71 @@ buildSpanForensics(const ConnSpanLog &log, std::size_t from_idx)
         if (tr.shedReason != ConnSpanTrace::kNotShed)
             ++f.shed;
         passive += tr.passive;
-        Tick totals[kNumConnStages] = {};
-        bool seen[kNumConnStages] = {};
-        for (const ConnSpan &sp : tr.spans) {
-            const int idx = static_cast<int>(sp.stage);
-            totals[idx] += sp.end - sp.begin;
-            seen[idx] = true;
-        }
+        const ConnSpanFold fold(tr);
         for (int s = 0; s < kNumConnStages; ++s)
-            if (seen[s]) {
+            if (fold.stageCounts[s]) {
                 ++count[s];
-                sum[s] += totals[s];
+                sum[s] += fold.stageTicks[s];
             }
     });
 
-    // Per-stage distributions over the connections with a span there.
+    // Per-stage distributions over the connections with a span there,
+    // one group per stage, so each pass folds every trace once.
+    std::array<std::array<std::uint64_t, 5>, kNumConnStages> ranks{};
     for (int s = 0; s < kNumConnStages; ++s) {
         const std::uint64_t n = count[s];
-        if (n == 0)
+        if (n)
+            ranks[s] = {rankOf(0.50, n), rankOf(0.90, n), rankOf(0.99, n),
+                        rankOf(0.999, n), n - 1};
+    }
+    const auto at = selectGroupRanks<8>(
+        [&](auto &&sink) {
+            forWindow([&](const ConnSpanTrace &tr) {
+                const ConnSpanFold fold(tr);
+                for (std::size_t s = 0; s < kNumConnStages; ++s)
+                    if (fold.stageCounts[s])
+                        sink(s, fold.stageTicks[s]);
+            });
+        },
+        ranks);
+    for (int s = 0; s < kNumConnStages; ++s) {
+        if (count[s] == 0)
             continue;
-        const auto at = selectRanks(
-            [&](auto &&sink) {
-                forWindow([&](const ConnSpanTrace &tr) {
-                    Tick total = 0;
-                    bool seen = false;
-                    for (const ConnSpan &sp : tr.spans)
-                        if (static_cast<int>(sp.stage) == s) {
-                            total += sp.end - sp.begin;
-                            seen = true;
-                        }
-                    if (seen)
-                        sink(total);
-                });
-            },
-            std::array<std::uint64_t, 5>{rankOf(0.50, n), rankOf(0.90, n),
-                                         rankOf(0.99, n), rankOf(0.999, n),
-                                         n - 1});
         StagePercentiles sp;
         sp.stage = static_cast<ConnStage>(s);
-        sp.count = n;
-        sp.p50 = at[0].value;
-        sp.p90 = at[1].value;
-        sp.p99 = at[2].value;
-        sp.p999 = at[3].value;
-        sp.max = at[4].value;
+        sp.count = count[s];
+        sp.p50 = at[s][0].value;
+        sp.p90 = at[s][1].value;
+        sp.p99 = at[s][2].value;
+        sp.p999 = at[s][3].value;
+        sp.max = at[s][4].value;
         sp.totalTicks = sum[s];
         f.stages.push_back(sp);
     }
 
     // Exemplars rank passive connections (all of them when none is
-    // passive) by service latency, ties in connId order: select the
-    // latency, then the id among the connections of that latency.
+    // passive) by service latency, ties in connId order.
     const std::uint64_t ranked = passive ? passive : f.completed;
     if (ranked == 0)
         return f;
-    const auto forRanked = [&](auto &&fn) {
-        forWindow([&](const ConnSpanTrace &tr) {
-            if (tr.passive || passive == 0)
-                fn(tr);
-        });
-    };
-    const std::array<std::uint64_t, 3> ranks = {
-        rankOf(0.50, ranked), rankOf(0.99, ranked), rankOf(0.999, ranked)};
-    const auto lats = selectRanks(
-        [&](auto &&sink) {
-            forRanked([&](const ConnSpanTrace &tr) {
-                sink(tr.serviceLatency());
+    const auto picks = selectRecords<ConnSpanTrace>(
+        [&](auto &&fn) {
+            forWindow([&](const ConnSpanTrace &tr) {
+                if (tr.passive || passive == 0)
+                    fn(tr);
             });
         },
-        ranks);
-    const auto exemplar = [&](std::size_t k, const char *percentile) {
-        const Tick lat = lats[k].value;
-        const RankedValue id = selectRank(
-            [&](auto &&sink) {
-                forRanked([&](const ConnSpanTrace &tr) {
-                    if (tr.serviceLatency() == lat)
-                        sink(tr.connId);
-                });
-            },
-            ranks[k] - lats[k].below);
-        const ConnSpanTrace *pick = nullptr;
-        forRanked([&](const ConnSpanTrace &tr) {
-            if (!pick && tr.connId == id.value &&
-                tr.serviceLatency() == lat)
-                pick = &tr;
-        });
-        return breakdownOf(*pick, percentile);
-    };
-    f.exemplars.push_back(exemplar(0, "p50"));
-    f.exemplars.push_back(exemplar(1, "p99"));
-    f.exemplars.push_back(exemplar(2, "p999"));
+        [](const ConnSpanTrace &tr) {
+            return std::array<std::uint64_t, 2>{tr.serviceLatency(),
+                                                tr.connId};
+        },
+        std::array<std::uint64_t, 3>{rankOf(0.50, ranked),
+                                     rankOf(0.99, ranked),
+                                     rankOf(0.999, ranked)});
+    const char *const names[] = {"p50", "p99", "p999"};
+    for (std::size_t k = 0; k < picks.size(); ++k)
+        f.exemplars.push_back({ConnSpanFold(*picks[k]), names[k],
+                               picks[k]->connId});
 
     const ExemplarBreakdown &p99 = f.exemplars[1];
     Tick best = 0;
@@ -231,7 +176,9 @@ renderSpanForensics(const SpanForensics &f, const std::string &label)
                           ex.percentile.c_str(), ex.connId,
                           static_cast<std::uint64_t>(ex.latency));
             out += buf;
-            for (int c : ex.cores) {
+            for (int c = 0; c < ConnSpanFold::kMaxCores; ++c) {
+                if (!ex.cores[static_cast<std::size_t>(c)])
+                    continue;
                 std::snprintf(buf, sizeof(buf), " %d", c);
                 out += buf;
             }

@@ -35,20 +35,12 @@ struct StagePercentiles
     bool operator==(const StagePercentiles &) const = default;
 };
 
-/** One exemplar connection picked at a latency percentile rank. */
-struct ExemplarBreakdown
+/** One exemplar connection picked at a latency percentile rank: its
+ *  fold, named by percentile and connection. */
+struct ExemplarBreakdown : ConnSpanFold
 {
     std::string percentile; //!< "p50", "p99", "p999"
     std::uint64_t connId = 0;
-    Tick latency = 0;       //!< service latency (open -> last write)
-    /** Per-stage total ticks, indexed by ConnStage. */
-    std::vector<Tick> stageTicks;
-    /** Per-stage span counts, indexed by ConnStage. */
-    std::vector<std::uint32_t> stageCounts;
-    /** Distinct cores that executed spans of this connection. */
-    std::vector<int> cores;
-    /** Latency not covered by any exec/wait span (queue gaps, wire). */
-    Tick unattributed = 0;
 
     bool operator==(const ExemplarBreakdown &) const = default;
 };
@@ -58,6 +50,10 @@ struct SpanForensics
 {
     bool enabled = false;
     std::uint64_t completed = 0;  //!< completed traces in the window
+    /** The window's first completed trace in the log: the window is
+     *  ConnSpanLog::completed() [firstCompleted,
+     *  firstCompleted + completed). */
+    std::uint64_t firstCompleted = 0;
     std::uint64_t live = 0;       //!< still-open traces at collect time
     std::uint64_t shed = 0;       //!< completed traces shed by admission
     std::uint64_t spansRecorded = 0;

@@ -3,8 +3,9 @@
  * Tests for the per-connection span log: lifecycle conservation,
  * retention versus stitch-at-close, accept-queue sojourn placement,
  * exec-time reconciliation against CPU busy cycles, --notrace zero-cost,
- * forensics determinism, the Perfetto exporter's flow/slice
- * accounting, and a pin over the span stream every recording site emits.
+ * forensics determinism, the per-trace fold's edge cases, the Perfetto
+ * exporter's flow/slice accounting and truncation, and a pin over the
+ * span stream every recording site emits.
  */
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <fstream>
 #include <functional>
 #include <gtest/gtest.h>
+#include <span>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -372,21 +374,13 @@ TEST(PerfettoExport, EmitsFlowsOnlyAcrossCores)
                                    {30, 50, 0, 1, ConnStage::kAppRead}};
     const ConnSpan localSpans[] = {{0, 20, 0, 0, ConnStage::kSynRx},
                                    {30, 50, 0, 0, ConnStage::kAppRead}};
-    std::vector<ConnSpanTrace> traces;
-    ConnSpanTrace cross;
-    cross.connId = 1;
-    cross.openTick = 0;
-    cross.closeTick = 100;
-    cross.closed = true;
-    cross.spans = crossSpans;
-    traces.push_back(cross);
-    ConnSpanTrace local;
-    local.connId = 2;
-    local.openTick = 0;
-    local.closeTick = 100;
-    local.closed = true;
-    local.spans = localSpans;
-    traces.push_back(local);
+    ConnSpanLog log;
+    log.open(1, 0, true);
+    log.append(1, crossSpans);
+    log.close(1, 100, 100);
+    log.open(2, 0, true);
+    log.append(2, localSpans);
+    log.close(2, 100, 100);
 
     PerfettoMeta meta;
     meta.bench = "unit";
@@ -394,13 +388,113 @@ TEST(PerfettoExport, EmitsFlowsOnlyAcrossCores)
     meta.cores = 2;
     const char *path = "test_conn_span_perfetto.json";
     PerfettoStats st;
-    ASSERT_TRUE(writePerfettoTrace(path, traces, meta, &st));
+    ASSERT_TRUE(writePerfettoTrace(path, log, 0, 2, meta, &st));
     EXPECT_EQ(st.tracesExported, 2u);
     EXPECT_EQ(st.durationEvents, 8u);   // 4 spans -> paired B + E
     // Only the connection that hopped cores gets a flow arrow.
     EXPECT_EQ(st.flowPairs, 1u);
     EXPECT_FALSE(st.truncated);
     std::remove(path);
+}
+
+TEST(PerfettoExport, CapTruncatesTheWindow)
+{
+    ConnSpanLog log;
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+        const ConnSpan spans[] = {{0, 20, 0, 0, ConnStage::kSynRx}};
+        log.open(id, 0, true);
+        log.append(id, spans);
+        log.close(id, 100, 100);
+    }
+    PerfettoMeta meta;
+    meta.cores = 1;
+    const char *path = "test_conn_span_perfetto_cap.json";
+    PerfettoStats st;
+    ASSERT_TRUE(writePerfettoTrace(path, log, 0, 3, meta, &st, 2));
+    EXPECT_EQ(st.tracesExported, 2u);
+    EXPECT_EQ(st.durationEvents, 4u);
+    EXPECT_TRUE(st.truncated);
+    // A window that fits the cap is exported whole.
+    ASSERT_TRUE(writePerfettoTrace(path, log, 1, 3, meta, &st, 2));
+    EXPECT_EQ(st.tracesExported, 2u);
+    EXPECT_FALSE(st.truncated);
+    std::remove(path);
+}
+
+/** A trace of @p spans opened at @p open, built without a log. */
+ConnSpanTrace
+traceOf(Tick open, std::span<const ConnSpan> spans)
+{
+    ConnSpanTrace tr;
+    tr.openTick = open;
+    tr.spans = spans;
+    return tr;
+}
+
+TEST(ConnSpanFold, ServiceRunsToTheLastWrite)
+{
+    // Teardown exec after the write does not extend the latency.
+    const ConnSpan spans[] = {{100, 140, 0, 0, ConnStage::kSynRx},
+                              {150, 170, 0, 0, ConnStage::kAppWrite},
+                              {200, 260, 0, 0, ConnStage::kTeardown}};
+    const ConnSpanFold fold(traceOf(100, spans));
+    EXPECT_EQ(fold.latency, 70u);
+    EXPECT_EQ(fold.exec, 40u + 20u + 60u);
+    EXPECT_EQ(fold.stageCounts[static_cast<int>(ConnStage::kAppWrite)], 1u);
+}
+
+TEST(ConnSpanFold, WithoutWriteServiceFallsBackToLastExec)
+{
+    // No app-write: the last exec end closes the service latency. The
+    // lock-wait sub span lies inside accept and must not cover the
+    // gap between syn-rx's end and the accept-queue wait's begin.
+    const ConnSpan spans[] = {{100, 140, 0, 2, ConnStage::kSynRx},
+                              {160, 300, 0, 3, ConnStage::kAcceptQueue},
+                              {300, 360, 0, 0, ConnStage::kAccept},
+                              {310, 330, 7, 0, ConnStage::kLockWait}};
+    const ConnSpanTrace tr = traceOf(100, spans);
+    const ConnSpanFold fold(tr);
+    EXPECT_EQ(fold.latency, 260u);
+    EXPECT_EQ(tr.serviceLatency(), 260u);
+    EXPECT_EQ(fold.exec, 40u + 60u);
+    EXPECT_EQ(fold.unattributed, 260u - (40u + 140u + 60u));
+    EXPECT_EQ(fold.stageTicks[static_cast<int>(ConnStage::kLockWait)],
+              20u);
+    // Cores that executed, ascending; the wait's core 3 is not one.
+    EXPECT_EQ(fold.cores.count(), 2u);
+    EXPECT_TRUE(fold.cores[0]);
+    EXPECT_TRUE(fold.cores[2]);
+}
+
+TEST(ConnSpanFold, WithoutExecServiceIsZero)
+{
+    const ConnSpan spans[] = {{100, 300, 0, 1, ConnStage::kAcceptQueue}};
+    const ConnSpanFold fold(traceOf(100, spans));
+    EXPECT_EQ(fold.latency, 0u);
+    EXPECT_EQ(fold.exec, 0u);
+    EXPECT_EQ(fold.unattributed, 0u);
+    EXPECT_TRUE(fold.cores.none());
+    EXPECT_EQ(ConnSpanFold(traceOf(5, {})).latency, 0u);
+}
+
+TEST(ConnSpanFold, ExemplarCoresAscendSkippingWaits)
+{
+    ConnSpanLog log;
+    log.open(9, 0, true);
+    const ConnSpan spans[] = {{0, 10, 0, 5, ConnStage::kSynRx},
+                              {10, 40, 0, 6, ConnStage::kAcceptQueue},
+                              {40, 50, 0, 1, ConnStage::kAccept},
+                              {42, 44, 0, 3, ConnStage::kVfs},
+                              {50, 60, 0, 5, ConnStage::kAppWrite}};
+    log.append(9, spans);
+    log.close(9, 70, 70);
+    const SpanForensics f = buildSpanForensics(log, 0);
+    ASSERT_EQ(f.exemplars.size(), 3u);
+    EXPECT_EQ(f.exemplars[0].latency, 60u);
+    EXPECT_EQ(f.exemplars[0].unattributed, 0u);
+    EXPECT_NE(renderSpanForensics(f, "x").find("latency 60  cores 1 3 5\n"),
+              std::string::npos)
+        << renderSpanForensics(f, "x");
 }
 
 /**

@@ -1,12 +1,15 @@
 /**
  * @file
- * selectRank and selectRanks against std::nth_element.
+ * selectRank, selectRanks and selectGroupRanks against std::nth_element,
+ * selectRecords against std::stable_sort.
  *
  * The selector replaces copy-and-nth_element in two places, each with
  * its own rank rule: HttpLoad's window percentiles pick index
  * p * (n - 1) + 0.5, fleet forensics index q * (n - 1). On every input
  * here both rules must pick what nth_element over a sorted copy picks,
- * and the count of smaller values must match the copy too.
+ * and the count of smaller values must match the copy too. selectRecords,
+ * the exemplar pick built on them, must pick what a stable sort by its
+ * keys puts at each rank.
  */
 
 #include <gtest/gtest.h>
@@ -160,6 +163,95 @@ TEST(Select, ValuesPast2To40)
         x = rng.chance(0.5) ? ~std::uint64_t{0} - rng.range(100)
                             : rng.range(100);
     expectMatchesNthElement(v, "both ends of 64 bits");
+}
+
+TEST(Select, GroupsMatchNthElementPerGroup)
+{
+    // Groups of different sizes and ranges share every pass; group 2
+    // gets no values and must come back as zeros.
+    Rng rng(14);
+    for (int round = 0; round < 50; ++round) {
+        std::array<std::vector<std::uint64_t>, 4> v;
+        for (std::size_t g : {0, 1, 3}) {
+            const int bits = 1 + static_cast<int>(rng.range(40));
+            v[g].resize(1 + rng.range(2000));
+            for (std::uint64_t &x : v[g])
+                x = rng.next() >> (64 - bits);
+        }
+        std::array<std::array<std::uint64_t, 3>, 4> ranks{};
+        for (std::size_t g : {0, 1, 3}) {
+            const std::uint64_t n = v[g].size();
+            ranks[g] = {n / 2, rng.range(n), n - 1};
+        }
+        const auto visitAll = [&v](auto &&sink) {
+            // Interleaved, as a pass over records feeding several
+            // groups would.
+            for (std::size_t i = 0; i < 2000; ++i)
+                for (std::size_t g = 0; g < v.size(); ++g)
+                    if (i < v[g].size())
+                        sink(g, v[g][i]);
+        };
+        const auto wide = selectGroupRanks(visitAll, ranks);
+        const auto narrow = selectGroupRanks<8>(visitAll, ranks);
+        for (std::size_t g : {0, 1, 3})
+            for (std::size_t k = 0; k < 3; ++k) {
+                ASSERT_EQ(wide[g][k], reference(v[g], ranks[g][k]))
+                    << "group " << g << " rank " << ranks[g][k];
+                ASSERT_EQ(narrow[g][k], wide[g][k]);
+            }
+        for (std::size_t k = 0; k < 3; ++k)
+            ASSERT_EQ(wide[2][k], RankedValue{});
+    }
+}
+
+TEST(Select, RecordsMatchStableSortByKeys)
+{
+    // The first key takes one or two distinct values, so most picks
+    // fall to the later keys, and those tie often enough that whole
+    // records tie too: then the pick is the stable sort's, the one
+    // visited first.
+    struct Rec
+    {
+        std::array<std::uint64_t, 3> keys;
+    };
+    Rng rng(29);
+    for (int round = 0; round < 200; ++round) {
+        const std::size_t n = 1 + rng.range(300);
+        const std::uint64_t firsts = 1 + rng.range(2);
+        std::vector<Rec> recs(n);
+        for (Rec &r : recs)
+            r.keys = {1000 + 7 * rng.range(firsts), rng.range(5),
+                      rng.range(3)};
+        std::vector<const Rec *> sorted;
+        for (const Rec &r : recs)
+            sorted.push_back(&r);
+        std::stable_sort(sorted.begin(), sorted.end(),
+                         [](const Rec *a, const Rec *b) {
+                             return a->keys < b->keys;
+                         });
+        const auto pick = [&](const auto &ranks) {
+            return selectRecords<Rec>(
+                [&recs](auto &&fn) {
+                    for (const Rec &r : recs)
+                        fn(r);
+                },
+                [](const Rec &r) { return r.keys; }, ranks);
+        };
+        const double top = static_cast<double>(n - 1);
+        const std::array<std::uint64_t, 4> ranks = {
+            static_cast<std::uint64_t>(0.50 * top + 0.5),
+            static_cast<std::uint64_t>(0.99 * top),
+            static_cast<std::uint64_t>(0.999 * top + 0.5), n - 1};
+        const auto got = pick(ranks);
+        for (std::size_t k = 0; k < ranks.size(); ++k)
+            ASSERT_EQ(got[k], sorted[ranks[k]])
+                << "rank " << ranks[k] << " of " << n;
+        if (n > 40)
+            continue;
+        for (std::uint64_t k = 0; k < n; ++k)
+            ASSERT_EQ(pick(std::array<std::uint64_t, 1>{k})[0], sorted[k])
+                << "rank " << k << " of " << n;
+    }
 }
 
 } // namespace
