@@ -264,6 +264,15 @@ main(int argc, char **argv)
 {
     using namespace fsim;
     BenchArgs args = BenchArgs::parse(argc, argv);
+    if (!args.perfettoPath.empty()) {
+        // The testbed rows run untraced and the replay rows have no
+        // testbed: no row keeps span traces to export.
+        std::fprintf(stderr,
+                     "%s: --perfetto: this bench records no span traces "
+                     "(its rows run untraced or replay op streams)\n",
+                     argv[0]);
+        return 2;
+    }
 
     const std::uint64_t replay_ops =
         args.quick ? 2'500'000 : 4'000'000;

@@ -413,6 +413,34 @@ HttpLoad::requestThroughputSinceMark() const
 }
 
 Tick
+HttpLoad::LatencyLog::operator[](std::size_t i) const
+{
+    const std::uint32_t v = narrow_[i];
+    return v != kWide ? Tick{v} : firstWideAt(i)->ticks;
+}
+
+void
+HttpLoad::LatencyLog::push_back(Tick v)
+{
+    if (v < kWide) {
+        narrow_.push_back(static_cast<std::uint32_t>(v));
+        return;
+    }
+    if (wide_.size() == wide_.capacity())
+        ++wideAllocations_;
+    wide_.push_back({narrow_.size(), v});
+    narrow_.push_back(kWide);
+}
+
+std::vector<HttpLoad::LatencyLog::Wide>::const_iterator
+HttpLoad::LatencyLog::firstWideAt(std::size_t i) const
+{
+    return std::lower_bound(
+        wide_.begin(), wide_.end(), i,
+        [](const Wide &w, std::size_t at) { return w.index < at; });
+}
+
+Tick
 HttpLoad::latencyPercentileSinceMark(double p) const
 {
     Tick v = 0;
@@ -429,8 +457,7 @@ HttpLoad::latencyPercentilesSinceMark(std::span<const double> ps,
     // selection over the log, with no copy of the samples.
     const std::size_t n = latencySamples_.size() - windowBegin_;
     const auto window = [this](auto &&sink) {
-        for (std::size_t i = windowBegin_; i < latencySamples_.size(); ++i)
-            sink(latencySamples_[i]);
+        latencySamples_.forEachFrom(windowBegin_, sink);
     };
     for (std::size_t k = 0; k < ps.size(); ++k) {
         if (n == 0) {

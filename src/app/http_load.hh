@@ -158,8 +158,55 @@ class HttpLoad
      * valid for the life of the generator, which is how the fleet's
      * metrics layer and SLO tracker consume new samples through a
      * cursor. allocations() counts its heap blocks.
+     *
+     * A sample below 2^32 - 1 ticks (1.718 sim-s) is stored in 4
+     * bytes. A longer one stores the sentinel 2^32 - 1 there and its
+     * exact value in an index-ordered side list, so every reader gets
+     * the exact Tick back.
      */
-    using LatencyLog = ChunkedVector<Tick, 13>;
+    class LatencyLog
+    {
+      public:
+        std::size_t size() const { return narrow_.size(); }
+        Tick operator[](std::size_t i) const;
+        Tick back() const { return (*this)[size() - 1]; }
+        void push_back(Tick v);
+
+        /** Call @p fn(v) on every sample from index @p from on, in
+         *  order. */
+        template <typename Fn>
+        void
+        forEachFrom(std::size_t from, Fn &&fn) const
+        {
+            auto wide = firstWideAt(from);
+            for (std::size_t i = from; i < narrow_.size(); ++i) {
+                const std::uint32_t v = narrow_[i];
+                fn(v != kWide ? Tick{v} : (wide++)->ticks);
+            }
+        }
+
+        std::uint64_t
+        allocations() const
+        {
+            return narrow_.allocations() + wideAllocations_;
+        }
+
+      private:
+        static constexpr std::uint32_t kWide = 0xffff'ffff;
+
+        struct Wide
+        {
+            std::size_t index = 0;
+            Tick ticks = 0;
+        };
+
+        /** The first side-list entry at index @p i or later. */
+        std::vector<Wide>::const_iterator firstWideAt(std::size_t i) const;
+
+        ChunkedVector<std::uint32_t, 14> narrow_;
+        std::vector<Wide> wide_;
+        std::uint64_t wideAllocations_ = 0;
+    };
     const LatencyLog &latencySamples() const { return latencySamples_; }
 
     /**

@@ -8,7 +8,17 @@ namespace fsim
 TimeWaitTable::TimeWaitTable(int n_buckets)
 {
     fsim_assert(n_buckets > 0);
-    fifos_.resize(n_buckets);
+    rings_.resize(n_buckets);
+}
+
+const TimeWaitTable::Entry &
+TimeWaitTable::entryAt(Ref ref) const
+{
+    // Widen the 32-bit position by its distance from the ring's front.
+    const RingQueue<Entry> &ring = rings_[ref.bucket];
+    const std::size_t front = ring.frontPos();
+    return ring.at(front + static_cast<std::uint32_t>(
+                               ref.pos - static_cast<std::uint32_t>(front)));
 }
 
 void
@@ -16,16 +26,13 @@ TimeWaitTable::add(int bucket, const FiveTuple &tuple,
                    std::uint64_t expires, bool holds_port)
 {
     fsim_assert(bucket >= 0 && bucket < bucketCount());
-    TupleKey key{tuple};
-    std::uint64_t gen = nextGen_++;
-    auto [slot, inserted] =
-        index_.insert(key, IndexedEntry{{tuple, expires, holds_port},
-                                        bucket, gen});
+    RingQueue<Entry> &ring = rings_[bucket];
+    fsim_assert(ring.size() < 0xffff'ffff);
+    const std::size_t pos = ring.push_back(Entry{tuple, holds_port, expires});
     // A tuple cannot linger twice: the old entry is always removed
     // (recycled) before the tuple can complete another handshake.
+    const bool inserted = index_.insert(tuple, refTo(bucket, pos)).second;
     fsim_assert(inserted);
-    (void)slot;
-    fifos_[bucket].push_back(FifoSlot{key, gen});
     if (index_.size() > peak_)
         peak_ = index_.size();
 }
@@ -33,22 +40,21 @@ TimeWaitTable::add(int bucket, const FiveTuple &tuple,
 const TimeWaitTable::Entry *
 TimeWaitTable::find(const FiveTuple &tuple) const
 {
-    const IndexedEntry *ie = index_.find(TupleKey{tuple});
-    return ie ? &ie->entry : nullptr;
+    const Ref *ref = index_.find(tuple);
+    return ref ? &entryAt(*ref) : nullptr;
 }
 
 bool
 TimeWaitTable::remove(const FiveTuple &tuple, Entry *out)
 {
-    const TupleKey key{tuple};
-    const IndexedEntry *ie = index_.find(key);
-    if (!ie)
+    const Ref *ref = index_.find(tuple);
+    if (!ref)
         return false;
     if (out)
-        *out = ie->entry;
-    // The FIFO slot goes stale and is skipped at reap/headExpiry time;
+        *out = entryAt(*ref);
+    // The ring slot goes stale and is skipped at reap/headExpiry time;
     // eager middle-of-queue removal would be O(n) per recycled tuple.
-    index_.erase(key);
+    index_.erase(tuple);
     return true;
 }
 
@@ -56,12 +62,12 @@ std::uint64_t
 TimeWaitTable::headExpiry(int bucket)
 {
     fsim_assert(bucket >= 0 && bucket < bucketCount());
-    auto &fifo = fifos_[bucket];
-    while (!fifo.empty()) {
-        const IndexedEntry *ie = index_.find(fifo.front().key);
-        if (ie && ie->gen == fifo.front().gen)
-            return ie->entry.expires;
-        fifo.pop_front();    // stale: removed, or a later re-add's entry
+    RingQueue<Entry> &ring = rings_[bucket];
+    while (!ring.empty()) {
+        const Ref *ref = index_.find(ring.front().tuple);
+        if (ref && *ref == refTo(bucket, ring.frontPos()))
+            return ring.front().expires;
+        ring.pop_front();    // stale: removed, or re-added since
     }
     return 0;
 }
@@ -74,13 +80,10 @@ TimeWaitTable::reapExpired(int bucket, std::uint64_t now_jiffy,
         std::uint64_t head = headExpiry(bucket);
         if (head == 0 || head > now_jiffy)
             return head;
-        auto &fifo = fifos_[bucket];
-        const TupleKey key = fifo.front().key;
-        const IndexedEntry *ie = index_.find(key);
-        fsim_assert(ie != nullptr);
-        reaped.push_back(ie->entry);
-        index_.erase(key);
-        fifo.pop_front();
+        RingQueue<Entry> &ring = rings_[bucket];
+        reaped.push_back(ring.front());
+        index_.erase(ring.front().tuple);
+        ring.pop_front();
     }
 }
 

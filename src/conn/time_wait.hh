@@ -6,15 +6,21 @@
  * swaps the TCB for a ~10x smaller inet_timewait_sock holding just the
  * tuple, the timestamps and the expiry, threaded on a shared reaper
  * timer. This table models that: when a connection enters TIME_WAIT its
- * Socket is destroyed and replaced by a 32-byte Entry; one reaper timer
+ * Socket is destroyed and replaced by a 24-byte Entry; one reaper timer
  * per bucket (per core when the established tables are partitioned)
  * replaces the per-socket timers, so a million lingering connections arm
  * a handful of wheel entries instead of a million.
  *
- * Buckets use expiry-ordered FIFOs (the linger is a constant, so insert
- * order is expiry order) plus a tuple-keyed index for the two packets a
- * TIME_WAIT tuple can still see: a retransmitted FIN (re-ACK it) and a
- * new SYN reusing the tuple (drop, or recycle under tcp_tw_recycle).
+ * Each Entry is stored once, in its bucket's expiry-ordered ring (the
+ * linger is a constant, so insert order is expiry order). A tuple-keyed
+ * index maps each lingering tuple to its ring position, 8 bytes, for the
+ * two packets a TIME_WAIT tuple can still see: a retransmitted FIN
+ * (re-ACK it) and a new SYN reusing the tuple (drop, or recycle under
+ * tcp_tw_recycle). remove() only drops the index entry; the ring slot it
+ * leaves is stale, because the index no longer points at it, and is
+ * skipped when it reaches the head. A lingering connection costs a
+ * 24-byte ring entry and a 24-byte index slot at their high-water
+ * capacities.
  */
 
 #ifndef FSIM_CONN_TIME_WAIT_HH
@@ -40,11 +46,47 @@ class TimeWaitTable
     struct Entry
     {
         FiveTuple tuple;            //!< rx orientation (saddr = peer)
-        std::uint64_t expires = 0;  //!< absolute jiffy
         /** Entry still owns the local ephemeral port (active close
          *  without tcp_tw_reuse); the reaper must release it. */
         bool holdsPort = false;
+        std::uint64_t expires = 0;  //!< absolute jiffy
     };
+
+  private:
+    struct TupleHash
+    {
+        std::size_t
+        operator()(const FiveTuple &t) const
+        {
+            // flowHash alone is 32-bit; fold in the raw fields so index
+            // collisions stay hash-map-internal.
+            std::uint64_t h = flowHash(t);
+            h = h * 0x9e3779b97f4a7c15ull + t.saddr;
+            h = h * 0x9e3779b97f4a7c15ull + t.daddr;
+            h = h * 0x9e3779b97f4a7c15ull +
+                ((static_cast<std::uint64_t>(t.sport) << 16) | t.dport);
+            return static_cast<std::size_t>(h);
+        }
+    };
+
+    /** Where a lingering tuple's Entry is: its bucket, and the low 32
+     *  bits of its ring position. A ring holds fewer than 2^32 entries,
+     *  so those bits tell its entries apart. */
+    struct Ref
+    {
+        std::uint32_t bucket = 0;
+        std::uint32_t pos = 0;
+
+        bool operator==(const Ref &) const = default;
+    };
+
+    using Index = FlatMap<FiveTuple, Ref, TupleHash>;
+
+  public:
+    /** Bytes of a ring entry and of an index slot: what one lingering
+     *  connection holds at the containers' high-water capacities. */
+    static constexpr std::size_t kRingEntryBytes = sizeof(Entry);
+    static constexpr std::size_t kIndexSlotBytes = Index::slotBytes();
 
     /**
      * @param n_buckets One per core under per-core partitioning (entries
@@ -61,7 +103,8 @@ class TimeWaitTable
     void add(int bucket, const FiveTuple &tuple, std::uint64_t expires,
              bool holds_port);
 
-    /** Lookup a lingering entry (any bucket). @return nullptr if none. */
+    /** Lookup a lingering entry (any bucket). @return nullptr if none.
+     *  The pointer is valid until the next add, remove or reap. */
     const Entry *find(const FiveTuple &tuple) const;
 
     /**
@@ -87,58 +130,25 @@ class TimeWaitTable
 
     std::size_t size() const { return index_.size(); }
     std::size_t peakSize() const { return peak_; }
-    int bucketCount() const { return static_cast<int>(fifos_.size()); }
-
-    /** Approximate bytes held per lingering connection. */
-    static constexpr std::size_t kBytesPerEntry = sizeof(Entry);
+    int bucketCount() const { return static_cast<int>(rings_.size()); }
 
   private:
-    struct TupleKey
+    static Ref
+    refTo(int bucket, std::size_t pos)
     {
-        FiveTuple t;
+        return {static_cast<std::uint32_t>(bucket),
+                static_cast<std::uint32_t>(pos)};
+    }
 
-        bool operator==(const TupleKey &o) const { return t == o.t; }
-    };
+    const Entry &entryAt(Ref ref) const;
 
-    struct TupleKeyHash
-    {
-        std::size_t
-        operator()(const TupleKey &k) const
-        {
-            // flowHash alone is 32-bit; fold in the raw fields so index
-            // collisions stay hash-map-internal.
-            std::uint64_t h = flowHash(k.t);
-            h = h * 0x9e3779b97f4a7c15ull + k.t.saddr;
-            h = h * 0x9e3779b97f4a7c15ull + k.t.daddr;
-            h = h * 0x9e3779b97f4a7c15ull +
-                ((static_cast<std::uint64_t>(k.t.sport) << 16) |
-                 k.t.dport);
-            return static_cast<std::size_t>(h);
-        }
-    };
-
-    struct IndexedEntry
-    {
-        Entry entry;
-        int bucket = 0;
-        /** Matches the FIFO slot of *this* lingering episode, so a slot
-         *  left stale by remove() cannot alias a later re-add of the
-         *  same tuple. */
-        std::uint64_t gen = 0;
-    };
-
-    struct FifoSlot
-    {
-        TupleKey key;
-        std::uint64_t gen = 0;
-    };
-
-    /** FIFO per bucket; stale entries (removed via the index) are
-     *  skipped lazily at reap time. Ring buffers and a flat map keep
-     *  the add/remove/reap churn off the allocator in steady state. */
-    std::vector<RingQueue<FifoSlot>> fifos_;
-    FlatMap<TupleKey, IndexedEntry, TupleKeyHash> index_;
-    std::uint64_t nextGen_ = 1;
+    /** One expiry-ordered ring per bucket: every entry added to it and
+     *  not yet popped, live or stale. Rings and the flat index keep the
+     *  add/remove/reap churn off the allocator in steady state. */
+    std::vector<RingQueue<Entry>> rings_;
+    /** Each lingering tuple's ring slot. A slot it does not point at
+     *  is stale: removed, or its tuple re-added since. */
+    Index index_;
     std::size_t peak_ = 0;
 };
 

@@ -702,12 +702,12 @@ FleetTestbed::sampleObservability(Tick wstart, Tick wend)
     // the latency histogram and the latency-SLO miss count.
     const auto &lat = load_->latencySamples();
     std::uint64_t latMisses = 0;
-    for (; latCursor_ < lat.size(); ++latCursor_) {
-        metrics_.observe(mid_.latency, lat[latCursor_]);
-        if (cfg_.slo.latencyObjective > 0 &&
-            lat[latCursor_] > cfg_.slo.latencyObjective)
+    lat.forEachFrom(latCursor_, [&](Tick v) {
+        metrics_.observe(mid_.latency, v);
+        if (cfg_.slo.latencyObjective > 0 && v > cfg_.slo.latencyObjective)
             ++latMisses;
-    }
+    });
+    latCursor_ = lat.size();
 
     // The SLO tracker runs even when the metrics registry is disabled
     // (--notrace): burn alerts are a control-plane product, not a

@@ -258,7 +258,12 @@ KernelStack::newSocket()
     Socket *s = arena_.create();
     ++stats_.socketsCreated;
     s->id = nextSockId_++;
-    s->slock.init(d_.locks->getClass("slock"), d_.cache,
+    // Resolved at the first socket, not in the constructor: the
+    // registry numbers classes (trace lock ids) in registration order,
+    // and addProcess registers "ep.lock" before any socket exists.
+    if (!slockClass_)
+        slockClass_ = d_.locks->getClass("slock");
+    s->slock.init(slockClass_, d_.cache,
                   d_.costs->lockAcquireBase, d_.costs->lockHandoffStorm);
     return s;
 }

@@ -410,6 +410,8 @@ class KernelStack
     /** Global bind-hash lock serializing ephemeral port allocation in
      *  the legacy kernels; RFD's per-core port stripes bypass it. */
     SimSpinLock portBindLock_;
+    /** The "slock" class every socket lock shares. */
+    LockClassStats *slockClass_ = nullptr;
     std::vector<std::unique_ptr<TimerBase>> timerBases_;
 
     std::vector<std::unique_ptr<KProcess>> procs_;

@@ -58,6 +58,9 @@ class FlatMap
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
+    /** Bytes per slot: the capacity's unit of storage. */
+    static constexpr std::size_t slotBytes() { return sizeof(Slot); }
+
     V *
     find(const K &key)
     {

@@ -15,6 +15,11 @@
  * sweeps cold lines. That suits small elements; a queue of large,
  * shallow-in-steady-state elements wants recycled nodes instead (the
  * CPU task queues use sim/node_slab.hh).
+ *
+ * Elements are numbered in push order from 0: push_back returns the
+ * element's position, and at(pos) reaches it until it is popped, so a
+ * side index can name a queued element without a copy of it (the
+ * TIME_WAIT table does). Position p lives in slot p mod capacity.
  */
 
 #ifndef FSIM_SIM_RING_QUEUE_HH
@@ -37,28 +42,42 @@ class RingQueue
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
 
-    void
+    /** Append @p v. @return its position. */
+    std::size_t
     push_back(T v)
     {
         if (size_ == buf_.size())
             grow();
-        buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(v);
+        const std::size_t pos = first_ + size_;
+        buf_[pos & (buf_.size() - 1)] = std::move(v);
         ++size_;
+        return pos;
     }
 
     T &
     front()
     {
         fsim_assert(size_ > 0);
-        return buf_[head_];
+        return buf_[first_ & (buf_.size() - 1)];
+    }
+
+    /** Position of the front element (of the next push when empty). */
+    std::size_t frontPos() const { return first_; }
+
+    /** The queued element at position @p pos. */
+    const T &
+    at(std::size_t pos) const
+    {
+        fsim_assert(pos - first_ < size_);
+        return buf_[pos & (buf_.size() - 1)];
     }
 
     void
     pop_front()
     {
         fsim_assert(size_ > 0);
-        buf_[head_] = T{};   // eager destroy, like deque::pop_front
-        head_ = (head_ + 1) & (buf_.size() - 1);
+        front() = T{};   // eager destroy, like deque::pop_front
+        ++first_;
         --size_;
     }
 
@@ -76,11 +95,7 @@ class RingQueue
       public:
         const_iterator(const RingQueue *q, std::size_t i) : q_(q), i_(i) {}
 
-        const T &
-        operator*() const
-        {
-            return q_->buf_[(q_->head_ + i_) & (q_->buf_.size() - 1)];
-        }
+        const T &operator*() const { return q_->at(q_->first_ + i_); }
 
         const_iterator &
         operator++()
@@ -109,14 +124,13 @@ class RingQueue
     {
         const std::size_t cap = buf_.empty() ? 16 : buf_.size() * 2;
         std::vector<T> next(cap);
-        for (std::size_t i = 0; i < size_; ++i)
-            next[i] = std::move(buf_[(head_ + i) & (buf_.size() - 1)]);
+        for (std::size_t pos = first_; pos != first_ + size_; ++pos)
+            next[pos & (cap - 1)] = std::move(buf_[pos & (buf_.size() - 1)]);
         buf_ = std::move(next);
-        head_ = 0;
     }
 
     std::vector<T> buf_;
-    std::size_t head_ = 0;
+    std::size_t first_ = 0;   //!< position of the front element
     std::size_t size_ = 0;
 };
 

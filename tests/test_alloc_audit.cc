@@ -11,7 +11,10 @@
  *     TimerWheel arm/mod/cancel/fire, CpuModel task posting — must make
  *     ZERO allocations once its slabs and rings are warm. This is the
  *     inline-capture budget (EventFn 56 B, Task 96 B, timer callbacks
- *     32/64 B) plus slab recycling doing their job.
+ *     32/64 B) plus slab recycling doing their job. TIME_WAIT churn
+ *     (add, recycle, reap) allocates only while its rings and index
+ *     climb to their high-water capacities, and latency appends only
+ *     the log's chunks.
  *
  *  2. A steady-state --notrace nginx experiment (full kernel + app +
  *     load) must likewise run allocation-free between checkpoints once
@@ -42,6 +45,7 @@
 #include <memory>
 
 #include "app/http_load.hh"
+#include "conn/time_wait.hh"
 #include "cpu/core.hh"
 #include "fleet/fleet.hh"
 #include "harness/experiment.hh"
@@ -230,6 +234,87 @@ TEST(AllocAudit, TwentyFourTimerBasesOwnNoSlotStorage)
     if (blocks != 1) dumpAllocHistogram("timer bases");
     EXPECT_EQ(blocks, 1u);
     EXPECT_EQ(bytes, sizeof(Bases));
+}
+
+// One lingering connection costs a 24-byte ring entry and a 24-byte
+// index slot: the entry is stored once, and the index holds only its
+// (bucket, position) reference.
+static_assert(TimeWaitTable::kRingEntryBytes == 24);
+static_assert(TimeWaitTable::kIndexSlotBytes == 24);
+
+/** One jiffy of TIME_WAIT churn plus a latency sample per connection:
+ *  @p per_jiffy tuples enter a 64-jiffy linger across two buckets, one
+ *  in eight is recycled early (leaving a stale ring slot), each bucket
+ *  reaps, and every 1000th sample is past 2^32 ticks. */
+struct TimeWaitChurn
+{
+    TimeWaitTable tw{2};
+    HttpLoad::LatencyLog log;
+    std::vector<TimeWaitTable::Entry> reaped;
+    std::uint64_t jiffy = 0;
+    std::uint64_t next = 0;    //!< tuple counter
+
+    static FiveTuple
+    tupleOf(std::uint64_t i)
+    {
+        i %= 1u << 16;         // far more than ever linger at once
+        return FiveTuple{0x0a000000 + static_cast<IpAddr>(i >> 8),
+                         0xc0a80001, static_cast<Port>(1024 + (i & 255)),
+                         80};
+    }
+
+    void
+    run(std::uint64_t jiffies, std::uint64_t per_jiffy)
+    {
+        for (std::uint64_t end = jiffy + jiffies; jiffy < end; ++jiffy) {
+            for (std::uint64_t k = 0; k < per_jiffy; ++k, ++next) {
+                tw.add(static_cast<int>(next & 1), tupleOf(next),
+                       jiffy + 64, next % 3 == 0);
+                if (next % 8 == 0 && next >= 100)
+                    tw.remove(tupleOf(next - 100));
+                log.push_back(next % 1000 == 0 ? (Tick{1} << 33) + next
+                                               : 1000 + next % 4096);
+            }
+            for (int b = 0; b < 2; ++b) {
+                reaped.clear();
+                tw.reapExpired(b, jiffy, reaped);
+            }
+        }
+    }
+};
+
+TEST(AllocAudit, TimeWaitChurnGrowsOnlyToItsHighWaterMark)
+{
+    TimeWaitChurn churn;
+    // From empty to a population of ~2K: the rings, the index and the
+    // reap scratch double their way up (a few blocks each, however
+    // many connections), the log adds chunks.
+    std::uint64_t growth;
+    const std::uint64_t logBefore = churn.log.allocations();
+    {
+        AllocAuditScope scope;
+        churn.run(256, 32);
+        growth = AllocAudit::disarm();
+    }
+    const std::uint64_t logGrowth = churn.log.allocations() - logBefore;
+    EXPECT_GT(churn.tw.peakSize(), 1500u);
+    EXPECT_GT(logGrowth, 0u) << "the side list of wide samples grew";
+    EXPECT_LE(growth - logGrowth, 3u * 16)
+        << growth << " blocks for " << churn.next << " connections";
+
+    // At that population, churn allocates only the log's chunks.
+    const std::uint64_t logWarm = churn.log.allocations();
+    std::uint64_t audited;
+    {
+        AllocAuditScope scope;
+        churn.run(1024, 32);
+        audited = AllocAudit::disarm();
+    }
+    if (audited != churn.log.allocations() - logWarm)
+        dumpAllocHistogram("time wait churn");
+    EXPECT_EQ(audited, churn.log.allocations() - logWarm)
+        << "TIME_WAIT churn allocated below its high-water mark";
+    EXPECT_GT(churn.log.allocations(), logWarm);
 }
 
 /** What an audited steady-state window cost: heap blocks allocated, how

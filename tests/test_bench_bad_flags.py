@@ -6,8 +6,11 @@ within a few seconds. A bench that parses a number prefix ("4x" as 4),
 reads garbage as 0, or ignores an unknown --app instead runs (and
 passes) on a value the caller never asked for.
 
+A flag a bench can never honour exits 2 the same way: bench_sim_core
+keeps no span traces, so it refuses --perfetto.
+
 Usage: test_bench_bad_flags.py <diff_oracle> <fuzz_scenarios>
-                               <bench_million_conn>
+                               <bench_million_conn> <bench_sim_core>
 """
 
 import subprocess
@@ -16,7 +19,7 @@ import sys
 TIMEOUT_S = 10
 
 
-def cases(oracle, fuzz, million):
+def cases(oracle, fuzz, million, sim_core):
     return [
         (oracle, "--app=ngnix"),
         (oracle, "--cores=abc"),
@@ -33,6 +36,7 @@ def cases(oracle, fuzz, million):
         (million, "--faults=syn_flood@0-1:rate=100,size=100"),
         (million, "--overload=cap=1.7"),
         (million, "--overload=frob=1"),
+        (sim_core, "--perfetto=/dev/null"),
     ]
 
 
@@ -43,12 +47,13 @@ ERROR_LINE_MUST_NAME = {
     "--overload=frob=1": ("frob", ["budget", "deadline_us", "deadline_ms",
                                    "brownout_divisor", "health_bytes",
                                    "low"]),
+    "--perfetto=/dev/null": ("--perfetto", ["span traces"]),
 }
 
 
 def main():
     bad = 0
-    for binary, flag in cases(*sys.argv[1:4]):
+    for binary, flag in cases(*sys.argv[1:5]):
         name = f"{binary.rsplit('/', 1)[-1]} {flag}"
         try:
             proc = subprocess.run([binary, flag], capture_output=True,

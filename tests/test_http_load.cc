@@ -3,7 +3,8 @@
  * Unit tests for the http_load-style client fleet, against a scripted
  * fake server endpoint (no kernel involved), plus the latency window
  * checked against a brute-force recomputation, including the fleet's
- * cursor over the same latency log.
+ * cursor over the same latency log, and samples past 2^32 ticks read
+ * back exactly.
  */
 
 #include <gtest/gtest.h>
@@ -161,13 +162,14 @@ TEST_F(LoadFixture, ThroughputWindowing)
     EXPECT_NEAR(cps, expect, expect * 0.01 + 1);
 }
 
-/** FakeServer whose responses take a random 0-500 us service time, so
- *  latency samples spread out instead of all being equal. */
-struct JitterServer : FakeServer
+/** FakeServer whose responses go out @c delay() after each request. */
+template <typename Delay>
+struct DelayServer : FakeServer
 {
-    Rng rng{11};
+    Delay delay;
 
-    JitterServer(EventQueue &e, Wire &w, IpAddr addr) : FakeServer(e, w, addr)
+    DelayServer(EventQueue &e, Wire &w, IpAddr addr, Delay d = {})
+        : FakeServer(e, w, addr), delay(std::move(d))
     {
         wire.attach(addr, [this](const Packet &p) { onPacket(p); });
     }
@@ -180,7 +182,7 @@ struct JitterServer : FakeServer
             return;
         }
         ++requests;
-        const Tick at = eq.now() + ticksFromUsec(rng.range(500));
+        const Tick at = eq.now() + delay();
         Packet out;
         out.tuple = p.tuple.reversed();
         out.flags = kAck | kPsh;
@@ -191,6 +193,16 @@ struct JitterServer : FakeServer
         wire.transmit(out, at);
     }
 };
+
+/** A random 0-500 us service time, so latency samples spread out
+ *  instead of all being equal. */
+struct JitterDelay
+{
+    Rng rng{11};
+
+    Tick operator()() { return ticksFromUsec(rng.range(500)); }
+};
+using JitterServer = DelayServer<JitterDelay>;
 
 /**
  * Runs the queue event by event and notes each latency sample's
@@ -333,6 +345,83 @@ TEST_F(HttpLoadLatency, SamplesCompletedAtTheMarkTickAreInTheWindow)
 
     done.runUntil(ticksFromMsec(10));
     expectWindowMatchesBruteForce(load, done, mark);
+}
+
+/** Server delays taken in order from a script. */
+struct ScriptDelay
+{
+    std::vector<Tick> script;
+    std::size_t next = 0;
+
+    Tick operator()() { return script.at(next++); }
+};
+
+TEST(HttpLoadLatencyLog, SamplesPast32BitsAreExact)
+{
+    // One connection at a time, each answered after a scripted delay,
+    // so the latency log holds exactly chosen samples: 2^32 - 2 is the
+    // largest stored in 4 bytes, 2^32 - 1 the smallest in the side
+    // list. A connection's latency is its delay plus six 10 us wire
+    // trips (SYN, SYN-ACK, request, response + FIN, client FIN, last
+    // ACK).
+    constexpr Tick kTrips = 6 * ticksFromUsec(10);
+    constexpr Tick k32 = Tick{1} << 32;
+    const std::vector<Tick> want = {
+        kTrips, k32 - 2, k32 - 1, k32, Tick{1} << 40, kTrips + 7,
+        // ...markWindow() here...
+        Tick{1} << 40, k32, k32 - 1, k32 - 2, kTrips + 3, k32 - 1};
+    constexpr std::size_t kBeforeMark = 6;
+
+    ScriptDelay delays;
+    for (Tick w : want)
+        delays.script.push_back(w - kTrips);
+    EventQueue eq;
+    Wire wire{eq, ticksFromUsec(10)};
+    DelayServer<ScriptDelay> server{eq, wire, 500, delays};
+    HttpLoad::Config c;
+    c.serverAddrs = {500};
+    c.concurrency = 1;
+    c.maxConns = want.size();
+    HttpLoad load{eq, wire, c};
+    CompletionTicks done{eq, load, {}};
+
+    // The window's percentiles against the same selection over the
+    // reference samples [from, to).
+    const auto expectWindow = [&](std::size_t from, std::size_t to) {
+        std::vector<Tick> ref(want.begin() + from, want.begin() + to);
+        std::sort(ref.begin(), ref.end());
+        ASSERT_EQ(load.latencySamplesSinceMark(), ref.size());
+        for (double p : {0.0, 0.2, 0.5, 0.8, 0.99, 1.0})
+            EXPECT_EQ(load.latencyPercentileSinceMark(p),
+                      bruteForcePercentile(ref, p))
+                << "p" << p * 100 << " of samples [" << from << ", "
+                << to << ")";
+    };
+    load.start();
+    load.markWindow();
+    while (done.ticks.size() < kBeforeMark)
+        ASSERT_TRUE(done.step());
+    expectWindow(0, kBeforeMark);
+    done.runUntil(done.ticks.back() + 1);
+    load.markWindow();
+    while (done.step()) {
+    }
+    ASSERT_EQ(load.completed(), want.size());
+    expectWindow(kBeforeMark, want.size());
+
+    const HttpLoad::LatencyLog &log = load.latencySamples();
+    ASSERT_EQ(log.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i)
+        EXPECT_EQ(log[i], want[i]) << "sample " << i;
+    EXPECT_EQ(log.back(), want.back());
+    // The fleet's cursor reads new samples with forEachFrom: from every
+    // cut it must see exactly the samples past it.
+    for (std::size_t cut = 0; cut <= want.size(); ++cut) {
+        std::vector<Tick> seen;
+        log.forEachFrom(cut, [&](Tick v) { seen.push_back(v); });
+        EXPECT_EQ(seen, std::vector<Tick>(want.begin() + cut, want.end()))
+            << "cursor at " << cut;
+    }
 }
 
 TEST(HttpLoadFleet, CursorConsumesEverySampleOnce)
