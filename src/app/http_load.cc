@@ -15,20 +15,6 @@ namespace
 /** Retransmissions before a connection gives up and fails. */
 constexpr int kMaxRetx = 6;
 
-/** Deterministic nonzero trace id from a connection epoch (splitmix64
- *  finalizer). Epochs are globally unique per attempt, so trace ids
- *  are too; retransmissions of one attempt share the epoch and hence
- *  the id, while a timeout relaunch draws a fresh one. */
-std::uint64_t
-traceIdFromEpoch(std::uint64_t epoch)
-{
-    std::uint64_t x = epoch + 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x ? x : 1;
-}
-
 } // namespace
 
 HttpLoad::HttpLoad(EventQueue &eq, Wire &wire, const Config &cfg)
@@ -147,7 +133,7 @@ HttpLoad::launch()
     Conn conn;
     conn.tx = FiveTuple{client, server, sport, cfg_.serverPort};
     conn.epoch = nextEpoch_++;
-    conn.traceId = traceIdFromEpoch(conn.epoch);
+    conn.traceId = FleetTraceLog::traceIdOf(conn.epoch);
     conn.startTick = eq_.now();
     conn.health =
         cfg_.healthEvery > 0 &&

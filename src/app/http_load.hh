@@ -211,10 +211,11 @@ class HttpLoad
 
     /**
      * Attach the fleet trace collector. Every launched connection mints
-     * a deterministic nonzero trace id (a mix of its epoch, so retries
-     * of one attempt share the id while a timeout relaunch gets a fresh
-     * one) and stamps it on every packet; start/finish report the
-     * client hop to @p log. Pure recording — simulated behavior and
+     * the trace id FleetTraceLog::traceIdOf(epoch) (epochs count
+     * attempts from 1, so retries of one attempt share the id while a
+     * timeout relaunch gets a fresh one) and stamps it on every packet;
+     * start/finish report the client hop to @p log, which finds the
+     * record by that epoch. Pure recording — simulated behavior and
      * fingerprints are identical with or without a log attached.
      */
     void setTraceLog(FleetTraceLog *log) { traceLog_ = log; }

@@ -95,61 +95,52 @@ FleetTrace::setServerSpan(bool orderly, Tick open, Tick close,
     serverExec_ = static_cast<std::uint32_t>(exec);
 }
 
-FleetTraceLog::IndexSlot &
-FleetTraceLog::slotFor(std::uint64_t trace_id)
+std::uint64_t
+FleetTraceLog::traceIdOf(std::uint64_t seq)
 {
-    const std::size_t mask = index_.size() - 1;
-    const std::uint32_t tag = tagOf(trace_id);
-    std::size_t i = static_cast<std::size_t>(trace_id) & mask;
-    while (index_[i].ref != 0 &&
-           (index_[i].tag != tag ||
-            records_[index_[i].ref - 1].traceId() != trace_id))
-        i = (i + 1) & mask;
-    return index_[i];
+    std::uint64_t x = seq + 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    // The one sequence number minted as 0 is ~7e18: never reached.
+    fsim_assert(x != 0 && "traceIdOf: sequence number maps to id 0");
+    return x;
 }
 
-void
-FleetTraceLog::reserveIndex()
+std::uint64_t
+FleetTraceLog::seqOf(std::uint64_t trace_id)
 {
-    // Keep occupancy under 3/4 so probe runs stay short.
-    if ((records_.size() + 1) * 4 < index_.size() * 3)
-        return;
-    const std::size_t cap = index_.empty() ? 16 : index_.size() * 2;
-    // Records are never erased, so the new table is rebuilt from them;
-    // the old one is released first and never copied.
-    index_ = {};
-    index_.resize(cap);
-    const std::size_t mask = cap - 1;
-    for (std::size_t r = 0; r < records_.size(); ++r) {
-        const std::uint64_t id = records_[r].traceId();
-        std::size_t i = static_cast<std::size_t>(id) & mask;
-        while (index_[i].ref != 0)
-            i = (i + 1) & mask;
-        index_[i] = {static_cast<std::uint32_t>(r + 1), tagOf(id)};
-    }
+    // traceIdOf backwards: each x ^= x >> k is undone by x ^= x >> k,
+    // x >> 2k, ...; each odd multiplier by its inverse mod 2^64.
+    std::uint64_t x = trace_id;
+    x ^= (x >> 31) ^ (x >> 62);
+    x *= 0x319642b2d24d8ec3ULL;
+    x ^= (x >> 27) ^ (x >> 54);
+    x *= 0x96de1b173f119089ULL;
+    x ^= (x >> 30) ^ (x >> 60);
+    return x - 0x9e3779b97f4a7c15ULL;
 }
 
 FleetTrace *
 FleetTraceLog::find(std::uint64_t trace_id)
 {
-    if (index_.empty())
+    const std::uint64_t s = seqOf(trace_id);
+    if (s == 0 || s > records_.size())
         return nullptr;
-    const IndexSlot &slot = slotFor(trace_id);
-    return slot.ref != 0 ? &records_[slot.ref - 1] : nullptr;
+    FleetTrace &tr = records_[s - 1];
+    return tr.traceId() == trace_id ? &tr : nullptr;
 }
 
 FleetTrace &
 FleetTraceLog::findOrAdd(std::uint64_t trace_id, Tick t, bool &created)
 {
-    reserveIndex();
-    IndexSlot &slot = slotFor(trace_id);
-    created = slot.ref == 0;
-    if (!created)
-        return records_[slot.ref - 1];
-    ++allocations_;
-    slot = {static_cast<std::uint32_t>(records_.size() + 1),
-            tagOf(trace_id)};
-    return records_.push_back(FleetTrace(trace_id, t));
+    created = seqOf(trace_id) == records_.size() + 1;
+    if (created)
+        return records_.push_back(FleetTrace(trace_id, t));
+    FleetTrace *tr = find(trace_id);
+    fsim_assert(tr && "fleet trace id is past the next traceIdOf(seq): "
+                      "records are stored by sequence number");
+    return *tr;
 }
 
 void

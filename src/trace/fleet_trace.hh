@@ -184,14 +184,25 @@ static_assert(sizeof(FleetTrace) == 48);
  * ConnSpanLog stitches its spans in as connections close, and collect
  * adds the spans still in flight (matching on ConnSpanTrace::traceId).
  *
- * Records live in chunked storage in first-seen order and are never
- * erased: appends never move or copy earlier records. An open-addressing
- * index of 8-byte slots maps a trace id to its record; the full id is
- * read from the record, so the index holds no keys.
+ * The log owns the trace-id scheme: the client mints the id of its
+ * s-th attempt as traceIdOf(s), a bijection on 64-bit words, and
+ * starts that attempt's record right away. Records therefore live in
+ * chunked storage in sequence order, record s at position s - 1, and
+ * a hop finds its record by decoding the sequence number with
+ * seqOf(id): no index. Records are never erased, and appends never
+ * move or copy earlier ones.
  */
 class FleetTraceLog
 {
   public:
+    /** The trace id of the @p seq-th attempt (from 1): the splitmix64
+     *  finalizer, so ids look random yet are unique per attempt;
+     *  retransmissions of one attempt share it, while a timeout
+     *  relaunch draws the next one. Never 0, the "untraced" id. */
+    static std::uint64_t traceIdOf(std::uint64_t seq);
+    /** The exact inverse of traceIdOf. */
+    static std::uint64_t seqOf(std::uint64_t trace_id);
+
     void setEnabled(bool on) { enabled_ = on; }
     bool enabled() const { return enabled_; }
 
@@ -232,9 +243,9 @@ class FleetTraceLog
     std::uint64_t duplicates() const { return duplicates_; }
     /** Machine spans joined to a record. */
     std::uint64_t machineSpansStitched() const { return stitched_; }
-    /** Records appended (each may grow the chunked storage or the
-     *  index); exactly zero when disabled. */
-    std::uint64_t allocations() const { return allocations_; }
+    /** Heap blocks allocated: record chunks plus chunk-index regrowth;
+     *  exactly zero when disabled. */
+    std::uint64_t allocations() const { return records_.allocations(); }
     /** @} */
 
     /** Completed-ok traces with no balancer record: the trace context
@@ -246,7 +257,7 @@ class FleetTraceLog
      *  some machine. */
     std::uint64_t unstitchedOk() const;
 
-    /** Every record, in first-seen order. */
+    /** Every record, in sequence order. */
     const ChunkedVector<FleetTrace> &records() const { return records_; }
 
     /** Deterministic view: completed traces sorted by (clientStart,
@@ -254,39 +265,19 @@ class FleetTraceLog
     std::vector<const FleetTrace *> sortedCompleted() const;
 
   private:
-    /** One index slot: a record reference and a fragment of its id. */
-    struct IndexSlot
-    {
-        std::uint32_t ref = 0;  //!< record index + 1; 0 = empty slot
-        std::uint32_t tag = 0;  //!< the id's high half, checked first
-    };
-
-    static std::uint32_t tagOf(std::uint64_t trace_id)
-    {
-        return static_cast<std::uint32_t>(trace_id >> 32);
-    }
-
-    /** The slot holding @p trace_id, else the empty slot ending its
-     *  probe run. The index must be non-empty. */
-    IndexSlot &slotFor(std::uint64_t trace_id);
-    /** Size the index for one more record, re-indexing records_. */
-    void reserveIndex();
-
+    /** The record of @p trace_id, or null if there is none. */
     FleetTrace *find(std::uint64_t trace_id);
-    /** The record for @p trace_id, appended (first seen at @p t) if new;
-     *  @p created says which. */
+    /** The record for @p trace_id, appended (first seen at @p t) if its
+     *  sequence number is the next one; @p created says which. */
     FleetTrace &findOrAdd(std::uint64_t trace_id, Tick t, bool &created);
 
     bool enabled_ = true;
+    /** Record s at position s - 1. */
     ChunkedVector<FleetTrace> records_;
-    /** Trace id -> records_ index, linear probing from the id's low
-     *  bits (ids are already hashed); a power of 2, under 3/4 full. */
-    std::vector<IndexSlot> index_;
     std::uint64_t clientStarts_ = 0;
     std::uint64_t clientCompleted_ = 0;
     std::uint64_t duplicates_ = 0;
     std::uint64_t stitched_ = 0;
-    std::uint64_t allocations_ = 0;
 };
 
 /** Per-hop latency distribution over completed traces (ticks). */

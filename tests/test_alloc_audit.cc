@@ -451,6 +451,34 @@ TEST(AllocAudit, NotraceFleetSteadyStateIsAllocationFree)
         << "steady-state untraced fleet allocated on the hot path";
 }
 
+TEST(AllocAudit, FleetTraceLogAllocatesOnlyItsRecordChunks)
+{
+    // Records are found by the sequence number their id decodes to, so
+    // nothing but the chunked record storage may grow: no index.
+    constexpr std::uint64_t kTraces = 100'000;
+    FleetTraceLog log;
+    std::uint64_t audited;
+    {
+        AllocAuditScope scope;
+        for (std::uint64_t s = 1; s <= kTraces; ++s) {
+            const std::uint64_t id = FleetTraceLog::traceIdOf(s);
+            log.clientStart(id, 10 * s);
+            log.lbIngress(id, 10 * s + 1, 0, 0);
+            log.lbForward(id);
+            log.clientEnd(id, 10 * s + 5, true);
+        }
+        audited = AllocAudit::disarm();
+    }
+    ASSERT_TRUE(AllocAudit::hooked());
+    ASSERT_EQ(log.records().size(), kTraces);
+    if (audited != log.allocations())
+        dumpAllocHistogram("fleet trace log");
+    EXPECT_EQ(audited, log.allocations());
+    // 25 chunks of 4096 records; the chunk index regrows at 1, 2, 4, 8,
+    // 16 and 32 chunks.
+    EXPECT_EQ(log.allocations(), 25u + 6u);
+}
+
 TEST(AllocAudit, TracedFleetAllocatesUnderOneBlockPer1000Conns)
 {
     std::uint64_t records = 0;
@@ -462,7 +490,7 @@ TEST(AllocAudit, TracedFleetAllocatesUnderOneBlockPer1000Conns)
         << " connections: span recording or stitching is allocating "
            "per connection";
     // Bytes, not just blocks: each request's trace record plus at most
-    // 16 B of index and latency-log growth.
+    // 16 B of record chunk-index and latency-log growth.
     ASSERT_GT(records, 5000u);
     EXPECT_LE(w.bytes, records * (sizeof(FleetTrace) + 16))
         << w.bytes << " bytes for " << records << " trace records";

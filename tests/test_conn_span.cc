@@ -157,15 +157,17 @@ TEST(ConnSpanLog, BatchCrossingTheCapKeepsItsHead)
               ConnSpanLog::kMaxSpansPerConn);
 }
 
-/** Open, span and close @p n traced connections (conn id = trace id,
- *  1..n) on @p log, each with a client record in @p fleet. */
+/** Open, span and close @p n traced connections (conn ids 1..n, trace
+ *  id the one minted for the conn id) on @p log, each with a client
+ *  record in @p fleet. */
 void
 churn(ConnSpanLog &log, FleetTraceLog &fleet, std::uint64_t n)
 {
     for (std::uint64_t id = 1; id <= n; ++id) {
         const Tick t = id * 10;
-        fleet.clientStart(id, t);
-        log.open(id, t, /*passive=*/true, /*trace_id=*/id);
+        const std::uint64_t trace_id = FleetTraceLog::traceIdOf(id);
+        fleet.clientStart(trace_id, t);
+        log.open(id, t, /*passive=*/true, trace_id);
         const ConnSpan write[] = {{t + 1, t + 6, 0, 0, ConnStage::kAppWrite}};
         log.append(id, write);
         log.close(id, t + 8, t + 8);

@@ -75,7 +75,7 @@ unstitchedOk(const FleetTraceLog &log)
 const KernelConfig kBothKernels[2] = {KernelConfig::base2632(),
                                       KernelConfig::fastsocket()};
 
-/** One machine-side candidate span for trace 42. */
+/** One machine-side candidate span for the first minted trace. */
 struct Candidate
 {
     bool orderly;
@@ -95,7 +95,7 @@ struct Candidate
         spans.push_back({writeEnd - 40, writeEnd, 0, 1,
                          ConnStage::kAppWrite});
         ConnSpanTrace tr;
-        tr.traceId = 42;
+        tr.traceId = FleetTraceLog::traceIdOf(1);
         tr.openTick = open;
         tr.closeTick = close;
         tr.closed = orderly;
@@ -126,7 +126,7 @@ TEST(FleetTrace, StitchWinnerIndependentOfArrivalOrder)
     int perms = 0;
     do {
         FleetTraceLog log;
-        log.clientStart(42, 1);
+        log.clientStart(FleetTraceLog::traceIdOf(1), 1);
         for (int i : order)
             log.stitchMachineSpan(cands[i].trace());
         const FleetTrace &tr = log.records().front();
@@ -256,26 +256,27 @@ TEST(FleetTrace, LongTraceRoundTripsThroughTheLog)
     // offsets and the service field must keep every bit.
     const Tick t0 = ticksFromSeconds(3.0);
     const Tick past32 = (Tick{1} << 32) + 12345;
+    const std::uint64_t id = FleetTraceLog::traceIdOf(1);
     std::vector<ConnSpan> a, b;
-    const ConnSpanTrace slow = longSpan(9, t0 + 20, t0 + past32 + 50,
+    const ConnSpanTrace slow = longSpan(id, t0 + 20, t0 + past32 + 50,
                                         t0 + past32, a);
-    const ConnSpanTrace fast = longSpan(9, t0 + 25, t0 + 900, t0 + 800, b);
+    const ConnSpanTrace fast = longSpan(id, t0 + 25, t0 + 900, t0 + 800, b);
     ASSERT_GT(slow.serviceLatency(), Tick{1} << 32);
 
     Fields first;
     for (bool slowFirst : {true, false}) {
         FleetTraceLog log;
-        log.clientStart(9, t0);
-        log.lbIngress(9, t0 + 5, 1, 2);
-        log.lbForward(9);
+        log.clientStart(id, t0);
+        log.lbIngress(id, t0 + 5, 1, 2);
+        log.lbForward(id);
         log.stitchMachineSpan(slowFirst ? slow : fast);
         log.stitchMachineSpan(slowFirst ? fast : slow);
-        log.clientEnd(9, t0 + past32 + 60, true);
+        log.clientEnd(id, t0 + past32 + 60, true);
         ASSERT_EQ(log.records().size(), 1u);
         const FleetTrace &tr = log.records().front();
         // The longer service wins in either arrival order.
         EXPECT_EQ(fieldsOf(tr),
-                  Fields(9, t0, t0 + past32 + 60, true, true, 1, t0 + 5, 1,
+                  Fields(id, t0, t0 + past32 + 60, true, true, 1, t0 + 5, 1,
                          1, 2, true, true, t0 + 20, t0 + past32 + 50,
                          past32 - 20, 60))
             << (slowFirst ? "slow span first" : "fast span first");
@@ -293,18 +294,93 @@ TEST(FleetTrace, RecordMadeBeforeClientStartReadsBack)
     // The balancer sees the SYN first; the client's start lands later
     // and becomes the base the earlier instants are measured from.
     const Tick t0 = ticksFromSeconds(500.0);    // past 2^40 ticks
+    const std::uint64_t id = FleetTraceLog::traceIdOf(1);
     std::vector<ConnSpan> storage;
     FleetTraceLog log;
-    log.lbIngress(5, t0, 3, 7);
-    ConnSpanTrace live = longSpan(5, t0 + 40, 0, t0 + 200, storage);
+    log.lbIngress(id, t0, 3, 7);
+    ConnSpanTrace live = longSpan(id, t0 + 40, 0, t0 + 200, storage);
     live.closed = false;                        // open at collect
     log.stitchMachineSpan(live);
-    log.clientStart(5, t0 + 1000);
-    log.clientEnd(5, t0 + 3000, false);
+    log.clientStart(id, t0 + 1000);
+    log.clientEnd(id, t0 + 3000, false);
     EXPECT_EQ(log.duplicates(), 0u);
     EXPECT_EQ(fieldsOf(log.records().front()),
-              Fields(5, t0 + 1000, t0 + 3000, true, false, 3, t0, 1, 0, 7,
+              Fields(id, t0 + 1000, t0 + 3000, true, false, 3, t0, 1, 0, 7,
                      true, false, t0 + 40, 0, 160, 60));
+}
+
+TEST(FleetTrace, SeqOfInvertsTraceIdOf)
+{
+    for (std::uint64_t s : {std::uint64_t{1}, std::uint64_t{1} << 32,
+                            std::uint64_t{1} << 63, ~std::uint64_t{0}})
+        EXPECT_EQ(FleetTraceLog::seqOf(FleetTraceLog::traceIdOf(s)), s)
+            << "seq " << s;
+    Rng rng(32);
+    for (int i = 0; i < 10'000; ++i) {
+        const std::uint64_t s = rng.next();
+        ASSERT_EQ(FleetTraceLog::seqOf(FleetTraceLog::traceIdOf(s)), s)
+            << "seq " << s;
+    }
+}
+
+/** The client's trace-id formula as first written, remap of 0 included:
+ *  minted ids must stay bit-identical to it. */
+std::uint64_t
+frozenTraceIdFromEpoch(std::uint64_t epoch)
+{
+    std::uint64_t x = epoch + 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x ? x : 1;
+}
+
+TEST(FleetTrace, TraceIdOfMatchesTheFrozenClientFormula)
+{
+    for (std::uint64_t e = 1; e <= 100'000; ++e)
+        ASSERT_EQ(FleetTraceLog::traceIdOf(e), frozenTraceIdFromEpoch(e))
+            << "epoch " << e;
+}
+
+TEST(FleetTraceDeathTest, RecordTwoPastTheEndIsRejected)
+{
+    FleetTraceLog log;
+    EXPECT_DEATH(log.clientStart(FleetTraceLog::traceIdOf(2), 10),
+                 "traceIdOf");
+    log.clientStart(FleetTraceLog::traceIdOf(1), 10);
+    EXPECT_DEATH(log.lbIngress(FleetTraceLog::traceIdOf(3), 11, 0, 0),
+                 "traceIdOf");
+}
+
+TEST(FleetTrace, HopsOnAnUnstartedIdChangeNothing)
+{
+    FleetTraceLog log;
+    for (std::uint64_t s = 1; s <= 3; ++s) {
+        const std::uint64_t id = FleetTraceLog::traceIdOf(s);
+        log.clientStart(id, 100 * s);
+        log.lbIngress(id, 100 * s + 2, 1, 2);
+    }
+    const auto snapshot = [&log] {
+        std::vector<Fields> fields;
+        for (const FleetTrace &tr : log.records())
+            fields.push_back(fieldsOf(tr));
+        return std::make_tuple(fields, log.clientStarts(),
+                               log.clientCompleted(), log.duplicates(),
+                               log.machineSpansStitched(),
+                               log.allocations());
+    };
+    const auto before = snapshot();
+    std::vector<ConnSpan> storage;
+    // The next id, one far past the end, and an arbitrary id (its
+    // sequence number is ~4.3e18).
+    for (std::uint64_t id : {FleetTraceLog::traceIdOf(4),
+                             FleetTraceLog::traceIdOf(1000),
+                             std::uint64_t{42}}) {
+        log.clientEnd(id, 500, true);
+        log.lbForward(id);
+        log.stitchMachineSpan(longSpan(id, 400, 450, 440, storage));
+    }
+    EXPECT_EQ(snapshot(), before);
 }
 
 /**
@@ -440,7 +516,7 @@ fillRandomLog(FleetTraceLog &log, Rng &rng, std::size_t n,
 {
     std::vector<ConnSpan> storage;
     for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t id = rng.next() | 1;
+        const std::uint64_t id = FleetTraceLog::traceIdOf(i + 1);
         const Tick start = 1000 + 10 * rng.range(starts);
         const Tick e2e = 50 + 25 * rng.range(latencies);
         log.clientStart(id, start);
