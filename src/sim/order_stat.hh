@@ -175,7 +175,8 @@ selectRank(const ForEach &for_each, std::uint64_t rank)
  * equal keys in visiting order. @p for_each(fn) must call fn(rec) once
  * per record, in the same order on every call, with references that
  * stay valid; @p key(rec) returns the record's keys as a
- * std::array<std::uint64_t, N>. Key by key, each rank selects its key
+ * std::array<std::uint64_t, N>, and is called only from within fn, on
+ * the record fn was just passed. Key by key, each rank selects its key
  * among the records equal on the keys before it (selectGroupRanks, one
  * group per rank); then one pass finds every pick. Nothing is copied
  * or allocated.

@@ -12,8 +12,7 @@
 namespace fsim
 {
 
-FleetTrace::FleetTrace(std::uint64_t trace_id, Tick t)
-    : traceId_(trace_id)
+FleetTrace::FleetTrace(Tick t)
 {
     fsim_assert(t <= kMaxClientStart &&
                 "fleet trace tick past 2^48 (~31 sim-hours)");
@@ -124,11 +123,10 @@ FleetTraceLog::seqOf(std::uint64_t trace_id)
 FleetTrace *
 FleetTraceLog::find(std::uint64_t trace_id)
 {
+    // seqOf is a bijection, so a sequence number in range names the
+    // record of exactly this id.
     const std::uint64_t s = seqOf(trace_id);
-    if (s == 0 || s > records_.size())
-        return nullptr;
-    FleetTrace &tr = records_[s - 1];
-    return tr.traceId() == trace_id ? &tr : nullptr;
+    return s == 0 || s > records_.size() ? nullptr : &records_[s - 1];
 }
 
 FleetTrace &
@@ -136,7 +134,7 @@ FleetTraceLog::findOrAdd(std::uint64_t trace_id, Tick t, bool &created)
 {
     created = seqOf(trace_id) == records_.size() + 1;
     if (created)
-        return records_.push_back(FleetTrace(trace_id, t));
+        return records_.push_back(FleetTrace(t));
     FleetTrace *tr = find(trace_id);
     fsim_assert(tr && "fleet trace id is past the next traceIdOf(seq): "
                       "records are stored by sequence number");
@@ -241,29 +239,20 @@ FleetTraceLog::unstitchedOk() const
     return n;
 }
 
-namespace
-{
-
-/** The deterministic report order: (clientStart, traceId). */
-bool
-startsBefore(const FleetTrace *a, const FleetTrace *b)
-{
-    if (a->clientStart() != b->clientStart())
-        return a->clientStart() < b->clientStart();
-    return a->traceId() < b->traceId();
-}
-
-} // namespace
-
-std::vector<const FleetTrace *>
+std::vector<std::size_t>
 FleetTraceLog::sortedCompleted() const
 {
-    std::vector<const FleetTrace *> out;
+    std::vector<std::size_t> out;
     out.reserve(clientCompleted_);
-    for (const FleetTrace &tr : records_)
-        if (tr.clientDone())
-            out.push_back(&tr);
-    std::sort(out.begin(), out.end(), startsBefore);
+    for (std::size_t i = 0; i < records_.size(); ++i)
+        if (records_[i].clientDone())
+            out.push_back(i);
+    // The deterministic report order: (clientStart, traceId).
+    std::sort(out.begin(), out.end(), [this](std::size_t a, std::size_t b) {
+        const Tick sa = records_[a].clientStart();
+        const Tick sb = records_[b].clientStart();
+        return sa != sb ? sa < sb : traceIdOf(a + 1) < traceIdOf(b + 1);
+    });
     return out;
 }
 
@@ -319,11 +308,14 @@ buildFleetTraceForensics(const FleetTraceLog &log, Tick forward_delay)
 
     // Every statistic below is a pass over the completed-ok records in
     // place; nothing per trace is copied. The sums are exact integers,
-    // so they do not depend on the order the records are read in.
-    const auto forDone = [&log](auto &&fn) {
-        for (const FleetTrace &tr : log.records())
-            if (tr.clientDone() && tr.ok())
-                fn(tr);
+    // so they do not depend on the order the records are read in. pos
+    // is the position of the record being visited: its id's source.
+    const ChunkedVector<FleetTrace> &records = log.records();
+    std::size_t pos = 0;
+    const auto forDone = [&records, &pos](auto &&fn) {
+        for (pos = 0; pos < records.size(); ++pos)
+            if (records[pos].clientDone() && records[pos].ok())
+                fn(records[pos]);
     };
     std::uint64_t n = 0;
     std::array<Tick, HopSlices::kNumHops> hopSum{};
@@ -369,11 +361,14 @@ buildFleetTraceForensics(const FleetTraceLog &log, Tick forward_delay)
 
     // Exemplars rank by end-to-end latency, ties in (clientStart,
     // traceId) order. Ids are unique, so the keys name one trace.
+    // selectRecords keys a record while forDone visits it, so pos is
+    // that record's position.
     const auto picks = selectRecords<FleetTrace>(
         forDone,
-        [](const FleetTrace &tr) {
+        [&pos](const FleetTrace &tr) {
             return std::array<std::uint64_t, 3>{
-                tr.e2eLatency(), tr.clientStart(), tr.traceId()};
+                tr.e2eLatency(), tr.clientStart(),
+                FleetTraceLog::traceIdOf(pos + 1)};
         },
         ranks);
     const auto dominant = [&](const FleetTrace &tr) {

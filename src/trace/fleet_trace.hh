@@ -33,12 +33,13 @@ namespace fsim
 
 /**
  * One end-to-end request trace, stitched across fleet hops, packed into
- * 48 bytes. traceId and clientStart are stored whole. The other four
- * instants are stored as their distance from clientStart, the service
- * latency in 40 bits, and the counts and ids in the widths the fleet
- * allows. Within the limits below the record is lossless: every field
- * reads back the value written, and a write outside them fails an
- * assertion instead of truncating. Tick 0 reads back exactly for every
+ * 40 bytes. The trace id is not stored: FleetTraceLog keeps the record
+ * of id traceIdOf(s) at position s - 1. clientStart takes 48 bits, the
+ * other four instants are stored as their distance from clientStart,
+ * the service latency in 40 bits, and the counts and ids in the widths
+ * the fleet allows. Within the limits below the record is lossless:
+ * every field reads back the value written, and a write outside them
+ * fails an assertion instead of truncating. Tick 0 reads back exactly for every
  * instant: a span still open at collect reports it as its close.
  *
  * A record the balancer creates before the client's start (not expected
@@ -65,10 +66,8 @@ class FleetTrace
     /** @} */
 
     FleetTrace() = default;
-    /** The record of @p trace_id, first seen at tick @p t. */
-    FleetTrace(std::uint64_t trace_id, Tick t);
-
-    std::uint64_t traceId() const { return traceId_; }
+    /** A record first seen at tick @p t. */
+    explicit FleetTrace(Tick t);
 
     /** @name Client hop (HttpLoad) */
     /** @{ */
@@ -161,7 +160,6 @@ class FleetTrace
     }
     void setInstant(Wide w, Tick t);
 
-    std::uint64_t traceId_ = 0;
     /** clientStart once started, else the tick the record was made. */
     std::uint64_t base_ : 48 = 0;
     std::uint64_t lbForwards_ : 16 = 0;
@@ -176,7 +174,7 @@ class FleetTrace
     std::uint8_t flags_ : 5 = 0;
 };
 
-static_assert(sizeof(FleetTrace) == 48);
+static_assert(sizeof(FleetTrace) == 40);
 
 /**
  * Fleet-scope trace collector, owned by FleetTestbed. The client and
@@ -257,12 +255,14 @@ class FleetTraceLog
      *  some machine. */
     std::uint64_t unstitchedOk() const;
 
-    /** Every record, in sequence order. */
+    /** Every record, in sequence order: the one at position i is the
+     *  trace traceIdOf(i + 1). */
     const ChunkedVector<FleetTrace> &records() const { return records_; }
 
-    /** Deterministic view: completed traces sorted by (clientStart,
-     *  traceId). Reports and exports iterate this. */
-    std::vector<const FleetTrace *> sortedCompleted() const;
+    /** Deterministic view: the positions in records() of the completed
+     *  traces, sorted by (clientStart, traceId). Reports and exports
+     *  iterate this. */
+    std::vector<std::size_t> sortedCompleted() const;
 
   private:
     /** The record of @p trace_id, or null if there is none. */

@@ -273,7 +273,7 @@ writeFleetPerfettoTrace(const std::string &path, const FleetTraceLog &log,
                         std::size_t max_traces)
 {
     PerfettoStats st;
-    const std::vector<const FleetTrace *> done = log.sortedCompleted();
+    const std::vector<std::size_t> done = log.sortedCompleted();
     const std::size_t n = std::min(done.size(), max_traces);
     st.truncated = n < done.size();
     st.tracesExported = n;
@@ -290,42 +290,39 @@ writeFleetPerfettoTrace(const std::string &path, const FleetTraceLog &log,
                          "machine " + std::to_string(m));
 
     for (std::size_t i = 0; i < n; ++i) {
-        const FleetTrace &tr = *done[i];
+        const FleetTrace &tr = log.records()[done[i]];
+        const std::uint64_t id = FleetTraceLog::traceIdOf(done[i] + 1);
         const Tick end = std::max(tr.clientEnd(), tr.clientStart());
-        writeFleetEvent(w, 'b', tr.clientStart(), kClientPid,
-                        tr.traceId(), "request", "fleet");
-        writeFleetEvent(w, 'e', end, kClientPid, tr.traceId(), "request",
-                        "fleet");
+        writeFleetEvent(w, 'b', tr.clientStart(), kClientPid, id,
+                        "request", "fleet");
+        writeFleetEvent(w, 'e', end, kClientPid, id, "request", "fleet");
         st.waitEvents += 2;
 
         const bool haveLb = tr.lbId() >= 0;     // a flow was created
         if (haveLb) {
             const int pid = kLbPidBase + tr.lbId();
             const Tick lb_end = std::max(end, tr.lbIngress());
-            writeFleetEvent(w, 'b', tr.lbIngress(), pid, tr.traceId(),
-                            "lb", "fleet");
-            writeFleetEvent(w, 'e', lb_end, pid, tr.traceId(), "lb",
-                            "fleet");
+            writeFleetEvent(w, 'b', tr.lbIngress(), pid, id, "lb", "fleet");
+            writeFleetEvent(w, 'e', lb_end, pid, id, "lb", "fleet");
             st.waitEvents += 2;
         }
 
         if (tr.stitched() && tr.serverSlot() >= 0) {
             const int pid = kMachinePidBase + tr.serverSlot();
             const Tick close = std::max(tr.serverClose(), tr.serverOpen());
-            writeFleetEvent(w, 'b', tr.serverOpen(), pid, tr.traceId(),
-                            "server", "fleet");
-            writeFleetEvent(w, 'e', close, pid, tr.traceId(), "server",
+            writeFleetEvent(w, 'b', tr.serverOpen(), pid, id, "server",
                             "fleet");
+            writeFleetEvent(w, 'e', close, pid, id, "server", "fleet");
             st.waitEvents += 2;
             // Cross-machine arrow: balancer admission -> server TCB
             // mint. Causality orders the mint after the ingress, so
             // the f endpoint never precedes its s.
             if (haveLb && tr.serverOpen() >= tr.lbIngress()) {
                 writeFleetEvent(w, 's', tr.lbIngress(),
-                                kLbPidBase + tr.lbId(), tr.traceId(),
+                                kLbPidBase + tr.lbId(), id,
                                 "steer", "fleet-flow");
                 writeFleetEvent(w, 'f', tr.serverOpen(), pid,
-                                tr.traceId(), "steer", "fleet-flow");
+                                id, "steer", "fleet-flow");
                 ++st.flowPairs;
             }
         }

@@ -10,7 +10,9 @@ inside a present block is an explicit MISSING regression (exit 1),
 and a non-finite *baseline* value downgrades to a note, exactly like
 an absent metric. Also pinned: only schema v12 is accepted (exit 2
 otherwise), and an optional block that vanishes from the candidate
-turns its metrics into MISSING regressions.
+turns its metrics into MISSING regressions. Last, the committed
+phase-breakdown baseline passes against itself and fails with every
+row's cps scaled by 0.8.
 
 Usage: test_bench_compare.py <path-to-bench_compare.py>
 """
@@ -178,6 +180,20 @@ def main():
     both["rows"][0]["fleet"]["mttr_ms_mean"] = 0.0
     rc, out = run_compare(both, copy.deepcopy(both))
     check("zero-incident mttr is skipped", rc == 0, out)
+
+    # A real bench export: the committed phase-breakdown baseline
+    # passes against itself, and fails once every row loses 20% cps.
+    with open(os.path.join(os.path.dirname(TOOL), "baselines",
+                           "bench_phase_breakdown_quick.json")) as f:
+        phase = json.load(f)
+    rc, out = run_compare(phase, copy.deepcopy(phase))
+    check("committed phase baseline matches itself", rc == 0, out)
+    slower = copy.deepcopy(phase)
+    for row in slower["rows"]:
+        row["metrics"]["cps"] *= 0.8
+    rc, out = run_compare(phase, slower)
+    check("phase baseline with every row's cps x0.8 is a regression",
+          rc == 1, out)
 
     if FAILURES:
         print(f"{len(FAILURES)} failure(s): {FAILURES}")

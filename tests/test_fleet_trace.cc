@@ -150,42 +150,41 @@ static_assert(sizeof(FleetTrace) <= 56,
               "a fleet trace record is paid once per simulated request");
 
 /** Every field of @p tr, for whole-record comparisons. */
-using Fields = std::tuple<std::uint64_t, Tick, Tick, bool, bool, int, Tick,
-                          std::uint32_t, std::uint32_t, int, bool, bool,
-                          Tick, Tick, Tick, Tick>;
+using Fields = std::tuple<Tick, Tick, bool, bool, int, Tick, std::uint32_t,
+                          std::uint32_t, int, bool, bool, Tick, Tick, Tick,
+                          Tick>;
 
 Fields
 fieldsOf(const FleetTrace &tr)
 {
-    return {tr.traceId(),     tr.clientStart(),   tr.clientEnd(),
-            tr.clientDone(),  tr.ok(),            tr.lbId(),
-            tr.lbIngress(),   tr.lbFlows(),       tr.lbForwards(),
-            tr.serverSlot(),  tr.stitched(),      tr.serverOrderly(),
-            tr.serverOpen(),  tr.serverClose(),   tr.serverService(),
-            tr.serverExec()};
+    return {tr.clientStart(),   tr.clientEnd(),     tr.clientDone(),
+            tr.ok(),            tr.lbId(),          tr.lbIngress(),
+            tr.lbFlows(),       tr.lbForwards(),    tr.serverSlot(),
+            tr.stitched(),      tr.serverOrderly(), tr.serverOpen(),
+            tr.serverClose(),   tr.serverService(), tr.serverExec()};
 }
 
 TEST(FleetTrace, RecordRoundTripsEveryFieldAtZeroAndAtItsLimit)
 {
     FleetTrace fresh;
     EXPECT_EQ(fieldsOf(fresh),
-              Fields(0, 0, 0, false, false, -1, 0, 0, 0, -1, false, false,
-                     0, 0, 0, 0));
+              Fields(0, 0, false, false, -1, 0, 0, 0, -1, false, false, 0, 0,
+                     0, 0));
 
-    FleetTrace zero(0, 0);
+    FleetTrace zero(0);
     zero.setClientStart(0);
     zero.setClientEnd(0, false);
     zero.addLbFlow(0, 0, 0);
     zero.setServerSpan(false, 0, 0, 0, 0);
     EXPECT_EQ(fieldsOf(zero),
-              Fields(0, 0, 0, true, false, 0, 0, 1, 0, 0, true, false, 0,
-                     0, 0, 0));
+              Fields(0, 0, true, false, 0, 0, 1, 0, 0, true, false, 0, 0, 0,
+                     0));
 
     // The largest value of every field; instants as far from
     // clientStart as the layout allows, before and after it.
     const Tick start = FleetTrace::kMaxClientStart;
     const Tick far = FleetTrace::kMaxDistance;
-    FleetTrace top(~std::uint64_t{0}, start);
+    FleetTrace top(start);
     top.setClientStart(start);
     top.setClientEnd(start + far, true);
     for (std::uint32_t k = 0; k < FleetTrace::kMaxLbFlows; ++k)
@@ -197,9 +196,9 @@ TEST(FleetTrace, RecordRoundTripsEveryFieldAtZeroAndAtItsLimit)
                       FleetTrace::kMaxServerService,
                       FleetTrace::kMaxServerExec);
     EXPECT_EQ(fieldsOf(top),
-              Fields(~std::uint64_t{0}, start, start + far, true, true,
-                     FleetTrace::kMaxLbId, start - far,
-                     FleetTrace::kMaxLbFlows, FleetTrace::kMaxLbForwards,
+              Fields(start, start + far, true, true, FleetTrace::kMaxLbId,
+                     start - far, FleetTrace::kMaxLbFlows,
+                     FleetTrace::kMaxLbForwards,
                      FleetTrace::kMaxServerSlot, true, true,
                      start + far - 1, start + far,
                      FleetTrace::kMaxServerService,
@@ -218,11 +217,11 @@ TEST(FleetTrace, RecordRoundTripsEveryFieldAtZeroAndAtItsLimit)
 
 TEST(FleetTrace, RecordRejectsValuesPastItsLayout)
 {
-    FleetTrace tr(1, 1000);
+    FleetTrace tr(1000);
     tr.setClientStart(1000);
     EXPECT_DEATH(tr.setClientEnd(1000 + FleetTrace::kMaxDistance + 1, true),
                  "from its clientStart");
-    EXPECT_DEATH(FleetTrace(1, FleetTrace::kMaxClientStart + 1),
+    EXPECT_DEATH(FleetTrace(FleetTrace::kMaxClientStart + 1),
                  "past 2\\^48");
     EXPECT_DEATH(tr.setServerSpan(true, 1000, 2000, 10,
                                   FleetTrace::kMaxServerExec + 1),
@@ -276,8 +275,8 @@ TEST(FleetTrace, LongTraceRoundTripsThroughTheLog)
         const FleetTrace &tr = log.records().front();
         // The longer service wins in either arrival order.
         EXPECT_EQ(fieldsOf(tr),
-                  Fields(id, t0, t0 + past32 + 60, true, true, 1, t0 + 5, 1,
-                         1, 2, true, true, t0 + 20, t0 + past32 + 50,
+                  Fields(t0, t0 + past32 + 60, true, true, 1, t0 + 5, 1, 1,
+                         2, true, true, t0 + 20, t0 + past32 + 50,
                          past32 - 20, 60))
             << (slowFirst ? "slow span first" : "fast span first");
         EXPECT_EQ(tr.e2eLatency(), past32 + 60);
@@ -305,8 +304,8 @@ TEST(FleetTrace, RecordMadeBeforeClientStartReadsBack)
     log.clientEnd(id, t0 + 3000, false);
     EXPECT_EQ(log.duplicates(), 0u);
     EXPECT_EQ(fieldsOf(log.records().front()),
-              Fields(id, t0 + 1000, t0 + 3000, true, false, 3, t0, 1, 0, 7,
-                     true, false, t0 + 40, 0, 160, 60));
+              Fields(t0 + 1000, t0 + 3000, true, false, 3, t0, 1, 0, 7, true,
+                     false, t0 + 40, 0, 160, 60));
 }
 
 TEST(FleetTrace, SeqOfInvertsTraceIdOf)
@@ -426,9 +425,9 @@ referenceForensics(const FleetTraceLog &log, Tick forward_delay)
     if (!f.enabled)
         return f;
     std::vector<const FleetTrace *> done;
-    for (const FleetTrace *tr : log.sortedCompleted())
-        if (tr->ok())
-            done.push_back(tr);
+    for (std::size_t pos : log.sortedCompleted())
+        if (log.records()[pos].ok())
+            done.push_back(&log.records()[pos]);
     f.tracesCompleted = done.size();
     if (done.empty())
         return f;
@@ -605,9 +604,9 @@ TEST(FleetTrace, ClientTraceIdSurvivesNatRewriteBothKernels)
         EXPECT_GT(r.fleet.tracesStitched, 0u);
         // The span a trace stitched came from a real TCB whose id the
         // balancer could only have learned from the client's packet.
-        for (const FleetTrace *tr : log.sortedCompleted()) {
-            if (tr->ok()) {
-                EXPECT_GE(tr->lbFlows(), 1u);
+        for (std::size_t pos : log.sortedCompleted()) {
+            if (log.records()[pos].ok()) {
+                EXPECT_GE(log.records()[pos].lbFlows(), 1u);
             }
         }
         EXPECT_EQ(r.fleet.spanReconcileViolations, 0u);
