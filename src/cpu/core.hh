@@ -46,9 +46,9 @@ enum class TaskPrio
  *
  * Stored inline (no heap): the capture budget is sized by the largest
  * post() site in the tree, the kernel's RFD steering closure
- * [this, target, Packet, steer origin] in
- * kernel_stack.cc (~80 bytes now that the Packet carries the 8-byte
- * distributed trace context), with headroom for alignment padding.
+ * [this, target, Packet, steer origin] in kernel_stack.cc: 8 + 4 + a
+ * 56-byte Packet + a 16-byte Steer, 88 bytes with padding, leaving 8
+ * to spare.
  */
 constexpr std::size_t kTaskCaptureMax = 96;
 using Task = InlineFn<Tick(Tick), kTaskCaptureMax>;
@@ -59,6 +59,7 @@ struct TaskNode
     TaskNode *next = nullptr;
     Task fn;
 };
+static_assert(sizeof(TaskNode) == 112);
 
 class CpuModel;
 
@@ -168,7 +169,7 @@ class CpuModel
     }
 
   private:
-    /** Task nodes per slab chunk (16 KiB of 128-byte nodes). */
+    /** Task nodes per slab chunk (14 KiB of 112-byte nodes). */
     static constexpr std::size_t kChunkNodes = 128;
 
     void enqueue(CoreId c, TaskPrio prio, TaskNode *n);

@@ -21,10 +21,10 @@ LocalEstablishedTable::LocalEstablishedTable(int n_cores, int n_buckets,
     for (int i = 0; i < n_cores; ++i) {
         // Per-core tables are private to their owning core (RFD steers
         // every packet of a connection to the inserting core), so they can
-        // grow with load; the global ehash cannot and its chains lengthen.
+        // grow with load and need no lock instances; the global ehash
+        // cannot grow and its chains lengthen.
         tables_.push_back(std::make_unique<EstablishedTable>(
-            n_buckets, locks, cache, costs, "ehash.lock",
-            /*resizable=*/true));
+            n_buckets, locks, cache, costs, "ehash.lock", /*owner=*/i));
     }
 }
 

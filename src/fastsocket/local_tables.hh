@@ -8,7 +8,7 @@
  *  - LocalEstablishedTable (section 3.2.2): one established table per
  *    core; combined with RFD's steering guarantee, a connection's socket
  *    is inserted and looked up by the same core, so the per-core bucket
- *    locks never contend.
+ *    locks never contend (and are modelled by their lock words alone).
  */
 
 #ifndef FSIM_FASTSOCKET_LOCAL_TABLES_HH

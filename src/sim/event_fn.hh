@@ -4,7 +4,7 @@
  *
  * std::function is the wrong vehicle for a discrete-event simulator's
  * inner loop: libstdc++ gives it 16 bytes of inline storage, so nearly
- * every packet/timer closure (this + a 48-byte Packet, this + a timer
+ * every packet/timer closure (this + a 56-byte Packet, this + a timer
  * callback) lands on the heap — one malloc/free round trip per simulated
  * event. InlineFn is a fixed-capacity alternative: the capture lives
  * inside the object, full stop. A callable that does not fit is a
@@ -14,11 +14,17 @@
  *
  * Capacity budgets are chosen per use (see the aliases at the bottom)
  * and documented where they bind:
- *   - EventFn (event queue): 56 bytes — sized by the wire's delivery
- *     closure [this, Packet] = 8 + 48.
+ *   - EventFn (event queue): 64 bytes — sized by the wire's delivery
+ *     closure [this, Packet] = 8 + 56.
  *   - Task (per-core CPU queues): 96 bytes — sized by the RFD steering
  *     closure [this, target, Packet, steer_t, steer_from].
  *   - Timer callbacks: see timer_wheel.hh / timer_base.hh.
+ *
+ * The buffer is 8-byte aligned, which every capture in the tree
+ * (pointers, integers, doubles, Packets) needs and none exceeds: an
+ * InlineFn is Cap + 8 bytes with no padding, and so are the slab nodes
+ * that embed one (see the static_asserts beside EventQueue::Node,
+ * TaskNode and TimerWheel::Node).
  */
 
 #ifndef FSIM_SIM_EVENT_FN_HH
@@ -44,6 +50,8 @@ class InlineFn<R(Args...), Cap>
 {
   public:
     static constexpr std::size_t kCapture = Cap;
+    /** Alignment of the capture buffer (see the file comment). */
+    static constexpr std::size_t kAlign = 8;
 
     InlineFn() = default;
 
@@ -72,8 +80,7 @@ class InlineFn<R(Args...), Cap>
                       "closure capture exceeds the inline budget of this "
                       "hot path; shrink the capture (capture indices, not "
                       "objects) or raise the documented capacity");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "over-aligned capture");
+        static_assert(alignof(Fn) <= kAlign, "over-aligned capture");
         static_assert(std::is_copy_constructible_v<Fn>,
                       "captures must be copyable (std::function parity)");
         reset();
@@ -218,7 +225,7 @@ class InlineFn<R(Args...), Cap>
         }
     }
 
-    alignas(std::max_align_t) unsigned char buf_[Cap];
+    alignas(kAlign) unsigned char buf_[Cap];
     const Ops *ops_ = nullptr;
 };
 

@@ -175,6 +175,7 @@ class EventQueue
         Node *next = nullptr;
         EventFn fn;
     };
+    static_assert(sizeof(Node) == 96);
 
     /** FIFO-append list of nodes covering one bucket-width of time. */
     struct Bucket

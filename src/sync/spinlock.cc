@@ -21,7 +21,6 @@ Tick
 SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
 {
     fsim_assert(cls_ != nullptr);
-    ++cls_->acquisitions;
 
     const int max_queue = cls_->cache ? cls_->cache->numCores() : 32;
     const Tick miss = cls_->cache ? cls_->cache->missPenalty() : 0;
@@ -97,18 +96,24 @@ SimSpinLock::runLocked(CoreId c, Tick t, Tick hold)
     }
 
     lastWait_ = wait;
-
-    Tick grant = t + wait + cls_->baseCost;
-    // Pulling the lock word (and by extension the data it guards) from a
-    // different core's cache delays the critical section further.
-    if (cls_->cache)
-        grant += cls_->cache->access(c, line_, /*write=*/true);
-
-    Tick end = grant + hold;
+    const Tick end = grantAndHold(*cls_, line_, c, t + wait, hold);
     freeAt_ = end;
     lastHolder_ = c;
-    cls_->holdTicks += end - grant;
     return end;
+}
+
+Tick
+SimSpinLock::grantAndHold(LockClassStats &cls, CacheLine &line, CoreId c,
+                          Tick t, Tick hold)
+{
+    ++cls.acquisitions;
+    Tick grant = t + cls.baseCost;
+    // Pulling the lock word (and by extension the data it guards) from a
+    // different core's cache delays the critical section further.
+    if (cls.cache)
+        grant += cls.cache->access(c, line, /*write=*/true);
+    cls.holdTicks += hold;
+    return grant + hold;
 }
 
 } // namespace fsim

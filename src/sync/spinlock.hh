@@ -57,6 +57,21 @@ class SimSpinLock
      */
     Tick runLocked(CoreId c, Tick t, Tick hold);
 
+    /**
+     * The grant-and-hold tail of every acquire, once its wait is known:
+     * charge the class's base cost and the transfer of the lock word's
+     * @p line to core @p c, then hold for @p hold cycles.
+     *
+     * runLocked() calls it after computing the wait. A lock taken only
+     * by one core never waits, so such a lock needs no instance at all:
+     * its owner calls this on a bare lock-word line (Fastsocket's
+     * private per-core tables, see EstablishedTable).
+     *
+     * @return The tick at which the critical section ends.
+     */
+    static Tick grantAndHold(LockClassStats &cls, CacheLine &line,
+                             CoreId c, Tick t, Tick hold);
+
     /** Tick until which the lock is committed (tests/diagnostics). */
     Tick busyUntil() const { return freeAt_; }
     CoreId lastHolder() const { return lastHolder_; }

@@ -36,24 +36,33 @@ ehashMix(std::uint32_t h)
 EstablishedTable::EstablishedTable(int n_buckets, LockRegistry &locks,
                                    CacheModel &cache,
                                    const CycleCosts &costs,
-                                   const char *lock_class, bool resizable)
+                                   const char *lock_class, CoreId owner)
     : cache_(cache), costs_(costs), lockClass_(locks.getClass(lock_class)),
-      resizable_(resizable)
+      owner_(owner)
 {
     fsim_assert(n_buckets > 0 && (n_buckets & (n_buckets - 1)) == 0);
     buckets_.resize(n_buckets);
-    locks_ = makeLocks(buckets_.size());
     mask_ = static_cast<std::uint32_t>(n_buckets - 1);
-}
-
-std::vector<SimSpinLock>
-EstablishedTable::makeLocks(std::size_t n) const
-{
-    std::vector<SimSpinLock> locks(n);
-    for (SimSpinLock &l : locks)
+    if (owner_ != kInvalidCore) {
+        lockClass_->bindCosts(&cache_, costs_.lockAcquireBase,
+                              costs_.lockHandoffStorm);
+        return;
+    }
+    locks_.resize(buckets_.size());
+    for (SimSpinLock &l : locks_)
         l.init(lockClass_, &cache_, costs_.lockAcquireBase,
                costs_.lockHandoffStorm);
-    return locks;
+}
+
+Tick
+EstablishedTable::runLocked(std::size_t i, CoreId c, Tick t, Tick hold)
+{
+    if (owner_ == kInvalidCore)
+        return locks_[i].runLocked(c, t, hold);
+    // One core, so the lock never waits: only the tail of runLocked.
+    fsim_assert(c == owner_);
+    return SimSpinLock::grantAndHold(*lockClass_, buckets_[i].lockLine, c,
+                                     t, hold);
 }
 
 void
@@ -90,17 +99,17 @@ EstablishedTable::bucketIndex(const FiveTuple &tuple) const
 }
 
 Tick
-EstablishedTable::maybeResize(CoreId, Tick t)
+EstablishedTable::maybeResize(Tick t)
 {
     // Double at load factor 1 so chains stay O(1) at any population —
     // the per-core analog of Linux sizing the boot-time ehash so load
     // stays well under a handful of entries per bucket.
-    if (!resizable_ || size_ <= buckets_.size() ||
+    if (owner_ == kInvalidCore || size_ <= buckets_.size() ||
         buckets_.size() >= kMaxBuckets)
         return t;
 
-    // The grown buckets and their locks start cold, like the freshly
-    // allocated table the kernel would rehash into.
+    // The grown buckets and their lock words start cold, like the
+    // freshly allocated table the kernel would rehash into.
     std::vector<Bucket> grown(buckets_.size() * 2);
     mask_ = static_cast<std::uint32_t>(grown.size() - 1);
     std::size_t moved = 0;
@@ -114,11 +123,10 @@ EstablishedTable::maybeResize(CoreId, Tick t)
         }
     }
     buckets_ = std::move(grown);
-    locks_ = makeLocks(buckets_.size());
     ++resizes_;
-    // Rehash touches every entry once; only this core can observe the
-    // table (resizable tables are per-core private), so the cost is a
-    // straight-line walk rather than a lock storm.
+    // Rehash touches every entry once; only the owner can observe the
+    // table, so the cost is a straight-line walk rather than a lock
+    // storm.
     return t + static_cast<Tick>(moved) * costs_.ehashChainProbe;
 }
 
@@ -130,10 +138,10 @@ EstablishedTable::insert(CoreId c, Tick t, Socket *sock)
     // The bucket line is written inside the critical section; its
     // transfer penalty extends the hold the next waiter sees.
     Tick penalty = cache_.access(c, b.line, /*write=*/true);
-    Tick end = locks_[i].runLocked(c, t, costs_.ehashInsertHold + penalty);
+    Tick end = runLocked(i, c, t, costs_.ehashInsertHold + penalty);
     chainPushBack(b, sock);
     ++size_;
-    return maybeResize(c, end);
+    return maybeResize(end);
 }
 
 Tick
@@ -142,7 +150,7 @@ EstablishedTable::remove(CoreId c, Tick t, Socket *sock)
     const std::size_t i = bucketIndex(sock->rxTuple);
     Bucket &b = buckets_[i];
     Tick penalty = cache_.access(c, b.line, /*write=*/true);
-    Tick end = locks_[i].runLocked(c, t, costs_.ehashInsertHold + penalty);
+    Tick end = runLocked(i, c, t, costs_.ehashInsertHold + penalty);
     for (Socket *s = b.head; s != nullptr; s = s->ehashNext) {
         if (s == sock) {
             chainUnlink(b, sock);

@@ -11,10 +11,16 @@
  *
  * Lookups charge a per-entry chain-walk cost on top of the base probe, so
  * chain growth (millions of connections over a fixed bucket array) shows
- * up as rising per-connection cycles. A table may opt into load-factor
- * resizing; the global ehash is sized once at boot like the kernel's,
- * while the private per-core tables may grow because no other core ever
- * holds references into them.
+ * up as rising per-connection cycles. The global ehash is sized once at
+ * boot like the kernel's; a private per-core table may grow at load
+ * factor 1 because no other core ever holds references into it.
+ *
+ * Only the shared table keeps a SimSpinLock per bucket. A private table's
+ * lock is only ever taken by its owner, so it can never wait: its bucket
+ * carries just the lock word's cache line, and insert and remove charge
+ * the lock's grant-and-hold tail (SimSpinLock::grantAndHold) on it. The
+ * costs, the cache traffic and the ehash.lock lockstat row are those of
+ * an uncontended SimSpinLock, at 4 bytes instead of 64 per bucket.
  */
 
 #ifndef FSIM_TCP_ESTABLISHED_TABLE_HH
@@ -41,24 +47,27 @@ class EstablishedTable
     /**
      * @param n_buckets Power-of-two bucket count.
      * @param lock_class Lockstat class name ("ehash.lock").
-     * @param resizable Double the bucket array when the load factor
-     *                  exceeds 2 (per-core private tables only; the
-     *                  global ehash is boot-sized like the kernel's).
+     * @param owner kInvalidCore for the shared, boot-sized global table
+     *              (per-bucket SimSpinLocks); otherwise the one core
+     *              that may insert and remove, and the table doubles its
+     *              bucket array when the load factor exceeds 1.
      */
     EstablishedTable(int n_buckets, LockRegistry &locks, CacheModel &cache,
                      const CycleCosts &costs,
                      const char *lock_class = "ehash.lock",
-                     bool resizable = false);
+                     CoreId owner = kInvalidCore);
 
     /**
-     * Insert @p sock keyed by its rxTuple; charges the bucket lock.
+     * Insert @p sock keyed by its rxTuple; charges the bucket lock. A
+     * private table asserts that @p c is its owner.
      *
      * @return completion tick.
      */
     Tick insert(CoreId c, Tick t, Socket *sock);
 
     /**
-     * Remove @p sock; charges the bucket lock.
+     * Remove @p sock; charges the bucket lock. A private table asserts
+     * that @p c is its owner.
      *
      * @return completion tick (unchanged if the socket was absent).
      */
@@ -93,32 +102,36 @@ class EstablishedTable
   private:
     /** Chains are intrusive (Socket::ehashNext/ehashPrev), insertion-
      *  ordered — same walk order as the vector they replaced, but
-     *  inserting into an empty bucket never allocates. A bucket is just
-     *  what a lookup reads: the chain ends and the bucket's cache line. */
+     *  inserting into an empty bucket never allocates. A bucket is what
+     *  a lookup reads, the chain ends and the bucket's cache line, plus
+     *  a private table's lock-word line in what would be padding. */
     struct Bucket
     {
         Socket *head = nullptr;
         Socket *tail = nullptr;
         CacheLine line;
+        CacheLine lockLine;   //!< private tables only (owner_ valid)
     };
+    static_assert(sizeof(Bucket) == 24);
 
     std::size_t bucketIndex(const FiveTuple &tuple) const;
     static void chainPushBack(Bucket &b, Socket *sock);
     static void chainUnlink(Bucket &b, Socket *sock);
-    /** Fresh per-bucket locks for @p n buckets. */
-    std::vector<SimSpinLock> makeLocks(std::size_t n) const;
-    Tick maybeResize(CoreId c, Tick t);
+    /** Take bucket @p i's lock from core @p c for @p hold cycles. */
+    Tick runLocked(std::size_t i, CoreId c, Tick t, Tick hold);
+    Tick maybeResize(Tick t);
 
     CacheModel &cache_;
     const CycleCosts &costs_;
     LockClassStats *lockClass_;
     std::vector<Bucket> buckets_;
-    /** Per-bucket locks, parallel to buckets_: only insert and remove
-     *  take them, so lookups never pull their lines. */
+    /** The shared table's per-bucket locks, parallel to buckets_ (empty
+     *  in a private table): only insert and remove take them, so
+     *  lookups never pull their lines. */
     std::vector<SimSpinLock> locks_;
     std::uint32_t mask_;
     std::size_t size_ = 0;
-    bool resizable_;
+    CoreId owner_;
     std::uint64_t lookups_ = 0;
     std::uint64_t probesWalked_ = 0;
     std::uint64_t lookupCycles_ = 0;

@@ -45,7 +45,7 @@ TimerWheel::add(std::uint64_t expires, Callback cb)
         freeHead_ = nodes_[idx].next;
     } else {
         idx = static_cast<std::uint32_t>(nodes_.size());
-        nodes_.emplace_back();
+        nodes_.push_back(Node{});
     }
     Node &n = nodes_[idx];
     n.expires = expires;

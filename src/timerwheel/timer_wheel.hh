@@ -20,10 +20,12 @@
  * segment) with millions of live connections those stale entries grew
  * without bound between cascades.
  *
- * Nodes live in a generation-tagged slab (a plain vector plus an
+ * Nodes live in a generation-tagged slab (a ChunkedVector plus an
  * intrusive free list threaded through the same next link the slot
  * lists use) instead of a std::unordered_map: arming a timer in steady
- * state recycles a slot instead of allocating a map node. A TimerId
+ * state recycles a slot instead of allocating a map node, and growing
+ * the slab adds one chunk instead of copying every node into a buffer
+ * twice the size. A TimerId
  * encodes {slab index, generation}, so a stale handle (cancel of an
  * already-fired timer whose slot was since reused) misses on the
  * generation check exactly like it used to miss in the map.
@@ -35,8 +37,8 @@
 #define FSIM_TIMERWHEEL_TIMER_WHEEL_HH
 
 #include <cstdint>
-#include <vector>
 
+#include "sim/chunked_vector.hh"
 #include "sim/event_fn.hh"
 
 namespace fsim
@@ -107,7 +109,8 @@ class TimerWheel
     /** Timers moved down a level by cascades so far (cost visibility). */
     std::uint64_t cascaded() const { return cascaded_; }
 
-    /** Node-slab capacity (memory visibility for scale tests). */
+    /** Slab nodes created so far: the most ever in use at once
+     *  (memory visibility for scale tests). */
     std::size_t slabCapacity() const { return nodes_.size(); }
 
   private:
@@ -130,6 +133,7 @@ class TimerWheel
         std::uint8_t level = kDetached;
         bool live = false;
     };
+    static_assert(sizeof(Node) == 96);
 
     /** One slot: a doubly linked list of slab indices. */
     struct Slot
@@ -171,7 +175,8 @@ class TimerWheel
      *  callback's cancel()/modify() of a later member unlinks it here. */
     Slot due_;
 
-    std::vector<Node> nodes_;
+    /** 64 nodes (6 KiB) per chunk: a wheel holds tens to a few thousand. */
+    ChunkedVector<Node, 6> nodes_;
     std::uint32_t freeHead_ = kNil;
 };
 

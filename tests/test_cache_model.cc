@@ -108,7 +108,7 @@ TEST(CacheModel, EhashResizeBucketsStartCold)
     CacheModel cache(4, 400);
     CycleCosts costs;
     EstablishedTable table(4, locks, cache, costs, "ehash.lock",
-                           /*resizable=*/true);
+                           /*owner=*/0);
     std::array<Socket, 5> socks;
     for (std::size_t i = 0; i < socks.size(); ++i)
         socks[i].rxTuple =

@@ -91,7 +91,7 @@ GROUPS = {
     # --- build-test job: every figure and experiment bench writes
     # valid JSON; the row driver's rows are pinned bit for bit.
     "figures": [
-        Run("bench_phase_breakdown --quick --json=phase.json"),
+        # bench_phase_breakdown runs in "forensics", pinned and compared.
         Run("bench_fig5_locality --quick --json=fig5.json"),
         Run("bench_fig4a_nginx --quick --json=fig4a.json"),
     ],
