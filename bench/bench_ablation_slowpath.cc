@@ -36,7 +36,8 @@ main(int argc, char **argv)
             "killed-" + std::to_string(killed), cfg};
         row.drive = [killed](Testbed &bed, RowOutput<KernelStats> &out) {
             for (int p = 0; p < killed; ++p)
-                bed.machine().kernel().killProcess(p);
+                bed.machine().kernel().killProcess(
+                    p, bed.eventQueue().now());
             out.yield(bed.run());
         };
         row.read = [](Testbed &bed) { return bed.machine().kernel().stats(); };

@@ -121,6 +121,10 @@ AppBase::runLoop(std::size_t idx, Tick start)
     ProcState &ps = procs_[idx];
     ps.wakePending = false;
     KernelStack &k = m_.kernel();
+    // A killed process runs nothing, not even a wakeup posted before
+    // its death.
+    if (!k.process(ps.proc).alive)
+        return start;
 
     // Scheduler wakeup cost; a cross-core wake pays the IPI + resched.
     Tick t = start + (ps.remoteWake ? m_.costs().schedWakeRemote

@@ -105,24 +105,20 @@ Proxy::connectBackend(ProcState &ps, Session *s, Tick t)
     *sessions_.insert(skey(ps.proc, cr.fd), s).first = s;
     t = k.epollAdd(ps.proc, t, cr.fd);
     if (backendTimeout_ > 0)
-        armBackendTimeout(s->id, s->attempts);
+        armBackendTimeout(s->id);
     return t;
 }
 
 void
-Proxy::armBackendTimeout(std::uint64_t sid, int attempt)
+Proxy::armBackendTimeout(std::uint64_t sid)
 {
-    m_.eventQueue().scheduleIn(backendTimeout_,
-                               [this, sid, attempt] {
+    // A live session is still on the attempt that armed this timeout:
+    // only the timeout's own recovery starts the next attempt.
+    m_.eventQueue().scheduleIn(backendTimeout_, [this, sid] {
         Session *const *found = byId_.find(sid);
         if (!found)
             return;   // session finished in time
         Session *s = *found;
-        if (s->attempts != attempt)
-            return;   // a newer attempt owns the timeout now
-        if (s->phase != Phase::kBackendConnect &&
-            s->phase != Phase::kBackendWait)
-            return;
         ++backendTimeouts_;
         // The timeout fires in "kernel event" context; the proxy reacts
         // from process context, so post the recovery work to the owning
@@ -142,9 +138,6 @@ Proxy::onBackendTimeout(std::uint64_t sid, Tick t)
     if (!found)
         return t;   // raced with completion
     Session *s = *found;
-    if (s->phase != Phase::kBackendConnect &&
-        s->phase != Phase::kBackendWait)
-        return t;
     ProcState &ps = procs_.at(s->procIdx);
     KernelStack &k = m_.kernel();
 

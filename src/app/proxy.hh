@@ -101,7 +101,7 @@ class Proxy : public AppBase
     Tick closeSession(ProcState &ps, Session *s, Tick t);
     Tick connectBackend(ProcState &ps, Session *s, Tick t);
     Tick onBackendTimeout(std::uint64_t sid, Tick t);
-    void armBackendTimeout(std::uint64_t sid, int attempt);
+    void armBackendTimeout(std::uint64_t sid);
     std::size_t pickBackend();
     void noteBackendFailure(std::size_t bi);
 

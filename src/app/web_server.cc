@@ -1,5 +1,6 @@
 #include "app/web_server.hh"
 
+#include "sim/logging.hh"
 #include "trace/trace_scope.hh"
 
 namespace fsim
@@ -21,9 +22,10 @@ Tick
 WebServer::onConnReadable(ProcState &ps, int fd, Tick t)
 {
     KernelStack &k = m_.kernel();
+    // A ready fd appears once per loop round and only this handler
+    // closes a connection, so the fd is still open.
     Socket *sock = k.sockFromFd(ps.proc, fd);
-    if (!sock)
-        return t;   // already closed earlier in this loop iteration
+    fsim_assert(sock != nullptr);
 
     KernelStack::ReadResult r = k.read(ps.proc, t, fd);
     t = r.t;
@@ -45,17 +47,11 @@ WebServer::onConnReadable(ProcState &ps, int fd, Tick t)
         ++served_;
         if (degraded)
             ++servedDegraded_;
-        if (!keepAlive_ || r.connClose) {
-            // keep-alive off (or the request said "Connection: close"):
-            // active close right after the response.
-            admRelease(ps.proc, fd);
-            t = k.close(ps.proc, t, fd);
-        } else if (r.finSeen) {
-            admRelease(ps.proc, fd);
-            t = k.close(ps.proc, t, fd);
-        }
-    } else if (r.finSeen) {
-        // Client closed (keep-alive) or went away before the request.
+    }
+    // Close right after the response when keep-alive is off or the
+    // request said "Connection: close", and whenever the client closed
+    // (keep-alive) or went away before the request.
+    if (r.finSeen || (r.bytes > 0 && (!keepAlive_ || r.connClose))) {
         admRelease(ps.proc, fd);
         t = k.close(ps.proc, t, fd);
     }

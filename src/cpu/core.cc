@@ -49,10 +49,9 @@ CpuModel::runNext(CoreId c)
     const bool softirq = core.queues_[0].head != nullptr;
     Core::Fifo &q = core.queues_[softirq ? 0 : 1];
     TaskNode *n = q.head;
-    if (!n) {
-        core.running_ = false;
-        return;
-    }
+    // runNext is scheduled only with a task queued, and only runNext
+    // dequeues.
+    fsim_assert(n != nullptr);
     // Unlink before running: the task may post to this very queue.
     q.head = n->next;
     if (!q.head)

@@ -145,11 +145,11 @@ L4Balancer::rebuildRing()
             ring_.push_back(e);
         }
     }
+    // Hashes never tie: the (m, r) salts are distinct and mix64 is a
+    // bijection, so the order is total without a tie-break.
     std::sort(ring_.begin(), ring_.end(),
               [](const RingEntry &a, const RingEntry &b) {
-                  if (a.hash != b.hash)
-                      return a.hash < b.hash;
-                  return a.machine < b.machine;
+                  return a.hash < b.hash;
               });
 }
 
@@ -239,40 +239,41 @@ L4Balancer::healthy(int m) const
 void
 L4Balancer::adoptVip(IpAddr vip)
 {
-    for (IpAddr v : vips_)
-        if (v == vip)
-            return;
-    vips_.push_back(vip);
+    // Attach even when the VIP was adopted before: the peer's restore
+    // took the address back at the fabric, and its second crash
+    // blackholed it again.
+    if (std::find(vips_.begin(), vips_.end(), vip) == vips_.end())
+        vips_.push_back(vip);
     fabric_.attach(vip, [this](const Packet &pkt) { onVip(pkt); });
 }
 
 Port
 L4Balancer::allocNatPort()
 {
+    // Each flow owns one port and flows_.size() < maxFlows < kNatSpan,
+    // so a free port always exists.
     for (std::uint32_t tries = 0; tries < kNatSpan; ++tries) {
         const std::uint32_t p = kNatBase + natCursor_;
         natCursor_ = (natCursor_ + 1) % kNatSpan;
         if (natOwner_[p] == 0)
             return static_cast<Port>(p);
     }
-    return 0;
+    fsim_panic("L4Balancer: no free NAT port below maxFlows");
 }
 
 int
 L4Balancer::pickMachine(std::uint64_t key)
 {
+    // With no healthy target both passes below skip every candidate
+    // and fall through to -1; the cap is then never read.
     int healthyCount = 0;
     for (const Target &t : targets_)
         if (t.state == TargetState::kHealthy)
             ++healthyCount;
-    if (healthyCount == 0)
-        return -1;
+    const auto cap = static_cast<std::uint64_t>(std::ceil(
+        kBoundedLoadFactor * static_cast<double>(flows_.size() + 1) /
+        std::max(healthyCount, 1)));
 
-    const auto cap = static_cast<std::uint64_t>(
-        std::ceil(kBoundedLoadFactor *
-                  static_cast<double>(flows_.size() + 1) / healthyCount));
-
-    const int n = static_cast<int>(targets_.size());
     // Slow-start readmission: a freshly readmitted target accepts only
     // a deterministic hash-fraction of first-pass keys until its ramp
     // completes (the second pass ignores the ramp, so capacity is never
@@ -295,57 +296,43 @@ L4Balancer::pickMachine(std::uint64_t key)
         ++rampSkips_;
         return true;
     };
+    // Candidates in visiting order: chash walks the ring from the key's
+    // point, rr walks the targets from the cursor.
+    const bool chash = cfg_.policy == Policy::kConsistentHash;
+    std::size_t first = rrCursor_;
+    if (chash) {
+        const std::uint64_t h = mix64(key ^ cfg_.seed);
+        auto it = std::lower_bound(ring_.begin(), ring_.end(), h,
+                                   [](const RingEntry &e, std::uint64_t v) {
+                                       return e.hash < v;
+                                   });
+        first = it == ring_.end() ? 0 : (it - ring_.begin());
+    }
+    const std::size_t count = chash ? ring_.size() : targets_.size();
     // First pass skips overfull and pressure-critical targets; with
     // factor >= 1 the cap exceeds the healthy average, so some healthy
     // target is always under it — but a pressure veto can exclude them
     // all, hence the second pass.
     for (int pass = 0; pass < 2; ++pass) {
-        if (cfg_.policy == Policy::kConsistentHash) {
-            const std::uint64_t h = mix64(key ^ cfg_.seed);
-            auto it = std::lower_bound(
-                ring_.begin(), ring_.end(), h,
-                [](const RingEntry &e, std::uint64_t v) {
-                    return e.hash < v;
-                });
-            const std::size_t startIdx =
-                it == ring_.end() ? 0 : (it - ring_.begin());
-            for (std::size_t i = 0; i < ring_.size(); ++i) {
-                const int m =
-                    ring_[(startIdx + i) % ring_.size()].machine;
-                const Target &t = targets_[m];
-                if (t.state != TargetState::kHealthy)
-                    continue;
-                if (pass == 0 && t.active + 1 > cap) {
-                    ++boundedLoadFallbacks_;
-                    continue;
-                }
-                if (pass == 0 && pressureFn_ && pressureFn_(m) >= 2) {
-                    ++pressureAvoids_;
-                    continue;
-                }
-                if (pass == 0 && rampSkip(key, m))
-                    continue;
-                return m;
+        for (std::size_t i = 0; i < count; ++i) {
+            const std::size_t at = (first + i) % count;
+            const int m = chash ? ring_[at].machine : static_cast<int>(at);
+            const Target &t = targets_[m];
+            if (t.state != TargetState::kHealthy)
+                continue;
+            if (pass == 0 && t.active + 1 > cap) {
+                ++boundedLoadFallbacks_;
+                continue;
             }
-        } else {
-            for (int i = 0; i < n; ++i) {
-                const int m = (rrCursor_ + i) % n;
-                const Target &t = targets_[m];
-                if (t.state != TargetState::kHealthy)
-                    continue;
-                if (pass == 0 && t.active + 1 > cap) {
-                    ++boundedLoadFallbacks_;
-                    continue;
-                }
-                if (pass == 0 && pressureFn_ && pressureFn_(m) >= 2) {
-                    ++pressureAvoids_;
-                    continue;
-                }
-                if (pass == 0 && rampSkip(key, m))
-                    continue;
-                rrCursor_ = (m + 1) % n;
-                return m;
+            if (pass == 0 && pressureFn_ && pressureFn_(m) >= 2) {
+                ++pressureAvoids_;
+                continue;
             }
+            if (pass == 0 && rampSkip(key, m))
+                continue;
+            if (!chash)
+                rrCursor_ = static_cast<std::uint32_t>((at + 1) % count);
+            return m;
         }
     }
     return -1;
@@ -478,11 +465,6 @@ L4Balancer::onVip(const Packet &pkt)
         return;
     }
     const Port natPort = allocNatPort();
-    if (natPort == 0) {
-        ++shedCapacity_;
-        sendRstToClient(pkt);
-        return;
-    }
 
     Flow f;
     f.clientIp = pkt.tuple.saddr;
@@ -624,8 +606,11 @@ L4Balancer::sendProbe(int m)
     const Port pp = static_cast<Port>(
         kProbeBase + (probeSeq_ % kProbeSpan));
     ++probeSeq_;
-    if (!probes_.insert(pp, Probe{m, eq_.now()}).second)
-        return;     // slice wrapped onto an unanswered probe; skip
+    // A round probes each target once and every probe resolves within
+    // probeTimeout < probeInterval, so fewer than kProbeSpan are ever
+    // outstanding: the slice never wraps onto an unanswered probe.
+    const bool fresh = probes_.insert(pp, Probe{m, eq_.now()}).second;
+    fsim_assert(fresh);
     ++probesSent_;
 
     const Target &t = targets_[m];

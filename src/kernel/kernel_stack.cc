@@ -107,17 +107,17 @@ KernelStack::addProcess(CoreId core)
     return procs_.back()->id;
 }
 
-void
-KernelStack::killProcess(int proc)
+Tick
+KernelStack::killProcess(int proc, Tick t)
 {
     KProcess &p = *procs_.at(proc);
     if (!p.alive)
-        return;
+        return t;
     p.alive = false;
 
-    // Embryonic (SYN_RECV) children still point at the dying clones as
-    // their parent listener; reap them first so no TCB is left with a
-    // dangling parent pointer.
+    // Children of the dying clones must not keep a dangling parent
+    // pointer: embryonic (SYN_RECV) ones die with their SYN queue, the
+    // rest (queued or accepted) never read their parent again.
     {
         auto dying = [&p](const Socket *parent) {
             for (const Socket *c : p.localListens)
@@ -130,39 +130,36 @@ KernelStack::killProcess(int proc)
         };
         std::vector<Socket *> embryos;
         arena_.forEach([&](Socket *s) {
-            if (s->kind == SockKind::kConnection && s->passive &&
-                s->state == TcpState::kSynRcvd && s->parentListen &&
-                dying(s->parentListen))
+            if (!s->parentListen || !dying(s->parentListen))
+                return;
+            if (s->state == TcpState::kSynRcvd)
                 embryos.push_back(s);
+            else
+                s->parentListen = nullptr;
         });
-        for (Socket *s : embryos) {
-            if (s->parentListen->synQueueLen > 0)
-                --s->parentListen->synQueueLen;
-            destroySocket(p.core, 0, s);
-        }
+        for (Socket *s : embryos)
+            t = destroySocket(p.core, t, s);
     }
 
     // The kernel destroys listen sockets owned by the dying process: its
-    // reuseport clones and its local listen clones. This is exactly the
-    // fault the Local Listen Table slow path exists for (section 3.2.1).
+    // reuseport clones and its local listen clones, with the connections
+    // queued on them. This is exactly the fault the Local Listen Table
+    // slow path exists for (section 3.2.1).
+    auto destroyClone = [&](Socket *clone) {
+        for (Socket *queued : clone->acceptQueue)
+            t = destroySocket(p.core, t, queued);
+        ++stats_.socketsDestroyed;
+        arena_.destroy(clone);
+    };
     for (Socket *clone : p.localListens) {
         fsim_assert(localListen_);
         localListen_->table(clone->homeCore).remove(clone);
-        for (Socket *queued : clone->acceptQueue)
-            destroySocket(clone->homeCore, 0, queued);
-        clone->acceptQueue.clear();
-        ++stats_.socketsDestroyed;
-        arena_.destroy(clone);
+        destroyClone(clone);
     }
     p.localListens.clear();
-
     for (Socket *clone : p.reuseClones) {
         globalListen_.remove(clone);
-        for (Socket *queued : clone->acceptQueue)
-            destroySocket(p.core, 0, queued);
-        clone->acceptQueue.clear();
-        ++stats_.socketsDestroyed;
-        arena_.destroy(clone);
+        destroyClone(clone);
     }
     p.reuseClones.clear();
 
@@ -175,6 +172,7 @@ KernelStack::killProcess(int proc)
                                }),
                 w.end());
     }
+    return t;
 }
 
 int
@@ -699,17 +697,13 @@ KernelStack::netRx(CoreId core, const Packet &pkt, Tick t, Steer steer)
     // Receive Flow Deliver: classify, then steer active incoming packets
     // to the core their destination port encodes (section 3.3).
     if (cfg_.rfd && !steered) {
+        // local_listen() clones a global listener on the same (addr,
+        // port) that lives as long as the clone, so the global table
+        // alone answers "does anyone listen here".
         PacketClass cls = rfd_->classify(
             pkt, [this](IpAddr a, Port p) {
-                if (globalListen_.chainLength(a, p) > 0 ||
-                    globalListen_.chainLength(0, p) > 0)
-                    return true;
-                if (localListen_) {
-                    for (int c = 0; c < localListen_->numCores(); ++c)
-                        if (localListen_->table(c).chainLength(a, p) > 0)
-                            return true;
-                }
-                return false;
+                return globalListen_.chainLength(a, p) > 0 ||
+                       globalListen_.chainLength(0, p) > 0;
             });
         CoreId target = rfd_->steerTarget(pkt, cls);
         if (target != kInvalidCore && target != core) {
@@ -1342,10 +1336,12 @@ KernelStack::close(int proc, Tick t, int fd)
     SocketFile *file = p.fileAt(fd);
     fsim_assert(file != nullptr);
     Socket *sock = static_cast<Socket *>(file->priv);
+    // Apps close connections only; a listener lives as long as its
+    // process (killProcess reaps the clones).
+    fsim_assert(sock->kind == SockKind::kConnection);
 
     StageScope sc(d_.tracer, core, t, Phase::kSyscall);
-    if (sock->kind == SockKind::kConnection)
-        sc.bind(sock->id, ConnStage::kTeardown);
+    sc.bind(sock->id, ConnStage::kTeardown);
     t += d_.costs->syscallOverhead + d_.costs->closeCost;
     sock->touch(core);
 
@@ -1356,17 +1352,6 @@ KernelStack::close(int proc, Tick t, int fd)
     p.clearFile(fd);
     t = sc.vfs(t, vfs_->freeSocketFile(core, t, file), vfs_->mode());
     sock->file = nullptr;
-
-    if (sock->kind == SockKind::kListen) {
-        // Closing a listener: detach this process; destroy when unused.
-        auto &w = sock->watchers;
-        w.erase(std::remove_if(w.begin(), w.end(),
-                               [proc](const std::pair<int, int> &e) {
-                                   return e.first == proc;
-                               }),
-                w.end());
-        return sc.close(t);
-    }
 
     t = sc.locked(sock->slock, t, d_.costs->slockHoldApp);
 

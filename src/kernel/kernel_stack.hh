@@ -178,11 +178,13 @@ class KernelStack
     int addProcess(CoreId core);
 
     /**
-     * Simulate a process crash: its local listen clones and reuseport
-     * clones are destroyed by the kernel, like exit() would (the paper's
-     * robustness scenario, section 3.2.1).
+     * Simulate a process crash at @p t: its local listen clones and
+     * reuseport clones are destroyed by the kernel, like exit() would
+     * (the paper's robustness scenario, section 3.2.1), together with
+     * their SYN_RECV children and queued, never-accepted connections.
+     * @return the tick the teardown's charged work ends at.
      */
-    void killProcess(int proc);
+    Tick killProcess(int proc, Tick t);
 
     /**
      * listen() on (addr, port) by @p proc.
@@ -266,7 +268,7 @@ class KernelStack
     /** write(): transmit @p bytes as one data segment. */
     Tick write(int proc, Tick t, int fd, std::uint32_t bytes);
 
-    /** close(): release fd/file, send FIN if needed. */
+    /** close() a connection fd: release fd/file, send FIN if needed. */
     Tick close(int proc, Tick t, int fd);
 
     /** @} */

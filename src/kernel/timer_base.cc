@@ -26,16 +26,10 @@ TimerBase::arm(CoreId c, Tick t, std::uint64_t delay_jiffies, Callback cb,
 {
     fsim_assert(cpu_ != nullptr);
     Tick end = lock_.runLocked(c, t, costs_->timerOpHold);
-    // Wrap the contextful callback into the wheel's void() form; the
-    // fire cursor carries the timeline through consecutive expirations
-    // within one timer SoftIRQ.
+    // The wheel fires only inside runTick(), which detaches the expired
+    // callbacks here and runs them after dropping the base lock.
     *id = wheel_.add(jiffies_ + delay_jiffies,
-                     [this, fn = std::move(cb)] {
-                         if (collectMode_)
-                             fired_.push_back(fn);
-                         else
-                             fireCursor_ = fn(core_, fireCursor_);
-                     });
+                     [this, fn = std::move(cb)] { fired_.push_back(fn); });
     ensureTicking();
     return end;
 }
@@ -82,10 +76,8 @@ TimerBase::runTick(Tick start)
     // Like __run_timers(): the base lock is held only while detaching
     // expired timers from the wheel; callbacks run with the lock dropped,
     // so a large TIME_WAIT reaping batch cannot convoy other cores.
-    collectMode_ = true;
     fired_.clear();
     wheel_.advance(jiffies_);
-    collectMode_ = false;
     Tick locked_end = lock_.runLocked(
         core_, start,
         costs_->timerTickCost + costs_->timerOpHold * fired_.size());

@@ -79,10 +79,6 @@ class TimerBase
     std::uint64_t jiffies_ = 0;
     bool ticking_ = false;
 
-    /** Timeline cursor while firing callbacks inside a tick. */
-    Tick fireCursor_ = 0;
-    /** True while the tick detaches expired timers under the lock. */
-    bool collectMode_ = false;
     /** Callbacks detached by the current tick, run after unlock. */
     std::vector<Callback> fired_;
 };

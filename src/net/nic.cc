@@ -67,8 +67,6 @@ Nic::setAtrCapacityClamp(std::uint32_t entries)
         return;
     if (entries != 0 && !isPow2(entries))
         fsim_fatal("ATR capacity clamp must be a power of two");
-    if (entries == atrClamp_)
-        return;
     atrClamp_ = entries;
     atrRebuild(atrCapacity());
 }

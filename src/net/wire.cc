@@ -165,11 +165,10 @@ Wire::deliverAt(const Packet &pkt, Tick when)
     // target address and re-resolve at delivery time instead.
     eq_.schedule(when, [this, pkt] {
         --inFlight_;
+        // transmit() dropped what had no endpoint, and an endpoint once
+        // attached is only ever replaced, never removed.
         const Endpoint *handler = lookup(pkt.tuple.daddr);
-        if (!handler) {
-            ++dropped_;
-            return;
-        }
+        fsim_assert(handler != nullptr);
         ++delivered_;
         seqHash_.mix(eq_.now());
         seqHash_.mix((static_cast<std::uint64_t>(pkt.tuple.saddr) << 32) |

@@ -1,6 +1,7 @@
 #include "tcp/socket.hh"
 
 #include <bit>
+#include <iterator>
 
 namespace fsim
 {
@@ -8,29 +9,15 @@ namespace fsim
 const char *
 tcpStateName(TcpState s)
 {
-    switch (s) {
-      case TcpState::kClosed:
-        return "CLOSED";
-      case TcpState::kListen:
-        return "LISTEN";
-      case TcpState::kSynSent:
-        return "SYN_SENT";
-      case TcpState::kSynRcvd:
-        return "SYN_RCVD";
-      case TcpState::kEstablished:
-        return "ESTABLISHED";
-      case TcpState::kFinWait1:
-        return "FIN_WAIT1";
-      case TcpState::kFinWait2:
-        return "FIN_WAIT2";
-      case TcpState::kCloseWait:
-        return "CLOSE_WAIT";
-      case TcpState::kLastAck:
-        return "LAST_ACK";
-      case TcpState::kTimeWait:
-        return "TIME_WAIT";
-    }
-    return "?";
+    // Indexed by TcpState, in declaration order.
+    static constexpr const char *kNames[] = {
+        "CLOSED",      "LISTEN",    "SYN_SENT",  "SYN_RCVD",
+        "ESTABLISHED", "FIN_WAIT1", "FIN_WAIT2", "CLOSE_WAIT",
+        "LAST_ACK",    "TIME_WAIT",
+    };
+    static_assert(std::size(kNames) ==
+                  static_cast<std::size_t>(TcpState::kTimeWait) + 1);
+    return kNames[static_cast<std::size_t>(s)];
 }
 
 int

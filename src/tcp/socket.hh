@@ -106,7 +106,8 @@ struct Socket
      *  this socket transmits so the reply path carries the same
      *  end-to-end trace id the client minted. 0 = untraced. */
     std::uint64_t traceId = 0;
-    /** Listen socket this connection was spawned from (passive only). */
+    /** Listen socket this connection was spawned from (passive only);
+     *  null once that listener died (KernelStack::killProcess). */
     Socket *parentListen = nullptr;
     /** Tick at which this connection entered its listener's accept
      *  queue; accept() derives the queue sojourn from it, which is the

@@ -165,8 +165,9 @@ void
 TimerWheel::detach(std::uint32_t idx)
 {
     Node &node = nodes_[idx];
-    if (node.level == kDetached)
-        return;
+    // A live node is detached only inside add() and advance(), and
+    // neither hands control to a caller in that state.
+    fsim_assert(node.level != kDetached);
     Slot &slot = slotOf(node);
     if (node.level == kDue) {
         // The due batch fires in list order; leave the rest in place.

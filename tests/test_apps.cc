@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "app/proxy.hh"
 #include "harness/experiment.hh"
 
 namespace fsim
@@ -211,6 +212,123 @@ TEST(Scheduling, UtilizationNeverExceedsOneMuch)
     ExperimentResult r = bed.run();
     for (double u : r.coreUtil)
         EXPECT_LE(u, 1.10) << "window-boundary overhang only";
+}
+
+/**
+ * One proxy process driven by hand-made client and backend packets, for
+ * the session endings a closed-loop client never produces.
+ */
+struct ProxyFixture : public ::testing::Test
+{
+    static constexpr IpAddr kClient = 0xac100001;
+    static constexpr IpAddr kBackend = 0x0a010001;
+    EventQueue eq;
+    Wire wire{eq, ticksFromUsec(10)};
+    std::unique_ptr<Machine> m;
+    std::unique_ptr<Proxy> proxy;
+    std::vector<Packet> toClient;
+    std::vector<Packet> toBackend;
+    /** The backend's data-less answer to a request (0: silence). */
+    std::uint8_t backendReply = 0;
+    FiveTuple client;
+
+    void
+    SetUp() override
+    {
+        MachineConfig mc;
+        mc.cores = 1;
+        mc.listenIps = 1;
+        m = std::make_unique<Machine>(eq, wire, mc);
+        proxy = std::make_unique<Proxy>(*m, std::vector<IpAddr>{kBackend});
+        proxy->start();
+        wire.attach(kClient, [this](const Packet &p) {
+            toClient.push_back(p);
+        });
+        wire.attach(kBackend, [this](const Packet &p) {
+            toBackend.push_back(p);
+            Packet r;
+            r.tuple = p.tuple.reversed();
+            if (p.has(kSyn)) {
+                r.flags = kSyn | kAck;
+            } else if (p.payload > 0 && backendReply != 0) {
+                r.flags = backendReply;
+            } else {
+                return;
+            }
+            wire.transmit(r, eq.now());
+        });
+        client = FiveTuple{kClient, m->addrs()[0], 40000, 80};
+        fromClient(kSyn);
+        fromClient(kAck);
+    }
+
+    void
+    fromClient(std::uint8_t flags, std::uint32_t payload = 0)
+    {
+        Packet p;
+        p.tuple = client;
+        p.flags = flags;
+        p.payload = payload;
+        wire.transmit(p, eq.now());
+        eq.runAll();
+    }
+
+    bool
+    clientGot(std::uint8_t flag, bool with_data) const
+    {
+        for (const Packet &p : toClient)
+            if (p.has(static_cast<TcpFlag>(flag)) &&
+                (p.payload > 0) == with_data)
+                return true;
+        return false;
+    }
+
+    /** Only the listen socket's file is left: no session leaked. */
+    void
+    expectNoLeak()
+    {
+        EXPECT_EQ(m->kernel().vfs().liveFiles(), 1u);
+    }
+};
+
+TEST_F(ProxyFixture, ClientHangingUpBeforeTheRequestEndsTheSession)
+{
+    fromClient(kFin | kAck);
+    EXPECT_TRUE(clientGot(kFin, /*with_data=*/false));
+    EXPECT_TRUE(toBackend.empty()) << "no backend was picked";
+    expectNoLeak();
+}
+
+TEST_F(ProxyFixture, BackendClosingWithoutResponseEndsTheSession)
+{
+    backendReply = kFin | kAck;
+    fromClient(kAck | kPsh, 100);
+    ASSERT_GE(toBackend.size(), 2u) << "SYN and the request";
+    EXPECT_EQ(proxy->served(), 0u);
+    EXPECT_FALSE(clientGot(kPsh, /*with_data=*/true));
+    EXPECT_TRUE(clientGot(kFin, /*with_data=*/false));
+    expectNoLeak();
+}
+
+TEST_F(ProxyFixture, SessionEndedByOneFdSkipsTheOtherInTheSameRound)
+{
+    // The response and the client's hang-up land in one epoll round:
+    // whichever fd runs first closes the session, and the other finds
+    // its socket gone.
+    fromClient(kAck | kPsh, 100);
+    ASSERT_EQ(toBackend.size(), 2u) << "SYN and the request";
+    Packet response;
+    response.tuple = toBackend.back().tuple.reversed();
+    response.flags = kAck | kPsh | kFin;
+    response.payload = 64;
+    Packet fin;
+    fin.tuple = client;
+    fin.flags = kFin | kAck;
+    wire.transmit(response, eq.now());
+    wire.transmit(fin, eq.now());
+    eq.runAll();
+    EXPECT_TRUE(clientGot(kFin, /*with_data=*/false));
+    expectNoLeak();
 }
 
 } // anonymous namespace

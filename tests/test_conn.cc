@@ -21,6 +21,17 @@ namespace
 
 // ---------------------------------------------------------------- arena
 
+TEST(TcpState, EveryStateHasItsName)
+{
+    const char *names[] = {
+        "CLOSED",      "LISTEN",    "SYN_SENT",  "SYN_RCVD",
+        "ESTABLISHED", "FIN_WAIT1", "FIN_WAIT2", "CLOSE_WAIT",
+        "LAST_ACK",    "TIME_WAIT",
+    };
+    for (int i = 0; i < 10; ++i)
+        EXPECT_STREQ(tcpStateName(static_cast<TcpState>(i)), names[i]);
+}
+
 TEST(TcbArena, CountsCreateDestroyAndPeak)
 {
     TcbArena arena;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "app/proxy.hh"
+#include "app/syn_flood.hh"
 #include "harness/experiment.hh"
 
 namespace fsim
@@ -73,6 +75,63 @@ TEST(FailureInjection, ProxySurvivesPacketLoss)
     EXPECT_EQ(bed.load().started(),
               bed.load().completed() + bed.load().failed() +
                   bed.load().inFlight());
+}
+
+TEST(FailureInjection, ProxyBackendTimeoutRacingTheResponseIsDropped)
+{
+    // A backend timeout that fires while the response is already queued
+    // for the proxy loses the race: the session completes, and the
+    // posted recovery finds it gone, so it neither retries nor fails.
+    // Every other timeout either retries or fails its session.
+    ExperimentConfig cfg;
+    cfg.app = AppKind::kHaproxy;
+    cfg.machine.cores = 2;
+    cfg.machine.kernel = KernelConfig::fastsocket();
+    cfg.concurrencyPerCore = 60;
+    cfg.backendCount = 2;
+    cfg.backendTimeout = ticksFromUsec(500);
+    cfg.clientTimeout = ticksFromMsec(20);
+    cfg.warmupSec = 0.0;
+    cfg.measureSec = 0.03;
+    std::string err;
+    ASSERT_TRUE(parseFaultPlan("backend_slow@0-10:factor=2,target=0",
+                               cfg.faults, err))
+        << err;
+
+    Testbed bed(cfg);
+    ExperimentResult r = bed.run();
+    auto *px = dynamic_cast<Proxy *>(&bed.app());
+    ASSERT_NE(px, nullptr);
+    EXPECT_GT(px->backendRetries(), 0u);
+    EXPECT_GT(px->sessionFailures(), 0u);
+    EXPECT_GT(px->backendTimeouts(),
+              px->backendRetries() + px->sessionFailures() + 100)
+        << "timeouts that lost the race to the response";
+    EXPECT_GT(r.served, 0u);
+    EXPECT_EQ(r.invariants.violationCount, 0u) << r.invariants.summary();
+}
+
+TEST(FailureInjection, SynFloodPastOneSynPerTickSendsOneEachTick)
+{
+    // A rate whose spacing rounds to zero ticks still advances: one SYN
+    // per tick, and the attacker addresses absorb the SYN-ACKs.
+    EventQueue eq;
+    Wire wire(eq, 10);
+    int syns = 0;
+    wire.attach(500, [&](const Packet &p) {
+        ++syns;
+        Packet synack;
+        synack.tuple = p.tuple.reversed();
+        synack.flags = kSyn | kAck;
+        wire.transmit(synack, eq.now());
+    });
+    SynFlood flood(eq, wire, {500}, 80);
+    flood.addWindow(0, 100, 1e15);
+    eq.runAll();
+    EXPECT_EQ(flood.synsSent(), 100u);
+    EXPECT_EQ(syns, 100);
+    EXPECT_EQ(wire.delivered(), 200u);
+    EXPECT_EQ(wire.dropped(), 0u);
 }
 
 TEST(FailureInjection, TimeoutWithoutLossIsHarmless)

@@ -63,6 +63,7 @@ TEST(FdTable, InUseTracksState)
     t.free(fd);
     EXPECT_FALSE(t.inUse(fd));
     EXPECT_FALSE(t.inUse(-1));
+    EXPECT_FALSE(t.inUse(1 << 20)) << "past the bitmap";
 }
 
 TEST(FdTable, GrowsBeyondInitialWords)

@@ -128,6 +128,165 @@ TEST(Fleet, RollingRestartDrainsEveryMachineWithoutLoss)
     }
 }
 
+TEST(Fleet, RollingRestartMovesOnWhenTheDrainedMachineCrashes)
+{
+    for (const KernelConfig &k : kBothKernels) {
+        FleetTestbed bed(smallFleet(k));
+        EventQueue &eq = bed.eventQueue();
+        bed.startLoad();
+        bed.runUntilChecked(ticksFromMsec(5));
+        bed.beginRollingRestart(/*drainDeadline=*/ticksFromMsec(10),
+                                /*downtime=*/ticksFromMsec(2));
+        // Machine 0 is draining; it dies before the first drain poll.
+        bed.crashMachine(0, FaultEvent::CrashMode::kBlackhole);
+        bed.runUntilChecked(eq.now() + ticksFromMsec(60));
+        EXPECT_FALSE(bed.rollingRestartActive());
+        // The crash window owns machine 0: the roll closed its drain
+        // books, restarted only the others, and left it down.
+        EXPECT_FALSE(bed.machineUp(0));
+        EXPECT_EQ(bed.restarts(),
+                  static_cast<std::uint64_t>(bed.machineCount() - 1));
+        for (int s = 1; s < bed.machineCount(); ++s)
+            EXPECT_TRUE(bed.machineUp(s));
+        // Machine 0's drain ended with its flows still in flight: they
+        // count as undrained, and only the others' drains complete.
+        ExperimentResult r = bed.collect();
+        const auto lbs = static_cast<std::uint64_t>(bed.balancerCount());
+        EXPECT_EQ(r.fleet.drainsStarted, bed.machineCount() * lbs);
+        EXPECT_EQ(r.fleet.drainsCompleted, (bed.machineCount() - 1) * lbs);
+        EXPECT_GT(r.fleet.undrainedFlows, 0u);
+        EXPECT_EQ(r.invariants.violationCount, 0u)
+            << r.invariants.summary();
+    }
+}
+
+TEST(Fleet, OrchestrationCallsAreIdempotent)
+{
+    FleetTestbed bed(smallFleet(KernelConfig::fastsocket()));
+    EventQueue &eq = bed.eventQueue();
+    bed.startLoad();
+    bed.startLoad();   // second start: no second client fleet
+    bed.runUntilChecked(ticksFromMsec(5));
+    const std::uint64_t started = bed.load().started();
+
+    bed.restartMachine(0);   // up: nothing to restart
+    bed.crashMachine(1, FaultEvent::CrashMode::kBlackhole);
+    bed.crashMachine(1, FaultEvent::CrashMode::kBlackhole);   // already down
+    // A balancer restored inside the detection lag is never failed over.
+    bed.crashBalancer(1);
+    bed.crashBalancer(1);
+    bed.restoreBalancer(1);
+    bed.restoreBalancer(1);
+    bed.runUntilChecked(eq.now() + ticksFromMsec(10));
+    EXPECT_EQ(bed.vipTakeovers(), 0u);
+    EXPECT_GT(bed.load().started(), started);
+
+    // The roll skips machine 1 (down) and ignores a second begin.
+    bed.beginRollingRestart(ticksFromMsec(10), ticksFromMsec(2));
+    bed.beginRollingRestart(ticksFromMsec(10), ticksFromMsec(2));
+    bed.runUntilChecked(eq.now() + ticksFromMsec(60));
+    EXPECT_FALSE(bed.rollingRestartActive());
+    EXPECT_FALSE(bed.machineUp(1));
+    ExperimentResult r = bed.collect();
+    EXPECT_EQ(r.fleet.crashes, 1u);
+    EXPECT_EQ(r.fleet.lbCrashes, 1u);
+    EXPECT_EQ(bed.restarts(),
+              static_cast<std::uint64_t>(bed.machineCount() - 1));
+    EXPECT_EQ(r.fleet.drainsStarted,
+              static_cast<std::uint64_t>((bed.machineCount() - 1) *
+                                         bed.balancerCount()));
+    EXPECT_EQ(r.invariants.violationCount, 0u) << r.invariants.summary();
+}
+
+TEST(Fleet, VipFailsOverAgainAfterARestoredBalancerCrashesAgain)
+{
+    FleetTestbed bed(smallFleet(KernelConfig::fastsocket()));
+    EventQueue &eq = bed.eventQueue();
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromMsec(5));
+    bed.crashBalancer(0);
+    bed.runUntilChecked(eq.now() + ticksFromMsec(10));
+    bed.restoreBalancer(0);
+    bed.runUntilChecked(eq.now() + ticksFromMsec(10));
+    bed.crashBalancer(0);
+    // Past the takeover and past every client timeout of a connection
+    // that met the dead balancer: from here on the peer serves VIP 0,
+    // and nothing is blackholed.
+    bed.runUntilChecked(eq.now() + ticksFromMsec(50));
+    EXPECT_EQ(bed.vipTakeovers(), 2u);
+    const std::uint64_t blackholed = bed.collect().fleet.blackholed;
+    const std::uint64_t failed = bed.load().failed();
+    bed.runUntilChecked(eq.now() + ticksFromMsec(40));
+    EXPECT_EQ(bed.collect().fleet.blackholed, blackholed);
+    EXPECT_EQ(bed.load().failed(), failed);
+}
+
+TEST(Fleet, RestartedMachineStaysGray)
+{
+    // A gray fault belongs to the slot, not to one generation: the
+    // machine that restarts mid-degrade comes back just as sick.
+    FleetTestbed bed(smallFleet(KernelConfig::fastsocket()));
+    EventQueue &eq = bed.eventQueue();
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromMsec(5));
+    bed.degradeMachine(1, /*permille=*/2000, /*nicLoss=*/0.0,
+                       /*nicDelay=*/ticksFromUsec(50));
+    bed.crashMachine(1, FaultEvent::CrashMode::kRst, /*admin=*/true);
+    bed.restartMachine(1);
+    const std::uint64_t delayed = bed.collect().fleet.degradeDelayed;
+    bed.runUntilChecked(eq.now() + ticksFromMsec(20));
+    EXPECT_GT(bed.collect().fleet.degradeDelayed, delayed)
+        << "the new generation's NIC must delay its egress too";
+}
+
+TEST(Fleet, RstCorpseNeverAnswersARst)
+{
+    FleetTestbed bed(smallFleet(KernelConfig::fastsocket()));
+    EventQueue &eq = bed.eventQueue();
+    const IpAddr corpse = bed.machine(0).addrs()[0];
+    bed.crashMachine(0, FaultEvent::CrashMode::kRst);
+    Packet p;
+    p.tuple = FiveTuple{HttpLoad::kClientBase, corpse, 40000, 80};
+    p.flags = kRst;
+    bed.fabric().transmit(p, eq.now());
+    eq.runUntil(eq.now() + ticksFromMsec(1));
+    EXPECT_EQ(bed.collect().fleet.corpseRsts, 0u);
+    p.flags = kAck;
+    bed.fabric().transmit(p, eq.now());
+    eq.runUntil(eq.now() + ticksFromMsec(1));
+    EXPECT_EQ(bed.collect().fleet.corpseRsts, 1u);
+}
+
+TEST(Fleet, PartitionGroupsCutTheirTiers)
+{
+    // Each group token names its tier's addresses: clients talk only to
+    // the VIPs and machines only to the NAT addresses, so a clients|ms
+    // cut arms but never drops a packet, while clients|lbs and lbs|ms
+    // cuts blackhole live traffic. lbs spans VIPs and NATs (two ranges).
+    struct Case
+    {
+        const char *groups;
+        std::uint64_t armed;
+        bool drops;
+    };
+    for (const Case &c : {Case{"a=clients,b=lbs", 2, true},
+                          Case{"a=lbs,b=ms", 2, true},
+                          Case{"a=clients,b=ms", 1, false}}) {
+        FleetConfig fc = smallFleet(KernelConfig::fastsocket());
+        std::string err;
+        ASSERT_TRUE(parseFaultPlan(
+            std::string("net_partition@0.010-0.020:") + c.groups,
+            fc.base.faults, err))
+            << err;
+        FleetTestbed bed(fc);
+        ExperimentResult r = bed.run();
+        EXPECT_EQ(r.fleet.partitionsArmed, c.armed) << c.groups;
+        EXPECT_EQ(r.fleet.partitionDropped > 0, c.drops) << c.groups;
+        EXPECT_EQ(r.invariants.violationCount, 0u)
+            << c.groups << ": " << r.invariants.summary();
+    }
+}
+
 TEST(Fleet, BlackholeCrashIsEjectedAndReadmittedAfterRestart)
 {
     for (const KernelConfig &k : kBothKernels) {

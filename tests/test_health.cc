@@ -294,3 +294,32 @@ TEST(HealthScorer, DeterministicStateHash)
     EXPECT_EQ(a, b);
     EXPECT_NE(a, 0u);
 }
+
+TEST(HealthScorer, OutOfServiceRoundDropsTheOutlierStreak)
+{
+    HealthScoreConfig cfg = fastCfg();
+    HealthScorer hs(cfg, 4, kTimeout);
+    std::vector<HealthScorer::Verdict> out;
+    const std::vector<Tick> gray = {100, 110, 600, 95};
+    int streak = 0;
+    while (streak < cfg.outlierRounds - 1) {
+        probeRound(hs, gray);
+        hs.evaluateRound(mask(4), only(4, {}), out);
+        streak = out[2].outlier ? streak + 1 : 0;
+        ASSERT_FALSE(out[2].ejectable);
+    }
+    // One round draining (or admin-down): no verdict, streaks idle.
+    probeRound(hs, gray);
+    hs.evaluateRound(mask(4, {2}), only(4, {}), out);
+    EXPECT_FALSE(out[2].outlier);
+    EXPECT_FALSE(out[2].ejectable);
+    EXPECT_FALSE(out[2].readmittable);
+    // Back in service, the streak starts over from zero.
+    for (int round = 0; round < cfg.outlierRounds; ++round) {
+        probeRound(hs, gray);
+        hs.evaluateRound(mask(4), only(4, {}), out);
+        EXPECT_TRUE(out[2].outlier) << "round " << round;
+        EXPECT_EQ(out[2].ejectable, round == cfg.outlierRounds - 1)
+            << "round " << round;
+    }
+}

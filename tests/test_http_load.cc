@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -514,6 +515,73 @@ TEST(HttpLoadKeepAlive, IssuesAllRequestsThenCloses)
     EXPECT_GE(load.responses(), load.completed() * 5);
     EXPECT_NEAR(static_cast<double>(server.requests),
                 static_cast<double>(load.completed()) * 5.0, 6.0);
+}
+
+TEST(HttpLoadKeepAlive, RstAnsweringOurFinStillCountsTheServedConn)
+{
+    // Uniform keep-alive: the client closes first. A server that aborts
+    // the finished exchange with an RST (instead of its own FIN) cannot
+    // turn a served connection into a failure.
+    EventQueue eq;
+    Wire wire(eq, ticksFromUsec(10));
+    KeepAliveServer server(eq, wire, 500);
+    wire.attach(500, [&server](const Packet &p) {
+        if (p.has(kFin))
+            server.reply(p, kRst);
+        else
+            server.onPacket(p);
+    });
+    HttpLoad::Config c;
+    c.serverAddrs = {500};
+    c.concurrency = 1;
+    c.requestsPerConn = 2;
+    HttpLoad load(eq, wire, c);
+    load.start();
+    eq.runUntil(ticksFromMsec(2));
+    EXPECT_GT(load.completed(), 2u);
+    EXPECT_EQ(load.failed(), 0u);
+}
+
+TEST(HttpLoadKeepAlive, ThinkTimerOfADeadConnSendsNothing)
+{
+    // Long-lived conns pause between requests. A server RST during the
+    // pause kills the conn; its pending think timer must not send the
+    // next request on it.
+    EventQueue eq;
+    Wire wire(eq, ticksFromUsec(10));
+    KeepAliveServer server(eq, wire, 500);
+    std::map<std::uint32_t, int> requestsPerTuple;
+    wire.attach(500, [&](const Packet &p) {
+        server.onPacket(p);
+        if (p.payload > 0) {
+            ++requestsPerTuple[(static_cast<std::uint32_t>(p.tuple.saddr)
+                                << 16) ^ p.tuple.sport];
+            server.reply(p, kRst);   // right behind the response
+        }
+    });
+    HttpLoad::Config c;
+    c.serverAddrs = {500};
+    c.concurrency = 2;
+    c.longLivedPermille = 1000;
+    c.longLivedRequests = 3;
+    c.longLivedThink = ticksFromUsec(200);
+    HttpLoad load(eq, wire, c);
+    load.start();
+    eq.runUntil(ticksFromMsec(3));
+    EXPECT_GT(load.failed(), 4u);
+    EXPECT_EQ(load.completed(), 0u);
+    for (const auto &kv : requestsPerTuple)
+        EXPECT_EQ(kv.second, 1) << "a request after the conn died";
+}
+
+TEST_F(LoadFixture, EmptyWindowHasZeroThroughput)
+{
+    HttpLoad load(eq, wire, config(4));
+    load.start();
+    eq.runUntil(ticksFromMsec(1));
+    load.markWindow();
+    EXPECT_EQ(load.throughputSinceMark(), 0.0);
+    EXPECT_EQ(load.requestThroughputSinceMark(), 0.0);
 }
 
 } // anonymous namespace

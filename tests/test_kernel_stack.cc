@@ -2,16 +2,19 @@
  * @file
  * Integration tests for the simulated kernel stack driven by hand-crafted
  * packets: handshakes, data, teardown, robustness slow path, RFD ports,
- * reuseport clones, backlog overflow.
+ * reuseport clones, backlog overflow, SYN cookies, and a process killed
+ * mid-run under live traffic.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "app/machine.hh"
+#include "harness/experiment.hh"
 
 namespace fsim
 {
@@ -29,6 +32,8 @@ struct KernelFixture : public ::testing::Test
     std::vector<Packet> clientRx;
     std::vector<Packet> backendRx;
     std::vector<int> readyProcs;
+    /** Overload knobs of the next build() (disabled by default). */
+    OverloadConfig overload;
 
     void
     build(const KernelConfig &kc, int cores = 2)
@@ -37,6 +42,7 @@ struct KernelFixture : public ::testing::Test
         mc.cores = cores;
         mc.kernel = kc;
         mc.listenIps = 1;
+        mc.overload = overload;
         m = std::make_unique<Machine>(eq, wire, mc);
         wire.attachRange(kClientIp, kClientIp + 0xffff,
                          [this](const Packet &p) {
@@ -409,7 +415,7 @@ TEST_F(KernelFixture, SlowPathSurvivesProcessCrash)
     k.localListen(p0, srv(), 80);
     k.localListen(p1, srv(), 80);
 
-    k.killProcess(p0);
+    k.killProcess(p0, eq.now());
 
     FiveTuple t = tupleForQueue(0);   // lands on the dead process's core
     send(t, kSyn);
@@ -648,6 +654,313 @@ TEST_F(KernelFixture, EmbryonicTcbIsReapedAfterSynRcvdTimeout)
     EXPECT_TRUE(clientSaw(kRst));
     EXPECT_EQ(k.stats().acceptedConns, 0u);
 }
+
+TEST_F(KernelFixture, SlowPathWithNoLiveProcessQueuesWithoutWaking)
+{
+    // Every process serving the port is dead: a connection still lands
+    // on the global listener's queue, but there is nobody to wake.
+    build(KernelConfig::fastsocket(), 2);
+    KernelStack &k = m->kernel();
+    int p0 = k.addProcess(0);
+    k.listen(p0, srv(), 80);
+    k.localListen(p0, srv(), 80);
+    k.killProcess(p0, eq.now());
+    handshake(tupleForQueue(0));
+    EXPECT_FALSE(clientSaw(kRst));
+    std::size_t queued = 0;
+    for (const Socket *s : k.allSockets())
+        if (s->kind == SockKind::kListen)
+            queued += s->acceptQueue.size();
+    EXPECT_EQ(queued, 1u);
+    EXPECT_FALSE(k.process(p0).epoll->hasReady());
+    EXPECT_TRUE(readyProcs.empty());
+}
+
+TEST_F(KernelFixture, HandshakeAckCarryingTheRequestIsServed)
+{
+    build(KernelConfig::base2632());
+    KernelStack &k = m->kernel();
+    int proc = k.addProcess(0);
+    int lfd = k.listen(proc, srv(), 80);
+    FiveTuple t = tupleForQueue(0);
+    send(t, kSyn);
+    eq.runAll();
+    send(t, kAck | kConnClose, 120);   // the request rides the final ACK
+    eq.runAll();
+    auto r = k.accept(proc, eq.now(), lfd);
+    ASSERT_NE(r.sock, nullptr);
+    auto rd = k.read(proc, eq.now(), r.fd);
+    EXPECT_EQ(rd.bytes, 120u);
+    EXPECT_TRUE(rd.connClose);
+    k.close(proc, eq.now(), r.fd);
+    EXPECT_EQ(k.sockFromFd(proc, r.fd), nullptr)
+        << "a closed fd names no socket";
+}
+
+TEST_F(KernelFixture, EmptyWindowReadsIdle)
+{
+    build(KernelConfig::base2632(), 2);
+    m->markWindow();
+    EXPECT_EQ(m->utilizationSinceMark(), std::vector<double>(2, 0.0));
+}
+
+TEST_F(KernelFixture, CookieAckAtFullAcceptQueueIsReset)
+{
+    KernelConfig kc = KernelConfig::base2632();
+    kc.synBacklog = 0;   // force the stateless path
+    kc.synCookies = true;
+    build(kc);
+    KernelStack &k = m->kernel();
+    int proc = k.addProcess(0);
+    Socket *lsock = k.sockFromFd(proc, k.listen(proc, srv(), 80));
+    lsock->backlog = 0;   // somaxconn exhausted
+
+    FiveTuple t = tupleForQueue(0);
+    send(t, kSyn);
+    eq.runAll();
+    ASSERT_FALSE(clientRx.empty());
+    Packet ack;
+    ack.tuple = t;
+    ack.flags = kAck;
+    ack.cookie = clientRx.back().cookie;
+    clientRx.clear();
+    wire.transmit(ack, eq.now());
+    eq.runAll();
+
+    // The cookie validates and mints a TCB, which the full accept
+    // queue refuses: RST, and the TCB dies on the spot.
+    EXPECT_EQ(k.stats().synCookiesValidated, 1u);
+    EXPECT_EQ(k.stats().acceptOverflows, 1u);
+    EXPECT_EQ(k.stats().acceptQueueRsts, 1u);
+    EXPECT_TRUE(clientSaw(kRst));
+    EXPECT_TRUE(lsock->acceptQueue.empty());
+    EXPECT_EQ(k.stats().socketsCreated,
+              k.stats().socketsDestroyed + k.liveSockets());
+    EXPECT_EQ(k.liveSockets(), 1u) << "only the listener is left";
+}
+
+TEST_F(KernelFixture, CookieAckCarryingTheRequestIsServed)
+{
+    KernelConfig kc = KernelConfig::base2632();
+    kc.synBacklog = 0;
+    kc.synCookies = true;
+    build(kc);
+    KernelStack &k = m->kernel();
+    int proc = k.addProcess(0);
+    int lfd = k.listen(proc, srv(), 80);
+
+    FiveTuple t = tupleForQueue(0);
+    send(t, kSyn);
+    eq.runAll();
+    ASSERT_FALSE(clientRx.empty());
+    // The final ACK piggybacks the whole request, "Connection: close".
+    Packet ack;
+    ack.tuple = t;
+    ack.flags = kAck | kConnClose;
+    ack.payload = 120;
+    ack.cookie = clientRx.back().cookie;
+    wire.transmit(ack, eq.now());
+    eq.runAll();
+
+    auto r = k.accept(proc, eq.now(), lfd);
+    ASSERT_NE(r.sock, nullptr);
+    EXPECT_EQ(r.sock->state, TcpState::kEstablished);
+    auto rd = k.read(proc, eq.now(), r.fd);
+    EXPECT_EQ(rd.bytes, 120u);
+    EXPECT_TRUE(rd.connClose);
+}
+
+TEST_F(KernelFixture, StaleSynIntoLiveConnectionIsDropped)
+{
+    build(KernelConfig::base2632());
+    KernelStack &k = m->kernel();
+    int proc = k.addProcess(0);
+    int lfd = k.listen(proc, srv(), 80);
+    FiveTuple t = tupleForQueue(0);
+    handshake(t);
+    auto r = k.accept(proc, eq.now(), lfd);
+    ASSERT_NE(r.sock, nullptr);
+
+    const KernelStats before = k.stats();
+    clientRx.clear();
+    send(t, kSyn);
+    eq.runAll();
+    EXPECT_TRUE(clientRx.empty()) << "no SYN-ACK, no RST";
+    EXPECT_EQ(k.stats().socketsCreated, before.socketsCreated);
+    EXPECT_EQ(k.stats().synRetransmits, before.synRetransmits);
+    EXPECT_EQ(r.sock->state, TcpState::kEstablished);
+}
+
+TEST_F(KernelFixture, TimeWaitRecycleReleasesTheHeldPort)
+{
+    KernelConfig kc = KernelConfig::base2632();
+    kc.twRecycle = true;
+    kc.ephemeralPortLo = 40000;   // two ports
+    kc.ephemeralPortHi = 40001;
+    build(kc);
+    KernelStack &k = m->kernel();
+    int proc = k.addProcess(0);
+    k.listen(proc, srv(), 80);   // the outbound address
+
+    // Active open and active close: the TIME_WAIT entry holds the port.
+    auto c = k.connect(proc, eq.now(), kBackendIp, 80);
+    ASSERT_NE(c.sock, nullptr);
+    const FiveTuple rx = c.sock->rxTuple;
+    eq.runAll();
+    send(rx, kSyn | kAck);
+    eq.runAll();
+    ASSERT_EQ(c.sock->state, TcpState::kEstablished);
+    k.close(proc, eq.now(), c.fd);
+    eq.runAll();
+    send(rx, kAck | kFin);
+    eq.runUntil(eq.now() + ticksFromMsec(2));
+    EXPECT_EQ(k.stats().timeWaitEntered, 1u);
+    auto other = k.connect(proc, eq.now(), kBackendIp, 80);
+    ASSERT_NE(other.sock, nullptr);
+    EXPECT_NE(other.sock->rxTuple.dport, rx.dport);
+    EXPECT_EQ(k.connect(proc, eq.now(), kBackendIp, 80).sock, nullptr)
+        << "both ports taken";
+    EXPECT_EQ(k.stats().portAllocFailures, 1u);
+
+    // A SYN on the lingering tuple recycles the entry and frees its
+    // port before the reaper would have.
+    send(rx, kSyn);
+    eq.runUntil(eq.now() + ticksFromMsec(2));
+    EXPECT_EQ(k.stats().timeWaitRecycled, 1u);
+    EXPECT_EQ(k.stats().timeWaitReaped, 0u);
+    auto again = k.connect(proc, eq.now(), kBackendIp, 80);
+    ASSERT_NE(again.sock, nullptr);
+    EXPECT_EQ(again.sock->rxTuple.dport, rx.dport);
+}
+
+TEST_F(KernelFixture, SoftirqBudgetDropsSteeredSyn)
+{
+    overload.enabled = true;
+    overload.softirqBudget = 1;
+    build(KernelConfig::fastsocket(), 2);
+    KernelStack &k = m->kernel();
+    k.listen(k.addProcess(0), srv(), 80);
+    const ReceiveFlowDeliver &rfd = *k.rfd();
+
+    // A SYN from a well-known source port is active-incoming: RFD
+    // steers it to the core its destination port hashes to. Keep that
+    // core's SoftIRQ backlog busy with stray ACKs (never budgeted).
+    Port dport = 40000;
+    while (rfd.hash(dport) != 1)
+        ++dport;
+    FiveTuple syn{kBackendIp, srv(), 80, dport};
+    FiveTuple stray = tupleForQueue(1);
+    ASSERT_EQ(m->nic().rssQueue(syn), 0) << "arrives on the other core";
+    for (int i = 0; i < 4; ++i)
+        send(stray, kAck);
+    send(syn, kSyn);
+    eq.runAll();
+    EXPECT_EQ(k.stats().steeredPackets, 1u);
+    EXPECT_EQ(k.stats().backlogDropped, 1u);
+    EXPECT_EQ(k.stats().timeWaitSynDropped + k.stats().synDropped, 0u);
+}
+
+/**
+ * Paper 3.2.1 under live traffic: kill a process mid-run while it holds
+ * SYN_RECV embryos and never-accepted connections on its listen clones
+ * (local-listen clones on Fastsocket, SO_REUSEPORT clones on 3.13). The
+ * kernel tears them down at the kill tick, no TCB keeps a pointer to a
+ * dead clone, and the survivor keeps serving with every invariant held.
+ */
+class KillMidRun : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(KillMidRun, TearsDownItsConnectionsAndKeepsServing)
+{
+    ExperimentConfig cfg;
+    cfg.machine.cores = 2;
+    cfg.machine.listenIps = 1;
+    cfg.machine.kernel = GetParam() ? KernelConfig::fastsocket()
+                                    : KernelConfig::linux313();
+    cfg.concurrencyPerCore = 100;
+    cfg.checkLevel = CheckLevel::kPeriodic;
+    cfg.checkIntervalSec = 0.002;
+    Testbed bed(cfg);
+    EventQueue &eq = bed.eventQueue();
+    KernelStack &k = bed.machine().kernel();
+    const int victim = 0;
+    KProcess &vp = k.process(victim);
+    std::set<const Socket *> clones(vp.localListens.begin(),
+                                    vp.localListens.end());
+    clones.insert(vp.reuseClones.begin(), vp.reuseClones.end());
+    ASSERT_EQ(clones.size(), 1u);
+    const Socket *clone = *clones.begin();
+
+    // Step until the victim's clone holds both kinds of children.
+    auto embryosOf = [&k](const Socket *parent) {
+        std::vector<const Socket *> out;
+        for (const Socket *s : k.allSockets())
+            if (s->parentListen == parent &&
+                s->state == TcpState::kSynRcvd)
+                out.push_back(s);
+        return out;
+    };
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromMsec(5));
+    for (int i = 0; i < 20000 && (embryosOf(clone).empty() ||
+                                  clone->acceptQueue.empty());
+         ++i)
+        bed.runUntilChecked(eq.now() + ticksFromUsec(1));
+    std::vector<std::uint64_t> doomed;
+    for (const Socket *s : embryosOf(clone))
+        doomed.push_back(s->id);
+    for (const Socket *s : clone->acceptQueue)
+        doomed.push_back(s->id);
+    ASSERT_FALSE(embryosOf(clone).empty());
+    ASSERT_FALSE(clone->acceptQueue.empty());
+
+    const KernelStats before = k.stats();
+    const std::size_t live = k.liveSockets();
+    const std::uint64_t completed = bed.load().completed();
+    const Tick kill = eq.now();
+    const Tick end = k.killProcess(victim, kill);
+    EXPECT_GT(end, kill) << "teardown work is charged from the kill tick";
+    EXPECT_EQ(k.stats().socketsDestroyed - before.socketsDestroyed,
+              doomed.size() + 1) << "children plus the clone";
+    EXPECT_EQ(k.liveSockets(), live - doomed.size() - 1);
+    EXPECT_EQ(k.killProcess(victim, end), end) << "a dead process dies once";
+    EXPECT_EQ(k.stats().socketsDestroyed,
+              before.socketsDestroyed + doomed.size() + 1);
+
+    // Each torn-down connection's span closes at the kill tick or later.
+    const auto &traces = bed.machine().tracer().connSpans().completed();
+    std::size_t closed = 0;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+        const ConnSpanTrace &tr = traces[i];
+        if (std::find(doomed.begin(), doomed.end(), tr.connId) ==
+            doomed.end())
+            continue;
+        ++closed;
+        EXPECT_GE(tr.closeTick, kill);
+        EXPECT_LE(tr.closeTick, end);
+    }
+    EXPECT_EQ(closed, doomed.size());
+
+    // No TCB points at the dead clone, and every surviving listener's
+    // SYN queue length counts exactly its SYN_RECV children.
+    for (const Socket *s : k.allSockets()) {
+        EXPECT_NE(s->parentListen, clone);
+        if (s->kind == SockKind::kListen) {
+            EXPECT_EQ(s->synQueueLen, embryosOf(s).size());
+        }
+    }
+
+    bed.runUntilChecked(kill + ticksFromMsec(20));
+    EXPECT_GT(bed.load().completed(), completed) << "the survivor serves";
+    ExperimentResult r = bed.collect();
+    EXPECT_TRUE(r.invariants.ok()) << r.invariants.summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, KillMidRun, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return info.param ? "Fastsocket" : "Linux313";
+                         });
 
 } // anonymous namespace
 } // namespace fsim

@@ -74,6 +74,18 @@ TEST(ListenTable, RemoveAndEmpty)
     EXPECT_EQ(t.size(), 0u);
 }
 
+TEST(ListenTable, RemoveOfAnAbsentCloneKeepsTheChain)
+{
+    ListenTable t;
+    Rng rng(1);
+    auto a = listener(10, 80);
+    auto b = listener(10, 80);
+    t.insert(a.get());
+    EXPECT_FALSE(t.remove(b.get())) << "same bucket, not in the chain";
+    EXPECT_EQ(t.lookup(10, 80, rng).sock, a.get());
+    EXPECT_EQ(t.size(), 1u);
+}
+
 TEST(ListenTable, ReuseportChainWalkIsOrderN)
 {
     ListenTable t;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
+#include "overload/slo.hh"
 
 namespace fsim
 {
@@ -60,6 +61,22 @@ TEST(Overload, SpecParseRejectsNonFiniteAndOversizedValues)
         EXPECT_EQ(back.healthRequestBytes, c.healthRequestBytes) << text;
     }
 
+    // An empty spec and inverted watermarks are refused too.
+    for (const char *bad : {"", "high=0.3,low=0.4"}) {
+        OverloadConfig c;
+        err.clear();
+        EXPECT_FALSE(parseOverloadSpec(bad, c, err)) << bad;
+        EXPECT_FALSE(err.empty()) << bad;
+    }
+
+    // Empty list items are skipped.
+    {
+        OverloadConfig c;
+        ASSERT_TRUE(parseOverloadSpec("cap=4,,gate=2", c, err)) << err;
+        EXPECT_EQ(c.workerCap, 4);
+        EXPECT_EQ(c.synGate, 2u);
+    }
+
     // Whole-number keys refuse a fraction instead of truncating it.
     for (const char *bad : {"high=nan", "low=nan", "critical=nan",
                             "cap=inf", "budget=-inf", "cap=1e12",
@@ -105,6 +122,75 @@ TEST(Overload, AdmissionCountersConserveUnderPressure)
     EXPECT_EQ(r.invariants.violationCount, 0u);
     // The closed loop still made real progress while shedding.
     EXPECT_GT(r.served, 100u);
+}
+
+TEST(Overload, WorkerCapShedsOnlyTheFullWorker)
+{
+    OverloadConfig oc;
+    oc.enabled = true;
+    oc.workerCap = 2;
+    AdmissionController adm(oc, /*pressure=*/nullptr, /*workers=*/2);
+    const AdmitClass normal = AdmitClass::kNormal;
+    EXPECT_EQ(adm.decide(0, normal, 0), AdmitDecision::kAdmit);
+    EXPECT_EQ(adm.decide(0, normal, 0), AdmitDecision::kAdmit);
+    // Worker 0 holds its cap: the next connection is shed, for that
+    // reason, while worker 1 and health traffic still get through.
+    EXPECT_EQ(adm.decide(0, normal, 0), AdmitDecision::kShed);
+    EXPECT_EQ(adm.lastShedReason(), ShedReason::kWorkerCap);
+    EXPECT_EQ(adm.decide(1, normal, 0), AdmitDecision::kAdmit);
+    EXPECT_EQ(adm.decide(0, AdmitClass::kHealth, 0), AdmitDecision::kAdmit);
+    EXPECT_EQ(adm.shedWorkerCap(), 1u);
+    EXPECT_EQ(adm.shed(), 1u);
+    // A finished connection frees a slot under the cap again.
+    adm.release(0);
+    adm.release(0);
+    EXPECT_EQ(adm.decide(0, normal, 0), AdmitDecision::kAdmit);
+    EXPECT_EQ(adm.offered(), adm.admitted() + adm.shed());
+    // A release with nothing in flight is counted, never wraps.
+    adm.release(1);
+    adm.release(1);
+    EXPECT_EQ(adm.releaseUnderflows(), 1u);
+    EXPECT_EQ(adm.decide(1, normal, 0), AdmitDecision::kAdmit);
+}
+
+TEST(Overload, FirstFastAlertIsTheEarliestAcrossObjectives)
+{
+    SloConfig cfg;
+    cfg.latencyObjective = ticksFromMsec(1);
+    SloTracker slo(cfg);
+    slo.addWindow(100, /*ok=*/100, /*failed=*/0, /*lat_misses=*/100);
+    slo.addWindow(200, /*ok=*/0, /*failed=*/100, /*lat_misses=*/0);
+    ASSERT_EQ(slo.objectives().size(), 2u);
+    EXPECT_EQ(slo.objectives()[0].firstFastAlert, 200u);   // availability
+    EXPECT_EQ(slo.objectives()[1].firstFastAlert, 100u);   // latency
+    EXPECT_EQ(slo.firstFastAlert(), 100u);
+}
+
+TEST(Overload, ProxyBrownoutRelaysTheTrimmedResponse)
+{
+    ExperimentConfig cfg;
+    cfg.app = AppKind::kHaproxy;
+    cfg.machine.cores = 2;
+    cfg.machine.kernel = KernelConfig::fastsocket();
+    cfg.concurrencyPerCore = 120;
+    cfg.clientTimeout = ticksFromMsec(20);
+    cfg.warmupSec = 0.01;
+    cfg.measureSec = 0.04;
+    // Elevated pressure at a low accept-queue fill, critical never.
+    armOverload(cfg, "brownout=1,high=0.02,critical=1,low=0.01");
+
+    Testbed bed(cfg);
+    ExperimentResult r = bed.run();
+    AdmissionController *adm = bed.admission();
+    ASSERT_NE(adm, nullptr);
+    EXPECT_GT(adm->degraded(), 0u);
+    EXPECT_EQ(adm->shed(), 0u);
+    // The proxy relays the brownout page (16 bytes here, the full one
+    // is 64) for degraded sessions.
+    EXPECT_GT(bed.app().servedDegraded(), 0u);
+    EXPECT_LE(bed.app().servedDegraded(), adm->degraded());
+    EXPECT_LT(bed.load().bytesReceived(), 64 * bed.load().responses());
+    EXPECT_EQ(r.invariants.violationCount, 0u) << r.invariants.summary();
 }
 
 TEST(Overload, SynGateDropsAreAccountedOnlyWhenArmed)

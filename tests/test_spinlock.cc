@@ -19,6 +19,7 @@
 #include "sim/rng.hh"
 #include "sync/lock_registry.hh"
 #include "sync/spinlock.hh"
+#include "trace/tracer.hh"
 
 namespace fsim
 {
@@ -38,6 +39,16 @@ struct SpinFixture : public ::testing::Test
         lock.init(cls, &cache, 40, 250);
     }
 };
+
+TEST(LockRegistry, TracerReachesClassesRegisteredEarlier)
+{
+    LockRegistry locks;
+    LockClassStats *early = locks.getClass("early");
+    Tracer tr(1);
+    locks.setTracer(&tr);
+    EXPECT_EQ(early->tracer, &tr);
+    EXPECT_EQ(locks.getClass("late")->tracer, &tr);
+}
 
 TEST_F(SpinFixture, UncontendedAcquireCostsBasePlusCold)
 {

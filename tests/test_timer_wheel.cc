@@ -124,6 +124,16 @@ TEST(TimerWheel, DeepLevels)
     EXPECT_EQ(fired_at[2], 2000000u);
 }
 
+TEST(TimerWheel, UnknownIdsAreRefused)
+{
+    TimerWheel tw;
+    auto id = tw.add(10, [] {});
+    EXPECT_FALSE(tw.cancel(TimerWheel::kInvalidTimer));
+    EXPECT_FALSE(tw.modify(id + 1, 20)) << "an index never handed out";
+    EXPECT_EQ(tw.pending(), 1u);
+    EXPECT_TRUE(tw.cancel(id));
+}
+
 TEST(TimerWheel, FarFutureClampedNotLost)
 {
     TimerWheel tw;

@@ -7,6 +7,7 @@
 
 #include <vector>
 
+#include "net/net_port.hh"
 #include "net/wire.hh"
 
 namespace fsim
@@ -120,6 +121,44 @@ TEST(Wire, PayloadAndFlagsSurviveTransit)
     EXPECT_EQ(got.tuple, p.tuple);
     EXPECT_EQ(got.flags, p.flags);
     EXPECT_EQ(got.payload, 600u);
+}
+
+TEST(Wire, LinkChargesAtLeastOneTickPerKiB)
+{
+    // A link so fast that a KiB serializes in under a tick still takes
+    // one: the serialization cost never rounds down to free.
+    EventQueue eq;
+    Wire wire(eq, 10);
+    Wire::LinkSpec link;
+    link.aFirst = link.aLast = 1;
+    link.bFirst = link.bLast = 2;
+    link.latency = 100;
+    link.gbps = 1e6;
+    wire.addLink(link);
+    Tick arrived = 0;
+    wire.attach(2, [&](const Packet &) { arrived = eq.now(); });
+    Packet p;
+    p.tuple.saddr = 1;
+    p.tuple.daddr = 2;
+    wire.transmit(p, 0);
+    eq.runAll();
+    EXPECT_EQ(arrived, 101u);
+}
+
+TEST(Wire, NetPortAttachesRangesOnTheFabric)
+{
+    EventQueue eq;
+    Wire fabric(eq, 10);
+    NetPort port(fabric);
+    std::vector<IpAddr> seen;
+    port.attachRange(100, 199,
+                     [&](const Packet &p) { seen.push_back(p.tuple.daddr); });
+    Packet p;
+    p.tuple.daddr = 150;
+    fabric.transmit(p, 0);
+    eq.runAll();
+    EXPECT_EQ(seen, (std::vector<IpAddr>{150}));
+    EXPECT_TRUE(port.attachedAddrs().empty()) << "a range is no address";
 }
 
 } // anonymous namespace

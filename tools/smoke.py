@@ -170,8 +170,9 @@ GROUPS = {
             exact=("fleet_trace", "fleet.trace*"), compare=0.30,
             metrics="request_success_ratio,slo_first_fast_alert_ms,"
                     "ts-:m0.time_wait"),
-        Run("bench_fleet_trace --quick --json=fp.json --fingerprint",
-            twice=True),
+        # --forensics also prints the fleet trace report (stdout only).
+        Run("bench_fleet_trace --quick --json=fp.json --fingerprint"
+            " --forensics", twice=True),
         # Recording off must not move a single fingerprint bit.
         Run("bench_fleet_trace --quick --notrace --fingerprint"
             " --json=notrace.json", exact=FP, against="fp.json"),
