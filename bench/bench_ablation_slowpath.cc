@@ -36,8 +36,10 @@ main(int argc, char **argv)
             "killed-" + std::to_string(killed), cfg};
         row.drive = [killed](Testbed &bed, RowOutput<KernelStats> &out) {
             for (int p = 0; p < killed; ++p)
-                bed.machine().kernel().killProcess(
-                    p, bed.eventQueue().now());
+                bed.machine().kernel().killProcess(p);
+            // Each exit is a task on its worker's core: let them close
+            // their listen fds before the first SYN arrives.
+            bed.eventQueue().runUntil(bed.eventQueue().now());
             out.yield(bed.run());
         };
         row.read = [](Testbed &bed) { return bed.machine().kernel().stats(); };

@@ -37,14 +37,12 @@ Proxy::closeSession(ProcState &ps, Session *s, Tick t)
     KernelStack &k = m_.kernel();
     if (s->backendFd >= 0) {
         sessions_.erase(skey(ps.proc, s->backendFd));
-        if (k.sockFromFd(ps.proc, s->backendFd))
-            t = k.close(ps.proc, t, s->backendFd);
+        t = k.close(ps.proc, t, s->backendFd);
     }
     if (s->clientFd >= 0) {
         sessions_.erase(skey(ps.proc, s->clientFd));
         admRelease(ps.proc, s->clientFd);
-        if (k.sockFromFd(ps.proc, s->clientFd))
-            t = k.close(ps.proc, t, s->clientFd);
+        t = k.close(ps.proc, t, s->clientFd);
     }
     byId_.erase(s->id);
     sessionSlab_.release(s);
@@ -140,13 +138,14 @@ Proxy::onBackendTimeout(std::uint64_t sid, Tick t)
     Session *s = *found;
     ProcState &ps = procs_.at(s->procIdx);
     KernelStack &k = m_.kernel();
+    if (!k.process(ps.proc).alive)
+        return t;   // its exit already closed both fds
 
     noteBackendFailure(s->backendIdx);
     if (s->backendFd >= 0) {
         // Abandon the stuck backend connection.
         sessions_.erase(skey(ps.proc, s->backendFd));
-        if (k.sockFromFd(ps.proc, s->backendFd))
-            t = k.close(ps.proc, t, s->backendFd);
+        t = k.close(ps.proc, t, s->backendFd);
         s->backendFd = -1;
     }
     if (s->attempts > kMaxRetries) {
@@ -155,8 +154,7 @@ Proxy::onBackendTimeout(std::uint64_t sid, Tick t)
     }
     ++backendRetries_;
     StageScope sc(&m_.tracer(), ps.core, t);
-    if (Socket *cs = k.sockFromFd(ps.proc, s->clientFd))
-        sc.bind(cs->id, ConnStage::kAppProcess);
+    sc.bind(k.sockFromFd(ps.proc, s->clientFd)->id, ConnStage::kAppProcess);
     t = sc.close(t + serviceCost() / 2);   // re-dispatch decision
     return connectBackend(ps, s, t);
 }
@@ -203,13 +201,12 @@ Proxy::onConnReadable(ProcState &ps, int fd, Tick t)
 
     // Backend fd.
     if (s->phase == Phase::kBackendConnect) {
-        Socket *bs = k.sockFromFd(ps.proc, fd);
-        if (bs && bs->state == TcpState::kEstablished) {
+        if (sock->state == TcpState::kEstablished) {
             // Connect completed: forward the request.
             t = k.write(ps.proc, t, fd, s->requestBytes);
             s->phase = Phase::kBackendWait;
         }
-        if (bs && bs->rxPending == 0 && !bs->peerFin)
+        if (sock->rxPending == 0 && !sock->peerFin)
             return t;
         // Fall through when the response already raced in.
     }

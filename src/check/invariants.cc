@@ -141,9 +141,9 @@ registerStandardInvariants(InvariantRegistry &reg, Machine &machine,
     reg.add("fd-consistency", [&machine](Tick, std::string &why) {
         // Accounting identity: every VFS file is reachable from exactly
         // one process fd table, and each table's open-fd count matches
-        // its file map. Killed processes keep their non-listen files
-        // (the kernel only reaps their listen clones), so all processes
-        // are counted, alive or not.
+        // its file map. A killed process keeps its files until its
+        // posted exit closes them, so all processes are counted, alive
+        // or not.
         KernelStack &k = machine.kernel();
         std::uint64_t total_files = 0;
         for (int p = 0; p < k.numProcesses(); ++p) {

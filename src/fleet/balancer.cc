@@ -106,7 +106,6 @@ L4Balancer::L4Balancer(EventQueue &eq, Wire &fabric, const Config &cfg)
             "L4Balancer: healthMode=score requires probing "
             "(probeInterval > 0): the score is built from probe RTT "
             "evidence.");
-    vips_.push_back(cfg_.vip);
 }
 
 void
@@ -122,8 +121,7 @@ L4Balancer::addTarget(const TargetSpec &spec)
 void
 L4Balancer::attachHandlers()
 {
-    for (IpAddr vip : vips_)
-        fabric_.attach(vip, [this](const Packet &pkt) { onVip(pkt); });
+    fabric_.attach(cfg_.vip, [this](const Packet &pkt) { onVip(pkt); });
     fabric_.attach(cfg_.natIp,
                    [this](const Packet &pkt) { onNat(pkt); });
 }
@@ -239,11 +237,6 @@ L4Balancer::healthy(int m) const
 void
 L4Balancer::adoptVip(IpAddr vip)
 {
-    // Attach even when the VIP was adopted before: the peer's restore
-    // took the address back at the fabric, and its second crash
-    // blackholed it again.
-    if (std::find(vips_.begin(), vips_.end(), vip) == vips_.end())
-        vips_.push_back(vip);
     fabric_.attach(vip, [this](const Packet &pkt) { onVip(pkt); });
 }
 

@@ -110,8 +110,9 @@ class L4Balancer
     /** Register a target. Call for every machine before start(). */
     void addTarget(const TargetSpec &spec);
 
-    /** Attach VIP + NAT handlers to the fabric (idempotent re-attach:
-     *  restores this balancer after a crash window by overwriting). */
+    /** Attach the home VIP + NAT handlers to the fabric (idempotent
+     *  re-attach: restores this balancer after a crash window by
+     *  overwriting). VIPs adopted from peers are left to their owners. */
     void attachHandlers();
 
     /** Build the ring and arm the probe and GC loops. */
@@ -299,7 +300,6 @@ class L4Balancer
     IncidentLog *incidents_ = nullptr;
     FleetTraceLog *traceLog_ = nullptr;
     int lbId_ = 0;
-    std::vector<IpAddr> vips_;      //!< own VIP first, then adopted
     std::vector<Target> targets_;
     std::vector<RingEntry> ring_;
     FlatMap<std::uint64_t, Flow, FlowKeyHash> flows_;

@@ -591,7 +591,8 @@ FleetTestbed::restoreBalancer(int k)
         return;
     lbUp_[k] = true;
     balancers_[k]->setDown(false);
-    // Re-attaching overwrites both the blackhole and any peer adoption.
+    // Re-attaching the home VIP overwrites both the blackhole and a
+    // peer's adoption of it; VIPs this balancer adopted stay put.
     balancers_[k]->attachHandlers();
 }
 

@@ -107,72 +107,21 @@ KernelStack::addProcess(CoreId core)
     return procs_.back()->id;
 }
 
-Tick
-KernelStack::killProcess(int proc, Tick t)
+void
+KernelStack::killProcess(int proc)
 {
     KProcess &p = *procs_.at(proc);
     if (!p.alive)
-        return t;
+        return;
     p.alive = false;
-
-    // Children of the dying clones must not keep a dangling parent
-    // pointer: embryonic (SYN_RECV) ones die with their SYN queue, the
-    // rest (queued or accepted) never read their parent again.
-    {
-        auto dying = [&p](const Socket *parent) {
-            for (const Socket *c : p.localListens)
-                if (c == parent)
-                    return true;
-            for (const Socket *c : p.reuseClones)
-                if (c == parent)
-                    return true;
-            return false;
-        };
-        std::vector<Socket *> embryos;
-        arena_.forEach([&](Socket *s) {
-            if (!s->parentListen || !dying(s->parentListen))
-                return;
-            if (s->state == TcpState::kSynRcvd)
-                embryos.push_back(s);
-            else
-                s->parentListen = nullptr;
-        });
-        for (Socket *s : embryos)
-            t = destroySocket(p.core, t, s);
-    }
-
-    // The kernel destroys listen sockets owned by the dying process: its
-    // reuseport clones and its local listen clones, with the connections
-    // queued on them. This is exactly the fault the Local Listen Table
-    // slow path exists for (section 3.2.1).
-    auto destroyClone = [&](Socket *clone) {
-        for (Socket *queued : clone->acceptQueue)
-            t = destroySocket(p.core, t, queued);
-        ++stats_.socketsDestroyed;
-        arena_.destroy(clone);
-    };
-    for (Socket *clone : p.localListens) {
-        fsim_assert(localListen_);
-        localListen_->table(clone->homeCore).remove(clone);
-        destroyClone(clone);
-    }
-    p.localListens.clear();
-    for (Socket *clone : p.reuseClones) {
-        globalListen_.remove(clone);
-        destroyClone(clone);
-    }
-    p.reuseClones.clear();
-
-    // Drop the process from shared listen-socket wait queues.
-    for (Socket *ls : globalListen_.all()) {
-        auto &w = ls->watchers;
-        w.erase(std::remove_if(w.begin(), w.end(),
-                               [proc](const std::pair<int, int> &e) {
-                                   return e.first == proc;
-                               }),
-                w.end());
-    }
-    return t;
+    // exit() closes every fd from the dying process's own context, so
+    // each close() is charged on its core like the syscall it is.
+    d_.cpu->post(p.core, TaskPrio::kProcess, [this, &p](Tick t) {
+        for (int fd = 0; fd < static_cast<int>(p.files.size()); ++fd)
+            if (p.files[fd] != nullptr)
+                t = close(p.id, t, fd);
+        return t;
+    });
 }
 
 int
@@ -187,7 +136,6 @@ KernelStack::listen(int proc, IpAddr addr, Port port)
         lsock = newListenSocket(addr, port);
         lsock->reuseportOwner = proc;
         globalListen_.insert(lsock);
-        p.reuseClones.push_back(lsock);
     } else {
         lsock = globalListen_.findExact(addr, port);
         if (!lsock) {
@@ -218,8 +166,15 @@ KernelStack::localListen(int proc, IpAddr addr, Port port)
         fsim_fatal("local_listen() without CONFIG local listen table");
     KProcess &p = *procs_.at(proc);
 
+    // The clone takes over the process's listen fd, whose close() is
+    // then what destroys it: accept() checks the global parent's queue
+    // first anyway (the starvation-avoidance order of section 3.2.1).
     Socket *global = globalListen_.findExact(addr, port);
-    if (!global)
+    int lfd = 0;
+    while (global && lfd < static_cast<int>(p.files.size()) &&
+           (p.files[lfd] == nullptr || p.files[lfd]->priv != global))
+        ++lfd;
+    if (!global || lfd == static_cast<int>(p.files.size()))
         fsim_fatal("local_listen() before listen() on %u:%u", addr, port);
 
     Socket *clone = newListenSocket(addr, port);
@@ -227,23 +182,11 @@ KernelStack::localListen(int proc, IpAddr addr, Port port)
     clone->homeCore = p.core;
     clone->globalParent = global;
     localListen_->table(p.core).insert(clone);
-    p.localListens.push_back(clone);
-
-    // Re-point the process's listen fd at the clone: accept() checks the
-    // global parent's queue first anyway (the starvation-avoidance order
-    // of section 3.2.1).
-    for (int lfd = 0; lfd < static_cast<int>(p.files.size()); ++lfd) {
-        SocketFile *f = p.files[lfd];
-        if (f != nullptr && f->priv == global) {
-            f->priv = clone;
-            clone->watchers.emplace_back(proc, lfd);
-            auto &w = global->watchers;
-            w.erase(std::remove(w.begin(), w.end(),
-                                std::make_pair(proc, lfd)),
-                    w.end());
-            break;
-        }
-    }
+    p.files[lfd]->priv = clone;
+    clone->watchers.emplace_back(proc, lfd);
+    auto &w = global->watchers;
+    w.erase(std::remove(w.begin(), w.end(), std::make_pair(proc, lfd)),
+            w.end());
 }
 
 // ---------------------------------------------------------------------
@@ -299,6 +242,9 @@ Tick
 KernelStack::destroySocket(CoreId core, Tick t, Socket *sock,
                            bool release_port)
 {
+    // One owner: an fd's socket dies only in close(), after the file
+    // is gone; the protocol frees only sockets no fd names.
+    fsim_assert(sock->file == nullptr);
     const Tick begin = t;
     if (sock->timer != TimerWheel::kInvalidTimer) {
         t = cancelConnTimer(core, t, sock);
@@ -529,22 +475,23 @@ KernelStack::wakeListen(CoreId core, Tick t, Socket *listener)
         // Slow path: a connection landed on the *global* listen socket
         // (its local clone was missing). Nobody waits on the global socket
         // in Fastsocket mode; nudge a random live process serving this
-        // port so its next accept() drains the global queue first.
+        // port, through its first local clone in fd order, so its next
+        // accept() drains the global queue first.
         std::size_t n = procs_.size();
         std::size_t start = d_.rng->range(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            KProcess &p = *procs_[(start + i) % n];
+        for (std::size_t i = 0; i < n && !target; ++i) {
+            const KProcess &p = *procs_[(start + i) % n];
             if (!p.alive)
                 continue;
-            for (Socket *clone : p.localListens) {
-                if (clone->bindPort == listener->bindPort &&
-                    !clone->watchers.empty()) {
-                    target = &clone->watchers.front();
+            for (const SocketFile *f : p.files) {
+                const Socket *s =
+                    f ? static_cast<const Socket *>(f->priv) : nullptr;
+                if (s && s->isLocalListen &&
+                    s->bindPort == listener->bindPort) {
+                    target = &s->watchers.front();
                     break;
                 }
             }
-            if (target)
-                break;
         }
     }
 
@@ -962,7 +909,10 @@ KernelStack::handleEstablishedPacket(CoreId core, Socket *sock,
                 stats_.establishedPeak = stats_.establishedCurr;
             wake_owner = true;
         } else if (pkt.has(kRst)) {
-            destroy = true;
+            // ECONNREFUSED: the fd still names the socket, so it stays
+            // (CLOSED) until the owner's close() frees it.
+            sock->state = TcpState::kClosed;
+            wake_owner = true;
         }
         break;
 
@@ -1336,12 +1286,11 @@ KernelStack::close(int proc, Tick t, int fd)
     SocketFile *file = p.fileAt(fd);
     fsim_assert(file != nullptr);
     Socket *sock = static_cast<Socket *>(file->priv);
-    // Apps close connections only; a listener lives as long as its
-    // process (killProcess reaps the clones).
-    fsim_assert(sock->kind == SockKind::kConnection);
+    const bool listener = sock->kind == SockKind::kListen;
 
     StageScope sc(d_.tracer, core, t, Phase::kSyscall);
-    sc.bind(sock->id, ConnStage::kTeardown);
+    if (!listener)
+        sc.bind(sock->id, ConnStage::kTeardown);
     t += d_.costs->syscallOverhead + d_.costs->closeCost;
     sock->touch(core);
 
@@ -1354,6 +1303,8 @@ KernelStack::close(int proc, Tick t, int fd)
     sock->file = nullptr;
 
     t = sc.locked(sock->slock, t, d_.costs->slockHoldApp);
+    if (listener)
+        return sc.close(closeListen(core, t, proc, fd, sock));
 
     switch (sock->state) {
       case TcpState::kEstablished:
@@ -1369,11 +1320,45 @@ KernelStack::close(int proc, Tick t, int fd)
         break;
       case TcpState::kSynSent:
       case TcpState::kSynRcvd:
+      case TcpState::kClosed:
         return sc.close(destroySocket(core, t, sock));
       default:
         break;
     }
     return sc.close(t);
+}
+
+Tick
+KernelStack::closeListen(CoreId core, Tick t, int proc, int fd,
+                         Socket *lsock)
+{
+    auto &w = lsock->watchers;
+    w.erase(std::remove(w.begin(), w.end(), std::make_pair(proc, fd)),
+            w.end());
+    // A shared global listener outlives any one process.
+    if (!lsock->isLocalListen && lsock->reuseportOwner != proc)
+        return t;
+    if (lsock->isLocalListen)
+        localListen_->table(lsock->homeCore).remove(lsock);
+    else
+        globalListen_.remove(lsock);
+
+    // SYN_RECV children die with the SYN queue and queued ones with the
+    // accept queue; accepted ones never read their parent again.
+    std::vector<Socket *> embryos;
+    arena_.forEach([&](Socket *s) {
+        if (s->parentListen != lsock)
+            return;
+        if (s->state == TcpState::kSynRcvd)
+            embryos.push_back(s);
+        else
+            s->parentListen = nullptr;
+    });
+    for (Socket *s : embryos)
+        t = destroySocket(core, t, s);
+    for (Socket *queued : lsock->acceptQueue)
+        t = destroySocket(core, t, queued);
+    return destroySocket(core, t, lsock);
 }
 
 std::vector<const Socket *>

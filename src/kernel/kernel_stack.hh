@@ -82,10 +82,6 @@ struct KProcess
         files[fd] = nullptr;
         --filesLive;
     }
-    /** Local listen clones created by this process (for crash cleanup). */
-    std::vector<Socket *> localListens;
-    /** Reuseport clones created by this process. */
-    std::vector<Socket *> reuseClones;
 };
 
 /** Aggregated kernel statistics. */
@@ -178,13 +174,12 @@ class KernelStack
     int addProcess(CoreId core);
 
     /**
-     * Simulate a process crash at @p t: its local listen clones and
-     * reuseport clones are destroyed by the kernel, like exit() would
-     * (the paper's robustness scenario, section 3.2.1), together with
-     * their SYN_RECV children and queued, never-accepted connections.
-     * @return the tick the teardown's charged work ends at.
+     * Simulate a process crash (section 3.2.1's robustness scenario):
+     * the process dies at once, and a task on its core then close()s
+     * every fd it holds, as exit() does. Killing a dead process is a
+     * no-op.
      */
-    Tick killProcess(int proc, Tick t);
+    void killProcess(int proc);
 
     /**
      * listen() on (addr, port) by @p proc.
@@ -268,7 +263,8 @@ class KernelStack
     /** write(): transmit @p bytes as one data segment. */
     Tick write(int proc, Tick t, int fd, std::uint32_t bytes);
 
-    /** close() a connection fd: release fd/file, send FIN if needed. */
+    /** close(): release fd and file, then send FIN, free a connection
+     *  that never established, or close a listener (closeListen). */
     Tick close(int proc, Tick t, int fd);
 
     /** @} */
@@ -359,8 +355,13 @@ class KernelStack
                              const Packet &pkt, TcpState state);
     /** A new listen socket bound to (addr, port). */
     Socket *newListenSocket(IpAddr addr, Port port);
+    /** Free @p sock, which no fd names any more. */
     Tick destroySocket(CoreId core, Tick t, Socket *sock,
                        bool release_port = true);
+    /** close()'s listen half: drop the (proc, fd) watcher; free @p
+     *  lsock with its unaccepted children if it is @p proc's own clone
+     *  (local or SO_REUSEPORT), not a shared global listener. */
+    Tick closeListen(CoreId core, Tick t, int proc, int fd, Socket *lsock);
 
     /** @name TIME_WAIT lifecycle */
     /** @{ */

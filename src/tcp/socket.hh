@@ -107,7 +107,8 @@ struct Socket
      *  end-to-end trace id the client minted. 0 = untraced. */
     std::uint64_t traceId = 0;
     /** Listen socket this connection was spawned from (passive only);
-     *  null once that listener died (KernelStack::killProcess). */
+     *  null once that listener's close() destroyed it (only accepted
+     *  connections outlive their listener). */
     Socket *parentListen = nullptr;
     /** Tick at which this connection entered its listener's accept
      *  queue; accept() derives the queue sojourn from it, which is the

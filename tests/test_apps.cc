@@ -228,6 +228,8 @@ struct ProxyFixture : public ::testing::Test
     std::unique_ptr<Proxy> proxy;
     std::vector<Packet> toClient;
     std::vector<Packet> toBackend;
+    /** The backend's answer to a SYN (RST|ACK: refused). */
+    std::uint8_t synReply = kSyn | kAck;
     /** The backend's data-less answer to a request (0: silence). */
     std::uint8_t backendReply = 0;
     FiveTuple client;
@@ -249,7 +251,7 @@ struct ProxyFixture : public ::testing::Test
             Packet r;
             r.tuple = p.tuple.reversed();
             if (p.has(kSyn)) {
-                r.flags = kSyn | kAck;
+                r.flags = synReply;
             } else if (p.payload > 0 && backendReply != 0) {
                 r.flags = backendReply;
             } else {
@@ -329,6 +331,45 @@ TEST_F(ProxyFixture, SessionEndedByOneFdSkipsTheOtherInTheSameRound)
     eq.runAll();
     EXPECT_TRUE(clientGot(kFin, /*with_data=*/false));
     expectNoLeak();
+}
+
+TEST_F(ProxyFixture, RefusingBackendIsRetriedThenFails)
+{
+    // Every connect is refused. The refused fd stays open until its
+    // attempt's timeout closes it; the first attempt and both retries
+    // fail, and the session fails with nothing leaked.
+    synReply = kRst | kAck;
+    proxy->setBackendTimeout(ticksFromUsec(500));
+    fromClient(kAck | kPsh, 100);
+    std::size_t syns = 0;
+    for (const Packet &p : toBackend)
+        syns += p.has(kSyn);
+    EXPECT_EQ(syns, 3u);
+    EXPECT_EQ(proxy->backendTimeouts(), 3u);
+    EXPECT_EQ(proxy->backendRetries(), 2u);
+    EXPECT_EQ(proxy->sessionFailures(), 1u);
+    EXPECT_EQ(proxy->served(), 0u);
+    EXPECT_TRUE(clientGot(kFin, /*with_data=*/false));
+    expectNoLeak();
+}
+
+TEST_F(ProxyFixture, KilledProxyIgnoresItsArmedBackendTimeout)
+{
+    // The exit closes both fds of a session whose backend timeout is
+    // still armed; the timeout must not close them a second time.
+    proxy->setBackendTimeout(ticksFromMsec(1));
+    Packet request;
+    request.tuple = client;
+    request.flags = kAck | kPsh;
+    request.payload = 100;
+    wire.transmit(request, eq.now());
+    eq.runUntil(eq.now() + ticksFromUsec(200));
+    ASSERT_EQ(toBackend.size(), 2u) << "SYN and the request";
+    m->kernel().killProcess(0);
+    eq.runAll();
+    EXPECT_EQ(m->kernel().vfs().liveFiles(), 0u);
+    EXPECT_EQ(proxy->backendTimeouts(), 1u);
+    EXPECT_EQ(proxy->backendRetries(), 0u);
 }
 
 } // anonymous namespace

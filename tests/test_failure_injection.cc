@@ -204,8 +204,11 @@ TEST(KernelEdge, RstToSynSentAbortsConnect)
     auto c = k.connect(proc, eq.now(), 0x0a010001, 80);
     ASSERT_NE(c.sock, nullptr);
     eq.runAll();
+    EXPECT_EQ(c.sock->state, TcpState::kClosed)
+        << "refused, but the fd still names the socket";
+    k.close(proc, eq.now(), c.fd);
     EXPECT_EQ(k.liveSockets(), baseline)
-        << "refused connection must be torn down";
+        << "refused connection must be torn down by its close()";
 }
 
 TEST(KernelEdge, CloseInSynSentAbortsCleanly)

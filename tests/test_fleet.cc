@@ -221,6 +221,32 @@ TEST(Fleet, VipFailsOverAgainAfterARestoredBalancerCrashesAgain)
     EXPECT_EQ(bed.load().failed(), failed);
 }
 
+TEST(Fleet, RestoredBalancerDoesNotTakeBackAPeersVip)
+{
+    // lb1 adopts VIP 0 while lb0 is down and loses it at lb0's restore.
+    // lb1's own crash and restore (quicker than a takeover) must then
+    // re-attach only its home VIP, leaving VIP 0 with the healthy lb0.
+    FleetTestbed bed(smallFleet(KernelConfig::fastsocket()));
+    EventQueue &eq = bed.eventQueue();
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromMsec(5));
+    bed.crashBalancer(0);
+    bed.runUntilChecked(eq.now() + ticksFromMsec(10));
+    bed.restoreBalancer(0);
+    bed.runUntilChecked(eq.now() + ticksFromMsec(10));
+    bed.crashBalancer(1);
+    bed.runUntilChecked(eq.now() + ticksFromMsec(2));
+    bed.restoreBalancer(1);
+    EXPECT_EQ(bed.vipTakeovers(), 1u);
+    const std::uint64_t created = bed.balancer(0).flowsCreated();
+    const std::uint64_t rsts = bed.balancer(1).natRsts();
+    bed.runUntilChecked(eq.now() + ticksFromMsec(20));
+    EXPECT_GT(bed.balancer(0).flowsCreated(), created)
+        << "lb0 still serves VIP 0";
+    EXPECT_EQ(bed.balancer(1).natRsts(), rsts)
+        << "lb1 answers none of lb0's flows";
+}
+
 TEST(Fleet, RestartedMachineStaysGray)
 {
     // A gray fault belongs to the slot, not to one generation: the

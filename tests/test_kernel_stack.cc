@@ -274,6 +274,44 @@ TEST_F(KernelFixture, ActiveConnectHandshake)
     EXPECT_EQ(k.stats().activeConns, 1u);
 }
 
+TEST_F(KernelFixture, RefusedConnectStaysOpenUntilClose)
+{
+    // A peer refusing the connect (RST|ACK to the SYN) is ECONNREFUSED:
+    // the socket turns CLOSED and wakes its owner, but its fd still
+    // names it, so only the owner's close() frees it, exactly once.
+    KernelConfig kc = KernelConfig::base2632();
+    kc.ephemeralPortLo = 40000;   // two ports
+    kc.ephemeralPortHi = 40001;
+    build(kc);
+    KernelStack &k = m->kernel();
+    int proc = k.addProcess(1);
+    k.listen(proc, srv(), 80);   // the outbound address
+
+    auto c = k.connect(proc, eq.now(), kBackendIp, 80);
+    ASSERT_NE(c.sock, nullptr);
+    const Port port = c.sock->rxTuple.dport;
+    k.epollAdd(proc, c.t, c.fd);
+    eq.runAll();
+    send(c.sock->rxTuple, kRst | kAck);
+    eq.runAll();
+    EXPECT_TRUE(k.process(proc).epoll->hasReady()) << "refusal wake";
+    EXPECT_FALSE(readyProcs.empty());
+    ASSERT_EQ(k.sockFromFd(proc, c.fd), c.sock);
+    EXPECT_EQ(c.sock->state, TcpState::kClosed);
+    ASSERT_NE(k.connect(proc, eq.now(), kBackendIp, 80).sock, nullptr);
+    EXPECT_EQ(k.connect(proc, eq.now(), kBackendIp, 80).sock, nullptr)
+        << "the refused socket still holds its port";
+
+    const std::uint64_t destroyed = k.stats().socketsDestroyed;
+    k.close(proc, eq.now(), c.fd);
+    EXPECT_EQ(k.stats().socketsDestroyed, destroyed + 1);
+    EXPECT_EQ(k.liveSockets(), 2u);   // the listener and the other one
+    EXPECT_EQ(k.sockFromFd(proc, c.fd), nullptr);
+    auto again = k.connect(proc, eq.now(), kBackendIp, 80);
+    ASSERT_NE(again.sock, nullptr);
+    EXPECT_EQ(again.sock->rxTuple.dport, port);
+}
+
 TEST_F(KernelFixture, EmbryonicCloseRecordsTeardownBeforeTraceRetires)
 {
     // close() in SYN_SENT destroys the TCB inside the syscall. The
@@ -415,7 +453,8 @@ TEST_F(KernelFixture, SlowPathSurvivesProcessCrash)
     k.localListen(p0, srv(), 80);
     k.localListen(p1, srv(), 80);
 
-    k.killProcess(p0, eq.now());
+    k.killProcess(p0);
+    eq.runAll();   // the exit task closes p0's listen fd
 
     FiveTuple t = tupleForQueue(0);   // lands on the dead process's core
     send(t, kSyn);
@@ -662,10 +701,11 @@ TEST_F(KernelFixture, SlowPathWithNoLiveProcessQueuesWithoutWaking)
     build(KernelConfig::fastsocket(), 2);
     KernelStack &k = m->kernel();
     int p0 = k.addProcess(0);
-    k.listen(p0, srv(), 80);
+    int lfd = k.listen(p0, srv(), 80);
     k.localListen(p0, srv(), 80);
-    k.killProcess(p0, eq.now());
+    k.killProcess(p0);
     handshake(tupleForQueue(0));
+    EXPECT_EQ(k.sockFromFd(p0, lfd), nullptr) << "exit closed the fd";
     EXPECT_FALSE(clientSaw(kRst));
     std::size_t queued = 0;
     for (const Socket *s : k.allSockets())
@@ -674,6 +714,29 @@ TEST_F(KernelFixture, SlowPathWithNoLiveProcessQueuesWithoutWaking)
     EXPECT_EQ(queued, 1u);
     EXPECT_FALSE(k.process(p0).epoll->hasReady());
     EXPECT_TRUE(readyProcs.empty());
+}
+
+TEST_F(KernelFixture, KilledProcessLeavesASharedListenerToItsPeers)
+{
+    // Stock kernel: both processes watch one global listener. The dead
+    // one's exit drops only its own watcher; the listener lives on.
+    build(KernelConfig::base2632(), 2);
+    KernelStack &k = m->kernel();
+    int p0 = k.addProcess(0);
+    int p1 = k.addProcess(1);
+    int lfd0 = k.listen(p0, srv(), 80);
+    int lfd1 = k.listen(p1, srv(), 80);
+    const Socket *shared = k.sockFromFd(p1, lfd1);
+    ASSERT_EQ(k.sockFromFd(p0, lfd0), shared);
+    k.killProcess(p0);
+    eq.runAll();
+    EXPECT_EQ(k.sockFromFd(p0, lfd0), nullptr);
+    ASSERT_EQ(shared->watchers.size(), 1u);
+    EXPECT_EQ(shared->watchers.front().first, p1);
+
+    handshake(tupleForQueue(0));
+    EXPECT_EQ(readyProcs, std::vector<int>{p1});
+    EXPECT_NE(k.accept(p1, eq.now(), lfd1).sock, nullptr);
 }
 
 TEST_F(KernelFixture, HandshakeAckCarryingTheRequestIsServed)
@@ -862,10 +925,12 @@ TEST_F(KernelFixture, SoftirqBudgetDropsSteeredSyn)
 
 /**
  * Paper 3.2.1 under live traffic: kill a process mid-run while it holds
- * SYN_RECV embryos and never-accepted connections on its listen clones
- * (local-listen clones on Fastsocket, SO_REUSEPORT clones on 3.13). The
- * kernel tears them down at the kill tick, no TCB keeps a pointer to a
- * dead clone, and the survivor keeps serving with every invariant held.
+ * SYN_RECV embryos and never-accepted connections on its listen clone
+ * (a local-listen clone on Fastsocket, an SO_REUSEPORT clone on 3.13)
+ * and accepted connections on other fds. Its exit closes every fd: the
+ * clone dies with its children, every accepted connection sends its
+ * FIN, no TCB keeps a pointer to the dead clone, and the survivor keeps
+ * serving with every invariant held.
  */
 class KillMidRun : public ::testing::TestWithParam<bool>
 {
@@ -879,6 +944,8 @@ TEST_P(KillMidRun, TearsDownItsConnectionsAndKeepsServing)
     cfg.machine.kernel = GetParam() ? KernelConfig::fastsocket()
                                     : KernelConfig::linux313();
     cfg.concurrencyPerCore = 100;
+    // Keep-alive: between requests the victim holds accepted fds.
+    cfg.requestsPerConn = 4;
     cfg.checkLevel = CheckLevel::kPeriodic;
     cfg.checkIntervalSec = 0.002;
     Testbed bed(cfg);
@@ -886,13 +953,18 @@ TEST_P(KillMidRun, TearsDownItsConnectionsAndKeepsServing)
     KernelStack &k = bed.machine().kernel();
     const int victim = 0;
     KProcess &vp = k.process(victim);
-    std::set<const Socket *> clones(vp.localListens.begin(),
-                                    vp.localListens.end());
-    clones.insert(vp.reuseClones.begin(), vp.reuseClones.end());
-    ASSERT_EQ(clones.size(), 1u);
-    const Socket *clone = *clones.begin();
+    const Core &vcore = bed.machine().cpu().core(vp.core);
+    // Before any load the victim's one fd is its listen fd, which
+    // names its own clone.
+    ASSERT_EQ(vp.filesLive, 1u);
+    int lfd = 0;
+    while (k.sockFromFd(victim, lfd) == nullptr)
+        ++lfd;
+    const Socket *clone = k.sockFromFd(victim, lfd);
+    ASSERT_TRUE(clone->isLocalListen || clone->reuseportOwner == victim);
 
-    // Step until the victim's clone holds both kinds of children.
+    // Step until the victim's clone holds both kinds of children and
+    // the victim holds an accepted connection.
     auto embryosOf = [&k](const Socket *parent) {
         std::vector<const Socket *> out;
         for (const Socket *s : k.allSockets())
@@ -904,31 +976,63 @@ TEST_P(KillMidRun, TearsDownItsConnectionsAndKeepsServing)
     bed.startLoad();
     bed.runUntilChecked(ticksFromMsec(5));
     for (int i = 0; i < 20000 && (embryosOf(clone).empty() ||
-                                  clone->acceptQueue.empty());
+                                  clone->acceptQueue.empty() ||
+                                  vp.filesLive < 2);
          ++i)
         bed.runUntilChecked(eq.now() + ticksFromUsec(1));
-    std::vector<std::uint64_t> doomed;
-    for (const Socket *s : embryosOf(clone))
-        doomed.push_back(s->id);
-    for (const Socket *s : clone->acceptQueue)
-        doomed.push_back(s->id);
     ASSERT_FALSE(embryosOf(clone).empty());
     ASSERT_FALSE(clone->acceptQueue.empty());
 
-    const KernelStats before = k.stats();
-    const std::size_t live = k.liveSockets();
     const std::uint64_t completed = bed.load().completed();
     const Tick kill = eq.now();
-    const Tick end = k.killProcess(victim, kill);
-    EXPECT_GT(end, kill) << "teardown work is charged from the kill tick";
+    k.killProcess(victim);
+    EXPECT_FALSE(vp.alive);
+    const std::size_t queued = vcore.backlog();
+    k.killProcess(victim);
+    EXPECT_EQ(vcore.backlog(), queued) << "a dead process dies once";
+
+    // The accepted connections the exit must FIN (a dead process's fd
+    // table no longer changes until then).
+    std::vector<std::uint64_t> held;
+    for (int fd = 0; fd < static_cast<int>(vp.files.size()); ++fd)
+        if (const Socket *s = k.sockFromFd(victim, fd))
+            if (s->kind == SockKind::kConnection)
+                held.push_back(s->id);
+    ASSERT_FALSE(held.empty());
+
+    // Step one event at a time: the one that empties the fd table is
+    // the exit task, and the state just before it is what it tears
+    // down.
+    std::vector<std::uint64_t> doomed;
+    KernelStats before;
+    std::size_t live = 0;
+    while (vp.filesLive > 0) {
+        doomed.clear();
+        for (const Socket *s : embryosOf(clone))
+            doomed.push_back(s->id);
+        for (const Socket *s : clone->acceptQueue)
+            doomed.push_back(s->id);
+        before = k.stats();
+        live = k.liveSockets();
+        ASSERT_TRUE(eq.runOne());
+    }
+    const Tick start = eq.now();
+    const Tick end = vcore.busyUntil();
+    EXPECT_GE(start, kill);
+    EXPECT_GT(end, start) << "the closes are charged on the dying core";
+    EXPECT_EQ(k.sockFromFd(victim, lfd), nullptr);
     EXPECT_EQ(k.stats().socketsDestroyed - before.socketsDestroyed,
               doomed.size() + 1) << "children plus the clone";
     EXPECT_EQ(k.liveSockets(), live - doomed.size() - 1);
-    EXPECT_EQ(k.killProcess(victim, end), end) << "a dead process dies once";
-    EXPECT_EQ(k.stats().socketsDestroyed,
-              before.socketsDestroyed + doomed.size() + 1);
+    for (const Socket *s : k.allSockets()) {
+        if (std::find(held.begin(), held.end(), s->id) != held.end()) {
+            EXPECT_TRUE(s->state == TcpState::kFinWait1 ||
+                        s->state == TcpState::kLastAck)
+                << tcpStateName(s->state);
+        }
+    }
 
-    // Each torn-down connection's span closes at the kill tick or later.
+    // Each torn-down connection's span closes inside the exit task.
     const auto &traces = bed.machine().tracer().connSpans().completed();
     std::size_t closed = 0;
     for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -937,7 +1041,7 @@ TEST_P(KillMidRun, TearsDownItsConnectionsAndKeepsServing)
             doomed.end())
             continue;
         ++closed;
-        EXPECT_GE(tr.closeTick, kill);
+        EXPECT_GE(tr.closeTick, start);
         EXPECT_LE(tr.closeTick, end);
     }
     EXPECT_EQ(closed, doomed.size());
@@ -951,7 +1055,7 @@ TEST_P(KillMidRun, TearsDownItsConnectionsAndKeepsServing)
         }
     }
 
-    bed.runUntilChecked(kill + ticksFromMsec(20));
+    bed.runUntilChecked(eq.now() + ticksFromMsec(20));
     EXPECT_GT(bed.load().completed(), completed) << "the survivor serves";
     ExperimentResult r = bed.collect();
     EXPECT_TRUE(r.invariants.ok()) << r.invariants.summary();
