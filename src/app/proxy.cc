@@ -137,13 +137,18 @@ Proxy::onBackendTimeout(std::uint64_t sid, Tick t)
         return t;   // raced with completion
     Session *s = *found;
     ProcState &ps = procs_.at(s->procIdx);
-    KernelStack &k = m_.kernel();
-    if (!k.process(ps.proc).alive)
+    if (!m_.kernel().process(ps.proc).alive)
         return t;   // its exit already closed both fds
+    return failAttempt(ps, s, t);
+}
 
+Tick
+Proxy::failAttempt(ProcState &ps, Session *s, Tick t)
+{
+    KernelStack &k = m_.kernel();
     noteBackendFailure(s->backendIdx);
     if (s->backendFd >= 0) {
-        // Abandon the stuck backend connection.
+        // Abandon the failed backend connection.
         sessions_.erase(skey(ps.proc, s->backendFd));
         t = k.close(ps.proc, t, s->backendFd);
         s->backendFd = -1;
@@ -201,6 +206,10 @@ Proxy::onConnReadable(ProcState &ps, int fd, Tick t)
 
     // Backend fd.
     if (s->phase == Phase::kBackendConnect) {
+        // Refused: the backend answered the SYN with an RST. An armed
+        // timeout ends this attempt; without one nothing else would.
+        if (sock->state == TcpState::kClosed && backendTimeout_ == 0)
+            return failAttempt(ps, s, t);
         if (sock->state == TcpState::kEstablished) {
             // Connect completed: forward the request.
             t = k.write(ps.proc, t, fd, s->requestBytes);

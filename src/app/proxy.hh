@@ -33,8 +33,9 @@ class Proxy : public AppBase
           std::uint32_t response_bytes = 64);
 
     /** Per-attempt backend timeout (0 = disabled, the default). A
-     *  timeout enables two retries per session and ejects a backend
-     *  after three consecutive failures, for 4 x the timeout. */
+     *  timeout or a refused connect fails the attempt: a session gets
+     *  two retries, and three consecutive failures eject a backend for
+     *  4 x the timeout. */
     void setBackendTimeout(Tick t) { backendTimeout_ = t; }
 
     /** Active connections the proxy failed to open (port exhaustion). */
@@ -101,6 +102,9 @@ class Proxy : public AppBase
     Tick closeSession(ProcState &ps, Session *s, Tick t);
     Tick connectBackend(ProcState &ps, Session *s, Tick t);
     Tick onBackendTimeout(std::uint64_t sid, Tick t);
+    /** The current attempt failed: close its backend fd, then retry
+     *  or, past kMaxRetries, fail the session. */
+    Tick failAttempt(ProcState &ps, Session *s, Tick t);
     void armBackendTimeout(std::uint64_t sid);
     std::size_t pickBackend();
     void noteBackendFailure(std::size_t bi);

@@ -28,7 +28,11 @@ TimeWaitTable::add(int bucket, const FiveTuple &tuple,
     fsim_assert(bucket >= 0 && bucket < bucketCount());
     RingQueue<Entry> &ring = rings_[bucket];
     fsim_assert(ring.size() < 0xffff'ffff);
-    const std::size_t pos = ring.push_back(Entry{tuple, holds_port, expires});
+    Entry e;
+    e.tuple = tuple;
+    e.holdsPort = holds_port;
+    e.expires = expires;
+    const std::size_t pos = ring.push_back(e);
     // A tuple cannot linger twice: the old entry is always removed
     // (recycled) before the tuple can complete another handshake.
     const bool inserted = index_.insert(tuple, refTo(bucket, pos)).second;
@@ -50,10 +54,12 @@ TimeWaitTable::remove(const FiveTuple &tuple, Entry *out)
     const Ref *ref = index_.find(tuple);
     if (!ref)
         return false;
+    Entry &e = entryAt(*ref);
     if (out)
-        *out = entryAt(*ref);
+        *out = e;
     // The ring slot goes stale and is skipped at reap/headExpiry time;
     // eager middle-of-queue removal would be O(n) per recycled tuple.
+    e.stale = true;
     index_.erase(tuple);
     return true;
 }
@@ -63,13 +69,9 @@ TimeWaitTable::headExpiry(int bucket)
 {
     fsim_assert(bucket >= 0 && bucket < bucketCount());
     RingQueue<Entry> &ring = rings_[bucket];
-    while (!ring.empty()) {
-        const Ref *ref = index_.find(ring.front().tuple);
-        if (ref && *ref == refTo(bucket, ring.frontPos()))
-            return ring.front().expires;
-        ring.pop_front();    // stale: removed, or re-added since
-    }
-    return 0;
+    while (!ring.empty() && ring.front().stale)
+        ring.pop_front();
+    return ring.empty() ? 0 : ring.front().expires;
 }
 
 std::uint64_t

@@ -16,11 +16,11 @@
  * index maps each lingering tuple to its ring position, 8 bytes, for the
  * two packets a TIME_WAIT tuple can still see: a retransmitted FIN
  * (re-ACK it) and a new SYN reusing the tuple (drop, or recycle under
- * tcp_tw_recycle). remove() only drops the index entry; the ring slot it
- * leaves is stale, because the index no longer points at it, and is
- * skipped when it reaches the head. A lingering connection costs a
- * 24-byte ring entry and a 24-byte index slot at their high-water
- * capacities.
+ * tcp_tw_recycle). remove() drops the index entry and marks the ring
+ * slot stale through it; a stale slot is skipped when it reaches the
+ * head, so reaping probes the index once per live entry, to erase it.
+ * A lingering connection costs a 24-byte ring entry and a 24-byte
+ * index slot at their high-water capacities.
  */
 
 #ifndef FSIM_CONN_TIME_WAIT_HH
@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hh"
@@ -49,8 +50,12 @@ class TimeWaitTable
         /** Entry still owns the local ephemeral port (active close
          *  without tcp_tw_reuse); the reaper must release it. */
         bool holdsPort = false;
+        /** Removed from the index; the reaper skips it. Set only on a
+         *  ring slot, never on an entry a caller sees. */
+        bool stale = false;
         std::uint64_t expires = 0;  //!< absolute jiffy
     };
+    static_assert(sizeof(Entry) == 24);
 
   private:
     struct TupleHash
@@ -76,8 +81,6 @@ class TimeWaitTable
     {
         std::uint32_t bucket = 0;
         std::uint32_t pos = 0;
-
-        bool operator==(const Ref &) const = default;
     };
 
     using Index = FlatMap<FiveTuple, Ref, TupleHash>;
@@ -124,7 +127,7 @@ class TimeWaitTable
     std::uint64_t reapExpired(int bucket, std::uint64_t now_jiffy,
                               std::vector<Entry> &reaped);
 
-    /** Expiry of @p bucket's head entry (0 if empty); prunes any stale
+    /** Expiry of @p bucket's head entry (0 if empty); pops any stale
      *  head slots left by remove(). */
     std::uint64_t headExpiry(int bucket);
 
@@ -141,13 +144,18 @@ class TimeWaitTable
     }
 
     const Entry &entryAt(Ref ref) const;
+    Entry &
+    entryAt(Ref ref)
+    {
+        return const_cast<Entry &>(std::as_const(*this).entryAt(ref));
+    }
 
     /** One expiry-ordered ring per bucket: every entry added to it and
      *  not yet popped, live or stale. Rings and the flat index keep the
      *  add/remove/reap churn off the allocator in steady state. */
     std::vector<RingQueue<Entry>> rings_;
-    /** Each lingering tuple's ring slot. A slot it does not point at
-     *  is stale: removed, or its tuple re-added since. */
+    /** Each lingering tuple's ring slot. A ring slot it does not point
+     *  at is marked stale. */
     Index index_;
     std::size_t peak_ = 0;
 };

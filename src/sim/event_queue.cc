@@ -10,16 +10,6 @@ namespace fsim
 namespace
 {
 
-/** Total order on events: earlier tick first, FIFO (seq) within a tick. */
-inline bool
-earlier(const Tick wa, const std::uint64_t sa,
-        const Tick wb, const std::uint64_t sb)
-{
-    if (wa != wb)
-        return wa < wb;
-    return sa < sb;
-}
-
 /**
  * Set rung geometry to cover @p span ticks with roughly @p target
  * buckets: width is the smallest power of two >= span/target + 1 so
@@ -119,6 +109,7 @@ EventQueue::insertNode(Node *n)
         if (idx < rung.cur)
             continue;   // bucket already drained; belongs further in
         rung.buckets[idx].push(n);
+        ++epochInserts_;
         return;
     }
 
@@ -134,17 +125,14 @@ EventQueue::insertBottom(Node *n)
     // Descending (when, seq): back of the vector is the next event
     // out. The common case is an append at the back (the new event is
     // the earliest staged), so probe that before binary-searching.
-    if (bottom_.empty() ||
-        earlier(n->when, n->seq, bottom_.back()->when,
-                bottom_.back()->seq)) {
-        bottom_.push_back(n);
+    const Staged s{n->when, n->seq, n};
+    if (bottom_.empty() || s.before(bottom_.back())) {
+        bottom_.push_back(s);
     } else {
         auto it = std::upper_bound(
-            bottom_.begin(), bottom_.end(), n,
-            [](const Node *a, const Node *b) {
-                return earlier(b->when, b->seq, a->when, a->seq);
-            });
-        bottom_.insert(it, n);
+            bottom_.begin(), bottom_.end(), s,
+            [](const Staged &a, const Staged &b) { return b.before(a); });
+        bottom_.insert(it, s);
     }
 
     // With no rung behind it, the bottom takes every schedule up to
@@ -163,11 +151,11 @@ EventQueue::ladderBottom()
     // Only the bottom's own nodes move: O(bottom) per trigger however
     // many events are parked in the top. The bottom is sorted
     // descending, so its span is [back, front].
-    const Tick min = bottom_.back()->when;
-    const Tick max = bottom_.front()->when;
+    const Tick min = bottom_.back().when;
+    const Tick max = bottom_.front().when;
     Rung &r = openRung(min, max - min, bottom_.size());
-    for (Node *n : bottom_)
-        r.push(n);
+    for (const Staged &s : bottom_)
+        r.push(s.node);
     bottom_.clear();
     // Everything staged was at or before topStart_, so the top still
     // dispatches after the rung. A later schedule at or past the rung's
@@ -216,7 +204,7 @@ EventQueue::spillTop()
         for (Node *n = head; n;) {
             Node *next = n->next;
             n->next = nullptr;
-            bottom_.push_back(n);
+            stage(n);
             n = next;
         }
         return;
@@ -225,8 +213,25 @@ EventQueue::spillTop()
     // Open a fresh outermost rung covering [min, max]. All bucket math
     // is of the form (when - start) >> shift with when <= max, so
     // nothing here can overflow even with ticks near kTickMax.
+    //
+    // Size it for the events it will receive, not for the batch: while
+    // the epoch drains, schedules keep landing in its span, ~20x the
+    // spilled batch on the 24-core workloads. A rung sized from the
+    // batch alone overfills nearly every bucket, and each overfull
+    // bucket re-pushes its nodes into a sub-rung. Epoch spans vary 3x
+    // from one epoch to the next while the insert rate holds, so the
+    // estimate is the last epoch's inserts per tick times this span.
     fsim_assert(activeRungs_ == 0);
-    Rung &r = openRung(min, max - min, count);
+    const Tick span = max - min;
+    const double estimate = static_cast<double>(epochInserts_) *
+                            static_cast<double>(span) /
+                            static_cast<double>(epochSpan_);
+    const std::size_t expect = std::max(
+        count, static_cast<std::size_t>(std::min(
+                   estimate, double{kMaxBucketsPerRung * kSortThreshold})));
+    epochInserts_ = count;
+    epochSpan_ = span + 1;
+    Rung &r = openRung(min, span, expect);
     for (Node *n = head; n;) {
         Node *next = n->next;
         r.push(n);
@@ -246,7 +251,7 @@ EventQueue::openRung(Tick start, Tick span, std::size_t count)
     // dribble, so the refill path runs once per ~32 events rather
     // than once or twice per event.
     const std::size_t target =
-        std::min(count / (kSortThreshold / 2) + 1, kMaxBucketsPerRung);
+        std::min(count / (kSortThreshold / 4) + 1, kMaxBucketsPerRung);
     r.start = start;
     setRungGeometry(start, span, target, &r.end, &r.shift, &r.nbuckets);
     r.cur = 0;
@@ -275,6 +280,7 @@ EventQueue::drainBucket(Rung &r, std::size_t idx)
         const Tick start = r.start + (static_cast<Tick>(idx) << r.shift);
         const Tick span = (Tick{1} << r.shift) - 1;
         Rung &sub = openRung(start, span, count);
+        rebucketed_ += count;
         for (Node *n = head; n;) {
             Node *next = n->next;
             sub.push(n);
@@ -286,7 +292,7 @@ EventQueue::drainBucket(Rung &r, std::size_t idx)
     for (Node *n = head; n;) {
         Node *next = n->next;
         n->next = nullptr;
-        bottom_.push_back(n);
+        stage(n);
         n = next;
     }
 }
@@ -296,15 +302,12 @@ EventQueue::sortBottomSuffix(std::size_t from)
 {
     std::sort(bottom_.begin() + static_cast<std::ptrdiff_t>(from),
               bottom_.end(),
-              [](const Node *a, const Node *b) {
-                  return earlier(b->when, b->seq, a->when, a->seq);
-              });
+              [](const Staged &a, const Staged &b) { return b.before(a); });
     // Ladder ordering guarantees the refilled suffix is entirely at or
     // after whatever was already staged, so no merge is needed; assert
     // the invariant instead of paying for one.
     fsim_assert(from == 0 || bottom_.size() == from ||
-                !earlier(bottom_.back()->when, bottom_.back()->seq,
-                         bottom_[from - 1]->when, bottom_[from - 1]->seq));
+                !bottom_.back().before(bottom_[from - 1]));
 }
 
 bool
@@ -353,7 +356,7 @@ EventQueue::prepareBottom()
 void
 EventQueue::runUntil(Tick limit)
 {
-    while (prepareBottom() && bottom_.back()->when <= limit)
+    while (prepareBottom() && bottom_.back().when <= limit)
         runOne();
     if (now_ < limit)
         now_ = limit;

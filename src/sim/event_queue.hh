@@ -86,15 +86,15 @@ class EventQueue
     {
         if (bottom_.empty() && !prepareBottom())
             return false;
-        Node *n = bottom_.back();
+        Node *n = bottom_.back().node;
+        now_ = bottom_.back().when;
         bottom_.pop_back();
         // Pull the next staged node toward the cache while this one's
         // handler runs; dispatch is dominated by cold node lines
         // otherwise.
         if (!bottom_.empty())
-            __builtin_prefetch(bottom_.back());
+            __builtin_prefetch(bottom_.back().node);
         --size_;
-        now_ = n->when;
         ++executed_;
         if (opTrace_)
             ++traceRuns_;
@@ -162,6 +162,9 @@ class EventQueue
     /** High-water mark of the sorted dispatch bottom, taken between
      *  operations. With no rung active it stays at most kBottomMax. */
     std::size_t peakBottom() const { return peakBottom_; }
+    /** Nodes moved from an overfull bucket into a sub-rung: each one
+     *  is bucketed a second time. */
+    std::uint64_t rebucketed() const { return rebucketed_; }
     /** Node-slab capacity in events (memory visibility). */
     std::size_t slabCapacity() const { return slab_.capacity(); }
     /** @} */
@@ -176,6 +179,22 @@ class EventQueue
         EventFn fn;
     };
     static_assert(sizeof(Node) == 96);
+
+    /** One event staged for dispatch: its sort key beside its node,
+     *  so sorting and searching the bottom never touch a node. */
+    struct Staged
+    {
+        Tick when;
+        std::uint64_t seq;
+        Node *node;
+
+        /** Dispatch order: earlier tick first, FIFO (seq) within one. */
+        bool
+        before(const Staged &o) const
+        {
+            return when != o.when ? when < o.when : seq < o.seq;
+        }
+    };
 
     /** FIFO-append list of nodes covering one bucket-width of time. */
     struct Bucket
@@ -261,10 +280,11 @@ class EventQueue
     void drainBucket(Rung &r, std::size_t idx);
     void sortBottomSuffix(std::size_t from);
 
-    Tick bottomMaxWhen() const { return bottom_.front()->when; }
+    void stage(Node *n) { bottom_.push_back(Staged{n->when, n->seq, n}); }
+    Tick bottomMaxWhen() const { return bottom_.front().when; }
 
     // Dispatch bottom: sorted descending by (when, seq); back = next.
-    std::vector<Node *> bottom_;
+    std::vector<Staged> bottom_;
 
     // Ladder rungs, outermost (widest) first; active_ is a stack depth
     // so Rung objects (and their bucket vectors) are reused across
@@ -281,6 +301,11 @@ class EventQueue
     /** Events at or after this tick go to the top; kTickMax = no epoch
      *  is active (empty queue / pure-bottom regime). */
     Tick topStart_ = kTickMax;
+    /** Events the current epoch's rungs received: the spilled batch
+     *  plus every schedule bucketed into a rung since. The next spill
+     *  sizes its rung from this count, not from its own batch. */
+    std::size_t epochInserts_ = 0;
+    Tick epochSpan_ = 1;   //!< ticks the current epoch's rung spans
 
     NodeSlab<Node, kChunkNodes> slab_;
 
@@ -293,6 +318,7 @@ class EventQueue
     std::uint64_t clampedPast_ = 0;
     std::size_t peakPending_ = 0;
     std::size_t peakBottom_ = 0;
+    std::uint64_t rebucketed_ = 0;
 
     // Op-trace recording (bench_sim_core workload capture).
     std::vector<SchedOp> *opTrace_ = nullptr;

@@ -353,6 +353,25 @@ TEST_F(ProxyFixture, RefusingBackendIsRetriedThenFails)
     expectNoLeak();
 }
 
+TEST_F(ProxyFixture, RefusedBackendFailsOverWithoutTimeout)
+{
+    // No timeout is armed, so the refusal itself fails each attempt:
+    // the first connect and both retries are refused, and the session
+    // fails instead of stranding the client with the refused fd open.
+    synReply = kRst | kAck;
+    fromClient(kAck | kPsh, 100);
+    std::size_t syns = 0;
+    for (const Packet &p : toBackend)
+        syns += p.has(kSyn);
+    EXPECT_EQ(syns, 3u);
+    EXPECT_EQ(proxy->backendTimeouts(), 0u);
+    EXPECT_EQ(proxy->backendRetries(), 2u);
+    EXPECT_EQ(proxy->sessionFailures(), 1u);
+    EXPECT_EQ(proxy->served(), 0u);
+    EXPECT_TRUE(clientGot(kFin, /*with_data=*/false));
+    expectNoLeak();
+}
+
 TEST_F(ProxyFixture, KilledProxyIgnoresItsArmedBackendTimeout)
 {
     // The exit closes both fds of a session whose backend timeout is

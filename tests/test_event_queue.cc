@@ -9,6 +9,7 @@
 #include <functional>
 #include <vector>
 
+#include "harness/experiment.hh"
 #include "sim/event_queue.hh"
 
 namespace fsim
@@ -213,6 +214,32 @@ TEST(EventQueue, StatsCountersTrackActivity)
     eq.runAll();
     EXPECT_EQ(eq.peakPending(), 100u);
     EXPECT_EQ(eq.executed(), 100u);
+}
+
+TEST(EventQueue, TwentyFourCoreNginxBucketsMostEventsOnce)
+{
+    // A 24-core Fastsocket nginx run schedules ~17x an epoch's spilled
+    // batch into the epoch while it drains. A rung sized from the batch
+    // alone re-pushes nearly every event into a sub-rung (96% here); one
+    // sized from the last epoch's inserts re-pushes under a tenth.
+    ExperimentConfig cfg;
+    cfg.app = AppKind::kNginx;
+    cfg.machine.cores = 24;
+    cfg.machine.kernel = KernelConfig::fastsocket();
+    cfg.machine.seed = 1;
+    cfg.machine.traceEnabled = false;
+    cfg.checkLevel = CheckLevel::kOff;
+    cfg.concurrencyPerCore = 400;
+    cfg.warmupSec = 0.0;
+    cfg.measureSec = 0.0;
+    Testbed bed(cfg);
+    bed.startLoad();
+    bed.runUntilChecked(ticksFromSeconds(0.1));
+    const EventQueue &eq = bed.eventQueue();
+    ASSERT_GT(eq.scheduled(), 100'000u);
+    EXPECT_LE(eq.rebucketed(), eq.scheduled() / 10)
+        << eq.rebucketed() << " of " << eq.scheduled()
+        << " scheduled events re-pushed into a sub-rung";
 }
 
 /** Property: with random schedule times, execution is monotone in time. */
