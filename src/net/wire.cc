@@ -170,13 +170,14 @@ Wire::deliverAt(const Packet &pkt, Tick when)
         const Endpoint *handler = lookup(pkt.tuple.daddr);
         fsim_assert(handler != nullptr);
         ++delivered_;
-        seqHash_.mix(eq_.now());
-        seqHash_.mix((static_cast<std::uint64_t>(pkt.tuple.saddr) << 32) |
-                     pkt.tuple.daddr);
-        seqHash_.mix((static_cast<std::uint64_t>(pkt.tuple.sport) << 48) |
-                     (static_cast<std::uint64_t>(pkt.tuple.dport) << 32) |
-                     (static_cast<std::uint64_t>(pkt.flags) << 24));
-        seqHash_.mix(static_cast<std::uint64_t>(pkt.payload));
+        seqHash_.mixDelivery(
+            eq_.now(),
+            (static_cast<std::uint64_t>(pkt.tuple.saddr) << 32) |
+                pkt.tuple.daddr,
+            (static_cast<std::uint64_t>(pkt.tuple.sport) << 48) |
+                (static_cast<std::uint64_t>(pkt.tuple.dport) << 32) |
+                (static_cast<std::uint64_t>(pkt.flags) << 24),
+            static_cast<std::uint64_t>(pkt.payload));
         (*handler)(pkt);
     });
 }

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
 #include "check/fingerprint.hh"
 #include "check/invariants.hh"
 #include "harness/experiment.hh"
@@ -101,6 +105,56 @@ TEST(Fingerprint, SensitiveToValueAndOrder)
     Fingerprint d;
     d.mix(std::uint64_t{1});
     EXPECT_NE(a.value(), d.value());
+}
+
+/** Three deliveries: (tick, addresses, ports and flags, payload). */
+constexpr std::uint64_t kDeliveries[3][4] = {
+    {10'000, 0xac100001'0a000001ULL, 0x9c40'0050'02000000ULL, 0},
+    {20'000, 0x0a000001'ac100001ULL, 0x0050'9c40'12000000ULL, 0},
+    {30'000, 0xac100001'0a000001ULL, 0x9c40'0050'18000000ULL, 120},
+};
+
+std::uint64_t
+foldDeliveries(const std::uint64_t (*d)[4], std::size_t n)
+{
+    Fingerprint f;
+    for (std::size_t i = 0; i < n; ++i)
+        f.mixDelivery(d[i][0], d[i][1], d[i][2], d[i][3]);
+    return f.value();
+}
+
+TEST(Fingerprint, DeliveryFoldSeesEveryBitOfEveryWord)
+{
+    const std::uint64_t base = foldDeliveries(kDeliveries, 3);
+    for (int word = 0; word < 4; ++word) {
+        for (int bit = 0; bit < 64; ++bit) {
+            std::uint64_t d[3][4];
+            std::copy(&kDeliveries[0][0], &kDeliveries[0][0] + 12, &d[0][0]);
+            d[1][word] ^= std::uint64_t{1} << bit;
+            EXPECT_NE(foldDeliveries(d, 3), base)
+                << "word " << word << " bit " << bit;
+        }
+    }
+}
+
+TEST(Fingerprint, DeliveryFoldSeesOrder)
+{
+    std::uint64_t d[3][4];
+    std::copy(&kDeliveries[0][0], &kDeliveries[0][0] + 12, &d[0][0]);
+    std::swap(d[0], d[1]);
+    EXPECT_NE(foldDeliveries(d, 3), foldDeliveries(kDeliveries, 3));
+    std::copy(&kDeliveries[0][0], &kDeliveries[0][0] + 12, &d[0][0]);
+    std::swap(d[1], d[2]);
+    EXPECT_NE(foldDeliveries(d, 3), foldDeliveries(kDeliveries, 3));
+}
+
+TEST(Fingerprint, DeliveryFoldIsPinned)
+{
+    // Every run fingerprint is built on this value: a change to the fold
+    // re-pins every bench and corpus fingerprint, so it must be
+    // deliberate.
+    const std::uint64_t v = foldDeliveries(kDeliveries, 3);
+    EXPECT_EQ(v, 0xde148ebe2020260aULL) << Fingerprint::hex(v);
 }
 
 TEST(Fingerprint, MixesDoublesAndRendersHex)

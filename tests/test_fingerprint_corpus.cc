@@ -56,20 +56,20 @@ struct ScenarioPin
 // Pinned history for every committed fuzz reproducer. Keep in sync
 // with tests/corpus/: a new .scn lands here with its first fingerprint.
 const ScenarioPin kScenarioPins[] = {
-    {"atr_clamp_reorder_fastsocket.scn", 0x714b59c3d4918374},
-    {"cookie_flood_small_backlog.scn", 0x85e4fcf5e74957cc},
-    {"fleet_gray_degrade_flap.scn", 0x8bfaf30d27e67c94},
-    {"fleet_partition_lb_machine.scn", 0x1aaa543db5dd0a61},
-    {"fleet_rolling_restart_overload.scn", 0xeb6648998995f297},
-    {"keepalive_partial_features.scn", 0x286ea8240e94c287},
-    {"loss_burst_client_retx.scn", 0xfbca52dfacf68bff},
-    {"lossy_haproxy.scn", 0xb0e03df2826ac200},
-    {"lossy_tiny_backlog_haproxy.scn", 0x9516da1f5b56caa4},
-    {"proxy_port_exhaustion_keepalive.scn", 0x74fb8ad68dc340c},
-    {"reuseport_uma_mutex.scn", 0x522a554bd9d7942f},
-    {"timewait_tuple_collision_retry.scn", 0xfaa3552135bdabe4},
-    {"tiny_backlog_flood.scn", 0xd00b5d240b5378ec},
-    {"tuple_reuse_trace_adopt.scn", 0x8de0e43dd9cf34a0},
+    {"atr_clamp_reorder_fastsocket.scn", 0x67c74e0999d22c8},
+    {"cookie_flood_small_backlog.scn", 0x7c92b66d3cd0f3a4},
+    {"fleet_gray_degrade_flap.scn", 0x1cece1aec199dd72},
+    {"fleet_partition_lb_machine.scn", 0x4342912af658d150},
+    {"fleet_rolling_restart_overload.scn", 0x2d077ca92657a590},
+    {"keepalive_partial_features.scn", 0x8b2bf3dd749af7f7},
+    {"loss_burst_client_retx.scn", 0xcffa8a5cc3f3bfd5},
+    {"lossy_haproxy.scn", 0xe92101b10142aff9},
+    {"lossy_tiny_backlog_haproxy.scn", 0x9fc29e4a1a0f9583},
+    {"proxy_port_exhaustion_keepalive.scn", 0x9ce7a55697007845},
+    {"reuseport_uma_mutex.scn", 0x80079d30fcf4ecbd},
+    {"timewait_tuple_collision_retry.scn", 0x19f7b758a63fc599},
+    {"tiny_backlog_flood.scn", 0x7f0b5b436cdc2327},
+    {"tuple_reuse_trace_adopt.scn", 0xaf6e625fb8ce4471},
 };
 
 std::string
@@ -185,9 +185,9 @@ TEST(FingerprintCorpus, QuickBenchConfigsMatchPinnedHistory)
         BenchPin pin;
         ExperimentConfig cfg;
     } rows[] = {
-        {{"fig4-nginx", 0xd0d84453b05e7ba8}, fig4Config()},
-        {{"fig3-haproxy", 0xd36c263eedb86b41}, fig3Config()},
-        {{"million-conn", 0x7beaa41310c83bf9}, millionConnConfig()},
+        {{"fig4-nginx", 0x6ef2fe0f8c3a27d7}, fig4Config()},
+        {{"fig3-haproxy", 0x196ea66c43664ae6}, fig3Config()},
+        {{"million-conn", 0x66023c0556ffaa4e}, millionConnConfig()},
     };
     for (Row &row : rows) {
         Testbed bed(row.cfg);
@@ -231,7 +231,7 @@ TEST(FingerprintCorpus, QuickFleetConfigMatchesPinnedHistory)
     FleetTestbed bed(fleetConfig());
     ExperimentResult r = bed.run();
     EXPECT_EQ(r.fleet.restarts, 1u);
-    EXPECT_EQ(r.fingerprint, 0x366782f530d8ec3du)
+    EXPECT_EQ(r.fingerprint, 0xb116fbc69281a091u)
         << "fleet-haproxy: actual 0x" << std::hex << r.fingerprint
         << " (re-pin only for intended semantic changes)";
 }
