@@ -108,7 +108,7 @@ EventQueue::insertNode(Node *n)
             static_cast<std::size_t>((when - rung.start) >> rung.shift);
         if (idx < rung.cur)
             continue;   // bucket already drained; belongs further in
-        rung.buckets[idx].push(n);
+        rung.pushAt(idx, n);
         ++epochInserts_;
         return;
     }
@@ -201,12 +201,8 @@ EventQueue::spillTop()
     if (count <= kSortThreshold) {
         // Not worth a rung: append the batch raw; the caller
         // (prepareBottom) sorts the staged batch once.
-        for (Node *n = head; n;) {
-            Node *next = n->next;
-            n->next = nullptr;
+        for (Node *n = head; n; n = n->next)
             stage(n);
-            n = next;
-        }
         return;
     }
 
@@ -263,38 +259,26 @@ EventQueue::openRung(Tick start, Tick span, std::size_t count)
 void
 EventQueue::drainBucket(Rung &r, std::size_t idx)
 {
-    Bucket &b = r.buckets[idx];
-    Node *head = b.head;
-    const std::size_t count = b.count;
-    b.head = b.tail = nullptr;
-    b.count = 0;
-
-    // A wide, overfull bucket recurses into a narrower rung; a
-    // same-tick or small bucket goes straight to the bottom (seqs
-    // are unique and the sort key is (when, seq), so list arrival
-    // order never matters for the final order).
-    if (r.shift > 0 && count > kSortThreshold &&
-        activeRungs_ < kMaxRungs) {
-        // The parent bucket covers 2^shift ticks. openRung may grow
-        // rungs_ and dangle @p r, so read its geometry first.
-        const Tick start = r.start + (static_cast<Tick>(idx) << r.shift);
-        const Tick span = (Tick{1} << r.shift) - 1;
-        Rung &sub = openRung(start, span, count);
-        rebucketed_ += count;
-        for (Node *n = head; n;) {
-            Node *next = n->next;
-            sub.push(n);
-            n = next;
-        }
-        return;
-    }
-
-    for (Node *n = head; n;) {
-        Node *next = n->next;
-        n->next = nullptr;
+    // Stage the bucket (seqs are unique and the sort key is (when,
+    // seq), so list order never matters for the final order). A wide
+    // bucket that held too many to sort moves on into a narrower rung
+    // instead; its nodes were just read, so the re-push finds them warm.
+    const std::size_t from = bottom_.size();
+    for (Node *n = r.buckets[idx]; n; n = n->next)
         stage(n);
-        n = next;
-    }
+    r.buckets[idx] = nullptr;
+    const std::size_t count = bottom_.size() - from;
+    if (r.shift == 0 || count <= kSortThreshold || activeRungs_ >= kMaxRungs)
+        return;
+    // The parent bucket covers 2^shift ticks. openRung may grow rungs_
+    // and dangle @p r, so read its geometry first.
+    const Tick start = r.start + (static_cast<Tick>(idx) << r.shift);
+    const Tick span = (Tick{1} << r.shift) - 1;
+    Rung &sub = openRung(start, span, count);
+    rebucketed_ += count;
+    for (std::size_t i = from; i < bottom_.size(); ++i)
+        sub.push(bottom_[i].node);
+    bottom_.resize(from);
 }
 
 void
@@ -324,7 +308,7 @@ EventQueue::prepareBottom()
     while (bottom_.size() < kRefillBatch) {
         if (activeRungs_ > 0) {
             Rung &r = rungs_[activeRungs_ - 1];
-            while (r.cur < r.nbuckets && r.buckets[r.cur].count == 0)
+            while (r.cur < r.nbuckets && !r.buckets[r.cur])
                 ++r.cur;
             if (r.cur >= r.nbuckets) {
                 --activeRungs_;   // exhausted; resume the outer rung

@@ -196,26 +196,6 @@ class EventQueue
         }
     };
 
-    /** FIFO-append list of nodes covering one bucket-width of time. */
-    struct Bucket
-    {
-        Node *head = nullptr;
-        Node *tail = nullptr;
-        std::uint32_t count = 0;
-
-        void
-        push(Node *n)
-        {
-            n->next = nullptr;
-            if (tail)
-                tail->next = n;
-            else
-                head = n;
-            tail = n;
-            ++count;
-        }
-    };
-
     /** One ladder rung: a span of time cut into equal-width buckets.
      *  Widths are powers of two so the schedule hot path buckets with a
      *  shift instead of a hardware divide. */
@@ -226,14 +206,25 @@ class EventQueue
         std::uint32_t shift = 0;   //!< log2(ticks per bucket)
         std::size_t cur = 0;  //!< next bucket to drain
         std::size_t nbuckets = 0;
-        std::vector<Bucket> buckets;   //!< capacity reused across epochs
+        /** Each bucket is an unordered list of the nodes in one
+         *  bucket-width of time, linked through Node::next: the bottom
+         *  sorts a drained bucket by (when, seq), so arrival order
+         *  never matters. Capacity is reused across epochs. */
+        std::vector<Node *> buckets;
 
-        /** Append @p n to its bucket; n->when must lie in [start, end). */
+        /** Add @p n to bucket @p idx. */
+        void
+        pushAt(std::size_t idx, Node *n)
+        {
+            n->next = buckets[idx];
+            buckets[idx] = n;
+        }
+
+        /** Add @p n to its bucket; n->when must lie in [start, end). */
         void
         push(Node *n)
         {
-            buckets[static_cast<std::size_t>((n->when - start) >> shift)]
-                .push(n);
+            pushAt(static_cast<std::size_t>((n->when - start) >> shift), n);
         }
     };
 
