@@ -28,11 +28,8 @@ TimeWaitTable::add(int bucket, const FiveTuple &tuple,
     fsim_assert(bucket >= 0 && bucket < bucketCount());
     RingQueue<Entry> &ring = rings_[bucket];
     fsim_assert(ring.size() < 0xffff'ffff);
-    Entry e;
-    e.tuple = tuple;
-    e.holdsPort = holds_port;
-    e.expires = expires;
-    const std::size_t pos = ring.push_back(e);
+    const std::size_t pos = ring.push_back(
+        Entry{.tuple = tuple, .holdsPort = holds_port, .expires = expires});
     // A tuple cannot linger twice: the old entry is always removed
     // (recycled) before the tuple can complete another handshake.
     const bool inserted = index_.insert(tuple, refTo(bucket, pos)).second;

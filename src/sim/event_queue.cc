@@ -242,10 +242,12 @@ EventQueue::openRung(Tick start, Tick span, std::size_t count)
         rungs_.emplace_back();
     Rung &r = rungs_[activeRungs_];
     ++activeRungs_;
-    // Aim for about kSortThreshold/2 events per bucket, not one: a
-    // drained bucket then yields a full dispatch batch instead of a
-    // dribble, so the refill path runs once per ~32 events rather
-    // than once or twice per event.
+    // Ask for one bucket per kSortThreshold/4 events, not per event: a
+    // drained bucket then yields a dispatch batch instead of a dribble,
+    // so the refill path runs once per batch rather than once or twice
+    // per event. Widths round up to a power of two, so a bucket holds
+    // 16-32 events on average, well under the kSortThreshold at which
+    // it would be re-pushed into a sub-rung.
     const std::size_t target =
         std::min(count / (kSortThreshold / 4) + 1, kMaxBucketsPerRung);
     r.start = start;

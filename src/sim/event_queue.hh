@@ -10,13 +10,17 @@
  * ladder queue, adapted): a small sorted "bottom" array feeds dispatch, a
  * stack of rungs holds the near/mid future in constant-time buckets, and
  * an unsorted "top" absorbs the far future until it is spilled into a
- * fresh rung. Every event is bucketed O(1) on schedule and sorted exactly
- * once, in a bounded-size batch, right before dispatch — amortized O(1)
- * per event where the former std::priority_queue paid O(log n) with
- * millions pending. Event closures are stored inline (EventFn) in
- * slab-recycled nodes, so the steady-state schedule/dispatch path never
- * touches the heap. See DESIGN.md ("Ladder event queue") for the bucket
- * width and spill/refill policy and the FIFO-preservation argument.
+ * fresh rung. An event is bucketed O(1) on schedule and sorted once, in
+ * a bounded-size batch, right before dispatch — amortized O(1) per event
+ * where the former std::priority_queue paid O(log n) with millions
+ * pending. An overfull bucket re-buckets its events into a sub-rung;
+ * with each epoch's rung sized from the last epoch's insert rate that
+ * is 0.2–2.1% of schedules on the bench/e2e workloads (75–101% when
+ * rungs were sized from the spilled batch alone). Event closures are
+ * stored inline (EventFn) in slab-recycled nodes, so the steady-state
+ * schedule/dispatch path never touches the heap. See DESIGN.md ("Ladder
+ * event queue") for the bucket width and spill/refill policy and the
+ * FIFO-preservation argument.
  */
 
 #ifndef FSIM_SIM_EVENT_QUEUE_HH
