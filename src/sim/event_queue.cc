@@ -220,13 +220,12 @@ EventQueue::spillTop()
     fsim_assert(activeRungs_ == 0);
     const Tick span = max - min;
     const double estimate = static_cast<double>(epochInserts_) *
-                            static_cast<double>(span) /
-                            static_cast<double>(epochSpan_);
+                            static_cast<double>(span) / epochSpan_;
     const std::size_t expect = std::max(
         count, static_cast<std::size_t>(std::min(
                    estimate, double{kMaxBucketsPerRung * kSortThreshold})));
     epochInserts_ = count;
-    epochSpan_ = span + 1;
+    epochSpan_ = static_cast<double>(span) + 1.0;
     Rung &r = openRung(min, span, expect);
     for (Node *n = head; n;) {
         Node *next = n->next;
@@ -263,15 +262,22 @@ EventQueue::drainBucket(Rung &r, std::size_t idx)
 {
     // Stage the bucket (seqs are unique and the sort key is (when,
     // seq), so list order never matters for the final order). A wide
-    // bucket that held too many to sort moves on into a narrower rung
-    // instead; its nodes were just read, so the re-push finds them warm.
+    // bucket that holds more than kSortThreshold moves on into a
+    // narrower rung instead. Staging stops at the threshold, so the
+    // bottom never grows to hold a whole overfull bucket; the nodes
+    // already staged were just read, so the re-push finds them warm.
     const std::size_t from = bottom_.size();
-    for (Node *n = r.buckets[idx]; n; n = n->next)
-        stage(n);
+    const bool canSplit = r.shift != 0 && activeRungs_ < kMaxRungs;
+    Node *n = r.buckets[idx];
     r.buckets[idx] = nullptr;
-    const std::size_t count = bottom_.size() - from;
-    if (r.shift == 0 || count <= kSortThreshold || activeRungs_ >= kMaxRungs)
+    for (; n && !(canSplit && bottom_.size() - from == kSortThreshold);
+         n = n->next)
+        stage(n);
+    if (!n)
         return;
+    std::size_t count = kSortThreshold;
+    for (const Node *m = n; m; m = m->next)
+        ++count;
     // The parent bucket covers 2^shift ticks. openRung may grow rungs_
     // and dangle @p r, so read its geometry first.
     const Tick start = r.start + (static_cast<Tick>(idx) << r.shift);
@@ -281,6 +287,11 @@ EventQueue::drainBucket(Rung &r, std::size_t idx)
     for (std::size_t i = from; i < bottom_.size(); ++i)
         sub.push(bottom_[i].node);
     bottom_.resize(from);
+    while (n) {
+        Node *next = n->next;
+        sub.push(n);
+        n = next;
+    }
 }
 
 void

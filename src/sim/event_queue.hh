@@ -300,7 +300,9 @@ class EventQueue
      *  plus every schedule bucketed into a rung since. The next spill
      *  sizes its rung from this count, not from its own batch. */
     std::size_t epochInserts_ = 0;
-    Tick epochSpan_ = 1;   //!< ticks the current epoch's rung spans
+    /** Ticks the current epoch's rung spans, as a double: the next
+     *  spill divides by it, and span + 1 cannot wrap to 0 there. */
+    double epochSpan_ = 1.0;
 
     NodeSlab<Node, kChunkNodes> slab_;
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -162,6 +163,39 @@ TEST(EventQueue, TickOverflowNearMax)
     eq.scheduleIn(0, [&] { ran = true; });
     eq.runAll();
     EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, SpillOverTheWholeTickRangeThenSpillAgain)
+{
+    // The top only takes events at or past the epoch boundary, which
+    // is at least tick 1, so the widest spill covers [1, kTickMax]. The
+    // next spill sizes its rung from that span (2^64 - 1 ticks) and
+    // here spans 0 ticks: neither may wrap the rate estimate.
+    EventQueue eq;
+    std::vector<Tick> fired;
+    auto record = [&fired, &eq] { fired.push_back(eq.now()); };
+    // 129 events at tick 0 overflow the pure bottom into a one-bucket
+    // rung ending at tick 1; everything later parks in the top.
+    for (int i = 0; i < 129; ++i)
+        eq.schedule(0, record);
+    // 100 top events from tick 1 to kTickMax: one spill over the whole
+    // range. The first to run parks 70 more at kTickMax, past the new
+    // epoch boundary, for a second spill of span 0.
+    constexpr Tick kStep = kTickMax / 99;
+    eq.schedule(1, [&] {
+        record();
+        for (int i = 0; i < 70; ++i)
+            eq.schedule(kTickMax, record);
+    });
+    for (Tick i = 1; i < 99; ++i)
+        eq.schedule(i * kStep, record);
+    eq.schedule(kTickMax, record);
+    EXPECT_EQ(eq.runAll(), 129u + 100u + 70u);
+    ASSERT_EQ(fired.size(), 299u);
+    EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+    EXPECT_EQ(fired[129], 1u);
+    EXPECT_EQ(fired.back(), kTickMax);
+    EXPECT_EQ(std::count(fired.begin(), fired.end(), kTickMax), 71);
 }
 
 TEST(EventQueue, WideSpreadStillOrdersTotally)

@@ -126,6 +126,22 @@ def symbolise(path, addrs):
     return chains
 
 
+def asan_runtime(binary):
+    """Path of the ASan runtime BINARY links dynamically, or None.
+
+    GCC links libasan as a shared library, and ASan aborts at startup
+    unless its runtime is the first library loaded; a preloaded sampler
+    would come before it, so the runtime is preloaded ahead of it.
+    """
+    try:
+        out = subprocess.run(["ldd", binary], capture_output=True,
+                             text=True).stdout
+    except FileNotFoundError:
+        return None
+    m = re.search(r"^\s*libasan\S*\s+=>\s+(\S+)", out, re.M)
+    return m.group(1) if m else None
+
+
 def owner_split(samples, binary):
     """(pc, load base, object path) samples -> Counter of owners."""
     by_object = {}
@@ -162,7 +178,9 @@ def main(argv):
         raw = os.path.join(tmp, "samples.txt")
         subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", lib,
                         str(SAMPLER), "-ldl"], check=True)
-        env = dict(os.environ, LD_PRELOAD=lib, HOST_PROFILE_OUT=raw,
+        preload = [p for p in (asan_runtime(binary), lib) if p]
+        env = dict(os.environ, LD_PRELOAD=":".join(preload),
+                   HOST_PROFILE_OUT=raw,
                    HOST_PROFILE_USEC=str(usec))
         rc = subprocess.run([binary] + argv[1:], env=env,
                             stdout=sys.stderr).returncode
